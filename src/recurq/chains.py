@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import weyl
-from .fock import TruncationSpec, represent
+from .fock import TruncationSpec, ground_state, represent
 from .propagate import EvolutionTable
 from .synth import reachability_report
 from .weyl import (FAILS, PROPAGATES, UNKNOWN, PolyOp, as_hermitian,
@@ -256,14 +256,12 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
 # -- end-to-end demonstration --------------------------------------------------
 
 
-def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
-               n_budget: int, inverter, psi0: np.ndarray | None = None,
-               jobs: int = 1):
-    """Compile and verify target evolutions on the truncated chain system.
+def chain_table(spec: ChainSpec, dims: Sequence[int]):
+    """Represent the chain's control system on a truncated Fock space.
 
-    ``targets`` is a list of (GeneratorExpr, duration) pairs over the control
-    system's generator indices (0 = drift).  Desk scale only: at most three
-    modes at <= 16 levels each.
+    Returns ``(labels, tspec, table)``: the generator labels, the truncation
+    and the EvolutionTable of the skew generators -iH_k (index 0 = drift).
+    Desk scale only: at most three modes at <= 16 levels each.
     """
     if spec.n_modes > 3:
         raise ValueError("chain demos are desk-scale: at most 3 modes")
@@ -273,12 +271,23 @@ def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
         raise ValueError("chain demos are desk-scale: at most 16 levels per mode")
     tspec = TruncationSpec(tuple(dims))
     labels, gens = control_system(spec)
-    reps = {k: represent(g_h, tspec).matrix
-            for k, g_h in enumerate(_hermitian_counterparts(gens))}
-    table = EvolutionTable({k: -1j * M for k, M in reps.items()})
+    table = EvolutionTable({k: -1j * represent(g_h, tspec).matrix
+                            for k, g_h in enumerate(_hermitian_counterparts(gens))})
+    return labels, tspec, table
+
+
+def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
+               n_budget: int, inverter, psi0: np.ndarray | None = None,
+               jobs: int = 1):
+    """Compile and verify target evolutions on the truncated chain system.
+
+    ``targets`` is a list of (GeneratorExpr, duration) pairs over the control
+    system's generator indices (0 = drift); see ``chain_table`` for the
+    truncation limits.
+    """
+    labels, tspec, table = chain_table(spec, dims)
     if psi0 is None:
-        psi0 = np.zeros(tspec.dim, dtype=complex)
-        psi0[0] = 1.0
+        psi0 = ground_state(tspec)
     report = reachability_report(table, psi0, targets, epsilon, n_budget,
                                  inverter, jobs=jobs)
     return report, labels, table

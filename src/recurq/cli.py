@@ -176,7 +176,15 @@ SCHEMAS = {
         "properties": {
             "chain": _CHAIN,
             "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-            "targets": {"type": "array", "minItems": 1},
+            "targets": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "type": "object",
+                    "properties": {"expr": {}, "t": {"type": "number"}},
+                    "required": ["expr", "t"],
+                },
+            },
             "epsilon": {"type": "number", "exclusiveMinimum": 0},
             "n_budget": {"type": "integer", "minimum": 1},
             "inverter": _INVERTER,
@@ -231,6 +239,35 @@ def write_csv(path: str, rows) -> None:
 # -- config material -----------------------------------------------------------
 
 
+def _parse_poly(text: str, mode_count: int, path: str) -> weyl.PolyOp:
+    try:
+        return weyl.PolyOp.from_text(text, mode_count)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: cannot parse polynomial {text!r}: {exc}") from None
+
+
+def _parse_expr(data, path: str):
+    try:
+        return synth.expr_from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed generator expression: {exc!r}") from None
+
+
+def _check_indices(indices, table, path: str) -> None:
+    known = table.indices()
+    unknown = sorted(set(indices) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}: generator index {unknown[0]} is out of range; the "
+                          f"system has generators {known[0]}..{known[-1]}")
+
+
+def _chain_spec(cfg) -> chains.ChainSpec:
+    try:
+        return chains.ChainSpec.from_dict(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"$.chain: {exc}") from None
+
+
 def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
     if state_cfg is None:
         return fock.ground_state(spec)
@@ -253,7 +290,7 @@ def _build_hamiltonian(cfg, rng):
         mode_count = int(cfg.get("mode_count", 1))
         dims = tuple(cfg.get("dims", (32,) * mode_count))
         spec = fock.TruncationSpec(dims)
-        H = weyl.as_hermitian(weyl.PolyOp.from_text(cfg["poly"], mode_count))
+        H = weyl.as_hermitian(_parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly"))
         sd = recurrence.spectral(fock.represent(H, spec))
         return sd.energies, sd, spec
     raise ConfigError("hamiltonian config needs 'poly', 'levels', or 'level_formula'")
@@ -264,19 +301,20 @@ def _build_system(cfg):
     spec = fock.TruncationSpec(tuple(cfg["dims"]))
     if spec.mode_count != mode_count:
         raise ConfigError("dims length must match mode_count")
-    herms = [weyl.as_hermitian(weyl.PolyOp.from_text(text, mode_count))
-             for text in cfg["generators"]]
+    herms = [weyl.as_hermitian(_parse_poly(text, mode_count, f"$.system.generators[{i}]"))
+             for i, text in enumerate(cfg["generators"])]
     reps = {k: -1j * fock.represent(H, spec).matrix for k, H in enumerate(herms)}
     return spec, herms, propagate.EvolutionTable(reps)
 
 
-def _build_inverter(cfg, table, psi0, rng, spec):
+def _build_inverter(cfg, table, psi0, rng, spec, targets):
+    """Inverter for the reversed segments of the (expr, t) ``targets``."""
     mode = cfg["mode"]
     if mode == "exact":
         return synth.ExactInverter()
     delta = cfg.get("delta")
     if delta is None:
-        raise ConfigError("recurrence inverter configs need 'delta'")
+        raise ConfigError("$.inverter.delta: recurrence inverter configs need 'delta'")
     kwargs = {"t_max": cfg.get("t_max")}
     if mode == "pointwise":
         kwargs["state"] = psi0
@@ -285,8 +323,17 @@ def _build_inverter(cfg, table, psi0, rng, spec):
         kwargs["net"] = [fock.random_interior_state(spec, rng, spec.buffer)
                          for _ in range(size)]
     elif mode == "energy_bound":
-        kwargs["energy_bounds"] = {int(k): float(v)
-                                   for k, v in cfg.get("energy_bounds", {}).items()}
+        try:
+            bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
+        except ValueError as exc:
+            raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
+        reversed_gens = {k for expr, t in targets
+                         for k, s in synth.build_word(expr, t, 1) if s < 0}
+        missing = sorted(reversed_gens - set(bounds))
+        if missing:
+            raise ConfigError(f"$.inverter.energy_bounds: no energy bound for the "
+                              f"reversed generator(s) {missing}")
+        kwargs["energy_bounds"] = bounds
     reps = {k: table.matrix(k) for k in table.indices()}
     return recurrence.RecurrenceInverter.from_skew_reps(reps, delta, mode, **kwargs)
 
@@ -295,8 +342,8 @@ def _build_inverter(cfg, table, psi0, rng, spec):
 
 
 def _run_closure(config, out, rng, jobs):
-    gens = [weyl.as_skew(weyl.PolyOp.from_text(g, int(config["mode_count"])))
-            for g in config["generators"]]
+    gens = [weyl.as_skew(_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]"))
+            for i, g in enumerate(config["generators"])]
     basis = weyl.lie_closure(gens, config.get("degree_cap", 6), config.get("dim_cap", 64))
     write_json(os.path.join(out, "report.json"), {
         "dim": basis.dim,
@@ -309,7 +356,7 @@ def _run_closure(config, out, rng, jobs):
 
 
 def _run_propagation(config, out, rng, jobs):
-    spec = chains.ChainSpec.from_dict(config["chain"])
+    spec = _chain_spec(config["chain"])
     report = chains.chain_controllability(
         spec, config.get("degree_cap", 4), config.get("dim_cap", 256))
     write_json(os.path.join(out, "report.json"), report.to_dict())
@@ -402,6 +449,8 @@ def _run_invert(config, out, rng, jobs):
 
 def _run_trotter(config, out, rng, jobs):
     spec, _, table = _build_system(config["system"])
+    _check_indices([int(config["k"])], table, "$.k")
+    _check_indices([int(config["l"])], table, "$.l")
     psi0 = _build_state(config.get("state"), spec, rng)
     rows = propagate.trotter_errors(int(config["k"]), int(config["l"]),
                                     float(config["t"]), config["ns"], psi0, table)
@@ -416,9 +465,12 @@ def _run_commutator(config, out, rng, jobs):
     spec, _, table = _build_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
+    _check_indices([k], table, "$.k")
+    _check_indices([l], table, "$.l")
     A, B = table.matrix(k), table.matrix(l)
-    target = propagate.expm_skew(A @ B - B @ A, t * t) @ psi0
-    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec)
+    target = propagate.expm_apply(A @ B - B @ A, t * t, [psi0])[0]
+    bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
+    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, [(bracket, t * t)])
     word = propagate.commutator_word(k, l, t, n)
     result = {"n": n, "t": t}
     if isinstance(inverter, synth.ExactInverter):
@@ -446,8 +498,10 @@ def _run_commutator(config, out, rng, jobs):
 def _run_compile(config, out, rng, jobs):
     spec, _, table = _build_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
-    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec)
-    expr = synth.expr_from_dict(config["target"])
+    expr = _parse_expr(config["target"], "$.target")
+    _check_indices(synth.expr_indices(expr), table, "$.target")
+    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec,
+                               [(expr, float(config["t"]))])
     try:
         result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
                                         int(config["n_budget"]), inverter, psi0, table)
@@ -470,16 +524,17 @@ def _run_compile(config, out, rng, jobs):
 
 
 def _run_chain_demo(config, out, rng, jobs):
-    spec = chains.ChainSpec.from_dict(config["chain"])
-    targets = [(synth.expr_from_dict(t["expr"]), float(t["t"]))
-               for t in config["targets"]]
-    tspec = fock.TruncationSpec(tuple(config["dims"]))
+    spec = _chain_spec(config["chain"])
+    targets = [(_parse_expr(t["expr"], f"$.targets[{i}].expr"), float(t["t"]))
+               for i, t in enumerate(config["targets"])]
+    try:
+        labels, tspec, table = chains.chain_table(spec, config["dims"])
+    except ValueError as exc:
+        raise ConfigError(f"$.dims: {exc}") from None
+    for i, (expr, _) in enumerate(targets):
+        _check_indices(synth.expr_indices(expr), table, f"$.targets[{i}].expr")
     psi0 = fock.ground_state(tspec)
-    labels, gens = chains.control_system(spec)
-    reps = {k: -1j * fock.represent(h, tspec).matrix
-            for k, h in enumerate(chains._hermitian_counterparts(gens))}
-    table = propagate.EvolutionTable(reps)
-    inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec)
+    inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec, targets)
     report = synth.reachability_report(table, psi0, targets, float(config["epsilon"]),
                                        int(config["n_budget"]), inverter, jobs=jobs)
     payload = report.to_dict()

@@ -125,6 +125,7 @@ def represent(A: PolyOp, spec: TruncationSpec, max_dim: int = MAX_DIM) -> Trunca
         smalls[mode] = (qm, pm, {})
 
     def mode_power(mode, q_exp, p_exp):
+        """Nonzeros (rows, cols, vals) of the truncated q^a p^b on one mode."""
         qm, pm, cache = smalls[mode]
         key = (q_exp, p_exp)
         if key not in cache:
@@ -132,18 +133,37 @@ def represent(A: PolyOp, spec: TruncationSpec, max_dim: int = MAX_DIM) -> Trunca
             m = np.eye(d, dtype=complex)
             m = m @ np.linalg.matrix_power(qm, q_exp) if q_exp else m
             m = m @ np.linalg.matrix_power(pm, p_exp) if p_exp else m
-            cache[key] = m
+            rows, cols = np.nonzero(m)
+            cache[key] = (rows, cols, m[rows, cols])
         return cache[key]
 
+    # Each monomial's Kronecker product is assembled from the per-mode
+    # nonzeros in np.kron's index layout and multiplication order, then
+    # scattered: the entries it touches get the same values as a dense
+    # kron-and-add, and the entries it does not touch would only add zeros.
     M = np.zeros((spec.dim, spec.dim), dtype=complex)
+    touched = [np.zeros(0, dtype=np.intp)]
     for mono, coeff in A.terms.items():
-        factors = [mode_power(mode, a, b) for mode, (a, b) in enumerate(mono)]
-        M += coeff * reduce(np.kron, factors)
+        rows, cols, vals = mode_power(0, *mono[0])
+        for mode in range(1, spec.mode_count):
+            r, c, v = mode_power(mode, *mono[mode])
+            d = spec.dims[mode]
+            rows = np.add.outer(rows * d, r).ravel()
+            cols = np.add.outer(cols * d, c).ravel()
+            vals = np.multiply.outer(vals, v).ravel()
+        M[rows, cols] += coeff * vals
+        touched.append(rows * spec.dim + cols)
 
     defect = None
     if A.role == HERMITIAN:
-        defect = hermiticity_defect(M)
-        M = hermitize(M)
+        # hermiticity_defect(M) and hermitize(M), evaluated only where M or
+        # its adjoint can be nonzero: every other entry of both is exactly 0
+        flat = np.concatenate(touched)
+        rows, cols = np.divmod(np.union1d(flat, (flat % spec.dim) * spec.dim
+                                          + flat // spec.dim), spec.dim)
+        upper, lower = M[rows, cols], M[cols, rows].conj()
+        defect = float(np.max(np.abs(upper - lower))) if rows.size else 0.0
+        M[rows, cols] = (upper + lower) / 2.0
     M.setflags(write=False)
     return TruncatedRep(M, spec, A, defect)
 

@@ -448,6 +448,8 @@ class RecurrenceInverter:
 
     def duration(self, k: int, s: float):
         key = (int(k), float(s))
+        # threads sharing an inverter may both fill one key; invert is
+        # deterministic, so either result is the same certificate
         if key not in self._cache:
             sd = self.spectra[int(k)]
             self._cache[key] = invert(

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .propagate import (ControlSequence, EvolutionTable, evolve, evolve_signed,
-                        expm_skew, fidelity, realize_word, state_error)
+                        expm_apply, fidelity, realize_word, state_error)
 from .recurrence import ExactInverter
 
 EXACT = "exact"
@@ -192,8 +192,7 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
         verify_states = getattr(inverter, "net", None)
     states = [psi0] + [np.asarray(v, dtype=complex) for v in (verify_states or [])]
 
-    G = expr_matrix(expr, table)
-    targets = [expm_skew(G, t) @ v for v in states]
+    targets = expm_apply(expr_matrix(expr, table), t, states)
 
     exact = isinstance(inverter, ExactInverter) or getattr(inverter, "physical", True) is False
     best_n, best_distance = None, math.inf
@@ -234,7 +233,7 @@ def verify(seq, psi0: np.ndarray, target, reps, t: float | None = None):
     if isinstance(target, GeneratorExpr):
         if t is None:
             raise ValueError("generator targets need a duration t")
-        target_state = expm_skew(expr_matrix(target, table), t) @ psi0
+        target_state = expm_apply(expr_matrix(target, table), t, [psi0])[0]
     else:
         target_state = np.asarray(target, dtype=complex)
     if isinstance(seq, SignedWord):

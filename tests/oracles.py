@@ -4,6 +4,8 @@ reordering identity and structure-tensor machinery."""
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from recurq.weyl import PolyOp
@@ -109,3 +111,23 @@ def matrix_lie_closure(generators, dim_cap=600, tol=1e-9):
         return np.linalg.norm(u) <= membership_tol
 
     return basis, member
+
+
+def dense_represent(A: PolyOp, dims) -> np.ndarray:
+    """Truncate-then-multiply matrix of A by a dense np.kron per monomial,
+    before hermitization."""
+    ladders = []
+    for d in dims:
+        a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
+        ladders.append(((a + a.conj().T) / np.sqrt(2.0), 1j * (a.conj().T - a) / np.sqrt(2.0)))
+    dim = int(np.prod(dims))
+    M = np.zeros((dim, dim), dtype=complex)
+    for mono, coeff in A.terms.items():
+        factors = []
+        for (q_exp, p_exp), (qm, pm), d in zip(mono, ladders, dims):
+            m = np.eye(d, dtype=complex)
+            m = m @ np.linalg.matrix_power(qm, q_exp) if q_exp else m
+            m = m @ np.linalg.matrix_power(pm, p_exp) if p_exp else m
+            factors.append(m)
+        M += coeff * reduce(np.kron, factors)
+    return M

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from recurq import cli
 
 
@@ -166,3 +168,52 @@ def test_reruns_are_bit_identical(tmp_path):
     assert rc1 == rc2 == cli.EXIT_OK
     assert (out1 / "plan.json").read_bytes() == (out2 / "plan.json").read_bytes()
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+
+
+GEN = lambda k: {"op": "gen", "k": k}
+BAD_CONFIGS = [
+    ("closure", {"mode_count": 1, "generators": ["(0,1) * q1", "(0,1) * q1^^2"]},
+     "$.generators[1]"),
+    ("trotter", {"system": QP_SYSTEM, "k": 0, "l": 5, "t": 0.5, "ns": [4]}, "$.l"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": {"mode": "energy_bound", "delta": 0.1}},
+     "$.inverter.energy_bounds"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "bracket", "left": GEN(0),
+                                                 "right": GEN(2)},
+                 "t": 0.5, "epsilon": 0.1, "n_budget": 4, "inverter": {"mode": "exact"}},
+     "$.target"),
+]
+
+
+@pytest.mark.parametrize("sub,config,path", BAD_CONFIGS, ids=[c[0] for c in BAD_CONFIGS])
+def test_config_errors_exit_usage_with_json_path(sub, config, path, tmp_path, capsys):
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_chain_demo_parallel_report_matches_serial(tmp_path):
+    # dim 216 with two few-segment targets: both take the action path and
+    # share one EvolutionTable across the worker threads
+    config = {
+        "chain": {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
+                  "control_sites": [0], "control_degree_cap": 1},
+        "dims": [6, 6, 6],
+        "targets": [{"expr": {"op": "sum", "left": GEN(0), "right": GEN(k)}, "t": t}
+                    for k, t in ((1, 0.3), (2, 0.25))],
+        "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "exact"},
+    }
+    reports = []
+    for jobs in (1, 2):
+        cfg = tmp_path / f"jobs{jobs}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"jobs{jobs}_out"
+        assert cli.main(["chain-demo", "--config", str(cfg), "--out", str(out),
+                         "--jobs", str(jobs)]) == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        for rec in report["targets"]:
+            rec.pop("wall_time")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert all(rec["segments"] for rec in reports[0]["targets"])

@@ -8,6 +8,7 @@ from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, const, p, q
 
 from conftest import random_polyop
+from oracles import dense_represent
 
 
 def test_spec_validation():
@@ -89,6 +90,22 @@ def test_represent_bracket_matches_commutator(rng):
         Mbr = fock.represent(weyl.bracket(A, B), spec).matrix
         diff = fock.interior_block(Mbr - (MA @ MB - MB @ MA), spec, buffer)
         assert np.max(np.abs(diff)) < 1e-8
+
+
+def test_scatter_represent_equals_dense_kron(rng):
+    # bit for bit, including the hermitization and its recorded defect
+    for _ in range(60):
+        modes = int(rng.integers(1, 4))
+        dims = tuple(int(d) for d in rng.integers(2, 7, size=modes))
+        A = random_polyop(rng, mode_count=modes, max_degree=5, max_terms=6)
+        spec = TruncationSpec(dims)
+        raw = dense_represent(A, dims)
+        assert np.array_equal(fock.represent(A, spec).matrix, raw)
+        H = as_hermitian(A + A.adjoint())
+        rep = fock.represent(H, spec)
+        raw = dense_represent(H, dims)
+        assert rep.hermiticity_defect == fock.hermiticity_defect(raw)
+        assert np.array_equal(rep.matrix, fock.hermitize(raw))
 
 
 def test_hermitize():

@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from recurq import fock, propagate as pr, recurrence as rc
+from recurq import chains, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.propagate import ControlSequence
 from recurq.weyl import as_hermitian, p, q
@@ -240,3 +243,107 @@ def test_realize_word_keeps_forward_segments():
 
     segments, plans = pr.realize_word(word, NoInverter())
     assert segments == word and plans == {}
+
+
+# -- spectral / action paths -------------------------------------------------------
+
+
+def _chain_table(d):
+    spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
+    _, tspec, table = chains.chain_table(spec, (d, d, d))
+    return tspec, table
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_rule_threshold():
+    assert pr.uses_spectrum(1, 24) and pr.uses_spectrum(1, 127)
+    assert not pr.uses_spectrum(1, 128)
+    assert pr.uses_spectrum(8, 512) and not pr.uses_spectrum(7, 512)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 8])  # dims 64, 125, 216, 512
+def test_action_matches_spectral(d, rng):
+    tspec, table = _chain_table(d)
+    psi0 = fock.random_interior_state(tspec, rng, 1)
+    for k, t in ((0, 0.3), (1, 0.15), (2, 1.7)):
+        assert np.linalg.norm(table.act(k, t, psi0) - table.apply(k, t, psi0)) <= 1e-12
+    word = ((1, 0.2), (0, 0.1), (2, 0.25), (1, 0.05))
+    signed = word + ((2, -0.25), (0, -0.1))
+    for segments, run in ((word, lambda w, v: pr.evolve(ControlSequence(w), v, table)),
+                          (signed, lambda w, v: pr.evolve_signed(w, v, table))):
+        spectral = psi0
+        for k, t in segments:
+            spectral = table.apply(k, t, spectral)
+        assert np.linalg.norm(run(segments, psi0) - spectral) <= 1e-12
+    G = table.matrix(1) + table.matrix(2)
+    one_off, = pr.expm_apply(G, 0.4, [psi0])
+    assert np.linalg.norm(one_off - pr.expm_skew(G, 0.4) @ psi0) <= 1e-12
+
+
+def test_rule_small_word_diagonalizes_each_generator(monkeypatch):
+    spec = TruncationSpec((24,))
+    table = pr.EvolutionTable({0: -1j * fock.represent(q(0), spec).matrix,
+                               1: -1j * fock.represent(p(0), spec).matrix})
+    calls = _count_eigh(monkeypatch)
+    pr.evolve(pr.trotter_sequence(0, 1, 0.7, 16), fock.ground_state(spec), table)
+    assert calls == [24, 24]
+
+
+def test_rule_large_chain_demo_never_diagonalizes(monkeypatch):
+    spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
+    calls = _count_eigh(monkeypatch)
+    target = synth.Sum(synth.Gen(0), synth.Gen(1))
+    report, _, table = chains.chain_demo(spec, (8, 8, 8), [(target, 0.3)], 0.1, 64,
+                                         synth.ExactInverter())
+    assert report.all_ok and table.dim == 512
+    assert calls == []
+
+
+def test_action_ignores_global_rng_state(rng):
+    tspec, table = _chain_table(6)
+    psi0 = fock.random_interior_state(tspec, rng, 1)
+    t = 5.0  # ||G t||_1 is hundreds: scipy would estimate norms randomly
+    outs = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        state = np.random.get_state()[1].copy()
+        outs.append(table.act(2, t, psi0))
+        assert np.array_equal(np.random.get_state()[1], state)
+    assert np.array_equal(outs[0], outs[1])
+    assert np.linalg.norm(outs[0] - table.apply(2, t, psi0)) <= 1e-12
+
+
+def test_shared_table_fills_each_cache_once(monkeypatch, rng):
+    tspec, table = _chain_table(5)
+    psi0 = fock.random_interior_state(tspec, rng, 1)
+    eigh_calls = _count_eigh(monkeypatch)
+    built = []
+
+    class CountingAction(pr._Action):
+        def __init__(self, M):
+            built.append(1)
+            super().__init__(M)
+
+    monkeypatch.setattr(pr, "_Action", CountingAction)
+    work = [(path, k) for path in ("apply", "act") for k in table.indices()] * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(getattr(table, path), k, 0.2, psi0) for path, k in work]
+            outs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outs) == len(work)
+    assert len(eigh_calls) == len(built) == len(table.indices())
