@@ -279,6 +279,16 @@ def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
     raise ConfigError(f"unintelligible state config {state_cfg!r}")
 
 
+def _truncation(dims, path: str) -> fock.TruncationSpec:
+    try:
+        spec = fock.TruncationSpec(tuple(dims))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if spec.dim > fock.MAX_DIM:
+        raise ConfigError(f"{path}: total dimension {spec.dim} exceeds limit {fock.MAX_DIM}")
+    return spec
+
+
 def _build_hamiltonian(cfg, rng):
     """Returns (levels, spectral_data_or_None, spec_or_None)."""
     if "levels" in cfg:
@@ -289,7 +299,7 @@ def _build_hamiltonian(cfg, rng):
     if "poly" in cfg:
         mode_count = int(cfg.get("mode_count", 1))
         dims = tuple(cfg.get("dims", (32,) * mode_count))
-        spec = fock.TruncationSpec(dims)
+        spec = _truncation(dims, "$.hamiltonian.dims")
         H = weyl.as_hermitian(_parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly"))
         sd = recurrence.spectral(fock.represent(H, spec))
         return sd.energies, sd, spec
@@ -298,9 +308,9 @@ def _build_hamiltonian(cfg, rng):
 
 def _build_system(cfg):
     mode_count = int(cfg["mode_count"])
-    spec = fock.TruncationSpec(tuple(cfg["dims"]))
+    spec = _truncation(cfg["dims"], "$.system.dims")
     if spec.mode_count != mode_count:
-        raise ConfigError("dims length must match mode_count")
+        raise ConfigError("$.system.dims: dims length must match mode_count")
     herms = [weyl.as_hermitian(_parse_poly(text, mode_count, f"$.system.generators[{i}]"))
              for i, text in enumerate(cfg["generators"])]
     reps = {k: -1j * fock.represent(H, spec).matrix for k, H in enumerate(herms)}
@@ -315,6 +325,10 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
     delta = cfg.get("delta")
     if delta is None:
         raise ConfigError("$.inverter.delta: recurrence inverter configs need 'delta'")
+    # only reversed segments reach the inverter, so only their generators
+    # need a spectrum; segment signs do not depend on the order n
+    reversed_gens = {k for expr, t in targets
+                     for k, s in synth.build_word(expr, t, 1) if s < 0}
     kwargs = {"t_max": cfg.get("t_max")}
     if mode == "pointwise":
         kwargs["state"] = psi0
@@ -327,14 +341,12 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
             bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
         except ValueError as exc:
             raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
-        reversed_gens = {k for expr, t in targets
-                         for k, s in synth.build_word(expr, t, 1) if s < 0}
         missing = sorted(reversed_gens - set(bounds))
         if missing:
             raise ConfigError(f"$.inverter.energy_bounds: no energy bound for the "
                               f"reversed generator(s) {missing}")
         kwargs["energy_bounds"] = bounds
-    reps = {k: table.matrix(k) for k in table.indices()}
+    reps = {k: table.matrix(k) for k in sorted(reversed_gens)}
     return recurrence.RecurrenceInverter.from_skew_reps(reps, delta, mode, **kwargs)
 
 
@@ -398,10 +410,8 @@ def _run_recur(config, out, rng, jobs):
             t_max=config.get("t_max"), grid_step=config.get("grid_step"),
             shift=sd.shift if sd is not None else 0.0, trace=trace, **kwargs)
     except recurrence.RecurrenceSearchError as exc:
-        write_json(os.path.join(out, "report.json"), {
-            "status": "failed", "error": str(exc),
-            "best_time": exc.best_time, "best_objective": exc.best_objective,
-        })
+        write_json(os.path.join(out, "report.json"),
+                   {"status": "failed", "error": str(exc), **exc.to_dict()})
         return EXIT_FAILURE
     except recurrence.SpectrumExhaustedError as exc:
         write_json(os.path.join(out, "report.json"),

@@ -43,17 +43,42 @@ HERMITICITY_TOL = 1e-8
 
 
 class RecurrenceSearchError(RuntimeError):
-    """No recurrence time found within the horizon; carries diagnostics."""
+    """No recurrence time found within the horizon; carries diagnostics.
 
-    def __init__(self, t_max, best_time, best_objective, threshold):
+    ``best_objective`` is the direct cosine sum at ``best_time``.  ``grid_points``
+    counts the scanned grid times, ``refine_cut`` is the grid level below which
+    every true sub-threshold minimum must show, and ``frequencies`` is the
+    number of distinct |E_n| in the searched head.
+    """
+
+    def __init__(self, t_max, best_time, best_objective, threshold, *,
+                 grid_step, grid_points, refine_cut, frequencies):
         self.t_max = t_max
         self.best_time = best_time
         self.best_objective = best_objective
         self.threshold = threshold
+        self.grid_step = grid_step
+        self.grid_points = grid_points
+        self.refine_cut = refine_cut
+        self.frequencies = frequencies
         super().__init__(
             f"no recurrence time within horizon {t_max:g}: best objective "
-            f"{best_objective:.3e} at T={best_time:.6g} (needed < {threshold:.3e})"
+            f"{best_objective:.3e} at T={best_time:.6g} (needed < {threshold:.3e}); "
+            f"scanned {grid_points} grid points at step {grid_step:.3e} with refine "
+            f"cut {refine_cut:.3e}; {frequencies} distinct |E_n|"
         )
+
+    def to_dict(self) -> dict:
+        return {
+            "t_max": self.t_max,
+            "best_time": self.best_time,
+            "best_objective": self.best_objective,
+            "threshold": self.threshold,
+            "grid_step": self.grid_step,
+            "grid_points": self.grid_points,
+            "refine_cut": self.refine_cut,
+            "frequencies": self.frequencies,
+        }
 
 
 class SpectrumExhaustedError(ValueError):
@@ -187,6 +212,33 @@ def _objective(energies: np.ndarray):
     return f
 
 
+# Grid points per angle-addition block.  A chunk of m points becomes
+# ceil(m / _BLOCK) row phases times _BLOCK column phases: (m / _BLOCK + _BLOCK) * N
+# sines and cosines plus two GEMMs whose cost does not depend on the block.
+# The trig count is smallest at sqrt(2^16) = 256 for full chunks, which is
+# also the measured optimum (notes/decisions.md).
+_BLOCK = 256
+
+
+def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray:
+    """sum_n (1 - cos(E_n t_j)) at t_j = j h + start for j = 0..m-1.
+
+    With j = a B + b this is N - Re(e^{i E (aBh + start)} . e^{i E b h}), i.e.
+    cos(A) @ cos(C) - sin(A) @ sin(C) for the row phases A and the column
+    phases C.  Every row phase is formed directly from its time, never by
+    repeated rotation, so rounding does not build up along the chunk.
+    """
+    rows = np.arange(0, m, _BLOCK) * h + start
+    A = np.outer(rows, E)
+    C = np.outer(E, np.arange(min(m, _BLOCK)) * h)
+    S = np.cos(A) @ np.cos(C) - np.sin(A) @ np.sin(C)
+    return len(E) - S.ravel()[:m]
+
+
+def _distinct_frequencies(E: np.ndarray) -> int:
+    return 1 + int(np.count_nonzero(np.diff(np.unique(np.abs(E))) > 1e-12))
+
+
 @dataclass
 class RecurrenceTime:
     time: float
@@ -201,10 +253,12 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
                          trace: list | None = None, trace_stride: int = 200) -> RecurrenceTime:
     """Earliest grid time T in [tau_min, t_max] with sum(1 - cos(E_n T)) < delta^2/4.
 
-    Grid local minima are polished by bounded scalar minimization, so exact
-    recurrences between grid points are still found.  Depends only on the
-    eigenvalue list, never on a state.  Raises RecurrenceSearchError with the
-    best objective seen when the horizon is exhausted.
+    The grid is scanned by angle addition (``_grid_objective``); its local
+    minima are polished by bounded scalar minimization of the direct cosine
+    sum, so exact recurrences between grid points are still found and every
+    returned time and objective comes from the direct sum.  Depends only on
+    the eigenvalue list, never on a state.  Raises RecurrenceSearchError with
+    the best objective seen when the horizon is exhausted.
     """
     E = np.asarray(energies, dtype=float)
     if E.size == 0:
@@ -228,8 +282,11 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     if t_max < tau_min:
         raise ValueError("t_max must be >= tau_min")
 
-    # any true sub-threshold minimum shows up on the grid below this level
-    refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2
+    # any true sub-threshold minimum shows up on the grid below this level:
+    # the curvature term covers the distance to the nearest grid point, the
+    # rounding term the float error of the grid phases and products
+    rounding = 8.0 * len(E) * np.finfo(float).eps * (e_max * (t_max + grid_step) + 1.0)
+    refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2 + rounding
 
     if f(tau_min) < threshold:
         return RecurrenceTime(tau_min, f(tau_min), threshold, tau_min, grid_step)
@@ -249,10 +306,9 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         stop = min(start + chunk * grid_step, t_max)
         m = max(2, int(round((stop - start) / grid_step)) + 1)
         ts = np.linspace(start, stop, m)
-        vals = len(E) - np.cos(np.outer(ts, E)).sum(axis=1)
+        vals = _grid_objective(E, start, (stop - start) / (m - 1), m)
         if trace is not None:
-            for i in range(0, m, trace_stride):
-                trace.append((float(ts[i]), float(vals[i])))
+            trace.extend(zip(ts[::trace_stride].tolist(), vals[::trace_stride].tolist()))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
             best_t, best_f = float(ts[i_best]), float(vals[i_best])
@@ -273,7 +329,9 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         prev_tail_f = float(vals[-1])
         n_point += m
         start = stop
-    raise RecurrenceSearchError(t_max, best_t, best_f, threshold)
+    raise RecurrenceSearchError(
+        t_max, best_t, f(best_t), threshold, grid_step=grid_step, grid_points=n_point,
+        refine_cut=refine_cut, frequencies=_distinct_frequencies(E))
 
 
 # -- certified plans and inversion -------------------------------------------

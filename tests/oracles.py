@@ -1,6 +1,7 @@
-"""Independent oracles used by the tests: brute-force symbolic reordering and
-matrix-level Lie closure.  These deliberately avoid the package's closed-form
-reordering identity and structure-tensor machinery."""
+"""Independent oracles used by the tests: brute-force symbolic reordering,
+matrix-level Lie closure, dense Fock assembly and the point-by-point recurrence
+grid scan.  These deliberately avoid the package's closed-form reordering
+identity, structure-tensor machinery, scatter assembly and angle addition."""
 
 from __future__ import annotations
 
@@ -131,3 +132,30 @@ def dense_represent(A: PolyOp, dims) -> np.ndarray:
             factors.append(m)
         M += coeff * reduce(np.kron, factors)
     return M
+
+
+def direct_grid_values(energies, ts) -> np.ndarray:
+    """N - sum_n cos(E_n t) at every grid time: one cosine per point and level."""
+    E = np.asarray(energies, dtype=float)
+    return len(E) - np.cos(np.outer(ts, E)).sum(axis=1)
+
+
+def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
+    """The recurrence search grid scanned point by point, without refinement.
+
+    Chunks of 2^16 steps with shared boundary points, as in
+    ``find_recurrence_time``.  Returns the trace samples (every
+    ``trace_stride``-th point of each chunk) and the number of points scanned.
+    """
+    trace, n_point = [], 0
+    start = tau_min
+    while start < t_max:
+        stop = min(start + (1 << 16) * grid_step, t_max)
+        m = max(2, int(round((stop - start) / grid_step)) + 1)
+        ts = np.linspace(start, stop, m)
+        vals = direct_grid_values(energies, ts)
+        for i in range(0, m, trace_stride):
+            trace.append((float(ts[i]), float(vals[i])))
+        n_point += m
+        start = stop
+    return trace, n_point

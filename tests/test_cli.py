@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from recurq import cli
+from recurq import cli, fock, propagate, recurrence
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(subcommand, config, tmp_path, seed=0, name="run"):
@@ -53,6 +60,13 @@ def test_recur_search_failure_exit_code(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "failed"
     assert report["best_objective"] > 0
+    levels = config["hamiltonian"]["levels"]
+    N, _ = recurrence.tail_cut_energy(levels, config["energy_bound"], config["delta"])
+    E = np.array(levels[: N + 1])
+    assert report["best_objective"] == float(np.sum(1.0 - np.cos(E * report["best_time"])))
+    assert report["grid_points"] > 1 and report["grid_step"] > 0
+    assert report["refine_cut"] > report["threshold"]
+    assert report["frequencies"] == N + 1 and report["t_max"] == 30.0
 
 
 def test_recur_exhausted_spectrum_exit_code(tmp_path):
@@ -217,3 +231,98 @@ def test_chain_demo_parallel_report_matches_serial(tmp_path):
         reports.append(report)
     assert reports[0] == reports[1]
     assert all(rec["segments"] for rec in reports[0]["targets"])
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("trotter", {"system": dict(QP_SYSTEM, dims=[5000]), "k": 0, "l": 1, "t": 0.5,
+                 "ns": [4]}, "$.system.dims"),
+    ("recur", {"hamiltonian": dict(HARMONIC, dims=[5000]), "delta": 0.1,
+               "mode": "pointwise"}, "$.hamiltonian.dims"),
+], ids=["trotter", "recur"])
+def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsys):
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: ") and str(fock.MAX_DIM) in err
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_chain_demo_sum_target_diagonalizes_nothing(tmp_path, monkeypatch):
+    # a plain sum target reverses no generator, so the pointwise inverter
+    # needs no spectrum, and the dim-512 word takes the action path
+    config = {
+        "chain": {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
+                  "control_sites": [0], "control_degree_cap": 1},
+        "dims": [8, 8, 8],
+        "targets": [{"expr": {"op": "sum", "left": GEN(0), "right": GEN(1)}, "t": 0.3}],
+        "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "pointwise", "delta": 1e-3},
+    }
+    calls = _count_eigh(monkeypatch)
+    rc_code, out = run("chain-demo", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    assert json.loads((out / "report.json").read_text())["all_ok"]
+    assert calls == []
+
+
+def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypatch):
+    system = {
+        "mode_count": 1,
+        "dims": [24],
+        "generators": ["(0.5,0) * q1^2 + (0.5,0) * p1^2",
+                       "(0.5,0) * q1^2 + (0.5,0) * p1^2 + (1,0) * q1",
+                       "(1,0) * p1"],
+    }
+    config = {"system": system, "k": 0, "l": 1, "t": 0.4, "n": 2,
+              "inverter": {"mode": "pointwise", "delta": 1e-4},
+              "state": {"fock": [0]}}
+    built = []
+    from_skew_reps = recurrence.RecurrenceInverter.from_skew_reps.__func__
+
+    def recording(cls, reps, *args, **kwargs):
+        built.append(sorted(reps))
+        return from_skew_reps(cls, reps, *args, **kwargs)
+
+    monkeypatch.setattr(recurrence.RecurrenceInverter, "from_skew_reps",
+                        classmethod(recording))
+    rc_code, out = run("commutator", config, tmp_path)
+    assert rc_code == cli.EXIT_OK and built == [[0, 1]]
+    # the plans equal those of an inverter holding every generator's spectrum
+    spec, _, table = cli._build_system(system)
+    inverter = from_skew_reps(recurrence.RecurrenceInverter,
+                              {k: table.matrix(k) for k in table.indices()}, 1e-4,
+                              "pointwise", state=fock.fock_state(spec, [0]))
+    propagate.commutator_sequence(0, 1, 0.4, 2, inverter)
+    plans = json.loads((out / "plans.json").read_text())
+    assert plans == [p.to_dict() for p in inverter.plans().values()]
+
+
+def test_recur_artifacts_independent_of_blas_threads(tmp_path):
+    # 62 head levels over four grid chunks: the scan's matrix products are
+    # large enough for a threaded BLAS to split them
+    config = {"hamiltonian": {"level_formula": {"count": 128, "coeffs": [0.0, 1.0, 1 / 11]}},
+              "delta": 0.2, "mode": "energy_bound", "energy_bound": 2.0, "tau_min": 1.0}
+    cfg = tmp_path / "ladder.json"
+    cfg.write_text(json.dumps(config))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "recurq.cli", "recur", "--config",
+                               str(cfg), "--out", str(out)], env=env, capture_output=True)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
+        outs.append(out)
+    for name in ("plan.json", "scan.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert len((outs[0] / "scan.csv").read_text().splitlines()) > 3 * (1 << 16) // 200

@@ -9,6 +9,8 @@ from recurq import fock, propagate as pr, recurrence as rc
 from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
+from oracles import direct_grid_scan, direct_grid_values
+
 
 @pytest.fixture(scope="module")
 def harmonic():
@@ -195,8 +197,72 @@ def test_find_time_failure_carries_diagnostics():
     E = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
     with pytest.raises(rc.RecurrenceSearchError) as err:
         rc.find_recurrence_time(E, 1e-6, tau_min=0.5, t_max=50.0)
-    assert err.value.best_objective > 0
-    assert err.value.t_max == 50.0
+    exc = err.value
+    assert exc.best_objective > 0
+    assert exc.t_max == 50.0
+    # the reported objective is the direct cosine sum, not a grid value
+    assert exc.best_objective == float(np.sum(1.0 - np.cos(E * exc.best_time)))
+    assert exc.grid_step == 2.0 * math.pi / (100.0 * math.sqrt(5.0))
+    assert exc.grid_points == int(round(49.5 / exc.grid_step)) + 1
+    assert exc.refine_cut > exc.threshold
+    assert exc.frequencies == 4
+    assert exc.to_dict()["grid_points"] == exc.grid_points
+    for text in (f"{exc.grid_points} grid points", "refine cut", "4 distinct |E_n|"):
+        assert text in str(exc)
+
+
+def test_failure_counts_distinct_absolute_frequencies():
+    E = np.array([-1.0, 1.0, 2.0, 2.0 + 1e-14, 3.0])
+    with pytest.raises(rc.RecurrenceSearchError) as err:
+        rc.find_recurrence_time(E, 1e-3, tau_min=0.5, t_max=1.0)
+    assert err.value.frequencies == 3
+
+
+def _rounding(E, t_last, h):
+    return 8.0 * len(E) * np.finfo(float).eps * (np.max(np.abs(E)) * (t_last + h) + 1.0)
+
+
+@pytest.mark.parametrize("N,start,m", [
+    (1, 0.0, 2), (1, 1e5, 1000), (4, 0.5, 2), (8, 3.0, 257), (8, 1e5, 700),
+    (32, 1e3, 1 << 12), (128, 1.0, 515), (128, 1e5, (1 << 16) + 1),
+])
+def test_grid_objective_matches_direct_scan(N, start, m):
+    rng = np.random.default_rng(N + m)
+    E = np.sort(rng.uniform(0.0, 10.0, N))
+    h = 2.0 * math.pi / (100.0 * np.max(E))
+    stop = start + (m - 1) * h
+    ts = np.linspace(start, stop, m)
+    vals = rc._grid_objective(E, start, (stop - start) / (m - 1), m)
+    assert vals.shape == (m,)
+    assert np.max(np.abs(vals - direct_grid_values(E, ts))) <= _rounding(E, stop, h)
+
+
+def test_narrow_dip_between_grid_points_is_found():
+    # a harmonic-like ladder returns exactly at T0 = 2 pi / w; the grid is laid
+    # so T0 falls midway between two points, where the dip (half-width ~6e-6)
+    # is far narrower than the step and no grid point is below threshold
+    w, delta = 1.3, 1e-4
+    E = w * np.array([1.0, 2.0, 3.0, 5.0, 7.0])
+    T0, tau_min = 2.0 * math.pi / w, 0.5
+    grid_step = (T0 - tau_min) / 700.5
+    trace, _ = direct_grid_scan(E, tau_min, T0 + 1.0, grid_step, trace_stride=1)
+    assert min(v for _, v in trace) > delta * delta / 4.0
+    found = rc.find_recurrence_time(E, delta, tau_min=tau_min, grid_step=grid_step)
+    assert abs(found.time - T0) < 1e-7  # float cos is flat to ~1e-8 at the bottom
+    assert found.objective < delta * delta / 4.0
+
+
+def test_trace_samples_match_direct_scan():
+    E = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
+    trace: list = []
+    with pytest.raises(rc.RecurrenceSearchError) as err:
+        rc.find_recurrence_time(E, 1e-6, tau_min=0.5, t_max=5000.0, trace=trace)
+    step = err.value.grid_step
+    expected, n_point = direct_grid_scan(E, 0.5, 5000.0, step)
+    assert n_point > 2 * (1 << 16) and err.value.grid_points == n_point
+    assert [t for t, _ in trace] == [t for t, _ in expected]
+    deviation = max(abs(v - u) for (_, v), (_, u) in zip(trace, expected))
+    assert deviation <= _rounding(E, 5000.0, step)
 
 
 def test_find_time_state_independent(harmonic, rng):
