@@ -446,8 +446,11 @@ def _run_invert(config, out, rng, jobs):
         res = recurrence.invert(sd, float(config["s"]), float(config["delta"]),
                                 mode, t_max=config.get("t_max"),
                                 grid_step=config.get("grid_step"), **inv_kwargs)
-    except (recurrence.RecurrenceSearchError,
-            recurrence.SpectrumExhaustedError) as exc:
+    except recurrence.RecurrenceSearchError as exc:
+        write_json(os.path.join(out, "report.json"),
+                   {"status": "failed", "error": str(exc), **exc.to_dict()})
+        return EXIT_FAILURE
+    except recurrence.SpectrumExhaustedError as exc:
         write_json(os.path.join(out, "report.json"),
                    {"status": "failed", "error": str(exc)})
         return EXIT_FAILURE
@@ -491,7 +494,7 @@ def _run_commutator(config, out, rng, jobs):
             seq = propagate.commutator_sequence(k, l, t, n, inverter)
         except recurrence.RecurrenceSearchError as exc:
             write_json(os.path.join(out, "report.json"),
-                       {"status": "failed", "error": str(exc)})
+                       {"status": "failed", "error": str(exc), **exc.to_dict()})
             return EXIT_FAILURE
         out_state = propagate.evolve(seq, psi0, table)
         result["physical"] = True
@@ -515,7 +518,11 @@ def _run_compile(config, out, rng, jobs):
     try:
         result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
                                         int(config["n_budget"]), inverter, psi0, table)
-    except (synth.CompileBudgetError, recurrence.RecurrenceSearchError) as exc:
+    except recurrence.RecurrenceSearchError as exc:
+        write_json(os.path.join(out, "report.json"),
+                   {"status": "failed", "error": str(exc), **exc.to_dict()})
+        return EXIT_FAILURE
+    except synth.CompileBudgetError as exc:
         write_json(os.path.join(out, "report.json"),
                    {"status": "failed", "error": str(exc)})
         return EXIT_FAILURE

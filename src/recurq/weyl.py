@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 HERMITIAN = "hermitian"
 SKEW = "skew-hermitian"
@@ -62,20 +63,6 @@ def _mono_product(m1: Monomial, m2: Monomial):
     for (a, b), (c, d) in zip(m1, m2):
         nxt = {}
         for (ab, coeff) in _mode_pair_product(a, b, c, d):
-            for prefix, pc in acc.items():
-                key = prefix + (ab,)
-                nxt[key] = nxt.get(key, 0.0j) + pc * coeff
-        acc = nxt
-    return acc
-
-
-def _mono_adjoint(mono: Monomial):
-    """Adjoint of a unit-coefficient monomial: reverse factors, recanonicalize."""
-    # (q^a p^b)^dag = p^b q^a per mode; modes commute so no cross-mode work.
-    acc = {(): 1.0 + 0.0j}
-    for (a, b) in mono:
-        nxt = {}
-        for (ab, coeff) in _mode_pair_product(0, b, a, 0):
             for prefix, pc in acc.items():
                 key = prefix + (ab,)
                 nxt[key] = nxt.get(key, 0.0j) + pc * coeff
@@ -185,7 +172,10 @@ class PolyOp:
     def adjoint(self) -> "PolyOp":
         out: dict = {}
         for mono, coeff in self.terms.items():
-            for m2, c2 in _mono_adjoint(mono).items():
+            # (q^a p^b)^dag = p^b q^a per mode, recanonicalized as a product
+            ps = tuple((0, b) for a, b in mono)
+            qs = tuple((a, 0) for a, b in mono)
+            for m2, c2 in _mono_product(ps, qs).items():
                 out[m2] = out.get(m2, 0.0j) + coeff.conjugate() * c2
         return PolyOp(self.mode_count, out)
 
@@ -376,39 +366,58 @@ def enumerate_monomials(mode_count: int, support: Sequence[int], max_degree: int
 
 
 class _RealSpan:
-    """Incremental orthonormal basis of a real span in monomial coordinates."""
+    """Incremental orthonormal basis of the real span of complex vectors.
 
-    def __init__(self, n_coords: int, tol: float = INDEPENDENCE_TOL):
+    ``vecs`` holds the added vectors, normalized, and ``q`` an orthonormal
+    basis of their span in real coordinates (real parts, then imaginary
+    parts).  With ``dim_cap`` vectors held, a further independent vector is
+    refused and sets ``capped``.
+    """
+
+    def __init__(self, n_coords: int, dim_cap: int | None = None,
+                 tol: float = INDEPENDENCE_TOL):
         self.tol = tol
-        self.q = np.zeros((0, n_coords))
+        self.dim_cap = dim_cap
+        self.capped = False
+        self.q = np.zeros((0, 2 * n_coords))
+        self.vecs: list = []
 
     @property
     def dim(self):
         return self.q.shape[0]
 
-    def residual(self, v: np.ndarray):
-        r = v.copy()
+    def _residual(self, U: np.ndarray):
         for _ in range(2):  # two-pass reorthogonalization
             if self.dim:
-                r = r - self.q.T @ (self.q @ r)
-        return r
+                U = U - (U @ self.q.T) @ self.q
+        return U
+
+    def independent(self, V: np.ndarray) -> np.ndarray:
+        """Mask of the (nonzero) rows of V that lie outside the span."""
+        U = _to_real(V / np.linalg.norm(V, axis=1, keepdims=True))
+        return np.linalg.norm(self._residual(U), axis=1) > self.tol
 
     def try_add(self, v: np.ndarray) -> bool:
         nv = np.linalg.norm(v)
         if nv == 0:
             return False
-        r = self.residual(v / nv)
+        u = v / nv
+        r = self._residual(_to_real(u))
         rn = np.linalg.norm(r)
         if rn <= self.tol:
             return False
+        if self.dim_cap is not None and self.dim >= self.dim_cap:
+            self.capped = True
+            return False
         self.q = np.vstack([self.q, r / rn])
+        self.vecs.append(u)
         return True
 
     def contains(self, v: np.ndarray, tol: float) -> bool:
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
-        return np.linalg.norm(self.residual(v / nv)) <= tol
+        return np.linalg.norm(self._residual(_to_real(v / nv))) <= tol
 
 
 def _vectorize(op: PolyOp, index: dict, n: int):
@@ -424,16 +433,13 @@ def _vectorize(op: PolyOp, index: dict, n: int):
 
 
 def _to_real(v: np.ndarray):
-    return np.concatenate([v.real, v.imag])
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
 def _from_vector(v: np.ndarray, monomials, mode_count: int) -> PolyOp:
-    terms = {}
-    scale = np.max(np.abs(v)) if v.size else 0.0
-    for i, c in enumerate(v):
-        if abs(c) > _PRUNE * max(scale, 1.0):
-            terms[monomials[i]] = complex(c)
-    return PolyOp(mode_count, terms, SKEW)
+    mag = np.abs(v)
+    keep = np.flatnonzero(mag > _PRUNE * max(mag.max(initial=0.0), 1.0))
+    return PolyOp(mode_count, {monomials[i]: complex(v[i]) for i in keep}, SKEW)
 
 
 # -- Lie closure ------------------------------------------------------------
@@ -470,7 +476,7 @@ class LieBasis:
         v = _vectorize(X, self._index, len(self._monomials))
         if v is None:
             return False
-        return self._span.contains(_to_real(v), tol)
+        return self._span.contains(v, tol)
 
 
 def contains(basis: LieBasis, X: PolyOp, tol: float = 1e-8) -> bool:
@@ -480,134 +486,130 @@ def contains(basis: LieBasis, X: PolyOp, tol: float = 1e-8) -> bool:
 
 
 class _StructureTensor:
-    """Cached brackets of basis monomials, split into in-cap and overflow parts."""
+    """Every bracket [m_i, m_j] of the basis monomials in one sparse table.
 
-    _DENSE_LIMIT = 120
+    ``columns`` lists the n in-cap monomials followed by the overflow
+    monomials (degree above the cap) that some bracket produces.  The table
+    T[i, j, col] is stored as the CSR matrix ``S`` with T[i, j, col] at row
+    ``i * n_ext + col``, column ``j``, so M_y = sum_j y_j T[:, j, :] is the
+    single product ``S @ y``.  ``N[i, j]`` is the norm of the in-cap part of
+    [m_i, m_j].
+    """
 
-    def __init__(self, mode_count, monomials, index, degree_cap):
-        self.mode_count = mode_count
-        self.monomials = monomials
-        self.index = index
-        self.degree_cap = degree_cap
+    def __init__(self, monomials):
         n = len(monomials)
-        self.n = n
-        self.dense = n <= self._DENSE_LIMIT
-        self.overflow_terms: dict = {}
-        if self.dense:
-            self.T = np.zeros((n, n, n), dtype=complex)
-            self.overflow_flag = np.zeros((n, n), dtype=bool)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    vec, over = self._mono_bracket(i, j)
-                    self.T[i, j] = vec
-                    self.T[j, i] = -vec
-                    if over:
-                        self.overflow_flag[i, j] = True
-                        self.overflow_flag[j, i] = True
-                        self.overflow_terms[(i, j)] = over
-        else:
-            self._cache: dict = {}
+        slots = sorted({s for mono in monomials for s in _mono_support(mono)})
+        E = np.array([[mono[s] for s in slots] for mono in monomials], dtype=np.int64)
+        A, B = E[:, :, 0], E[:, :, 1]
+        I, J = np.triu_indices(n, 1)
+        F = _contraction_counts(int(E.max()))
+        # Per mode, (q^a p^b)(q^c p^d) and (q^c p^d)(q^a p^b) share the term
+        # q^(a+c-k) p^(b+d-k) with weights F[b, c, k] (-i)^k and F[d, a, k] (-i)^k.
+        # Expand every pair over its k, mode by mode: distinct k-vectors give
+        # distinct monomials, so each coefficient is one exact Gaussian integer.
+        pair = np.arange(I.size)
+        alpha, beta = np.ones(I.size), np.ones(I.size)
+        ksum = np.zeros(I.size, dtype=np.int64)
+        out = np.zeros((I.size, 0), dtype=np.int64)
+        for s in range(len(slots)):
+            ai, bi, aj, bj = A[I[pair], s], B[I[pair], s], A[J[pair], s], B[J[pair], s]
+            counts = np.maximum(np.minimum(bi, aj), np.minimum(bj, ai)) + 1
+            rep = np.repeat(np.arange(pair.size), counts)
+            k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            ai, bi, aj, bj = ai[rep], bi[rep], aj[rep], bj[rep]
+            pair, ksum = pair[rep], ksum[rep] + k
+            alpha = alpha[rep] * F[bi, aj, k]
+            beta = beta[rep] * F[bj, ai, k]
+            out = np.column_stack([out[rep], ai + aj - k, bi + bj - k])
+        keep = alpha != beta
+        pair, out = pair[keep], out[keep]
+        coeff = (alpha[keep] - beta[keep]) * np.array([1, -1j, -1, 1j])[ksum[keep] % 4]
 
-    def _mono_bracket(self, i, j):
-        mi, mj = self.monomials[i], self.monomials[j]
-        acc = dict(_mono_product(mi, mj))
-        for mono, coeff in _mono_product(mj, mi).items():
-            acc[mono] = acc.get(mono, 0.0j) - coeff
-        vec = np.zeros(self.n, dtype=complex)
-        over = {}
-        for mono, coeff in acc.items():
-            if coeff == 0:
-                continue
-            k = self.index.get(mono)
-            if k is not None:
-                vec[k] = coeff
-            else:
-                over[mono] = coeff
-        return vec, over
+        rows = np.concatenate([E.reshape(n, -1), out])
+        _, first, inverse = np.unique(_lex_rank(rows), return_index=True,
+                                      return_inverse=True)
+        col_of = np.full(first.size, -1)
+        col_of[inverse[:n]] = np.arange(n)
+        over = np.flatnonzero(col_of < 0)
+        col_of[over] = n + np.arange(over.size)
+        col = col_of[inverse[n:]]
+        self.n, self.n_ext = n, n + over.size
+        self.columns = tuple(monomials) + tuple(
+            _embed(row, slots, len(monomials[0])) for row in rows[first[over]].tolist())
 
-    def _pair(self, i, j):
-        if i == j:
-            return None
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        entry = self._cache.get((i, j))
-        if entry is None:
-            entry = self._mono_bracket(i, j)
-            self._cache[(i, j)] = entry
-        vec, over = entry
-        return sign * vec, over, sign
+        i = np.concatenate([I[pair], J[pair]])
+        j = np.concatenate([J[pair], I[pair]])
+        col = np.concatenate([col, col])
+        coeff = np.concatenate([coeff, -coeff])
+        self.S = sp.csr_matrix((coeff, (i * self.n_ext + col, j)),
+                               shape=(n * self.n_ext, n))
+        incap = col < n
+        self.N = np.sqrt(np.bincount(i[incap] * n + j[incap], np.abs(coeff[incap]) ** 2,
+                                     minlength=n * n)).reshape(n, n)
 
     def bracket_rows(self, X: np.ndarray, y: np.ndarray):
         """Brackets [X_r, y] for all rows of X.
 
         Returns ``(R, overflow)`` where R[r] is the in-cap coefficient vector
-        and overflow[r] is True when the full bracket has terms of degree
-        beyond the cap (checked exactly, cancellations included).
+        and overflow[r] is True when the bracket has a term of degree beyond
+        the cap above roundoff.
         """
-        m = X.shape[0]
-        scale_y = np.max(np.abs(y)) or 1.0
-        ynz = np.abs(y) > 1e-13 * scale_y
-        if self.dense:
-            T2 = np.tensordot(self.T, y, axes=([1], [0]))
-            R = X @ T2
-            # rows whose norm sits at the cancellation floor are roundoff zeros
-            floor = 1e-11 * max(np.linalg.norm(T2), 1e-300)
-            noise = np.linalg.norm(R, axis=1) < floor * np.linalg.norm(X, axis=1)
-            R[noise] = 0.0
-            overflow = np.zeros(m, dtype=bool)
-            col_flag = (self.overflow_flag[:, ynz]).any(axis=1)
-            for r in range(m):
-                xr = X[r]
-                scale_x = np.max(np.abs(xr)) or 1.0
-                xnz = np.abs(xr) > 1e-13 * scale_x
-                if not (xnz & col_flag).any():
-                    continue
-                overflow[r] = self._exact_overflow(xr, y, xnz, ynz)
-            return R, overflow
-        # sparse fall-back: per-pair cached accumulation
-        R = np.zeros((m, self.n), dtype=complex)
-        overflow = np.zeros(m, dtype=bool)
-        jidx = np.nonzero(ynz)[0]
-        for r in range(m):
-            xr = X[r]
-            scale_x = np.max(np.abs(xr)) or 1.0
-            iidx = np.nonzero(np.abs(xr) > 1e-13 * scale_x)[0]
-            over_acc: dict = {}
-            gross = 0.0
-            for i in iidx:
-                for j in jidx:
-                    pr = self._pair(i, j)
-                    if pr is None:
-                        continue
-                    vec, over, sign = pr
-                    w = xr[i] * y[j]
-                    R[r] += w * vec
-                    gross += abs(w) * np.linalg.norm(vec)
-                    if over:
-                        for mono, coeff in over.items():
-                            over_acc[mono] = over_acc.get(mono, 0.0j) + w * sign * coeff
-            if np.linalg.norm(R[r]) < 1e-11 * gross:
-                R[r] = 0.0
-            if over_acc:
-                lim = 1e-10 * max(np.linalg.norm(xr) * np.linalg.norm(y), 1e-300)
-                overflow[r] = any(abs(c) > lim for c in over_acc.values())
+        X, y = _drop_tiny(X), _drop_tiny(y)
+        My = (self.S @ y).reshape(self.n, self.n_ext)
+        cols = np.flatnonzero(My.any(axis=0))
+        P = X @ My[:, cols]
+        incap = cols < self.n
+        R = np.zeros((X.shape[0], self.n), dtype=complex)
+        R[:, cols[incap]] = P[:, incap]
+        # rows at the cancellation floor of their gross sum are roundoff zeros
+        gross = np.abs(X) @ (self.N @ np.abs(y))
+        R[np.linalg.norm(R, axis=1) < 1e-11 * gross] = 0.0
+        lim = 1e-10 * np.maximum(np.linalg.norm(X, axis=1) * np.linalg.norm(y), 1e-300)
+        overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
         return R, overflow
 
-    def _exact_overflow(self, x, y, xnz, ynz):
-        acc: dict = {}
-        for i in np.nonzero(xnz)[0]:
-            row = self.overflow_flag[i]
-            for j in np.nonzero(ynz & row)[0]:
-                key = (i, j) if i < j else (j, i)
-                sign = 1.0 if i < j else -1.0
-                w = x[i] * y[j] * sign
-                for mono, coeff in self.overflow_terms[key].items():
-                    acc[mono] = acc.get(mono, 0.0j) + w * coeff
-        if not acc:
-            return False
-        lim = 1e-10 * max(np.linalg.norm(x) * np.linalg.norm(y), 1e-300)
-        return any(abs(c) > lim for c in acc.values())
+
+def _contraction_counts(top: int) -> np.ndarray:
+    """F[b, c, k] = C(b, k) C(c, k) k!, the weight of k contractions in p^b q^c."""
+    F = np.zeros((top + 1,) * 3)
+    for b in range(top + 1):
+        for c in range(top + 1):
+            for k in range(min(b, c) + 1):
+                F[b, c, k] = math.comb(b, k) * math.comb(c, k) * math.factorial(k)
+    return F
+
+
+def _lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Index of each exponent row in the lexicographic list of all rows of
+    its width whose sum is at most the largest row sum: an exact int64 key."""
+    width, top = rows.shape[1], int(rows.sum(axis=1).max())
+    if math.comb(width + top, top) >= 2 ** 62:
+        raise ValueError("monomial space too large for the bracket table")
+    # C[a, b] = C(a, b); r-tuples with sum <= d number C(r + d, r)
+    C = np.array([[math.comb(a, b) for b in range(width + 1)]
+                  for a in range(width + top + 2)], dtype=np.int64)
+    key = np.zeros(len(rows), dtype=np.int64)
+    room = np.full(len(rows), top)
+    for t in range(width):
+        r, e = width - t - 1, rows[:, t]
+        # rows with a smaller exponent here: sum_{v < e} C(r + room - v, r)
+        key += C[r + room + 1, r + 1] - C[r + room - e + 1, r + 1]
+        room -= e
+    return key
+
+
+def _embed(row, slots, mode_count) -> Monomial:
+    """Monomial with the exponent pairs ``row`` on the modes ``slots``."""
+    mono = [(0, 0)] * mode_count
+    for t, s in enumerate(slots):
+        mono[s] = (row[2 * t], row[2 * t + 1])
+    return tuple(mono)
+
+
+def _drop_tiny(V: np.ndarray) -> np.ndarray:
+    """Zero the entries below 1e-13 of their row's largest magnitude."""
+    mag = np.abs(V)
+    return np.where(mag > 1e-13 * mag.max(axis=-1, keepdims=True), V, 0.0)
 
 
 def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_CAP,
@@ -641,48 +643,28 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
     index = {m: i for i, m in enumerate(monomials)}
     n = len(monomials)
 
-    span = _RealSpan(2 * n)
-    vecs: list = []
-    degree_capped = False
-    dim_capped = False
-
-    def try_add(v: np.ndarray) -> str:
-        nonlocal dim_capped
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return "zero"
-        u = v / nv
-        if not span.contains(_to_real(u), INDEPENDENCE_TOL):
-            if len(vecs) >= dim_cap:
-                dim_capped = True
-                return "capped"
-            span.try_add(_to_real(u))
-            vecs.append(u)
-            return "added"
-        return "dependent"
-
+    span = _RealSpan(n, dim_cap)
     for g in generators:
         v = _vectorize(g, index, n)
         if v is None:  # cannot happen: degree validated above
             raise AssertionError("generator outside enumerated monomials")
-        if try_add(v) == "capped":
+        span.try_add(v)
+        if span.capped:
             break
 
-    tensor = _StructureTensor(mode_count, monomials, index, degree_cap)
-
-    i = 0
-    while i < len(vecs) and not dim_capped:
-        if i == 0:
-            i += 1  # [x, x] = 0; nothing to pair the first element with
-            continue
-        X = np.asarray(vecs[:i])
-        R, over = tensor.bracket_rows(X, vecs[i])
-        if over.any():
-            degree_capped = True
-        for r in range(R.shape[0]):
-            if over[r]:
-                continue
-            if try_add(R[r]) == "capped":
+    tensor = _StructureTensor(monomials)
+    vecs = span.vecs
+    degree_capped = False
+    # brackets are antisymmetric and [x, x] = 0: pair vecs[i] with earlier elements only
+    i = 1
+    while i < len(vecs) and not span.capped:
+        R, over = tensor.bracket_rows(np.asarray(vecs[:i]), vecs[i])
+        degree_capped |= bool(over.any())
+        rows = np.flatnonzero(~over & R.any(axis=1))
+        # the span only grows, so rows dependent on it now stay dependent
+        for r in rows[span.independent(R[rows])]:
+            span.try_add(R[r])
+            if span.capped:
                 break
         i += 1
 
@@ -692,9 +674,9 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
         basis=basis_ops,
         degree_cap=degree_cap,
         dim_cap=dim_cap,
-        saturated=not (degree_capped or dim_capped),
+        saturated=not (degree_capped or span.capped),
         degree_capped=degree_capped,
-        dim_capped=dim_capped,
+        dim_capped=span.capped,
         _monomials=tuple(monomials),
         _index=index,
         _span=span,
@@ -713,7 +695,7 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     """
     monomials = enumerate_monomials(mode_count, modes, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
-    span = _RealSpan(2 * len(monomials))
+    span = _RealSpan(len(monomials))
     out = []
     for mono in monomials:
         m_op = PolyOp(mode_count, {mono: 1.0})
@@ -723,7 +705,7 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
             if candidate.is_zero:
                 continue
             v = _vectorize(candidate, index, len(monomials))
-            if span.try_add(_to_real(v / np.linalg.norm(v))):
+            if span.try_add(v):
                 out.append(as_skew(candidate))
     return out
 

@@ -46,6 +46,17 @@ def reorder_poly(raw, mode_count) -> PolyOp:
     return PolyOp(mode_count, terms)
 
 
+def monomial_bracket(m1, m2, mode_count) -> PolyOp:
+    """[m1, m2] of two canonical monomials, by reordering the factor words
+    m1 m2 and m2 m1."""
+    def word(mono):
+        return [(kind, mode) for mode, (a, b) in enumerate(mono)
+                for kind in "q" * a + "p" * b]
+
+    w1, w2 = word(m1), word(m2)
+    return reorder_poly([(w1 + w2, 1.0), (w2 + w1, -1.0)], mode_count)
+
+
 def word_matrix(factors, coeff, mats):
     """Direct matrix product of a factor word, in operator order."""
     q_m, p_m = mats

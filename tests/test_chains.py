@@ -118,11 +118,13 @@ def test_chain_spec_json_roundtrip():
 # -- controllability propagation -------------------------------------------------------
 
 def test_chain_propagates_three_modes():
-    report = ch.chain_controllability(three_mode_chain(), degree_cap=4, dim_cap=256)
-    assert report.verdict == weyl.PROPAGATES
-    assert [v.edge for v in report.edge_verdicts] == [(0, 1), (1, 2)]
-    assert all(v.verdict == weyl.PROPAGATES for v in report.edge_verdicts)
-    assert not report.unreachable_modes
+    for cap, dims in ((4, (70, 70)), (5, (126, 126))):
+        report = ch.chain_controllability(three_mode_chain(), degree_cap=cap, dim_cap=256)
+        assert report.verdict == weyl.PROPAGATES
+        assert [v.edge for v in report.edge_verdicts] == [(0, 1), (1, 2)]
+        assert all(v.verdict == weyl.PROPAGATES for v in report.edge_verdicts)
+        assert tuple(v.closure_dim for v in report.edge_verdicts) == dims
+        assert not report.unreachable_modes
 
 
 def test_chain_decoupled_fails():

@@ -97,6 +97,21 @@ def test_invert_subcommand(tmp_path):
     assert abs(report["t_star"] - (4 * math.pi - 1.0)) < 1e-5
 
 
+def test_invert_search_failure_report_carries_diagnostics(tmp_path):
+    # the criterion-3b spectrum (dim-32 position operator) at a short horizon
+    config = {"hamiltonian": {"poly": "(1,0) * q1", "mode_count": 1, "dims": [32]},
+              "delta": 1e-5, "mode": "pointwise", "s": 1.0, "state": {"fock": [0]},
+              "t_max": 200.0}
+    rc_code, out = run("invert", config, tmp_path)
+    assert rc_code == cli.EXIT_FAILURE
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["grid_points"] > 1
+    assert report["refine_cut"] > report["threshold"]
+    assert report["best_objective"] >= report["threshold"]
+    assert report["t_max"] == 200.0
+
+
 def test_trotter_subcommand(tmp_path):
     config = {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.7, "ns": [16, 64],
               "state": {"fock": [0]}}

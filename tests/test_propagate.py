@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,6 +84,29 @@ def test_expm_matches_scipy(qp_system):
 def test_expm_rejects_non_skew():
     with pytest.raises(ValueError):
         pr.expm_skew(np.eye(4), 1.0)
+
+
+def test_skew_defect_matches_dense_formula(rng):
+    def sparse_random(d, density):
+        M = np.zeros((d, d), dtype=complex)
+        mask = rng.random((d, d)) < density
+        M[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
+        return M
+
+    cases = [np.zeros((5, 5), dtype=complex), np.eye(4), np.diag([1j, 2j, 0.0])]
+    for d, density in ((6, 0.3), (40, 0.02), (64, 0.5)):
+        A = sparse_random(d, density)
+        cases += [A, A - A.conj().T, A - A.conj().T + 1e-9 * sparse_random(d, 0.05)]
+    for M in cases:
+        dense = float(np.max(np.abs(M + M.conj().T)))
+        assert pr._skew_defect(M) == dense
+        if dense > pr.SKEW_TOL:
+            with pytest.raises(ValueError, match=re.escape(f"defect {dense:.3e}")):
+                pr._check_skew(M)
+        else:
+            pr._check_skew(M)
+    with pytest.raises(ValueError, match="square"):
+        pr._check_skew(np.zeros((3, 4)))
 
 
 # -- evolve ----------------------------------------------------------------------

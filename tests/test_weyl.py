@@ -7,7 +7,7 @@ from recurq import fock, weyl
 from recurq.weyl import PolyOp, as_hermitian, as_skew, bracket, canonicalize, q, p, const, skew_generator
 
 from conftest import random_polyop, random_skew
-from oracles import reorder_poly, word_matrix
+from oracles import monomial_bracket, reorder_poly, word_matrix
 
 
 def iq(m=1):
@@ -177,13 +177,14 @@ def test_closure_cubic_hits_degree_cap():
     iq3 = skew_generator(as_hermitian(q(0) * q(0) * q(0)))
     basis = weyl.lie_closure([iq3, ip2()], 6, 64)
     assert not basis.saturated and basis.degree_capped
+    assert not basis.dim_capped and basis.dim == 28
 
 
 def test_closure_dim_cap_flag():
     iq3 = skew_generator(as_hermitian(q(0) * q(0) * q(0)))
     basis = weyl.lie_closure([iq3, ip2()], 8, 10)
     assert basis.dim_capped and not basis.saturated
-    assert basis.dim <= 10
+    assert not basis.degree_capped and basis.dim == 10
 
 
 def test_closure_rejects_bad_input():
@@ -210,6 +211,36 @@ def test_closure_brackets_close_in_span(rng):
             out = bracket(A, B).cleaned()
             if not out.is_zero:
                 assert basis.contains(as_skew(out))
+
+
+def _table_entries(table):
+    """{(i, j): {monomial: coeff}} of every nonzero table entry."""
+    coo = table.S.tocoo()
+    rows, cols = np.divmod(coo.row, table.n_ext)
+    out: dict = {}
+    for i, col, j, c in zip(rows, cols, coo.col, coo.data):
+        out.setdefault((int(i), int(j)), {})[table.columns[col]] = c
+    return out
+
+
+@pytest.mark.parametrize("mode_count, cap, n_pairs", [
+    (1, 6, None), (2, 3, None), (2, 5, 200), (3, 3, 200)])
+def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
+    monomials = weyl.enumerate_monomials(mode_count, range(mode_count), cap)
+    n = len(monomials)
+    table = weyl._StructureTensor(monomials)
+    assert table.columns[:n] == tuple(monomials)
+    assert all(weyl.mono_degree(m) > cap for m in table.columns[n:])
+    assert len(set(table.columns)) == table.n_ext
+    entries = _table_entries(table)
+    if n_pairs is None:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        rng = np.random.default_rng(1000 * mode_count + cap)
+        pairs = [tuple(int(k) for k in rng.integers(0, n, 2)) for _ in range(n_pairs)]
+    for i, j in pairs:
+        expected = monomial_bracket(monomials[i], monomials[j], mode_count).terms
+        assert entries.get((i, j), {}) == expected, (monomials[i], monomials[j])
 
 
 # -- contains ------------------------------------------------------------------
