@@ -16,7 +16,8 @@ from .fock import (TruncationSpec, TruncatedRep, ladder_matrices, q_matrix,
                    truncation_probe, fock_state, ground_state, normalize,
                    random_interior_state, interior_mask, interior_block,
                    embed_state, save_rep, load_rep)
-from .propagate import (ControlSequence, EvolutionTable, expm_skew, expm_apply,
+from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable,
+                        expm_skew, expm_apply,
                         evolve, evolve_signed, trotter_sequence, commutator_word,
                         commutator_sequence, realize_word, trotter_errors,
                         state_error, fidelity)

@@ -328,7 +328,7 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
     # only reversed segments reach the inverter, so only their generators
     # need a spectrum; segment signs do not depend on the order n
     reversed_gens = {k for expr, t in targets
-                     for k, s in synth.build_word(expr, t, 1) if s < 0}
+                     for k, s in propagate.leaves(synth.build_word(expr, t, 1)) if s < 0}
     kwargs = {"t_max": cfg.get("t_max")}
     if mode == "pointwise":
         kwargs["state"] = psi0

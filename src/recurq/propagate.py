@@ -11,14 +11,20 @@ with s = t/n.  The commutator word needs reversed segments; those are either
 evaluated exactly (oracle-only signed evolution, negative durations never
 leave this module) or replaced by forward recurrence surrogates supplied by
 an inverter strategy.
+
+Words are trees (``Concat`` and ``Repeat`` over (k, t) leaves), so an order-n
+commutator is one 4-leaf block repeated n^2 times rather than 4n^2 segments.
+A repeated block whose generators are all evaluated spectrally is applied as
+one dense unitary raised to its count by repeated squaring.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,6 +48,23 @@ NORM_TOL = 1e-10
 # up, and below dim 128 every generator takes the spectral path.
 SPECTRAL_DIVISOR = 64
 
+# A Repeat whose generators all take the spectral path is applied as its
+# block unitary raised to its count by repeated squaring once it stands for at
+# least dim // SQUARING_DIVISOR segments; below that it applies its block
+# count times.  Squaring trades two mat-vecs per segment for a few dense
+# products per tree node.  Measured break-even, in segments of one
+# Repeat(block, count) applied to one state, for 2- and 4-leaf blocks
+# (2-vCPU Xeon, OpenBLAS): dim 24 -> 10-13, 64 -> 17-23, 128 -> 45-62,
+# 216 -> 100-125, 512 -> 180-220, 729 -> 300-400.  ``uses_spectrum``'s
+# dim // 64 would square 10-30x too early.
+SQUARING_DIVISOR = 2
+# A squared block unitary whose departure from unitarity, max |U^dag U - I|,
+# exceeds the norm check's own tolerance is projected back (``_unitarize``).
+# Below it the squared result tracks the segment-by-segment product, rounding
+# included; above it that rounding, amplified by the count, would trip
+# NORM_TOL (a depth-2 bracket at n = 16 reaches 8.5e-10, at n = 32 1.4e-8).
+REUNITARIZE_TOL = NORM_TOL
+
 # expm_multiply switches to the randomized onenormest, which draws from the
 # global np.random state, once the trace-shifted 1-norm of its argument
 # exceeds ~63 (condition 3.13 of Al-Mohy & Higham with m_max = 55, ell = 2,
@@ -50,27 +73,159 @@ SPECTRAL_DIVISOR = 64
 ACTION_NORM_STEP = 32.0
 
 
+# -- control words -----------------------------------------------------------
+#
+# A word is a leaf (k, t), which applies e^{H_k t}, or a tree of them: a
+# Concat applies its parts in time order and a Repeat applies its block
+# ``count`` times.  A plain sequence of leaves is accepted wherever a word is,
+# and read as one Concat.
+
+
+def _is_leaf(node) -> bool:
+    return isinstance(node, tuple) and len(node) == 2 and isinstance(node[0], numbers.Integral)
+
+
+def _length(node) -> int:
+    if isinstance(node, (Concat, Repeat)):
+        return node.length
+    if _is_leaf(node):
+        return 1
+    raise TypeError(f"not a word: {node!r}")
+
+
+@dataclass(frozen=True)
+class Concat:
+    """Words applied one after another, first part first; parts that are
+    themselves Concats are spliced in."""
+
+    parts: tuple
+    length: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = []
+        for part in self.parts:
+            parts.extend(part.parts if isinstance(part, Concat) else (part,))
+        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "length", sum(_length(p) for p in parts))
+
+    def __len__(self):
+        return self.length
+
+
+@dataclass(frozen=True)
+class Repeat:
+    """A block word applied ``count`` times in a row."""
+
+    block: object
+    count: int
+    length: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"repeat count must be >= 1, got {self.count}")
+        object.__setattr__(self, "length", self.count * _length(self.block))
+
+    def __len__(self):
+        return self.length
+
+
+def as_word(word):
+    """Tree form of a word: trees pass through, and a single leaf or a plain
+    sequence of (k, t) pairs becomes one Concat."""
+    if isinstance(word, (Concat, Repeat)):
+        return word
+    if _is_leaf(word):
+        return Concat((word,))
+    return Concat(tuple((int(k), float(t)) for k, t in word))
+
+
+def flatten(word) -> tuple:
+    """The word as a flat tuple of (k, t) segments in time order."""
+    def walk(node):
+        if _is_leaf(node):
+            return (node,)
+        if isinstance(node, Repeat):
+            return walk(node.block) * node.count
+        out = []
+        for part in node.parts:
+            if _is_leaf(part):
+                out.append(part)
+            else:
+                out.extend(walk(part))
+        return tuple(out)
+
+    return walk(as_word(word))
+
+
+def map_leaves(word, fn):
+    """The word with every leaf replaced by ``fn(leaf)``.
+
+    ``fn`` runs once per distinct leaf, in time order of first occurrence, so
+    the tree keeps its shape and its size.
+    """
+    memo = {}
+
+    def walk(node):
+        if _is_leaf(node):
+            key = (node[0], node[1], math.copysign(1.0, node[1]))  # keeps -0.0
+            if key not in memo:
+                memo[key] = fn(node)
+            return memo[key]
+        if isinstance(node, Repeat):
+            return Repeat(walk(node.block), node.count)
+        return Concat(tuple(walk(p) for p in node.parts))
+
+    return walk(as_word(word))
+
+
+def leaves(word) -> tuple:
+    """The distinct leaves of a word, in time order of first occurrence."""
+    seen = []
+    map_leaves(word, lambda leaf: seen.append(leaf) or leaf)
+    return tuple(seen)
+
+
+def applications(word) -> Counter:
+    """How many times the word applies each generator."""
+    node = as_word(word)
+    if isinstance(node, Repeat):
+        return Counter({k: n * node.count for k, n in applications(node.block).items()})
+    out = Counter(p[0] for p in node.parts if _is_leaf(p))
+    for part in node.parts:
+        if not _is_leaf(part):
+            out.update(applications(part))
+    return out
+
+
+def _physical_leaf(leaf):
+    k, t = int(leaf[0]), float(leaf[1])
+    if k < 0:
+        raise ValueError(f"generator index {k} is negative")
+    if t < 0:
+        raise ValueError(f"negative duration {t} in control sequence")
+    return (k, t)
+
+
 @dataclass(frozen=True)
 class ControlSequence:
-    """Physical switching schedule; every duration is non-negative."""
+    """Physical switching schedule; every duration is non-negative.
 
-    segments: tuple
+    ``word`` is a word tree or a plain sequence of (k, t) segments; the flat
+    ``segments`` are built only on demand.
+    """
+
+    word: object
     provenance: str = ""
 
     def __post_init__(self):
-        segs = []
-        for k, t in self.segments:
-            k = int(k)
-            t = float(t)
-            if k < 0:
-                raise ValueError(f"generator index {k} is negative")
-            if t < 0:
-                raise ValueError(f"negative duration {t} in control sequence")
-            segs.append((k, t))
-        object.__setattr__(self, "segments", tuple(segs))
+        object.__setattr__(self, "word", map_leaves(self.word, _physical_leaf))
 
     def __len__(self):
-        return len(self.segments)
+        return len(self.word)
+
+    @property
+    def segments(self) -> tuple:
+        return flatten(self.word)
 
     @property
     def total_time(self) -> float:
@@ -115,6 +270,11 @@ def uses_spectrum(applications: int, dim: int) -> bool:
     return applications >= dim // SPECTRAL_DIVISOR
 
 
+def squares(repeat: "Repeat", dim: int) -> bool:
+    """The repeated-squaring rule for a Repeat of spectral generators."""
+    return repeat.count > 1 and len(repeat) >= dim // SQUARING_DIVISOR
+
+
 class _Action:
     """e^{G t} psi by expm_multiply on a sparse copy of the generator."""
 
@@ -125,6 +285,8 @@ class _Action:
         self.norm = float(abs(shifted).sum(axis=0).max())
 
     def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
+        if psi.ndim == 2:  # one vector per call, as the norm step assumes
+            return np.column_stack([self(t, np.ascontiguousarray(col)) for col in psi.T])
         steps = max(1, math.ceil(abs(t) * self.norm / ACTION_NORM_STEP))
         out = psi
         for _ in range(steps):
@@ -184,25 +346,19 @@ class EvolutionTable:
         return self._cached(self._eig, k, lambda M: np.linalg.eigh(1j * M))
 
     def apply(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
-        """Spectral path: e^{H_k t} psi from the cached eigendecomposition."""
+        """Spectral path: e^{H_k t} psi from the cached eigendecomposition;
+        ``psi`` is one state or a dim x m block of column states."""
         w, V = self._decomp(k)
-        return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi))
+        phase = np.exp(-1j * w * t)
+        return V @ ((phase[:, None] if psi.ndim == 2 else phase) * (V.conj().T @ psi))
 
     def act(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
-        """Action path: e^{H_k t} psi by expm_multiply, norm-checked."""
+        """Action path: e^{H_k t} psi by expm_multiply, norm-checked per state."""
         return self._cached(self._actions, k, _Action)(t, psi)
 
     def unitary(self, k: int, t: float) -> np.ndarray:
         w, V = self._decomp(k)
         return (V * np.exp(-1j * w * t)) @ V.conj().T
-
-    def _stepper(self, segments):
-        """Per-segment evaluator for this word, by ``uses_spectrum``."""
-        if self.dim is None or self.dim // SPECTRAL_DIVISOR <= 1:
-            return self.apply  # every applied generator meets the rule
-        counts = Counter(k for k, _ in segments)
-        spectral = {k for k, n in counts.items() if uses_spectrum(n, self.dim)}
-        return lambda k, t, psi: (self.apply if k in spectral else self.act)(k, t, psi)
 
 
 def _as_table(reps) -> EvolutionTable:
@@ -241,28 +397,105 @@ def expm_apply(H, t: float, states: Sequence) -> list:
     return [action(t, np.asarray(v, dtype=complex)) for v in states]
 
 
-def _run_word(segments, psi0: np.ndarray, table: EvolutionTable) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=complex)
-    step = table._stepper(segments)
-    for k, t in segments:
-        psi = step(k, float(t), psi)
-    return psi
+def _unitarize(X: np.ndarray) -> np.ndarray:
+    """X, or one Newton-Schulz step towards its unitary polar factor once
+    its departure max |X^dag X - I| exceeds REUNITARIZE_TOL.
+
+    Raising a block unitary to the power c multiplies its rounding-level
+    departure by about c, as applying it c times does; the step squares
+    that departure away, so nested Repeats do not compound it.
+    """
+    D = X.conj().T @ X
+    D[np.diag_indices_from(D)] -= 1.0
+    if np.max(np.abs(D)) <= REUNITARIZE_TOL:
+        return X
+    return X - 0.5 * (X @ D)
 
 
-def evolve(seq: ControlSequence, psi0: np.ndarray, reps) -> np.ndarray:
-    """Apply the sequence in time order (first segment acts first)."""
-    psi = _run_word(seq.segments, psi0, _as_table(reps))
-    drift = abs(np.linalg.norm(psi) - np.linalg.norm(psi0))
+class _Evaluation:
+    """One word applied to one state or a block of column states.
+
+    Leaves take the spectral or the action path by ``uses_spectrum`` on the
+    word's per-generator application counts.  A Repeat whose generators are
+    all spectral, with ``squares(repeat, dim)``, is applied as its block
+    unitary raised to ``count`` by repeated squaring; any other Repeat
+    applies its block ``count`` times.  Unitaries are built once per node.
+    """
+
+    def __init__(self, word, table: EvolutionTable):
+        self.table = table
+        counts = applications(word)
+        if table.dim is None or table.dim // SPECTRAL_DIVISOR <= 1:
+            self.spectral = set(counts)  # every applied generator meets the rule
+        else:
+            self.spectral = {k for k, n in counts.items() if uses_spectrum(n, table.dim)}
+        self._squared = {}
+        self._unitaries = {}
+
+    def run(self, node, psi: np.ndarray) -> np.ndarray:
+        if _is_leaf(node):
+            k, t = node
+            step = self.table.apply if k in self.spectral else self.table.act
+            return step(k, float(t), psi)
+        if isinstance(node, Concat):
+            for part in node.parts:
+                psi = self.run(part, psi)
+            return psi
+        if self._squares(node):
+            return self._unitary(node) @ psi
+        for _ in range(node.count):
+            psi = self.run(node.block, psi)
+        return psi
+
+    def _squares(self, node: Repeat) -> bool:
+        decision = self._squared.get(id(node))
+        if decision is None:
+            decision = (squares(node, self.table.dim)
+                        and set(applications(node.block)) <= self.spectral)
+            self._squared[id(node)] = decision
+        return decision
+
+    def _unitary(self, node) -> np.ndarray:
+        U = self._unitaries.get(id(node))
+        if U is not None:
+            return U
+        if _is_leaf(node):
+            U = self.table.unitary(node[0], float(node[1]))
+        elif isinstance(node, Repeat):
+            U = _unitarize(np.linalg.matrix_power(self._unitary(node.block), node.count))
+        else:
+            U = np.eye(self.table.dim, dtype=complex)
+            for part in node.parts:
+                U = self._unitary(part) @ U
+        self._unitaries[id(node)] = U
+        return U
+
+
+def _evaluate(word, psi0, reps) -> np.ndarray:
+    """e^{word} psi0, checked for norm drift state by state."""
+    word = as_word(word)
+    psi0 = np.asarray(psi0, dtype=complex)
+    psi = _Evaluation(word, _as_table(reps)).run(word, psi0)
+    drift = np.max(np.abs(np.linalg.norm(psi, axis=0) - np.linalg.norm(psi0, axis=0)),
+                   initial=0.0)
     if drift > NORM_TOL:
         raise AssertionError(f"evolution norm drift {drift:.3e}")
     return psi
 
 
-def evolve_signed(segments: Sequence, psi0: np.ndarray, reps) -> np.ndarray:
+def evolve(seq: ControlSequence, psi0: np.ndarray, reps) -> np.ndarray:
+    """Apply the sequence in time order (first segment acts first).
+
+    ``psi0`` is one state or a dim x m block of column states.
+    """
+    return _evaluate(seq.word, psi0, reps)
+
+
+def evolve_signed(segments, psi0: np.ndarray, reps) -> np.ndarray:
     """Oracle evolution of a signed word; negative durations apply the exact
     (matrix) inverse of the forward propagator.  Unphysical, test/verification
     use only."""
-    return _run_word(segments, psi0, _as_table(reps))
+    return _evaluate(segments, psi0, reps)
 
 
 def trotter_sequence(k: int, l: int, t: float, n: int) -> ControlSequence:
@@ -272,8 +505,8 @@ def trotter_sequence(k: int, l: int, t: float, n: int) -> ControlSequence:
     if t < 0:
         raise ValueError("t must be >= 0")
     step = t / n
-    segs = [(k, step), (l, step)] * n
-    return ControlSequence(tuple(segs), provenance=f"trotter(k={k}, l={l}, t={t}, n={n})")
+    word = Repeat(Concat(((k, step), (l, step))), n)
+    return ControlSequence(word, provenance=f"trotter(k={k}, l={l}, t={t}, n={n})")
 
 
 def commutator_word(k: int, l: int, t: float, n: int):
@@ -281,15 +514,14 @@ def commutator_word(k: int, l: int, t: float, n: int):
 
     Each of the n^2 repetitions is the group-commutator block
     e^{-H_k s} e^{-H_l s} e^{H_k s} e^{H_l s} with s = t/n, emitted in time
-    order (rightmost factor first).
+    order (rightmost factor first): the word is Repeat(block, n^2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
     s = t / n
-    block = ((l, s), (k, s), (l, -s), (k, -s))
-    return block * (n * n)
+    return Repeat(Concat(((l, s), (k, s), (l, -s), (k, -s))), n * n)
 
 
 def realize_word(word, inverter) -> tuple:
@@ -297,20 +529,23 @@ def realize_word(word, inverter) -> tuple:
 
     ``inverter.duration(k, s)`` must return ``(t_star, plan)`` with
     e^{H_k t_star} ~ e^{-H_k s}; plans are collected for certification.
-    Returns ``(segments, plans)`` with all durations >= 0.
+    Returns ``(word, plans)``: the word keeps its tree shape, all its
+    durations are >= 0, and the inverter is asked once per distinct reversed
+    leaf, in time order of first occurrence.
     """
-    segments = []
     plans = {}
-    for k, t in word:
+
+    def realize(leaf):
+        k, t = leaf
         if t >= 0:
-            segments.append((k, t))
-            continue
+            return leaf
         t_star, plan = inverter.duration(k, -t)
         if t_star < 0:
             raise ValueError("inverter returned a negative duration")
-        segments.append((k, t_star))
         plans.setdefault((k, -t), plan)
-    return tuple(segments), plans
+        return (k, t_star)
+
+    return map_leaves(word, realize), plans
 
 
 def commutator_sequence(k: int, l: int, t: float, n: int, inverter) -> ControlSequence:
@@ -319,10 +554,9 @@ def commutator_sequence(k: int, l: int, t: float, n: int, inverter) -> ControlSe
     Reversed segments are replaced by recurrence surrogates from ``inverter``;
     an inverter failure (no recurrence time within its horizon) propagates.
     """
-    word = commutator_word(k, l, t, n)
-    segments, plans = realize_word(word, inverter)
+    word, plans = realize_word(commutator_word(k, l, t, n), inverter)
     prov = f"commutator(k={k}, l={l}, t={t}, n={n}; {len(plans)} inversions)"
-    seq = ControlSequence(segments, provenance=prov)
+    seq = ControlSequence(word, provenance=prov)
     if len(seq) != 4 * n * n:
         raise AssertionError("commutator word must have 4 n^2 segments")
     return seq

@@ -22,8 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .propagate import (ControlSequence, EvolutionTable, evolve, evolve_signed,
-                        expm_apply, fidelity, realize_word, state_error)
+from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
+                        evolve_signed, expm_apply, fidelity, flatten, leaves,
+                        realize_word, state_error)
 from .recurrence import ExactInverter
 
 EXACT = "exact"
@@ -111,25 +112,30 @@ def expr_matrix(expr, table: EvolutionTable) -> np.ndarray:
     raise TypeError(f"not a generator expression: {expr!r}")
 
 
-def build_word(expr, duration: float, n: int) -> tuple:
-    """Signed time-ordered word realizing e^{G(expr) * duration} at order n."""
+def build_word(expr, duration: float, n: int):
+    """Signed time-ordered word realizing e^{G(expr) * duration} at order n.
+
+    The word is a tree: a sum is Repeat(left + right, n) and a bracket is
+    Repeat(right + left + right^-1 + left^-1, n^2), so its size grows with
+    the expression, not with its n^(2 depth) segments.
+    """
     if isinstance(expr, Gen):
-        return ((expr.k, float(duration)),)
+        return Concat(((expr.k, float(duration)),))
     if isinstance(expr, Scale):
         return build_word(expr.inner, expr.factor * duration, n)
     if isinstance(expr, Sum):
         step = duration / n
-        rep = build_word(expr.left, step, n) + build_word(expr.right, step, n)
-        return rep * n
+        return Repeat(Concat((build_word(expr.left, step, n),
+                              build_word(expr.right, step, n))), n)
     if isinstance(expr, Bracket):
         left, right = expr.left, expr.right
         if duration < 0:
             left, right = right, left  # [A,B](-t) = [B,A] t
             duration = -duration
         s = math.sqrt(duration) / n
-        rep = (build_word(right, s, n) + build_word(left, s, n)
-               + build_word(right, -s, n) + build_word(left, -s, n))
-        return rep * (n * n)
+        block = Concat((build_word(right, s, n), build_word(left, s, n),
+                        build_word(right, -s, n), build_word(left, -s, n)))
+        return Repeat(block, n * n)
     raise TypeError(f"not a generator expression: {expr!r}")
 
 
@@ -149,13 +155,20 @@ class CompileBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SignedWord:
-    """Oracle word with signed durations; evaluable, not physically executable."""
+    """Oracle word with signed durations; evaluable, not physically executable.
 
-    segments: tuple
+    ``word`` is a word tree; the flat ``segments`` are built only on demand.
+    """
+
+    word: object
     provenance: str = ""
 
     def __len__(self):
-        return len(self.segments)
+        return len(self.word)
+
+    @property
+    def segments(self) -> tuple:
+        return flatten(self.word)
 
 
 @dataclass
@@ -169,6 +182,12 @@ class CompileResult:
     @property
     def physical(self) -> bool:
         return isinstance(self.sequence, ControlSequence)
+
+
+def _oracle(expr, t: float, table: EvolutionTable, states) -> list:
+    """[e^{G(expr) t} v for v in states]; a negative t runs e^{(-G)|t|}."""
+    G = expr_matrix(expr, table)
+    return expm_apply(-G, -t, states) if t < 0 else expm_apply(G, t, states)
 
 
 def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
@@ -191,28 +210,27 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     if verify_states is None:
         verify_states = getattr(inverter, "net", None)
     states = [psi0] + [np.asarray(v, dtype=complex) for v in (verify_states or [])]
-
-    targets = expm_apply(expr_matrix(expr, table), t, states)
+    targets = _oracle(expr, t, table, states)
+    block = np.column_stack(states)  # each round evaluates its word once
 
     exact = isinstance(inverter, ExactInverter) or getattr(inverter, "physical", True) is False
     best_n, best_distance = None, math.inf
     n = 1
     while n <= n_budget:
         word = build_word(expr, t, n)
+        signed = any(s < 0 for _, s in leaves(word))
         plans: dict = {}
         if exact:
-            if all(s >= 0 for _, s in word):
-                seq = ControlSequence(tuple(word), provenance=f"{expr} @ t={t}, n={n}")
+            if signed:
+                seq = SignedWord(word, provenance=f"{expr} @ t={t}, n={n} (oracle)")
             else:
-                seq = SignedWord(tuple(word), provenance=f"{expr} @ t={t}, n={n} (oracle)")
-            outs = [evolve_signed(word, v, table) for v in states]
+                seq = ControlSequence(word, provenance=f"{expr} @ t={t}, n={n}")
+            outs = evolve_signed(word, block, table).T
         else:
-            if any(s < 0 for _, s in word):
-                segments, plans = realize_word(word, inverter)
-                seq = ControlSequence(segments, provenance=f"{expr} @ t={t}, n={n}")
-            else:
-                seq = ControlSequence(tuple(word), provenance=f"{expr} @ t={t}, n={n}")
-            outs = [evolve(seq, v, table) for v in states]
+            if signed:
+                word, plans = realize_word(word, inverter)
+            seq = ControlSequence(word, provenance=f"{expr} @ t={t}, n={n}")
+            outs = evolve(seq, block, table).T
         distance = max(state_error(o, tgt) for o, tgt in zip(outs, targets))
         if distance < best_distance:
             best_n, best_distance = n, distance
@@ -233,15 +251,15 @@ def verify(seq, psi0: np.ndarray, target, reps, t: float | None = None):
     if isinstance(target, GeneratorExpr):
         if t is None:
             raise ValueError("generator targets need a duration t")
-        target_state = expm_apply(expr_matrix(target, table), t, [psi0])[0]
+        target_state = _oracle(target, t, table, [psi0])[0]
     else:
         target_state = np.asarray(target, dtype=complex)
     if isinstance(seq, SignedWord):
-        out = evolve_signed(seq.segments, psi0, table)
+        out = evolve_signed(seq.word, psi0, table)
     elif isinstance(seq, ControlSequence):
         out = evolve(seq, psi0, table)
     else:
-        out = evolve_signed(tuple(seq), psi0, table)
+        out = evolve_signed(seq, psi0, table)
     distance = state_error(out, target_state)
     fid = fidelity(out, target_state)
     gram = 2.0 - 2.0 * float(np.real(np.vdot(out, target_state)))

@@ -1,14 +1,17 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
-matrix-level Lie closure, dense Fock assembly and the point-by-point recurrence
-grid scan.  These deliberately avoid the package's closed-form reordering
-identity, structure-tensor machinery, scatter assembly and angle addition."""
+matrix-level Lie closure, dense Fock assembly, the point-by-point recurrence
+grid scan and segment-by-segment word evaluation.  These deliberately avoid
+the package's closed-form reordering identity, structure-tensor machinery,
+scatter assembly, angle addition and word trees."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 
 import numpy as np
 
+from recurq import propagate
 from recurq.weyl import PolyOp
 
 
@@ -170,3 +173,30 @@ def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
         n_point += m
         start = stop
     return trace, n_point
+
+
+def flat_evolve(word, psi0, table):
+    """The word applied one flat segment at a time, each generator on the
+    spectral or action path by ``uses_spectrum`` on its application count."""
+    segments = propagate.flatten(word)
+    counts = Counter(k for k, _ in segments)
+    small = table.dim // propagate.SPECTRAL_DIVISOR <= 1
+    psi = np.asarray(psi0, dtype=complex)
+    for k, t in segments:
+        spectral = small or propagate.uses_spectrum(counts[k], table.dim)
+        psi = (table.apply if spectral else table.act)(k, float(t), psi)
+    return psi
+
+
+def flat_realize(word, inverter):
+    """Reversed segments replaced one flat segment at a time; returns the flat
+    segments and the plans in order of first use."""
+    segments, plans = [], {}
+    for k, t in propagate.flatten(word):
+        if t >= 0:
+            segments.append((k, t))
+            continue
+        t_star, plan = inverter.duration(k, -t)
+        segments.append((k, t_star))
+        plans.setdefault((k, -t), plan)
+    return tuple(segments), plans

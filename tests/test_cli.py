@@ -341,3 +341,66 @@ def test_recur_artifacts_independent_of_blas_threads(tmp_path):
     for name in ("plan.json", "scan.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     assert len((outs[0] / "scan.csv").read_text().splitlines()) > 3 * (1 << 16) // 200
+
+
+CUBIC_SYSTEM = {
+    "mode_count": 1,
+    "dims": [24],
+    "generators": ["(0.5,0) * q1^2 + (0.5,0) * p1^2", "(1,0) * q1", "(0.5,0) * p1^2",
+                   "(0.2,0) * q1^3"],
+}
+
+
+def test_compile_negative_duration_meets_epsilon(tmp_path):
+    # a negative t is e^{-[H, q^3] |t|}: the bracket word swaps its operands,
+    # and the oracle state is e^{(-G)|t|} psi0
+    config = {"system": CUBIC_SYSTEM,
+              "target": {"op": "bracket", "left": GEN(0), "right": GEN(3)},
+              "t": -0.25, "epsilon": 1e-2, "n_budget": 64, "inverter": {"mode": "exact"},
+              "state": {"fock": [0]}}
+    rc_code, out = run("compile", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "ok" and report["distance"] <= 1e-2
+
+
+def test_chain_demo_negative_duration_target_is_ok(tmp_path):
+    config = {
+        "chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                  "control_sites": [0], "control_degree_cap": 1},
+        "dims": [4, 4],
+        "targets": [{"expr": {"op": "sum", "left": GEN(0), "right": GEN(1)}, "t": -0.2}],
+        "epsilon": 0.05, "n_budget": 64, "inverter": {"mode": "exact"},
+    }
+    rc_code, out = run("chain-demo", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    target, = json.loads((out / "report.json").read_text())["targets"]
+    assert target["status"] == "ok" and target["distance"] <= 0.05
+
+
+def test_squared_word_reports_independent_of_blas_threads(tmp_path):
+    # dim 96: the block products and squarings of these words are large
+    # enough for a threaded BLAS to split them
+    system = {"mode_count": 1, "dims": [96],
+              "generators": ["(1,0) * q1", "(0.5,0) * p1^2", "(0.2,0) * q1^3"]}
+    jobs = {
+        "commutator": {"system": system, "k": 0, "l": 1, "t": 0.4, "n": 8,
+                       "inverter": {"mode": "exact"}, "state": {"fock": [0]}},
+        "compile": {"system": system, "target": {"op": "bracket", "left": {
+            "op": "bracket", "left": GEN(0), "right": GEN(1)}, "right": GEN(2)},
+            "t": 0.29, "epsilon": 1e-2, "n_budget": 8, "inverter": {"mode": "exact"},
+            "state": {"fock": [0]}},
+    }
+    for sub, config in jobs.items():
+        cfg = tmp_path / f"{sub}.json"
+        cfg.write_text(json.dumps(config))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{sub}_threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "recurq.cli", sub, "--config",
+                                   str(cfg), "--out", str(out)], env=env, capture_output=True)
+            reports.append((proc.returncode, (out / "report.json").read_bytes()))
+        assert reports[0] == reports[1], sub
+        assert reports[0][0] == cli.EXIT_OK, sub

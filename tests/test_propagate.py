@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from oracles import flat_evolve, flat_realize
 from recurq import chains, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.propagate import ControlSequence
@@ -198,7 +200,7 @@ def test_commutator_word_shape():
     word = pr.commutator_word(1, 2, 0.5, 3)
     assert len(word) == 4 * 9
     s = 0.5 / 3
-    assert word[:4] == ((2, s), (1, s), (2, -s), (1, -s))
+    assert pr.flatten(word)[:4] == ((2, s), (1, s), (2, -s), (1, -s))
 
 
 def test_commutator_scalar_bracket_fidelity(qp_system):
@@ -266,7 +268,123 @@ def test_realize_word_keeps_forward_segments():
             raise AssertionError("must not be called for forward segments")
 
     segments, plans = pr.realize_word(word, NoInverter())
-    assert segments == word and plans == {}
+    assert pr.flatten(segments) == word and plans == {}
+
+
+# -- word trees --------------------------------------------------------------------
+
+
+def test_word_tree_sizes_and_flat_form():
+    s = 0.5 / 3
+    block = ((2, s), (1, s), (2, -s), (1, -s))
+    word = pr.commutator_word(1, 2, 0.5, 3)
+    assert word == pr.Repeat(pr.Concat(block), 9) and len(word) == 36
+    assert pr.flatten(word) == block * 9
+    assert pr.trotter_sequence(1, 2, 0.8, 3).segments == ((1, 0.8 / 3), (2, 0.8 / 3)) * 3
+    nested = pr.Concat((pr.Repeat(word, 2), (1, 0.1), pr.Concat(((2, 0.2),))))
+    assert len(nested) == 74 and len(nested.parts) == 3
+    assert pr.flatten(nested) == block * 18 + ((1, 0.1), (2, 0.2))
+    assert pr.applications(nested) == {1: 37, 2: 37}
+    assert pr.leaves(nested) == block + ((1, 0.1), (2, 0.2))
+    with pytest.raises(ValueError):
+        pr.Repeat(word, 0)
+
+
+def _cubic_table():
+    spec = TruncationSpec((24,))
+    ops = [as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), q(0),
+           as_hermitian(p(0) * p(0) * 0.5), as_hermitian(q(0) * q(0) * q(0) * 0.2)]
+    reps = {k: -1j * fock.represent(op, spec).matrix for k, op in enumerate(ops)}
+    return spec, pr.EvolutionTable(reps)
+
+
+NESTED = synth.Bracket(synth.Bracket(synth.Gen(1), synth.Gen(2)), synth.Gen(3))
+
+
+@pytest.mark.parametrize("case,segments,tol", [
+    ("trotter", 8192, 1e-12),
+    ("commutator", 4096, 1e-12),
+    ("commutator", 16384, 1e-10),
+    ("nested", 2080, 1e-12),
+    ("nested", 32896, 1e-10),
+])
+def test_tree_evaluation_matches_flat_oracle(case, segments, tol):
+    spec, table = _cubic_table()
+    psi0 = fock.ground_state(spec)
+    if case == "trotter":
+        word = pr.trotter_sequence(1, 2, 0.7, 4096).word
+    elif case == "commutator":
+        word = pr.commutator_word(1, 2, 0.4, round((segments / 4) ** 0.5))
+    else:
+        word = synth.build_word(NESTED, 0.29, round((segments / 8) ** 0.25))
+    assert len(word) == segments
+    out = pr.evolve_signed(word, psi0, table)
+    assert pr.state_error(out, flat_evolve(word, psi0, table)) <= tol
+
+
+def test_realized_tree_matches_flat_oracle(harmonic_pair):
+    spec, table = harmonic_pair
+    psi0 = fock.ground_state(spec)
+    inverter = rc.RecurrenceInverter.from_skew_reps(
+        {1: table.matrix(1), 2: table.matrix(2)}, 1e-4, mode="pointwise", state=psi0)
+    seq = pr.commutator_sequence(1, 2, 0.5, 16, inverter)
+    assert seq.word == pr.Repeat(seq.word.block, 256) and len(seq.word.block) == 4
+    assert pr.state_error(pr.evolve(seq, psi0, table),
+                          flat_evolve(seq.word, psi0, table)) <= 1e-12
+
+
+class _CountingInverter(rc.RecurrenceInverter):
+    def duration(self, k, s):
+        self.asked = getattr(self, "asked", 0) + 1
+        return super().duration(k, s)
+
+
+@pytest.mark.parametrize("kind", ["commutator", "nested"])
+def test_realize_word_asks_once_per_distinct_reversed_leaf(harmonic_pair, kind):
+    spec, table = harmonic_pair
+    psi0 = fock.ground_state(spec)
+    if kind == "commutator":
+        word = pr.commutator_word(1, 2, 0.5, 8)
+    else:
+        inner = synth.Bracket(synth.Gen(1), synth.Gen(2))
+        word = synth.build_word(synth.Bracket(inner, synth.Gen(1)), 0.04, 2)
+    reversed_leaves = [leaf for leaf in pr.leaves(word) if leaf[1] < 0]
+    inverters = [_CountingInverter.from_skew_reps(
+        {1: table.matrix(1), 2: table.matrix(2)}, 1e-4, mode="pointwise", state=psi0)
+        for _ in range(2)]
+    tree, plans = pr.realize_word(word, inverters[0])
+    flat, flat_plans = flat_realize(word, inverters[1])
+    assert inverters[0].asked == len(reversed_leaves) < inverters[1].asked
+    assert list(plans) == list(flat_plans) == [(k, -t) for k, t in reversed_leaves]
+    dump = lambda data: json.dumps(data, indent=2, sort_keys=True)
+    assert (dump([p.to_dict() for p in plans.values()])
+            == dump([p.to_dict() for p in flat_plans.values()]))
+    assert (dump([p.to_dict() for p in inverters[0].plans().values()])
+            == dump([p.to_dict() for p in inverters[1].plans().values()]))
+    assert dump(ControlSequence(tree).to_dict()) == dump(ControlSequence(flat).to_dict())
+
+
+def test_evolve_and_evolve_signed_share_the_norm_check(qp_system, monkeypatch):
+    spec, table = qp_system
+    psi0 = fock.ground_state(spec)
+    word = pr.commutator_word(1, 2, 0.3, 1)  # short words apply leaf by leaf
+    apply = table.apply
+    monkeypatch.setattr(table, "apply", lambda k, t, psi: apply(k, t, psi) * (1 + 1e-9))
+    with pytest.raises(AssertionError, match="norm drift"):
+        pr.evolve_signed(word, psi0, table)
+    with pytest.raises(AssertionError, match="norm drift"):
+        pr.evolve(ControlSequence(pr.trotter_sequence(1, 2, 0.3, 1).word), psi0, table)
+
+
+def test_squared_repeats_stay_unitary():
+    # the departure of a squared block from unitarity grows with its count;
+    # nested repeats must not compound it past the norm check
+    spec, table = _cubic_table()
+    psi0 = fock.ground_state(spec)
+    word = synth.build_word(NESTED, 0.29, 16)
+    assert len(word) == 524800
+    out = pr.evolve_signed(word, psi0, table)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-13
 
 
 # -- spectral / action paths -------------------------------------------------------
@@ -331,6 +449,25 @@ def test_rule_large_chain_demo_never_diagonalizes(monkeypatch):
     report, _, table = chains.chain_demo(spec, (8, 8, 8), [(target, 0.3)], 0.1, 64,
                                          synth.ExactInverter())
     assert report.all_ok and table.dim == 512
+    assert calls == []
+
+
+def test_action_repeat_builds_no_unitary(monkeypatch, rng):
+    # dim 512: four applications per generator stay below dim // 64, so every
+    # leaf takes the action path and no repeat may be squared
+    tspec, table = _chain_table(8)
+    psi0 = fock.random_interior_state(tspec, rng, 1)
+    word = pr.Repeat(pr.Concat((pr.Repeat(pr.Concat(((1, 0.05), (0, 0.1))), 2), (2, 0.02))), 2)
+    assert pr.applications(word) == {0: 4, 1: 4, 2: 2}
+    expected = flat_evolve(word, psi0, table)
+    calls = _count_eigh(monkeypatch)
+
+    def no_unitary(*args):
+        raise AssertionError("dense unitary built on the action path")
+
+    monkeypatch.setattr(table, "unitary", no_unitary)
+    monkeypatch.setattr(np.linalg, "matrix_power", no_unitary)
+    assert np.array_equal(pr.evolve_signed(word, psi0, table), expected)
     assert calls == []
 
 

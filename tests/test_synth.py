@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -160,6 +161,39 @@ def test_build_word_bracket_negative_duration_swaps():
     w_pos = sy.build_word(Bracket(Gen(1), Gen(2)), 0.25, 2)
     w_neg = sy.build_word(Bracket(Gen(2), Gen(1)), -0.25, 2)
     assert w_pos == w_neg
+
+
+def test_negative_duration_compiles_and_verifies(system):
+    # e^{(H1 + H2)(-0.5)}: a word of reversed leaves against e^{-G |t|} psi0
+    spec, table = system
+    psi0 = fock.ground_state(spec)
+    expr = Sum(Gen(1), Gen(2))
+    res = sy.compile_sequence(expr, -0.5, 1e-3, 512, sy.ExactInverter(), psi0, table)
+    assert isinstance(res.sequence, sy.SignedWord) and res.distance <= 1e-3
+    d, _ = sy.verify(res.sequence, psi0, expr, table, t=-0.5)
+    assert abs(d - res.distance) <= 1e-12
+
+
+def test_depth_two_bracket_compiles_at_n32_without_flattening(monkeypatch):
+    # [[q, p^2], q^3] at n = 32 is a flat word of 8n^4 + 2n^2 = 8 390 656
+    # segments; as a tree it is a few dozen small matrix products
+    spec = TruncationSpec((24,))
+    ops = [q(0), as_hermitian(p(0) * p(0) * 0.5), as_hermitian(q(0) * q(0) * q(0) * 0.2)]
+    table = pr.EvolutionTable({k + 1: -1j * fock.represent(op, spec).matrix
+                               for k, op in enumerate(ops)})
+    psi0 = fock.ground_state(spec)
+
+    def no_flatten(word):
+        raise AssertionError("the flat word was built")
+
+    monkeypatch.setattr(pr, "flatten", no_flatten)
+    monkeypatch.setattr(sy, "flatten", no_flatten)
+    expr = Bracket(Bracket(Gen(1), Gen(2)), Gen(3))
+    start = time.monotonic()
+    res = sy.compile_sequence(expr, 0.29, 3e-3, 32, sy.ExactInverter(), psi0, table)
+    assert time.monotonic() - start < 10.0
+    assert res.n == 32 and len(res.sequence) == 8_390_656
+    assert 2e-3 < res.distance <= 3e-3  # the first-order error halves with n
 
 
 def test_report_generators_reach_themselves(system):
