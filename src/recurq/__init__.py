@@ -6,7 +6,7 @@ forward-only evolutions, with certified plans and a batch CLI.
 """
 
 from .weyl import (PolyOp, LieBasis, PropagationResult, q, p, const,
-                   canonicalize, adjoint, bracket, lie_closure, contains,
+                   canonicalize, bracket, lie_closure, contains,
                    is_hermitian, is_skew_hermitian, as_hermitian, as_skew,
                    skew_generator, local_skew_generators,
                    skew_monomial_generators, algebraic_propagation_check,
@@ -24,7 +24,7 @@ from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable
 from .recurrence import (SpectralData, RecurrencePlan, InvertResult,
                          RecurrenceInverter, ExactInverter,
                          RecurrenceSearchError, SpectrumExhaustedError,
-                         spectral, overlaps, recurrence_distance, tail_cut,
+                         spectral, recurrence_distance, tail_cut,
                          tail_mass, tail_cut_energy, tail_cut_finite_net,
                          find_recurrence_time, plan_recurrence, invert,
                          polynomial_levels)

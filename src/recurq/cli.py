@@ -34,7 +34,7 @@ _HAMILTONIAN = {
         "poly": _POLY,
         "mode_count": {"type": "integer", "minimum": 1},
         "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-        "levels": {"type": "array", "items": {"type": "number"}},
+        "levels": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "level_formula": {
             "type": "object",
             "properties": {
@@ -239,11 +239,12 @@ def write_csv(path: str, rows) -> None:
 # -- config material -----------------------------------------------------------
 
 
-def _parse_poly(text: str, mode_count: int, path: str) -> weyl.PolyOp:
+def _parse_poly(text: str, mode_count: int, path: str, kind) -> weyl.PolyOp:
+    """The polynomial ``text`` as ``kind`` (``weyl.as_hermitian`` or ``as_skew``)."""
     try:
-        return weyl.PolyOp.from_text(text, mode_count)
+        return kind(weyl.PolyOp.from_text(text, mode_count))
     except ValueError as exc:
-        raise ConfigError(f"{path}: cannot parse polynomial {text!r}: {exc}") from None
+        raise ConfigError(f"{path}: bad polynomial {text!r}: {exc}") from None
 
 
 def _parse_expr(data, path: str):
@@ -271,25 +272,30 @@ def _chain_spec(cfg) -> chains.ChainSpec:
 def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
     if state_cfg is None:
         return fock.ground_state(spec)
-    if "fock" in state_cfg:
-        return fock.fock_state(spec, state_cfg["fock"])
-    if "random_interior" in state_cfg:
-        buffer = int(state_cfg["random_interior"].get("buffer", 0))
-        return fock.random_interior_state(spec, rng, buffer)
-    raise ConfigError(f"unintelligible state config {state_cfg!r}")
+    try:
+        if "fock" in state_cfg:
+            return fock.fock_state(spec, state_cfg["fock"])
+        if "random_interior" in state_cfg:
+            buffer = int(state_cfg["random_interior"].get("buffer", 0))
+            return fock.random_interior_state(spec, rng, buffer)
+    except ValueError as exc:
+        raise ConfigError(f"$.state: {exc}") from None
+    raise ConfigError(f"$.state: unintelligible state config {state_cfg!r}")
 
 
-def _truncation(dims, path: str) -> fock.TruncationSpec:
+def _truncation(dims, mode_count: int, path: str) -> fock.TruncationSpec:
     try:
         spec = fock.TruncationSpec(tuple(dims))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if spec.dim > fock.MAX_DIM:
         raise ConfigError(f"{path}: total dimension {spec.dim} exceeds limit {fock.MAX_DIM}")
+    if spec.mode_count != mode_count:
+        raise ConfigError(f"{path}: dims length must match mode_count")
     return spec
 
 
-def _build_hamiltonian(cfg, rng):
+def _build_hamiltonian(cfg):
     """Returns (levels, spectral_data_or_None, spec_or_None)."""
     if "levels" in cfg:
         return np.asarray(cfg["levels"], dtype=float), None, None
@@ -298,37 +304,32 @@ def _build_hamiltonian(cfg, rng):
         return recurrence.polynomial_levels(lf["count"], lf["coeffs"]), None, None
     if "poly" in cfg:
         mode_count = int(cfg.get("mode_count", 1))
-        dims = tuple(cfg.get("dims", (32,) * mode_count))
-        spec = _truncation(dims, "$.hamiltonian.dims")
-        H = weyl.as_hermitian(_parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly"))
+        spec = _truncation(cfg.get("dims", (32,) * mode_count), mode_count,
+                           "$.hamiltonian.dims")
+        H = _parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly", weyl.as_hermitian)
         sd = recurrence.spectral(fock.represent(H, spec))
         return sd.energies, sd, spec
-    raise ConfigError("hamiltonian config needs 'poly', 'levels', or 'level_formula'")
+    raise ConfigError("$.hamiltonian: needs 'poly', 'levels', or 'level_formula'")
 
 
 def _build_system(cfg):
     mode_count = int(cfg["mode_count"])
-    spec = _truncation(cfg["dims"], "$.system.dims")
-    if spec.mode_count != mode_count:
-        raise ConfigError("$.system.dims: dims length must match mode_count")
-    herms = [weyl.as_hermitian(_parse_poly(text, mode_count, f"$.system.generators[{i}]"))
+    spec = _truncation(cfg["dims"], mode_count, "$.system.dims")
+    herms = [_parse_poly(text, mode_count, f"$.system.generators[{i}]", weyl.as_hermitian)
              for i, text in enumerate(cfg["generators"])]
     reps = {k: -1j * fock.represent(H, spec).matrix for k, H in enumerate(herms)}
     return spec, herms, propagate.EvolutionTable(reps)
 
 
 def _build_inverter(cfg, table, psi0, rng, spec, targets):
-    """Inverter for the reversed segments of the (expr, t) ``targets``."""
+    """Inverter for the reversed segments of the (expr, t) ``targets``; it
+    reads each reversed generator's spectrum from the table's store."""
     mode = cfg["mode"]
     if mode == "exact":
         return synth.ExactInverter()
     delta = cfg.get("delta")
     if delta is None:
         raise ConfigError("$.inverter.delta: recurrence inverter configs need 'delta'")
-    # only reversed segments reach the inverter, so only their generators
-    # need a spectrum; segment signs do not depend on the order n
-    reversed_gens = {k for expr, t in targets
-                     for k, s in propagate.leaves(synth.build_word(expr, t, 1)) if s < 0}
     kwargs = {"t_max": cfg.get("t_max")}
     if mode == "pointwise":
         kwargs["state"] = psi0
@@ -341,20 +342,23 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
             bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
         except ValueError as exc:
             raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
+        # only reversed segments reach the inverter; segment signs do not
+        # depend on the order n
+        reversed_gens = {k for expr, t in targets
+                         for k, s in propagate.leaves(synth.build_word(expr, t, 1)) if s < 0}
         missing = sorted(reversed_gens - set(bounds))
         if missing:
             raise ConfigError(f"$.inverter.energy_bounds: no energy bound for the "
                               f"reversed generator(s) {missing}")
         kwargs["energy_bounds"] = bounds
-    reps = {k: table.matrix(k) for k in sorted(reversed_gens)}
-    return recurrence.RecurrenceInverter.from_skew_reps(reps, delta, mode, **kwargs)
+    return recurrence.RecurrenceInverter(table.spectra, delta, mode, **kwargs)
 
 
 # -- subcommand implementations --------------------------------------------------
 
 
 def _run_closure(config, out, rng, jobs):
-    gens = [weyl.as_skew(_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]"))
+    gens = [_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]", weyl.as_skew)
             for i, g in enumerate(config["generators"])]
     basis = weyl.lie_closure(gens, config.get("degree_cap", 6), config.get("dim_cap", 64))
     write_json(os.path.join(out, "report.json"), {
@@ -380,43 +384,46 @@ def _run_propagation(config, out, rng, jobs):
 
 
 def _plan_context(config, rng):
-    levels, sd, spec = _build_hamiltonian(config["hamiltonian"], rng)
+    """(levels, spectral data or None, the mode's state, net or energy bound
+    as ``recurrence.invert`` takes them)."""
+    levels, sd, spec = _build_hamiltonian(config["hamiltonian"])
     mode = config["mode"]
-    kwargs = {}
+    if mode == "energy_bound":
+        if "energy_bound" not in config:
+            raise ConfigError("$.energy_bound: energy_bound mode needs 'energy_bound'")
+        return levels, sd, {"energy_bound": float(config["energy_bound"])}
+    if sd is None:
+        raise ConfigError(f"$.hamiltonian: {mode} mode needs a matrix hamiltonian ('poly')")
     if mode == "pointwise":
-        if sd is None or spec is None:
-            raise ConfigError("pointwise mode needs a matrix hamiltonian ('poly')")
-        psi = _build_state(config.get("state"), spec, rng)
-        kwargs["state_overlaps"] = sd.overlaps(psi)
-    elif mode == "finite_net":
-        if sd is None or spec is None:
-            raise ConfigError("finite_net mode needs a matrix hamiltonian ('poly')")
-        size = int(config.get("net_size", 3))
-        kwargs["net_overlaps"] = [
-            sd.overlaps(fock.random_interior_state(spec, rng, spec.buffer))
-            for _ in range(size)]
-    elif mode == "energy_bound":
-        kwargs["energy_bound"] = float(config["energy_bound"])
-    return levels, sd, kwargs
+        return levels, sd, {"state": _build_state(config.get("state"), spec, rng)}
+    size = int(config.get("net_size", 3))
+    return levels, sd, {"net": [fock.random_interior_state(spec, rng, spec.buffer)
+                                for _ in range(size)]}
+
+
+def _failed(out, exc) -> int:
+    """Write the failure report of a search or compile error; exit 1."""
+    details = exc.to_dict() if isinstance(exc, recurrence.RecurrenceSearchError) else {}
+    write_json(os.path.join(out, "report.json"),
+               {"status": "failed", "error": str(exc), **details})
+    return EXIT_FAILURE
 
 
 def _run_recur(config, out, rng, jobs):
-    levels, sd, kwargs = _plan_context(config, rng)
+    levels, sd, context = _plan_context(config, rng)
+    if "state" in context:
+        context = {"state_overlaps": sd.overlaps(context["state"])}
+    elif "net" in context:
+        context = {"net_overlaps": [sd.overlaps(v) for v in context["net"]]}
     trace: list = []
     try:
         plan = recurrence.plan_recurrence(
             levels, float(config["delta"]), config["mode"],
             tau_min=float(config.get("tau_min", 0.0)),
             t_max=config.get("t_max"), grid_step=config.get("grid_step"),
-            shift=sd.shift if sd is not None else 0.0, trace=trace, **kwargs)
-    except recurrence.RecurrenceSearchError as exc:
-        write_json(os.path.join(out, "report.json"),
-                   {"status": "failed", "error": str(exc), **exc.to_dict()})
-        return EXIT_FAILURE
-    except recurrence.SpectrumExhaustedError as exc:
-        write_json(os.path.join(out, "report.json"),
-                   {"status": "failed", "error": str(exc)})
-        return EXIT_FAILURE
+            shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
+    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
+        return _failed(out, exc)
     finally:
         write_csv(os.path.join(out, "scan.csv"),
                   [["T", "objective"]] + [[t, f] for t, f in trace])
@@ -427,33 +434,15 @@ def _run_recur(config, out, rng, jobs):
 
 
 def _run_invert(config, out, rng, jobs):
-    levels, sd, kwargs = _plan_context(config, rng)
+    _, sd, context = _plan_context(config, rng)
     if sd is None:
-        raise ConfigError("invert needs a matrix hamiltonian ('poly')")
-    mode = config["mode"]
-    inv_kwargs = {}
-    if mode == "pointwise":
-        psi = _build_state(config.get("state"), sd.source.spec if sd.source else None, rng)
-        inv_kwargs["state"] = psi
-    elif mode == "finite_net":
-        size = int(config.get("net_size", 3))
-        spec = sd.source.spec
-        inv_kwargs["net"] = [fock.random_interior_state(spec, rng, spec.buffer)
-                             for _ in range(size)]
-    elif mode == "energy_bound":
-        inv_kwargs["energy_bound"] = float(config["energy_bound"])
+        raise ConfigError("$.hamiltonian: invert needs a matrix hamiltonian ('poly')")
     try:
         res = recurrence.invert(sd, float(config["s"]), float(config["delta"]),
-                                mode, t_max=config.get("t_max"),
-                                grid_step=config.get("grid_step"), **inv_kwargs)
-    except recurrence.RecurrenceSearchError as exc:
-        write_json(os.path.join(out, "report.json"),
-                   {"status": "failed", "error": str(exc), **exc.to_dict()})
-        return EXIT_FAILURE
-    except recurrence.SpectrumExhaustedError as exc:
-        write_json(os.path.join(out, "report.json"),
-                   {"status": "failed", "error": str(exc)})
-        return EXIT_FAILURE
+                                config["mode"], t_max=config.get("t_max"),
+                                grid_step=config.get("grid_step"), **context)
+    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
+        return _failed(out, exc)
     write_json(os.path.join(out, "plan.json"), res.plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "t_star": res.t_star, "time": res.plan.time})
@@ -492,10 +481,8 @@ def _run_commutator(config, out, rng, jobs):
     else:
         try:
             seq = propagate.commutator_sequence(k, l, t, n, inverter)
-        except recurrence.RecurrenceSearchError as exc:
-            write_json(os.path.join(out, "report.json"),
-                       {"status": "failed", "error": str(exc), **exc.to_dict()})
-            return EXIT_FAILURE
+        except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
+            return _failed(out, exc)
         out_state = propagate.evolve(seq, psi0, table)
         result["physical"] = True
         write_json(os.path.join(out, "sequence.json"), seq.to_dict())
@@ -518,14 +505,9 @@ def _run_compile(config, out, rng, jobs):
     try:
         result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
                                         int(config["n_budget"]), inverter, psi0, table)
-    except recurrence.RecurrenceSearchError as exc:
-        write_json(os.path.join(out, "report.json"),
-                   {"status": "failed", "error": str(exc), **exc.to_dict()})
-        return EXIT_FAILURE
-    except synth.CompileBudgetError as exc:
-        write_json(os.path.join(out, "report.json"),
-                   {"status": "failed", "error": str(exc)})
-        return EXIT_FAILURE
+    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError,
+            synth.CompileBudgetError) as exc:
+        return _failed(out, exc)
     report = {
         "status": "ok",
         "n": result.n,

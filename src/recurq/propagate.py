@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
+from . import recurrence
 from .fock import TruncatedRep
 
 SKEW_TOL = 1e-8
@@ -297,20 +298,37 @@ class _Action:
         return out
 
 
+class _SpectralStore(Mapping):
+    """The table's ``SpectralData`` per generator index: iH_k is diagonalized
+    by ``recurrence.spectral`` on first access, under the table's lock."""
+
+    def __init__(self, table: "EvolutionTable"):
+        self._table = table
+        self._data = {}
+
+    def __getitem__(self, k: int):
+        return self._table._cached(self._data, k, lambda M: recurrence.spectral(1j * M))
+
+    def __iter__(self):
+        return iter(self._table.indices())
+
+    def __len__(self):
+        return len(self._table.indices())
+
+
 class EvolutionTable:
     """Spectral factorizations and sparse copies of a generator family,
     reused across segments.
 
     Each generator H is skew-hermitian.  On the spectral path iH is
-    diagonalized once and e^{H t} = V e^{-i w t} V^dag is assembled per
-    duration; on the action path e^{H t} psi is computed from a CSR copy of
-    H.  ``uses_spectrum`` picks the path per word.  Both caches are filled
-    under one lock, so threads sharing a table never diagonalize or convert
-    a generator twice.
+    diagonalized once (``spectra``, which a recurrence inverter reads too)
+    and e^{H t} = V e^{-i w t} V^dag is assembled per duration; on the action
+    path e^{H t} psi is computed from a CSR copy of H.  ``uses_spectrum``
+    picks the path per word.  Both caches are filled under one lock, so
+    threads sharing a table never diagonalize or convert a generator twice.
     """
 
     def __init__(self, reps: Mapping[int, object]):
-        self._eig = {}
         self._actions = {}
         self._mats = {}
         self._lock = threading.Lock()
@@ -324,6 +342,7 @@ class EvolutionTable:
                 raise ValueError("all generators must share one dimension")
             self._mats[int(k)] = M
         self.dim = dim
+        self.spectra = _SpectralStore(self)
 
     def indices(self):
         return sorted(self._mats)
@@ -342,14 +361,12 @@ class EvolutionTable:
                     value = cache[k] = build(self._mats[k])
         return value
 
-    def _decomp(self, k: int):
-        return self._cached(self._eig, k, lambda M: np.linalg.eigh(1j * M))
-
     def apply(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
         """Spectral path: e^{H_k t} psi from the cached eigendecomposition;
         ``psi`` is one state or a dim x m block of column states."""
-        w, V = self._decomp(k)
-        phase = np.exp(-1j * w * t)
+        sd = self.spectra[k]
+        phase = np.exp(-1j * sd.eigenvalues * t)
+        V = sd.vectors
         return V @ ((phase[:, None] if psi.ndim == 2 else phase) * (V.conj().T @ psi))
 
     def act(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
@@ -357,8 +374,8 @@ class EvolutionTable:
         return self._cached(self._actions, k, _Action)(t, psi)
 
     def unitary(self, k: int, t: float) -> np.ndarray:
-        w, V = self._decomp(k)
-        return (V * np.exp(-1j * w * t)) @ V.conj().T
+        sd = self.spectra[k]
+        return (sd.vectors * np.exp(-1j * sd.eigenvalues * t)) @ sd.vectors.conj().T
 
 
 def _as_table(reps) -> EvolutionTable:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -89,17 +89,20 @@ class SpectrumExhaustedError(ValueError):
 class SpectralData:
     """Ascending eigen-decomposition of a hermitian generator.
 
-    Eigenvalues are stored shifted by max(0, -E_min) so that E_0 >= 0; the
-    shift is recorded and amounts to a global phase of the evolution.
+    ``eigenvalues`` are kept as diagonalized; evolution phases use them.
+    ``energies`` are the same values shifted by ``shift`` = max(0, -E_min) so
+    that E_0 >= 0, which amounts to a global phase of the evolution;
+    recurrence plans use them.
     """
 
-    energies: np.ndarray
+    eigenvalues: np.ndarray
     vectors: np.ndarray
-    shift: float = 0.0
     source: TruncatedRep | None = None
+    energies: np.ndarray = field(init=False, repr=False)
+    shift: float = field(init=False)
 
     def __post_init__(self):
-        E = np.asarray(self.energies, dtype=float)
+        E = np.asarray(self.eigenvalues, dtype=float)
         V = np.asarray(self.vectors, dtype=complex)
         if np.any(np.diff(E) < -1e-12):
             raise ValueError("eigenvalues must be non-decreasing")
@@ -107,8 +110,11 @@ class SpectralData:
         defect = np.max(np.abs(gram - np.eye(V.shape[1])))
         if defect > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvectors not orthonormal: defect {defect:.3e}")
-        object.__setattr__(self, "energies", E)
+        shift = max(0.0, -float(E[0]))
+        object.__setattr__(self, "eigenvalues", E)
         object.__setattr__(self, "vectors", V)
+        object.__setattr__(self, "energies", E + shift)
+        object.__setattr__(self, "shift", shift)
 
     @property
     def dim(self) -> int:
@@ -124,19 +130,18 @@ class SpectralData:
 
 
 def spectral(H, defect_tol: float = HERMITICITY_TOL) -> SpectralData:
-    """Eigen-decompose a hermitian matrix (or TruncatedRep)."""
+    """Eigen-decompose a hermitian matrix (or TruncatedRep).
+
+    The one diagonalization of a generator: ``EvolutionTable`` evolves with
+    it and ``RecurrenceInverter`` certifies recurrences on it.
+    """
     source = H if isinstance(H, TruncatedRep) else None
     M = H.matrix if isinstance(H, TruncatedRep) else np.asarray(H)
     defect = float(np.max(np.abs(M - M.conj().T)))
     if defect > defect_tol:
         raise ValueError(f"matrix is not hermitian: defect {defect:.3e}")
     E, V = np.linalg.eigh((M + M.conj().T) / 2.0)
-    shift = max(0.0, -float(E[0]))
-    return SpectralData(E + shift, V, shift, source)
-
-
-def overlaps(sd: SpectralData, psi: np.ndarray) -> np.ndarray:
-    return sd.overlaps(psi)
+    return SpectralData(E, V, source)
 
 
 def recurrence_distance(c: np.ndarray, energies: np.ndarray, T: float) -> float:
@@ -471,18 +476,20 @@ def invert(sd: SpectralData, s: float, delta: float, mode: str = POINTWISE, *,
 class RecurrenceInverter:
     """Duration-producing inversion strategy for the product-formula words.
 
-    Holds spectral data per generator index plus the context (state, net, or
-    per-generator energy bounds) of the chosen guarantee mode; results are
-    cached per (generator, duration).
+    Reads the spectral data of generator k from ``spectra[k]`` when k is
+    first reversed; an ``EvolutionTable.spectra`` store decomposes it then,
+    once for evolution and inversion alike.  Holds the context (state, net,
+    or per-generator energy bounds) of the chosen guarantee mode; results
+    are cached per (generator, duration).
     """
 
     physical = True
 
-    def __init__(self, spectra: dict, delta: float, mode: str = POINTWISE, *,
+    def __init__(self, spectra: Mapping, delta: float, mode: str = POINTWISE, *,
                  state: np.ndarray | None = None, net: Sequence[np.ndarray] | None = None,
                  energy_bounds: dict | None = None, t_max: float | None = None,
                  grid_step: float | None = None):
-        self.spectra = dict(spectra)
+        self.spectra = spectra
         self.delta = float(delta)
         self.mode = mode
         self.state = state
@@ -495,11 +502,9 @@ class RecurrenceInverter:
     @classmethod
     def from_skew_reps(cls, reps: dict, delta: float, mode: str = POINTWISE, **kwargs):
         """Build from skew-hermitian generator matrices H_k (hermitian part iH_k)."""
-        spectra = {}
-        for k, H in reps.items():
-            M = H.matrix if isinstance(H, TruncatedRep) else np.asarray(H)
-            spectra[int(k)] = spectral(1j * M)
-        return cls(spectra, delta, mode, **kwargs)
+        from .propagate import EvolutionTable
+
+        return cls(EvolutionTable(reps).spectra, delta, mode, **kwargs)
 
     def plans(self):
         return {key: res.plan for key, res in self._cache.items()}
@@ -509,10 +514,9 @@ class RecurrenceInverter:
         # threads sharing an inverter may both fill one key; invert is
         # deterministic, so either result is the same certificate
         if key not in self._cache:
-            sd = self.spectra[int(k)]
             self._cache[key] = invert(
-                sd, float(s), self.delta, self.mode, state=self.state, net=self.net,
-                energy_bound=self.energy_bounds.get(int(k)), t_max=self.t_max,
+                self.spectra[int(k)], float(s), self.delta, self.mode, state=self.state,
+                net=self.net, energy_bound=self.energy_bounds.get(int(k)), t_max=self.t_max,
                 grid_step=self.grid_step,
             )
         res = self._cache[key]

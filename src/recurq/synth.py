@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
-                        evolve_signed, expm_apply, fidelity, flatten, leaves,
+from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, _as_table,
+                        evolve, evolve_signed, expm_apply, fidelity, flatten, leaves,
                         realize_word, state_error)
 from .recurrence import ExactInverter
 
@@ -205,7 +205,7 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
         raise ValueError("epsilon must be positive")
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
-    table = reps if isinstance(reps, EvolutionTable) else EvolutionTable(reps)
+    table = _as_table(reps)
     psi0 = np.asarray(psi0, dtype=complex)
     if verify_states is None:
         verify_states = getattr(inverter, "net", None)
@@ -246,7 +246,7 @@ def verify(seq, psi0: np.ndarray, target, reps, t: float | None = None):
     ``target`` is either a state vector or a generator expression (then ``t``
     gives the duration and the oracle state is e^{G t} psi0).
     """
-    table = reps if isinstance(reps, EvolutionTable) else EvolutionTable(reps)
+    table = _as_table(reps)
     psi0 = np.asarray(psi0, dtype=complex)
     if isinstance(target, GeneratorExpr):
         if t is None:
@@ -332,7 +332,7 @@ def reachability_report(reps, psi0: np.ndarray, targets: Sequence, epsilon: floa
     Per-target failures (budget, inverter) are captured in the report rather
     than raised; the report is always emitted.
     """
-    table = reps if isinstance(reps, EvolutionTable) else EvolutionTable(reps)
+    table = _as_table(reps)
     targets = list(targets)
 
     def run(item):

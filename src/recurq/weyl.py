@@ -295,10 +295,6 @@ def canonicalize(raw: Iterable, mode_count: int) -> PolyOp:
     return total
 
 
-def adjoint(A: PolyOp) -> PolyOp:
-    return A.adjoint()
-
-
 def is_hermitian(A: PolyOp, tol: float = 1e-9) -> bool:
     return (A - A.adjoint()).coefficient_norm() <= tol * max(A.coefficient_norm(), 1.0)
 

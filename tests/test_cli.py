@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recurq import cli, fock, propagate, recurrence
+from recurq import cli, fock, propagate, recurrence, weyl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,6 +95,22 @@ def test_invert_subcommand(tmp_path):
     assert rc_code == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert abs(report["t_star"] - (4 * math.pi - 1.0)) < 1e-5
+
+
+def test_invert_finite_net_certifies_the_first_draw(tmp_path):
+    # the net is drawn once, from the run's seeded rng, and certified; at
+    # delta 1 the tail mass depends on which net was drawn
+    config = {"hamiltonian": HARMONIC, "delta": 1.0, "mode": "finite_net",
+              "net_size": 3, "s": 1.0}
+    rc_code, out = run("invert", config, tmp_path, seed=5)
+    assert rc_code == cli.EXIT_OK
+    spec = fock.TruncationSpec((32,))
+    H = weyl.as_hermitian(weyl.PolyOp.from_text(HARMONIC["poly"], 1))
+    sd = recurrence.spectral(fock.represent(H, spec))
+    rng = np.random.default_rng(5)
+    net = [fock.random_interior_state(spec, rng, spec.buffer) for _ in range(3)]
+    res = recurrence.invert(sd, 1.0, 1.0, "finite_net", net=net)
+    assert json.loads((out / "plan.json").read_text()) == res.plan.to_dict()
 
 
 def test_invert_search_failure_report_carries_diagnostics(tmp_path):
@@ -222,6 +238,22 @@ def test_config_errors_exit_usage_with_json_path(sub, config, path, tmp_path, ca
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub,extra", [
+    ("commutator", {"k": 0, "l": 1, "t": 0.5, "n": 2}),
+    ("compile", {"target": {"op": "bracket", "left": GEN(0), "right": GEN(1)}, "t": 0.25,
+                 "epsilon": 0.1, "n_budget": 4}),
+])
+def test_exhausted_spectrum_writes_a_failure_report(sub, extra, tmp_path):
+    # the dim-32 spectra of q and p end far below the tail threshold 8 M / delta^2
+    config = {"system": QP_SYSTEM, "state": {"fock": [0]}, **extra,
+              "inverter": {"mode": "energy_bound", "delta": 0.1,
+                           "energy_bounds": {"0": 1.0, "1": 1.0}}}
+    rc_code, out = run(sub, config, tmp_path)
+    assert rc_code == cli.EXIT_FAILURE
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed" and "spectrum ends" in report["error"]
+
+
 def test_chain_demo_parallel_report_matches_serial(tmp_path):
     # dim 216 with two few-segment targets: both take the action path and
     # share one EvolutionTable across the worker threads
@@ -261,12 +293,37 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
     assert err.startswith(f"error: {path}: ") and str(fock.MAX_DIM) in err
 
 
+@pytest.mark.parametrize("sub,config,path", [
+    ("recur", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "energy_bound"},
+     "$.energy_bound"),
+    ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "energy_bound", "s": 0.5},
+     "$.energy_bound"),
+    ("recur", {"hamiltonian": dict(HARMONIC, dims=[8]), "delta": 0.1, "mode": "pointwise",
+               "state": {"fock": [9]}}, "$.state"),
+    ("invert", {"hamiltonian": dict(HARMONIC, dims=[8, 8]), "delta": 0.1,
+                "mode": "pointwise", "s": 0.5}, "$.hamiltonian.dims"),
+    ("recur", {"hamiltonian": dict(HARMONIC, poly="(0,1) * q1"), "delta": 0.1,
+               "mode": "pointwise"}, "$.hamiltonian.poly"),
+    ("recur", {"hamiltonian": {"levels": []}, "delta": 0.1, "mode": "energy_bound",
+               "energy_bound": 1.0}, "$.hamiltonian.levels"),
+    ("trotter", {"system": dict(QP_SYSTEM, dims=[8]), "k": 0, "l": 1, "t": 0.5, "ns": [4],
+                 "state": {"random_interior": {"buffer": 20}}}, "$.state"),
+], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
+        "non-hermitian", "no-levels", "empty-interior"])
+def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert f"{path}: " in err and "Traceback" not in err
+
+
 def _count_eigh(monkeypatch):
+    """Record a copy of every matrix handed to np.linalg.eigh."""
     calls = []
     eigh = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape[-1])
+        calls.append(np.array(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -301,22 +358,20 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
     config = {"system": system, "k": 0, "l": 1, "t": 0.4, "n": 2,
               "inverter": {"mode": "pointwise", "delta": 1e-4},
               "state": {"fock": [0]}}
-    built = []
-    from_skew_reps = recurrence.RecurrenceInverter.from_skew_reps.__func__
-
-    def recording(cls, reps, *args, **kwargs):
-        built.append(sorted(reps))
-        return from_skew_reps(cls, reps, *args, **kwargs)
-
-    monkeypatch.setattr(recurrence.RecurrenceInverter, "from_skew_reps",
-                        classmethod(recording))
+    calls = _count_eigh(monkeypatch)
     rc_code, out = run("commutator", config, tmp_path)
-    assert rc_code == cli.EXIT_OK and built == [[0, 1]]
-    # the plans equal those of an inverter holding every generator's spectrum
+    assert rc_code == cli.EXIT_OK
+    # generators 0 and 1 once each, shared by the table and the inverter,
+    # plus the one-off target; the unused generator 2 never
     spec, _, table = cli._build_system(system)
-    inverter = from_skew_reps(recurrence.RecurrenceInverter,
-                              {k: table.matrix(k) for k in table.indices()}, 1e-4,
-                              "pointwise", state=fock.fock_state(spec, [0]))
+    assert len(calls) == 3
+    decomposed = [k for k in table.indices()
+                  if any(np.array_equal(a, 1j * table.matrix(k)) for a in calls)]
+    assert decomposed == [0, 1]
+    # the plans equal those of an inverter on independent spectra of every generator
+    spectra = {k: recurrence.spectral(1j * table.matrix(k)) for k in table.indices()}
+    inverter = recurrence.RecurrenceInverter(spectra, 1e-4, "pointwise",
+                                             state=fock.fock_state(spec, [0]))
     propagate.commutator_sequence(0, 1, 0.4, 2, inverter)
     plans = json.loads((out / "plans.json").read_text())
     assert plans == [p.to_dict() for p in inverter.plans().values()]

@@ -485,6 +485,20 @@ def test_action_ignores_global_rng_state(rng):
     assert np.linalg.norm(outs[0] - table.apply(2, t, psi0)) <= 1e-12
 
 
+def test_table_spectrum_is_spectral_of_the_generator():
+    # the table keeps recurrence.spectral(iM) bit for bit, and its phases use
+    # the unshifted eigenvalues exactly as eigh(iM) returns them
+    M = -1j * fock.represent(q(0), TruncationSpec((24,))).matrix
+    table = pr.EvolutionTable({0: M})
+    sd, ref = table.spectra[0], rc.spectral(1j * M)
+    assert table.spectra[0] is sd and sd.shift == ref.shift > 0
+    for name in ("eigenvalues", "energies", "vectors"):
+        assert getattr(sd, name).tobytes() == getattr(ref, name).tobytes()
+    w, V = np.linalg.eigh(1j * M)
+    U = (V * np.exp(-1j * w * 0.3)) @ V.conj().T
+    assert table.unitary(0, 0.3).tobytes() == U.tobytes()
+
+
 def test_shared_table_fills_each_cache_once(monkeypatch, rng):
     tspec, table = _chain_table(5)
     psi0 = fock.random_interior_state(tspec, rng, 1)

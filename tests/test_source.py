@@ -1,0 +1,31 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "recurq"
+
+
+def _eigh_sites():
+    """(module, enclosing function) of every call to a function named eigh."""
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            func = getattr(child, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) == "eigh":
+                sites.add((module, scope))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return sites
+
+
+def test_generators_are_diagonalized_in_one_place():
+    # recurrence.spectral is every generator's decomposition; expm_skew is the
+    # oracle and the small-dimension one-off path of expm_apply
+    sites = _eigh_sites()
+    assert ("recurrence", "spectral") in sites
+    assert sites <= {("recurrence", "spectral"), ("propagate", "expm_skew")}, sites
