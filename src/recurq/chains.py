@@ -271,7 +271,7 @@ def chain_table(spec: ChainSpec, dims: Sequence[int]):
         raise ValueError("chain demos are desk-scale: at most 16 levels per mode")
     tspec = TruncationSpec(tuple(dims))
     labels, gens = control_system(spec)
-    table = EvolutionTable({k: -1j * represent(g_h, tspec).matrix
+    table = EvolutionTable({k: -1j * represent(g_h, tspec).csr
                             for k, g_h in enumerate(_hermitian_counterparts(gens))})
     return labels, tspec, table
 

@@ -317,7 +317,7 @@ def _build_system(cfg):
     spec = _truncation(cfg["dims"], mode_count, "$.system.dims")
     herms = [_parse_poly(text, mode_count, f"$.system.generators[{i}]", weyl.as_hermitian)
              for i, text in enumerate(cfg["generators"])]
-    reps = {k: -1j * fock.represent(H, spec).matrix for k, H in enumerate(herms)}
+    reps = {k: -1j * fock.represent(H, spec).csr for k, H in enumerate(herms)}
     return spec, herms, propagate.EvolutionTable(reps)
 
 
@@ -383,14 +383,22 @@ def _run_propagation(config, out, rng, jobs):
     return EXIT_OK if report.controllable else EXIT_FAILURE
 
 
-def _plan_context(config, rng):
+def _plan_context(config, rng, floor: str):
     """(levels, spectral data or None, the mode's state, net or energy bound
-    as ``recurrence.invert`` takes them)."""
+    as ``recurrence.invert`` takes them).  ``floor`` names the config value,
+    ``tau_min`` or ``s``, below which no recurrence time is searched."""
+    t_max, lowest = config.get("t_max"), config.get(floor, 0.0)
+    if t_max is not None and t_max < lowest:
+        raise ConfigError(f"$.t_max: t_max {t_max:g} is below {floor} {lowest:g}")
     levels, sd, spec = _build_hamiltonian(config["hamiltonian"])
     mode = config["mode"]
     if mode == "energy_bound":
         if "energy_bound" not in config:
             raise ConfigError("$.energy_bound: energy_bound mode needs 'energy_bound'")
+        if sd is None and (np.any(levels < 0) or np.any(np.diff(levels) < 0)):
+            key = "levels" if "levels" in config["hamiltonian"] else "level_formula"
+            raise ConfigError(f"$.hamiltonian.{key}: energy_bound mode needs ascending, "
+                              "non-negative levels")
         return levels, sd, {"energy_bound": float(config["energy_bound"])}
     if sd is None:
         raise ConfigError(f"$.hamiltonian: {mode} mode needs a matrix hamiltonian ('poly')")
@@ -410,7 +418,7 @@ def _failed(out, exc) -> int:
 
 
 def _run_recur(config, out, rng, jobs):
-    levels, sd, context = _plan_context(config, rng)
+    levels, sd, context = _plan_context(config, rng, "tau_min")
     if "state" in context:
         context = {"state_overlaps": sd.overlaps(context["state"])}
     elif "net" in context:
@@ -434,7 +442,7 @@ def _run_recur(config, out, rng, jobs):
 
 
 def _run_invert(config, out, rng, jobs):
-    _, sd, context = _plan_context(config, rng)
+    _, sd, context = _plan_context(config, rng, "s")
     if sd is None:
         raise ConfigError("$.hamiltonian: invert needs a matrix hamiltonian ('poly')")
     try:
@@ -469,9 +477,8 @@ def _run_commutator(config, out, rng, jobs):
     k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
     _check_indices([k], table, "$.k")
     _check_indices([l], table, "$.l")
-    A, B = table.matrix(k), table.matrix(l)
-    target = propagate.expm_apply(A @ B - B @ A, t * t, [psi0])[0]
     bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
+    target = propagate.expm_apply(synth.expr_matrix(bracket, table), t * t, [psi0])[0]
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, [(bracket, t * t)])
     word = propagate.commutator_word(k, l, t, n)
     result = {"n": n, "t": t}

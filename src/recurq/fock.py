@@ -1,11 +1,14 @@
-"""Dense matrix representations of polynomial operators on truncated Fock spaces.
+"""Sparse matrix representations of polynomial operators on truncated Fock spaces.
 
 Each mode is truncated to its lowest ``D_i`` number states; operators are
 built by substituting the truncated ladder matrices into canonical monomials
 (truncate-then-multiply), so products and commutators agree with the symbolic
 algebra exactly on the interior block and pick up quantifiable artifacts only
-within ``degree`` levels of the cutoff.  States are plain complex ndarrays of
-length ``prod(D_i)``; helpers below construct, normalize and embed them.
+within ``degree`` levels of the cutoff.  A representation is held as a CSR
+matrix, assembled without a dense ``dim x dim`` buffer; a dense copy is built
+only when asked for (``TruncatedRep.matrix``).  States are plain complex
+ndarrays of length ``prod(D_i)``; helpers below construct, normalize and
+embed them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+import scipy.sparse
 
 from .weyl import HERMITIAN, PolyOp
 
@@ -55,16 +59,21 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class TruncatedRep:
-    """A PolyOp rendered as a dense complex matrix at a given truncation."""
+    """A PolyOp rendered as a complex CSR matrix at a given truncation."""
 
-    matrix: np.ndarray
+    csr: scipy.sparse.csr_array
     spec: TruncationSpec
     source: PolyOp | None = None
     hermiticity_defect: float | None = None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the representation, built on every access."""
+        return self.csr.toarray()
 
 
 def _small_annihilator(d: int) -> np.ndarray:
@@ -138,34 +147,47 @@ def represent(A: PolyOp, spec: TruncationSpec, max_dim: int = MAX_DIM) -> Trunca
         return cache[key]
 
     # Each monomial's Kronecker product is assembled from the per-mode
-    # nonzeros in np.kron's index layout and multiplication order, then
-    # scattered: the entries it touches get the same values as a dense
-    # kron-and-add, and the entries it does not touch would only add zeros.
-    M = np.zeros((spec.dim, spec.dim), dtype=complex)
-    touched = [np.zeros(0, dtype=np.intp)]
+    # nonzeros in np.kron's index layout and multiplication order.  The
+    # products are then accumulated, in term order, into one entry per
+    # distinct position (flat row-major keys, so sorted keys are CSR order):
+    # each entry receives the same floating-point operations as in a dense
+    # kron-and-add, and the entries no monomial touches, which would only
+    # receive zeros, are never stored.
+    dim = spec.dim
+    keys, vals = [np.zeros(0, np.intp)], [np.zeros(0, complex)]
     for mono, coeff in A.terms.items():
-        rows, cols, vals = mode_power(0, *mono[0])
+        rows, cols, v = mode_power(0, *mono[0])
         for mode in range(1, spec.mode_count):
-            r, c, v = mode_power(mode, *mono[mode])
+            r, c, vm = mode_power(mode, *mono[mode])
             d = spec.dims[mode]
             rows = np.add.outer(rows * d, r).ravel()
             cols = np.add.outer(cols * d, c).ravel()
-            vals = np.multiply.outer(vals, v).ravel()
-        M[rows, cols] += coeff * vals
-        touched.append(rows * spec.dim + cols)
+            v = np.multiply.outer(v, vm).ravel()
+        keys.append(rows * dim + cols)
+        vals.append(coeff * v)
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros(keys.size, dtype=complex)
+    np.add.at(data, where, np.concatenate(vals))  # in array order, i.e. term order
 
     defect = None
     if A.role == HERMITIAN:
         # hermiticity_defect(M) and hermitize(M), evaluated only where M or
         # its adjoint can be nonzero: every other entry of both is exactly 0
-        flat = np.concatenate(touched)
-        rows, cols = np.divmod(np.union1d(flat, (flat % spec.dim) * spec.dim
-                                          + flat // spec.dim), spec.dim)
-        upper, lower = M[rows, cols], M[cols, rows].conj()
-        defect = float(np.max(np.abs(upper - lower))) if rows.size else 0.0
-        M[rows, cols] = (upper + lower) / 2.0
-    M.setflags(write=False)
-    return TruncatedRep(M, spec, A, defect)
+        full, where = np.unique(np.concatenate((keys, (keys % dim) * dim + keys // dim)),
+                                return_inverse=True)
+        upper, lower = np.zeros(full.size, dtype=complex), np.zeros(full.size, dtype=complex)
+        upper[where[:keys.size]] = data
+        lower[where[keys.size:]] = data  # M at the transposed position
+        lower = lower.conj()
+        defect = float(np.max(np.abs(upper - lower))) if full.size else 0.0
+        keys, data = full, (upper + lower) / 2.0
+    keep = data != 0
+    rows, cols = np.divmod(keys[keep], dim)
+    index = np.int32 if dim * dim < 2**31 else np.int64  # nnz <= dim^2
+    indptr = np.searchsorted(rows, np.arange(dim + 1))
+    csr = scipy.sparse.csr_array((data[keep], cols.astype(index), indptr.astype(index)),
+                                 shape=(dim, dim))
+    return TruncatedRep(csr, spec, A, defect)
 
 
 # -- states -----------------------------------------------------------------
@@ -239,8 +261,8 @@ def truncation_probe(A: PolyOp, psi: np.ndarray, spec: TruncationSpec,
     """
     if not spec_larger.dominates(spec):
         raise ValueError("spec_larger must dominate spec per mode")
-    small = represent(A, spec).matrix @ np.asarray(psi)
-    large = represent(A, spec_larger).matrix @ embed_state(psi, spec, spec_larger)
+    small = represent(A, spec).csr @ np.asarray(psi)
+    large = represent(A, spec_larger).csr @ embed_state(psi, spec, spec_larger)
     return float(np.linalg.norm(large - embed_state(small, spec, spec_larger)))
 
 
@@ -254,7 +276,7 @@ def save_rep(rep: TruncatedRep, path: str) -> None:
     sidecar = {
         "dims": list(rep.spec.dims),
         "buffer": rep.spec.buffer,
-        "shape": list(rep.matrix.shape),
+        "shape": list(rep.csr.shape),
         "source": rep.source.to_text() if rep.source is not None else None,
         "source_mode_count": rep.source.mode_count if rep.source is not None else None,
         "hermiticity_defect": rep.hermiticity_defect,
@@ -275,5 +297,5 @@ def load_rep(path: str) -> TruncatedRep:
     source = None
     if sidecar["source"] is not None:
         source = PolyOp.from_text(sidecar["source"], sidecar["source_mode_count"])
-    matrix.setflags(write=False)
-    return TruncatedRep(matrix, spec, source, sidecar["hermiticity_defect"])
+    return TruncatedRep(scipy.sparse.csr_array(matrix), spec, source,
+                        sidecar["hermiticity_defect"])

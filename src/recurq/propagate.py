@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 from . import recurrence
 from .fock import TruncatedRep
@@ -40,13 +39,13 @@ NORM_TOL = 1e-10
 
 # A generator is evaluated spectrally (one dense eigh, then V e^{-iwt} V^dag
 # per segment) when a word applies it at least dim // SPECTRAL_DIVISOR times,
-# and otherwise by the action e^{Gt}v of expm_multiply on its sparse matrix
-# (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  Measured break-even, in
-# segments of one action against one eigh, for a 3-mode chain generator and
-# segments of duration 0.3 (two runs, 2-vCPU Xeon, OpenBLAS): dim 64 -> 0.5,
-# 125 -> 2, 216 -> 4-5, 512 -> 20-40, 729 -> 50-75, 1000 -> 220-270; about
-# twice that at duration 0.15.  dim // 64 stays at or below it from dim 125
-# up, and below dim 128 every generator takes the spectral path.
+# and otherwise by the Chebyshev action e^{Gt}v on its sparse matrix
+# (``_Action``); below dim 128 every generator takes the spectral path.  The
+# measured break-even, in segments of one action against one eigh for a
+# 3-mode chain generator, lies 3-240x above dim // 64, and from dim ~600 up
+# one action costs less than one spectral mat-vec, so the spectral path pays
+# there only through repeated squaring (notes/decisions.md, "Spectral or
+# action evaluation").
 SPECTRAL_DIVISOR = 64
 
 # A Repeat whose generators all take the spectral path is applied as its
@@ -66,12 +65,10 @@ SQUARING_DIVISOR = 2
 # NORM_TOL (a depth-2 bracket at n = 16 reaches 8.5e-10, at n = 32 1.4e-8).
 REUNITARIZE_TOL = NORM_TOL
 
-# expm_multiply switches to the randomized onenormest, which draws from the
-# global np.random state, once the trace-shifted 1-norm of its argument
-# exceeds ~63 (condition 3.13 of Al-Mohy & Higham with m_max = 55, ell = 2,
-# one vector).  Actions are split into substeps of at most this 1-norm, so
-# they always take the exact-norm branch and never depend on the RNG state.
-ACTION_NORM_STEP = 32.0
+# The Chebyshev series of an action is cut at the smallest degree whose
+# coefficient tail, a bound on the truncation error per unit of state norm,
+# is at most this (``chebyshev_coefficients``).
+CHEBYSHEV_TOL = 1e-15
 
 
 # -- control words -----------------------------------------------------------
@@ -244,23 +241,47 @@ class ControlSequence:
         return cls(segs, data.get("provenance", ""))
 
 
-def _as_matrix(H) -> np.ndarray:
-    return H.matrix if isinstance(H, TruncatedRep) else np.asarray(H)
+def _as_csr(H) -> scipy.sparse.csr_array:
+    """A generator as a canonical complex CSR matrix: a TruncatedRep's own,
+    the input itself when it is one, or a conversion of any dense or sparse
+    matrix."""
+    if isinstance(H, TruncatedRep):
+        H = H.csr
+    if not (isinstance(H, scipy.sparse.csr_array) and H.dtype == complex):
+        H = scipy.sparse.csr_array(H, dtype=complex)
+    if H.ndim == 2 and not H.has_canonical_format:
+        H = H.copy()
+        H.sum_duplicates()
+    return H
 
 
-def _skew_defect(M: np.ndarray) -> float:
+def _skew_defect(M) -> float:
     """max |M + M^dag|, evaluated over the nonzeros of M only.
 
     Entries where both M_ij and M_ji vanish contribute 0, and
     |M_ji + conj(M_ij)| = |M_ij + conj(M_ji)|, so this is the dense value.
+    For a sparse M, each M_ji is found among the sorted row-major keys of
+    the CSR entries.
     """
+    sparse = scipy.sparse.issparse(M)
+    M = _as_csr(M) if sparse else np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {M.shape}")
-    i, j = np.divmod(np.flatnonzero(M != 0), M.shape[0])
-    return float(np.max(np.abs(M[i, j] + M[j, i].conj()), initial=0.0))
+    if not sparse:
+        i, j = np.divmod(np.flatnonzero(M != 0), M.shape[0])
+        return float(np.max(np.abs(M[i, j] + M[j, i].conj()), initial=0.0))
+    if M.nnz == 0:
+        return 0.0
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
+    cols = M.indices.astype(np.int64)
+    keys, mirrored = rows * n + cols, cols * n + rows
+    at = np.minimum(np.searchsorted(keys, mirrored), keys.size - 1)
+    mirror = np.where(keys[at] == mirrored, M.data[at], 0.0)
+    return float(np.max(np.abs(M.data + mirror.conj())))
 
 
-def _check_skew(M: np.ndarray):
+def _check_skew(M):
     defect = _skew_defect(M)
     if defect > SKEW_TOL:
         raise ValueError(f"matrix is not skew-hermitian: defect {defect:.3e}")
@@ -276,23 +297,88 @@ def squares(repeat: "Repeat", dim: int) -> bool:
     return repeat.count > 1 and len(repeat) >= dim // SQUARING_DIVISOR
 
 
-class _Action:
-    """e^{G t} psi by expm_multiply on a sparse copy of the generator."""
+def _bessel_j(a: float, n: int) -> np.ndarray:
+    """J_0(a), ..., J_n(a) for a > 0 by Miller's backward recurrence
+    J_{k-1} = (2k/a) J_k - J_{k+1} from J_{n+1} = 0, normalized by
+    J_0 + 2 sum_k J_{2k} = 1.
 
-    def __init__(self, M: np.ndarray):
-        self.G = scipy.sparse.csr_array(M)
-        shifted = self.G - (self.G.trace() / M.shape[0]) * scipy.sparse.eye_array(
-            M.shape[0], format="csr")
-        self.norm = float(abs(shifted).sum(axis=0).max())
+    Backward, J_k is the growing solution, so the error of the start decays
+    towards low orders; values are exact to rounding wherever J_k(a) is not
+    negligible against J_n(a).  A rescale keeps the growth finite.
+    """
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    hi, lo = 0.0, 1.0
+    for k in range(n, 0, -1):
+        hi, lo = lo, 2.0 * k / a * lo - hi
+        if abs(lo) > 1e250:
+            f[k:] *= 1e-250
+            hi, lo = hi * 1e-250, lo * 1e-250
+        f[k - 1] = lo
+    return f / (f[0] + 2.0 * f[2::2].sum())
+
+
+def chebyshev_coefficients(z: float) -> np.ndarray:
+    """Coefficients a_k of e^{-izx} = sum_k a_k T_k(x) on [-1, 1], up to the
+    smallest degree K with sum_{k>K} |a_k| <= CHEBYSHEV_TOL.
+
+    a_0 = J_0(z) and a_k = 2 (-i)^k J_k(z), and J_k(-a) = (-1)^k J_k(a).
+    Bessel values are computed up to order n = 1.5|z| + 64.  Past it the
+    bound |J_k(a)| <= (a/2)^k / k! shrinks by at least half per order, so
+    the orders beyond n add at most 4 (a/2)^(n+1) / (n+1)! to every tail,
+    and that is counted.
+    """
+    a = abs(float(z))
+    if a < 1e-30:  # J_0(a) rounds to 1 and the tail is about a: the series is 1
+        return np.ones(1, dtype=complex)
+    n = int(1.5 * a) + 64
+    J = _bessel_j(a, n)
+    beyond = 4.0 * math.exp((n + 1) * math.log(a / 2.0) - math.lgamma(n + 2))
+    tails = np.append(np.cumsum(2.0 * np.abs(J[:0:-1]))[::-1], 0.0) + beyond  # sum_{k>K}
+    K = int(np.argmax(tails <= CHEBYSHEV_TOL))
+    powers = np.array([1.0, -1j, -1.0, 1j])  # (-i)^k, exactly
+    if z < 0:
+        powers = powers.conj()
+    coeffs = 2.0 * J[:K + 1] * powers[np.arange(K + 1) % 4]
+    coeffs[0] = J[0]
+    return coeffs
+
+
+class _Action:
+    """e^{G t} psi by a Chebyshev expansion in the hermitian H = iG
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+
+    With centre c = tr(H) / dim and radius r = ||H - c||_1, which bounds the
+    spectral radius of H - c, the spectrum of X = (H - c) / r lies in [-1, 1]
+    and e^{-iHt} = e^{-ict} sum_k a_k(rt) T_k(X) (``chebyshev_coefficients``).
+    T_k(X) psi follows the three-term recurrence: one sparse product per
+    degree, on one state or a dim x m block of column states, for either sign
+    of t.  No step draws random numbers, so results never depend on RNG state.
+    """
+
+    def __init__(self, G):
+        H = 1j * _as_csr(G)
+        dim = H.shape[0]
+        self.centre = float(H.trace().real) / dim
+        shifted = H - self.centre * scipy.sparse.eye_array(dim, format="csr")
+        self.radius = float(abs(shifted).sum(axis=0).max())
+        self.X = shifted / self.radius if self.radius else shifted
 
     def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
-        if psi.ndim == 2:  # one vector per call, as the norm step assumes
-            return np.column_stack([self(t, np.ascontiguousarray(col)) for col in psi.T])
-        steps = max(1, math.ceil(abs(t) * self.norm / ACTION_NORM_STEP))
-        out = psi
-        for _ in range(steps):
-            out = expm_multiply(self.G * (t / steps), out)
-        drift = abs(np.linalg.norm(out) - np.linalg.norm(psi))
+        coeffs = chebyshev_coefficients(self.radius * t)
+        out = coeffs[0] * psi
+        if coeffs.size > 1:
+            prev, cur = psi, self.X @ psi
+            out += coeffs[1] * cur
+            for a in coeffs[2:]:
+                nxt = self.X @ cur
+                nxt *= 2.0
+                nxt -= prev
+                out += a * nxt
+                prev, cur = cur, nxt
+        out *= np.exp(-1j * self.centre * t)
+        drift = np.max(np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(psi, axis=0)),
+                       initial=0.0)
         if drift > NORM_TOL:
             raise AssertionError(f"action norm drift {drift:.3e}")
         return out
@@ -307,7 +393,8 @@ class _SpectralStore(Mapping):
         self._data = {}
 
     def __getitem__(self, k: int):
-        return self._table._cached(self._data, k, lambda M: recurrence.spectral(1j * M))
+        return self._table._cached(self._data, k,
+                                   lambda M: recurrence.spectral(1j * M.toarray()))
 
     def __iter__(self):
         return iter(self._table.indices())
@@ -317,15 +404,16 @@ class _SpectralStore(Mapping):
 
 
 class EvolutionTable:
-    """Spectral factorizations and sparse copies of a generator family,
-    reused across segments.
+    """A generator family kept as CSR matrices, with the spectral
+    factorizations and Chebyshev actions built from them on first use.
 
-    Each generator H is skew-hermitian.  On the spectral path iH is
-    diagonalized once (``spectra``, which a recurrence inverter reads too)
-    and e^{H t} = V e^{-i w t} V^dag is assembled per duration; on the action
-    path e^{H t} psi is computed from a CSR copy of H.  ``uses_spectrum``
-    picks the path per word.  Both caches are filled under one lock, so
-    threads sharing a table never diagonalize or convert a generator twice.
+    Each generator H is skew-hermitian.  On the spectral path a dense copy
+    of iH is diagonalized once (``spectra``, which a recurrence inverter
+    reads too) and e^{H t} = V e^{-i w t} V^dag is assembled per duration;
+    on the action path e^{H t} psi is computed by sparse products with H
+    alone.  ``uses_spectrum`` picks the path per word.  Both caches are
+    filled under one lock, so threads sharing a table never diagonalize a
+    generator or set up its action twice.
     """
 
     def __init__(self, reps: Mapping[int, object]):
@@ -334,7 +422,7 @@ class EvolutionTable:
         self._lock = threading.Lock()
         dim = None
         for k, H in reps.items():
-            M = _as_matrix(H)
+            M = _as_csr(H)
             _check_skew(M)
             if dim is None:
                 dim = M.shape[0]
@@ -347,7 +435,8 @@ class EvolutionTable:
     def indices(self):
         return sorted(self._mats)
 
-    def matrix(self, k: int) -> np.ndarray:
+    def matrix(self, k: int) -> scipy.sparse.csr_array:
+        """The CSR matrix of generator k."""
         return self._mats[k]
 
     def _cached(self, cache: dict, k: int, build):
@@ -370,7 +459,8 @@ class EvolutionTable:
         return V @ ((phase[:, None] if psi.ndim == 2 else phase) * (V.conj().T @ psi))
 
     def act(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
-        """Action path: e^{H_k t} psi by expm_multiply, norm-checked per state."""
+        """Action path: e^{H_k t} psi by the Chebyshev action, norm-checked
+        per state; ``psi`` is one state or a dim x m block of column states."""
         return self._cached(self._actions, k, _Action)(t, psi)
 
     def unitary(self, k: int, t: float) -> np.ndarray:
@@ -386,7 +476,9 @@ def expm_skew(H, t: float) -> np.ndarray:
     """Unitary e^{H t} for skew-hermitian H via spectral decomposition."""
     if t < 0:
         raise ValueError("expm_skew is restricted to forward durations")
-    M = _as_matrix(H)
+    if isinstance(H, TruncatedRep):
+        H = H.csr
+    M = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
     _check_skew(M)
     w, V = np.linalg.eigh(1j * M)
     U = (V * np.exp(-1j * w * t)) @ V.conj().T
@@ -401,17 +493,17 @@ def expm_apply(H, t: float, states: Sequence) -> list:
 
     H is applied once, so ``uses_spectrum`` runs with a count of 1: the
     unitarity-checked ``expm_skew`` below dim 2 * SPECTRAL_DIVISOR, one
-    norm-checked expm_multiply action per state above.
+    norm-checked Chebyshev action on the block of all states above.
     """
-    M = _as_matrix(H)
-    if uses_spectrum(1, M.shape[0]):
-        U = expm_skew(M, t)
+    if uses_spectrum(1, H.dim if isinstance(H, TruncatedRep) else H.shape[0]):
+        U = expm_skew(H, t)
         return [U @ np.asarray(v) for v in states]
     if t < 0:
         raise ValueError("expm_apply is restricted to forward durations")
+    M = _as_csr(H)
     _check_skew(M)
-    action = _Action(M)
-    return [action(t, np.asarray(v, dtype=complex)) for v in states]
+    block = np.column_stack([np.asarray(v, dtype=complex) for v in states])
+    return list(np.ascontiguousarray(_Action(M)(t, block).T))
 
 
 def _unitarize(X: np.ndarray) -> np.ndarray:

@@ -176,8 +176,9 @@ def tail_mass(c: np.ndarray, N: int) -> float:
 def tail_cut_energy(energies: Sequence[float], M: float, delta: float):
     """Smallest N with E_{N+1} >= 8 M / delta^2, plus the tail bound M / E_{N+1}.
 
-    Valid for spectra shifted so E_0 >= 0; the bound covers every state with
-    energy expectation below M, independent of the state.
+    Valid for ascending spectra shifted so E_0 >= 0: every level past N is
+    then at least E_{N+1}, and the bound covers every state with energy
+    expectation below M, independent of the state.
     """
     if M <= 0:
         raise ValueError("energy bound M must be positive")
@@ -186,6 +187,8 @@ def tail_cut_energy(energies: Sequence[float], M: float, delta: float):
     E = np.asarray(energies, dtype=float)
     if E[0] < -1e-12:
         raise ValueError("energy-bound tail cut requires E_0 >= 0")
+    if np.any(np.diff(E) < 0):
+        raise ValueError("energy-bound tail cut requires ascending levels")
     threshold = 8.0 * M / (delta * delta)
     hits = np.nonzero(E >= threshold)[0]
     if hits.size == 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, _as_table,
                         evolve, evolve_signed, expm_apply, fidelity, flatten, leaves,
-                        realize_word, state_error)
+                        realize_word, state_error, uses_spectrum)
 from .recurrence import ExactInverter
 
 EXACT = "exact"
@@ -97,19 +97,29 @@ def expr_indices(expr) -> set:
     raise TypeError(f"not a generator expression: {expr!r}")
 
 
-def expr_matrix(expr, table: EvolutionTable) -> np.ndarray:
-    """Effective generator of the expression (skew-hermitian matrix)."""
-    if isinstance(expr, Gen):
-        return table.matrix(expr.k)
-    if isinstance(expr, Sum):
-        return expr_matrix(expr.left, table) + expr_matrix(expr.right, table)
-    if isinstance(expr, Bracket):
-        A = expr_matrix(expr.left, table)
-        B = expr_matrix(expr.right, table)
-        return A @ B - B @ A
-    if isinstance(expr, Scale):
-        return expr.factor * expr_matrix(expr.inner, table)
-    raise TypeError(f"not a generator expression: {expr!r}")
+def expr_matrix(expr, table: EvolutionTable):
+    """Effective generator of the expression (skew-hermitian matrix).
+
+    CSR where the one-off oracle takes the action path; a dense ndarray
+    below dim 2 * SPECTRAL_DIVISOR, where the oracle diagonalizes it anyway
+    and dense products are exact to the same rounding as the oracle's.
+    """
+    dense = uses_spectrum(1, table.dim)
+
+    def build(expr):
+        if isinstance(expr, Gen):
+            M = table.matrix(expr.k)
+            return M.toarray() if dense else M
+        if isinstance(expr, Sum):
+            return build(expr.left) + build(expr.right)
+        if isinstance(expr, Bracket):
+            A, B = build(expr.left), build(expr.right)
+            return A @ B - B @ A
+        if isinstance(expr, Scale):
+            return expr.factor * build(expr.inner)
+        raise TypeError(f"not a generator expression: {expr!r}")
+
+    return build(expr)
 
 
 def build_word(expr, duration: float, n: int):

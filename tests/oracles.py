@@ -1,15 +1,19 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
 matrix-level Lie closure, dense Fock assembly, the point-by-point recurrence
-grid scan and segment-by-segment word evaluation.  These deliberately avoid
-the package's closed-form reordering identity, structure-tensor machinery,
-scatter assembly, angle addition and word trees."""
+grid scan, segment-by-segment word evaluation and the Taylor action of the
+matrix exponential.  These deliberately avoid the package's closed-form
+reordering identity, structure-tensor machinery, sparse assembly, angle
+addition, word trees and Chebyshev action."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import reduce
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.linalg import expm_multiply
 
 from recurq import propagate
 from recurq.weyl import PolyOp
@@ -200,3 +204,25 @@ def flat_realize(word, inverter):
         segments.append((k, t_star))
         plans.setdefault((k, -t), plan)
     return tuple(segments), plans
+
+
+def expm_multiply_action(G, t, psi):
+    """e^{G t} psi by scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 2011), one column at a time.
+
+    expm_multiply switches to the randomized onenormest, which draws from
+    the global np.random state, once the trace-shifted 1-norm of its argument
+    exceeds ~63; the action is split into substeps of 1-norm at most 32 so
+    it always takes the exact-norm branch.
+    """
+    G = scipy.sparse.csr_array(G, dtype=complex)
+    dim = G.shape[0]
+    shifted = G - (G.trace() / dim) * scipy.sparse.eye_array(dim, format="csr")
+    norm = float(abs(shifted).sum(axis=0).max())
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim == 2:
+        return np.column_stack([expm_multiply_action(G, t, col) for col in psi.T])
+    steps = max(1, math.ceil(abs(t) * norm / 32.0))
+    for _ in range(steps):
+        psi = expm_multiply(G * (t / steps), psi)
+    return psi

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,8 +309,22 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
                "energy_bound": 1.0}, "$.hamiltonian.levels"),
     ("trotter", {"system": dict(QP_SYSTEM, dims=[8]), "k": 0, "l": 1, "t": 0.5, "ns": [4],
                  "state": {"random_interior": {"buffer": 20}}}, "$.state"),
+    ("recur", {"hamiltonian": {"levels": [0.0, 1.0, 2.5]}, "delta": 0.5,
+               "mode": "energy_bound", "energy_bound": 0.01, "tau_min": 3.0, "t_max": 2.0},
+     "$.t_max"),
+    ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise",
+                "s": 5.0, "t_max": 4.0}, "$.t_max"),
+    ("recur", {"hamiltonian": {"levels": [-1.0, 0.0, 1.0, 2.0]}, "delta": 0.5,
+               "mode": "energy_bound", "energy_bound": 0.01}, "$.hamiltonian.levels"),
+    ("recur", {"hamiltonian": {"levels": [0.0, 5.0, 1.0]}, "delta": 0.5,
+               "mode": "energy_bound", "energy_bound": 0.125, "tau_min": math.pi},
+     "$.hamiltonian.levels"),
+    ("recur", {"hamiltonian": {"level_formula": {"count": 8, "coeffs": [0.0, 3.0, -0.5]}},
+               "delta": 0.5, "mode": "energy_bound", "energy_bound": 0.125},
+     "$.hamiltonian.level_formula"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
-        "non-hermitian", "no-levels", "empty-interior"])
+        "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
+        "negative-level", "unordered-levels", "unordered-formula"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
@@ -347,6 +362,29 @@ def test_chain_demo_sum_target_diagonalizes_nothing(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_chain_demo_at_dim_4096_allocates_no_dense_matrix(tmp_path, monkeypatch):
+    # one dense 4096 x 4096 complex matrix is 256 MB; the sparse generators,
+    # their Chebyshev actions and the states of this run need about 12 MB
+    config = {
+        "chain": {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
+                  "control_sites": [0], "control_degree_cap": 1},
+        "dims": [16, 16, 16],
+        "targets": [{"expr": {"op": "sum", "left": GEN(0), "right": GEN(1)}, "t": 0.3}],
+        "epsilon": 0.1, "n_budget": 32, "inverter": {"mode": "exact"},
+    }
+    calls = _count_eigh(monkeypatch)
+    tracemalloc.start()
+    try:
+        rc_code, out = run("chain-demo", config, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc_code == cli.EXIT_OK and calls == []
+    report = json.loads((out / "report.json").read_text())
+    assert report["all_ok"] and report["targets"][0]["n"] == 2
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
 def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypatch):
     system = {
         "mode_count": 1,
@@ -366,10 +404,11 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
     spec, _, table = cli._build_system(system)
     assert len(calls) == 3
     decomposed = [k for k in table.indices()
-                  if any(np.array_equal(a, 1j * table.matrix(k)) for a in calls)]
+                  if any(np.array_equal(a, 1j * table.matrix(k).toarray()) for a in calls)]
     assert decomposed == [0, 1]
     # the plans equal those of an inverter on independent spectra of every generator
-    spectra = {k: recurrence.spectral(1j * table.matrix(k)) for k in table.indices()}
+    spectra = {k: recurrence.spectral(1j * table.matrix(k).toarray())
+               for k in table.indices()}
     inverter = recurrence.RecurrenceInverter(spectra, 1e-4, "pointwise",
                                              state=fock.fock_state(spec, [0]))
     propagate.commutator_sequence(0, 1, 0.4, 2, inverter)

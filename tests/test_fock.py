@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from recurq import fock, weyl
 from recurq.fock import TruncationSpec
@@ -93,19 +94,25 @@ def test_represent_bracket_matches_commutator(rng):
 
 
 def test_scatter_represent_equals_dense_kron(rng):
-    # bit for bit, including the hermitization and its recorded defect
+    # the CSR assembly is bit for bit the dense kron-and-add, including the
+    # hermitization and its recorded defect, and stores no zero
+    def check(rep, dense):
+        csr = rep.csr
+        assert isinstance(csr, scipy.sparse.csr_array) and csr.has_canonical_format
+        assert np.all(csr.data != 0)
+        assert rep.matrix.tobytes() == dense.tobytes()
+
     for _ in range(60):
         modes = int(rng.integers(1, 4))
         dims = tuple(int(d) for d in rng.integers(2, 7, size=modes))
         A = random_polyop(rng, mode_count=modes, max_degree=5, max_terms=6)
         spec = TruncationSpec(dims)
-        raw = dense_represent(A, dims)
-        assert np.array_equal(fock.represent(A, spec).matrix, raw)
+        check(fock.represent(A, spec), dense_represent(A, dims))
         H = as_hermitian(A + A.adjoint())
         rep = fock.represent(H, spec)
         raw = dense_represent(H, dims)
         assert rep.hermiticity_defect == fock.hermiticity_defect(raw)
-        assert np.array_equal(rep.matrix, fock.hermitize(raw))
+        check(rep, fock.hermitize(raw))
 
 
 def test_hermitize():

@@ -5,9 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import expm as scipy_expm
 
-from oracles import flat_evolve, flat_realize
+from oracles import expm_multiply_action, flat_evolve, flat_realize
 from recurq import chains, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.propagate import ControlSequence
@@ -80,7 +81,7 @@ def test_expm_group_property(qp_system):
 def test_expm_matches_scipy(qp_system):
     _, table = qp_system
     H = table.matrix(1) + 0.3 * table.matrix(2)
-    assert np.max(np.abs(pr.expm_skew(H, 0.83) - scipy_expm(0.83 * H))) < 1e-12
+    assert np.max(np.abs(pr.expm_skew(H, 0.83) - scipy_expm(0.83 * H.toarray()))) < 1e-12
 
 
 def test_expm_rejects_non_skew():
@@ -102,6 +103,7 @@ def test_skew_defect_matches_dense_formula(rng):
     for M in cases:
         dense = float(np.max(np.abs(M + M.conj().T)))
         assert pr._skew_defect(M) == dense
+        assert pr._skew_defect(scipy.sparse.csr_array(M)) == dense
         if dense > pr.SKEW_TOL:
             with pytest.raises(ValueError, match=re.escape(f"defect {dense:.3e}")):
                 pr._check_skew(M)
@@ -483,6 +485,58 @@ def test_action_ignores_global_rng_state(rng):
         assert np.array_equal(np.random.get_state()[1], state)
     assert np.array_equal(outs[0], outs[1])
     assert np.linalg.norm(outs[0] - table.apply(2, t, psi0)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 8, 9])  # dims 64, 125, 216, 512, 729
+def test_chebyshev_action_matches_expm_skew_and_taylor_oracle(d, rng):
+    tspec, table = _chain_table(d)
+    G = table.matrix(2)
+    norm = float(abs(G).sum(axis=0).max())
+    action = pr._Action(G)
+    psi0 = fock.random_interior_state(tspec, rng, 1)
+    for gt in (0.1, 3.0, 40.0, 500.0):  # ||G t||_1
+        t = gt / norm
+        U = pr.expm_skew(G, t)
+        for sign, exact in ((1, U), (-1, U.conj().T)):
+            out = action(sign * t, psi0)
+            assert np.linalg.norm(out - exact @ psi0) <= 1e-12
+            assert np.linalg.norm(out - expm_multiply_action(G, sign * t, psi0)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_chebyshev_block_equals_columns(m, rng):
+    tspec, table = _chain_table(8)
+    block = np.column_stack([fock.random_interior_state(tspec, rng, 1) for _ in range(m)])
+    for k, t in ((0, 0.3), (2, -0.7)):
+        out = table.act(k, t, block)
+        assert out.shape == block.shape
+        for j in range(m):
+            assert np.linalg.norm(out[:, j] - table.act(k, t, block[:, j])) <= 1e-14
+
+
+def test_chebyshev_degree_meets_tail_bound():
+    mpmath = pytest.importorskip("mpmath")
+
+    def tail(a, K):  # sum_{k>K} 2 |J_k(a)|, in extended precision
+        total, k = mpmath.mpf(0), K + 1
+        while True:
+            term = 2 * abs(mpmath.besselj(k, a))
+            total += term
+            if k > a + 10 and term < mpmath.mpf(10) ** -40:
+                return total
+            k += 1
+
+    with mpmath.workdps(40):
+        for z in (0.0, 1e-40, 1e-3, 0.4, -7.3, 50.0, -130.0, 500.0):
+            coeffs = pr.chebyshev_coefficients(z)
+            K = coeffs.size - 1
+            a = mpmath.mpf(abs(z))
+            assert tail(a, K) <= pr.CHEBYSHEV_TOL
+            assert K == 0 or tail(a, K - 1) > pr.CHEBYSHEV_TOL
+            for k in range(0, K + 1, max(1, K // 12)):
+                power = (1, -1j, -1, 1j)[k % 4]  # (-i)^k
+                exact = (1 if k == 0 else 2) * power * complex(mpmath.besselj(k, z))
+                assert abs(coeffs[k] - exact) <= 1e-15
 
 
 def test_table_spectrum_is_spectral_of_the_generator():

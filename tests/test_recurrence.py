@@ -132,6 +132,16 @@ def test_tail_cut_energy_exhaustion():
         rc.tail_cut_energy(np.arange(64) + 0.5, 10.0, 0.1)
 
 
+def test_tail_cut_energy_requires_ascending_levels():
+    # with levels [0, 5, 1] the cut N = 0 would leave level 2 (E = 1 < 8M/delta^2)
+    # outside the head: sqrt(0.875)|0> + sqrt(0.125)|2> has energy M = 0.125
+    # yet tail mass 0.125 > delta^2 / 8
+    with pytest.raises(ValueError, match="ascending"):
+        rc.tail_cut_energy([0.0, 5.0, 1.0], 0.125, 0.5)
+    with pytest.raises(ValueError, match="E_0"):
+        rc.tail_cut_energy([-1.0, 0.0, 1.0], 0.125, 0.5)
+
+
 def test_tail_cut_energy_state_independent(rng):
     # Monte-Carlo check of the inequality chain behind the bound
     E = np.arange(64) + 0.5

@@ -29,3 +29,17 @@ def test_generators_are_diagonalized_in_one_place():
     sites = _eigh_sites()
     assert ("recurrence", "spectral") in sites
     assert sites <= {("recurrence", "spectral"), ("propagate", "expm_skew")}, sites
+
+
+def test_one_action_kernel():
+    # the Chebyshev action in propagate is the only e^{Gt}v kernel; scipy's
+    # expm_multiply survives only as the test oracle
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if "expm_multiply" in names:
+                refs.append((path.stem, node.lineno))
+    assert refs == []

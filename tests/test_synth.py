@@ -3,8 +3,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from recurq import fock, propagate as pr, recurrence as rc, synth as sy
+from recurq import chains, fock, propagate as pr, recurrence as rc, synth as sy
 from recurq.fock import TruncationSpec
 from recurq.synth import Bracket, Gen, Scale, Sum
 from recurq.weyl import as_hermitian, p, q
@@ -148,13 +149,27 @@ def test_expr_helpers(system):
     expr = Scale(2.0, Sum(Gen(1), Bracket(Gen(1), Gen(2))))
     assert sy.expr_indices(expr) == {1, 2}
     G = sy.expr_matrix(expr, table)
-    A, B = table.matrix(1), table.matrix(2)
+    A, B = table.matrix(1).toarray(), table.matrix(2).toarray()
     assert np.allclose(G, 2.0 * (A + (A @ B - B @ A)))
     back = sy.expr_from_dict({"op": "scale", "factor": 2.0, "inner": {
         "op": "sum", "left": {"op": "gen", "k": 1},
         "right": {"op": "bracket", "left": {"op": "gen", "k": 1},
                   "right": {"op": "gen", "k": 2}}}})
     assert back == expr
+
+
+def test_expr_matrix_is_sparse_on_the_action_path():
+    # dim 216 >= 2 * SPECTRAL_DIVISOR: the oracle acts, so the expression
+    # stays CSR; below it the expression is dense, as the oracle diagonalizes
+    spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
+    _, _, table = chains.chain_table(spec, (6, 6, 6))
+    expr = Scale(2.0, Sum(Gen(1), Bracket(Gen(1), Gen(2))))
+    G = sy.expr_matrix(expr, table)
+    assert isinstance(G, scipy.sparse.csr_array)
+    A, B = table.matrix(1).toarray(), table.matrix(2).toarray()
+    assert np.allclose(G.toarray(), 2.0 * (A + (A @ B - B @ A)), rtol=0, atol=1e-12)
+    _, _, small = chains.chain_table(spec, (4, 4, 4))
+    assert isinstance(sy.expr_matrix(expr, small), np.ndarray)
 
 
 def test_build_word_bracket_negative_duration_swaps():
