@@ -357,10 +357,24 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
 # -- subcommand implementations --------------------------------------------------
 
 
+def _capped(closure, *args):
+    """``closure(*args)``, with a cap the bracket table cannot represent as a
+    config error."""
+    try:
+        return closure(*args)
+    except weyl.CapError as exc:
+        raise ConfigError(f"$.degree_cap: {exc}") from None
+
+
 def _run_closure(config, out, rng, jobs):
     gens = [_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]", weyl.as_skew)
             for i, g in enumerate(config["generators"])]
-    basis = weyl.lie_closure(gens, config.get("degree_cap", 6), config.get("dim_cap", 64))
+    cap = config.get("degree_cap", 6)
+    for i, g in enumerate(gens):
+        if g.degree > cap:
+            raise ConfigError(f"$.generators[{i}]: generator degree {g.degree} exceeds "
+                              f"degree_cap {cap}")
+    basis = _capped(weyl.lie_closure, gens, cap, config.get("dim_cap", 64))
     write_json(os.path.join(out, "report.json"), {
         "dim": basis.dim,
         "saturated": basis.saturated,
@@ -373,8 +387,8 @@ def _run_closure(config, out, rng, jobs):
 
 def _run_propagation(config, out, rng, jobs):
     spec = _chain_spec(config["chain"])
-    report = chains.chain_controllability(
-        spec, config.get("degree_cap", 4), config.get("dim_cap", 256))
+    report = _capped(chains.chain_controllability,
+                     spec, config.get("degree_cap", 4), config.get("dim_cap", 256))
     write_json(os.path.join(out, "report.json"), report.to_dict())
     write_csv(os.path.join(out, "edges.csv"),
               [["edge_u", "edge_v", "verdict", "closure_dim", "missing"]] +

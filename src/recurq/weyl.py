@@ -33,6 +33,12 @@ INDEPENDENCE_TOL = 1e-10
 DEFAULT_DEGREE_CAP = 6
 DEFAULT_DIM_CAP = 64
 
+# Bracket-table limits: structure constants are exact through cap 16, and
+# TABLE_MONOMIALS keeps the build's peak memory below TABLE_BUDGET_MB.
+MAX_DEGREE_CAP = 16
+TABLE_MONOMIALS = 500
+TABLE_BUDGET_MB = 160
+
 # Monomial: one ((a_i, b_i)) exponent pair per mode, meaning
 # q_1^a1 p_1^b1 ... q_m^am p_m^bm in that (canonical) order.
 Monomial = tuple
@@ -48,21 +54,14 @@ def _mono_support(mono: Monomial):
     return tuple(i for i, (a, b) in enumerate(mono) if a or b)
 
 
-def _mode_pair_product(a: int, b: int, c: int, d: int):
-    """Single-mode product (q^a p^b)(q^c p^d) as [(exponents, coeff)]."""
-    out = []
-    for k in range(min(b, c) + 1):
-        coeff = math.comb(b, k) * math.comb(c, k) * math.factorial(k) * (-1j) ** k
-        out.append(((a + c - k, b + d - k), coeff))
-    return out
-
-
 def _mono_product(m1: Monomial, m2: Monomial):
     """Product of two canonical monomials as a {Monomial: coeff} dict."""
     acc = {(): 1.0 + 0.0j}
     for (a, b), (c, d) in zip(m1, m2):
         nxt = {}
-        for (ab, coeff) in _mode_pair_product(a, b, c, d):
+        for k in range(min(b, c) + 1):  # (q^a p^b)(q^c p^d), mode by mode
+            coeff = math.comb(b, k) * math.comb(c, k) * math.factorial(k) * (-1j) ** k
+            ab = (a + c - k, b + d - k)
             for prefix, pc in acc.items():
                 key = prefix + (ab,)
                 nxt[key] = nxt.get(key, 0.0j) + pc * coeff
@@ -77,7 +76,9 @@ class PolyOp:
     ``terms`` maps monomials to nonzero complex coefficients.  ``role``
     records whether the operator is known hermitian / skew-hermitian; it is
     metadata set by constructors that can vouch for it (arithmetic results
-    default to ``general``).
+    default to ``general``).  ``PolyOp(...)`` validates and normalizes its
+    terms; results of this module's own arithmetic, canonical by
+    construction, go through ``_trusted`` instead.
     """
 
     mode_count: int
@@ -106,24 +107,17 @@ class PolyOp:
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
+        return max((mono_degree(m) for m in self.terms), default=0)
 
     @property
     def support(self):
-        modes = set()
-        for m in self.terms:
-            modes.update(_mono_support(m))
-        return frozenset(modes)
+        return frozenset(s for m in self.terms for s in _mono_support(m))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient_norm(self) -> float:
-        if not self.terms:
-            return 0.0
         return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
 
     # -- arithmetic -------------------------------------------------------
@@ -140,7 +134,7 @@ class PolyOp:
             terms = dict(self.terms)
             for m, c in other.terms.items():
                 terms[m] = terms.get(m, 0.0j) + c
-            return PolyOp(self.mode_count, terms)
+            return _trusted(self.mode_count, terms)
         return NotImplemented
 
     def __sub__(self, other):
@@ -149,7 +143,7 @@ class PolyOp:
         return NotImplemented
 
     def __neg__(self):
-        return PolyOp(self.mode_count, {m: -c for m, c in self.terms.items()}, self.role)
+        return _trusted(self.mode_count, {m: -c for m, c in self.terms.items()}, self.role)
 
     def __mul__(self, other):
         if isinstance(other, PolyOp):
@@ -159,9 +153,9 @@ class PolyOp:
                 for m2, c2 in other.terms.items():
                     for mono, coeff in _mono_product(m1, m2).items():
                         out[mono] = out.get(mono, 0.0j) + c1 * c2 * coeff
-            return PolyOp(self.mode_count, out)
+            return _trusted(self.mode_count, out)
         if isinstance(other, (int, float, complex)):
-            return PolyOp(self.mode_count, {m: c * other for m, c in self.terms.items()})
+            return _trusted(self.mode_count, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -177,7 +171,7 @@ class PolyOp:
             qs = tuple((a, 0) for a, b in mono)
             for m2, c2 in _mono_product(ps, qs).items():
                 out[m2] = out.get(m2, 0.0j) + coeff.conjugate() * c2
-        return PolyOp(self.mode_count, out)
+        return _trusted(self.mode_count, out)
 
     def cleaned(self, rel_tol: float = _PRUNE) -> "PolyOp":
         """Drop coefficients below rel_tol times the largest magnitude."""
@@ -185,7 +179,7 @@ class PolyOp:
             return self
         scale = max(abs(c) for c in self.terms.values())
         terms = {m: c for m, c in self.terms.items() if abs(c) > rel_tol * scale}
-        return PolyOp(self.mode_count, terms, self.role)
+        return _trusted(self.mode_count, terms, self.role)
 
     def isclose(self, other: "PolyOp", tol: float = 1e-10) -> bool:
         self._require_same_modes(other)
@@ -219,10 +213,7 @@ class PolyOp:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if "*" in chunk:
-                coeff_s, factors_s = chunk.split("*", 1)
-            else:
-                coeff_s, factors_s = chunk, ""
+            coeff_s, _, factors_s = chunk.partition("*")
             coeff_s = coeff_s.strip()
             if not (coeff_s.startswith("(") and coeff_s.endswith(")")):
                 raise ValueError(f"bad coefficient {coeff_s!r}; expected (re,im)")
@@ -248,6 +239,18 @@ class PolyOp:
 
     def __str__(self):
         return self.to_text()
+
+
+def _trusted(mode_count: int, terms: dict, role: str = GENERAL) -> PolyOp:
+    """PolyOp over canonical terms with a known role, as this module's
+    arithmetic makes them.  Like ``PolyOp(...)`` it drops exact zeros and
+    stores 0j + c (a complex, no negative zero part); it checks nothing
+    else, so outside input must go through ``PolyOp(...)``."""
+    op = object.__new__(PolyOp)
+    object.__setattr__(op, "mode_count", mode_count)
+    object.__setattr__(op, "terms", {m: 0j + c for m, c in terms.items() if c != 0})
+    object.__setattr__(op, "role", role)
+    return op
 
 
 # -- constructors ----------------------------------------------------------
@@ -285,12 +288,9 @@ def canonicalize(raw: Iterable, mode_count: int) -> PolyOp:
     for factors, coeff in raw:
         word = const(coeff, mode_count)
         for kind, mode in factors:
-            if kind == "q":
-                word = word * q(mode, mode_count)
-            elif kind == "p":
-                word = word * p(mode, mode_count)
-            else:
+            if kind not in ("q", "p"):
                 raise ValueError(f"unknown factor kind {kind!r}")
+            word = word * (q if kind == "q" else p)(mode, mode_count)
         total = total + word
     return total
 
@@ -306,20 +306,20 @@ def is_skew_hermitian(A: PolyOp, tol: float = 1e-9) -> bool:
 def as_hermitian(A: PolyOp, tol: float = 1e-9) -> PolyOp:
     if not is_hermitian(A, tol):
         raise ValueError("operator is not hermitian at coefficient level")
-    return PolyOp(A.mode_count, A.terms, HERMITIAN)
+    return _trusted(A.mode_count, A.terms, HERMITIAN)
 
 
 def as_skew(A: PolyOp, tol: float = 1e-9) -> PolyOp:
     if not is_skew_hermitian(A, tol):
         raise ValueError("operator is not skew-hermitian at coefficient level")
-    return PolyOp(A.mode_count, A.terms, SKEW)
+    return _trusted(A.mode_count, A.terms, SKEW)
 
 
 def skew_generator(H: PolyOp, tol: float = 1e-9) -> PolyOp:
     """Map a hermitian generator H to the skew-hermitian -i*H."""
     if not is_hermitian(H, tol):
         raise ValueError("skew_generator expects a hermitian operator")
-    return PolyOp(H.mode_count, {m: -1j * c for m, c in H.terms.items()}, SKEW)
+    return _trusted(H.mode_count, {m: -1j * c for m, c in H.terms.items()}, SKEW)
 
 
 def bracket(A: PolyOp, B: PolyOp) -> PolyOp:
@@ -333,7 +333,7 @@ def bracket(A: PolyOp, B: PolyOp) -> PolyOp:
     if A.role == SKEW and B.role == SKEW:
         if not is_skew_hermitian(out, 1e-9):
             raise AssertionError("bracket of skew-hermitian operators must be skew-hermitian")
-        return PolyOp(out.mode_count, out.terms, SKEW)
+        return _trusted(out.mode_count, out.terms, SKEW)
     return out
 
 
@@ -343,22 +343,11 @@ def bracket(A: PolyOp, B: PolyOp) -> PolyOp:
 def enumerate_monomials(mode_count: int, support: Sequence[int], max_degree: int):
     """All monomials on the given support modes with total degree <= cap."""
     support = sorted(set(support))
-    slots = 2 * len(support)
-    monos = []
-
-    def rec(pos, remaining, current):
-        if pos == slots:
-            mono = [[0, 0] for _ in range(mode_count)]
-            for k, e in enumerate(current):
-                mono[support[k // 2]][k % 2] = e
-            monos.append(tuple(tuple(pair) for pair in mono))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, current + [e])
-
-    rec(0, max_degree, [])
-    monos.sort(key=lambda m: (mono_degree(m), m))
-    return monos
+    rows = [()]
+    for _ in range(2 * len(support)):
+        rows = [r + (e,) for r in rows for e in range(max_degree - sum(r) + 1)]
+    return sorted((_embed(r, support, mode_count) for r in rows),
+                  key=lambda m: (mono_degree(m), m))
 
 
 class _RealSpan:
@@ -388,10 +377,11 @@ class _RealSpan:
                 U = U - (U @ self.q.T) @ self.q
         return U
 
-    def independent(self, V: np.ndarray) -> np.ndarray:
-        """Mask of the (nonzero) rows of V that lie outside the span."""
-        U = _to_real(V / np.linalg.norm(V, axis=1, keepdims=True))
-        return np.linalg.norm(self._residual(U), axis=1) > self.tol
+    def residuals(self, V: np.ndarray) -> np.ndarray:
+        """Norm of each row of V, normalized, off the span; 0 for zero rows."""
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        U = _to_real(V / np.where(norms == 0, 1.0, norms))
+        return np.linalg.norm(self._residual(U), axis=1)
 
     def try_add(self, v: np.ndarray) -> bool:
         nv = np.linalg.norm(v)
@@ -409,23 +399,40 @@ class _RealSpan:
         self.vecs.append(u)
         return True
 
-    def contains(self, v: np.ndarray, tol: float) -> bool:
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return True
-        return np.linalg.norm(self._residual(_to_real(v / nv))) <= tol
+
+def _coefficients(ops, index: dict):
+    """Coefficient rows of ``ops`` over the monomial index, and the mask of
+    the ops whose monomials all lie in the indexed set."""
+    n = len(index)
+    V = np.zeros((len(ops), n + 1), dtype=complex)  # column n: any outside term
+    for r, op in enumerate(ops):
+        for mono, coeff in op.terms.items():
+            V[r, index.get(mono, n)] = coeff
+    return V[:, :n], V[:, n] == 0
 
 
-def _vectorize(op: PolyOp, index: dict, n: int):
-    """Complex coefficient vector of ``op`` over the monomial index, or None
-    if some monomial falls outside the indexed set."""
-    v = np.zeros(n, dtype=complex)
-    for mono, coeff in op.terms.items():
-        i = index.get(mono)
-        if i is None:
-            return None
-        v[i] = coeff
-    return v
+def _adjoint_matrix(monomials):
+    """Sparse A with column j the coefficient vector of m_j^dag, so that
+    vec(X^dag) = A @ conj(vec(X)).  Per mode (q^a p^b)^dag = p^b q^a =
+    sum_k F[b, a, k] (-i)^k q^(a-k) p^(b-k): an enumerated list holds it."""
+    n = len(monomials)
+    E = _exponents(monomials)[1].reshape(n, -1)
+    F = _contraction_counts(int(E.max(initial=0)))
+    col, ksum, out, weight = np.arange(n), np.zeros(n, dtype=np.int64), E, np.ones(n)
+    for s in range(E.shape[1] // 2):
+        a, b = out[:, 2 * s], out[:, 2 * s + 1]
+        counts = np.minimum(a, b) + 1
+        rep = np.repeat(np.arange(col.size), counts)
+        k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        weight = weight[rep] * F[b[rep], a[rep], k]
+        col, ksum, out = col[rep], ksum[rep] + k, out[rep]
+        out[:, 2 * s:2 * s + 2] -= k[:, None]
+    keys = _lex_rank(np.concatenate([E, out]))
+    order = np.argsort(keys[:n])
+    row = order[np.searchsorted(keys[:n], keys[n:], sorter=order)]
+    vals = weight * np.array([1, -1j, -1, 1j])[ksum % 4]
+    # the expansion keeps the columns in order
+    return sp.csc_matrix((vals, row, np.searchsorted(col, np.arange(n + 1))), shape=(n, n))
 
 
 def _to_real(v: np.ndarray):
@@ -435,7 +442,7 @@ def _to_real(v: np.ndarray):
 def _from_vector(v: np.ndarray, monomials, mode_count: int) -> PolyOp:
     mag = np.abs(v)
     keep = np.flatnonzero(mag > _PRUNE * max(mag.max(initial=0.0), 1.0))
-    return PolyOp(mode_count, {monomials[i]: complex(v[i]) for i in keep}, SKEW)
+    return _trusted(mode_count, {monomials[i]: complex(v[i]) for i in keep}, SKEW)
 
 
 # -- Lie closure ------------------------------------------------------------
@@ -452,7 +459,6 @@ class LieBasis:
     saturated: bool
     degree_capped: bool = False
     dim_capped: bool = False
-    _monomials: tuple = field(default=(), repr=False)
     _index: dict = field(default_factory=dict, repr=False)
     _span: object = field(default=None, repr=False)
 
@@ -465,20 +471,24 @@ class LieBasis:
         return self.generators[0].mode_count
 
     def contains(self, X: PolyOp, tol: float = 1e-8) -> bool:
-        if X.mode_count != self.mode_count:
+        return bool(self.contains_all([X], tol)[0])
+
+    def contains_all(self, ops, tol: float = 1e-8) -> np.ndarray:
+        """Membership of each op, in one projection; a term off the index is not."""
+        if any(X.mode_count != self.mode_count for X in ops):
             raise ValueError("mode_count mismatch")
-        if X.is_zero:
-            return True
-        v = _vectorize(X, self._index, len(self._monomials))
-        if v is None:
-            return False
-        return self._span.contains(v, tol)
+        V, inside = _coefficients(ops, self._index)
+        return inside & (self._span.residuals(V) <= tol)
 
 
 def contains(basis: LieBasis, X: PolyOp, tol: float = 1e-8) -> bool:
     if not is_skew_hermitian(X):
         raise ValueError("membership test expects a skew-hermitian operator")
     return basis.contains(X, tol)
+
+
+class CapError(ValueError):
+    """A closure that its degree cap or the bracket table cannot represent."""
 
 
 class _StructureTensor:
@@ -494,8 +504,7 @@ class _StructureTensor:
 
     def __init__(self, monomials):
         n = len(monomials)
-        slots = sorted({s for mono in monomials for s in _mono_support(mono)})
-        E = np.array([[mono[s] for s in slots] for mono in monomials], dtype=np.int64)
+        slots, E = _exponents(monomials)
         A, B = E[:, :, 0], E[:, :, 1]
         I, J = np.triu_indices(n, 1)
         F = _contraction_counts(int(E.max()))
@@ -565,6 +574,14 @@ class _StructureTensor:
         return R, overflow
 
 
+def _exponents(monomials):
+    """The modes the monomials touch, and E[i, t] = the (q, p) exponents of
+    monomial i on the t-th of them."""
+    E = np.array(monomials, dtype=np.int64)
+    slots = np.flatnonzero(E.any(axis=(0, 2)))
+    return slots.tolist(), E[:, slots]
+
+
 def _contraction_counts(top: int) -> np.ndarray:
     """F[b, c, k] = C(b, k) C(c, k) k!, the weight of k contractions in p^b q^c."""
     F = np.zeros((top + 1,) * 3)
@@ -621,30 +638,33 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
         raise ValueError("empty generator list")
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
+    if degree_cap > MAX_DEGREE_CAP:
+        raise CapError(f"degree_cap {degree_cap} exceeds {MAX_DEGREE_CAP}, the largest cap "
+                       f"with exact structure constants")
     mode_count = generators[0].mode_count
     for g in generators:
         if g.mode_count != mode_count:
             raise ValueError("generators must share mode_count")
-        if not is_skew_hermitian(g):
-            raise ValueError("generators must be skew-hermitian")
         if g.degree > degree_cap:
-            raise ValueError(f"generator degree {g.degree} exceeds degree_cap {degree_cap}")
+            raise CapError(f"generator degree {g.degree} exceeds degree_cap {degree_cap}")
 
-    support = set()
-    for g in generators:
-        support.update(g.support)
-    if not support:
-        support = {0}
-    monomials = enumerate_monomials(mode_count, sorted(support), degree_cap)
+    support = sorted(set().union(*(g.support for g in generators))) or [0]
+    n = math.comb(2 * len(support) + degree_cap, degree_cap)
+    if n > TABLE_MONOMIALS:
+        raise CapError(f"degree_cap {degree_cap} on {len(support)} modes gives {n} "
+                       f"monomials; the bracket table takes at most {TABLE_MONOMIALS} "
+                       f"({TABLE_BUDGET_MB} MB budget)")
+    monomials = enumerate_monomials(mode_count, support, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
-    n = len(monomials)
 
+    G, _ = _coefficients(generators, index)
+    defect = G + (_adjoint_matrix(monomials) @ G.conj().T).T
+    norms = np.linalg.norm(G, axis=1)
+    if (np.linalg.norm(defect, axis=1) > 1e-9 * np.maximum(norms, 1.0)).any():
+        raise ValueError("generators must be skew-hermitian")
     span = _RealSpan(n, dim_cap)
-    for g in generators:
-        v = _vectorize(g, index, n)
-        if v is None:  # cannot happen: degree validated above
-            raise AssertionError("generator outside enumerated monomials")
-        span.try_add(v)
+    for g in G:
+        span.try_add(g)
         if span.capped:
             break
 
@@ -658,7 +678,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
         degree_capped |= bool(over.any())
         rows = np.flatnonzero(~over & R.any(axis=1))
         # the span only grows, so rows dependent on it now stay dependent
-        for r in rows[span.independent(R[rows])]:
+        for r in rows[span.residuals(R[rows]) > span.tol]:
             span.try_add(R[r])
             if span.capped:
                 break
@@ -673,7 +693,6 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
         saturated=not (degree_capped or span.capped),
         degree_capped=degree_capped,
         dim_capped=span.capped,
-        _monomials=tuple(monomials),
         _index=index,
         _span=span,
     )
@@ -685,25 +704,16 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
 def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: int):
     """Basis of the skew-hermitian polynomials on ``modes`` up to the cap.
 
-    For each monomial M the candidates i(M + M^dag) and (M - M^dag) are
-    reduced to a real-linearly independent list whose span is the full capped
-    skew-hermitian space on those modes (one element per monomial).
+    One element i(M + M^dag) per monomial M, in enumeration order: a basis,
+    as each has the new leading term 2iM and the space has one real
+    dimension per monomial (notes/decisions.md, "Propagation targets as
+    vectors").
     """
     monomials = enumerate_monomials(mode_count, modes, degree_cap)
-    index = {m: i for i, m in enumerate(monomials)}
-    span = _RealSpan(len(monomials))
-    out = []
-    for mono in monomials:
-        m_op = PolyOp(mode_count, {mono: 1.0})
-        m_adj = m_op.adjoint()
-        for candidate in (1j * (m_op + m_adj), m_op - m_adj):
-            candidate = candidate.cleaned()
-            if candidate.is_zero:
-                continue
-            v = _vectorize(candidate, index, len(monomials))
-            if span.try_add(v):
-                out.append(as_skew(candidate))
-    return out
+    T = 1j * (sp.identity(len(monomials), format="csc") + _adjoint_matrix(monomials))
+    rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
+    return [_trusted(mode_count, {monomials[i]: c for i, c in zip(rows[a:b], vals[a:b])}, SKEW)
+            for a, b in zip(ptr, ptr[1:])]
 
 
 def local_skew_generators(mode: int, mode_count: int, degree_cap: int):
@@ -748,23 +758,15 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     mode_count = local_ops[0].mode_count
     if not is_hermitian(coupling):
         raise ValueError("coupling must be hermitian")
-    local_modes = set()
-    for X in local_ops:
-        local_modes.update(X.support)
-    if modes is None:
-        pair_modes = sorted(local_modes | set(coupling.support))
-    else:
-        pair_modes = sorted(set(modes) | local_modes)
+    local_modes = set().union(*(X.support for X in local_ops))
+    pair_modes = sorted(local_modes | set(coupling.support if modes is None else modes))
     target_modes = tuple(sorted(set(pair_modes) - local_modes))
 
-    coupling_skew = skew_generator(coupling) if not coupling.is_zero else None
     gens = list(local_ops)
-    for X in local_ops:
-        if coupling_skew is None:
-            continue
-        b = bracket(X, coupling_skew).cleaned()
-        if not b.is_zero:
-            gens.append(as_skew(b))
+    if not coupling.is_zero:
+        coupling_skew = skew_generator(coupling)
+        brackets = (bracket(X, coupling_skew).cleaned() for X in local_ops)
+        gens += [b for b in brackets if not b.is_zero]
 
     closure = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap)
 
@@ -774,17 +776,15 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
         return PropagationResult(FAILS, closure, (), [])
 
     targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
-    missing = [t for t in targets if not closure.contains(t, tol)]
+    missing = [t for t, inside in zip(targets, closure.contains_all(targets, tol))
+               if not inside]
     if not missing:
         verdict = PROPAGATES
+    elif closure.saturated or not set(target_modes) & set().union(
+            *(el.support for el in closure.basis)):
+        # brackets preserve mode support, so a closure that never touches
+        # the target mode can never acquire it
+        verdict = FAILS
     else:
-        reached = set()
-        for el in closure.basis:
-            reached.update(el.support)
-        if closure.saturated or not (reached & set(target_modes)):
-            # brackets preserve mode support, so a closure that never touches
-            # the target mode can never acquire it
-            verdict = FAILS
-        else:
-            verdict = UNKNOWN
+        verdict = UNKNOWN
     return PropagationResult(verdict, closure, target_modes, missing)

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
 matrix-level Lie closure, dense Fock assembly, the point-by-point recurrence
-grid scan, segment-by-segment word evaluation and the Taylor action of the
-matrix exponential.  These deliberately avoid the package's closed-form
-reordering identity, structure-tensor machinery, sparse assembly, angle
-addition, word trees and Chebyshev action."""
+grid scan, segment-by-segment word evaluation, the Taylor action of the
+matrix exponential, and the sequential reduction and per-target membership
+test of the propagation check.  These deliberately avoid the package's
+closed-form reordering identity, structure-tensor machinery, sparse assembly,
+angle addition, word trees, Chebyshev action and adjoint matrix."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.linalg import expm_multiply
 
-from recurq import propagate
+from recurq import propagate, weyl
 from recurq.weyl import PolyOp
 
 
@@ -226,3 +227,46 @@ def expm_multiply_action(G, t, psi):
     for _ in range(steps):
         psi = expm_multiply(G * (t / steps), psi)
     return psi
+
+
+def sequential_targets(modes, mode_count, degree_cap):
+    """The pair-algebra targets by sequential reduction: for each monomial M
+    in enumeration order the candidates i(M + M^dag) and M - M^dag, built by
+    PolyOp arithmetic, each kept when it is independent of those kept so far."""
+    monomials = weyl.enumerate_monomials(mode_count, modes, degree_cap)
+    index = {m: i for i, m in enumerate(monomials)}
+    span = weyl._RealSpan(len(monomials))
+    out = []
+    for mono in monomials:
+        m_op = PolyOp(mode_count, {mono: 1.0})
+        m_adj = m_op.adjoint()
+        for candidate in (1j * (m_op + m_adj), m_op - m_adj):
+            candidate = candidate.cleaned()
+            if candidate.is_zero:
+                continue
+            v = np.zeros(len(monomials), dtype=complex)
+            for m, c in candidate.terms.items():
+                v[index[m]] = c
+            if span.try_add(v):
+                out.append(weyl.as_skew(candidate))
+    return out
+
+
+def missing_one_by_one(closure, targets, tol=1e-8):
+    """The targets outside a closure, each tested by its own projection: a
+    term off the closure's monomials, or a normalized residual above tol."""
+    index, Q = closure._index, closure._span.q
+    out = []
+    for t in targets:
+        if any(m not in index for m in t.terms):
+            out.append(t)
+            continue
+        v = np.zeros(len(index), dtype=complex)
+        for m, c in t.terms.items():
+            v[index[m]] = c
+        u = np.concatenate([v.real, v.imag]) / np.linalg.norm(v)
+        for _ in range(2):
+            u = u - (u @ Q.T) @ Q
+        if np.linalg.norm(u) > tol:
+            out.append(t)
+    return out

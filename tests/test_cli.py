@@ -239,6 +239,32 @@ def test_config_errors_exit_usage_with_json_path(sub, config, path, tmp_path, ca
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+CHAIN2 = {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]], "control_sites": [0],
+          "control_degree_cap": 3}
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("closure", {"mode_count": 1, "generators": ["(0,1) * q1", "(0,1) * q1^3"],
+                 "degree_cap": 2}, "$.generators[1]"),
+    ("propagation", {"chain": CHAIN2, "degree_cap": 2}, "$.degree_cap"),
+    ("closure", {"mode_count": 2, "generators": ["(0,1) * q1", "(0,1) * p2"],
+                 "degree_cap": 30}, "$.degree_cap"),
+    ("closure", {"mode_count": 1, "generators": ["(0,1) * q1"], "degree_cap": 200},
+     "$.degree_cap"),
+    ("closure", {"mode_count": 2, "generators": ["(0,1) * q1", "(0,1) * p2"],
+                 "degree_cap": 9}, "$.degree_cap"),
+    ("propagation", {"chain": CHAIN2, "degree_cap": 40}, "$.degree_cap"),
+], ids=["closure-generator", "propagation-controls", "closure-cap30", "closure-cap200",
+        "closure-budget", "propagation-cap40"])
+def test_uncapped_closures_exit_usage(sub, config, path, tmp_path, capsys):
+    # generators above the cap, inexact structure constants (cap > 16) and
+    # tables over the memory budget are config errors, refused before any work
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub,extra", [
     ("commutator", {"k": 0, "l": 1, "t": 0.5, "n": 2}),
     ("compile", {"target": {"op": "bracket", "left": GEN(0), "right": GEN(1)}, "t": 0.25,

@@ -43,3 +43,20 @@ def test_one_action_kernel():
             if "expm_multiply" in names:
                 refs.append((path.stem, node.lineno))
     assert refs == []
+
+
+def test_trusted_constructor_stays_in_weyl():
+    # PolyOp's unvalidated constructor serves weyl's own arithmetic only: every
+    # other module, and so all user input parsed in cli and chains, builds
+    # polynomials through the validating PolyOp(...)
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "weyl":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name for alias in node.names]
+            if "_trusted" in names:
+                refs.append((path.stem, node.lineno))
+    assert refs == []

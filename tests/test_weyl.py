@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from recurq import fock, weyl
 from recurq.weyl import PolyOp, as_hermitian, as_skew, bracket, canonicalize, q, p, const, skew_generator
 
 from conftest import random_polyop, random_skew
-from oracles import monomial_bracket, reorder_poly, word_matrix
+from oracles import (missing_one_by_one, monomial_bracket, reorder_poly,
+                     sequential_targets, word_matrix)
 
 
 def iq(m=1):
@@ -309,3 +313,97 @@ def test_text_roundtrip(rng):
 def test_local_generator_count():
     gens = weyl.local_skew_generators(0, 1, 4)
     assert len(gens) == len(weyl.enumerate_monomials(1, [0], 4))
+
+
+# -- propagation targets as vectors -------------------------------------------------
+
+@pytest.mark.parametrize("mode_count", [1, 2, 3])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
+def test_targets_match_sequential_reduction(mode_count, cap):
+    modes = range(mode_count)
+    old = sequential_targets(modes, mode_count, cap)
+    new = weyl.skew_monomial_generators(modes, mode_count, cap)
+    assert len(new) == len(weyl.enumerate_monomials(mode_count, modes, cap))
+    # term for term, down to the sign of zero parts
+    assert [repr(sorted(t.terms.items())) for t in new] == \
+        [repr(sorted(t.terms.items())) for t in old]
+    assert all(t.role == weyl.SKEW for t in new)
+
+
+def _edge_check(n_modes, omega, edge, cap):
+    from recurq.chains import coupling_hamiltonian
+    u, v = edge
+    local = weyl.local_skew_generators(u, n_modes, cap)
+    coupling = coupling_hamiltonian(u, v, omega, n_modes)
+    return weyl.algebraic_propagation_check(local, coupling, cap, 256, modes=edge), (u, v)
+
+
+# every edge kind of the closure-chains benchmark: 2-mode chains at caps 3 and 4,
+# the 3-mode chain at cap 3, the criterion-9 chain and the omega-0 chains
+@pytest.mark.parametrize("n_modes, omega, edge, cap", [
+    (2, 0.8, (0, 1), 3), (2, 1.3, (0, 1), 4), (3, 0.7, (0, 1), 3), (3, 0.7, (1, 2), 3),
+    (3, 1.0, (0, 1), 4), (3, 1.0, (1, 2), 4), (2, 0.0, (0, 1), 4), (3, 0.0, (0, 1), 4)])
+def test_batched_membership_matches_per_target(n_modes, omega, edge, cap):
+    res, pair = _edge_check(n_modes, omega, edge, cap)
+    targets = weyl.skew_monomial_generators(pair, n_modes, cap)
+    assert res.missing == missing_one_by_one(res.closure, targets)
+    assert res.verdict == (weyl.FAILS if omega == 0.0 else weyl.PROPAGATES)
+
+
+def test_batched_membership_matches_per_target_zero_and_heisenberg():
+    zero = as_hermitian(const(0.0, 2))
+    heis = [skew_generator(q(0, 2)), skew_generator(p(0, 2)), skew_generator(const(1.0, 2))]
+    for local, coupling in ((weyl.local_skew_generators(0, 2, 3), zero), (heis, _coupling(1.0))):
+        res = weyl.algebraic_propagation_check(local, coupling, 3, 128, modes=(0, 1))
+        targets = weyl.skew_monomial_generators((0, 1), 2, 3)
+        assert res.missing and res.missing == missing_one_by_one(res.closure, targets)
+
+
+def test_internal_arithmetic_is_canonical(rng):
+    # every result of the module's own arithmetic is a fixed point of PolyOp(...):
+    # same terms, bit for bit and in order, and the same role
+    ops = []
+    for _ in range(30):
+        A, B = random_polyop(rng), random_polyop(rng)
+        S, T = random_skew(rng, 2, 3), random_skew(rng, 2, 3)
+        ops += [A + B, A - B, A * B, (2.5 - 1j) * A, A * 3, -A, A.adjoint(), A.cleaned(0.5),
+                bracket(A, B), bracket(S, T), as_skew(S), as_hermitian(A + A.adjoint()),
+                skew_generator(as_hermitian(B * B.adjoint()))]
+    basis = weyl.lie_closure([iq2(2), ip2(2), skew_generator(q(1, 2) * q(0, 2))], 4, 64)
+    ops += basis.basis + weyl.skew_monomial_generators((0, 1), 2, 4)
+    for X in ops:
+        ref = PolyOp(X.mode_count, X.terms, X.role)
+        assert repr(X.terms) == repr(ref.terms) and X.role == ref.role
+
+
+def test_skew_check_rejects_non_skew_generator():
+    almost = PolyOp(1, {((2, 0),): 1j, ((1, 1),): 1e-6})
+    with pytest.raises(ValueError, match="must be skew-hermitian"):
+        weyl.lie_closure([iq(), almost], 4, 64)
+
+
+def test_closure_rejects_caps_the_table_cannot_represent():
+    with pytest.raises(weyl.CapError, match="generator degree 3 exceeds degree_cap 2"):
+        weyl.lie_closure([skew_generator(as_hermitian(q(0) * q(0) * q(0)))], 2, 64)
+    with pytest.raises(weyl.CapError, match="exact structure constants"):
+        weyl.lie_closure([iq()], weyl.MAX_DEGREE_CAP + 1, 64)
+    # 2 modes at cap 9: 715 monomials
+    with pytest.raises(weyl.CapError, match="715 monomials"):
+        weyl.lie_closure([iq(2), skew_generator(q(1, 2))], 9, 64)
+    assert weyl.lie_closure([iq(2), skew_generator(q(1, 2))], 8, 4).dim == 2
+
+
+def test_largest_accepted_tables_fit_the_budget():
+    # the largest cap each support size accepts; 2 modes at cap 8 (495
+    # monomials) is the most expensive table the limits admit
+    for mode_count in (1, 2, 3, 4):
+        cap = max(c for c in range(1, weyl.MAX_DEGREE_CAP + 1)
+                  if math.comb(2 * mode_count + c, c) <= weyl.TABLE_MONOMIALS)
+        monomials = weyl.enumerate_monomials(mode_count, range(mode_count), cap)
+        tracemalloc.start()
+        try:
+            weyl._StructureTensor(monomials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weyl.TABLE_BUDGET_MB * 1e6, (mode_count, cap, peak)
