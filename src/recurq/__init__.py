@@ -15,7 +15,7 @@ from .fock import (TruncationSpec, TruncatedRep, ladder_matrices, q_matrix,
                    p_matrix, represent, hermitize, hermiticity_defect,
                    truncation_probe, fock_state, ground_state, normalize,
                    random_interior_state, interior_mask, interior_block,
-                   embed_state, save_rep, load_rep)
+                   embed_state)
 from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable,
                         expm_skew, expm_apply,
                         evolve, evolve_signed, trotter_sequence, commutator_word,

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import weyl
 from .fock import TruncationSpec, ground_state, represent
 from .propagate import EvolutionTable
@@ -277,19 +275,17 @@ def chain_table(spec: ChainSpec, dims: Sequence[int]):
 
 
 def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
-               n_budget: int, inverter, psi0: np.ndarray | None = None,
-               jobs: int = 1):
-    """Compile and verify target evolutions on the truncated chain system.
+               n_budget: int, inverter):
+    """Compile and verify target evolutions from the ground state of the
+    truncated chain system.
 
     ``targets`` is a list of (GeneratorExpr, duration) pairs over the control
     system's generator indices (0 = drift); see ``chain_table`` for the
     truncation limits.
     """
     labels, tspec, table = chain_table(spec, dims)
-    if psi0 is None:
-        psi0 = ground_state(tspec)
-    report = reachability_report(table, psi0, targets, epsilon, n_budget,
-                                 inverter, jobs=jobs)
+    report = reachability_report(table, ground_state(tspec), targets, epsilon, n_budget,
+                                 inverter)
     return report, labels, table
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -198,7 +199,25 @@ class ConfigError(ValueError):
     pass
 
 
+def _non_finite(value, path: str = "$"):
+    """JSON path of the first infinite or NaN number in ``value``, or None.
+    Python's json reads 1e400 as inf and accepts NaN and Infinity, and the
+    schemas' number bounds let inf through."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}", item) for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return None
+    return next((bad for sub, item in items if (bad := _non_finite(item, sub))), None)
+
+
 def validate_config(subcommand: str, config: dict):
+    bad = _non_finite(config)
+    if bad is not None:
+        raise ConfigError(f"{bad}: numbers must be finite")
     validator = Draft202012Validator(SCHEMAS[subcommand])
     errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
     if errors:
@@ -307,7 +326,7 @@ def _build_hamiltonian(cfg):
         spec = _truncation(cfg.get("dims", (32,) * mode_count), mode_count,
                            "$.hamiltonian.dims")
         H = _parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly", weyl.as_hermitian)
-        sd = recurrence.spectral(fock.represent(H, spec))
+        sd = recurrence.spectral(fock.represent(H, spec).matrix)
         return sd.energies, sd, spec
     raise ConfigError("$.hamiltonian: needs 'poly', 'levels', or 'level_formula'")
 
@@ -340,8 +359,11 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
     elif mode == "energy_bound":
         try:
             bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
+        if not all(0.0 < v < math.inf for v in bounds.values()):
+            raise ConfigError(f"$.inverter.energy_bounds: bounds must be positive and "
+                              f"finite, got {bounds}")
         # only reversed segments reach the inverter; segment signs do not
         # depend on the order n
         reversed_gens = {k for expr, t in targets
@@ -446,6 +468,8 @@ def _run_recur(config, out, rng, jobs):
             shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
         return _failed(out, exc)
+    except ValueError as exc:  # a horizon too far for the search grid
+        raise ConfigError(f"$.t_max: {exc}") from None
     finally:
         write_csv(os.path.join(out, "scan.csv"),
                   [["T", "objective"]] + [[t, f] for t, f in trace])
@@ -465,6 +489,8 @@ def _run_invert(config, out, rng, jobs):
                                 grid_step=config.get("grid_step"), **context)
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
         return _failed(out, exc)
+    except ValueError as exc:  # a horizon too far for the search grid
+        raise ConfigError(f"$.t_max: {exc}") from None
     write_json(os.path.join(out, "plan.json"), res.plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "t_star": res.t_star, "time": res.plan.time})

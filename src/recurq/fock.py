@@ -13,7 +13,6 @@ embed them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -63,12 +62,7 @@ class TruncatedRep:
 
     csr: scipy.sparse.csr_array
     spec: TruncationSpec
-    source: PolyOp | None = None
     hermiticity_defect: float | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.csr.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -113,7 +107,7 @@ def hermiticity_defect(M: np.ndarray) -> float:
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def represent(A: PolyOp, spec: TruncationSpec, max_dim: int = MAX_DIM) -> TruncatedRep:
+def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
     """Truncate-then-multiply representation of a canonical polynomial.
 
     Hermitian-role sources are hermitized after assembly; the pre-hermitize
@@ -123,8 +117,8 @@ def represent(A: PolyOp, spec: TruncationSpec, max_dim: int = MAX_DIM) -> Trunca
         raise ValueError(
             f"operator has {A.mode_count} modes but spec has {spec.mode_count}"
         )
-    if spec.dim > max_dim:
-        raise ValueError(f"total dimension {spec.dim} exceeds limit {max_dim}")
+    if spec.dim > MAX_DIM:
+        raise ValueError(f"total dimension {spec.dim} exceeds limit {MAX_DIM}")
 
     smalls = {}
     for mode, d in enumerate(spec.dims):
@@ -187,7 +181,7 @@ def represent(A: PolyOp, spec: TruncationSpec, max_dim: int = MAX_DIM) -> Trunca
     indptr = np.searchsorted(rows, np.arange(dim + 1))
     csr = scipy.sparse.csr_array((data[keep], cols.astype(index), indptr.astype(index)),
                                  shape=(dim, dim))
-    return TruncatedRep(csr, spec, A, defect)
+    return TruncatedRep(csr, spec, defect)
 
 
 # -- states -----------------------------------------------------------------
@@ -264,38 +258,3 @@ def truncation_probe(A: PolyOp, psi: np.ndarray, spec: TruncationSpec,
     small = represent(A, spec).csr @ np.asarray(psi)
     large = represent(A, spec_larger).csr @ embed_state(psi, spec, spec_larger)
     return float(np.linalg.norm(large - embed_state(small, spec, spec_larger)))
-
-
-# -- binary export ----------------------------------------------------------
-
-
-def save_rep(rep: TruncatedRep, path: str) -> None:
-    """Write matrix as column-major complex128 pairs plus a JSON sidecar."""
-    raw = np.asfortranarray(rep.matrix).ravel(order="F")
-    raw.astype(np.complex128).tofile(path + ".bin")
-    sidecar = {
-        "dims": list(rep.spec.dims),
-        "buffer": rep.spec.buffer,
-        "shape": list(rep.csr.shape),
-        "source": rep.source.to_text() if rep.source is not None else None,
-        "source_mode_count": rep.source.mode_count if rep.source is not None else None,
-        "hermiticity_defect": rep.hermiticity_defect,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def load_rep(path: str) -> TruncatedRep:
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    shape = tuple(sidecar["shape"])
-    raw = np.fromfile(path + ".bin", dtype=np.complex128)
-    if raw.size != shape[0] * shape[1]:
-        raise ValueError(f"binary payload size {raw.size} does not match shape {shape}")
-    matrix = raw.reshape(shape, order="F")
-    spec = TruncationSpec(tuple(sidecar["dims"]), sidecar["buffer"])
-    source = None
-    if sidecar["source"] is not None:
-        source = PolyOp.from_text(sidecar["source"], sidecar["source_mode_count"])
-    return TruncatedRep(scipy.sparse.csr_array(matrix), spec, source,
-                        sidecar["hermiticity_defect"])

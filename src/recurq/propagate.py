@@ -31,7 +31,6 @@ import numpy as np
 import scipy.sparse
 
 from . import recurrence
-from .fock import TruncatedRep
 
 SKEW_TOL = 1e-8
 UNITARY_TOL = 1e-8
@@ -73,7 +72,7 @@ CHEBYSHEV_TOL = 1e-15
 
 # -- control words -----------------------------------------------------------
 #
-# A word is a leaf (k, t), which applies e^{H_k t}, or a tree of them: a
+# A leaf (k, t) applies e^{H_k t}, and a word is a tree of leaves: a
 # Concat applies its parts in time order and a Repeat applies its block
 # ``count`` times.  A plain sequence of leaves is accepted wherever a word is,
 # and read as one Concat.
@@ -128,12 +127,10 @@ class Repeat:
 
 
 def as_word(word):
-    """Tree form of a word: trees pass through, and a single leaf or a plain
-    sequence of (k, t) pairs becomes one Concat."""
+    """Tree form of a word: trees pass through, and a plain sequence of
+    (k, t) pairs becomes one Concat."""
     if isinstance(word, (Concat, Repeat)):
         return word
-    if _is_leaf(word):
-        return Concat((word,))
     return Concat(tuple((int(k), float(t)) for k, t in word))
 
 
@@ -242,11 +239,8 @@ class ControlSequence:
 
 
 def _as_csr(H) -> scipy.sparse.csr_array:
-    """A generator as a canonical complex CSR matrix: a TruncatedRep's own,
-    the input itself when it is one, or a conversion of any dense or sparse
-    matrix."""
-    if isinstance(H, TruncatedRep):
-        H = H.csr
+    """A generator as a canonical complex CSR matrix: the input itself when
+    it is one, or a conversion of any dense or sparse matrix."""
     if not (isinstance(H, scipy.sparse.csr_array) and H.dtype == complex):
         H = scipy.sparse.csr_array(H, dtype=complex)
     if H.ndim == 2 and not H.has_canonical_format:
@@ -260,16 +254,11 @@ def _skew_defect(M) -> float:
 
     Entries where both M_ij and M_ji vanish contribute 0, and
     |M_ji + conj(M_ij)| = |M_ij + conj(M_ji)|, so this is the dense value.
-    For a sparse M, each M_ji is found among the sorted row-major keys of
-    the CSR entries.
+    Each M_ji is found among the sorted row-major keys of the CSR entries.
     """
-    sparse = scipy.sparse.issparse(M)
-    M = _as_csr(M) if sparse else np.asarray(M)
+    M = _as_csr(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {M.shape}")
-    if not sparse:
-        i, j = np.divmod(np.flatnonzero(M != 0), M.shape[0])
-        return float(np.max(np.abs(M[i, j] + M[j, i].conj()), initial=0.0))
     if M.nnz == 0:
         return 0.0
     n = M.shape[0]
@@ -384,9 +373,10 @@ class _Action:
         return out
 
 
-class _SpectralStore(Mapping):
-    """The table's ``SpectralData`` per generator index: iH_k is diagonalized
-    by ``recurrence.spectral`` on first access, under the table's lock."""
+class _SpectralStore:
+    """The table's ``SpectralData`` by generator index, ``store[k]``: iH_k is
+    diagonalized by ``recurrence.spectral`` on first access, under the
+    table's lock."""
 
     def __init__(self, table: "EvolutionTable"):
         self._table = table
@@ -395,12 +385,6 @@ class _SpectralStore(Mapping):
     def __getitem__(self, k: int):
         return self._table._cached(self._data, k,
                                    lambda M: recurrence.spectral(1j * M.toarray()))
-
-    def __iter__(self):
-        return iter(self._table.indices())
-
-    def __len__(self):
-        return len(self._table.indices())
 
 
 class EvolutionTable:
@@ -468,16 +452,10 @@ class EvolutionTable:
         return (sd.vectors * np.exp(-1j * sd.eigenvalues * t)) @ sd.vectors.conj().T
 
 
-def _as_table(reps) -> EvolutionTable:
-    return reps if isinstance(reps, EvolutionTable) else EvolutionTable(reps)
-
-
 def expm_skew(H, t: float) -> np.ndarray:
     """Unitary e^{H t} for skew-hermitian H via spectral decomposition."""
     if t < 0:
         raise ValueError("expm_skew is restricted to forward durations")
-    if isinstance(H, TruncatedRep):
-        H = H.csr
     M = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
     _check_skew(M)
     w, V = np.linalg.eigh(1j * M)
@@ -495,7 +473,7 @@ def expm_apply(H, t: float, states: Sequence) -> list:
     unitarity-checked ``expm_skew`` below dim 2 * SPECTRAL_DIVISOR, one
     norm-checked Chebyshev action on the block of all states above.
     """
-    if uses_spectrum(1, H.dim if isinstance(H, TruncatedRep) else H.shape[0]):
+    if uses_spectrum(1, H.shape[0]):
         U = expm_skew(H, t)
         return [U @ np.asarray(v) for v in states]
     if t < 0:
@@ -533,11 +511,8 @@ class _Evaluation:
 
     def __init__(self, word, table: EvolutionTable):
         self.table = table
-        counts = applications(word)
-        if table.dim is None or table.dim // SPECTRAL_DIVISOR <= 1:
-            self.spectral = set(counts)  # every applied generator meets the rule
-        else:
-            self.spectral = {k for k, n in counts.items() if uses_spectrum(n, table.dim)}
+        self.spectral = {k for k, n in applications(word).items()
+                         if uses_spectrum(n, table.dim)}
         self._squared = {}
         self._unitaries = {}
 
@@ -580,11 +555,11 @@ class _Evaluation:
         return U
 
 
-def _evaluate(word, psi0, reps) -> np.ndarray:
+def _evaluate(word, psi0, table: EvolutionTable) -> np.ndarray:
     """e^{word} psi0, checked for norm drift state by state."""
     word = as_word(word)
     psi0 = np.asarray(psi0, dtype=complex)
-    psi = _Evaluation(word, _as_table(reps)).run(word, psi0)
+    psi = _Evaluation(word, table).run(word, psi0)
     drift = np.max(np.abs(np.linalg.norm(psi, axis=0) - np.linalg.norm(psi0, axis=0)),
                    initial=0.0)
     if drift > NORM_TOL:
@@ -592,19 +567,19 @@ def _evaluate(word, psi0, reps) -> np.ndarray:
     return psi
 
 
-def evolve(seq: ControlSequence, psi0: np.ndarray, reps) -> np.ndarray:
+def evolve(seq: ControlSequence, psi0: np.ndarray, table: EvolutionTable) -> np.ndarray:
     """Apply the sequence in time order (first segment acts first).
 
     ``psi0`` is one state or a dim x m block of column states.
     """
-    return _evaluate(seq.word, psi0, reps)
+    return _evaluate(seq.word, psi0, table)
 
 
-def evolve_signed(segments, psi0: np.ndarray, reps) -> np.ndarray:
+def evolve_signed(segments, psi0: np.ndarray, table: EvolutionTable) -> np.ndarray:
     """Oracle evolution of a signed word; negative durations apply the exact
     (matrix) inverse of the forward propagator.  Unphysical, test/verification
     use only."""
-    return _evaluate(segments, psi0, reps)
+    return _evaluate(segments, psi0, table)
 
 
 def trotter_sequence(k: int, l: int, t: float, n: int) -> ControlSequence:
@@ -680,9 +655,8 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def trotter_errors(k: int, l: int, t: float, ns: Sequence[int], psi0: np.ndarray,
-                   reps) -> list:
+                   table: EvolutionTable) -> list:
     """(n, error) table against the dense e^{(H_k+H_l)t} oracle."""
-    table = _as_table(reps)
     target = expm_apply(table.matrix(k) + table.matrix(l), t, [psi0])[0]
     rows = []
     for n in ns:

@@ -26,12 +26,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-
-from .fock import TruncatedRep
 
 POINTWISE = "pointwise"
 FINITE_NET = "finite_net"
@@ -97,7 +95,6 @@ class SpectralData:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    source: TruncatedRep | None = None
     energies: np.ndarray = field(init=False, repr=False)
     shift: float = field(init=False)
 
@@ -116,10 +113,6 @@ class SpectralData:
         object.__setattr__(self, "energies", E + shift)
         object.__setattr__(self, "shift", shift)
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
-
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """Eigenbasis coefficients c_n of a normalized state."""
         c = self.vectors.conj().T @ np.asarray(psi, dtype=complex)
@@ -129,19 +122,18 @@ class SpectralData:
         return c
 
 
-def spectral(H, defect_tol: float = HERMITICITY_TOL) -> SpectralData:
-    """Eigen-decompose a hermitian matrix (or TruncatedRep).
+def spectral(H: np.ndarray) -> SpectralData:
+    """Eigen-decompose a dense hermitian matrix.
 
     The one diagonalization of a generator: ``EvolutionTable`` evolves with
     it and ``RecurrenceInverter`` certifies recurrences on it.
     """
-    source = H if isinstance(H, TruncatedRep) else None
-    M = H.matrix if isinstance(H, TruncatedRep) else np.asarray(H)
+    M = np.asarray(H)
     defect = float(np.max(np.abs(M - M.conj().T)))
-    if defect > defect_tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not hermitian: defect {defect:.3e}")
     E, V = np.linalg.eigh((M + M.conj().T) / 2.0)
-    return SpectralData(E, V, source)
+    return SpectralData(E, V)
 
 
 def recurrence_distance(c: np.ndarray, energies: np.ndarray, T: float) -> float:
@@ -226,6 +218,10 @@ def _objective(energies: np.ndarray):
 # The trig count is smallest at sqrt(2^16) = 256 for full chunks, which is
 # also the measured optimum (notes/decisions.md).
 _BLOCK = 256
+# Grid points per chunk of the scan, and the stride of the points it records
+# in ``trace`` (the README's "every 200th point" of scan.csv).
+_CHUNK = 1 << 16
+_TRACE_STRIDE = 200
 
 
 def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray:
@@ -251,14 +247,13 @@ def _distinct_frequencies(E: np.ndarray) -> int:
 class RecurrenceTime:
     time: float
     objective: float
-    threshold: float
     searched_to: float
     grid_step: float
 
 
 def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float = 0.0,
                          t_max: float | None = None, grid_step: float | None = None,
-                         trace: list | None = None, trace_stride: int = 200) -> RecurrenceTime:
+                         trace: list | None = None) -> RecurrenceTime:
     """Earliest grid time T in [tau_min, t_max] with sum(1 - cos(E_n T)) < delta^2/4.
 
     The grid is scanned by angle addition (``_grid_objective``); its local
@@ -280,7 +275,7 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
 
     e_max = float(np.max(np.abs(E)))
     if e_max == 0.0:
-        return RecurrenceTime(tau_min, 0.0, threshold, tau_min, 0.0)
+        return RecurrenceTime(tau_min, 0.0, tau_min, 0.0)
     if grid_step is None:
         grid_step = 2.0 * math.pi / (100.0 * e_max)
     if t_max is None:
@@ -289,6 +284,10 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         t_max = 1e6 / gap
     if t_max < tau_min:
         raise ValueError("t_max must be >= tau_min")
+    if not (math.isfinite(t_max) and math.isfinite(grid_step)
+            and _CHUNK * grid_step >= np.spacing(t_max)):
+        # a chunk below the float spacing at t_max could leave its start unchanged
+        raise ValueError(f"a grid of step {grid_step:g} cannot scan to t_max {t_max:g}")
 
     # any true sub-threshold minimum shows up on the grid below this level:
     # the curvature term covers the distance to the nearest grid point, the
@@ -297,26 +296,25 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2 + rounding
 
     if f(tau_min) < threshold:
-        return RecurrenceTime(tau_min, f(tau_min), threshold, tau_min, grid_step)
+        return RecurrenceTime(tau_min, f(tau_min), tau_min, grid_step)
 
     def refine(lo, hi):
         res = minimize_scalar(f, bounds=(max(lo, tau_min), hi), method="bounded",
                               options={"xatol": 1e-13 * max(1.0, hi)})
         return float(res.x), float(res.fun)
 
-    chunk = 1 << 16
     best_t, best_f = tau_min, f(tau_min)
     start = tau_min
     prev_tail_t = None
     prev_tail_f = None
     n_point = 0
     while start < t_max:
-        stop = min(start + chunk * grid_step, t_max)
+        stop = min(start + _CHUNK * grid_step, t_max)
         m = max(2, int(round((stop - start) / grid_step)) + 1)
         ts = np.linspace(start, stop, m)
         vals = _grid_objective(E, start, (stop - start) / (m - 1), m)
         if trace is not None:
-            trace.extend(zip(ts[::trace_stride].tolist(), vals[::trace_stride].tolist()))
+            trace.extend(zip(ts[::_TRACE_STRIDE].tolist(), vals[::_TRACE_STRIDE].tolist()))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
             best_t, best_f = float(ts[i_best]), float(vals[i_best])
@@ -332,7 +330,7 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
             if f_ref < best_f:
                 best_t, best_f = t_ref, f_ref
             if f_ref < threshold:
-                return RecurrenceTime(t_ref, f_ref, threshold, float(ts[i]), grid_step)
+                return RecurrenceTime(t_ref, f_ref, float(ts[i]), grid_step)
         prev_tail_t = float(ts[-1])
         prev_tail_f = float(vals[-1])
         n_point += m
@@ -412,10 +410,6 @@ class InvertResult:
     t_star: float
     plan: RecurrencePlan
 
-    @property
-    def recurrence_time(self) -> float:
-        return self.plan.time
-
 
 def plan_recurrence(energies: Sequence[float], delta: float, mode: str, *,
                     state_overlaps: np.ndarray | None = None,
@@ -458,7 +452,7 @@ def plan_recurrence(energies: Sequence[float], delta: float, mode: str, *,
 def invert(sd: SpectralData, s: float, delta: float, mode: str = POINTWISE, *,
            state: np.ndarray | None = None, net: Sequence[np.ndarray] | None = None,
            energy_bound: float | None = None, t_max: float | None = None,
-           grid_step: float | None = None, trace: list | None = None) -> InvertResult:
+           grid_step: float | None = None) -> InvertResult:
     """Forward surrogate for e^{-H s}: a duration t* >= 0 with e^{H t*} within
     delta of e^{-H s} on the guaranteed state class, plus the certificate."""
     if s < 0:
@@ -468,7 +462,7 @@ def invert(sd: SpectralData, s: float, delta: float, mode: str = POINTWISE, *,
         state_overlaps=sd.overlaps(state) if state is not None else None,
         net_overlaps=[sd.overlaps(v) for v in net] if net is not None else None,
         energy_bound=energy_bound, tau_min=s, t_max=t_max, grid_step=grid_step,
-        shift=sd.shift, trace=trace,
+        shift=sd.shift,
     )
     t_star = plan.time - s
     if t_star < 0:
@@ -488,10 +482,9 @@ class RecurrenceInverter:
 
     physical = True
 
-    def __init__(self, spectra: Mapping, delta: float, mode: str = POINTWISE, *,
+    def __init__(self, spectra, delta: float, mode: str = POINTWISE, *,
                  state: np.ndarray | None = None, net: Sequence[np.ndarray] | None = None,
-                 energy_bounds: dict | None = None, t_max: float | None = None,
-                 grid_step: float | None = None):
+                 energy_bounds: dict | None = None, t_max: float | None = None):
         self.spectra = spectra
         self.delta = float(delta)
         self.mode = mode
@@ -499,15 +492,7 @@ class RecurrenceInverter:
         self.net = net
         self.energy_bounds = dict(energy_bounds or {})
         self.t_max = t_max
-        self.grid_step = grid_step
         self._cache: dict = {}
-
-    @classmethod
-    def from_skew_reps(cls, reps: dict, delta: float, mode: str = POINTWISE, **kwargs):
-        """Build from skew-hermitian generator matrices H_k (hermitian part iH_k)."""
-        from .propagate import EvolutionTable
-
-        return cls(EvolutionTable(reps).spectra, delta, mode, **kwargs)
 
     def plans(self):
         return {key: res.plan for key, res in self._cache.items()}
@@ -519,9 +504,7 @@ class RecurrenceInverter:
         if key not in self._cache:
             self._cache[key] = invert(
                 self.spectra[int(k)], float(s), self.delta, self.mode, state=self.state,
-                net=self.net, energy_bound=self.energy_bounds.get(int(k)), t_max=self.t_max,
-                grid_step=self.grid_step,
-            )
+                net=self.net, energy_bound=self.energy_bounds.get(int(k)), t_max=self.t_max)
         res = self._cache[key]
         return res.t_star, res.plan
 

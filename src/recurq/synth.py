@@ -22,12 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, _as_table,
-                        evolve, evolve_signed, expm_apply, fidelity, flatten, leaves,
+from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
+                        evolve_signed, expm_apply, fidelity, flatten, leaves,
                         realize_word, state_error, uses_spectrum)
 from .recurrence import ExactInverter
-
-EXACT = "exact"
 
 
 # -- expression trees ---------------------------------------------------------
@@ -201,25 +199,22 @@ def _oracle(expr, t: float, table: EvolutionTable, states) -> list:
 
 
 def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
-                     psi0: np.ndarray, reps, verify_states: Sequence | None = None) -> CompileResult:
+                     psi0: np.ndarray, table: EvolutionTable) -> CompileResult:
     """Compile e^{G(expr) t} psi0 to accuracy epsilon by doubling n.
 
     ``inverter`` realizes reversed segments: a recurrence inverter yields a
     physical ControlSequence; the ExactInverter keeps the word signed and
     evaluates reversed segments by exact inverses (oracle studies only).
-    Verification is held out: the returned object met epsilon on psi0 and
-    every extra verification state.  A finite-net inverter's net states are
-    verified automatically unless ``verify_states`` overrides them.
+    Verification is held out: the returned object met epsilon on psi0 and,
+    for a finite-net inverter, on every state of its net.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
-    table = _as_table(reps)
     psi0 = np.asarray(psi0, dtype=complex)
-    if verify_states is None:
-        verify_states = getattr(inverter, "net", None)
-    states = [psi0] + [np.asarray(v, dtype=complex) for v in (verify_states or [])]
+    net = getattr(inverter, "net", None) or []
+    states = [psi0] + [np.asarray(v, dtype=complex) for v in net]
     targets = _oracle(expr, t, table, states)
     block = np.column_stack(states)  # each round evaluates its word once
 
@@ -250,13 +245,13 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     raise CompileBudgetError(best_n, best_distance, epsilon)
 
 
-def verify(seq, psi0: np.ndarray, target, reps, t: float | None = None):
-    """Distance and fidelity of the executed sequence against a target.
+def verify(seq, psi0: np.ndarray, target, table: EvolutionTable, t: float | None = None):
+    """Distance and fidelity of the executed ControlSequence or SignedWord
+    against a target.
 
     ``target`` is either a state vector or a generator expression (then ``t``
     gives the duration and the oracle state is e^{G t} psi0).
     """
-    table = _as_table(reps)
     psi0 = np.asarray(psi0, dtype=complex)
     if isinstance(target, GeneratorExpr):
         if t is None:
@@ -266,10 +261,8 @@ def verify(seq, psi0: np.ndarray, target, reps, t: float | None = None):
         target_state = np.asarray(target, dtype=complex)
     if isinstance(seq, SignedWord):
         out = evolve_signed(seq.word, psi0, table)
-    elif isinstance(seq, ControlSequence):
-        out = evolve(seq, psi0, table)
     else:
-        out = evolve_signed(seq, psi0, table)
+        out = evolve(seq, psi0, table)
     distance = state_error(out, target_state)
     fid = fidelity(out, target_state)
     gram = 2.0 - 2.0 * float(np.real(np.vdot(out, target_state)))
@@ -334,15 +327,14 @@ class ReachabilityReport:
         return rows
 
 
-def reachability_report(reps, psi0: np.ndarray, targets: Sequence, epsilon: float,
-                        n_budget: int, inverter, verify_states: Sequence | None = None,
+def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequence,
+                        epsilon: float, n_budget: int, inverter,
                         jobs: int = 1) -> ReachabilityReport:
     """Compile every (expr, t) target and record the achieved accuracy.
 
     Per-target failures (budget, inverter) are captured in the report rather
     than raised; the report is always emitted.
     """
-    table = _as_table(reps)
     targets = list(targets)
 
     def run(item):
@@ -350,8 +342,7 @@ def reachability_report(reps, psi0: np.ndarray, targets: Sequence, epsilon: floa
         rec = TargetRecord(label=f"{expr} @ t={t}", status="ok")
         start = time.monotonic()
         try:
-            result = compile_sequence(expr, t, epsilon, n_budget, inverter,
-                                      psi0, table, verify_states)
+            result = compile_sequence(expr, t, epsilon, n_budget, inverter, psi0, table)
             rec.n = result.n
             rec.distance = result.distance
             rec.fidelity = result.fidelity

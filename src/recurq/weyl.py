@@ -29,6 +29,10 @@ GENERAL = "general"
 # here are exact small integers/rationals times powers of i, so numerical
 # rank is robust at this level.
 INDEPENDENCE_TOL = 1e-10
+# Relative coefficient-level tolerance of the hermiticity and skewness tests,
+# and the residual below which an operator counts as a member of a closure.
+ADJOINT_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-8
 
 DEFAULT_DEGREE_CAP = 6
 DEFAULT_DIM_CAP = 64
@@ -207,7 +211,7 @@ class PolyOp:
         return " + ".join(parts)
 
     @classmethod
-    def from_text(cls, text: str, mode_count: int, role: str = GENERAL) -> "PolyOp":
+    def from_text(cls, text: str, mode_count: int) -> "PolyOp":
         terms: dict = {}
         for chunk in text.replace("\n", " ").split(" + "):
             chunk = chunk.strip()
@@ -235,7 +239,7 @@ class PolyOp:
                 expo[mode][0 if kind == "q" else 1] += int(pow_s)
             mono = tuple((a, b) for a, b in expo)
             terms[mono] = terms.get(mono, 0.0j) + coeff
-        return cls(mode_count, terms, role)
+        return cls(mode_count, terms)
 
     def __str__(self):
         return self.to_text()
@@ -295,29 +299,29 @@ def canonicalize(raw: Iterable, mode_count: int) -> PolyOp:
     return total
 
 
-def is_hermitian(A: PolyOp, tol: float = 1e-9) -> bool:
-    return (A - A.adjoint()).coefficient_norm() <= tol * max(A.coefficient_norm(), 1.0)
+def is_hermitian(A: PolyOp) -> bool:
+    return (A - A.adjoint()).coefficient_norm() <= ADJOINT_TOL * max(A.coefficient_norm(), 1.0)
 
 
-def is_skew_hermitian(A: PolyOp, tol: float = 1e-9) -> bool:
-    return (A + A.adjoint()).coefficient_norm() <= tol * max(A.coefficient_norm(), 1.0)
+def is_skew_hermitian(A: PolyOp) -> bool:
+    return (A + A.adjoint()).coefficient_norm() <= ADJOINT_TOL * max(A.coefficient_norm(), 1.0)
 
 
-def as_hermitian(A: PolyOp, tol: float = 1e-9) -> PolyOp:
-    if not is_hermitian(A, tol):
+def as_hermitian(A: PolyOp) -> PolyOp:
+    if not is_hermitian(A):
         raise ValueError("operator is not hermitian at coefficient level")
     return _trusted(A.mode_count, A.terms, HERMITIAN)
 
 
-def as_skew(A: PolyOp, tol: float = 1e-9) -> PolyOp:
-    if not is_skew_hermitian(A, tol):
+def as_skew(A: PolyOp) -> PolyOp:
+    if not is_skew_hermitian(A):
         raise ValueError("operator is not skew-hermitian at coefficient level")
     return _trusted(A.mode_count, A.terms, SKEW)
 
 
-def skew_generator(H: PolyOp, tol: float = 1e-9) -> PolyOp:
+def skew_generator(H: PolyOp) -> PolyOp:
     """Map a hermitian generator H to the skew-hermitian -i*H."""
-    if not is_hermitian(H, tol):
+    if not is_hermitian(H):
         raise ValueError("skew_generator expects a hermitian operator")
     return _trusted(H.mode_count, {m: -1j * c for m, c in H.terms.items()}, SKEW)
 
@@ -331,7 +335,7 @@ def bracket(A: PolyOp, B: PolyOp) -> PolyOp:
     A._require_same_modes(B)
     out = A * B - B * A
     if A.role == SKEW and B.role == SKEW:
-        if not is_skew_hermitian(out, 1e-9):
+        if not is_skew_hermitian(out):
             raise AssertionError("bracket of skew-hermitian operators must be skew-hermitian")
         return _trusted(out.mode_count, out.terms, SKEW)
     return out
@@ -359,9 +363,7 @@ class _RealSpan:
     refused and sets ``capped``.
     """
 
-    def __init__(self, n_coords: int, dim_cap: int | None = None,
-                 tol: float = INDEPENDENCE_TOL):
-        self.tol = tol
+    def __init__(self, n_coords: int, dim_cap: int | None = None):
         self.dim_cap = dim_cap
         self.capped = False
         self.q = np.zeros((0, 2 * n_coords))
@@ -390,7 +392,7 @@ class _RealSpan:
         u = v / nv
         r = self._residual(_to_real(u))
         rn = np.linalg.norm(r)
-        if rn <= self.tol:
+        if rn <= INDEPENDENCE_TOL:
             return False
         if self.dim_cap is not None and self.dim >= self.dim_cap:
             self.capped = True
@@ -470,21 +472,21 @@ class LieBasis:
     def mode_count(self) -> int:
         return self.generators[0].mode_count
 
-    def contains(self, X: PolyOp, tol: float = 1e-8) -> bool:
-        return bool(self.contains_all([X], tol)[0])
+    def contains(self, X: PolyOp) -> bool:
+        return bool(self.contains_all([X])[0])
 
-    def contains_all(self, ops, tol: float = 1e-8) -> np.ndarray:
+    def contains_all(self, ops) -> np.ndarray:
         """Membership of each op, in one projection; a term off the index is not."""
         if any(X.mode_count != self.mode_count for X in ops):
             raise ValueError("mode_count mismatch")
         V, inside = _coefficients(ops, self._index)
-        return inside & (self._span.residuals(V) <= tol)
+        return inside & (self._span.residuals(V) <= MEMBERSHIP_TOL)
 
 
-def contains(basis: LieBasis, X: PolyOp, tol: float = 1e-8) -> bool:
+def contains(basis: LieBasis, X: PolyOp) -> bool:
     if not is_skew_hermitian(X):
         raise ValueError("membership test expects a skew-hermitian operator")
-    return basis.contains(X, tol)
+    return basis.contains(X)
 
 
 class CapError(ValueError):
@@ -660,7 +662,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
     G, _ = _coefficients(generators, index)
     defect = G + (_adjoint_matrix(monomials) @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
-    if (np.linalg.norm(defect, axis=1) > 1e-9 * np.maximum(norms, 1.0)).any():
+    if (np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0)).any():
         raise ValueError("generators must be skew-hermitian")
     span = _RealSpan(n, dim_cap)
     for g in G:
@@ -678,7 +680,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
         degree_capped |= bool(over.any())
         rows = np.flatnonzero(~over & R.any(axis=1))
         # the span only grows, so rows dependent on it now stay dependent
-        for r in rows[span.residuals(R[rows]) > span.tol]:
+        for r in rows[span.residuals(R[rows]) > INDEPENDENCE_TOL]:
             span.try_add(R[r])
             if span.capped:
                 break
@@ -739,7 +741,7 @@ class PropagationResult:
 
 
 def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
-                                dim_cap: int = 256, tol: float = 1e-8,
+                                dim_cap: int = 256,
                                 modes: Sequence[int] | None = None) -> PropagationResult:
     """Test whether local controls plus one coupling bracket span the pair algebra.
 
@@ -776,7 +778,7 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
         return PropagationResult(FAILS, closure, (), [])
 
     targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
-    missing = [t for t, inside in zip(targets, closure.contains_all(targets, tol))
+    missing = [t for t, inside in zip(targets, closure.contains_all(targets))
                if not inside]
     if not missing:
         verdict = PROPAGATES

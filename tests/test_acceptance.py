@@ -45,7 +45,7 @@ def criterion(number, description, limit_s):
 
 
 def _harmonic(spec):
-    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec)
+    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).matrix
 
 
 def test_c01_ccr_and_symbolic_soundness():
@@ -121,9 +121,8 @@ def test_c03b_group_commutator_recurrence_inverter():
         spec, table = _scalar_bracket_system()
         psi0 = fock.ground_state(spec)
         t, n, delta = 0.5, 32, 1e-5
-        inverter = rc.RecurrenceInverter.from_skew_reps(
-            {1: table.matrix(1), 2: table.matrix(2)}, delta,
-            mode="pointwise", state=psi0, t_max=2e4)
+        inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise",
+                                         state=psi0, t_max=2e4)
         try:
             seq = pr.commutator_sequence(1, 2, t, n, inverter)
         except rc.RecurrenceSearchError as exc:
@@ -141,7 +140,8 @@ def test_c03b_group_commutator_recurrence_inverter():
 def test_c04_recurrence_certificate_harmonic():
     with criterion(4, "pointwise recurrence certificate on the oscillator", 5):
         spec = TruncationSpec((32,), buffer=8)
-        sd = rc.spectral(_harmonic(spec))
+        H = _harmonic(spec)
+        sd = rc.spectral(H)
         rng = np.random.default_rng(404)
         psi = fock.random_interior_state(spec, rng)
         c = sd.overlaps(psi)
@@ -150,7 +150,7 @@ def test_c04_recurrence_certificate_harmonic():
         res = rc.invert(sd, 1.0, 1e-6, state=psi)
         PLANS.append(res.plan)
         assert abs(res.t_star - (4 * math.pi - 1.0)) < 1e-6
-        table = pr.EvolutionTable({0: -1j * sd.source.matrix})
+        table = pr.EvolutionTable({0: -1j * H})
         lhs = pr.evolve_signed([(0, -1.0)], psi, table)
         rhs = table.apply(0, res.t_star, psi)
         assert np.linalg.norm(lhs - rhs) < 1e-6
@@ -188,14 +188,15 @@ def test_c06_finite_net_uniformity():
         delta = eps / 3.0
         s = 1.0
         spec = TruncationSpec((32,), buffer=8)
-        sd = rc.spectral(_harmonic(spec))
+        H = _harmonic(spec)
+        sd = rc.spectral(H)
         rng = np.random.default_rng(606)
         net = [fock.random_interior_state(spec, rng) for _ in range(5)]
         res = rc.invert(sd, s, delta, mode=rc.FINITE_NET, net=net)
         PLANS.append(res.plan)
         t_star = res.t_star
 
-        table = pr.EvolutionTable({0: -1j * sd.source.matrix})
+        table = pr.EvolutionTable({0: -1j * H})
         checked = 0
         for i in range(50):
             anchor = net[i % len(net)]

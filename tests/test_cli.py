@@ -107,7 +107,7 @@ def test_invert_finite_net_certifies_the_first_draw(tmp_path):
     assert rc_code == cli.EXIT_OK
     spec = fock.TruncationSpec((32,))
     H = weyl.as_hermitian(weyl.PolyOp.from_text(HARMONIC["poly"], 1))
-    sd = recurrence.spectral(fock.represent(H, spec))
+    sd = recurrence.spectral(fock.represent(H, spec).matrix)
     rng = np.random.default_rng(5)
     net = [fock.random_interior_state(spec, rng, spec.buffer) for _ in range(3)]
     res = recurrence.invert(sd, 1.0, 1.0, "finite_net", net=net)
@@ -348,14 +348,76 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
     ("recur", {"hamiltonian": {"level_formula": {"count": 8, "coeffs": [0.0, 3.0, -0.5]}},
                "delta": 0.5, "mode": "energy_bound", "energy_bound": 0.125},
      "$.hamiltonian.level_formula"),
+    ("recur", {"hamiltonian": {"levels": [0.0, 1.0, math.sqrt(2.0), math.pi]}, "delta": 0.5,
+               "mode": "energy_bound", "energy_bound": 0.05, "t_max": 1e4,
+               "grid_step": 1e-300}, "$.t_max"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": {"mode": "energy_bound", "delta": 0.1,
+                                 "energy_bounds": {"0": -1.0, "1": 1.0}}},
+     "$.inverter.energy_bounds"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": -1.0, "inner": 1},
+                 "t": 0.5, "epsilon": 0.1, "n_budget": 4,
+                 "inverter": {"mode": "energy_bound", "delta": 0.1,
+                              "energy_bounds": {"1": 0.0}}}, "$.inverter.energy_bounds"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": -1.0, "inner": 1},
+                 "t": 0.5, "epsilon": 0.1, "n_budget": 4,
+                 "inverter": {"mode": "energy_bound", "delta": 0.1,
+                              "energy_bounds": {"1": "nan"}}}, "$.inverter.energy_bounds"),
+    ("chain-demo", {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                              "control_sites": [0], "control_degree_cap": 1},
+                    "dims": [4, 4], "targets": [{"expr": {"op": "scale", "factor": -1.0,
+                                                          "inner": 1}, "t": 0.1}],
+                    "epsilon": 0.1, "n_budget": 4,
+                    "inverter": {"mode": "energy_bound", "delta": 0.1,
+                                 "energy_bounds": {"1": 0.0}}}, "$.inverter.energy_bounds"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
-        "negative-level", "unordered-levels", "unordered-formula"])
+        "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
+        "negative-energy-bound", "zero-energy-bound", "nan-energy-bound",
+        "chain-demo-zero-energy-bound"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
     assert rc_code == cli.EXIT_USAGE
     assert f"{path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("recur", {"hamiltonian": {"levels": [0.0, 1.0, math.sqrt(2.0), math.pi, 1e20]},
+               "delta": 1e-6, "mode": "energy_bound", "energy_bound": 0.1, "tau_min": 1.0,
+               "t_max": math.inf}, "$.t_max"),
+    ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise", "s": 1.0,
+                "t_max": math.inf}, "$.t_max"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": {"mode": "pointwise", "delta": 0.1, "t_max": math.inf}},
+     "$.inverter.t_max"),
+    ("recur", {"hamiltonian": {"levels": [0.0, math.nan]}, "delta": 0.1,
+               "mode": "energy_bound", "energy_bound": 0.1}, "$.hamiltonian.levels[1]"),
+], ids=["recur-horizon", "invert-horizon", "inverter-horizon", "nan-level"])
+def test_non_finite_numbers_exit_usage(sub, config, path, tmp_path, capsys):
+    # 1e400 is strictly valid JSON and reads as inf; Python also reads NaN
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config).replace("Infinity", "1e400"))
+    rc_code = cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert f"error: {path}: " in err and "Traceback" not in err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SAMPLE_SUBCOMMANDS = {"chain_demo": "chain-demo", "closure": "closure",
+                      "commutator_recurrence": "commutator", "invert_harmonic": "invert",
+                      "propagation_chain3": "propagation", "recur_harmonic": "recur",
+                      "trotter_qp": "trotter"}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_sample_config_runs_end_to_end(config, tmp_path):
+    out = tmp_path / "out"
+    rc_code = cli.main([SAMPLE_SUBCOMMANDS[config.stem], "--config", str(config),
+                        "--out", str(out)])
+    assert rc_code == cli.EXIT_OK
+    assert (out / "report.json").is_file()
 
 
 def _count_eigh(monkeypatch):

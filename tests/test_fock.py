@@ -197,15 +197,3 @@ def test_random_interior_state(rng):
     assert np.isclose(np.linalg.norm(psi), 1.0)
     assert np.all(psi[~fock.interior_mask(spec)] == 0)
 
-
-def test_save_load_roundtrip(tmp_path):
-    spec = TruncationSpec((6,), buffer=1)
-    H = as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5)
-    rep = fock.represent(H, spec)
-    path = str(tmp_path / "ho")
-    fock.save_rep(rep, path)
-    back = fock.load_rep(path)
-    assert np.array_equal(back.matrix, rep.matrix)
-    assert back.spec == rep.spec
-    assert back.source.isclose(H, 1e-12)
-    assert back.hermiticity_defect == rep.hermiticity_defect

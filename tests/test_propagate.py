@@ -236,8 +236,7 @@ def test_commutator_sequence_physical_with_recurrence_inverter(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
     delta = 1e-4
-    inverter = rc.RecurrenceInverter.from_skew_reps(
-        {1: table.matrix(1), 2: table.matrix(2)}, delta, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise", state=psi0)
     n = 4
     seq = pr.commutator_sequence(1, 2, 0.5, n, inverter)
     assert len(seq) == 4 * n * n
@@ -253,8 +252,7 @@ def test_recurrence_vs_exact_inverter_accounting(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
     delta, t, n = 1e-4, 0.5, 4
-    inverter = rc.RecurrenceInverter.from_skew_reps(
-        {1: table.matrix(1), 2: table.matrix(2)}, delta, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise", state=psi0)
     word = pr.commutator_word(1, 2, t, n)
     exact = pr.evolve_signed(word, psi0, table)
     seq = pr.commutator_sequence(1, 2, t, n, inverter)
@@ -327,8 +325,7 @@ def test_tree_evaluation_matches_flat_oracle(case, segments, tol):
 def test_realized_tree_matches_flat_oracle(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
-    inverter = rc.RecurrenceInverter.from_skew_reps(
-        {1: table.matrix(1), 2: table.matrix(2)}, 1e-4, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, 1e-4, mode="pointwise", state=psi0)
     seq = pr.commutator_sequence(1, 2, 0.5, 16, inverter)
     assert seq.word == pr.Repeat(seq.word.block, 256) and len(seq.word.block) == 4
     assert pr.state_error(pr.evolve(seq, psi0, table),
@@ -351,9 +348,8 @@ def test_realize_word_asks_once_per_distinct_reversed_leaf(harmonic_pair, kind):
         inner = synth.Bracket(synth.Gen(1), synth.Gen(2))
         word = synth.build_word(synth.Bracket(inner, synth.Gen(1)), 0.04, 2)
     reversed_leaves = [leaf for leaf in pr.leaves(word) if leaf[1] < 0]
-    inverters = [_CountingInverter.from_skew_reps(
-        {1: table.matrix(1), 2: table.matrix(2)}, 1e-4, mode="pointwise", state=psi0)
-        for _ in range(2)]
+    inverters = [_CountingInverter(table.spectra, 1e-4, mode="pointwise", state=psi0)
+                 for _ in range(2)]
     tree, plans = pr.realize_word(word, inverters[0])
     flat, flat_plans = flat_realize(word, inverters[1])
     assert inverters[0].asked == len(reversed_leaves) < inverters[1].asked

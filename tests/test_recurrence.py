@@ -12,11 +12,14 @@ from recurq.weyl import as_hermitian, p, q
 from oracles import direct_grid_scan, direct_grid_values
 
 
+def _oscillator(spec):
+    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).matrix
+
+
 @pytest.fixture(scope="module")
 def harmonic():
     spec = TruncationSpec((32,), buffer=8)
-    H = fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec)
-    return spec, rc.spectral(H)
+    return spec, rc.spectral(_oscillator(spec))
 
 
 # -- spectral -------------------------------------------------------------------
@@ -221,6 +224,16 @@ def test_find_time_failure_carries_diagnostics():
         assert text in str(exc)
 
 
+@pytest.mark.parametrize("t_max,grid_step", [
+    (1e4, 1e-300), (1e4, 0.0), (1e4, math.nan), (math.inf, None), (math.nan, None),
+], ids=["step-below-spacing", "zero-step", "nan-step", "inf-horizon", "nan-horizon"])
+def test_find_time_refuses_a_scan_that_cannot_finish(t_max, grid_step):
+    # each of these scans would loop without end; the check runs before any chunk
+    with pytest.raises(ValueError):
+        rc.find_recurrence_time([0.0, 1.0, math.sqrt(2.0), math.pi], 0.5, tau_min=1.0,
+                                t_max=t_max, grid_step=grid_step)
+
+
 def test_failure_counts_distinct_absolute_frequencies():
     E = np.array([-1.0, 1.0, 2.0, 2.0 + 1e-14, 3.0])
     with pytest.raises(rc.RecurrenceSearchError) as err:
@@ -301,7 +314,7 @@ def test_invert_harmonic_certificate(harmonic, rng):
     psi = fock.random_interior_state(spec, rng)
     res = rc.invert(sd, 1.0, 1e-6, state=psi)
     assert abs(res.t_star - (4 * math.pi - 1.0)) < 1e-6
-    table = pr.EvolutionTable({0: -1j * sd.source.matrix})
+    table = pr.EvolutionTable({0: -1j * _oscillator(spec)})
     lhs = pr.evolve_signed([(0, -1.0)], psi, table)
     rhs = table.apply(0, res.t_star, psi)
     assert np.linalg.norm(lhs - rhs) < 1e-6

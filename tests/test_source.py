@@ -60,3 +60,42 @@ def test_trusted_constructor_stays_in_weyl():
             if "_trusted" in names:
                 refs.append((path.stem, node.lineno))
     assert refs == []
+
+
+# the package's layers, lowest first: a module imports only modules below it
+LAYERS = ("weyl", "fock", "recurrence", "propagate", "synth", "chains", "cli")
+
+
+def _package_imports(path):
+    """(imported recurq module, inside a function body) for every import."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(child, ast.ImportFrom) and (child.level or
+                                                      (child.module or "").startswith("recurq")):
+                base = (child.module or "").removeprefix("recurq").strip(".")
+                names = [base] if base else [alias.name for alias in child.names]
+                found.extend((name.split(".")[0], in_function) for name in names)
+            elif isinstance(child, ast.Import):
+                found.extend((alias.name.split(".")[1], in_function) for alias in child.names
+                             if alias.name.startswith("recurq."))
+            visit(child, nested)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+def test_package_import_graph():
+    graph = {path.stem: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert set(LAYERS) | {"__init__"} == set(graph)
+    imports = {mod: {name for name, _ in found} for mod, found in graph.items()}
+    assert imports["recurrence"] == set()
+    assert imports["propagate"] == {"recurrence"}
+    assert imports["fock"] == {"weyl"}
+    for mod in LAYERS:
+        assert imports[mod] <= set(LAYERS[:LAYERS.index(mod)]), mod
+    # no import deferred into a function body, where a cycle could hide
+    assert [(mod, name) for mod, found in graph.items()
+            for name, in_function in found if in_function] == []

@@ -46,8 +46,7 @@ def test_sum_compile_meets_epsilon(system):
 def test_scale_negative_routes_through_inversion(system):
     spec, table = system
     psi0 = fock.ground_state(spec)
-    inverter = rc.RecurrenceInverter.from_skew_reps(
-        {3: table.matrix(3)}, 1e-6, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, 1e-6, mode="pointwise", state=psi0)
     res = sy.compile_sequence(Scale(-1.0, Gen(3)), 1.0, 1e-5, 4, inverter, psi0, table)
     assert isinstance(res.sequence, pr.ControlSequence)
     (k, t_star), = res.sequence.segments
@@ -70,8 +69,7 @@ def test_bracket_compile_scalar(system):
 def test_bracket_compile_physical_with_recurrence(system):
     spec, table = system
     psi0 = fock.ground_state(spec)
-    inverter = rc.RecurrenceInverter.from_skew_reps(
-        {3: table.matrix(3), 4: table.matrix(4)}, 1e-5, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, 1e-5, mode="pointwise", state=psi0)
     res = sy.compile_sequence(Bracket(Gen(3), Gen(4)), 0.04, 0.05, 8, inverter,
                               psi0, table)
     assert isinstance(res.sequence, pr.ControlSequence)
@@ -83,8 +81,7 @@ def test_finite_net_inverter_verifies_over_net(system):
     spec, table = system
     rng = np.random.default_rng(99)
     net = [fock.random_interior_state(spec, rng) for _ in range(3)]
-    inverter = rc.RecurrenceInverter.from_skew_reps(
-        {3: table.matrix(3)}, 1e-5, mode="finite_net", net=net)
+    inverter = rc.RecurrenceInverter(table.spectra, 1e-5, mode="finite_net", net=net)
     psi0 = fock.ground_state(spec)
     res = sy.compile_sequence(Scale(-1.0, Gen(3)), 1.0, 1e-4, 4, inverter, psi0, table)
     # the achieved distance is the max over psi0 and every net state
