@@ -23,7 +23,7 @@ from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable
                         state_error, fidelity)
 from .recurrence import (SpectralData, RecurrencePlan, InvertResult,
                          RecurrenceInverter, ExactInverter,
-                         RecurrenceSearchError, SpectrumExhaustedError,
+                         RecurrenceSearchError, SpectrumExhaustedError, GridReachError,
                          spectral, recurrence_distance, tail_cut,
                          tail_mass, tail_cut_energy, tail_cut_finite_net,
                          find_recurrence_time, plan_recurrence, invert,

@@ -468,8 +468,6 @@ def _run_recur(config, out, rng, jobs):
             shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
         return _failed(out, exc)
-    except ValueError as exc:  # a horizon too far for the search grid
-        raise ConfigError(f"$.t_max: {exc}") from None
     finally:
         write_csv(os.path.join(out, "scan.csv"),
                   [["T", "objective"]] + [[t, f] for t, f in trace])
@@ -489,8 +487,6 @@ def _run_invert(config, out, rng, jobs):
                                 grid_step=config.get("grid_step"), **context)
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
         return _failed(out, exc)
-    except ValueError as exc:  # a horizon too far for the search grid
-        raise ConfigError(f"$.t_max: {exc}") from None
     write_json(os.path.join(out, "plan.json"), res.plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "t_star": res.t_star, "time": res.plan.time})
@@ -638,8 +634,15 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         return RUNNERS[args.subcommand](config, args.out, rng, max(1, args.jobs))
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except recurrence.GridReachError as exc:
+        # a recurrence scan that cannot reach its horizon: blame an inverter's
+        # horizon, else the grid step if the config sets one, else the horizon
+        path = ("$.inverter.t_max" if "inverter" in config
+                else "$.grid_step" if "grid_step" in config else "$.t_max")
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -127,10 +127,13 @@ class Repeat:
 
 
 def as_word(word):
-    """Tree form of a word: trees pass through, and a plain sequence of
-    (k, t) pairs becomes one Concat."""
+    """Tree form of a word: trees pass through, and a single leaf (the block
+    of a ``Repeat(leaf, n)``) or a plain sequence of (k, t) pairs becomes one
+    Concat."""
     if isinstance(word, (Concat, Repeat)):
         return word
+    if _is_leaf(word):
+        return Concat((word,))
     return Concat(tuple((int(k), float(t)) for k, t in word))
 
 
@@ -401,6 +404,8 @@ class EvolutionTable:
     """
 
     def __init__(self, reps: Mapping[int, object]):
+        if not reps:
+            raise ValueError("an evolution table needs at least one generator")
         self._actions = {}
         self._mats = {}
         self._lock = threading.Lock()

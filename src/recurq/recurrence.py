@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +81,12 @@ class RecurrenceSearchError(RuntimeError):
 
 class SpectrumExhaustedError(ValueError):
     """The available spectrum ends below the energy-bound tail threshold."""
+
+
+class GridReachError(ValueError):
+    """The recurrence scan cannot reach its horizon: the horizon is below
+    tau_min, it or the grid step is not finite, or a chunk of the grid no
+    longer advances the scanned time."""
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,8 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     sum, so exact recurrences between grid points are still found and every
     returned time and objective comes from the direct sum.  Depends only on
     the eigenvalue list, never on a state.  Raises RecurrenceSearchError with
-    the best objective seen when the horizon is exhausted.
+    the best objective seen when the horizon is exhausted, and GridReachError
+    when the scan cannot get there.
     """
     E = np.asarray(energies, dtype=float)
     if E.size == 0:
@@ -283,11 +290,9 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         gap = float(np.min(gaps[gaps > 1e-12])) if np.any(gaps > 1e-12) else e_max
         t_max = 1e6 / gap
     if t_max < tau_min:
-        raise ValueError("t_max must be >= tau_min")
-    if not (math.isfinite(t_max) and math.isfinite(grid_step)
-            and _CHUNK * grid_step >= np.spacing(t_max)):
-        # a chunk below the float spacing at t_max could leave its start unchanged
-        raise ValueError(f"a grid of step {grid_step:g} cannot scan to t_max {t_max:g}")
+        raise GridReachError(f"t_max {t_max:g} is below tau_min {tau_min:g}")
+    if not (math.isfinite(t_max) and math.isfinite(grid_step)):
+        raise GridReachError(f"a grid of step {grid_step:g} cannot scan to t_max {t_max:g}")
 
     # any true sub-threshold minimum shows up on the grid below this level:
     # the curvature term covers the distance to the nearest grid point, the
@@ -310,6 +315,9 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     n_point = 0
     while start < t_max:
         stop = min(start + _CHUNK * grid_step, t_max)
+        if not stop > start:  # the chunk is below the float spacing at start
+            raise GridReachError(f"a grid of step {grid_step:g} cannot advance past "
+                                 f"T={start:g} toward t_max {t_max:g}")
         m = max(2, int(round((stop - start) / grid_step)) + 1)
         ts = np.linspace(start, stop, m)
         vals = _grid_objective(E, start, (stop - start) / (m - 1), m)
@@ -389,17 +397,7 @@ class RecurrencePlan:
         return math.sqrt(2.0 * self.achieved_sum + 4.0 * self.tail_mass)
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "N": self.N,
-            "time": self.time,
-            "achieved_sum": self.achieved_sum,
-            "tail_mass": self.tail_mass,
-            "mode": self.mode,
-            "energy_bound": self.energy_bound,
-            "shift": self.shift,
-            "spectrum_hash": self.spectrum_hash,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
                         evolve_signed, expm_apply, fidelity, flatten, leaves,
                         realize_word, state_error, uses_spectrum)
-from .recurrence import ExactInverter
+from .recurrence import ExactInverter, GridReachError
 
 
 # -- expression trees ---------------------------------------------------------
@@ -288,18 +288,7 @@ class TargetRecord:
     sequence: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "status": self.status,
-            "n": self.n,
-            "distance": self.distance,
-            "fidelity": self.fidelity,
-            "segments": self.segments,
-            "wall_time": self.wall_time,
-            "error": self.error,
-            "plans": self.plans,
-            "sequence": self.sequence,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -333,7 +322,8 @@ def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequen
     """Compile every (expr, t) target and record the achieved accuracy.
 
     Per-target failures (budget, inverter) are captured in the report rather
-    than raised; the report is always emitted.
+    than raised; the report is always emitted.  A GridReachError, an
+    inverter horizon that the configuration must change, is raised.
     """
     targets = list(targets)
 
@@ -350,6 +340,8 @@ def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequen
             rec.plans = [p.to_dict() for p in result.plans.values()]
             if result.physical:
                 rec.sequence = result.sequence.to_dict()
+        except GridReachError:
+            raise
         except (CompileBudgetError, RuntimeError, ValueError) as exc:
             rec.status = "failed"
             rec.error = str(exc)

@@ -349,8 +349,24 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
                "delta": 0.5, "mode": "energy_bound", "energy_bound": 0.125},
      "$.hamiltonian.level_formula"),
     ("recur", {"hamiltonian": {"levels": [0.0, 1.0, math.sqrt(2.0), math.pi]}, "delta": 0.5,
-               "mode": "energy_bound", "energy_bound": 0.05, "t_max": 1e4,
-               "grid_step": 1e-300}, "$.t_max"),
+               "mode": "energy_bound", "energy_bound": 0.05, "tau_min": 1.0, "t_max": 1e4,
+               "grid_step": 1e-300}, "$.grid_step"),
+    ("recur", {"hamiltonian": {"levels": [0.0, 1.0, math.sqrt(2.0), math.pi]}, "delta": 0.5,
+               "mode": "energy_bound", "energy_bound": 0.05, "tau_min": 1e20,
+               "t_max": 1e21}, "$.t_max"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": {"mode": "pointwise", "delta": 0.1, "t_max": 0.1}},
+     "$.inverter.t_max"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": -1.0, "inner": 1},
+                 "t": 1e20, "epsilon": 0.1, "n_budget": 2,
+                 "inverter": {"mode": "pointwise", "delta": 0.1}}, "$.inverter.t_max"),
+    ("chain-demo", {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                              "control_sites": [0], "control_degree_cap": 1},
+                    "dims": [4, 4], "targets": [{"expr": {"op": "scale", "factor": -1.0,
+                                                          "inner": 1}, "t": 1e20}],
+                    "epsilon": 0.1, "n_budget": 2,
+                    "inverter": {"mode": "pointwise", "delta": 0.1, "t_max": 1e21}},
+     "$.inverter.t_max"),
     ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2,
                     "inverter": {"mode": "energy_bound", "delta": 0.1,
                                  "energy_bounds": {"0": -1.0, "1": 1.0}}},
@@ -373,6 +389,8 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
+        "recur-grid-reach", "commutator-horizon-below-duration", "compile-horizon-below-duration",
+        "chain-demo-grid-reach",
         "negative-energy-bound", "zero-energy-bound", "nan-energy-bound",
         "chain-demo-zero-energy-bound"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):

@@ -290,6 +290,24 @@ def test_word_tree_sizes_and_flat_form():
         pr.Repeat(word, 0)
 
 
+def test_repeat_of_a_bare_leaf_evolves_like_its_flat_form():
+    spec, table = _cubic_table()
+    psi0 = fock.ground_state(spec)
+    assert pr.applications(pr.Repeat((1, 0.1), 3)) == {1: 3}
+    # 40 > dim // 2 applications: the leaf repeat is squared
+    for word in (pr.Repeat((1, 0.1), 3), pr.Concat((pr.Repeat((2, -0.05), 40), (1, 0.2)))):
+        out = pr.evolve_signed(word, psi0, table)
+        assert pr.state_error(out, flat_evolve(word, psi0, table)) <= 1e-12
+    seq = pr.ControlSequence(pr.Repeat((1, 0.1), 3))
+    assert pr.state_error(pr.evolve(seq, psi0, table),
+                          flat_evolve(seq.word, psi0, table)) <= 1e-12
+
+
+def test_evolution_table_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        pr.EvolutionTable({})
+
+
 def _cubic_table():
     spec = TruncationSpec((24,))
     ops = [as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), q(0),

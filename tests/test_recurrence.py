@@ -226,12 +226,25 @@ def test_find_time_failure_carries_diagnostics():
 
 @pytest.mark.parametrize("t_max,grid_step", [
     (1e4, 1e-300), (1e4, 0.0), (1e4, math.nan), (math.inf, None), (math.nan, None),
-], ids=["step-below-spacing", "zero-step", "nan-step", "inf-horizon", "nan-horizon"])
+    (0.5, None),
+], ids=["step-below-spacing", "zero-step", "nan-step", "inf-horizon", "nan-horizon",
+        "horizon-below-tau-min"])
 def test_find_time_refuses_a_scan_that_cannot_finish(t_max, grid_step):
-    # each of these scans would loop without end; the check runs before any chunk
-    with pytest.raises(ValueError):
+    # each of these scans would loop without end; the first chunk is refused
+    with pytest.raises(rc.GridReachError):
         rc.find_recurrence_time([0.0, 1.0, math.sqrt(2.0), math.pi], 0.5, tau_min=1.0,
                                 t_max=t_max, grid_step=grid_step)
+
+
+@pytest.mark.parametrize("t_max", [None, 1e300])
+def test_find_time_certifies_before_a_horizon_its_grid_cannot_reach(t_max):
+    # the default horizon 1e6/gap is 5e16 here, where the float spacing (8) is
+    # above a chunk of the default grid (65536 steps of 2 pi/1e5); the scan
+    # still certifies T near 2 pi in its second chunk
+    E = [0.0, 1.0, 1.0 + 2e-11, 1000.0]
+    found = rc.find_recurrence_time(E, 0.5, tau_min=1.0, t_max=t_max)
+    assert found.objective < 0.5 ** 2 / 4.0
+    assert 1.0 < found.time < 2.0 * math.pi + 0.01
 
 
 def test_failure_counts_distinct_absolute_frequencies():
