@@ -208,10 +208,15 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     overall verdict is "propagates on every edge of a spanning structure".
     The per-site closure dimension of the bare controls (with the drift terms
     local to that site) is reported alongside as context, not as part of the
-    verdict.
+    verdict.  A ``degree_cap`` that the two-mode bracket table cannot
+    represent raises ``weyl.CapError`` before any closure.
     """
     if not spec.control_sites:
         raise ValueError("control sites must be nonempty")
+    if spec.edges:
+        # every edge closure and its pair-algebra targets need the two-mode
+        # table: refuse a cap it cannot represent before any closure
+        weyl.table_monomials(degree_cap, 2)
     adjacency: dict = {m: [] for m in range(spec.n_modes)}
     for i, j in spec.edges:
         adjacency[i].append(j)

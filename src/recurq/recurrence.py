@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 POINTWISE = "pointwise"
 FINITE_NET = "finite_net"
@@ -245,6 +244,77 @@ def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray
     return len(E) - S.ravel()[:m]
 
 
+# Brent's bounded minimizer (R. P. Brent, Algorithms for Minimization without
+# Derivatives, 1973, ch. 5), in the float operations and order of scipy's
+# optimize._minimize_scalar_bounded, so that refined times match it bit for bit
+# (notes/decisions.md, "Refine without scipy.optimize").
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_BRENT_MAXITER = 500
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float):
+    """(x, f(x)) at the minimum of f on [a, b] by golden-section and parabolic
+    steps; stops when x is known to within xatol or after 500 evaluations."""
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXITER:
+            break
+    return xf, fx
+
+
 def _distinct_frequencies(E: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(np.diff(np.unique(np.abs(E))) > 1e-12))
 
@@ -263,7 +333,7 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     """Earliest grid time T in [tau_min, t_max] with sum(1 - cos(E_n T)) < delta^2/4.
 
     The grid is scanned by angle addition (``_grid_objective``); its local
-    minima are polished by bounded scalar minimization of the direct cosine
+    minima are polished by bounded Brent minimization of the direct cosine
     sum, so exact recurrences between grid points are still found and every
     returned time and objective comes from the direct sum.  Depends only on
     the eigenvalue list, never on a state.  Raises RecurrenceSearchError with
@@ -304,9 +374,8 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         return RecurrenceTime(tau_min, f(tau_min), tau_min, grid_step)
 
     def refine(lo, hi):
-        res = minimize_scalar(f, bounds=(max(lo, tau_min), hi), method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, hi)})
-        return float(res.x), float(res.fun)
+        lo, hi = float(lo), float(hi)
+        return _bounded_brent(f, max(lo, tau_min), hi, 1e-13 * max(1.0, hi))
 
     best_t, best_f = tau_min, f(tau_min)
     start = tau_min

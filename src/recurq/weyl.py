@@ -493,6 +493,23 @@ class CapError(ValueError):
     """A closure that its degree cap or the bracket table cannot represent."""
 
 
+def table_monomials(degree_cap: int, modes: int) -> int:
+    """Monomials of the bracket table at ``degree_cap`` on ``modes`` modes.
+
+    Raises CapError when the table cannot represent that cap: above
+    MAX_DEGREE_CAP, or with more than TABLE_MONOMIALS monomials.
+    """
+    if degree_cap > MAX_DEGREE_CAP:
+        raise CapError(f"degree_cap {degree_cap} exceeds {MAX_DEGREE_CAP}, the largest cap "
+                       f"with exact structure constants")
+    n = math.comb(2 * modes + degree_cap, degree_cap)
+    if n > TABLE_MONOMIALS:
+        raise CapError(f"degree_cap {degree_cap} on {modes} modes gives {n} "
+                       f"monomials; the bracket table takes at most {TABLE_MONOMIALS} "
+                       f"({TABLE_BUDGET_MB} MB budget)")
+    return n
+
+
 class _StructureTensor:
     """Every bracket [m_i, m_j] of the basis monomials in one sparse table.
 
@@ -640,9 +657,6 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
         raise ValueError("empty generator list")
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
-    if degree_cap > MAX_DEGREE_CAP:
-        raise CapError(f"degree_cap {degree_cap} exceeds {MAX_DEGREE_CAP}, the largest cap "
-                       f"with exact structure constants")
     mode_count = generators[0].mode_count
     for g in generators:
         if g.mode_count != mode_count:
@@ -651,11 +665,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
             raise CapError(f"generator degree {g.degree} exceeds degree_cap {degree_cap}")
 
     support = sorted(set().union(*(g.support for g in generators))) or [0]
-    n = math.comb(2 * len(support) + degree_cap, degree_cap)
-    if n > TABLE_MONOMIALS:
-        raise CapError(f"degree_cap {degree_cap} on {len(support)} modes gives {n} "
-                       f"monomials; the bracket table takes at most {TABLE_MONOMIALS} "
-                       f"({TABLE_BUDGET_MB} MB budget)")
+    n = table_monomials(degree_cap, len(support))
     monomials = enumerate_monomials(mode_count, support, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
 

@@ -1,10 +1,11 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
 matrix-level Lie closure, dense Fock assembly, the point-by-point recurrence
 grid scan, segment-by-segment word evaluation, the Taylor action of the
-matrix exponential, and the sequential reduction and per-target membership
-test of the propagation check.  These deliberately avoid the package's
-closed-form reordering identity, structure-tensor machinery, sparse assembly,
-angle addition, word trees, Chebyshev action and adjoint matrix."""
+matrix exponential, the sequential reduction and per-target membership test
+of the propagation check, and scipy's bounded scalar minimizer.  These
+deliberately avoid the package's closed-form reordering identity,
+structure-tensor machinery, sparse assembly, angle addition, word trees,
+Chebyshev action, adjoint matrix and private Brent refine."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse
+from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
 from recurq import propagate, weyl
@@ -76,59 +78,58 @@ def word_matrix(factors, coeff, mats):
 
 
 def matrix_lie_closure(generators, dim_cap=600, tol=1e-9):
-    """Real-linear Lie closure of skew-hermitian matrices by direct brackets."""
+    """Real-linear Lie closure of skew-hermitian d x d matrices by direct brackets.
+
+    The brackets of each basis element with those before it are projected in
+    one batch against the orthonormal rows found so far, then kept one by one
+    when independent.  The search stops at ``dim_cap`` elements, or at d^2,
+    where the rows span all of u(d).
+    """
+    mats = np.asarray(generators, dtype=complex)
+    d = mats.shape[1]
+    full = min(dim_cap, d * d)
+    rows = np.zeros((full, 2 * d * d))  # orthonormal rows of the span
     basis = []
-    q_rows = None
 
-    def vec(M):
-        flat = M.ravel()
-        return np.concatenate([flat.real, flat.imag])
+    def vec(Ms):
+        flat = Ms.reshape(len(Ms), -1)
+        return np.concatenate([flat.real, flat.imag], axis=1)
 
-    def try_add(M):
-        nonlocal q_rows
-        v = vec(M)
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return False
-        u = v / nv
-        if q_rows is not None:
-            for _ in range(2):
-                u = u - q_rows.T @ (q_rows @ u)
+    def residual(U, Q):
+        for _ in range(2):
+            U = U - (U @ Q.T) @ Q
+        return U
+
+    def add(Ms):
+        V = vec(Ms)
+        norms = np.linalg.norm(V, axis=1)
+        keep = norms >= 1e-12
+        Ms, norms = Ms[keep], norms[keep]
+        U = residual(V[keep] / norms[:, None], rows[:len(basis)])
+        first = len(basis)
+        for r in np.flatnonzero(np.linalg.norm(U, axis=1) > tol):
+            if len(basis) >= full:
+                break
+            u = residual(U[r], rows[first:len(basis)])
             rn = np.linalg.norm(u)
-            if rn <= tol:
-                return False
-            u = u / rn
-        else:
-            u = u / np.linalg.norm(u)
-        q_rows = u[None, :] if q_rows is None else np.vstack([q_rows, u])
-        basis.append(M / nv)
-        return True
+            if rn > tol:
+                rows[len(basis)] = u / rn
+                basis.append(Ms[r] / norms[r])
 
-    for g in generators:
-        try_add(np.asarray(g, dtype=complex))
-
+    add(mats)
     i = 1
-    while i < len(basis):
-        if len(basis) >= dim_cap:
-            break
+    while i < len(basis) < full:
         stack = np.asarray(basis[:i])
         B = basis[i]
-        comms = np.einsum("rab,bc->rac", stack, B) - np.einsum("ab,rbc->rac", B, stack)
-        for r in range(comms.shape[0]):
-            if len(basis) >= dim_cap:
-                break
-            try_add(comms[r])
+        add(stack @ B - B @ stack)
         i += 1
 
     def member(M, membership_tol=1e-6):
-        v = vec(np.asarray(M, dtype=complex))
+        v = vec(np.asarray(M, dtype=complex)[None])[0]
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
-        u = v / nv
-        for _ in range(2):
-            u = u - q_rows.T @ (q_rows @ u)
-        return np.linalg.norm(u) <= membership_tol
+        return np.linalg.norm(residual(v / nv, rows[:len(basis)])) <= membership_tol
 
     return basis, member
 
@@ -178,6 +179,13 @@ def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
         n_point += m
         start = stop
     return trace, n_point
+
+
+def scipy_bounded_minimum(f, lo, hi, xatol):
+    """(x, f(x), evaluations) from scipy's ``minimize_scalar(method="bounded")``
+    on [lo, hi], the call the recurrence refine step once made."""
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun), int(res.nfev)
 
 
 def flat_evolve(word, psi0, table):

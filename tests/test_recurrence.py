@@ -9,7 +9,7 @@ from recurq import fock, propagate as pr, recurrence as rc
 from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
-from oracles import direct_grid_scan, direct_grid_values
+from oracles import direct_grid_scan, direct_grid_values, scipy_bounded_minimum
 
 
 def _oscillator(spec):
@@ -286,6 +286,54 @@ def test_narrow_dip_between_grid_points_is_found():
     found = rc.find_recurrence_time(E, delta, tau_min=tau_min, grid_step=grid_step)
     assert abs(found.time - T0) < 1e-7  # float cos is flat to ~1e-8 at the bottom
     assert found.objective < delta * delta / 4.0
+
+
+def _bits(result):
+    return tuple(float(v).hex() for v in result[:2])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_bounded_brent_replays_scipy(scale):
+    # the refine step's brackets around grid points of seeded spectra: full
+    # brackets, lower ends clamped to tau_min, brackets ~1e-9 hi wide, and exact
+    # returns of a commensurate ladder within 1e-7 hi of the upper end; the
+    # private minimizer must return scipy's x and f(x) to the last bit
+    rng = np.random.default_rng(int(round(math.log10(scale))) + 4)
+    for k in range(400):
+        if k % 4 == 3:
+            E = float(rng.uniform(0.5, 2.0)) * scale * np.arange(1, rng.integers(2, 12))
+        else:
+            E = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(1, 40)))) * scale
+        f = rc._objective(E)
+        h = 2.0 * math.pi / (100.0 * float(np.max(E)))
+        t = float(rng.uniform(1.0, 2000.0)) / scale
+        lo, hi = t - h, t + h
+        if k % 4 == 1:
+            lo = float(rng.uniform(lo, t))  # clamped to a tau_min inside the bracket
+        elif k % 4 == 2:
+            lo, hi = t, t + 1e-9 * t
+        elif k % 4 == 3:
+            hi = 2.0 * math.pi / float(E[0]) * (1.0 + float(rng.uniform(-1e-7, 1e-7)))
+            lo = hi - h
+        xatol = 1e-13 * max(1.0, hi)
+        assert _bits(rc._bounded_brent(f, lo, hi, xatol)) == \
+            _bits(scipy_bounded_minimum(f, lo, hi, xatol)), (scale, k)
+
+
+def test_bounded_brent_stops_after_500_evaluations():
+    # a minimum at the lower end 0 with xatol 0 never meets the relative
+    # tolerance, so both minimizers stop at the evaluation limit
+    calls = []
+
+    def ramp(x):
+        calls.append(x)
+        return x
+
+    x, fx, evaluations = scipy_bounded_minimum(ramp, 0.0, 1.0, 0.0)
+    assert evaluations == 500
+    calls.clear()
+    assert _bits(rc._bounded_brent(ramp, 0.0, 1.0, 0.0)) == _bits((x, fx))
+    assert len(calls) == 500
 
 
 def test_trace_samples_match_direct_scan():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "recurq"
@@ -99,3 +102,53 @@ def test_package_import_graph():
     # no import deferred into a function body, where a cycle could hide
     assert [(mod, name) for mod, found in graph.items()
             for name, in_function in found if in_function] == []
+
+
+def _absolute_imports(tree):
+    """Top-level package of every absolute import in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _names_scipy_optimize(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("scipy.optimize") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.startswith("scipy.optimize") or (
+                    node.module == "scipy" and any(a.name == "optimize" for a in node.names)):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "optimize":
+            if getattr(node.value, "id", None) == "scipy":
+                return True
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith("scipy.optimize"):
+                return True
+    return False
+
+
+def test_scipy_is_only_sparse():
+    # the recurrence refine is a private Brent minimizer; scipy.optimize (and
+    # the linalg, special and fft it pulls in) is a test oracle only
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [mod for mod, tree in trees.items() if _names_scipy_optimize(tree)] == []
+    third_party = _absolute_imports(trees["recurrence"]) - set(sys.stdlib_module_names)
+    assert third_party == {"numpy"}
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.fft")
+    code = ("import sys\nimport recurq.cli\n"
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == []
