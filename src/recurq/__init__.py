@@ -11,16 +11,12 @@ from .weyl import (PolyOp, LieBasis, PropagationResult, q, p, const,
                    skew_generator, local_skew_generators,
                    skew_monomial_generators, algebraic_propagation_check,
                    enumerate_monomials)
-from .fock import (TruncationSpec, TruncatedRep, ladder_matrices, q_matrix,
-                   p_matrix, represent, hermitize, hermiticity_defect,
-                   truncation_probe, fock_state, ground_state, normalize,
-                   random_interior_state, interior_mask, interior_block,
-                   embed_state)
+from .fock import (TruncationSpec, TruncatedRep, represent, fock_state,
+                   ground_state, normalize, random_interior_state, interior_mask)
 from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable,
                         expm_skew, expm_apply,
-                        evolve, evolve_signed, trotter_sequence, commutator_word,
-                        commutator_sequence, realize_word, trotter_errors,
-                        state_error, fidelity)
+                        evolve, evolve_signed, trotter_sequence, realize_word,
+                        trotter_errors, state_error, fidelity)
 from .recurrence import (SpectralData, RecurrencePlan, InvertResult,
                          RecurrenceInverter, ExactInverter,
                          RecurrenceSearchError, SpectrumExhaustedError, GridReachError,

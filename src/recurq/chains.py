@@ -130,20 +130,21 @@ def local_controls(spec: ChainSpec):
 
 
 def control_system(spec: ChainSpec):
-    """Directly implementable skew generators: drift alone and drift + control.
+    """Directly implementable Hamiltonians: drift alone and drift + control.
 
-    Returns ``(labels, generators)``; every generator is the drift plus at
-    most one local control, converted to skew-hermitian form.
+    Returns ``(labels, hamiltonians)``; every Hamiltonian H is hermitian, the
+    drift plus at most one local control, and switching it on evolves by the
+    skew generator -iH (``weyl.skew_generator``).
     """
     if not spec.control_sites:
         raise ValueError("control sites must be nonempty")
     H0 = drift(spec)
     labels = ["drift"]
-    gens = [skew_generator(H0)]
+    hams = [H0]
     for label, ctrl in local_controls(spec):
         labels.append(f"drift+{label}")
-        gens.append(skew_generator(as_hermitian(H0 + ctrl)))
-    return labels, gens
+        hams.append(as_hermitian(H0 + ctrl))
+    return labels, hams
 
 
 # -- propagation of controllability along the graph ---------------------------
@@ -273,9 +274,8 @@ def chain_table(spec: ChainSpec, dims: Sequence[int]):
     if any(d > 16 for d in dims):
         raise ValueError("chain demos are desk-scale: at most 16 levels per mode")
     tspec = TruncationSpec(tuple(dims))
-    labels, gens = control_system(spec)
-    table = EvolutionTable({k: -1j * represent(g_h, tspec).csr
-                            for k, g_h in enumerate(_hermitian_counterparts(gens))})
+    labels, hams = control_system(spec)
+    table = EvolutionTable({k: -1j * represent(H, tspec).csr for k, H in enumerate(hams)})
     return labels, tspec, table
 
 
@@ -293,11 +293,3 @@ def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
                                  inverter)
     return report, labels, table
 
-
-def _hermitian_counterparts(skew_gens):
-    """Hermitian H with G = -iH for each skew generator G."""
-    out = []
-    for g_op in skew_gens:
-        herm = PolyOp(g_op.mode_count, {m: 1j * c for m, c in g_op.terms.items()})
-        out.append(as_hermitian(herm))
-    return out

@@ -68,6 +68,7 @@ _INVERTER = {
         "mode": {"enum": ["exact", "pointwise", "finite_net", "energy_bound"]},
         "delta": {"type": "number", "exclusiveMinimum": 0},
         "t_max": {"type": "number", "exclusiveMinimum": 0},
+        "net_size": {"type": "integer", "minimum": 1},
         "energy_bounds": {"type": "object"},
     },
     "required": ["mode"],
@@ -296,7 +297,7 @@ def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
             return fock.fock_state(spec, state_cfg["fock"])
         if "random_interior" in state_cfg:
             buffer = int(state_cfg["random_interior"].get("buffer", 0))
-            return fock.random_interior_state(spec, rng, buffer)
+            return fock.random_interior_state(fock.TruncationSpec(spec.dims, buffer), rng)
     except ValueError as exc:
         raise ConfigError(f"$.state: {exc}") from None
     raise ConfigError(f"$.state: unintelligible state config {state_cfg!r}")
@@ -337,7 +338,7 @@ def _build_system(cfg):
     herms = [_parse_poly(text, mode_count, f"$.system.generators[{i}]", weyl.as_hermitian)
              for i, text in enumerate(cfg["generators"])]
     reps = {k: -1j * fock.represent(H, spec).csr for k, H in enumerate(herms)}
-    return spec, herms, propagate.EvolutionTable(reps)
+    return spec, propagate.EvolutionTable(reps)
 
 
 def _build_inverter(cfg, table, psi0, rng, spec, targets):
@@ -354,8 +355,7 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
         kwargs["state"] = psi0
     elif mode == "finite_net":
         size = int(cfg.get("net_size", 3))
-        kwargs["net"] = [fock.random_interior_state(spec, rng, spec.buffer)
-                         for _ in range(size)]
+        kwargs["net"] = [fock.random_interior_state(spec, rng) for _ in range(size)]
     elif mode == "energy_bound":
         try:
             bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
@@ -441,12 +441,11 @@ def _plan_context(config, rng, floor: str):
     if mode == "pointwise":
         return levels, sd, {"state": _build_state(config.get("state"), spec, rng)}
     size = int(config.get("net_size", 3))
-    return levels, sd, {"net": [fock.random_interior_state(spec, rng, spec.buffer)
-                                for _ in range(size)]}
+    return levels, sd, {"net": [fock.random_interior_state(spec, rng) for _ in range(size)]}
 
 
 def _failed(out, exc) -> int:
-    """Write the failure report of a search or compile error; exit 1."""
+    """Write the failure report of a search, spectrum or compile error; exit 1."""
     details = exc.to_dict() if isinstance(exc, recurrence.RecurrenceSearchError) else {}
     write_json(os.path.join(out, "report.json"),
                {"status": "failed", "error": str(exc), **details})
@@ -466,8 +465,6 @@ def _run_recur(config, out, rng, jobs):
             tau_min=float(config.get("tau_min", 0.0)),
             t_max=config.get("t_max"), grid_step=config.get("grid_step"),
             shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
-    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
-        return _failed(out, exc)
     finally:
         write_csv(os.path.join(out, "scan.csv"),
                   [["T", "objective"]] + [[t, f] for t, f in trace])
@@ -481,12 +478,9 @@ def _run_invert(config, out, rng, jobs):
     _, sd, context = _plan_context(config, rng, "s")
     if sd is None:
         raise ConfigError("$.hamiltonian: invert needs a matrix hamiltonian ('poly')")
-    try:
-        res = recurrence.invert(sd, float(config["s"]), float(config["delta"]),
-                                config["mode"], t_max=config.get("t_max"),
-                                grid_step=config.get("grid_step"), **context)
-    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
-        return _failed(out, exc)
+    res = recurrence.invert(sd, float(config["s"]), float(config["delta"]), config["mode"],
+                            t_max=config.get("t_max"), grid_step=config.get("grid_step"),
+                            **context)
     write_json(os.path.join(out, "plan.json"), res.plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "t_star": res.t_star, "time": res.plan.time})
@@ -494,7 +488,7 @@ def _run_invert(config, out, rng, jobs):
 
 
 def _run_trotter(config, out, rng, jobs):
-    spec, _, table = _build_system(config["system"])
+    spec, table = _build_system(config["system"])
     _check_indices([int(config["k"])], table, "$.k")
     _check_indices([int(config["l"])], table, "$.l")
     psi0 = _build_state(config.get("state"), spec, rng)
@@ -508,29 +502,29 @@ def _run_trotter(config, out, rng, jobs):
 
 
 def _run_commutator(config, out, rng, jobs):
-    spec, _, table = _build_system(config["system"])
+    spec, table = _build_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
     _check_indices([k], table, "$.k")
     _check_indices([l], table, "$.l")
+    # e^{[H_k, H_l] t^2} at step sqrt(t^2) / n = t / n
     bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
     target = propagate.expm_apply(synth.expr_matrix(bracket, table), t * t, [psi0])[0]
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, [(bracket, t * t)])
-    word = propagate.commutator_word(k, l, t, n)
-    result = {"n": n, "t": t}
-    if isinstance(inverter, synth.ExactInverter):
-        out_state = propagate.evolve_signed(word, psi0, table)
-        result["physical"] = False
-    else:
-        try:
-            seq = propagate.commutator_sequence(k, l, t, n, inverter)
-        except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError) as exc:
-            return _failed(out, exc)
+    word = synth.build_word(bracket, t * t, n)
+    if len(word) != 4 * n * n:
+        raise AssertionError("commutator word must have 4 n^2 segments")
+    result = {"n": n, "t": t, "physical": inverter.physical}
+    if inverter.physical:
+        word, plans = propagate.realize_word(word, inverter)
+        seq = propagate.ControlSequence(
+            word, provenance=f"commutator(k={k}, l={l}, t={t}, n={n}; {len(plans)} inversions)")
         out_state = propagate.evolve(seq, psi0, table)
-        result["physical"] = True
         write_json(os.path.join(out, "sequence.json"), seq.to_dict())
         write_json(os.path.join(out, "plans.json"),
                    [p.to_dict() for p in inverter.plans().values()])
+    else:
+        out_state = propagate.evolve_signed(word, psi0, table)
     result["error"] = propagate.state_error(out_state, target)
     result["fidelity"] = propagate.fidelity(out_state, target)
     result["status"] = "ok"
@@ -539,18 +533,14 @@ def _run_commutator(config, out, rng, jobs):
 
 
 def _run_compile(config, out, rng, jobs):
-    spec, _, table = _build_system(config["system"])
+    spec, table = _build_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     expr = _parse_expr(config["target"], "$.target")
     _check_indices(synth.expr_indices(expr), table, "$.target")
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec,
                                [(expr, float(config["t"]))])
-    try:
-        result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
-                                        int(config["n_budget"]), inverter, psi0, table)
-    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError,
-            synth.CompileBudgetError) as exc:
-        return _failed(out, exc)
+    result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
+                                    int(config["n_budget"]), inverter, psi0, table)
     report = {
         "status": "ok",
         "n": result.n,
@@ -644,6 +634,11 @@ def main(argv=None) -> int:
                 else "$.grid_step" if "grid_step" in config else "$.t_max")
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError,
+            synth.CompileBudgetError) as exc:
+        # no certified time, a spectrum too short for its tail cut, or an
+        # exhausted refinement budget: a failed certificate, with its report
+        return _failed(args.out, exc)
 
 
 if __name__ == "__main__":

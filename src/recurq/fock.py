@@ -7,15 +7,14 @@ algebra exactly on the interior block and pick up quantifiable artifacts only
 within ``degree`` levels of the cutoff.  A representation is held as a CSR
 matrix, assembled without a dense ``dim x dim`` buffer; a dense copy is built
 only when asked for (``TruncatedRep.matrix``).  States are plain complex
-ndarrays of length ``prod(D_i)``; helpers below construct, normalize and
-embed them.
+ndarrays of length ``prod(D_i)``; helpers below construct and normalize
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse
@@ -50,11 +49,6 @@ class TruncationSpec:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def dominates(self, other: "TruncationSpec") -> bool:
-        return self.mode_count == other.mode_count and all(
-            a >= b for a, b in zip(self.dims, other.dims)
-        )
-
 
 @dataclass(frozen=True)
 class TruncatedRep:
@@ -72,39 +66,6 @@ class TruncatedRep:
 
 def _small_annihilator(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
-
-
-def _embed(op: np.ndarray, spec: TruncationSpec, mode: int) -> np.ndarray:
-    mats = [np.eye(d, dtype=complex) for d in spec.dims]
-    mats[mode] = op
-    return reduce(np.kron, mats)
-
-
-def ladder_matrices(spec: TruncationSpec):
-    """Embedded (a_i, a_i^dag) pairs, one per mode."""
-    out = []
-    for mode, d in enumerate(spec.dims):
-        a = _embed(_small_annihilator(d), spec, mode)
-        out.append((a, a.conj().T))
-    return out
-
-
-def q_matrix(spec: TruncationSpec, mode: int = 0) -> np.ndarray:
-    a = _embed(_small_annihilator(spec.dims[mode]), spec, mode)
-    return (a + a.conj().T) / math.sqrt(2.0)
-
-
-def p_matrix(spec: TruncationSpec, mode: int = 0) -> np.ndarray:
-    a = _embed(_small_annihilator(spec.dims[mode]), spec, mode)
-    return 1j * (a.conj().T - a) / math.sqrt(2.0)
-
-
-def hermitize(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2.0
-
-
-def hermiticity_defect(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
 def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
@@ -165,8 +126,8 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
 
     defect = None
     if A.role == HERMITIAN:
-        # hermiticity_defect(M) and hermitize(M), evaluated only where M or
-        # its adjoint can be nonzero: every other entry of both is exactly 0
+        # max |M - M^dag| and (M + M^dag) / 2, evaluated only where M or its
+        # adjoint can be nonzero: every other entry of both is exactly 0
         full, where = np.unique(np.concatenate((keys, (keys % dim) * dim + keys // dim)),
                                 return_inverse=True)
         upper, lower = np.zeros(full.size, dtype=complex), np.zeros(full.size, dtype=complex)
@@ -212,49 +173,19 @@ def ground_state(spec: TruncationSpec) -> np.ndarray:
     return fock_state(spec, (0,) * spec.mode_count)
 
 
-def interior_mask(spec: TruncationSpec, buffer: int | None = None) -> np.ndarray:
+def interior_mask(spec: TruncationSpec) -> np.ndarray:
     """Boolean mask of basis states with every mode level below D_i - buffer."""
-    b = spec.buffer if buffer is None else buffer
     grids = np.indices(spec.dims).reshape(spec.mode_count, -1)
     mask = np.ones(spec.dim, dtype=bool)
     for mode, d in enumerate(spec.dims):
-        mask &= grids[mode] < d - b
+        mask &= grids[mode] < d - spec.buffer
     return mask
 
 
-def interior_block(M: np.ndarray, spec: TruncationSpec, buffer: int | None = None) -> np.ndarray:
-    mask = interior_mask(spec, buffer)
-    return M[np.ix_(mask, mask)]
-
-
-def random_interior_state(spec: TruncationSpec, rng: np.random.Generator,
-                          buffer: int | None = None) -> np.ndarray:
+def random_interior_state(spec: TruncationSpec, rng: np.random.Generator) -> np.ndarray:
     """Normalized state supported on levels below the buffer region."""
-    mask = interior_mask(spec, buffer)
+    mask = interior_mask(spec)
     psi = np.zeros(spec.dim, dtype=complex)
     k = int(mask.sum())
     psi[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     return normalize(psi)
-
-
-def embed_state(psi: np.ndarray, spec_from: TruncationSpec, spec_to: TruncationSpec) -> np.ndarray:
-    """Zero-pad a state into a componentwise larger truncation."""
-    if not spec_to.dominates(spec_from):
-        raise ValueError("target truncation must dominate the source per mode")
-    block = np.asarray(psi).reshape(spec_from.dims)
-    pad = [(0, dt - df) for df, dt in zip(spec_from.dims, spec_to.dims)]
-    return np.pad(block, pad).reshape(spec_to.dim)
-
-
-def truncation_probe(A: PolyOp, psi: np.ndarray, spec: TruncationSpec,
-                     spec_larger: TruncationSpec) -> float:
-    """Convergence diagnostic ||A_large emb(psi) - emb(A_small psi)||.
-
-    Small for states supported away from the cutoff; grows when the state
-    leaks amplitude into levels the smaller truncation cannot hold.
-    """
-    if not spec_larger.dominates(spec):
-        raise ValueError("spec_larger must dominate spec per mode")
-    small = represent(A, spec).csr @ np.asarray(psi)
-    large = represent(A, spec_larger).csr @ embed_state(psi, spec, spec_larger)
-    return float(np.linalg.norm(large - embed_state(small, spec, spec_larger)))

@@ -1,4 +1,4 @@
-"""Unitary time evolution under switched generators and the two product formulas.
+"""Unitary time evolution under switched generators and the splitting formula.
 
 A control sequence is the only object the physics can execute: an ordered
 list of (generator index, duration >= 0) pairs, applied in time order.  The
@@ -7,10 +7,12 @@ product formulas are
     (e^{H_k t/n} e^{H_l t/n})^n           -> e^{(H_k + H_l) t},
     (e^{-H_k s} e^{-H_l s} e^{H_k s} e^{H_l s})^{n^2} -> e^{[H_k, H_l] t^2},
 
-with s = t/n.  The commutator word needs reversed segments; those are either
-evaluated exactly (oracle-only signed evolution, negative durations never
-leave this module) or replaced by forward recurrence surrogates supplied by
-an inverter strategy.
+with s = t/n.  The splitting word is built here (``trotter_sequence``); the
+commutator word, like every word of a generator expression, is built by
+``synth.build_word``.  Its reversed segments are either evaluated exactly
+(oracle-only signed evolution, negative durations never leave evaluation) or
+replaced by forward recurrence surrogates supplied by an inverter strategy
+(``realize_word``).
 
 Words are trees (``Concat`` and ``Repeat`` over (k, t) leaves), so an order-n
 commutator is one 4-leaf block repeated n^2 times rather than 4n^2 segments.
@@ -598,21 +600,6 @@ def trotter_sequence(k: int, l: int, t: float, n: int) -> ControlSequence:
     return ControlSequence(word, provenance=f"trotter(k={k}, l={l}, t={t}, n={n})")
 
 
-def commutator_word(k: int, l: int, t: float, n: int):
-    """Signed time-ordered word whose limit is e^{[H_k, H_l] t^2}.
-
-    Each of the n^2 repetitions is the group-commutator block
-    e^{-H_k s} e^{-H_l s} e^{H_k s} e^{H_l s} with s = t/n, emitted in time
-    order (rightmost factor first): the word is Repeat(block, n^2).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    s = t / n
-    return Repeat(Concat(((l, s), (k, s), (l, -s), (k, -s))), n * n)
-
-
 def realize_word(word, inverter) -> tuple:
     """Replace reversed segments of a signed word by forward surrogates.
 
@@ -635,20 +622,6 @@ def realize_word(word, inverter) -> tuple:
         return (k, t_star)
 
     return map_leaves(word, realize), plans
-
-
-def commutator_sequence(k: int, l: int, t: float, n: int, inverter) -> ControlSequence:
-    """Forward-time realization of the group-commutator word (4n^2 segments).
-
-    Reversed segments are replaced by recurrence surrogates from ``inverter``;
-    an inverter failure (no recurrence time within its horizon) propagates.
-    """
-    word, plans = realize_word(commutator_word(k, l, t, n), inverter)
-    prov = f"commutator(k={k}, l={l}, t={t}, n={n}; {len(plans)} inversions)"
-    seq = ControlSequence(word, provenance=prov)
-    if len(seq) != 4 * n * n:
-        raise AssertionError("commutator word must have 4 n^2 segments")
-    return seq
 
 
 def state_error(a: np.ndarray, b: np.ndarray) -> float:

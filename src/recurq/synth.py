@@ -25,7 +25,7 @@ import numpy as np
 from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
                         evolve_signed, expm_apply, fidelity, flatten, leaves,
                         realize_word, state_error, uses_spectrum)
-from .recurrence import ExactInverter, GridReachError
+from .recurrence import ExactInverter, GridReachError  # noqa: F401 (ExactInverter: re-export)
 
 
 # -- expression trees ---------------------------------------------------------
@@ -202,9 +202,10 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
                      psi0: np.ndarray, table: EvolutionTable) -> CompileResult:
     """Compile e^{G(expr) t} psi0 to accuracy epsilon by doubling n.
 
-    ``inverter`` realizes reversed segments: a recurrence inverter yields a
-    physical ControlSequence; the ExactInverter keeps the word signed and
-    evaluates reversed segments by exact inverses (oracle studies only).
+    ``inverter`` realizes reversed segments: a physical one (a recurrence
+    inverter) yields a ControlSequence; one with ``physical`` false (the
+    ExactInverter) keeps the word signed and evaluates reversed segments by
+    exact inverses (oracle studies only).
     Verification is held out: the returned object met epsilon on psi0 and,
     for a finite-net inverter, on every state of its net.
     """
@@ -218,7 +219,7 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     targets = _oracle(expr, t, table, states)
     block = np.column_stack(states)  # each round evaluates its word once
 
-    exact = isinstance(inverter, ExactInverter) or getattr(inverter, "physical", True) is False
+    exact = not inverter.physical
     best_n, best_distance = None, math.inf
     n = 1
     while n <= n_budget:

@@ -762,7 +762,8 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     is tested for membership.  ``modes`` names the pair explicitly; when
     omitted it is inferred from the supports.  A positive verdict is sound
     regardless of cap hits; a negative one is only issued when it is provable
-    (saturated closure, or no bracket ever acquires support on the new mode).
+    (saturated closure, or no generator, local or bracket, has support on the
+    new mode).
     """
     local_ops = list(local.basis) if isinstance(local, LieBasis) else list(local)
     if not local_ops:
@@ -793,9 +794,10 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     if not missing:
         verdict = PROPAGATES
     elif closure.saturated or not set(target_modes) & set().union(
-            *(el.support for el in closure.basis)):
-        # brackets preserve mode support, so a closure that never touches
-        # the target mode can never acquire it
+            *(g.support for g in gens)):
+        # brackets preserve mode support, so when no generator touches the
+        # target mode, no element of the full closure can; a closure that
+        # dim_cap stopped early may not have reached one that does
         verdict = FAILS
     else:
         verdict = UNKNOWN

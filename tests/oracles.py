@@ -1,5 +1,6 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
-matrix-level Lie closure, dense Fock assembly, the point-by-point recurrence
+matrix-level Lie closure, dense Fock assembly and the dense truncated q, p,
+hermitization and interior-block references, the point-by-point recurrence
 grid scan, segment-by-segment word evaluation, the Taylor action of the
 matrix exponential, the sequential reduction and per-target membership test
 of the propagation check, and scipy's bounded scalar minimizer.  These
@@ -18,7 +19,7 @@ import scipy.sparse
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
-from recurq import propagate, weyl
+from recurq import fock, propagate, weyl
 from recurq.weyl import PolyOp
 
 
@@ -152,6 +153,45 @@ def dense_represent(A: PolyOp, dims) -> np.ndarray:
             factors.append(m)
         M += coeff * reduce(np.kron, factors)
     return M
+
+
+def _small_annihilator(d: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
+
+
+def _embed(op: np.ndarray, spec, mode: int) -> np.ndarray:
+    mats = [np.eye(d, dtype=complex) for d in spec.dims]
+    mats[mode] = op
+    return reduce(np.kron, mats)
+
+
+def q_matrix(spec, mode: int = 0) -> np.ndarray:
+    """Dense truncated position matrix of ``mode``, embedded in the full space."""
+    a = _embed(_small_annihilator(spec.dims[mode]), spec, mode)
+    return (a + a.conj().T) / math.sqrt(2.0)
+
+
+def p_matrix(spec, mode: int = 0) -> np.ndarray:
+    """Dense truncated momentum matrix of ``mode``, embedded in the full space."""
+    a = _embed(_small_annihilator(spec.dims[mode]), spec, mode)
+    return 1j * (a.conj().T - a) / math.sqrt(2.0)
+
+
+def hermitize(M: np.ndarray) -> np.ndarray:
+    return (M + M.conj().T) / 2.0
+
+
+def hermiticity_defect(M: np.ndarray) -> float:
+    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+
+
+def interior_block(M: np.ndarray, spec, buffer: int | None = None) -> np.ndarray:
+    """The block of M on the basis states below D_i - buffer on every mode;
+    ``buffer`` defaults to ``spec.buffer``."""
+    if buffer is not None:
+        spec = fock.TruncationSpec(spec.dims, buffer)
+    mask = fock.interior_mask(spec)
+    return M[np.ix_(mask, mask)]
 
 
 def direct_grid_values(energies, ts) -> np.ndarray:

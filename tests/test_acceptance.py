@@ -22,7 +22,7 @@ from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, bracket, p, q, skew_generator
 
 from conftest import random_polyop
-from oracles import matrix_lie_closure
+from oracles import interior_block, matrix_lie_closure
 
 PLANS = []  # every certified plan produced by the suite; criterion 7 audits them
 
@@ -72,7 +72,7 @@ def test_c01_ccr_and_symbolic_soundness():
             buf = max(A.degree, B.degree, 1)
             MA, MB = (fock.represent(X, spec1).matrix for X in (A, B))
             diff = fock.represent(bracket(A, B), spec1).matrix - (MA @ MB - MB @ MA)
-            assert np.max(np.abs(fock.interior_block(diff, spec1, buf))) < 1e-8
+            assert np.max(np.abs(interior_block(diff, spec1, buf))) < 1e-8
         spec2 = TruncationSpec((24, 24))
         for _ in range(6):
             A = random_polyop(rng, mode_count=2, max_degree=4)
@@ -80,7 +80,7 @@ def test_c01_ccr_and_symbolic_soundness():
             buf = max(A.degree, B.degree, 1)
             MA, MB = (fock.represent(X, spec2).matrix for X in (A, B))
             diff = fock.represent(bracket(A, B), spec2).matrix - (MA @ MB - MB @ MA)
-            assert np.max(np.abs(fock.interior_block(diff, spec2, buf))) < 1e-8
+            assert np.max(np.abs(interior_block(diff, spec2, buf))) < 1e-8
 
 
 def test_c02_trotter_convergence():
@@ -97,6 +97,9 @@ def test_c02_trotter_convergence():
         assert errors[256] < 1e-3
 
 
+QP_BRACKET = sy.Bracket(sy.Gen(1), sy.Gen(2))  # [q, p]: e^{[H_1, H_2] t^2}
+
+
 def _scalar_bracket_system():
     spec = TruncationSpec((32,))
     table = pr.EvolutionTable({
@@ -111,7 +114,7 @@ def test_c03a_group_commutator_exact_inverse():
         spec, table = _scalar_bracket_system()
         psi0 = fock.ground_state(spec)
         t, n = 0.5, 32
-        out = pr.evolve_signed(pr.commutator_word(1, 2, t, n), psi0, table)
+        out = pr.evolve_signed(sy.build_word(QP_BRACKET, t * t, n), psi0, table)
         target = np.exp(-1j * t * t) * psi0
         assert pr.fidelity(out, target) > 0.999
 
@@ -124,7 +127,8 @@ def test_c03b_group_commutator_recurrence_inverter():
         inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise",
                                          state=psi0, t_max=2e4)
         try:
-            seq = pr.commutator_sequence(1, 2, t, n, inverter)
+            word, _ = pr.realize_word(sy.build_word(QP_BRACKET, t * t, n), inverter)
+            seq = pr.ControlSequence(word)
         except rc.RecurrenceSearchError as exc:
             pytest.fail(
                 "recurrence inverter found no certified time for the truncated "
@@ -132,7 +136,7 @@ def test_c03b_group_commutator_recurrence_inverter():
                 "incommensurate, and per-segment accuracy 1e-5 needs recurrence "
                 "times far beyond any numerical horizon; see notes/decisions.md."
             )
-        exact = pr.evolve_signed(pr.commutator_word(1, 2, t, n), psi0, table)
+        exact = pr.evolve_signed(sy.build_word(QP_BRACKET, t * t, n), psi0, table)
         physical = pr.evolve(seq, psi0, table)
         assert pr.state_error(physical, exact) <= 4 * n * n * delta
 

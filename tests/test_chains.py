@@ -3,7 +3,7 @@ import pytest
 
 from recurq import chains as ch, fock, propagate as pr, synth as sy, weyl
 from recurq.chains import ChainSpec, coupling_hamiltonian, drift
-from recurq.weyl import as_hermitian, is_hermitian, p, q
+from recurq.weyl import as_hermitian, is_hermitian, p, q, skew_generator
 
 from oracles import matrix_lie_closure
 
@@ -75,11 +75,12 @@ def test_drift_spectrum_bounded_below():
 # -- control systems ------------------------------------------------------------------
 
 def test_control_system_assembly():
-    labels, gens = ch.control_system(two_mode_chain(cap=3))
+    labels, hams = ch.control_system(two_mode_chain(cap=3))
     assert labels[0] == "drift"
-    assert len(gens) == 5  # drift plus p, q, q^2, q^3
-    for g in gens:
-        assert weyl.is_skew_hermitian(g)
+    assert len(hams) == 5  # drift plus p, q, q^2, q^3
+    for H in hams:
+        assert is_hermitian(H)
+        assert weyl.is_skew_hermitian(skew_generator(H))
 
 
 def test_control_system_hermitian_before_conversion():
@@ -88,6 +89,9 @@ def test_control_system_hermitian_before_conversion():
     for _, ctrl in ch.local_controls(spec):
         assert is_hermitian(ctrl)
         assert is_hermitian(as_hermitian(H0 + ctrl))
+    _, hams = ch.control_system(spec)
+    expected = [H0] + [as_hermitian(H0 + ctrl) for _, ctrl in ch.local_controls(spec)]
+    assert [H.terms for H in hams] == [H.terms for H in expected]
 
 
 def test_control_system_requires_sites():
@@ -205,9 +209,8 @@ def test_chain_demo_decoupled_cannot_move_mode_two():
     tspec = fock.TruncationSpec((6, 6))
     # target: excite mode 2 -- impossible without coupling
     target_state = fock.fock_state(tspec, (0, 1))
-    labels, gens = ch.control_system(spec)
-    reps = {k: -1j * fock.represent(h, tspec).matrix
-            for k, h in enumerate(ch._hermitian_counterparts(gens))}
+    labels, hams = ch.control_system(spec)
+    reps = {k: -1j * fock.represent(h, tspec).matrix for k, h in enumerate(hams)}
     table = pr.EvolutionTable(reps)
     psi0 = fock.ground_state(tspec)
     best = 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recurq import cli, fock, propagate, recurrence, weyl
+from recurq import cli, fock, propagate, recurrence, synth, weyl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -109,7 +109,7 @@ def test_invert_finite_net_certifies_the_first_draw(tmp_path):
     H = weyl.as_hermitian(weyl.PolyOp.from_text(HARMONIC["poly"], 1))
     sd = recurrence.spectral(fock.represent(H, spec).matrix)
     rng = np.random.default_rng(5)
-    net = [fock.random_interior_state(spec, rng, spec.buffer) for _ in range(3)]
+    net = [fock.random_interior_state(spec, rng) for _ in range(3)]
     res = recurrence.invert(sd, 1.0, 1.0, "finite_net", net=net)
     assert json.loads((out / "plan.json").read_text()) == res.plan.to_dict()
 
@@ -204,6 +204,39 @@ def test_propagation_subcommand(tmp_path):
     assert rc_code == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "propagates"
+
+
+def test_compile_finite_net_inverter(tmp_path):
+    # reversing the oscillator for t = 1 on a net of two random states: its
+    # half-integer spectrum recurs at 4 pi, so the surrogate runs 4 pi - 1
+    system = {"mode_count": 1, "dims": [24],
+              "generators": ["(0.5,0) * q1^2 + (0.5,0) * p1^2", "(1,0) * q1"]}
+    config = {"system": system, "target": {"op": "scale", "factor": -1.0, "inner": 0},
+              "t": 1.0, "epsilon": 1e-3, "n_budget": 1, "state": {"fock": [0]},
+              "inverter": {"mode": "finite_net", "delta": 1e-4, "net_size": 2}}
+    rc_code, out = run("compile", config, tmp_path, seed=3)
+    assert rc_code == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["physical"] is True and report["distance"] <= 1e-3
+    (segment,) = json.loads((out / "sequence.json").read_text())["segments"]
+    assert segment["k"] == 0 and abs(segment["t"] - (4 * math.pi - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("omega,dim_cap,verdict", [
+    (1.0, 8, "unknown"), (1.0, 16, "unknown"), (0.0, 8, "fails"), (0.0, 256, "fails"),
+])
+def test_propagation_dim_capped_closure_is_not_a_failure(omega, dim_cap, verdict, tmp_path):
+    # at dim_cap 8 and 16 the closure stops before the coupling brackets that
+    # reach mode 2 enter it (at dim_cap 256 the same chain propagates); a
+    # chain at omega 0 has no bracket on mode 2 at all, so it fails provably
+    config = {"chain": {**CHAIN2, "omega": omega}, "degree_cap": 3, "dim_cap": dim_cap}
+    rc_code, out = run("propagation", config, tmp_path)
+    assert rc_code == cli.EXIT_FAILURE
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == verdict and not report["controllable"]
+    (edge,) = report["edges"]
+    assert edge["verdict"] == verdict
+    assert (out / "edges.csv").read_text().splitlines()[1].split(",")[2] == verdict
 
 
 def test_reruns_are_bit_identical(tmp_path):
@@ -389,13 +422,24 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
                     "epsilon": 0.1, "n_budget": 4,
                     "inverter": {"mode": "energy_bound", "delta": 0.1,
                                  "energy_bounds": {"1": 0.0}}}, "$.inverter.energy_bounds"),
+    *[("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": -1.0, "inner": 1},
+                   "t": 0.5, "epsilon": 0.1, "n_budget": 4,
+                   "inverter": {"mode": "finite_net", "delta": 0.1, "net_size": size}},
+       "$.inverter.net_size") for size in (0, -3, 2.5)],
+    ("recur", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise",
+               "state": {"random_interior": {"buffer": -2}}}, "$.state"),
+    ("trotter", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "ns": [4], "state": {}},
+     "$.state"),
+    ("recur", {"hamiltonian": {}, "delta": 0.1, "mode": "energy_bound", "energy_bound": 1.0},
+     "$.hamiltonian"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
         "recur-grid-reach", "commutator-horizon-below-duration", "compile-horizon-below-duration",
         "chain-demo-grid-reach",
         "negative-energy-bound", "zero-energy-bound", "nan-energy-bound",
-        "chain-demo-zero-energy-bound"])
+        "chain-demo-zero-energy-bound", "net-size-zero", "net-size-negative",
+        "net-size-fraction", "negative-interior-buffer", "empty-state", "empty-hamiltonian"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
@@ -510,7 +554,7 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
     assert rc_code == cli.EXIT_OK
     # generators 0 and 1 once each, shared by the table and the inverter,
     # plus the one-off target; the unused generator 2 never
-    spec, _, table = cli._build_system(system)
+    spec, table = cli._build_system(system)
     assert len(calls) == 3
     decomposed = [k for k in table.indices()
                   if any(np.array_equal(a, 1j * table.matrix(k).toarray()) for a in calls)]
@@ -520,7 +564,8 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
                for k in table.indices()}
     inverter = recurrence.RecurrenceInverter(spectra, 1e-4, "pointwise",
                                              state=fock.fock_state(spec, [0]))
-    propagate.commutator_sequence(0, 1, 0.4, 2, inverter)
+    bracket = synth.Bracket(synth.Gen(0), synth.Gen(1))
+    propagate.realize_word(synth.build_word(bracket, 0.4 * 0.4, 2), inverter)
     plans = json.loads((out / "plans.json").read_text())
     assert plans == [p.to_dict() for p in inverter.plans().values()]
 

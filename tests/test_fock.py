@@ -9,7 +9,8 @@ from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, const, p, q
 
 from conftest import random_polyop
-from oracles import dense_represent
+from oracles import (dense_represent, hermiticity_defect, hermitize, interior_block,
+                     p_matrix, q_matrix)
 
 
 def test_spec_validation():
@@ -24,18 +25,18 @@ def test_spec_validation():
 def test_q_matrix_d2():
     spec = TruncationSpec((2,))
     expected = np.array([[0, 1], [1, 0]]) / math.sqrt(2)
-    assert np.allclose(fock.q_matrix(spec), expected)
+    assert np.allclose(q_matrix(spec), expected)
 
 
 def test_number_operator_diagonal():
     spec = TruncationSpec((8,))
-    (a, ad), = fock.ladder_matrices(spec)
-    assert np.allclose(ad @ a, np.diag(np.arange(8.0)))
+    a = (q_matrix(spec) + 1j * p_matrix(spec)) / math.sqrt(2)
+    assert np.allclose(a.conj().T @ a, np.diag(np.arange(8.0)))
 
 
 def test_ccr_interior_and_boundary():
     spec = TruncationSpec((16,))
-    qm, pm = fock.q_matrix(spec), fock.p_matrix(spec)
+    qm, pm = q_matrix(spec), p_matrix(spec)
     comm = qm @ pm - pm @ qm
     interior = comm[:15, :15] - 1j * np.eye(16)[:15, :15]
     assert np.max(np.abs(interior)) < 1e-12
@@ -89,7 +90,7 @@ def test_represent_bracket_matches_commutator(rng):
         MA = fock.represent(A, spec).matrix
         MB = fock.represent(B, spec).matrix
         Mbr = fock.represent(weyl.bracket(A, B), spec).matrix
-        diff = fock.interior_block(Mbr - (MA @ MB - MB @ MA), spec, buffer)
+        diff = interior_block(Mbr - (MA @ MB - MB @ MA), spec, buffer)
         assert np.max(np.abs(diff)) < 1e-8
 
 
@@ -111,19 +112,19 @@ def test_scatter_represent_equals_dense_kron(rng):
         H = as_hermitian(A + A.adjoint())
         rep = fock.represent(H, spec)
         raw = dense_represent(H, dims)
-        assert rep.hermiticity_defect == fock.hermiticity_defect(raw)
-        check(rep, fock.hermitize(raw))
+        assert rep.hermiticity_defect == hermiticity_defect(raw)
+        check(rep, hermitize(raw))
 
 
 def test_hermitize():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    H = fock.hermitize(M)
+    H = hermitize(M)
     assert np.array_equal(H, H.conj().T)
     herm = H.copy()
-    assert np.allclose(fock.hermitize(herm), herm)
+    assert np.allclose(hermitize(herm), herm)
     skew = (M - M.conj().T) / 2
-    assert np.allclose(fock.hermitize(skew), 0)
+    assert np.allclose(hermitize(skew), 0)
 
 
 def test_hermitian_role_defect_recorded():
@@ -132,7 +133,7 @@ def test_hermitian_role_defect_recorded():
     rep = fock.represent(H, spec)
     assert rep.hermiticity_defect is not None
     assert rep.hermiticity_defect < 1e-9
-    assert fock.hermiticity_defect(rep.matrix) < 1e-12
+    assert hermiticity_defect(rep.matrix) < 1e-12
 
 
 def test_hermitian_role_interior_defect_before_hermitize():
@@ -143,46 +144,8 @@ def test_hermitian_role_interior_defect_before_hermitize():
     H = as_hermitian(mixed + mixed.adjoint())
     raw = fock.represent(weyl.PolyOp(1, H.terms), spec).matrix  # general role
     defect = raw - raw.conj().T
-    assert np.max(np.abs(fock.interior_block(defect, spec, H.degree))) < 1e-9
-    assert fock.hermiticity_defect(raw) > 1e-6  # the boundary really is defective
-
-
-def test_truncation_probe_ground_state():
-    small, large = TruncationSpec((8,)), TruncationSpec((16,))
-    g = fock.ground_state(small)
-    assert fock.truncation_probe(q(0), g, small, large) < 1e-12
-
-
-def test_truncation_probe_identity_zero():
-    small, large = TruncationSpec((8,)), TruncationSpec((16,))
-    psi = fock.normalize((0.6 ** np.arange(8)).astype(complex))
-    assert fock.truncation_probe(const(1.0, 1), psi, small, large) == 0.0
-
-
-def test_truncation_probe_detects_cutoff_tail():
-    small, large = TruncationSpec((8,)), TruncationSpec((16,))
-    psi = fock.normalize((0.7 ** np.arange(8)).astype(complex))
-    probe = fock.truncation_probe(q(0), psi, small, large)
-    assert probe > 1e-4
-    # enlarging the small space shrinks the probe
-    mid = TruncationSpec((12,))
-    psi12 = fock.embed_state(psi, small, mid)
-    assert fock.truncation_probe(q(0), psi12, mid, large) < probe
-
-
-def test_truncation_probe_requires_domination():
-    with pytest.raises(ValueError):
-        fock.truncation_probe(q(0), fock.ground_state(TruncationSpec((8,))),
-                              TruncationSpec((8,)), TruncationSpec((4,)))
-
-
-def test_embed_state_two_modes():
-    small = TruncationSpec((2, 3))
-    large = TruncationSpec((4, 4))
-    psi = fock.fock_state(small, (1, 2))
-    emb = fock.embed_state(psi, small, large)
-    assert np.isclose(np.linalg.norm(emb), 1.0)
-    assert emb[np.ravel_multi_index((1, 2), large.dims)] == 1.0
+    assert np.max(np.abs(interior_block(defect, spec, H.degree))) < 1e-9
+    assert hermiticity_defect(raw) > 1e-6  # the boundary really is defective
 
 
 def test_interior_mask_counts():

@@ -138,7 +138,7 @@ def test_evolve_merges_equal_generators(qp_system):
 
 def test_evolve_is_isometry(qp_system, rng):
     spec, table = qp_system
-    psi0 = fock.random_interior_state(spec, rng, 8)
+    psi0 = fock.random_interior_state(TruncationSpec(spec.dims, buffer=8), rng)
     seq = ControlSequence(((1, 0.3), (2, 1.1), (1, 0.2)))
     assert abs(np.linalg.norm(pr.evolve(seq, psi0, table)) - 1.0) < 1e-10
 
@@ -198,8 +198,16 @@ def test_trotter_convergence_ladder(qp_system):
 
 # -- commutator word ---------------------------------------------------------------
 
+BR12 = synth.Bracket(synth.Gen(1), synth.Gen(2))
+
+
+def commutator_word(t, n):
+    """The order-n group-commutator word of e^{[H_1, H_2] t^2}: step sqrt(t^2)/n."""
+    return synth.build_word(BR12, t * t, n)
+
+
 def test_commutator_word_shape():
-    word = pr.commutator_word(1, 2, 0.5, 3)
+    word = commutator_word(0.5, 3)
     assert len(word) == 4 * 9
     s = 0.5 / 3
     assert pr.flatten(word)[:4] == ((2, s), (1, s), (2, -s), (1, -s))
@@ -211,7 +219,7 @@ def test_commutator_scalar_bracket_fidelity(qp_system):
     psi0 = fock.ground_state(spec)
     t = 0.5
     for n in (2, 8):
-        out = pr.evolve_signed(pr.commutator_word(1, 2, t, n), psi0, table)
+        out = pr.evolve_signed(commutator_word(t, n), psi0, table)
         target = np.exp(-1j * t * t) * psi0
         assert pr.fidelity(out, target) > 0.999
         assert pr.state_error(out, target) < 1e-6
@@ -226,7 +234,7 @@ def test_commutator_squeezing_converges(harmonic_pair):
     target = pr.expm_skew(A @ B - B @ A, t * t) @ psi0
     errs = {}
     for n in (4, 8, 16):
-        out = pr.evolve_signed(pr.commutator_word(1, 2, t, n), psi0, table)
+        out = pr.evolve_signed(commutator_word(t, n), psi0, table)
         errs[n] = pr.state_error(out, target)
     assert errs[8] < errs[4]
     assert errs[16] < errs[8]
@@ -238,7 +246,7 @@ def test_commutator_sequence_physical_with_recurrence_inverter(harmonic_pair):
     delta = 1e-4
     inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise", state=psi0)
     n = 4
-    seq = pr.commutator_sequence(1, 2, 0.5, n, inverter)
+    seq = ControlSequence(pr.realize_word(commutator_word(0.5, n), inverter)[0])
     assert len(seq) == 4 * n * n
     assert all(t >= 0 for _, t in seq.segments)
     # certified per-segment inversions: every plan achieved its delta
@@ -253,9 +261,9 @@ def test_recurrence_vs_exact_inverter_accounting(harmonic_pair):
     psi0 = fock.ground_state(spec)
     delta, t, n = 1e-4, 0.5, 4
     inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise", state=psi0)
-    word = pr.commutator_word(1, 2, t, n)
+    word = commutator_word(t, n)
     exact = pr.evolve_signed(word, psi0, table)
-    seq = pr.commutator_sequence(1, 2, t, n, inverter)
+    seq = ControlSequence(pr.realize_word(word, inverter)[0])
     physical = pr.evolve(seq, psi0, table)
     assert pr.state_error(physical, exact) <= 4 * n * n * delta
 
@@ -277,7 +285,7 @@ def test_realize_word_keeps_forward_segments():
 def test_word_tree_sizes_and_flat_form():
     s = 0.5 / 3
     block = ((2, s), (1, s), (2, -s), (1, -s))
-    word = pr.commutator_word(1, 2, 0.5, 3)
+    word = commutator_word(0.5, 3)
     assert word == pr.Repeat(pr.Concat(block), 9) and len(word) == 36
     assert pr.flatten(word) == block * 9
     assert pr.trotter_sequence(1, 2, 0.8, 3).segments == ((1, 0.8 / 3), (2, 0.8 / 3)) * 3
@@ -332,7 +340,7 @@ def test_tree_evaluation_matches_flat_oracle(case, segments, tol):
     if case == "trotter":
         word = pr.trotter_sequence(1, 2, 0.7, 4096).word
     elif case == "commutator":
-        word = pr.commutator_word(1, 2, 0.4, round((segments / 4) ** 0.5))
+        word = commutator_word(0.4, round((segments / 4) ** 0.5))
     else:
         word = synth.build_word(NESTED, 0.29, round((segments / 8) ** 0.25))
     assert len(word) == segments
@@ -344,7 +352,7 @@ def test_realized_tree_matches_flat_oracle(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
     inverter = rc.RecurrenceInverter(table.spectra, 1e-4, mode="pointwise", state=psi0)
-    seq = pr.commutator_sequence(1, 2, 0.5, 16, inverter)
+    seq = ControlSequence(pr.realize_word(commutator_word(0.5, 16), inverter)[0])
     assert seq.word == pr.Repeat(seq.word.block, 256) and len(seq.word.block) == 4
     assert pr.state_error(pr.evolve(seq, psi0, table),
                           flat_evolve(seq.word, psi0, table)) <= 1e-12
@@ -361,7 +369,7 @@ def test_realize_word_asks_once_per_distinct_reversed_leaf(harmonic_pair, kind):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
     if kind == "commutator":
-        word = pr.commutator_word(1, 2, 0.5, 8)
+        word = commutator_word(0.5, 8)
     else:
         inner = synth.Bracket(synth.Gen(1), synth.Gen(2))
         word = synth.build_word(synth.Bracket(inner, synth.Gen(1)), 0.04, 2)
@@ -383,7 +391,7 @@ def test_realize_word_asks_once_per_distinct_reversed_leaf(harmonic_pair, kind):
 def test_evolve_and_evolve_signed_share_the_norm_check(qp_system, monkeypatch):
     spec, table = qp_system
     psi0 = fock.ground_state(spec)
-    word = pr.commutator_word(1, 2, 0.3, 1)  # short words apply leaf by leaf
+    word = commutator_word(0.3, 1)  # short words apply leaf by leaf
     apply = table.apply
     monkeypatch.setattr(table, "apply", lambda k, t, psi: apply(k, t, psi) * (1 + 1e-9))
     with pytest.raises(AssertionError, match="norm drift"):
@@ -412,6 +420,11 @@ def _chain_table(d):
     return tspec, table
 
 
+def _interior_state(tspec, rng):
+    """Random state below the top level of every mode."""
+    return fock.random_interior_state(TruncationSpec(tspec.dims, buffer=1), rng)
+
+
 def _count_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -433,7 +446,7 @@ def test_rule_threshold():
 @pytest.mark.parametrize("d", [4, 5, 6, 8])  # dims 64, 125, 216, 512
 def test_action_matches_spectral(d, rng):
     tspec, table = _chain_table(d)
-    psi0 = fock.random_interior_state(tspec, rng, 1)
+    psi0 = _interior_state(tspec, rng)
     for k, t in ((0, 0.3), (1, 0.15), (2, 1.7)):
         assert np.linalg.norm(table.act(k, t, psi0) - table.apply(k, t, psi0)) <= 1e-12
     word = ((1, 0.2), (0, 0.1), (2, 0.25), (1, 0.05))
@@ -472,7 +485,7 @@ def test_action_repeat_builds_no_unitary(monkeypatch, rng):
     # dim 512: four applications per generator stay below dim // 64, so every
     # leaf takes the action path and no repeat may be squared
     tspec, table = _chain_table(8)
-    psi0 = fock.random_interior_state(tspec, rng, 1)
+    psi0 = _interior_state(tspec, rng)
     word = pr.Repeat(pr.Concat((pr.Repeat(pr.Concat(((1, 0.05), (0, 0.1))), 2), (2, 0.02))), 2)
     assert pr.applications(word) == {0: 4, 1: 4, 2: 2}
     expected = flat_evolve(word, psi0, table)
@@ -489,7 +502,7 @@ def test_action_repeat_builds_no_unitary(monkeypatch, rng):
 
 def test_action_ignores_global_rng_state(rng):
     tspec, table = _chain_table(6)
-    psi0 = fock.random_interior_state(tspec, rng, 1)
+    psi0 = _interior_state(tspec, rng)
     t = 5.0  # ||G t||_1 is hundreds: scipy would estimate norms randomly
     outs = []
     for seed in (0, 1):
@@ -507,7 +520,7 @@ def test_chebyshev_action_matches_expm_skew_and_taylor_oracle(d, rng):
     G = table.matrix(2)
     norm = float(abs(G).sum(axis=0).max())
     action = pr._Action(G)
-    psi0 = fock.random_interior_state(tspec, rng, 1)
+    psi0 = _interior_state(tspec, rng)
     for gt in (0.1, 3.0, 40.0, 500.0):  # ||G t||_1
         t = gt / norm
         U = pr.expm_skew(G, t)
@@ -520,7 +533,7 @@ def test_chebyshev_action_matches_expm_skew_and_taylor_oracle(d, rng):
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_chebyshev_block_equals_columns(m, rng):
     tspec, table = _chain_table(8)
-    block = np.column_stack([fock.random_interior_state(tspec, rng, 1) for _ in range(m)])
+    block = np.column_stack([_interior_state(tspec, rng) for _ in range(m)])
     for k, t in ((0, 0.3), (2, -0.7)):
         out = table.act(k, t, block)
         assert out.shape == block.shape
@@ -569,7 +582,7 @@ def test_table_spectrum_is_spectral_of_the_generator():
 
 def test_shared_table_fills_each_cache_once(monkeypatch, rng):
     tspec, table = _chain_table(5)
-    psi0 = fock.random_interior_state(tspec, rng, 1)
+    psi0 = _interior_state(tspec, rng)
     eigh_calls = _count_eigh(monkeypatch)
     built = []
 

@@ -10,8 +10,8 @@ from recurq import fock, weyl
 from recurq.weyl import PolyOp, as_hermitian, as_skew, bracket, canonicalize, q, p, const, skew_generator
 
 from conftest import random_polyop, random_skew
-from oracles import (missing_one_by_one, monomial_bracket, reorder_poly,
-                     sequential_targets, word_matrix)
+from oracles import (interior_block, missing_one_by_one, monomial_bracket, p_matrix,
+                     q_matrix, reorder_poly, sequential_targets, word_matrix)
 
 
 def iq(m=1):
@@ -70,8 +70,8 @@ def test_canonicalize_matches_bruteforce_reordering(data):
 def test_canonicalization_is_operator_identity(rng):
     # raw words and their canonical forms agree as matrices away from the cutoff
     spec = fock.TruncationSpec((24, 24), buffer=8)
-    qs = [fock.q_matrix(spec, 0), fock.q_matrix(spec, 1)]
-    ps = [fock.p_matrix(spec, 0), fock.p_matrix(spec, 1)]
+    qs = [q_matrix(spec, 0), q_matrix(spec, 1)]
+    ps = [p_matrix(spec, 0), p_matrix(spec, 1)]
     for _ in range(5):
         n_fac = int(rng.integers(1, 5))
         factors = [("q" if rng.random() < 0.5 else "p", int(rng.integers(0, 2)))
@@ -80,7 +80,7 @@ def test_canonicalization_is_operator_identity(rng):
         raw_mat = word_matrix(factors, coeff, (qs, ps))
         canon = canonicalize([(factors, coeff)], 2)
         canon_mat = fock.represent(canon, spec).matrix
-        diff = fock.interior_block(raw_mat - canon_mat, spec)
+        diff = interior_block(raw_mat - canon_mat, spec)
         assert np.max(np.abs(diff)) < 1e-9
 
 
