@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -229,12 +230,13 @@ def validate_config(subcommand: str, config: dict):
 # -- atomic artifact writers ---------------------------------------------------
 
 
-def _atomic_write(path: str, payload: str):
+def _atomic_write(path: str, write):
+    """Call ``write(fh)`` on a temp file beside ``path``, then move it over ``path``."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -243,17 +245,26 @@ def _atomic_write(path: str, payload: str):
 
 
 def write_json(path: str, data) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
+
+
+_NUMBERS = frozenset((int, float))
 
 
 def write_csv(path: str, rows) -> None:
-    import io
+    """Rows of Python ints and floats are written as their reprs joined by ','
+    and ended by '\\r\\n', the bytes csv.writer gives them without its per-field
+    loop; any other row goes through csv.writer."""
+    def write(fh):
+        writer = csv.writer(fh)
+        for row in rows:
+            if _NUMBERS.issuperset(map(type, row)):
+                fh.write(",".join(map(repr, row)) + "\r\n")
+            else:
+                writer.writerow(row)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, write)
 
 
 # -- config material -----------------------------------------------------------
@@ -466,8 +477,7 @@ def _run_recur(config, out, rng, jobs):
             t_max=config.get("t_max"), grid_step=config.get("grid_step"),
             shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
     finally:
-        write_csv(os.path.join(out, "scan.csv"),
-                  [["T", "objective"]] + [[t, f] for t, f in trace])
+        write_csv(os.path.join(out, "scan.csv"), itertools.chain([("T", "objective")], trace))
     write_json(os.path.join(out, "plan.json"), plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "time": plan.time, "N": plan.N})
@@ -502,9 +512,11 @@ def _run_trotter(config, out, rng, jobs):
 
 
 def _run_commutator(config, out, rng, jobs):
+    k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
+    if not math.isfinite(t * t):
+        raise ConfigError(f"$.t: the bracket duration t^2 = {t * t:g} is not finite")
     spec, table = _build_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
-    k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
     _check_indices([k], table, "$.k")
     _check_indices([l], table, "$.l")
     # e^{[H_k, H_l] t^2} at step sqrt(t^2) / n = t / n

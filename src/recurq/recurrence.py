@@ -244,6 +244,13 @@ def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray
     return len(E) - S.ravel()[:m]
 
 
+def _grid_times(j, start: float, stop: float, h: float, m: int) -> np.ndarray:
+    """np.linspace(start, stop, m)[j] for grid indices j, bit for bit:
+    linspace forms j * h + start with h = (stop - start) / (m - 1) and sets
+    its last point to stop."""
+    return np.where(j == m - 1, stop, j * h + start)
+
+
 # Brent's bounded minimizer (R. P. Brent, Algorithms for Minimization without
 # Derivatives, 1973, ch. 5), in the float operations and order of scipy's
 # optimize._minimize_scalar_bounded, so that refined times match it bit for bit
@@ -370,17 +377,17 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     rounding = 8.0 * len(E) * np.finfo(float).eps * (e_max * (t_max + grid_step) + 1.0)
     refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2 + rounding
 
-    if f(tau_min) < threshold:
-        return RecurrenceTime(tau_min, f(tau_min), tau_min, grid_step)
+    f_min = f(tau_min)
+    if f_min < threshold:
+        return RecurrenceTime(tau_min, f_min, tau_min, grid_step)
 
     def refine(lo, hi):
         lo, hi = float(lo), float(hi)
         return _bounded_brent(f, max(lo, tau_min), hi, 1e-13 * max(1.0, hi))
 
-    best_t, best_f = tau_min, f(tau_min)
+    best_t, best_f = tau_min, f_min
     start = tau_min
-    prev_tail_t = None
-    prev_tail_f = None
+    prev_last = None  # the previous chunk's last grid value, left of this chunk's j = 0
     n_point = 0
     while start < t_max:
         stop = min(start + _CHUNK * grid_step, t_max)
@@ -388,28 +395,32 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
             raise GridReachError(f"a grid of step {grid_step:g} cannot advance past "
                                  f"T={start:g} toward t_max {t_max:g}")
         m = max(2, int(round((stop - start) / grid_step)) + 1)
-        ts = np.linspace(start, stop, m)
-        vals = _grid_objective(E, start, (stop - start) / (m - 1), m)
+        h = (stop - start) / (m - 1)
+        vals = _grid_objective(E, start, h, m)
         if trace is not None:
-            trace.extend(zip(ts[::_TRACE_STRIDE].tolist(), vals[::_TRACE_STRIDE].tolist()))
+            samples = np.arange(0, m, _TRACE_STRIDE)
+            trace.extend(zip(_grid_times(samples, start, stop, h, m).tolist(),
+                             vals[::_TRACE_STRIDE].tolist()))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
-            best_t, best_f = float(ts[i_best]), float(vals[i_best])
-        # stitch the previous chunk's last point for boundary minima
-        if prev_tail_t is not None:
-            ts = np.concatenate([[prev_tail_t], ts])
-            vals = np.concatenate([[prev_tail_f], vals])
-        interior = np.nonzero(
-            (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (vals[1:-1] < refine_cut)
-        )[0] + 1
-        for i in interior:
-            t_ref, f_ref = refine(ts[i] - grid_step, ts[i] + grid_step)
+            best_t = float(_grid_times(i_best, start, stop, h, m))
+            best_f = float(vals[i_best])
+        # refine the local minima below the cut; j = 0 compares with the
+        # previous chunk's last point, j = m - 1 waits for the next chunk
+        low = np.flatnonzero(vals[:-1] < refine_cut)
+        if prev_last is None:
+            low = low[low > 0]
+        left = vals[low - 1]
+        if low.size and low[0] == 0:
+            left[0] = prev_last
+        low = low[(vals[low] <= left) & (vals[low] <= vals[low + 1])]
+        for t_j in _grid_times(low, start, stop, h, m).tolist():
+            t_ref, f_ref = refine(t_j - grid_step, t_j + grid_step)
             if f_ref < best_f:
                 best_t, best_f = t_ref, f_ref
             if f_ref < threshold:
-                return RecurrenceTime(t_ref, f_ref, float(ts[i]), grid_step)
-        prev_tail_t = float(ts[-1])
-        prev_tail_f = float(vals[-1])
+                return RecurrenceTime(t_ref, f_ref, t_j, grid_step)
+        prev_last = float(vals[-1])
         n_point += m
         start = stop
     raise RecurrenceSearchError(

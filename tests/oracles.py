@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
 matrix-level Lie closure, dense Fock assembly and the dense truncated q, p,
 hermitization and interior-block references, the point-by-point recurrence
-grid scan, segment-by-segment word evaluation, the Taylor action of the
+grid scan, the recurrence search with materialized grid times and seam
+copies, segment-by-segment word evaluation, the Taylor action of the
 matrix exponential, the sequential reduction and per-target membership test
 of the propagation check, and scipy's bounded scalar minimizer.  These
 deliberately avoid the package's closed-form reordering identity,
@@ -19,7 +20,7 @@ import scipy.sparse
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
-from recurq import fock, propagate, weyl
+from recurq import fock, propagate, recurrence, weyl
 from recurq.weyl import PolyOp
 
 
@@ -219,6 +220,66 @@ def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
         n_point += m
         start = stop
     return trace, n_point
+
+
+def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):
+    """``recurrence.find_recurrence_time`` as it scanned before grid times were
+    formed only where read: each chunk materializes its times with
+    ``np.linspace`` and concatenates the previous chunk's last point onto
+    fresh copies of the times and values before looking for local minima.
+    Shares ``_grid_objective`` and ``_bounded_brent`` with the package."""
+    rc = recurrence
+    E = np.asarray(energies, dtype=float)
+    threshold = delta * delta / 4.0
+    f = rc._objective(E)
+    e_max = float(np.max(np.abs(E)))
+    if e_max == 0.0:
+        return rc.RecurrenceTime(tau_min, 0.0, tau_min, 0.0)
+    if grid_step is None:
+        grid_step = 2.0 * math.pi / (100.0 * e_max)
+    if t_max is None:
+        gaps = np.diff(np.unique(E))
+        gap = float(np.min(gaps[gaps > 1e-12])) if np.any(gaps > 1e-12) else e_max
+        t_max = 1e6 / gap
+    rounding = 8.0 * len(E) * np.finfo(float).eps * (e_max * (t_max + grid_step) + 1.0)
+    refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2 + rounding
+    if f(tau_min) < threshold:
+        return rc.RecurrenceTime(tau_min, f(tau_min), tau_min, grid_step)
+
+    def refine(lo, hi):
+        lo, hi = float(lo), float(hi)
+        return rc._bounded_brent(f, max(lo, tau_min), hi, 1e-13 * max(1.0, hi))
+
+    best_t, best_f = tau_min, f(tau_min)
+    start, prev_tail_t, prev_tail_f, n_point = tau_min, None, None, 0
+    while start < t_max:
+        stop = min(start + (1 << 16) * grid_step, t_max)
+        m = max(2, int(round((stop - start) / grid_step)) + 1)
+        ts = np.linspace(start, stop, m)
+        vals = rc._grid_objective(E, start, (stop - start) / (m - 1), m)
+        if trace is not None:
+            trace.extend(zip(ts[::200].tolist(), vals[::200].tolist()))
+        i_best = int(np.argmin(vals))
+        if vals[i_best] < best_f:
+            best_t, best_f = float(ts[i_best]), float(vals[i_best])
+        if prev_tail_t is not None:
+            ts = np.concatenate([[prev_tail_t], ts])
+            vals = np.concatenate([[prev_tail_f], vals])
+        interior = np.nonzero(
+            (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (vals[1:-1] < refine_cut)
+        )[0] + 1
+        for i in interior:
+            t_ref, f_ref = refine(ts[i] - grid_step, ts[i] + grid_step)
+            if f_ref < best_f:
+                best_t, best_f = t_ref, f_ref
+            if f_ref < threshold:
+                return rc.RecurrenceTime(t_ref, f_ref, float(ts[i]), grid_step)
+        prev_tail_t, prev_tail_f = float(ts[-1]), float(vals[-1])
+        n_point += m
+        start = stop
+    raise rc.RecurrenceSearchError(
+        t_max, best_t, f(best_t), threshold, grid_step=grid_step, grid_points=n_point,
+        refine_cut=refine_cut, frequencies=rc._distinct_frequencies(E))
 
 
 def scipy_bounded_minimum(f, lo, hi, xatol):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -432,6 +434,8 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
      "$.state"),
     ("recur", {"hamiltonian": {}, "delta": 0.1, "mode": "energy_bound", "energy_bound": 1.0},
      "$.hamiltonian"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 1e155, "n": 2,
+                    "inverter": {"mode": "exact"}}, "$.t"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
@@ -439,7 +443,8 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
         "chain-demo-grid-reach",
         "negative-energy-bound", "zero-energy-bound", "nan-energy-bound",
         "chain-demo-zero-energy-bound", "net-size-zero", "net-size-negative",
-        "net-size-fraction", "negative-interior-buffer", "empty-state", "empty-hamiltonian"])
+        "net-size-fraction", "negative-interior-buffer", "empty-state", "empty-hamiltonian",
+        "commutator-t-squared-overflows"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
@@ -589,6 +594,40 @@ def test_recur_artifacts_independent_of_blas_threads(tmp_path):
     for name in ("plan.json", "scan.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     assert len((outs[0] / "scan.csv").read_text().splitlines()) > 3 * (1 << 16) // 200
+
+
+def _csv_writer_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, -0.0], [1e16, 9.999e15], [1e-4, 1e-5], [-1.5, -2.5e-300], [-1e16, -9.999e15],
+     [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0], [12345.678901234567, -0.12345678901234568],
+     [math.inf, -math.inf, math.nan], []],
+    [["n", "error"], [4, 0.125], [4096, 3.0517578125e-05], [0, -1], [2 ** 70, 1]],
+    [["edge_u", "edge_v", "verdict", "closure_dim", "missing"], [0, 1, "propagates", 12, 0],
+     ["label", "status", "n", "segments", "distance", "fidelity", "wall_time"],
+     ["scale(-1.0, [G0, G1])", 'say "ok"', 4, 64, None, 0.99, 0.0123],
+     ["a\nb", " lead", True, np.float64(0.1), 2]],
+], ids=["floats", "ints", "strings"])
+def test_write_csv_matches_csv_writer(rows, tmp_path):
+    path = tmp_path / "rows.csv"
+    cli.write_csv(str(path), rows)
+    assert path.read_bytes() == _csv_writer_bytes(rows)
+
+
+def test_recur_scan_csv_matches_csv_writer(tmp_path):
+    levels = [0.0, 1.0, math.sqrt(2.0), math.pi]
+    config = {"hamiltonian": {"levels": levels}, "delta": 0.05, "mode": "energy_bound",
+              "energy_bound": 7.8e-4, "tau_min": 1.0, "t_max": 2e4}
+    rc_code, out = run("recur", config, tmp_path)
+    trace: list = []
+    recurrence.plan_recurrence(np.array(levels), 0.05, "energy_bound", energy_bound=7.8e-4,
+                               tau_min=1.0, t_max=2e4, trace=trace)
+    assert rc_code == cli.EXIT_OK and len(trace) > 300
+    assert (out / "scan.csv").read_bytes() == _csv_writer_bytes([["T", "objective"], *trace])
 
 
 CUBIC_SYSTEM = {

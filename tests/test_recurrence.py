@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import fock, propagate as pr, recurrence as rc
+from recurq import cli, fock, propagate as pr, recurrence as rc
 from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
-from oracles import direct_grid_scan, direct_grid_values, scipy_bounded_minimum
+from oracles import (direct_grid_scan, direct_grid_values, linspace_scan,
+                     scipy_bounded_minimum)
 
 
 def _oscillator(spec):
@@ -347,6 +349,181 @@ def test_trace_samples_match_direct_scan():
     assert [t for t, _ in trace] == [t for t, _ in expected]
     deviation = max(abs(v - u) for (_, v), (_, u) in zip(trace, expected))
     assert deviation <= _rounding(E, 5000.0, step)
+
+
+def _float_bits(value):
+    """A float as (type name, float.hex), anything else as it is."""
+    return (type(value).__name__, float(value).hex()) if isinstance(value, float) else value
+
+
+def _same_scan(energies, delta, search=rc.find_recurrence_time, **kwargs):
+    """Run ``search`` and the linspace-and-seam oracle on one input, assert
+    that they agree bit for bit on the result or failure and on every trace
+    sample, and return the search's RecurrenceTime or RecurrenceSearchError."""
+    runs = []
+    for scan in (search, linspace_scan):
+        trace: list = []
+        try:
+            outcome = scan(energies, delta, trace=trace, **kwargs)
+            fields = vars(outcome)
+        except rc.RecurrenceSearchError as exc:
+            outcome, fields = exc, exc.to_dict()
+        runs.append((outcome, {key: _float_bits(v) for key, v in fields.items()},
+                     [(_float_bits(t), _float_bits(v)) for t, v in trace]))
+    assert runs[0][1:] == runs[1][1:]
+    return runs[0][0]
+
+
+_CHUNK = 1 << 16
+
+
+def test_scan_matches_oracle_in_the_first_chunk():
+    found = _same_scan(np.arange(20) + 0.5, 1e-3, tau_min=1.0)
+    assert found.searched_to < 1.0 + _CHUNK * found.grid_step
+    assert abs(found.time - 4.0 * math.pi) < 1e-6
+
+
+def test_scan_matches_oracle_at_the_seam():
+    # the ladder returns at 2 pi, which the grid puts at the last point of the
+    # first chunk: the certificate comes from j = 0 of the second chunk, whose
+    # left neighbour is the first chunk's last value
+    step = (2.0 * math.pi - 0.5) / (_CHUNK + 0.3)
+    found = _same_scan([1.0, 2.0, 3.0], 1e-3, tau_min=0.5, t_max=2.0 * math.pi + 1.0,
+                       grid_step=step)
+    assert found.searched_to == 0.5 + _CHUNK * step
+
+
+def test_grid_times_are_linspace_bits():
+    # about one in 170 of these grids has (m - 1) * h + start != stop, where
+    # linspace's last point is stop itself
+    rng = np.random.default_rng(7)
+    inexact = 0
+    for _ in range(2000):
+        start, m = float(rng.uniform(0.0, 1e4)), int(rng.integers(2, 3000))
+        stop = start + float(rng.uniform(1e-3, 1.0)) * (m - 1)
+        h = (stop - start) / (m - 1)
+        inexact += (m - 1) * h + start != stop
+        assert rc._grid_times(np.arange(m), start, stop, h, m).tobytes() == \
+            np.linspace(start, stop, m).tobytes()
+    assert inexact > 0
+
+
+def test_scan_matches_oracle_when_the_seam_reads_higher(monkeypatch):
+    # j = 0 of a chunk repeats the time of the previous chunk's last point; a
+    # value that reads higher there is no local minimum, so the dip at the seam
+    # is not refined and the search runs out its horizon, as the oracle does
+    step = (2.0 * math.pi - 0.5) / (_CHUNK + 0.3)
+    grid = rc._grid_objective
+
+    def lifted(E, start, h, m):
+        vals = grid(E, start, h, m)
+        if start > 0.5:
+            vals[0] += 1e-9
+        return vals
+
+    monkeypatch.setattr(rc, "_grid_objective", lifted)
+    failure = _same_scan([1.0, 2.0, 3.0], 1e-3, tau_min=0.5, t_max=2.0 * math.pi + 1.0,
+                         grid_step=step)
+    assert isinstance(failure, rc.RecurrenceSearchError)
+
+
+def test_scan_matches_oracle_on_a_dip_just_after_tau_min():
+    # the ladder returns at 2 pi, a fifth of a step after tau_min; the first
+    # point of the first chunk has no left neighbour and is not refined
+    step = 2.0 * math.pi / 300.0
+    found = _same_scan([1.0, 2.0, 3.0], 1e-3, tau_min=2.0 * math.pi - 0.2 * step)
+    assert isinstance(found, rc.RecurrenceTime)
+
+
+@pytest.mark.parametrize("extra", [None, 0.4], ids=["short-last-chunk", "two-point-last-chunk"])
+def test_scan_matches_oracle_on_failures(extra):
+    E = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)]
+    step = 2.0 * math.pi / (100.0 * math.sqrt(5.0))
+    t_max = 5000.0 if extra is None else 0.5 + (2 * _CHUNK + extra) * step
+    failure = _same_scan(E, 1e-6, tau_min=0.5, t_max=t_max)
+    last = failure.grid_points - 2 * (_CHUNK + 1)  # three chunks, the last one short
+    assert 2 <= last < _CHUNK + 1 and (extra is None or last == 2)
+
+
+@pytest.mark.parametrize("energies,tau_min", [
+    (np.arange(6.0), 0.0), ([1.0, 2.0, 3.0], 2.0 * math.pi), ([0.0, 0.0], 1.0),
+], ids=["t-zero", "at-a-recurrence", "zero-spectrum"])
+def test_scan_matches_oracle_when_tau_min_is_already_a_recurrence(energies, tau_min):
+    found = _same_scan(energies, 1e-3, tau_min=tau_min)
+    assert found.time == found.searched_to == tau_min
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scan_matches_oracle_on_seeded_spectra(seed):
+    rng = np.random.default_rng(seed)
+    E = np.sort(rng.uniform(0.0, 10.0, int(rng.integers(1, 9)))) * 10.0 ** rng.uniform(-2, 2)
+    step = 2.0 * math.pi / (100.0 * float(np.max(E)))
+    tau_min = float(rng.uniform(0.0, 5.0)) / float(np.max(E))
+    t_max = tau_min + float(rng.uniform(0.2, 3.5)) * _CHUNK * step
+    _same_scan(E, float(rng.choice([1e-3, 0.3, 0.8])), tau_min=tau_min, t_max=t_max)
+
+
+# The recur-search benchmark's jobs for seed 1 (subcommand, --seed, config),
+# warm-up first: their head spectra as the benchmark scans them.
+RECUR_SEARCH_SEED_1 = [
+    ("recur", 2009, {"delta": 0.001, "hamiltonian": {
+        "dims": [16], "mode_count": 1,
+        "poly": "(0.3539428343913264,0) * q1^2 + (0.3539428343913264,0) * p1^2"},
+        "mode": "pointwise", "state": {"fock": [0]}, "tau_min": 1.4126575012031175}),
+    ("recur", 1009, {"delta": 0.2, "energy_bound": 2.2356168524168476, "hamiltonian": {
+        "level_formula": {"coeffs": [0.0, 1.1178084262084238, 0.10161894783712944],
+                          "count": 128}}, "mode": "energy_bound", "tau_min": 0.8946076774461016}),
+    ("recur", 1010, {"delta": 0.2, "energy_bound": 1.8671266802290991, "hamiltonian": {
+        "level_formula": {"coeffs": [0.0, 0.9335633401145496, 0.07181256462419612],
+                          "count": 128}}, "mode": "energy_bound", "tau_min": 1.0711645980842592}),
+    ("recur", 1011, {"delta": 0.3, "hamiltonian": {
+        "dims": [8], "mode_count": 1, "poly": "(1.2468178636929421,0) * q1"},
+        "mode": "pointwise", "state": {"fock": [0]}, "tau_min": 0.40102088248804285}),
+    ("recur", 1012, {"delta": 0.3, "hamiltonian": {
+        "dims": [8], "mode_count": 1, "poly": "(1.2468178636929421,0) * q1"},
+        "mode": "pointwise", "state": {"fock": [1]}, "tau_min": 0.40102088248804285}),
+    ("invert", 1013, {"delta": 0.3, "hamiltonian": {
+        "dims": [8], "mode_count": 1, "poly": "(1.2468178636929421,0) * q1"},
+        "mode": "pointwise", "s": 0.56142923548326, "state": {"fock": [0]}}),
+    ("recur", 1014, {"delta": 0.1, "hamiltonian": {
+        "dims": [16], "mode_count": 1,
+        "poly": "(0.5811392836641106,0) * q1^2 + (0.5811392836641106,0) * p1^2"},
+        "mode": "finite_net", "net_size": 3, "tau_min": 0.8603789385007263}),
+    ("invert", 1015, {"delta": 0.5, "energy_bound": 0.5811392836641106, "hamiltonian": {
+        "dims": [32], "mode_count": 1,
+        "poly": "(0.5811392836641106,0) * q1^2 + (0.5811392836641106,0) * p1^2"},
+        "mode": "energy_bound", "s": 0.6022652569505085}),
+    ("invert", 1016, {"delta": 0.1, "hamiltonian": {
+        "dims": [16], "mode_count": 1,
+        "poly": "(0.5811392836641106,0) * q1^2 + (0.5811392836641106,0) * p1^2"},
+        "mode": "finite_net", "net_size": 3, "s": 0.7743410446506538}),
+    ("recur", 1017, {"delta": 1e-05, "hamiltonian": {
+        "dims": [32], "mode_count": 1, "poly": "(0.8950991691799742,0) * q1"},
+        "mode": "pointwise", "state": {"fock": [0]}, "t_max": 3351.5839398537096,
+        "tau_min": 1.1171946466179032}),
+]
+
+
+@pytest.mark.parametrize("sub,seed,config", RECUR_SEARCH_SEED_1,
+                         ids=[f"job{i}" for i in range(len(RECUR_SEARCH_SEED_1))])
+def test_scan_matches_oracle_on_the_benchmark_spectra(sub, seed, config, tmp_path,
+                                                      monkeypatch):
+    search = rc.find_recurrence_time
+    outcomes = []
+
+    def compared(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):
+        outcomes.append(_same_scan(energies, delta, search=search, tau_min=tau_min,
+                                   t_max=t_max, grid_step=grid_step))
+        return search(energies, delta, tau_min=tau_min, t_max=t_max, grid_step=grid_step,
+                      trace=trace)
+
+    monkeypatch.setattr(rc, "find_recurrence_time", compared)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", str(seed)])
+    failed = [isinstance(o, rc.RecurrenceSearchError) for o in outcomes]
+    assert outcomes and code == (cli.EXIT_FAILURE if any(failed) else cli.EXIT_OK)
 
 
 def test_find_time_state_independent(harmonic, rng):

@@ -69,39 +69,41 @@ def test_trusted_constructor_stays_in_weyl():
 LAYERS = ("weyl", "fock", "recurrence", "propagate", "synth", "chains", "cli")
 
 
-def _package_imports(path):
-    """(imported recurq module, inside a function body) for every import."""
-    found = []
-
-    def visit(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if isinstance(child, ast.ImportFrom) and (child.level or
-                                                      (child.module or "").startswith("recurq")):
-                base = (child.module or "").removeprefix("recurq").strip(".")
-                names = [base] if base else [alias.name for alias in child.names]
-                found.extend((name.split(".")[0], in_function) for name in names)
-            elif isinstance(child, ast.Import):
-                found.extend((alias.name.split(".")[1], in_function) for alias in child.names
-                             if alias.name.startswith("recurq."))
-            visit(child, nested)
-
-    visit(ast.parse(path.read_text()), False)
+def _package_imports(tree):
+    """Every recurq module a module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("recurq")):
+            base = (node.module or "").removeprefix("recurq").strip(".")
+            names = [base] if base else [alias.name for alias in node.names]
+            found.update(name.split(".")[0] for name in names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("recurq."))
     return found
 
 
+def _function_body_imports(tree):
+    """Line of every import statement inside a function body."""
+    return {inner.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))}
+
+
 def test_package_import_graph():
-    graph = {path.stem: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
-    assert set(LAYERS) | {"__init__"} == set(graph)
-    imports = {mod: {name for name, _ in found} for mod, found in graph.items()}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert set(LAYERS) | {"__init__"} == set(trees)
+    imports = {mod: _package_imports(tree) for mod, tree in trees.items()}
     assert imports["recurrence"] == set()
     assert imports["propagate"] == {"recurrence"}
     assert imports["fock"] == {"weyl"}
     for mod in LAYERS:
         assert imports[mod] <= set(LAYERS[:LAYERS.index(mod)]), mod
-    # no import deferred into a function body, where a cycle could hide
-    assert [(mod, name) for mod, found in graph.items()
-            for name, in_function in found if in_function] == []
+    # no import of any module deferred into a function body, where a cycle or
+    # a cold-start cost could hide
+    assert {mod: lines for mod, tree in trees.items()
+            if (lines := _function_body_imports(tree))} == {}
 
 
 def _absolute_imports(tree):
