@@ -359,19 +359,26 @@ class _RealSpan:
 
     ``vecs`` holds the added vectors, normalized, and ``q`` an orthonormal
     basis of their span in real coordinates (real parts, then imaginary
-    parts).  With ``dim_cap`` vectors held, a further independent vector is
-    refused and sets ``capped``.
+    parts).  Both are views of buffers of ``min(dim_cap, 2 n_coords)`` rows,
+    filled in place.  With ``dim_cap`` vectors held, a further independent
+    vector is refused and sets ``capped``.
     """
 
     def __init__(self, n_coords: int, dim_cap: int | None = None):
+        rows = 2 * n_coords if dim_cap is None else min(dim_cap, 2 * n_coords)
         self.dim_cap = dim_cap
         self.capped = False
-        self.q = np.zeros((0, 2 * n_coords))
-        self.vecs: list = []
+        self.dim = 0
+        self._q = np.zeros((rows, 2 * n_coords))
+        self._vecs = np.zeros((rows, n_coords), dtype=complex)
 
     @property
-    def dim(self):
-        return self.q.shape[0]
+    def q(self):
+        return self._q[:self.dim]
+
+    @property
+    def vecs(self):
+        return self._vecs[:self.dim]
 
     def _residual(self, U: np.ndarray):
         for _ in range(2):  # two-pass reorthogonalization
@@ -397,8 +404,9 @@ class _RealSpan:
         if self.dim_cap is not None and self.dim >= self.dim_cap:
             self.capped = True
             return False
-        self.q = np.vstack([self.q, r / rn])
-        self.vecs.append(u)
+        self._q[self.dim] = r / rn
+        self._vecs[self.dim] = u
+        self.dim += 1
         return True
 
 
@@ -515,10 +523,10 @@ class _StructureTensor:
 
     ``columns`` lists the n in-cap monomials followed by the overflow
     monomials (degree above the cap) that some bracket produces.  The table
-    T[i, j, col] is stored as the CSR matrix ``S`` with T[i, j, col] at row
-    ``i * n_ext + col``, column ``j``, so M_y = sum_j y_j T[:, j, :] is the
-    single product ``S @ y``.  ``N[i, j]`` is the norm of the in-cap part of
-    [m_i, m_j].
+    T[i, j, col] is stored column-major, as the CSC matrix ``S`` with
+    T[i, j, col] at row ``i * n_ext + col``, column ``j``, so that
+    M_y = sum_j y_j T[:, j, :] reads only the columns j with y_j != 0.
+    ``N[i, j]`` is the norm of the in-cap part of [m_i, m_j].
     """
 
     def __init__(self, monomials):
@@ -565,32 +573,75 @@ class _StructureTensor:
         j = np.concatenate([J[pair], I[pair]])
         col = np.concatenate([col, col])
         coeff = np.concatenate([coeff, -coeff])
-        self.S = sp.csr_matrix((coeff, (i * self.n_ext + col, j)),
+        self.S = sp.csc_matrix((coeff, (i * self.n_ext + col, j)),
                                shape=(n * self.n_ext, n))
         incap = col < n
         self.N = np.sqrt(np.bincount(i[incap] * n + j[incap], np.abs(coeff[incap]) ** 2,
                                      minlength=n * n)).reshape(n, n)
 
-    def bracket_rows(self, X: np.ndarray, y: np.ndarray):
-        """Brackets [X_r, y] for all rows of X.
+    def product(self, y: np.ndarray):
+        """``(M_y[:, cols], cols)`` for the columns ``cols`` of M_y with a nonzero.
+
+        The columns j of S with y_j != 0 are accumulated in ascending j, the
+        order in which CSR's ``S @ y`` sums each row; the terms it skips are
+        exact zeros, which leave a sum that starts at +0.0 unchanged, so
+        every entry equals ``S @ y`` bit for bit.
+        """
+        S, ptr = self.S, self.S.indptr
+        acc = np.zeros(self.n * self.n_ext, dtype=complex)
+        for j in np.flatnonzero(y):
+            a, b = ptr[j], ptr[j + 1]
+            acc[S.indices[a:b]] += S.data[a:b] * y[j]
+        My = acc.reshape(self.n, self.n_ext)
+        cols = np.flatnonzero(My.any(axis=0))
+        return My[:, cols], cols
+
+    def bracket_rows(self, rows: _ClosureRows, i: int):
+        """Brackets [x_r, y] of the stored rows x_r, r < i, with y = x_i.
 
         Returns ``(R, overflow)`` where R[r] is the in-cap coefficient vector
         and overflow[r] is True when the bracket has a term of degree beyond
         the cap above roundoff.
         """
-        X, y = _drop_tiny(X), _drop_tiny(y)
-        My = (self.S @ y).reshape(self.n, self.n_ext)
-        cols = np.flatnonzero(My.any(axis=0))
-        P = X @ My[:, cols]
+        My, cols = self.product(rows.x[i])
+        P = rows.x[:i] @ My
         incap = cols < self.n
-        R = np.zeros((X.shape[0], self.n), dtype=complex)
+        R = np.zeros((i, self.n), dtype=complex)
         R[:, cols[incap]] = P[:, incap]
         # rows at the cancellation floor of their gross sum are roundoff zeros
-        gross = np.abs(X) @ (self.N @ np.abs(y))
+        gross = rows.mag[:i] @ (self.N @ rows.mag[i])
         R[np.linalg.norm(R, axis=1) < 1e-11 * gross] = 0.0
-        lim = 1e-10 * np.maximum(np.linalg.norm(X, axis=1) * np.linalg.norm(y), 1e-300)
+        lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_vec[i], 1e-300)
         overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
         return R, overflow
+
+
+class _ClosureRows:
+    """The closure's elements as ``bracket_rows`` reads them, each stored once.
+
+    Per element: its ``_drop_tiny`` form x, |x|, and ||x|| twice, as a row of
+    a stack (``np.linalg.norm(X, axis=1)``) and as a vector (the 1-D
+    ``np.linalg.norm``), two reductions that may differ in the last bit.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.x = np.zeros((rows, n), dtype=complex)
+        self.mag = np.zeros((rows, n))
+        self.norm_row = np.zeros(rows)
+        self.norm_vec = np.zeros(rows)
+        self.size = 0
+
+    def extend(self, vecs: np.ndarray):
+        """Store the rows of ``vecs`` past those already stored."""
+        a, b = self.size, len(vecs)
+        if a == b:
+            return
+        X = _drop_tiny(vecs[a:])
+        self.x[a:b] = X
+        self.mag[a:b] = np.abs(X)
+        self.norm_row[a:b] = np.linalg.norm(X, axis=1)
+        self.norm_vec[a:b] = [np.linalg.norm(x) for x in X]
+        self.size = b
 
 
 def _exponents(monomials):
@@ -681,12 +732,17 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
             break
 
     tensor = _StructureTensor(monomials)
-    vecs = span.vecs
+    stored = _ClosureRows(min(dim_cap, 2 * n), n)
     degree_capped = False
-    # brackets are antisymmetric and [x, x] = 0: pair vecs[i] with earlier elements only
+    # brackets are antisymmetric and [x, x] = 0: pair element i with earlier
+    # ones only.  The in-cap skew-hermitian space has real dimension n, so
+    # once the span fills it with the overflow flag set, no bracket can add a
+    # direction or a flag (notes/decisions.md, "The closure sweep stops at
+    # the full space")
     i = 1
-    while i < len(vecs) and not span.capped:
-        R, over = tensor.bracket_rows(np.asarray(vecs[:i]), vecs[i])
+    while i < span.dim and not span.capped and not (degree_capped and span.dim == n):
+        stored.extend(span.vecs)
+        R, over = tensor.bracket_rows(stored, i)
         degree_capped |= bool(over.any())
         rows = np.flatnonzero(~over & R.any(axis=1))
         # the span only grows, so rows dependent on it now stay dependent
@@ -696,7 +752,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
                 break
         i += 1
 
-    basis_ops = [_from_vector(v, monomials, mode_count) for v in vecs]
+    basis_ops = [_from_vector(v, monomials, mode_count) for v in span.vecs]
     return LieBasis(
         generators=generators,
         basis=basis_ops,

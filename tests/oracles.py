@@ -1,13 +1,16 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
-matrix-level Lie closure, dense Fock assembly and the dense truncated q, p,
-hermitization and interior-block references, the point-by-point recurrence
-grid scan, the recurrence search with materialized grid times and seam
-copies, segment-by-segment word evaluation, the Taylor action of the
-matrix exponential, the sequential reduction and per-target membership test
-of the propagation check, and scipy's bounded scalar minimizer.  These
-deliberately avoid the package's closed-form reordering identity,
-structure-tensor machinery, sparse assembly, angle addition, word trees,
-Chebyshev action, adjoint matrix and private Brent refine."""
+matrix-level Lie closure, the table-free capped closure, dense Fock assembly
+and the dense truncated q, p, hermitization and interior-block references,
+the point-by-point recurrence grid scan, the recurrence search with
+materialized grid times and seam copies, segment-by-segment word
+evaluation, the Taylor action of the matrix exponential, the sequential
+reduction and per-target membership test of the propagation check, and
+scipy's bounded scalar minimizer.  These deliberately avoid the package's
+closed-form reordering identity, structure-tensor machinery, sparse
+assembly, angle addition, word trees, Chebyshev action, adjoint matrix and
+private Brent refine.  The one exception is the table-free closure: it
+brackets with ``PolyOp`` arithmetic, which the reordering oracle checks,
+and avoids the bracket table, its stored rows and the sweep's stop rule."""
 
 from __future__ import annotations
 
@@ -134,6 +137,51 @@ def matrix_lie_closure(generators, dim_cap=600, tol=1e-9):
         return np.linalg.norm(residual(v / nv, rows[:len(basis)])) <= membership_tol
 
     return basis, member
+
+
+def polyop_lie_closure(generators, degree_cap, dim_cap=256, floor=1e-9):
+    """Capped Lie closure by PolyOp brackets, with no bracket table and no
+    early stop: every element is bracketed with each earlier one.
+
+    A bracket with a term above the cap beyond 1e-10 of the product of its
+    operands' coefficient norms is dropped and sets the overflow flag; one
+    below ``floor`` of that product is a roundoff zero.  Returns the
+    ``_RealSpan`` of the in-cap coefficient vectors and the overflow flag.
+    """
+    mode_count = generators[0].mode_count
+    support = sorted(set().union(*(g.support for g in generators)))
+    monomials = weyl.enumerate_monomials(mode_count, support, degree_cap)
+    index = {m: k for k, m in enumerate(monomials)}
+    span = weyl._RealSpan(len(monomials), dim_cap)
+    elements = []
+
+    def add(op):
+        v = np.zeros(len(monomials), dtype=complex)
+        for m, c in op.terms.items():
+            v[index[m]] = c
+        if span.try_add(v):
+            elements.append(weyl.as_skew(op * (1.0 / np.linalg.norm(v))))
+
+    for g in generators:
+        add(g)
+    degree_capped = False
+    i = 1
+    while i < len(elements) and not span.capped:
+        y = elements[i]
+        for x in elements[:i]:
+            out = weyl.bracket(x, y)
+            scale = x.coefficient_norm() * y.coefficient_norm()
+            incap = PolyOp(mode_count, {m: c for m, c in out.terms.items()
+                                        if weyl.mono_degree(m) <= degree_cap})
+            if any(weyl.mono_degree(m) > degree_cap and abs(c) > 1e-10 * scale
+                   for m, c in out.terms.items()):
+                degree_capped = True
+            elif incap.coefficient_norm() > floor * scale:
+                add(incap)
+                if span.capped:
+                    break
+        i += 1
+    return span, degree_capped
 
 
 def dense_represent(A: PolyOp, dims) -> np.ndarray:

@@ -37,6 +37,25 @@ def test_unknown_subcommand_usage():
     assert cli.main(["frobnicate", "--config", "x", "--out", "y"]) == cli.EXIT_USAGE
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # two runs in one process, a usage error then a good run, share one parser
+    built, real = [], cli.build_parser
+    usage = real().format_usage()
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert cli.main(["frobnicate", "--config", "x", "--out", "y"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert "invalid choice: 'frobnicate'" in err
+    config = {"mode_count": 1, "generators": ["(0,1) * q1^2", "(0,1) * p1^2"]}
+    rc_code, out = run("closure", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    assert json.loads((out / "report.json").read_text())["dim"] == 3
+    assert cli.main(["closure", "--config", str(tmp_path / "run.json")]) == cli.EXIT_USAGE
+    assert "required: --out" in capsys.readouterr().err
+    assert len(built) == 1
+
+
 def test_schema_violation_reports_path(tmp_path, capsys):
     rc_code, _ = run("recur", {"delta": 0.1, "mode": "pointwise"}, tmp_path)
     assert rc_code == cli.EXIT_USAGE

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,8 @@ from recurq.weyl import PolyOp, as_hermitian, as_skew, bracket, canonicalize, q,
 
 from conftest import random_polyop, random_skew
 from oracles import (interior_block, missing_one_by_one, monomial_bracket, p_matrix,
-                     q_matrix, reorder_poly, sequential_targets, word_matrix)
+                     polyop_lie_closure, q_matrix, reorder_poly, sequential_targets,
+                     word_matrix)
 
 
 def iq(m=1):
@@ -245,6 +247,118 @@ def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
     for i, j in pairs:
         expected = monomial_bracket(monomials[i], monomials[j], mode_count).terms
         assert entries.get((i, j), {}) == expected, (monomials[i], monomials[j])
+
+
+@pytest.mark.parametrize("mode_count, cap", [(1, 10), (2, 4), (2, 6)])
+def test_restricted_product_is_csr_product_bit_for_bit(mode_count, cap):
+    monomials = weyl.enumerate_monomials(mode_count, range(mode_count), cap)
+    table = weyl._StructureTensor(monomials)
+    n, n_ext = table.n, table.n_ext
+    # the row-major table CSR S @ y reads, built from the same entries
+    coo = table.S.tocoo()
+    csr = sp.csr_matrix((coo.data, (coo.row, coo.col)), shape=coo.shape)
+    rng = np.random.default_rng(100 * mode_count + cap)
+    for trial in range(60):
+        y = np.zeros(n, dtype=complex)
+        picks = rng.choice(n, size=int(rng.integers(1, 12)), replace=False)
+        y[picks] = rng.standard_normal(picks.size) + 1j * rng.standard_normal(picks.size)
+        y[picks[:2]] *= 10.0 ** rng.uniform(-3, 3, size=min(2, picks.size))
+        top = np.abs(y).max()
+        # entries about the _drop_tiny floor, on both sides, and signed zero parts
+        near = picks[2:6]
+        phase = np.exp(2j * rng.uniform(0, np.pi, near.size))
+        y[near] = top * 1e-13 * rng.uniform(0.5, 1.5, near.size) * phase
+        if trial % 3 == 0:
+            y[picks[-1]] = complex(-0.0, y[picks[-1]].imag)
+        for v in (y, weyl._drop_tiny(y)):
+            dense = (csr @ v).reshape(n, n_ext)
+            cols = np.flatnonzero(dense.any(axis=0))
+            My, got = table.product(v)
+            assert np.array_equal(got, cols)
+            assert np.array_equal(np.ascontiguousarray(My).view(np.int64),
+                                  np.ascontiguousarray(dense[:, cols]).view(np.int64))
+
+
+def test_stored_rows_match_their_stack_forms(rng):
+    # each row is stored once, in the forms bracket_rows took from the stack
+    V = rng.standard_normal((30, 70)) + 1j * rng.standard_normal((30, 70))
+    V[:, ::3] *= 1e-13 * rng.uniform(0.5, 1.5, (30, 24))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    stored = weyl._ClosureRows(40, 70)
+    for size in (4, 4, 17, 30):
+        stored.extend(V[:size])
+    assert stored.size == 30
+    X = weyl._drop_tiny(V)
+    assert 0 < np.count_nonzero(X == 0) < 30 * 24
+    assert stored.x[:30].tobytes() == X.tobytes()
+    assert stored.mag[:30].tobytes() == np.abs(X).tobytes()
+    assert stored.norm_row[:30].tobytes() == np.linalg.norm(X, axis=1).tobytes()
+    assert stored.norm_vec[:30].tolist() == [np.linalg.norm(weyl._drop_tiny(v)) for v in V]
+
+
+def _record_brackets(monkeypatch):
+    """Per bracket_rows call, the closure span's dim and whether an earlier
+    call of the closure flagged an overflow."""
+    spans, calls, seen = [], [], [False]
+    span_init = weyl._RealSpan.__init__
+
+    def init(self, *args):
+        span_init(self, *args)
+        spans.append(self)
+
+    bracket_rows = weyl._StructureTensor.bracket_rows
+
+    def counted(self, rows, i):
+        calls.append((spans[-1].dim, seen[0]))
+        R, over = bracket_rows(self, rows, i)
+        seen[0] |= bool(over.any())
+        return R, over
+
+    monkeypatch.setattr(weyl._RealSpan, "__init__", init)
+    monkeypatch.setattr(weyl._StructureTensor, "bracket_rows", counted)
+    return calls
+
+
+def _edge_generators(cap):
+    from recurq.chains import coupling_hamiltonian
+    local = weyl.local_skew_generators(0, 2, cap)
+    coupling = skew_generator(coupling_hamiltonian(0, 1, 1.3, 2))
+    return local + [b for b in (bracket(X, coupling).cleaned() for X in local) if not b.is_zero]
+
+
+@pytest.mark.parametrize("case", ["1-mode cap 8", "edge cap 3", "edge cap 4"])
+def test_sweep_stops_once_the_space_is_full_and_capped(case, monkeypatch):
+    iq3 = skew_generator(as_hermitian(q(0) * q(0) * q(0)))
+    gens, modes, cap = {"1-mode cap 8": ([iq(), ip2(), iq3], 1, 8),
+                        "edge cap 3": (_edge_generators(3), 2, 3),
+                        "edge cap 4": (_edge_generators(4), 2, 4)}[case]
+    n = len(weyl.enumerate_monomials(modes, range(modes), cap))
+    calls = _record_brackets(monkeypatch)
+    basis = weyl.lie_closure(gens, cap, 256)
+    assert basis.dim == n and basis.degree_capped
+    assert not basis.dim_capped and not basis.saturated
+    # no bracket once the span is full with the flag set, and that ends the
+    # sweep before element dim - 1 has been bracketed
+    assert calls and not any(dim == n and over for dim, over in calls)
+    assert len(calls) < basis.dim - 1
+    if cap <= 3 or modes == 1:
+        # the table-free sweep without a stop rule: same dim, flags and span
+        span, over = polyop_lie_closure(gens, cap, 256)
+        assert (span.dim, over, span.capped) == (basis.dim, True, False)
+        assert basis._span.residuals(span.vecs).max() < 1e-8
+        assert span.residuals(basis._span.vecs).max() < 1e-8
+
+
+def test_quadratic_algebra_fills_its_space_and_stays_saturated(monkeypatch):
+    gens = [iq(), ip(), iq2(), ip2()]
+    calls = _record_brackets(monkeypatch)
+    basis = weyl.lie_closure(gens, 2, 64)
+    assert basis.dim == 6 == len(weyl.enumerate_monomials(1, [0], 2))
+    assert basis.saturated and not basis.degree_capped and not basis.dim_capped
+    # a full space with no overflow does not stop the sweep
+    assert len(calls) == basis.dim - 1
+    span, over = polyop_lie_closure(gens, 2, 64)
+    assert (span.dim, over, span.capped) == (6, False, False)
 
 
 # -- contains ------------------------------------------------------------------
