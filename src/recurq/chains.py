@@ -86,16 +86,15 @@ class ChainSpec:
             omega=float(data["omega"]),
             couplings=tuple(tuple(c) for c in data["couplings"]),
             control_sites=tuple(data["control_sites"]),
-            control_degree_cap=int(data.get("control_degree_cap", 3)),
+            control_degree_cap=int(data.get("control_degree_cap", cls.control_degree_cap)),
         )
 
 
-def coupling_hamiltonian(i: int, j: int, omega: float, n_modes: int | None = None) -> PolyOp:
+def coupling_hamiltonian(i: int, j: int, omega: float, n_modes: int) -> PolyOp:
     """Rotating-wave pair interaction between modes i and j."""
     if i == j:
         raise ValueError("coupling requires two distinct modes")
-    m = n_modes if n_modes is not None else max(i, j) + 1
-    qi, pi, qj, pj = q(i, m), p(i, m), q(j, m), p(j, m)
+    qi, pi, qj, pj = q(i, n_modes), p(i, n_modes), q(j, n_modes), p(j, n_modes)
     H = pi * pi + qi * qi + pj * pj + qj * qj
     dp = pi - pj
     dq = qi - qj
@@ -207,7 +206,9 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     Each coupling edge (u, v) reached in breadth-first order from a control
     site is tested with the capped single-mode generating set at u; the
     overall verdict is "propagates on every edge of a spanning structure".
-    The per-site closure dimension of the bare controls (with the drift terms
+    Every edge poses the same two-mode problem, so that check runs once, on
+    modes 0 and 1 (notes/decisions.md, "One pair check per chain").  The
+    per-site closure dimension of the bare controls (with the drift terms
     local to that site) is reported alongside as context, not as part of the
     verdict.  A ``degree_cap`` that the two-mode bracket table cannot
     represent raises ``weyl.CapError`` before any closure.
@@ -215,9 +216,9 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     if not spec.control_sites:
         raise ValueError("control sites must be nonempty")
     if spec.edges:
-        # every edge closure and its pair-algebra targets need the two-mode
-        # table: refuse a cap it cannot represent before any closure
-        weyl.table_monomials(degree_cap, 2)
+        pair = algebraic_propagation_check(
+            local_skew_generators(0, 2, degree_cap), coupling_hamiltonian(0, 1, spec.omega, 2),
+            degree_cap=degree_cap, dim_cap=dim_cap)
     adjacency: dict = {m: [] for m in range(spec.n_modes)}
     for i, j in spec.edges:
         adjacency[i].append(j)
@@ -244,13 +245,9 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
         for v in sorted(adjacency[u]):
             if v in visited:
                 continue
-            coupling = coupling_hamiltonian(u, v, spec.omega, spec.n_modes)
-            local = local_skew_generators(u, spec.n_modes, degree_cap)
-            result = algebraic_propagation_check(
-                local, coupling, degree_cap=degree_cap, dim_cap=dim_cap, modes=(u, v))
-            verdicts.append(EdgeVerdict((u, v), result.verdict,
-                                        result.closure.dim, len(result.missing)))
-            if result.verdict == PROPAGATES:
+            verdicts.append(EdgeVerdict((u, v), pair.verdict,
+                                        pair.closure.dim, len(pair.missing)))
+            if pair.propagates:
                 visited.add(v)
                 frontier.append(v)
     unreachable = tuple(sorted(set(range(spec.n_modes)) - visited))

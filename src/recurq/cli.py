@@ -301,6 +301,11 @@ def _chain_spec(cfg) -> chains.ChainSpec:
         raise ConfigError(f"$.chain: {exc}") from None
 
 
+def _random_net(cfg, spec: fock.TruncationSpec, rng):
+    """The finite-net inverter's ``net_size`` random interior states (3 if unset)."""
+    return [fock.random_interior_state(spec, rng) for _ in range(int(cfg.get("net_size", 3)))]
+
+
 def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
     if state_cfg is None:
         return fock.ground_state(spec)
@@ -366,8 +371,7 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
     if mode == "pointwise":
         kwargs["state"] = psi0
     elif mode == "finite_net":
-        size = int(cfg.get("net_size", 3))
-        kwargs["net"] = [fock.random_interior_state(spec, rng) for _ in range(size)]
+        kwargs["net"] = _random_net(cfg, spec, rng)
     elif mode == "energy_bound":
         try:
             bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
@@ -391,11 +395,11 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
 # -- subcommand implementations --------------------------------------------------
 
 
-def _capped(closure, *args):
-    """``closure(*args)``, with a cap the bracket table cannot represent as a
-    config error."""
+def _capped(closure, *args, **kwargs):
+    """``closure(*args, **kwargs)``, with a cap the bracket table cannot
+    represent as a config error."""
     try:
-        return closure(*args)
+        return closure(*args, **kwargs)
     except weyl.CapError as exc:
         raise ConfigError(f"$.degree_cap: {exc}") from None
 
@@ -403,12 +407,12 @@ def _capped(closure, *args):
 def _run_closure(config, out, rng, jobs):
     gens = [_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]", weyl.as_skew)
             for i, g in enumerate(config["generators"])]
-    cap = config.get("degree_cap", 6)
+    cap = config.get("degree_cap", weyl.DEFAULT_DEGREE_CAP)
     for i, g in enumerate(gens):
         if g.degree > cap:
             raise ConfigError(f"$.generators[{i}]: generator degree {g.degree} exceeds "
                               f"degree_cap {cap}")
-    basis = _capped(weyl.lie_closure, gens, cap, config.get("dim_cap", 64))
+    basis = _capped(weyl.lie_closure, gens, cap, config.get("dim_cap", weyl.DEFAULT_DIM_CAP))
     write_json(os.path.join(out, "report.json"), {
         "dim": basis.dim,
         "saturated": basis.saturated,
@@ -421,8 +425,8 @@ def _run_closure(config, out, rng, jobs):
 
 def _run_propagation(config, out, rng, jobs):
     spec = _chain_spec(config["chain"])
-    report = _capped(chains.chain_controllability,
-                     spec, config.get("degree_cap", 4), config.get("dim_cap", 256))
+    caps = {key: config[key] for key in ("degree_cap", "dim_cap") if key in config}
+    report = _capped(chains.chain_controllability, spec, **caps)
     write_json(os.path.join(out, "report.json"), report.to_dict())
     write_csv(os.path.join(out, "edges.csv"),
               [["edge_u", "edge_v", "verdict", "closure_dim", "missing"]] +
@@ -452,8 +456,7 @@ def _plan_context(config, rng, floor: str):
         raise ConfigError(f"$.hamiltonian: {mode} mode needs a matrix hamiltonian ('poly')")
     if mode == "pointwise":
         return levels, sd, {"state": _build_state(config.get("state"), spec, rng)}
-    size = int(config.get("net_size", 3))
-    return levels, sd, {"net": [fock.random_interior_state(spec, rng) for _ in range(size)]}
+    return levels, sd, {"net": _random_net(config, spec, rng)}
 
 
 def _failed(out, exc) -> int:

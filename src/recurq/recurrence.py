@@ -387,7 +387,7 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
 
     best_t, best_f = tau_min, f_min
     start = tau_min
-    prev_last = None  # the previous chunk's last grid value, left of this chunk's j = 0
+    prev_last = math.inf  # the previous chunk's last grid value, left of this chunk's j = 0
     n_point = 0
     while start < t_max:
         stop = min(start + _CHUNK * grid_step, t_max)
@@ -405,11 +405,9 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         if vals[i_best] < best_f:
             best_t = float(_grid_times(i_best, start, stop, h, m))
             best_f = float(vals[i_best])
-        # refine the local minima below the cut; j = 0 compares with the
-        # previous chunk's last point, j = m - 1 waits for the next chunk
+        # refine the local minima below the cut; j = 0 compares with the previous
+        # chunk's last point (+inf before the first), j = m - 1 waits for the next
         low = np.flatnonzero(vals[:-1] < refine_cut)
-        if prev_last is None:
-            low = low[low > 0]
         left = vals[low - 1]
         if low.size and low[0] == 0:
             left[0] = prev_last

@@ -361,7 +361,10 @@ class _RealSpan:
     basis of their span in real coordinates (real parts, then imaginary
     parts).  Both are views of buffers of ``min(dim_cap, 2 n_coords)`` rows,
     filled in place.  With ``dim_cap`` vectors held, a further independent
-    vector is refused and sets ``capped``.
+    vector is refused and sets ``capped``.  Row r of ``x``, ``mag``,
+    ``norm_row`` and ``norm_vec`` holds vector r as the bracket table reads
+    it: its ``_drop_tiny`` form x, |x|, and ||x|| as a row of a stack and as
+    a 1-D vector, two reductions that may differ in the last bit.
     """
 
     def __init__(self, n_coords: int, dim_cap: int | None = None):
@@ -371,6 +374,10 @@ class _RealSpan:
         self.dim = 0
         self._q = np.zeros((rows, 2 * n_coords))
         self._vecs = np.zeros((rows, n_coords), dtype=complex)
+        self.x = np.zeros((rows, n_coords), dtype=complex)
+        self.mag = np.zeros((rows, n_coords))
+        self.norm_row = np.zeros(rows)
+        self.norm_vec = np.zeros(rows)
 
     @property
     def q(self):
@@ -406,6 +413,10 @@ class _RealSpan:
             return False
         self._q[self.dim] = r / rn
         self._vecs[self.dim] = u
+        x = self.x[self.dim] = _drop_tiny(u)
+        self.mag[self.dim] = np.abs(x)
+        self.norm_row[self.dim] = np.linalg.norm(x[None], axis=1)[0]
+        self.norm_vec[self.dim] = np.linalg.norm(x)
         self.dim += 1
         return True
 
@@ -596,8 +607,8 @@ class _StructureTensor:
         cols = np.flatnonzero(My.any(axis=0))
         return My[:, cols], cols
 
-    def bracket_rows(self, rows: _ClosureRows, i: int):
-        """Brackets [x_r, y] of the stored rows x_r, r < i, with y = x_i.
+    def bracket_rows(self, rows: _RealSpan, i: int):
+        """Brackets [x_r, y] of the span's stored rows x_r, r < i, with y = x_i.
 
         Returns ``(R, overflow)`` where R[r] is the in-cap coefficient vector
         and overflow[r] is True when the bracket has a term of degree beyond
@@ -614,34 +625,6 @@ class _StructureTensor:
         lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_vec[i], 1e-300)
         overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
         return R, overflow
-
-
-class _ClosureRows:
-    """The closure's elements as ``bracket_rows`` reads them, each stored once.
-
-    Per element: its ``_drop_tiny`` form x, |x|, and ||x|| twice, as a row of
-    a stack (``np.linalg.norm(X, axis=1)``) and as a vector (the 1-D
-    ``np.linalg.norm``), two reductions that may differ in the last bit.
-    """
-
-    def __init__(self, rows: int, n: int):
-        self.x = np.zeros((rows, n), dtype=complex)
-        self.mag = np.zeros((rows, n))
-        self.norm_row = np.zeros(rows)
-        self.norm_vec = np.zeros(rows)
-        self.size = 0
-
-    def extend(self, vecs: np.ndarray):
-        """Store the rows of ``vecs`` past those already stored."""
-        a, b = self.size, len(vecs)
-        if a == b:
-            return
-        X = _drop_tiny(vecs[a:])
-        self.x[a:b] = X
-        self.mag[a:b] = np.abs(X)
-        self.norm_row[a:b] = np.linalg.norm(X, axis=1)
-        self.norm_vec[a:b] = [np.linalg.norm(x) for x in X]
-        self.size = b
 
 
 def _exponents(monomials):
@@ -732,7 +715,6 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
             break
 
     tensor = _StructureTensor(monomials)
-    stored = _ClosureRows(min(dim_cap, 2 * n), n)
     degree_capped = False
     # brackets are antisymmetric and [x, x] = 0: pair element i with earlier
     # ones only.  The in-cap skew-hermitian space has real dimension n, so
@@ -741,8 +723,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
     # the full space")
     i = 1
     while i < span.dim and not span.capped and not (degree_capped and span.dim == n):
-        stored.extend(span.vecs)
-        R, over = tensor.bracket_rows(stored, i)
+        R, over = tensor.bracket_rows(span, i)
         degree_capped |= bool(over.any())
         rows = np.flatnonzero(~over & R.any(axis=1))
         # the span only grows, so rows dependent on it now stay dependent
@@ -807,29 +788,31 @@ class PropagationResult:
 
 
 def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
-                                dim_cap: int = 256,
-                                modes: Sequence[int] | None = None) -> PropagationResult:
+                                dim_cap: int = 256) -> PropagationResult:
     """Test whether local controls plus one coupling bracket span the pair algebra.
 
-    ``local`` is a degree-capped generating list (or LieBasis) for the
-    single-mode skew algebra on one mode; ``coupling`` is the hermitian
-    two-mode interaction.  The closure of local ∪ {[X, -i*coupling]} is
-    computed under the caps and the capped generating set of the pair algebra
-    is tested for membership.  ``modes`` names the pair explicitly; when
-    omitted it is inferred from the supports.  A positive verdict is sound
-    regardless of cap hits; a negative one is only issued when it is provable
-    (saturated closure, or no generator, local or bracket, has support on the
-    new mode).
+    ``local`` is a degree-capped generating list for the single-mode skew
+    algebra on one mode; ``coupling`` is the hermitian two-mode interaction,
+    whose support names the pair.  The closure of local ∪ {[X, -i*coupling]}
+    is computed under the caps.  It propagates when it fills the pair's
+    in-cap skew space, whose real dimension is the pair's monomial count
+    (notes/decisions.md, "One pair check per chain"); the pair-algebra
+    targets a shorter closure misses are listed.  A positive verdict is
+    sound regardless of cap hits; a negative one is only issued when it is
+    provable (saturated closure, or no generator, local or bracket, has
+    support on the new mode).  A ``degree_cap`` that the pair's bracket
+    table cannot represent raises CapError before any bracket.
     """
-    local_ops = list(local.basis) if isinstance(local, LieBasis) else list(local)
+    local_ops = list(local)
     if not local_ops:
         raise ValueError("empty local generating set")
     mode_count = local_ops[0].mode_count
     if not is_hermitian(coupling):
         raise ValueError("coupling must be hermitian")
     local_modes = set().union(*(X.support for X in local_ops))
-    pair_modes = sorted(local_modes | set(coupling.support if modes is None else modes))
-    target_modes = tuple(sorted(set(pair_modes) - local_modes))
+    pair_modes = local_modes | coupling.support
+    target_modes = tuple(sorted(pair_modes - local_modes))
+    n = table_monomials(degree_cap, len(pair_modes))
 
     gens = list(local_ops)
     if not coupling.is_zero:
@@ -840,13 +823,16 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     closure = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap)
 
     if not target_modes:
-        # no mode beyond the local ones is named or touched by the coupling,
-        # hence nothing can propagate
+        # the coupling touches no mode beyond the local ones, hence nothing
+        # can propagate
         return PropagationResult(FAILS, closure, (), [])
 
-    targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
-    missing = [t for t, inside in zip(targets, closure.contains_all(targets))
-               if not inside]
+    missing = []
+    if closure.dim < n:
+        # the targets span the pair space: name those the short closure misses
+        targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
+        missing = [t for t, inside in zip(targets, closure.contains_all(targets))
+                   if not inside]
     if not missing:
         verdict = PROPAGATES
     elif closure.saturated or not set(target_modes) & set().union(

@@ -4,8 +4,9 @@ and the dense truncated q, p, hermitization and interior-block references,
 the point-by-point recurrence grid scan, the recurrence search with
 materialized grid times and seam copies, segment-by-segment word
 evaluation, the Taylor action of the matrix exponential, the sequential
-reduction and per-target membership test of the propagation check, and
-scipy's bounded scalar minimizer.  These deliberately avoid the package's
+reduction and per-target membership test of the propagation check, the
+chain verdicts from one propagation check per edge, and scipy's bounded
+scalar minimizer.  These deliberately avoid the package's
 closed-form reordering identity, structure-tensor machinery, sparse
 assembly, angle addition, word trees, Chebyshev action, adjoint matrix and
 private Brent refine.  The one exception is the table-free closure: it
@@ -23,7 +24,7 @@ import scipy.sparse
 from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
-from recurq import fock, propagate, recurrence, weyl
+from recurq import chains, fock, propagate, recurrence, weyl
 from recurq.weyl import PolyOp
 
 
@@ -273,9 +274,10 @@ def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
 def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):
     """``recurrence.find_recurrence_time`` as it scanned before grid times were
     formed only where read: each chunk materializes its times with
-    ``np.linspace`` and concatenates the previous chunk's last point onto
-    fresh copies of the times and values before looking for local minima.
-    Shares ``_grid_objective`` and ``_bounded_brent`` with the package."""
+    ``np.linspace`` and concatenates the previous chunk's last point (for the
+    first chunk, a value of +inf) onto fresh copies of the times and values
+    before looking for local minima.  Shares ``_grid_objective`` and
+    ``_bounded_brent`` with the package."""
     rc = recurrence
     E = np.asarray(energies, dtype=float)
     threshold = delta * delta / 4.0
@@ -299,7 +301,7 @@ def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trac
         return rc._bounded_brent(f, max(lo, tau_min), hi, 1e-13 * max(1.0, hi))
 
     best_t, best_f = tau_min, f(tau_min)
-    start, prev_tail_t, prev_tail_f, n_point = tau_min, None, None, 0
+    start, prev_tail_t, prev_tail_f, n_point = tau_min, math.nan, math.inf, 0
     while start < t_max:
         stop = min(start + (1 << 16) * grid_step, t_max)
         m = max(2, int(round((stop - start) / grid_step)) + 1)
@@ -310,9 +312,8 @@ def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trac
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
             best_t, best_f = float(ts[i_best]), float(vals[i_best])
-        if prev_tail_t is not None:
-            ts = np.concatenate([[prev_tail_t], ts])
-            vals = np.concatenate([[prev_tail_f], vals])
+        ts = np.concatenate([[prev_tail_t], ts])
+        vals = np.concatenate([[prev_tail_f], vals])
         interior = np.nonzero(
             (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (vals[1:-1] < refine_cut)
         )[0] + 1
@@ -407,6 +408,44 @@ def sequential_targets(modes, mode_count, degree_cap):
             if span.try_add(v):
                 out.append(weyl.as_skew(candidate))
     return out
+
+
+def per_edge_controllability(spec, degree_cap, dim_cap):
+    """``chains.chain_controllability(...).to_dict()`` with one propagation
+    check per edge it reaches: the local set at u and the coupling H_uv, both
+    in the chain's n-mode frame, for edges with u < v and u > v alike."""
+    adjacency = {m: [] for m in range(spec.n_modes)}
+    for i, j in spec.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    site_dims = {}
+    H0 = chains.drift(spec)
+    for site in spec.control_sites:
+        one_site = chains.ChainSpec(spec.n_modes, spec.omega, spec.couplings, (site,),
+                                    spec.control_degree_cap)
+        gens = [weyl.skew_generator(ctrl) for _, ctrl in chains.local_controls(one_site)]
+        local_drift = PolyOp(spec.n_modes, {m: c for m, c in H0.terms.items()
+                                            if set(weyl._mono_support(m)) <= {site}})
+        if not local_drift.is_zero:
+            gens.append(weyl.skew_generator(weyl.as_hermitian(local_drift)))
+        site_dims[site] = weyl.lie_closure(gens, degree_cap, dim_cap).dim
+    visited, frontier, verdicts = set(spec.control_sites), list(spec.control_sites), []
+    while frontier:
+        u = frontier.pop(0)
+        for v in sorted(adjacency[u]):
+            if v in visited:
+                continue
+            result = weyl.algebraic_propagation_check(
+                weyl.local_skew_generators(u, spec.n_modes, degree_cap),
+                chains.coupling_hamiltonian(u, v, spec.omega, spec.n_modes), degree_cap, dim_cap)
+            verdicts.append(chains.EdgeVerdict((u, v), result.verdict, result.closure.dim,
+                                               len(result.missing)))
+            if result.propagates:
+                visited.add(v)
+                frontier.append(v)
+    unreachable = tuple(sorted(set(range(spec.n_modes)) - visited))
+    return chains.ChainControllabilityReport(spec, degree_cap, verdicts, unreachable,
+                                             site_dims).to_dict()
 
 
 def missing_one_by_one(closure, targets, tol=1e-8):

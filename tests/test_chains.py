@@ -5,7 +5,7 @@ from recurq import chains as ch, fock, propagate as pr, synth as sy, weyl
 from recurq.chains import ChainSpec, coupling_hamiltonian, drift
 from recurq.weyl import as_hermitian, is_hermitian, p, q, skew_generator
 
-from oracles import matrix_lie_closure
+from oracles import matrix_lie_closure, per_edge_controllability
 
 
 def two_mode_chain(omega=1.0, cap=3):
@@ -129,6 +129,39 @@ def test_chain_propagates_three_modes():
         assert all(v.verdict == weyl.PROPAGATES for v in report.edge_verdicts)
         assert tuple(v.closure_dim for v in report.edge_verdicts) == dims
         assert not report.unreachable_modes
+
+
+# every (omega, cap, dim_cap) once, on chains of 2-6 modes controlled at one
+# end, in the middle and at both ends, so that edges (u, v) with u > v occur;
+# the 0.0 strength every fourth edge leaves modes unreachable
+PAIR_CHECKS = [(omega, cap, dim_cap) for omega in (0.0, 0.5, 1.0, 1.3)
+               for cap in (2, 3, 4, 5) for dim_cap in (8, 64, 256)]
+CHAIN_LAYOUTS = [(n, sites) for n in range(2, 7) for sites in ((0,), (n // 2,), (0, n - 1))]
+
+
+@pytest.mark.parametrize("k", range(len(PAIR_CHECKS)))
+def test_one_pair_check_matches_a_check_per_edge(k):
+    omega, cap, dim_cap = PAIR_CHECKS[k]
+    n, sites = CHAIN_LAYOUTS[k % len(CHAIN_LAYOUTS)]
+    couplings = tuple((i, i + 1, (1.0, 0.5, 0.0, 2.0)[i % 4]) for i in range(n - 1))
+    spec = ChainSpec(n, omega, couplings, sites, min(cap, 3))
+    report = ch.chain_controllability(spec, degree_cap=cap, dim_cap=dim_cap).to_dict()
+    assert report == per_edge_controllability(spec, cap, dim_cap)
+
+
+def test_chain_runs_at_most_one_pair_check(monkeypatch):
+    calls = []
+    check = ch.algebraic_propagation_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "algebraic_propagation_check", counted)
+    spec = ChainSpec(6, 1.0, tuple((i, i + 1, 1.0) for i in range(5)), (0,))
+    report = ch.chain_controllability(spec, degree_cap=3)
+    assert len(report.edge_verdicts) == 5 and report.controllable
+    assert len(calls) == 1
 
 
 def test_chain_decoupled_fails():

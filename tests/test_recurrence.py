@@ -428,11 +428,12 @@ def test_scan_matches_oracle_when_the_seam_reads_higher(monkeypatch):
 
 
 def test_scan_matches_oracle_on_a_dip_just_after_tau_min():
-    # the ladder returns at 2 pi, a fifth of a step after tau_min; the first
-    # point of the first chunk has no left neighbour and is not refined
+    # the ladder returns at 2 pi, a fifth of a step after tau_min: the first
+    # point of the first chunk is refined, and the next return, 4 pi, is not
+    # reported instead
     step = 2.0 * math.pi / 300.0
     found = _same_scan([1.0, 2.0, 3.0], 1e-3, tau_min=2.0 * math.pi - 0.2 * step)
-    assert isinstance(found, rc.RecurrenceTime)
+    assert abs(found.time - 2.0 * math.pi) < 1e-6
 
 
 @pytest.mark.parametrize("extra", [None, 0.4], ids=["short-last-chunk", "two-point-last-chunk"])

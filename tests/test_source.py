@@ -154,3 +154,23 @@ def test_cli_import_loads_no_heavy_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.split() == []
+
+
+def _optional_parameters(tree):
+    """Parameters with a default, of every function and lambda, plus class
+    fields with a default (dataclass options)."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
+
+
+def test_optional_parameters_do_not_grow():
+    # a ratchet: every option is one more path to keep working; lower the
+    # bound when an option goes
+    assert sum(_optional_parameters(ast.parse(path.read_text()))
+               for path in sorted(SRC.glob("*.py"))) <= 67

@@ -280,14 +280,14 @@ def test_restricted_product_is_csr_product_bit_for_bit(mode_count, cap):
 
 
 def test_stored_rows_match_their_stack_forms(rng):
-    # each row is stored once, in the forms bracket_rows took from the stack
+    # each added vector is stored once, in the forms bracket_rows took from
+    # the stack of the span's vectors
     V = rng.standard_normal((30, 70)) + 1j * rng.standard_normal((30, 70))
     V[:, ::3] *= 1e-13 * rng.uniform(0.5, 1.5, (30, 24))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    stored = weyl._ClosureRows(40, 70)
-    for size in (4, 4, 17, 30):
-        stored.extend(V[:size])
-    assert stored.size == 30
+    stored = weyl._RealSpan(70, 40)
+    assert all(stored.try_add(v) for v in V)
+    assert stored.dim == 30
+    V = stored.vecs
     X = weyl._drop_tiny(V)
     assert 0 < np.count_nonzero(X == 0) < 30 * 24
     assert stored.x[:30].tobytes() == X.tobytes()
@@ -392,7 +392,7 @@ def _coupling(omega):
 def test_propagation_two_mode_chain():
     local = weyl.local_skew_generators(0, 2, 3)
     res = weyl.algebraic_propagation_check(local, _coupling(1.0), degree_cap=3,
-                                           dim_cap=128, modes=(0, 1))
+                                           dim_cap=128)
     assert res.propagates
     assert res.closure.contains(skew_generator(q(1, 2)))
     assert res.closure.contains(skew_generator(as_hermitian(q(1, 2) * q(1, 2))))
@@ -401,7 +401,7 @@ def test_propagation_two_mode_chain():
 def test_propagation_zero_coupling():
     local = weyl.local_skew_generators(0, 2, 3)
     zero = as_hermitian(const(0.0, 2))
-    res = weyl.algebraic_propagation_check(local, zero, 3, 128, modes=(0, 1))
+    res = weyl.algebraic_propagation_check(local, zero, 3, 128)
     assert res.verdict == weyl.FAILS
     assert res.closure.dim == len(local)
 
@@ -409,7 +409,7 @@ def test_propagation_zero_coupling():
 def test_propagation_quadratic_free_local_fails():
     heis = [skew_generator(q(0, 2)), skew_generator(p(0, 2)),
             skew_generator(const(1.0, 2))]
-    res = weyl.algebraic_propagation_check(heis, _coupling(1.0), 3, 128, modes=(0, 1))
+    res = weyl.algebraic_propagation_check(heis, _coupling(1.0), 3, 128)
     # linear generators bracket to linear: the pair algebra is provably missed
     assert res.verdict == weyl.FAILS
     assert res.closure.saturated
@@ -444,12 +444,17 @@ def test_targets_match_sequential_reduction(mode_count, cap):
     assert all(t.role == weyl.SKEW for t in new)
 
 
+def _outside(closure, targets):
+    """The targets that batched membership puts outside the closure."""
+    return [t for t, inside in zip(targets, closure.contains_all(targets)) if not inside]
+
+
 def _edge_check(n_modes, omega, edge, cap):
     from recurq.chains import coupling_hamiltonian
     u, v = edge
     local = weyl.local_skew_generators(u, n_modes, cap)
     coupling = coupling_hamiltonian(u, v, omega, n_modes)
-    return weyl.algebraic_propagation_check(local, coupling, cap, 256, modes=edge), (u, v)
+    return weyl.algebraic_propagation_check(local, coupling, cap, 256), (u, v)
 
 
 # every edge kind of the closure-chains benchmark: 2-mode chains at caps 3 and 4,
@@ -461,16 +466,47 @@ def test_batched_membership_matches_per_target(n_modes, omega, edge, cap):
     res, pair = _edge_check(n_modes, omega, edge, cap)
     targets = weyl.skew_monomial_generators(pair, n_modes, cap)
     assert res.missing == missing_one_by_one(res.closure, targets)
+    assert _outside(res.closure, targets) == res.missing
     assert res.verdict == (weyl.FAILS if omega == 0.0 else weyl.PROPAGATES)
 
 
 def test_batched_membership_matches_per_target_zero_and_heisenberg():
     zero = as_hermitian(const(0.0, 2))
     heis = [skew_generator(q(0, 2)), skew_generator(p(0, 2)), skew_generator(const(1.0, 2))]
-    for local, coupling in ((weyl.local_skew_generators(0, 2, 3), zero), (heis, _coupling(1.0))):
-        res = weyl.algebraic_propagation_check(local, coupling, 3, 128, modes=(0, 1))
-        targets = weyl.skew_monomial_generators((0, 1), 2, 3)
-        assert res.missing and res.missing == missing_one_by_one(res.closure, targets)
+    targets = weyl.skew_monomial_generators((0, 1), 2, 3)
+    # with no coupling the pair is mode 0 alone and the check names no target;
+    # the mode-1 targets lie off the closure's monomial index
+    res = weyl.algebraic_propagation_check(weyl.local_skew_generators(0, 2, 3), zero, 3, 128)
+    assert res.verdict == weyl.FAILS and not res.missing
+    outside = _outside(res.closure, targets)
+    assert outside and outside == missing_one_by_one(res.closure, targets)
+    res = weyl.algebraic_propagation_check(heis, _coupling(1.0), 3, 128)
+    assert res.missing and res.missing == missing_one_by_one(res.closure, targets)
+
+
+# omega 0.28238592672119756 at cap 6: a genuine direction accepted with
+# residual 3.2e-8 leaves ~1e-8 of rounding in its q row, so with the controls
+# on mode 1 the full closure's projection misses the target q1^6 by 1.3e-8
+@pytest.mark.parametrize("omega, cap, dim_cap", [
+    (omega, cap, dim_cap) for omega in (0.0, 0.5, 1.3) for cap in range(1, 6)
+    for dim_cap in (8, 64, 256)] + [(0.28238592672119756, 6, 256)])
+def test_propagation_check_is_the_same_from_either_mode(omega, cap, dim_cap):
+    coupling = _coupling(omega)
+    left, right = (weyl.algebraic_propagation_check(weyl.local_skew_generators(mode, 2, cap),
+                                                    coupling, cap, dim_cap) for mode in (0, 1))
+    assert left.target_modes == (1,) and right.target_modes == (0,)
+    summary = [(res.verdict, res.closure.dim, len(res.missing), res.closure.saturated,
+                res.closure.degree_capped, res.closure.dim_capped) for res in (left, right)]
+    assert summary[0] == summary[1]
+
+
+def test_propagation_check_refuses_a_cap_before_any_bracket(monkeypatch):
+    brackets = []
+    monkeypatch.setattr(weyl, "bracket", lambda A, B: brackets.append((A, B)))
+    local = weyl.local_skew_generators(0, 2, weyl.MAX_DEGREE_CAP)
+    with pytest.raises(weyl.CapError, match="4845 monomials"):
+        weyl.algebraic_propagation_check(local, _coupling(1.0), weyl.MAX_DEGREE_CAP)
+    assert brackets == []
 
 
 def test_internal_arithmetic_is_canonical(rng):
