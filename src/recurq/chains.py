@@ -216,6 +216,9 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     if not spec.control_sites:
         raise ValueError("control sites must be nonempty")
     if spec.edges:
+        # building the local set costs O(cap^3) before the check's own cap
+        # test: refuse a cap the two-mode table cannot represent first
+        weyl.table_monomials(degree_cap, 2)
         pair = algebraic_propagation_check(
             local_skew_generators(0, 2, degree_cap), coupling_hamiltonian(0, 1, spec.omega, 2),
             degree_cap=degree_cap, dim_cap=dim_cap)

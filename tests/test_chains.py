@@ -164,6 +164,19 @@ def test_chain_runs_at_most_one_pair_check(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cap", [17, 300, 10**6])
+def test_chain_refuses_a_cap_before_building_generators(monkeypatch, cap):
+    # the local generating set costs O(cap^3) to build: no cap the two-mode
+    # table refuses may reach it
+    def built(*args):
+        raise AssertionError("generators built before the cap check")
+
+    monkeypatch.setattr(ch, "local_skew_generators", built)
+    spec = ChainSpec(2, 1.0, ((0, 1, 1.0),), (0,))
+    with pytest.raises(weyl.CapError):
+        ch.chain_controllability(spec, degree_cap=cap)
+
+
 def test_chain_decoupled_fails():
     report = ch.chain_controllability(three_mode_chain(omega=0.0), degree_cap=4)
     assert report.verdict == weyl.FAILS

@@ -310,9 +310,10 @@ CHAIN2 = {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]], "control_sites
     ("propagation", {"chain": CHAIN2, "degree_cap": 40}, "$.degree_cap"),
     ("propagation", {"chain": CHAIN2, "degree_cap": 16}, "$.degree_cap"),
     ("propagation", {"chain": {**CHAIN2, "omega": 0.0}, "degree_cap": 16}, "$.degree_cap"),
+    ("propagation", {"chain": CHAIN2, "degree_cap": 10**6}, "$.degree_cap"),
 ], ids=["closure-generator", "propagation-controls", "closure-cap30", "closure-cap200",
         "closure-budget", "propagation-cap40", "propagation-pair-budget",
-        "propagation-pair-budget-omega0"])
+        "propagation-pair-budget-omega0", "propagation-cap1e6"])
 def test_uncapped_closures_exit_usage(sub, config, path, tmp_path, capsys):
     # generators above the cap, inexact structure constants (cap > 16) and
     # tables over the memory budget are config errors, refused before any work

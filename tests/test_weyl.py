@@ -489,7 +489,9 @@ def test_batched_membership_matches_per_target_zero_and_heisenberg():
 # on mode 1 the full closure's projection misses the target q1^6 by 1.3e-8
 @pytest.mark.parametrize("omega, cap, dim_cap", [
     (omega, cap, dim_cap) for omega in (0.0, 0.5, 1.3) for cap in range(1, 6)
-    for dim_cap in (8, 64, 256)] + [(0.28238592672119756, 6, 256)])
+    for dim_cap in (8, 64, 256)] + [
+    (omega, 6, dim_cap) for omega in (0.5, 0.28238592672119756) for dim_cap in (8, 64)] + [
+    (0.28238592672119756, 6, 256)])
 def test_propagation_check_is_the_same_from_either_mode(omega, cap, dim_cap):
     coupling = _coupling(omega)
     left, right = (weyl.algebraic_propagation_check(weyl.local_skew_generators(mode, 2, cap),
