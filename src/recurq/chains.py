@@ -14,16 +14,15 @@ capped pair algebra, the next mode's local algebra becomes available there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from . import weyl
 from .fock import TruncationSpec, ground_state, represent
 from .propagate import EvolutionTable
 from .synth import reachability_report
 from .weyl import (FAILS, PROPAGATES, UNKNOWN, PolyOp, as_hermitian,
                    algebraic_propagation_check, const, lie_closure,
-                   local_skew_generators, p, q, skew_generator)
+                   local_skew_generators, p, q, skew_generator, table_monomials)
 
 DEFAULT_CONTROL_POWERS = (1, 2, 3)  # q, q^2, q^3 plus p on each control site
 
@@ -60,6 +59,8 @@ class ChainSpec:
             cleaned.append((i, j, a))
         object.__setattr__(self, "couplings", tuple(sorted(cleaned)))
         sites = tuple(sorted(int(s) for s in set(self.control_sites)))
+        if not sites:
+            raise ValueError("control sites must be nonempty")
         if any(not 0 <= s < self.n_modes for s in sites):
             raise ValueError("control site out of range")
         object.__setattr__(self, "control_sites", sites)
@@ -135,8 +136,6 @@ def control_system(spec: ChainSpec):
     drift plus at most one local control, and switching it on evolves by the
     skew generator -iH (``weyl.skew_generator``).
     """
-    if not spec.control_sites:
-        raise ValueError("control sites must be nonempty")
     H0 = drift(spec)
     labels = ["drift"]
     hams = [H0]
@@ -171,7 +170,7 @@ class ChainControllabilityReport:
     degree_cap: int
     edge_verdicts: list
     unreachable_modes: tuple
-    site_closure_dims: dict = field(default_factory=dict)
+    site_closure_dims: dict
 
     @property
     def controllable(self) -> bool:
@@ -208,36 +207,36 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     overall verdict is "propagates on every edge of a spanning structure".
     Every edge poses the same two-mode problem, so that check runs once, on
     modes 0 and 1 (notes/decisions.md, "One pair check per chain").  The
-    per-site closure dimension of the bare controls (with the drift terms
-    local to that site) is reported alongside as context, not as part of the
-    verdict.  A ``degree_cap`` that the two-mode bracket table cannot
-    represent raises ``weyl.CapError`` before any closure.
+    per-site closure dimension of the bare controls with the drift terms
+    local to that site is reported as context, not as part of the verdict;
+    it runs in the one-mode frame, with no n-mode polynomial
+    (notes/decisions.md, "Site closures in the one-mode frame").  A
+    ``degree_cap`` that the two-mode bracket table cannot represent raises
+    ``weyl.CapError`` before any closure.
     """
-    if not spec.control_sites:
-        raise ValueError("control sites must be nonempty")
+    coupling = coupling_hamiltonian(0, 1, spec.omega, 2)
     if spec.edges:
-        # building the local set costs O(cap^3) before the check's own cap
-        # test: refuse a cap the two-mode table cannot represent first
-        weyl.table_monomials(degree_cap, 2)
-        pair = algebraic_propagation_check(
-            local_skew_generators(0, 2, degree_cap), coupling_hamiltonian(0, 1, spec.omega, 2),
-            degree_cap=degree_cap, dim_cap=dim_cap)
+        # refuse a cap the two-mode table cannot represent before the O(cap^3) local set
+        table_monomials(degree_cap, 2)
+        pair = algebraic_propagation_check(local_skew_generators(0, 2, degree_cap), coupling,
+                                           degree_cap=degree_cap, dim_cap=dim_cap)
     adjacency: dict = {m: [] for m in range(spec.n_modes)}
     for i, j in spec.edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
 
+    # H_ij's terms on i alone (or j alone) are H_01's mode-0 terms, summed
+    # over a site's couplings in order as drift(spec) sums them
+    harmonic = PolyOp(1, {m[:1]: c for m, c in coupling.terms.items() if m[1] == (0, 0)})
+    local_drift = {site: const(0.0, 1) for site in spec.control_sites}
+    for i, j, a in spec.couplings:
+        for m in local_drift.keys() & {i, j}:
+            local_drift[m] = local_drift[m] + a * harmonic
+    controls = [skew_generator(ctrl) for _, ctrl in local_controls(
+        ChainSpec(1, spec.omega, (), (0,), spec.control_degree_cap))]
     site_dims = {}
-    H0 = drift(spec)
-    for site in spec.control_sites:
-        gens = [skew_generator(ctrl) for _, ctrl in local_controls(
-            ChainSpec(spec.n_modes, spec.omega, spec.couplings, (site,),
-                      spec.control_degree_cap))]
-        local_drift_terms = {m: c for m, c in H0.terms.items()
-                             if set(weyl._mono_support(m)) <= {site}}
-        local_drift = PolyOp(spec.n_modes, local_drift_terms)
-        if not local_drift.is_zero:
-            gens.append(skew_generator(as_hermitian(local_drift)))
+    for site, H in local_drift.items():
+        gens = controls if H.is_zero else controls + [skew_generator(H)]
         site_dims[site] = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap).dim
 
     visited = set(spec.control_sites)

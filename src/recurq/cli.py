@@ -80,7 +80,10 @@ _CHAIN = {
     "properties": {
         "n_modes": {"type": "integer", "minimum": 1},
         "omega": {"type": "number", "minimum": 0},
-        "couplings": {"type": "array"},
+        "couplings": {"type": "array", "items": {
+            "type": "array", "minItems": 3, "maxItems": 3,
+            "prefixItems": [{"type": "integer", "minimum": 0}, {"type": "integer", "minimum": 0},
+                            {"type": "number", "minimum": 0}]}},
         "control_sites": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "control_degree_cap": {"type": "integer", "minimum": 1},
     },

@@ -14,6 +14,7 @@ coupling-propagation criterion used by the oscillator-chain tools.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -471,21 +472,27 @@ def _from_vector(v: np.ndarray, monomials, mode_count: int) -> PolyOp:
 
 @dataclass
 class LieBasis:
-    """Real-linear basis of a (possibly cap-truncated) dynamical Lie algebra."""
+    """Real-linear basis of a (possibly cap-truncated) dynamical Lie algebra:
+    the rows of ``_span`` over the ``_index`` monomials, which ``basis``
+    turns into PolyOps when first read."""
 
     generators: list
-    basis: list
     degree_cap: int
     dim_cap: int
     saturated: bool
-    degree_capped: bool = False
-    dim_capped: bool = False
-    _index: dict = field(default_factory=dict, repr=False)
-    _span: object = field(default=None, repr=False)
+    degree_capped: bool
+    dim_capped: bool
+    _index: dict
+    _span: _RealSpan
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._span.dim
+
+    @functools.cached_property
+    def basis(self) -> list:
+        monomials = list(self._index)
+        return [_from_vector(v, monomials, self.mode_count) for v in self._span.vecs]
 
     @property
     def mode_count(self) -> int:
@@ -733,10 +740,8 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_C
                 break
         i += 1
 
-    basis_ops = [_from_vector(v, monomials, mode_count) for v in span.vecs]
     return LieBasis(
         generators=generators,
-        basis=basis_ops,
         degree_cap=degree_cap,
         dim_cap=dim_cap,
         saturated=not (degree_capped or span.capped),

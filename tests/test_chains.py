@@ -164,6 +164,42 @@ def test_chain_runs_at_most_one_pair_check(monkeypatch):
     assert len(calls) == 1
 
 
+def test_site_closures_stay_in_the_one_mode_frame(monkeypatch):
+    # a 200-mode chain is decided from 1- and 2-mode polynomials: no n-mode
+    # drift, no PolyOp of more than 2 modes, and no basis PolyOp built from
+    # a closure's rows; the zero coupling leaves site 199 without a drift term
+    def refused(*args, **kwargs):
+        raise AssertionError("n-mode drift or closure basis built")
+
+    frames, built = [], []
+
+    def recorded(fn):
+        def wrapped(gens, *args, **kwargs):
+            gens = list(gens)
+            frames.append({g.mode_count for g in gens})
+            return fn(gens, *args, **kwargs)
+        return wrapped
+
+    trusted, post_init = weyl._trusted, weyl.PolyOp.__post_init__
+    monkeypatch.setattr(ch, "drift", refused)
+    monkeypatch.setattr(weyl, "_from_vector", refused)
+    monkeypatch.setattr(weyl, "_trusted", lambda m, *a: built.append(m) or trusted(m, *a))
+    monkeypatch.setattr(weyl.PolyOp, "__post_init__",
+                        lambda op: built.append(op.mode_count) or post_init(op))
+    monkeypatch.setattr(weyl, "lie_closure", recorded(weyl.lie_closure))
+    monkeypatch.setattr(ch, "lie_closure", recorded(ch.lie_closure))
+    monkeypatch.setattr(ch, "algebraic_propagation_check",
+                        recorded(ch.algebraic_propagation_check))
+    couplings = tuple((i, i + 1, 1.0 if i < 198 else 0.0) for i in range(199))
+    report = ch.chain_controllability(ChainSpec(200, 1.0, couplings, (0, 100, 199)))
+    assert report.controllable and report.unreachable_modes == ()
+    assert len(report.edge_verdicts) == 197
+    assert report.site_closure_dims == {0: 15, 100: 15, 199: 5}
+    # the pair check, its closure and the three site closures
+    assert len(frames) == 5 and set().union(*frames) <= {1, 2}
+    assert built and max(built) <= 2
+
+
 @pytest.mark.parametrize("cap", [17, 300, 10**6])
 def test_chain_refuses_a_cap_before_building_generators(monkeypatch, cap):
     # the local generating set costs O(cap^3) to build: no cap the two-mode

@@ -60,6 +60,14 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     rc_code, _ = run("recur", {"delta": 0.1, "mode": "pointwise"}, tmp_path)
     assert rc_code == cli.EXIT_USAGE
     assert "hamiltonian" in capsys.readouterr().err
+    # a coupling is exactly [mode, mode, strength]: no fractional modes read
+    # as an edge, no string or boolean strength read as a number
+    for coupling in ([0.5, 1.7, 1.0], [0, 1, "1.0"], [0, 1, True], [0, 1], [0, 1, 1.0, 2],
+                     [0, -1, 1.0], [0, 1, -0.5]):
+        chain = {"n_modes": 2, "omega": 1.0, "couplings": [coupling], "control_sites": [0]}
+        rc_code, _ = run("propagation", {"chain": chain}, tmp_path)
+        assert rc_code == cli.EXIT_USAGE
+        assert "$.chain.couplings[0]" in capsys.readouterr().err
 
 
 def test_recur_harmonic_emits_4pi_plan(tmp_path):
@@ -282,6 +290,13 @@ BAD_CONFIGS = [
                                                  "right": GEN(2)},
                  "t": 0.5, "epsilon": 0.1, "n_budget": 4, "inverter": {"mode": "exact"}},
      "$.target"),
+    ("propagation", {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                               "control_sites": []}}, "$.chain"),
+    ("chain-demo", {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                              "control_sites": []},
+                    "dims": [4, 4], "targets": [{"expr": GEN(0), "t": 0.1}],
+                    "epsilon": 0.1, "n_budget": 2,
+                    "inverter": {"mode": "exact"}}, "$.chain"),
 ]
 
 

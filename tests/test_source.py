@@ -48,21 +48,40 @@ def test_one_action_kernel():
     assert refs == []
 
 
-def test_trusted_constructor_stays_in_weyl():
-    # PolyOp's unvalidated constructor serves weyl's own arithmetic only: every
-    # other module, and so all user input parsed in cli and chains, builds
-    # polynomials through the validating PolyOp(...)
-    refs = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "weyl":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = [getattr(node, "id", None), getattr(node, "attr", None)]
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names += [alias.name for alias in node.names]
-            if "_trusted" in names:
-                refs.append((path.stem, node.lineno))
-    assert refs == []
+def _private_reads(tree):
+    """(line, name) of every ``_``-prefixed name a module reads from another
+    package module: an attribute of an imported module, or a from-import."""
+    modules, refs = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("recurq")):
+            base = (node.module or "").removeprefix("recurq").strip(".")
+            for alias in node.names:
+                if not base:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    refs.append((node.lineno, f"{base}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name.startswith("recurq."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and ast.unparse(node.value) in modules):
+            refs.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+    return sorted(refs)
+
+
+def test_private_names_stay_in_their_module():
+    # a module's _-prefixed names are its own.  In particular PolyOp's
+    # unvalidated constructor weyl._trusted serves weyl's own arithmetic
+    # only: every other module, and so all user input parsed in cli and
+    # chains, builds polynomials through the validating PolyOp(...)
+    probe = "from . import weyl\nimport recurq.fock\nfrom .weyl import _b\nweyl._a\nrecurq.fock._c"
+    assert _private_reads(ast.parse(probe)) == [(3, "weyl._b"), (4, "weyl._a"),
+                                                (5, "recurq.fock._c")]
+    refs = {path.stem: _private_reads(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))}
+    assert {mod: found for mod, found in refs.items() if found} == {}
 
 
 # the package's layers, lowest first: a module imports only modules below it
@@ -173,4 +192,4 @@ def test_optional_parameters_do_not_grow():
     # a ratchet: every option is one more path to keep working; lower the
     # bound when an option goes
     assert sum(_optional_parameters(ast.parse(path.read_text()))
-               for path in sorted(SRC.glob("*.py"))) <= 67
+               for path in sorted(SRC.glob("*.py"))) <= 62
