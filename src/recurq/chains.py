@@ -14,6 +14,7 @@ capped pair algebra, the next mode's local algebra becomes available there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,22 @@ from .weyl import (FAILS, PROPAGATES, UNKNOWN, PolyOp, as_hermitian,
                    local_skew_generators, p, q, skew_generator, table_monomials)
 
 DEFAULT_CONTROL_POWERS = (1, 2, 3)  # q, q^2, q^3 plus p on each control site
+
+# Bound on every coefficient of a chain's Hamiltonians.  The hermiticity
+# checks and the closures square coefficients, and the brackets multiply
+# them by structure constants (k! C(b,k) C(c,k) <= 2e15 per mode at caps up
+# to 16): a fourth root of the float range keeps all of these finite.
+MAX_COEFFICIENT = sys.float_info.max ** 0.25
+
+
+class ChainParameterError(ValueError):
+    """A chain parameter that puts a Hamiltonian coefficient above
+    ``MAX_COEFFICIENT``; ``field`` names it as in ``ChainSpec.to_dict``:
+    ``"omega"`` or ``"couplings[k]"``, k in the order given."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{message} (coefficient bound {MAX_COEFFICIENT:.3g})")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -42,9 +59,15 @@ class ChainSpec:
             raise ValueError("n_modes must be positive")
         if self.omega < 0:
             raise ValueError("omega must be >= 0")
+        # 1 + 2 omega bounds the pair coefficients 1 + omega and 2 omega, and
+        # load[m] the strengths summed at mode m plus a control's unit weight
+        scale = 1.0 + 2.0 * self.omega
+        if not scale <= MAX_COEFFICIENT:
+            raise ChainParameterError("omega", f"omega {self.omega!r} is out of range")
+        load = [1.0] * self.n_modes
         seen = set()
         cleaned = []
-        for i, j, a in self.couplings:
+        for k, (i, j, a) in enumerate(self.couplings):
             i, j, a = int(i), int(j), float(a)
             if i == j:
                 raise ValueError("self-coupling a_ii is not allowed")
@@ -53,6 +76,11 @@ class ChainSpec:
             i, j = min(i, j), max(i, j)
             if i < 0 or j >= self.n_modes:
                 raise ValueError("coupling mode index out of range")
+            load[i] += a
+            load[j] += a
+            if not scale * max(load[i], load[j]) <= MAX_COEFFICIENT:
+                raise ChainParameterError(f"couplings[{k}]",
+                                          f"coupling strength {a!r} is out of range")
             if (i, j) in seen:
                 raise ValueError(f"duplicate coupling ({i}, {j})")
             seen.add((i, j))
@@ -234,10 +262,15 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
             local_drift[m] = local_drift[m] + a * harmonic
     controls = [skew_generator(ctrl) for _, ctrl in local_controls(
         ChainSpec(1, spec.omega, (), (0,), spec.control_degree_cap))]
-    site_dims = {}
+    # sites whose drifts have the same coefficients (the same strengths in
+    # coupling order) pose the same one-mode problem: each is closed once
+    closed, site_dims = {}, {}
     for site, H in local_drift.items():
-        gens = controls if H.is_zero else controls + [skew_generator(H)]
-        site_dims[site] = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap).dim
+        key = tuple(H.terms.items())
+        if key not in closed:
+            gens = controls if H.is_zero else controls + [skew_generator(H)]
+            closed[key] = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap).dim
+        site_dims[site] = closed[key]
 
     visited = set(spec.control_sites)
     frontier = list(spec.control_sites)

@@ -300,6 +300,8 @@ def _check_indices(indices, table, path: str) -> None:
 def _chain_spec(cfg) -> chains.ChainSpec:
     try:
         return chains.ChainSpec.from_dict(cfg)
+    except chains.ChainParameterError as exc:
+        raise ConfigError(f"$.chain.{exc.field}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"$.chain: {exc}") from None
 

@@ -89,7 +89,7 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
         smalls[mode] = (qm, pm, {})
 
     def mode_power(mode, q_exp, p_exp):
-        """Nonzeros (rows, cols, vals) of the truncated q^a p^b on one mode."""
+        """Nonzeros (rows, cols - rows, vals) of the truncated q^a p^b on one mode."""
         qm, pm, cache = smalls[mode]
         key = (q_exp, p_exp)
         if key not in cache:
@@ -98,50 +98,65 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
             m = m @ np.linalg.matrix_power(qm, q_exp) if q_exp else m
             m = m @ np.linalg.matrix_power(pm, p_exp) if p_exp else m
             rows, cols = np.nonzero(m)
-            cache[key] = (rows, cols, m[rows, cols])
+            cache[key] = (rows, cols - rows, m[rows, cols])
         return cache[key]
 
     # Each monomial's Kronecker product is assembled from the per-mode
-    # nonzeros in np.kron's index layout and multiplication order.  The
-    # products are then accumulated, in term order, into one entry per
-    # distinct position (flat row-major keys, so sorted keys are CSR order):
-    # each entry receives the same floating-point operations as in a dense
-    # kron-and-add, and the entries no monomial touches, which would only
-    # receive zeros, are never stored.
+    # nonzeros in np.kron's index layout and multiplication order, and each
+    # entry is keyed by its row and its flat diagonal col - row.  The
+    # diagonals that occur (with their negatives for a hermitian source) get
+    # one slot each, in ascending order, and np.add.at accumulates every
+    # entry, in term order, into a zeroed table of rows, one per slot: each
+    # stored entry receives the same floating-point operations as in a dense
+    # kron-and-add, and the table read row by row, slot by slot, is CSR order.
+    # A slot's row r sits at table[kmax + slot * width + r]; the kmax zeros
+    # before and after each slot's dim entries absorb every shifted read of
+    # the transpose below (notes/decisions.md, "Fock assembly into CSR").
     dim = spec.dim
-    keys, vals = [np.zeros(0, np.intp)], [np.zeros(0, complex)]
+    rows, offs, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
     for mono, coeff in A.terms.items():
-        rows, cols, v = mode_power(0, *mono[0])
+        r, o, v = mode_power(0, *mono[0])
         for mode in range(1, spec.mode_count):
-            r, c, vm = mode_power(mode, *mono[mode])
+            rm, om, vm = mode_power(mode, *mono[mode])
             d = spec.dims[mode]
-            rows = np.add.outer(rows * d, r).ravel()
-            cols = np.add.outer(cols * d, c).ravel()
+            r = np.add.outer(r * d, rm).ravel()
+            o = np.add.outer(o * d, om).ravel()  # col - row is linear in the mode indices
             v = np.multiply.outer(v, vm).ravel()
-        keys.append(rows * dim + cols)
+        rows.append(r)
+        offs.append(o)
         vals.append(coeff * v)
-    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.zeros(keys.size, dtype=complex)
-    np.add.at(data, where, np.concatenate(vals))  # in array order, i.e. term order
+    offs = np.concatenate(offs) + dim  # in [1, 2 dim)
+    occurs = np.zeros(2 * dim, dtype=bool)
+    occurs[offs] = True
+    hermitian = A.role == HERMITIAN
+    if hermitian:
+        occurs[1:] |= occurs[:0:-1]  # -off for every off: the transpose reads mirror slots
+    slot = np.cumsum(occurs) - 1
+    diag = np.flatnonzero(occurs) - dim
+    n = diag.size
+    kmax = int(np.max(np.abs(diag))) if n else 0
+    width = dim + kmax
+    table = np.zeros(n * width + kmax, dtype=complex)
+    np.add.at(table, kmax + slot[offs] * width + np.concatenate(rows),
+              np.concatenate(vals))  # in array order, i.e. term order
+    acc = table[:n * width].reshape(n, width)[:, kmax:]  # acc[slot, row]
 
     defect = None
-    if A.role == HERMITIAN:
-        # max |M - M^dag| and (M + M^dag) / 2, evaluated only where M or its
-        # adjoint can be nonzero: every other entry of both is exactly 0
-        full, where = np.unique(np.concatenate((keys, (keys % dim) * dim + keys // dim)),
-                                return_inverse=True)
-        upper, lower = np.zeros(full.size, dtype=complex), np.zeros(full.size, dtype=complex)
-        upper[where[:keys.size]] = data
-        lower[where[keys.size:]] = data  # M at the transposed position
-        lower = lower.conj()
-        defect = float(np.max(np.abs(upper - lower))) if full.size else 0.0
-        keys, data = full, (upper + lower) / 2.0
-    keep = data != 0
-    rows, cols = np.divmod(keys[keep], dim)
+    if hermitian:
+        # M^dag at (r, r + k) is conj(M[r + k, r]): row r + k of slot(-k), the
+        # mirror slot n - 1 - slot(k); rows outside [0, dim) read zeros, which
+        # the conj turns into 0 - 0j as in a zero-filled dense transpose
+        start = kmax + np.arange(n - 1, -1, -1) * width + diag
+        lower = table[np.add.outer(start, np.arange(dim))].conj()
+        defect = float(np.max(np.abs(acc - lower))) if n else 0.0
+        acc = (acc + lower) / 2.0
+    keep = acc.T != 0
+    data = acc.T[keep]
+    at_row, at_slot = np.nonzero(keep)
     index = np.int32 if dim * dim < 2**31 else np.int64  # nnz <= dim^2
-    indptr = np.searchsorted(rows, np.arange(dim + 1))
-    csr = scipy.sparse.csr_array((data[keep], cols.astype(index), indptr.astype(index)),
-                                 shape=(dim, dim))
+    indptr = np.searchsorted(at_row, np.arange(dim + 1))
+    csr = scipy.sparse.csr_array((data, (at_row + diag[at_slot]).astype(index),
+                                  indptr.astype(index)), shape=(dim, dim))
     return TruncatedRep(csr, spec, defect)
 
 

@@ -114,6 +114,19 @@ def test_chain_spec_validation():
     assert spec.couplings == ((0, 1, 0.3),)
 
 
+def test_chain_spec_bounds_coefficients():
+    # a coupling is blamed once the strengths summed at one of its modes
+    # carry a coefficient past the bound; omega is blamed first
+    big = 0.6 * ch.MAX_COEFFICIENT
+    assert ChainSpec(3, 0.0, ((0, 1, big), (2, 1, 0.0)), (0,)).couplings[0][2] == big
+    for omega, couplings, field in [(1e160, ((0, 1, 1e300),), "omega"),
+                                    (0.0, ((0, 1, big), (2, 1, big)), "couplings[1]"),
+                                    (1.0, ((1, 2, 1.0), (0, 1, 1e300)), "couplings[1]")]:
+        with pytest.raises(ch.ChainParameterError) as err:
+            ChainSpec(3, omega, couplings, (0,))
+        assert err.value.field == field
+
+
 def test_chain_spec_json_roundtrip():
     spec = three_mode_chain()
     assert ChainSpec.from_dict(spec.to_dict()) == spec

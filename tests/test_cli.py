@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recurq import cli, fock, propagate, recurrence, synth, weyl
+from recurq import chains, cli, fock, propagate, recurrence, synth, weyl
+
+from oracles import per_edge_controllability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -225,6 +227,31 @@ def test_chain_demo_subcommand(tmp_path):
     assert (out / "summary.csv").exists()
 
 
+def test_propagation_closes_each_distinct_site_drift_once(tmp_path, monkeypatch):
+    # sites with the same strengths in coupling order pose one one-mode
+    # problem; the artifacts are those of one closure per site
+    couplings = [[i, i + 1, (1.0, 0.5, 2.0)[i % 3]] for i in range(7)]
+    sites = [m for m in range(8) if m != 5]
+    chain = {"n_modes": 8, "omega": 0.7, "couplings": couplings, "control_sites": sites}
+    closures = []
+    closure = chains.lie_closure
+    monkeypatch.setattr(chains, "lie_closure",
+                        lambda *args, **kwargs: closures.append(args) or closure(*args, **kwargs))
+    rc_code, out = run("propagation", {"chain": chain, "degree_cap": 4, "dim_cap": 256},
+                       tmp_path)
+    assert rc_code == cli.EXIT_OK
+    drifts = {tuple(a for i, j, a in couplings if m in (i, j)) for m in sites}
+    assert len(closures) == len(drifts) == 4
+    ref = per_edge_controllability(chains.ChainSpec.from_dict(chain), 4, 256)
+    cli.write_json(tmp_path / "report.json", ref)
+    cli.write_csv(tmp_path / "edges.csv",
+                  [["edge_u", "edge_v", "verdict", "closure_dim", "missing"]] +
+                  [[*e["edge"], e["verdict"], e["closure_dim"], e["missing_targets"]]
+                   for e in ref["edges"]])
+    for name in ("report.json", "edges.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_propagation_subcommand(tmp_path):
     config = {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
                         "control_sites": [0], "control_degree_cap": 3},
@@ -310,6 +337,26 @@ def test_config_errors_exit_usage_with_json_path(sub, config, path, tmp_path, ca
 
 CHAIN2 = {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]], "control_sites": [0],
           "control_degree_cap": 3}
+CHAIN3 = {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 1.0]],
+          "control_sites": [0], "control_degree_cap": 1}
+
+
+@pytest.mark.parametrize("sub", ["propagation", "chain-demo"])
+@pytest.mark.parametrize("chain,path", [
+    ({**CHAIN3, "omega": 1e160}, "$.chain.omega"),
+    ({**CHAIN3, "omega": 1e300}, "$.chain.omega"),
+    ({**CHAIN3, "couplings": [[0, 1, 1.0], [1, 2, 1e300]]}, "$.chain.couplings[1]"),
+], ids=["omega-1e160", "omega-1e300", "strength-1e300"])
+def test_oversized_chain_coefficients_exit_usage(sub, chain, path, tmp_path, capsys):
+    # squaring such a coefficient overflows a float: refused before any work
+    config = {"chain": chain}
+    if sub == "chain-demo":
+        config.update({"dims": [4, 4, 4], "targets": [{"expr": GEN(0), "t": 0.1}],
+                       "epsilon": 0.1, "n_budget": 2, "inverter": {"mode": "exact"}})
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("sub,config,path", [

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from recurq import fock, weyl
+from recurq import chains, fock, weyl
 from recurq.fock import TruncationSpec
-from recurq.weyl import as_hermitian, const, p, q
+from recurq.weyl import PolyOp, as_hermitian, const, p, q
 
 from conftest import random_polyop
 from oracles import (dense_represent, hermiticity_defect, hermitize, interior_block,
@@ -114,6 +114,57 @@ def test_scatter_represent_equals_dense_kron(rng):
         raw = dense_represent(H, dims)
         assert rep.hermiticity_defect == hermiticity_defect(raw)
         check(rep, hermitize(raw))
+
+
+def check_dense_bytes(A, dims):
+    """represent(A) is bit for bit the dense kron-and-add: for a hermitian
+    source the recorded defect and the hermitized matrix too."""
+    rep = fock.represent(A, TruncationSpec(dims))
+    dense = dense_represent(A, dims)
+    if A.role == weyl.HERMITIAN:
+        assert rep.hermiticity_defect == hermiticity_defect(dense)
+        dense = hermitize(dense)
+    else:
+        assert rep.hermiticity_defect is None
+    assert rep.csr.has_canonical_format and np.all(rep.csr.data != 0)
+    assert rep.csr.indices.dtype == rep.csr.indptr.dtype == np.int32  # dim^2 < 2^31
+    assert rep.matrix.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("dims,cap", [((8, 8, 8), 3), ((8, 8, 9), 1), ((9, 9, 9), 1)])
+def test_chain_generators_represent_equals_dense_kron(dims, cap):
+    # the chain-demo systems of the benchmark: drift and drift + each control
+    spec = chains.ChainSpec(3, 0.83, ((0, 1, 1.21), (1, 2, 0.64)), (0,), cap)
+    for H in chains.control_system(spec)[1]:
+        check_dense_bytes(H, dims)
+
+
+def _vanishing():
+    # 5e-324 q1 q2 underflows to zero on every entry at (2, 2), and alone
+    # occupies the flat diagonals +-3 and +-1 (the latter shared with p2)
+    A = PolyOp(2, {((1, 0), (1, 0)): 5e-324, ((2, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): 0.5})
+    assert fock.represent(PolyOp(2, {((1, 0), (1, 0)): 5e-324}), TruncationSpec((2, 2))).csr.nnz == 0
+    return A
+
+
+EDGE_CASES = {
+    # at dims (3, 5) the per-mode offsets (1, -4) of q1 q2^4 and (0, 1) of q2
+    # fall on the same flat diagonal 1
+    "shared-diagonal": (lambda: q(0, 2) * q(1, 2) * q(1, 2) * q(1, 2) * q(1, 2) + q(1, 2), (3, 5)),
+    "vanishing-term": (_vanishing, (2, 2)),
+    "constant": (lambda: const(2.5, 2), (3, 4)),
+    "zero": (lambda: PolyOp(2, {}), (3, 4)),
+    "general": (lambda: PolyOp(3, {((1, 0), (0, 2), (0, 0)): 1 + 2j,
+                                   ((0, 3), (0, 0), (1, 1)): 0.5 - 1j}), (4, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_represent_edge_cases_equal_dense_kron(case):
+    build, dims = EDGE_CASES[case]
+    A = build()
+    check_dense_bytes(PolyOp(A.mode_count, A.terms), dims)  # general role
+    check_dense_bytes(as_hermitian(0.5 * (A + A.adjoint())), dims)
 
 
 def test_hermitize():

@@ -48,6 +48,18 @@ def test_one_action_kernel():
     assert refs == []
 
 
+def test_fock_assembly_never_sorts():
+    # represent accumulates per diagonal into CSR order (notes/decisions.md,
+    # "Fock assembly into CSR"): no sort, unique or argsort in fock
+    calls = []
+    for node in ast.walk(ast.parse((SRC / "fock.py").read_text())):
+        func = getattr(node, "func", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if isinstance(node, ast.Call) and name in {"unique", "argsort", "sort", "lexsort"}:
+            calls.append((name, node.lineno))
+    assert calls == []
+
+
 def _private_reads(tree):
     """(line, name) of every ``_``-prefixed name a module reads from another
     package module: an attribute of an imported module, or a from-import."""
