@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .fock import TruncationSpec, ground_state, represent
 from .propagate import EvolutionTable
-from .synth import reachability_report
+from .synth import expr_indices, reachability_report
 from .weyl import (FAILS, PROPAGATES, UNKNOWN, PolyOp, as_hermitian,
                    algebraic_propagation_check, const, lie_closure,
                    local_skew_generators, p, q, skew_generator, table_monomials)
@@ -234,20 +234,19 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     site is tested with the capped single-mode generating set at u; the
     overall verdict is "propagates on every edge of a spanning structure".
     Every edge poses the same two-mode problem, so that check runs once, on
-    modes 0 and 1 (notes/decisions.md, "One pair check per chain").  The
-    per-site closure dimension of the bare controls with the drift terms
-    local to that site is reported as context, not as part of the verdict;
-    it runs in the one-mode frame, with no n-mode polynomial
+    modes 0 and 1, at the first edge the search reaches; it does not run when
+    every edge joins two control sites (notes/decisions.md, "One pair check
+    per chain").  The per-site closure dimension of the bare controls with
+    the drift terms local to that site is reported as context, not as part
+    of the verdict; it runs in the one-mode frame, with no n-mode polynomial
     (notes/decisions.md, "Site closures in the one-mode frame").  A
     ``degree_cap`` that the two-mode bracket table cannot represent raises
     ``weyl.CapError`` before any closure.
     """
     coupling = coupling_hamiltonian(0, 1, spec.omega, 2)
     if spec.edges:
-        # refuse a cap the two-mode table cannot represent before the O(cap^3) local set
+        # refuse a cap the two-mode table cannot represent before any closure
         table_monomials(degree_cap, 2)
-        pair = algebraic_propagation_check(local_skew_generators(0, 2, degree_cap), coupling,
-                                           degree_cap=degree_cap, dim_cap=dim_cap)
     adjacency: dict = {m: [] for m in range(spec.n_modes)}
     for i, j in spec.edges:
         adjacency[i].append(j)
@@ -275,11 +274,16 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     visited = set(spec.control_sites)
     frontier = list(spec.control_sites)
     verdicts = []
+    pair = None
     while frontier:
         u = frontier.pop(0)
         for v in sorted(adjacency[u]):
             if v in visited:
                 continue
+            if pair is None:
+                pair = algebraic_propagation_check(local_skew_generators(0, 2, degree_cap),
+                                                   coupling, degree_cap=degree_cap,
+                                                   dim_cap=dim_cap)
             verdicts.append(EdgeVerdict((u, v), pair.verdict,
                                         pair.closure.dim, len(pair.missing)))
             if pair.propagates:
@@ -292,12 +296,25 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
 # -- end-to-end demonstration --------------------------------------------------
 
 
-def chain_table(spec: ChainSpec, dims: Sequence[int]):
-    """Represent the chain's control system on a truncated Fock space.
+class GeneratorIndexError(IndexError):
+    """A generator index outside a control system of ``count`` generators."""
 
-    Returns ``(labels, tspec, table)``: the generator labels, the truncation
-    and the EvolutionTable of the skew generators -iH_k (index 0 = drift).
-    Desk scale only: at most three modes at <= 16 levels each.
+    def __init__(self, index: int, count: int):
+        super().__init__(f"generator index {index} is out of range; the system has "
+                         f"generators 0..{count - 1}")
+        self.count = count
+
+
+def chain_table(spec: ChainSpec, dims: Sequence[int], indices):
+    """Represent the generators ``indices`` of the chain's control system on a
+    truncated Fock space.
+
+    Returns ``(labels, tspec, table)``: the labels of every generator, the
+    truncation and the EvolutionTable of the skew generators -iH_k for k in
+    ``indices`` (index 0 = drift).  Desk scale only: at most three modes at
+    <= 16 levels each.  The truncation is checked first; an index outside
+    the control system raises ``GeneratorIndexError`` before anything is
+    represented.
     """
     if spec.n_modes > 3:
         raise ValueError("chain demos are desk-scale: at most 3 modes")
@@ -307,7 +324,11 @@ def chain_table(spec: ChainSpec, dims: Sequence[int]):
         raise ValueError("chain demos are desk-scale: at most 16 levels per mode")
     tspec = TruncationSpec(tuple(dims))
     labels, hams = control_system(spec)
-    table = EvolutionTable({k: -1j * represent(H, tspec).csr for k, H in enumerate(hams)})
+    indices = sorted(indices)
+    for k in indices:
+        if not 0 <= k < len(hams):
+            raise GeneratorIndexError(k, len(hams))
+    table = EvolutionTable({k: -1j * represent(hams[k], tspec).csr for k in indices})
     return labels, tspec, table
 
 
@@ -317,11 +338,11 @@ def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
     truncated chain system.
 
     ``targets`` is a list of (GeneratorExpr, duration) pairs over the control
-    system's generator indices (0 = drift); see ``chain_table`` for the
-    truncation limits.
+    system's generator indices (0 = drift); only the generators they read are
+    represented (see ``chain_table`` for the truncation limits).
     """
-    labels, tspec, table = chain_table(spec, dims)
+    indices = set().union(*(expr_indices(expr) for expr, _ in targets))
+    labels, tspec, table = chain_table(spec, dims, indices)
     report = reachability_report(table, ground_state(tspec), targets, epsilon, n_budget,
                                  inverter)
     return report, labels, table
-

@@ -275,9 +275,16 @@ def write_csv(path: str, rows) -> None:
 
 
 def _parse_poly(text: str, mode_count: int, path: str, kind) -> weyl.PolyOp:
-    """The polynomial ``text`` as ``kind`` (``weyl.as_hermitian`` or ``as_skew``)."""
+    """The polynomial ``text`` as ``kind`` (``weyl.as_hermitian`` or ``as_skew``).
+    Its coefficients are held to the chains' bound ``chains.MAX_COEFFICIENT``:
+    the role checks square them, and the closures and brackets multiply them."""
     try:
-        return kind(weyl.PolyOp.from_text(text, mode_count))
+        poly = weyl.PolyOp.from_text(text, mode_count)
+        for c in poly.terms.values():
+            if not math.hypot(c.real, c.imag) <= chains.MAX_COEFFICIENT:
+                raise ValueError(f"coefficient {c} is out of range (coefficient bound "
+                                 f"{chains.MAX_COEFFICIENT:.3g})")
+        return kind(poly)
     except ValueError as exc:
         raise ConfigError(f"{path}: bad polynomial {text!r}: {exc}") from None
 
@@ -289,12 +296,11 @@ def _parse_expr(data, path: str):
         raise ConfigError(f"{path}: malformed generator expression: {exc!r}") from None
 
 
-def _check_indices(indices, table, path: str) -> None:
-    known = table.indices()
-    unknown = sorted(set(indices) - set(known))
+def _check_indices(indices, count: int, path: str) -> None:
+    """Refuse an index outside a system of ``count`` generators."""
+    unknown = sorted(k for k in indices if not 0 <= k < count)
     if unknown:
-        raise ConfigError(f"{path}: generator index {unknown[0]} is out of range; the "
-                          f"system has generators {known[0]}..{known[-1]}")
+        raise ConfigError(f"{path}: {chains.GeneratorIndexError(unknown[0], count)}")
 
 
 def _chain_spec(cfg) -> chains.ChainSpec:
@@ -354,13 +360,20 @@ def _build_hamiltonian(cfg):
     raise ConfigError("$.hamiltonian: needs 'poly', 'levels', or 'level_formula'")
 
 
-def _build_system(cfg):
+def _parse_system(cfg):
+    """(truncation, hermitian generators) of a ``system`` config: the dims
+    checked and every generator parsed, none of them represented."""
     mode_count = int(cfg["mode_count"])
     spec = _truncation(cfg["dims"], mode_count, "$.system.dims")
     herms = [_parse_poly(text, mode_count, f"$.system.generators[{i}]", weyl.as_hermitian)
              for i, text in enumerate(cfg["generators"])]
-    reps = {k: -1j * fock.represent(H, spec).csr for k, H in enumerate(herms)}
-    return spec, propagate.EvolutionTable(reps)
+    return spec, herms
+
+
+def _build_system(spec: fock.TruncationSpec, herms, indices) -> propagate.EvolutionTable:
+    """The table of the skew generators -iH_k for the checked ``indices`` only."""
+    return propagate.EvolutionTable({k: -1j * fock.represent(herms[k], spec).csr
+                                     for k in sorted(indices)})
 
 
 def _build_inverter(cfg, table, psi0, rng, spec, targets):
@@ -507,12 +520,13 @@ def _run_invert(config, out, rng, jobs):
 
 
 def _run_trotter(config, out, rng, jobs):
-    spec, table = _build_system(config["system"])
-    _check_indices([int(config["k"])], table, "$.k")
-    _check_indices([int(config["l"])], table, "$.l")
+    k, l = int(config["k"]), int(config["l"])
+    spec, herms = _parse_system(config["system"])
+    _check_indices([k], len(herms), "$.k")
+    _check_indices([l], len(herms), "$.l")
+    table = _build_system(spec, herms, {k, l})
     psi0 = _build_state(config.get("state"), spec, rng)
-    rows = propagate.trotter_errors(int(config["k"]), int(config["l"]),
-                                    float(config["t"]), config["ns"], psi0, table)
+    rows = propagate.trotter_errors(k, l, float(config["t"]), config["ns"], psi0, table)
     write_csv(os.path.join(out, "convergence.csv"),
               [["n", "error"]] + [[n, e] for n, e in rows])
     write_json(os.path.join(out, "report.json"),
@@ -524,10 +538,11 @@ def _run_commutator(config, out, rng, jobs):
     k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
     if not math.isfinite(t * t):
         raise ConfigError(f"$.t: the bracket duration t^2 = {t * t:g} is not finite")
-    spec, table = _build_system(config["system"])
+    spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
-    _check_indices([k], table, "$.k")
-    _check_indices([l], table, "$.l")
+    _check_indices([k], len(herms), "$.k")
+    _check_indices([l], len(herms), "$.l")
+    table = _build_system(spec, herms, {k, l})
     # e^{[H_k, H_l] t^2} at step sqrt(t^2) / n = t / n
     bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
     target = propagate.expm_apply(synth.expr_matrix(bracket, table), t * t, [psi0])[0]
@@ -554,10 +569,12 @@ def _run_commutator(config, out, rng, jobs):
 
 
 def _run_compile(config, out, rng, jobs):
-    spec, table = _build_system(config["system"])
+    spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     expr = _parse_expr(config["target"], "$.target")
-    _check_indices(synth.expr_indices(expr), table, "$.target")
+    indices = synth.expr_indices(expr)
+    _check_indices(indices, len(herms), "$.target")
+    table = _build_system(spec, herms, indices)
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec,
                                [(expr, float(config["t"]))])
     result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
@@ -580,12 +597,16 @@ def _run_chain_demo(config, out, rng, jobs):
     spec = _chain_spec(config["chain"])
     targets = [(_parse_expr(t["expr"], f"$.targets[{i}].expr"), float(t["t"]))
                for i, t in enumerate(config["targets"])]
+    indices = set().union(*(synth.expr_indices(expr) for expr, _ in targets))
     try:
-        labels, tspec, table = chains.chain_table(spec, config["dims"])
+        labels, tspec, table = chains.chain_table(spec, config["dims"], indices)
     except ValueError as exc:
         raise ConfigError(f"$.dims: {exc}") from None
-    for i, (expr, _) in enumerate(targets):
-        _check_indices(synth.expr_indices(expr), table, f"$.targets[{i}].expr")
+    except chains.GeneratorIndexError as exc:
+        # name the first target that reads an unknown generator
+        for i, (expr, _) in enumerate(targets):
+            _check_indices(synth.expr_indices(expr), exc.count, f"$.targets[{i}].expr")
+        raise
     psi0 = fock.ground_state(tspec)
     inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec, targets)
     report = synth.reachability_report(table, psi0, targets, float(config["epsilon"]),

@@ -13,6 +13,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +69,26 @@ def _small_annihilator(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
 
 
+@functools.lru_cache(maxsize=256)
+def _mode_power(d: int, q_exp: int, p_exp: int):
+    """Nonzeros (rows, cols - rows, vals) of the truncated q^a p^b on d levels.
+
+    Built once per (d, a, b) in a process and shared by every ``represent``
+    call, so the arrays are read-only.
+    """
+    a = _small_annihilator(d)
+    qm = (a + a.conj().T) / math.sqrt(2.0)
+    pm = 1j * (a.conj().T - a) / math.sqrt(2.0)
+    m = np.eye(d, dtype=complex)
+    m = m @ np.linalg.matrix_power(qm, q_exp) if q_exp else m
+    m = m @ np.linalg.matrix_power(pm, p_exp) if p_exp else m
+    rows, cols = np.nonzero(m)
+    nonzeros = (rows, cols - rows, m[rows, cols])
+    for array in nonzeros:
+        array.flags.writeable = False
+    return nonzeros
+
+
 def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
     """Truncate-then-multiply representation of a canonical polynomial.
 
@@ -80,26 +101,6 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
         )
     if spec.dim > MAX_DIM:
         raise ValueError(f"total dimension {spec.dim} exceeds limit {MAX_DIM}")
-
-    smalls = {}
-    for mode, d in enumerate(spec.dims):
-        a = _small_annihilator(d)
-        qm = (a + a.conj().T) / math.sqrt(2.0)
-        pm = 1j * (a.conj().T - a) / math.sqrt(2.0)
-        smalls[mode] = (qm, pm, {})
-
-    def mode_power(mode, q_exp, p_exp):
-        """Nonzeros (rows, cols - rows, vals) of the truncated q^a p^b on one mode."""
-        qm, pm, cache = smalls[mode]
-        key = (q_exp, p_exp)
-        if key not in cache:
-            d = spec.dims[mode]
-            m = np.eye(d, dtype=complex)
-            m = m @ np.linalg.matrix_power(qm, q_exp) if q_exp else m
-            m = m @ np.linalg.matrix_power(pm, p_exp) if p_exp else m
-            rows, cols = np.nonzero(m)
-            cache[key] = (rows, cols - rows, m[rows, cols])
-        return cache[key]
 
     # Each monomial's Kronecker product is assembled from the per-mode
     # nonzeros in np.kron's index layout and multiplication order, and each
@@ -115,10 +116,10 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
     dim = spec.dim
     rows, offs, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
     for mono, coeff in A.terms.items():
-        r, o, v = mode_power(0, *mono[0])
+        r, o, v = _mode_power(spec.dims[0], *mono[0])
         for mode in range(1, spec.mode_count):
-            rm, om, vm = mode_power(mode, *mono[mode])
             d = spec.dims[mode]
+            rm, om, vm = _mode_power(d, *mono[mode])
             r = np.add.outer(r * d, rm).ravel()
             o = np.add.outer(o * d, om).ravel()  # col - row is linear in the mode indices
             v = np.multiply.outer(v, vm).ravel()

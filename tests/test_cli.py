@@ -242,7 +242,13 @@ def test_propagation_closes_each_distinct_site_drift_once(tmp_path, monkeypatch)
     assert rc_code == cli.EXIT_OK
     drifts = {tuple(a for i, j, a in couplings if m in (i, j)) for m in sites}
     assert len(closures) == len(drifts) == 4
-    ref = per_edge_controllability(chains.ChainSpec.from_dict(chain), 4, 256)
+    assert_per_edge_artifacts(out, chain, 4, 256, tmp_path)
+
+
+def assert_per_edge_artifacts(out, chain, degree_cap, dim_cap, tmp_path):
+    """report.json and edges.csv in ``out`` are the bytes the per-edge oracle
+    (one pair check per reached edge, in the chain's frame) writes."""
+    ref = per_edge_controllability(chains.ChainSpec.from_dict(chain), degree_cap, dim_cap)
     cli.write_json(tmp_path / "report.json", ref)
     cli.write_csv(tmp_path / "edges.csv",
                   [["edge_u", "edge_v", "verdict", "closure_dim", "missing"]] +
@@ -250,6 +256,27 @@ def test_propagation_closes_each_distinct_site_drift_once(tmp_path, monkeypatch)
                    for e in ref["edges"]])
     for name in ("report.json", "edges.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("n_modes,sites,checks,edges,code", [
+    (40, list(range(40)), 0, 0, cli.EXIT_FAILURE),
+    (8, [3], 1, 7, cli.EXIT_OK),
+], ids=["every-mode-controlled", "one-site"])
+def test_pair_check_runs_only_when_an_edge_reads_it(n_modes, sites, checks, edges, code,
+                                                    tmp_path, monkeypatch):
+    # with every mode a control site the search reaches no edge, so no
+    # verdict reads the pair check; one control site reads it on every edge
+    chain = {"n_modes": n_modes, "omega": 0.7, "control_sites": sites,
+             "couplings": [[i, i + 1, 1.0] for i in range(n_modes - 1)]}
+    calls = []
+    check = chains.algebraic_propagation_check
+    monkeypatch.setattr(chains, "algebraic_propagation_check",
+                        lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+    rc_code, out = run("propagation", {"chain": chain, "degree_cap": 4, "dim_cap": 256},
+                       tmp_path)
+    assert rc_code == code and len(calls) == checks
+    assert len(json.loads((out / "report.json").read_text())["edges"]) == edges
+    assert_per_edge_artifacts(out, chain, 4, 256, tmp_path)
 
 
 def test_propagation_subcommand(tmp_path):
@@ -359,6 +386,36 @@ def test_oversized_chain_coefficients_exit_usage(sub, chain, path, tmp_path, cap
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+def _qp_with(*generators):
+    return {**QP_SYSTEM, "generators": list(generators)}
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("closure", {"mode_count": 1, "generators": ["(0,1e200) * q1", "(0,1) * p1"]},
+     "$.generators[0]"),
+    ("trotter", {"system": _qp_with("(1e200,0) * q1", "(1,0) * p1"), "k": 0, "l": 1,
+                 "t": 0.5, "ns": [4]}, "$.system.generators[0]"),
+    ("commutator", {"system": _qp_with("(1,0) * q1", "(1e80,0) * p1"), "k": 0, "l": 1,
+                    "t": 0.5, "n": 2, "inverter": {"mode": "exact"}},
+     "$.system.generators[1]"),
+    ("compile", {"system": _qp_with("(1,0) * q1", "(1,0) * p1 + (0,1e300) * q1 p1"),
+                 "target": GEN(0), "t": 0.5, "epsilon": 0.1, "n_budget": 4,
+                 "inverter": {"mode": "exact"}}, "$.system.generators[1]"),
+    ("recur", {"hamiltonian": {**HARMONIC, "poly": "(1e300,0) * q1^2"}, "delta": 0.1,
+               "mode": "pointwise"}, "$.hamiltonian.poly"),
+    ("invert", {"hamiltonian": {**HARMONIC, "poly": "(inf,0) * q1"}, "delta": 0.1,
+                "mode": "pointwise", "s": 0.5}, "$.hamiltonian.poly"),
+], ids=["closure-1e200", "trotter-1e200", "commutator-1e80", "compile-1e300", "recur-1e300",
+        "invert-inf"])
+def test_oversized_parsed_coefficients_exit_usage(sub, config, path, tmp_path, capsys):
+    # parsed coefficients are held to the chains' bound, chains.MAX_COEFFICIENT:
+    # squared in the role checks, 1e200 overflowed into a traceback
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: bad polynomial ") and "out of range" in err
+
+
 @pytest.mark.parametrize("sub,config,path", [
     ("closure", {"mode_count": 1, "generators": ["(0,1) * q1", "(0,1) * q1^3"],
                  "degree_cap": 2}, "$.generators[1]"),
@@ -399,6 +456,103 @@ def test_exhausted_spectrum_writes_a_failure_report(sub, extra, tmp_path):
     assert rc_code == cli.EXIT_FAILURE
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "failed" and "spectrum ends" in report["error"]
+
+
+def _masked_report(out):
+    """report.json without chain-demo's measured per-target wall_time."""
+    report = json.loads((out / "report.json").read_text())
+    for rec in report.get("targets", []):
+        rec.pop("wall_time")
+    return report
+
+
+def test_chain_demo_represents_only_the_generators_its_targets_read(tmp_path, monkeypatch):
+    # a cap-3 control system has 5 generators; the targets read 0 and 2
+    config = {
+        "chain": {"n_modes": 3, "omega": 0.9, "couplings": [[0, 1, 1.1], [1, 2, 0.8]],
+                  "control_sites": [0], "control_degree_cap": 3},
+        "dims": [4, 4, 4],
+        "targets": [{"expr": {"op": "sum", "left": GEN(0), "right": GEN(2)}, "t": 0.3},
+                    {"expr": {"op": "scale", "factor": -1.0, "inner": GEN(2)}, "t": 0.2}],
+        "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "exact"},
+    }
+    built, represent = [], chains.represent
+    monkeypatch.setattr(chains, "represent",
+                        lambda H, spec: built.append(H) or represent(H, spec))
+    rc_code, out = run("chain-demo", config, tmp_path, name="read")
+    assert rc_code == cli.EXIT_OK and len(built) == 2
+    # the same run over a table of every generator
+    table = chains.chain_table
+    monkeypatch.setattr(chains, "chain_table",
+                        lambda spec, dims, indices: table(spec, dims, range(5)))
+    rc_all, out_all = run("chain-demo", config, tmp_path, name="all")
+    assert rc_all == cli.EXIT_OK and len(built) == 2 + 5
+    report = _masked_report(out)
+    assert len(report["generators"]) == 5 and report["all_ok"]
+    assert report == _masked_report(out_all)
+
+
+def test_compile_represents_only_the_generators_its_target_reads(tmp_path, monkeypatch):
+    # [H, q^3] reads generators 0 and 3 of the four
+    config = {"system": CUBIC_SYSTEM,
+              "target": {"op": "bracket", "left": GEN(0), "right": GEN(3)},
+              "t": 0.25, "epsilon": 1e-2, "n_budget": 64, "inverter": {"mode": "exact"},
+              "state": {"fock": [0]}}
+    built, represent = [], fock.represent
+    monkeypatch.setattr(fock, "represent", lambda H, spec: built.append(H) or represent(H, spec))
+    rc_code, out = run("compile", config, tmp_path, name="read")
+    assert rc_code == cli.EXIT_OK and len(built) == 2
+    build = cli._build_system
+    monkeypatch.setattr(cli, "_build_system",
+                        lambda spec, herms, indices: build(spec, herms, range(len(herms))))
+    rc_all, out_all = run("compile", config, tmp_path, name="all")
+    assert rc_all == cli.EXIT_OK and len(built) == 2 + 4
+    assert sorted(os.listdir(out)) == sorted(os.listdir(out_all))
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == (out_all / name).read_bytes()
+
+
+CHAIN_DEMO = {"chain": {**CHAIN2, "control_degree_cap": 1}, "dims": [4, 4],
+              "epsilon": 0.1, "n_budget": 4, "inverter": {"mode": "exact"}}
+EXACT = {"mode": "exact"}
+
+
+@pytest.mark.parametrize("sub,config,message", [
+    ("trotter", {"system": QP_SYSTEM, "k": 0, "l": 5, "t": 0.5, "ns": [4]},
+     "$.l: generator index 5 is out of range; the system has generators 0..1"),
+    ("trotter", {"system": QP_SYSTEM, "k": 0, "l": 5, "t": 0.5, "ns": [4],
+                 "state": {"fock": [40]}},
+     "$.l: generator index 5 is out of range; the system has generators 0..1"),
+    ("commutator", {"system": QP_SYSTEM, "k": 2, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": EXACT},
+     "$.k: generator index 2 is out of range; the system has generators 0..1"),
+    ("commutator", {"system": QP_SYSTEM, "k": 3, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": EXACT, "state": {"fock": [40]}},
+     "$.state: occupation 40 outside [0, 32)"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "bracket", "left": GEN(0),
+                                                 "right": GEN(2)},
+                 "t": 0.5, "epsilon": 0.1, "n_budget": 4, "inverter": EXACT},
+     "$.target: generator index 2 is out of range; the system has generators 0..1"),
+    ("compile", {"system": {**QP_SYSTEM, "generators": ["(1,0) * q1", "(1,0) * p1^^2"]},
+                 "target": GEN(2), "t": 0.5, "epsilon": 0.1, "n_budget": 4,
+                 "inverter": EXACT},
+     "$.system.generators[1]: bad polynomial '(1,0) * p1^^2': "),
+    ("chain-demo", {**CHAIN_DEMO, "targets": [{"expr": GEN(1), "t": 0.1},
+                                              {"expr": {"op": "sum", "left": GEN(9),
+                                                        "right": GEN(7)}, "t": 0.1},
+                                              {"expr": GEN(3), "t": 0.1}]},
+     "$.targets[1].expr: generator index 7 is out of range; the system has generators 0..2"),
+    ("chain-demo", {**CHAIN_DEMO, "dims": [4, 4, 4], "targets": [{"expr": GEN(9), "t": 0.1}]},
+     "$.dims: one Fock dimension per mode required"),
+], ids=["trotter", "trotter-index-before-state", "commutator", "commutator-state-first",
+        "compile", "compile-generators-first", "chain-demo", "chain-demo-dims-first"])
+def test_generator_index_errors_keep_their_messages_and_order(sub, config, message, tmp_path,
+                                                              capsys):
+    # one line, the full message (the parser's own words cut off after the text)
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_chain_demo_parallel_report_matches_serial(tmp_path):
@@ -641,7 +795,8 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
     assert rc_code == cli.EXIT_OK
     # generators 0 and 1 once each, shared by the table and the inverter,
     # plus the one-off target; the unused generator 2 never
-    spec, table = cli._build_system(system)
+    spec, herms = cli._parse_system(system)
+    table = cli._build_system(spec, herms, range(len(herms)))
     assert len(calls) == 3
     decomposed = [k for k in table.indices()
                   if any(np.array_equal(a, 1j * table.matrix(k).toarray()) for a in calls)]

@@ -139,6 +139,23 @@ def test_chain_generators_represent_equals_dense_kron(dims, cap):
         check_dense_bytes(H, dims)
 
 
+def test_represent_is_the_same_with_a_cold_or_warm_power_memo():
+    # the per-mode powers are built once per (levels, q power, p power) and
+    # shared read-only by every later call, on any truncation
+    spec = chains.ChainSpec(3, 0.83, ((0, 1, 1.21), (1, 2, 0.64)), (0,), 3)
+    for H in chains.control_system(spec)[1]:
+        for dims in ((8, 8, 9), (9, 8, 8)):
+            fock._mode_power.cache_clear()
+            cold = fock.represent(H, TruncationSpec(dims))
+            warm = fock.represent(H, TruncationSpec(dims))
+            assert fock._mode_power.cache_info().hits > 0
+            assert cold.hermiticity_defect == warm.hermiticity_defect
+            for name in ("data", "indices", "indptr"):
+                assert getattr(cold.csr, name).tobytes() == getattr(warm.csr, name).tobytes()
+    rows, offs, vals = fock._mode_power(8, 1, 2)
+    assert not (rows.flags.writeable or offs.flags.writeable or vals.flags.writeable)
+
+
 def _vanishing():
     # 5e-324 q1 q2 underflows to zero on every entry at (2, 2), and alone
     # occupies the flat diagonals +-3 and +-1 (the latter shared with p2)

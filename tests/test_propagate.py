@@ -416,7 +416,7 @@ def test_squared_repeats_stay_unitary():
 
 def _chain_table(d):
     spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
-    _, tspec, table = chains.chain_table(spec, (d, d, d))
+    _, tspec, table = chains.chain_table(spec, (d, d, d), range(3))  # all 3 generators
     return tspec, table
 
 

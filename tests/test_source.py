@@ -60,6 +60,23 @@ def test_fock_assembly_never_sorts():
     assert calls == []
 
 
+def test_ladder_powers_are_built_once_per_mode_size():
+    # the per-mode ladder matrices and their powers q^a p^b are built only in
+    # fock._mode_power, memoized per (levels, a, b), never per represent call
+    tree = ast.parse((SRC / "fock.py").read_text())
+
+    def ladder_calls(node):
+        return [inner.lineno for inner in ast.walk(node) if isinstance(inner, ast.Call)
+                and getattr(inner.func, "attr", getattr(inner.func, "id", None))
+                in {"_small_annihilator", "matrix_power"}]
+
+    (memo,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_mode_power"]
+    assert any(ast.unparse(d).startswith(("functools.lru_cache", "functools.cache"))
+               for d in memo.decorator_list)
+    assert ladder_calls(memo) and ladder_calls(tree) == ladder_calls(memo)
+
+
 def _private_reads(tree):
     """(line, name) of every ``_``-prefixed name a module reads from another
     package module: an attribute of an imported module, or a from-import."""

@@ -159,13 +159,13 @@ def test_expr_matrix_is_sparse_on_the_action_path():
     # dim 216 >= 2 * SPECTRAL_DIVISOR: the oracle acts, so the expression
     # stays CSR; below it the expression is dense, as the oracle diagonalizes
     spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
-    _, _, table = chains.chain_table(spec, (6, 6, 6))
     expr = Scale(2.0, Sum(Gen(1), Bracket(Gen(1), Gen(2))))
+    _, _, table = chains.chain_table(spec, (6, 6, 6), sy.expr_indices(expr))
     G = sy.expr_matrix(expr, table)
     assert isinstance(G, scipy.sparse.csr_array)
     A, B = table.matrix(1).toarray(), table.matrix(2).toarray()
     assert np.allclose(G.toarray(), 2.0 * (A + (A @ B - B @ A)), rtol=0, atol=1e-12)
-    _, _, small = chains.chain_table(spec, (4, 4, 4))
+    _, _, small = chains.chain_table(spec, (4, 4, 4), sy.expr_indices(expr))
     assert isinstance(sy.expr_matrix(expr, small), np.ndarray)
 
 
