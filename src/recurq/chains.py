@@ -203,7 +203,6 @@ class ChainControllabilityReport:
     @property
     def controllable(self) -> bool:
         return (not self.unreachable_modes
-                and bool(self.edge_verdicts)
                 and all(v.verdict == PROPAGATES for v in self.edge_verdicts))
 
     @property

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -253,20 +252,23 @@ def write_json(path: str, data) -> None:
     _atomic_write(path, lambda fh: fh.write(text))
 
 
-_NUMBERS = frozenset((int, float))
-
-
 def write_csv(path: str, rows) -> None:
-    """Rows of Python ints and floats are written as their reprs joined by ','
-    and ended by '\\r\\n', the bytes csv.writer gives them without its per-field
-    loop; any other row goes through csv.writer."""
+    _atomic_write(path, lambda fh: csv.writer(fh).writerows(rows))
+
+
+# scan.csv rows formatted and written per write call
+_SCAN_BATCH = 2048
+
+
+def write_scan(path: str, trace) -> None:
+    """scan.csv: a header, then the search trace's (T, objective) float pairs
+    as the bytes csv.writer gives them (each float's repr, ',' between,
+    '\\r\\n' after).  Rows are formatted a batch at a time, so the file is
+    never held whole as one string."""
     def write(fh):
-        writer = csv.writer(fh)
-        for row in rows:
-            if _NUMBERS.issuperset(map(type, row)):
-                fh.write(",".join(map(repr, row)) + "\r\n")
-            else:
-                writer.writerow(row)
+        fh.write("T,objective\r\n")
+        for i in range(0, len(trace), _SCAN_BATCH):
+            fh.write("".join(["%r,%r\r\n" % row for row in trace[i:i + _SCAN_BATCH]]))
 
     _atomic_write(path, write)
 
@@ -499,7 +501,7 @@ def _run_recur(config, out, rng, jobs):
             t_max=config.get("t_max"), grid_step=config.get("grid_step"),
             shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
     finally:
-        write_csv(os.path.join(out, "scan.csv"), itertools.chain([("T", "objective")], trace))
+        write_scan(os.path.join(out, "scan.csv"), trace)
     write_json(os.path.join(out, "plan.json"), plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "time": plan.time, "N": plan.N})

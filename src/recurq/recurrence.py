@@ -219,7 +219,7 @@ def _objective(energies: np.ndarray):
 
 # Grid points per angle-addition block.  A chunk of m points becomes
 # ceil(m / _BLOCK) row phases times _BLOCK column phases: (m / _BLOCK + _BLOCK) * N
-# sines and cosines plus two GEMMs whose cost does not depend on the block.
+# sines and cosines plus one GEMM whose cost does not depend on the block.
 # The trig count is smallest at sqrt(2^16) = 256 for full chunks, which is
 # also the measured optimum (notes/decisions.md).
 _BLOCK = 256
@@ -233,15 +233,16 @@ def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray
     """sum_n (1 - cos(E_n t_j)) at t_j = j h + start for j = 0..m-1.
 
     With j = a B + b this is N - Re(e^{i E (aBh + start)} . e^{i E b h}), i.e.
-    cos(A) @ cos(C) - sin(A) @ sin(C) for the row phases A and the column
-    phases C.  Every row phase is formed directly from its time, never by
-    repeated rotation, so rounding does not build up along the chunk.
+    N - [cos A | sin A] @ [cos C ; -sin C] for the row phases A and the column
+    phases C: one product of inner size 2N.  Every row phase is formed
+    directly from its time, never by repeated rotation, so rounding does not
+    build up along the chunk.
     """
     rows = np.arange(0, m, _BLOCK) * h + start
     A = np.outer(rows, E)
     C = np.outer(E, np.arange(min(m, _BLOCK)) * h)
-    S = np.cos(A) @ np.cos(C) - np.sin(A) @ np.sin(C)
-    return len(E) - S.ravel()[:m]
+    S = (np.hstack([np.cos(A), np.sin(A)]) @ np.vstack([np.cos(C), -np.sin(C)])).ravel()[:m]
+    return np.subtract(len(E), S, out=S)
 
 
 def _grid_times(j, start: float, stop: float, h: float, m: int) -> np.ndarray:

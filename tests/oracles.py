@@ -1,17 +1,19 @@
 """Independent oracles used by the tests: brute-force symbolic reordering,
 matrix-level Lie closure, the table-free capped closure, dense Fock assembly
 and the dense truncated q, p, hermitization and interior-block references,
-the point-by-point recurrence grid scan, the recurrence search with
-materialized grid times and seam copies, segment-by-segment word
-evaluation, the Taylor action of the matrix exponential, the sequential
-reduction and per-target membership test of the propagation check, the
-chain verdicts from one propagation check per edge, and scipy's bounded
-scalar minimizer.  These deliberately avoid the package's
-closed-form reordering identity, structure-tensor machinery, sparse
-assembly, angle addition, word trees, Chebyshev action, adjoint matrix and
-private Brent refine.  The one exception is the table-free closure: it
-brackets with ``PolyOp`` arithmetic, which the reordering oracle checks,
-and avoids the bracket table, its stored rows and the sweep's stop rule."""
+the point-by-point recurrence grid scan, the two-product grid kernel, the
+recurrence search with materialized grid times and seam copies,
+segment-by-segment word evaluation, the Taylor action of the matrix
+exponential, the sequential reduction and per-target membership test of the
+propagation check, the chain verdicts from one propagation check per edge,
+and scipy's bounded scalar minimizer.  These deliberately avoid the
+package's closed-form reordering identity, structure-tensor machinery,
+sparse assembly, angle addition, word trees, Chebyshev action, adjoint
+matrix and private Brent refine.  There are two exceptions.  The table-free
+closure brackets with ``PolyOp`` arithmetic, which the reordering oracle
+checks, and avoids the bracket table, its stored rows and the sweep's stop
+rule.  The two-product grid kernel is the package's angle addition as it
+was before its single matrix product, kept to compare searches with either."""
 
 from __future__ import annotations
 
@@ -269,6 +271,17 @@ def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
         n_point += m
         start = stop
     return trace, n_point
+
+
+def two_product_grid_objective(E, start, h, m) -> np.ndarray:
+    """``recurrence._grid_objective`` as two matrix products of inner size N,
+    ``cos(A) @ cos(C) - sin(A) @ sin(C)``, on the same row and column phases:
+    the angle-addition kernel before its single product of inner size 2N."""
+    rows = np.arange(0, m, recurrence._BLOCK) * h + start
+    A = np.outer(rows, E)
+    C = np.outer(E, np.arange(min(m, recurrence._BLOCK)) * h)
+    S = np.cos(A) @ np.cos(C) - np.sin(A) @ np.sin(C)
+    return len(E) - S.ravel()[:m]
 
 
 def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):

@@ -11,7 +11,7 @@ from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
 from oracles import (direct_grid_scan, direct_grid_values, linspace_scan,
-                     scipy_bounded_minimum)
+                     scipy_bounded_minimum, two_product_grid_objective)
 
 
 def _oscillator(spec):
@@ -454,6 +454,45 @@ def test_scan_matches_oracle_when_tau_min_is_already_a_recurrence(energies, tau_
     assert found.time == found.searched_to == tau_min
 
 
+def _kernel_run(kernel, energies, delta, search=rc.find_recurrence_time, **kwargs):
+    """Run the search with ``kernel`` as its grid kernel; return the refine
+    brackets in order as float.hex, the result or failure fields as
+    ``_float_bits`` and every chunk's (E, start, h, m) and grid values."""
+    brackets, chunks = [], []
+    brent = rc._bounded_brent
+
+    def recorded_brent(f, a, b, xatol):
+        brackets.append((float(a).hex(), float(b).hex()))
+        return brent(f, a, b, xatol)
+
+    def recorded_kernel(E, start, h, m):
+        chunks.append(((E, start, h, m), kernel(E, start, h, m)))
+        return chunks[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_bounded_brent", recorded_brent)
+        mp.setattr(rc, "_grid_objective", recorded_kernel)
+        try:
+            fields = vars(search(energies, delta, **kwargs))
+        except rc.RecurrenceSearchError as exc:
+            fields = exc.to_dict()
+    return brackets, {key: _float_bits(v) for key, v in fields.items()}, chunks
+
+
+def _same_kernels(energies, delta, search=rc.find_recurrence_time, **kwargs):
+    """Assert that the search refines the same candidates and returns the same
+    result or failure, bit for bit, with the single-product kernel and the
+    two-product one, and that their grid values differ by at most the
+    rounding term."""
+    single = _kernel_run(rc._grid_objective, energies, delta, search, **kwargs)
+    double = _kernel_run(two_product_grid_objective, energies, delta, search, **kwargs)
+    assert single[:2] == double[:2]
+    assert [args for args, _ in single[2]] == [args for args, _ in double[2]]
+    for ((E, start, h, m), ours), (_, theirs) in zip(single[2], double[2]):
+        assert ours.shape == theirs.shape == (m,)
+        assert np.max(np.abs(ours - theirs)) <= _rounding(E, start + (m - 1) * h, h)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_scan_matches_oracle_on_seeded_spectra(seed):
     rng = np.random.default_rng(seed)
@@ -461,7 +500,9 @@ def test_scan_matches_oracle_on_seeded_spectra(seed):
     step = 2.0 * math.pi / (100.0 * float(np.max(E)))
     tau_min = float(rng.uniform(0.0, 5.0)) / float(np.max(E))
     t_max = tau_min + float(rng.uniform(0.2, 3.5)) * _CHUNK * step
-    _same_scan(E, float(rng.choice([1e-3, 0.3, 0.8])), tau_min=tau_min, t_max=t_max)
+    delta = float(rng.choice([1e-3, 0.3, 0.8]))
+    _same_scan(E, delta, tau_min=tau_min, t_max=t_max)
+    _same_kernels(E, delta, tau_min=tau_min, t_max=t_max)
 
 
 # The recur-search benchmark's jobs for seed 1 (subcommand, --seed, config),
@@ -515,6 +556,8 @@ def test_scan_matches_oracle_on_the_benchmark_spectra(sub, seed, config, tmp_pat
     def compared(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):
         outcomes.append(_same_scan(energies, delta, search=search, tau_min=tau_min,
                                    t_max=t_max, grid_step=grid_step))
+        _same_kernels(energies, delta, search, tau_min=tau_min, t_max=t_max,
+                      grid_step=grid_step)
         return search(energies, delta, tau_min=tau_min, t_max=t_max, grid_step=grid_step,
                       trace=trace)
 

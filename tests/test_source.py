@@ -77,6 +77,20 @@ def test_ladder_powers_are_built_once_per_mode_size():
     assert ladder_calls(memo) and ladder_calls(tree) == ladder_calls(memo)
 
 
+def test_grid_kernel_is_one_matrix_product():
+    # a ratchet: the scan kernel forms [cos A | sin A] @ [cos C ; -sin C] as
+    # one GEMM of inner size 2N (notes/decisions.md, "Grid scan by angle
+    # addition"), not the two products of inner size N it replaced
+    tree = ast.parse((SRC / "recurrence.py").read_text())
+    (kernel,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_grid_objective"]
+    products = [node.lineno for node in ast.walk(kernel)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                in {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}]
+    assert len(products) == 1, products
+
+
 def _private_reads(tree):
     """(line, name) of every ``_``-prefixed name a module reads from another
     package module: an attribute of an imported module, or a from-import."""
