@@ -17,14 +17,13 @@ from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable
                         expm_skew, expm_apply,
                         evolve, evolve_signed, trotter_sequence, realize_word,
                         trotter_errors, state_error, fidelity)
-from .recurrence import (SpectralData, RecurrencePlan, InvertResult,
-                         RecurrenceInverter, ExactInverter,
+from .recurrence import (SpectralData, RecurrencePlan, InvertResult, RecurrenceInverter,
                          RecurrenceSearchError, SpectrumExhaustedError, GridReachError,
                          spectral, recurrence_distance, tail_cut,
                          tail_mass, tail_cut_energy, tail_cut_finite_net,
                          find_recurrence_time, plan_recurrence, invert,
                          polynomial_levels)
-from .synth import (Gen, Sum, Bracket, Scale, SignedWord, CompileResult,
+from .synth import (Gen, Sum, Bracket, Scale, SignedWord, CompileResult, ExactInverter,
                     CompileBudgetError, compile_sequence, verify,
                     reachability_report, build_word, expr_matrix,
                     expr_from_dict)

@@ -378,9 +378,19 @@ def _build_system(spec: fock.TruncationSpec, herms, indices) -> propagate.Evolut
                                      for k in sorted(indices)})
 
 
-def _build_inverter(cfg, table, psi0, rng, spec, targets):
-    """Inverter for the reversed segments of the (expr, t) ``targets``; it
-    reads each reversed generator's spectrum from the table's store."""
+def _order_one_word(expr, t: float, path: str):
+    """The order-1 word of e^{G(expr) t}.  No leaf of a higher order is
+    longer, so a duration that is not finite is refused here, at ``path``,
+    before any table is built."""
+    try:
+        return synth.build_word(expr, t, 1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _build_inverter(cfg, table, psi0, rng, spec, words):
+    """Inverter for the reversed segments of the targets' order-1 ``words``;
+    it reads each reversed generator's spectrum from the table's store."""
     mode = cfg["mode"]
     if mode == "exact":
         return synth.ExactInverter()
@@ -402,8 +412,7 @@ def _build_inverter(cfg, table, psi0, rng, spec, targets):
                               f"finite, got {bounds}")
         # only reversed segments reach the inverter; segment signs do not
         # depend on the order n
-        reversed_gens = {k for expr, t in targets
-                         for k, s in propagate.leaves(synth.build_word(expr, t, 1)) if s < 0}
+        reversed_gens = {k for word in words for k, s in propagate.leaves(word) if s < 0}
         missing = sorted(reversed_gens - set(bounds))
         if missing:
             raise ConfigError(f"$.inverter.energy_bounds: no energy bound for the "
@@ -538,60 +547,47 @@ def _run_trotter(config, out, rng, jobs):
 
 def _run_commutator(config, out, rng, jobs):
     k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
-    if not math.isfinite(t * t):
-        raise ConfigError(f"$.t: the bracket duration t^2 = {t * t:g} is not finite")
+    # e^{[H_k, H_l] t^2} at step sqrt(t^2) / n = t / n
+    bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
+    words = [_order_one_word(bracket, t * t, "$.t")]
     spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     _check_indices([k], len(herms), "$.k")
     _check_indices([l], len(herms), "$.l")
     table = _build_system(spec, herms, {k, l})
-    # e^{[H_k, H_l] t^2} at step sqrt(t^2) / n = t / n
-    bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
-    target = propagate.expm_apply(synth.expr_matrix(bracket, table), t * t, [psi0])[0]
-    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, [(bracket, t * t)])
-    word = synth.build_word(bracket, t * t, n)
-    if len(word) != 4 * n * n:
+    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, words)
+    seq, plans = synth.realize(bracket, t * t, n, inverter)
+    if len(seq) != 4 * n * n:
         raise AssertionError("commutator word must have 4 n^2 segments")
-    result = {"n": n, "t": t, "physical": inverter.physical}
+    error, fidelity = synth.verify(seq, psi0, bracket, table, t * t)
     if inverter.physical:
-        word, plans = propagate.realize_word(word, inverter)
         seq = propagate.ControlSequence(
-            word, provenance=f"commutator(k={k}, l={l}, t={t}, n={n}; {len(plans)} inversions)")
-        out_state = propagate.evolve(seq, psi0, table)
+            seq.word, f"commutator(k={k}, l={l}, t={t}, n={n}; {len(plans)} inversions)")
         write_json(os.path.join(out, "sequence.json"), seq.to_dict())
-        write_json(os.path.join(out, "plans.json"),
-                   [p.to_dict() for p in inverter.plans().values()])
-    else:
-        out_state = propagate.evolve_signed(word, psi0, table)
-    result["error"] = propagate.state_error(out_state, target)
-    result["fidelity"] = propagate.fidelity(out_state, target)
-    result["status"] = "ok"
-    write_json(os.path.join(out, "report.json"), result)
+        write_json(os.path.join(out, "plans.json"), [p.to_dict() for p in plans.values()])
+    write_json(os.path.join(out, "report.json"),
+               {"n": n, "t": t, "physical": inverter.physical, "error": error,
+                "fidelity": fidelity, "status": "ok"})
     return EXIT_OK
 
 
 def _run_compile(config, out, rng, jobs):
     spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
-    expr = _parse_expr(config["target"], "$.target")
+    expr, t = _parse_expr(config["target"], "$.target"), float(config["t"])
+    words = [_order_one_word(expr, t, "$.t")]
     indices = synth.expr_indices(expr)
     _check_indices(indices, len(herms), "$.target")
     table = _build_system(spec, herms, indices)
-    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec,
-                               [(expr, float(config["t"]))])
-    result = synth.compile_sequence(expr, float(config["t"]), float(config["epsilon"]),
+    inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, words)
+    result = synth.compile_sequence(expr, t, float(config["epsilon"]),
                                     int(config["n_budget"]), inverter, psi0, table)
-    report = {
-        "status": "ok",
-        "n": result.n,
-        "distance": result.distance,
-        "fidelity": result.fidelity,
-        "physical": result.physical,
-        "segments": len(result.sequence),
-    }
     if result.physical:
         write_json(os.path.join(out, "sequence.json"), result.sequence.to_dict())
-    write_json(os.path.join(out, "report.json"), report)
+    write_json(os.path.join(out, "report.json"),
+               {"status": "ok", "n": result.n, "distance": result.distance,
+                "fidelity": result.fidelity, "physical": result.physical,
+                "segments": len(result.sequence)})
     return EXIT_OK
 
 
@@ -599,6 +595,8 @@ def _run_chain_demo(config, out, rng, jobs):
     spec = _chain_spec(config["chain"])
     targets = [(_parse_expr(t["expr"], f"$.targets[{i}].expr"), float(t["t"]))
                for i, t in enumerate(config["targets"])]
+    words = [_order_one_word(expr, t, f"$.targets[{i}].t")
+             for i, (expr, t) in enumerate(targets)]
     indices = set().union(*(synth.expr_indices(expr) for expr, _ in targets))
     try:
         labels, tspec, table = chains.chain_table(spec, config["dims"], indices)
@@ -610,7 +608,7 @@ def _run_chain_demo(config, out, rng, jobs):
             _check_indices(synth.expr_indices(expr), exc.count, f"$.targets[{i}].expr")
         raise
     psi0 = fock.ground_state(tspec)
-    inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec, targets)
+    inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec, words)
     report = synth.reachability_report(table, psi0, targets, float(config["epsilon"]),
                                        int(config["n_budget"]), inverter, jobs=jobs)
     payload = report.to_dict()

@@ -57,7 +57,7 @@ class TruncatedRep:
 
     csr: scipy.sparse.csr_array
     spec: TruncationSpec
-    hermiticity_defect: float | None = None
+    hermiticity_defect: float | None
 
     @property
     def matrix(self) -> np.ndarray:

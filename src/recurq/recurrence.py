@@ -227,6 +227,10 @@ _BLOCK = 256
 # in ``trace`` (the README's "every 200th point" of scan.csv).
 _CHUNK = 1 << 16
 _TRACE_STRIDE = 200
+# Head levels per slice of the scan product.  OpenBLAS was measured to sum a
+# GEMM of inner size above 384 in a thread-count-dependent order, so the
+# product is summed over slices of inner size 2 * 192 in a fixed order.
+_HEAD_SLICE = 192
 
 
 def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray:
@@ -234,14 +238,20 @@ def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray
 
     With j = a B + b this is N - Re(e^{i E (aBh + start)} . e^{i E b h}), i.e.
     N - [cos A | sin A] @ [cos C ; -sin C] for the row phases A and the column
-    phases C: one product of inner size 2N.  Every row phase is formed
-    directly from its time, never by repeated rotation, so rounding does not
-    build up along the chunk.
+    phases C: one product of inner size 2N per slice of at most _HEAD_SLICE
+    levels, the slices summed in order.  Every row phase is formed directly
+    from its time, never by repeated rotation, so rounding does not build up
+    along the chunk.
     """
     rows = np.arange(0, m, _BLOCK) * h + start
-    A = np.outer(rows, E)
-    C = np.outer(E, np.arange(min(m, _BLOCK)) * h)
-    S = (np.hstack([np.cos(A), np.sin(A)]) @ np.vstack([np.cos(C), -np.sin(C)])).ravel()[:m]
+    cols = np.arange(min(m, _BLOCK)) * h
+    S = None
+    for lo in range(0, len(E), _HEAD_SLICE):
+        e = E[lo:lo + _HEAD_SLICE]
+        A, C = np.outer(rows, e), np.outer(e, cols)
+        P = np.hstack([np.cos(A), np.sin(A)]) @ np.vstack([np.cos(C), -np.sin(C)])
+        S = P if S is None else np.add(S, P, out=S)
+    S = S.ravel()[:m]
     return np.subtract(len(E), S, out=S)
 
 
@@ -584,19 +594,6 @@ class RecurrenceInverter:
                 net=self.net, energy_bound=self.energy_bounds.get(int(k)), t_max=self.t_max)
         res = self._cache[key]
         return res.t_star, res.plan
-
-
-class ExactInverter:
-    """Oracle marker: reversed segments are evaluated by the exact matrix
-    inverse (signed evolution) instead of a physical forward duration."""
-
-    physical = False
-
-    def duration(self, k: int, s: float):
-        raise TypeError(
-            "the exact inverter has no forward duration; evaluate the signed "
-            "word with evolve_signed instead"
-        )
 
 
 def polynomial_levels(count: int, coeffs: Sequence[float]) -> np.ndarray:

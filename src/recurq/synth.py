@@ -9,15 +9,15 @@ exhausted; sequences are only ever returned verification-gated.
 
 Reversed segments are realized by a recurrence inverter (physical) or, for
 oracle studies, kept signed and evaluated by exact inverses; in that case the
-result is a SignedWord, never a ControlSequence.
+result is a SignedWord, never a ControlSequence.  ``realize`` builds either
+kind of word and ``run`` is the one place that executes it.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
                         evolve_signed, expm_apply, fidelity, flatten, leaves,
                         realize_word, state_error, uses_spectrum)
-from .recurrence import ExactInverter, GridReachError  # noqa: F401 (ExactInverter: re-export)
+from .recurrence import GridReachError
 
 
 # -- expression trees ---------------------------------------------------------
@@ -125,9 +125,12 @@ def build_word(expr, duration: float, n: int):
 
     The word is a tree: a sum is Repeat(left + right, n) and a bracket is
     Repeat(right + left + right^-1 + left^-1, n^2), so its size grows with
-    the expression, not with its n^(2 depth) segments.
+    the expression, not with its n^(2 depth) segments.  A leaf duration
+    that is not finite (an overflowing scale or bracket) raises ValueError.
     """
     if isinstance(expr, Gen):
+        if not math.isfinite(duration):
+            raise ValueError(f"word duration {duration:g} is not finite")
         return Concat(((expr.k, float(duration)),))
     if isinstance(expr, Scale):
         return build_word(expr.inner, expr.factor * duration, n)
@@ -155,10 +158,18 @@ class CompileBudgetError(RuntimeError):
         self.best_n = best_n
         self.best_distance = best_distance
         self.epsilon = epsilon
-        super().__init__(
-            f"budget exhausted: best distance {best_distance:.3e} at n={best_n} "
-            f"(needed < {epsilon:.3e})"
-        )
+        super().__init__(f"budget exhausted: best distance {best_distance:.3e} at n={best_n} "
+                         f"(needed < {epsilon:.3e})")
+
+
+class ExactInverter:
+    """Oracle marker: reversed segments stay signed and ``run`` evaluates
+    them by exact inverses instead of physical forward durations."""
+
+    physical = False
+
+    def duration(self, k: int, s: float):
+        raise TypeError("the exact inverter has no forward duration; run the SignedWord")
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,7 @@ class SignedWord:
     """
 
     word: object
-    provenance: str = ""
+    provenance: str
 
     def __len__(self):
         return len(self.word)
@@ -185,11 +196,36 @@ class CompileResult:
     n: int
     distance: float
     fidelity: float
-    plans: dict = field(default_factory=dict)
+    plans: dict
 
     @property
     def physical(self) -> bool:
         return isinstance(self.sequence, ControlSequence)
+
+
+def realize(expr, t: float, n: int, inverter) -> tuple:
+    """(sequence, plans) of the order-n word for e^{G(expr) t}.
+
+    The sequence is a ControlSequence when the word reverses no segment or a
+    physical ``inverter`` realized every reversed segment (``plans`` holds
+    its certificates), and a SignedWord under the ExactInverter.
+    """
+    word = build_word(expr, t, n)
+    provenance = f"{expr} @ t={t}, n={n}"
+    if not any(s < 0 for _, s in leaves(word)):
+        return ControlSequence(word, provenance), {}
+    if not inverter.physical:
+        return SignedWord(word, provenance + " (oracle)"), {}
+    word, plans = realize_word(word, inverter)
+    return ControlSequence(word, provenance), plans
+
+
+def run(sequence, states: np.ndarray, table: EvolutionTable) -> np.ndarray:
+    """The sequence applied to one state or a dim x m block of column states:
+    a SignedWord by exact inverses, a ControlSequence forward only."""
+    if isinstance(sequence, SignedWord):
+        return evolve_signed(sequence.word, states, table)
+    return evolve(sequence, states, table)
 
 
 def _oracle(expr, t: float, table: EvolutionTable, states) -> list:
@@ -202,12 +238,9 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
                      psi0: np.ndarray, table: EvolutionTable) -> CompileResult:
     """Compile e^{G(expr) t} psi0 to accuracy epsilon by doubling n.
 
-    ``inverter`` realizes reversed segments: a physical one (a recurrence
-    inverter) yields a ControlSequence; one with ``physical`` false (the
-    ExactInverter) keeps the word signed and evaluates reversed segments by
-    exact inverses (oracle studies only).
-    Verification is held out: the returned object met epsilon on psi0 and,
-    for a finite-net inverter, on every state of its net.
+    Each round realizes the order-n word (``realize``) and runs it on psi0
+    and, for a finite-net inverter, on every state of its net.  Verification
+    is held out: the returned object met epsilon on all of them.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -219,24 +252,11 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     targets = _oracle(expr, t, table, states)
     block = np.column_stack(states)  # each round evaluates its word once
 
-    exact = not inverter.physical
     best_n, best_distance = None, math.inf
     n = 1
     while n <= n_budget:
-        word = build_word(expr, t, n)
-        signed = any(s < 0 for _, s in leaves(word))
-        plans: dict = {}
-        if exact:
-            if signed:
-                seq = SignedWord(word, provenance=f"{expr} @ t={t}, n={n} (oracle)")
-            else:
-                seq = ControlSequence(word, provenance=f"{expr} @ t={t}, n={n}")
-            outs = evolve_signed(word, block, table).T
-        else:
-            if signed:
-                word, plans = realize_word(word, inverter)
-            seq = ControlSequence(word, provenance=f"{expr} @ t={t}, n={n}")
-            outs = evolve(seq, block, table).T
+        seq, plans = realize(expr, t, n, inverter)
+        outs = run(seq, block, table).T
         distance = max(state_error(o, tgt) for o, tgt in zip(outs, targets))
         if distance < best_distance:
             best_n, best_distance = n, distance
@@ -260,10 +280,7 @@ def verify(seq, psi0: np.ndarray, target, table: EvolutionTable, t: float | None
         target_state = _oracle(target, t, table, [psi0])[0]
     else:
         target_state = np.asarray(target, dtype=complex)
-    if isinstance(seq, SignedWord):
-        out = evolve_signed(seq.word, psi0, table)
-    else:
-        out = evolve(seq, psi0, table)
+    out = run(seq, psi0, table)
     distance = state_error(out, target_state)
     fid = fidelity(out, target_state)
     gram = 2.0 - 2.0 * float(np.real(np.vdot(out, target_state)))
@@ -279,14 +296,13 @@ def verify(seq, psi0: np.ndarray, target, table: EvolutionTable, t: float | None
 class TargetRecord:
     label: str
     status: str
-    n: int | None = None
-    distance: float | None = None
-    fidelity: float | None = None
-    segments: int | None = None
-    wall_time: float = 0.0
-    error: str | None = None
-    plans: list = field(default_factory=list)
-    sequence: dict | None = None
+    n: int | None
+    distance: float | None
+    fidelity: float | None
+    segments: int | None
+    error: str | None
+    plans: list
+    sequence: dict | None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -302,19 +318,12 @@ class ReachabilityReport:
         return all(r.status == "ok" for r in self.records)
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "all_ok": self.all_ok,
-            "targets": [r.to_dict() for r in self.records],
-        }
+        return {"epsilon": self.epsilon, "all_ok": self.all_ok,
+                "targets": [r.to_dict() for r in self.records]}
 
     def summary_rows(self):
-        head = ["label", "status", "n", "segments", "distance", "fidelity", "wall_time"]
-        rows = [head]
-        for r in self.records:
-            rows.append([r.label, r.status, r.n, r.segments,
-                         r.distance, r.fidelity, round(r.wall_time, 4)])
-        return rows
+        return [["label", "status", "n", "segments", "distance", "fidelity"]] + [
+            [r.label, r.status, r.n, r.segments, r.distance, r.fidelity] for r in self.records]
 
 
 def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequence,
@@ -328,33 +337,25 @@ def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequen
     """
     targets = list(targets)
 
-    def run(item):
+    def record(item):
         expr, t = item
-        rec = TargetRecord(label=f"{expr} @ t={t}", status="ok")
-        start = time.monotonic()
+        label = f"{expr} @ t={t}"
         try:
-            result = compile_sequence(expr, t, epsilon, n_budget, inverter, psi0, table)
-            rec.n = result.n
-            rec.distance = result.distance
-            rec.fidelity = result.fidelity
-            rec.segments = len(result.sequence)
-            rec.plans = [p.to_dict() for p in result.plans.values()]
-            if result.physical:
-                rec.sequence = result.sequence.to_dict()
+            res = compile_sequence(expr, t, epsilon, n_budget, inverter, psi0, table)
         except GridReachError:
             raise
-        except (CompileBudgetError, RuntimeError, ValueError) as exc:
-            rec.status = "failed"
-            rec.error = str(exc)
-            if isinstance(exc, CompileBudgetError):
-                rec.n = exc.best_n
-                rec.distance = exc.best_distance
-        rec.wall_time = time.monotonic() - start
-        return rec
+        except CompileBudgetError as exc:
+            return TargetRecord(label, "failed", exc.best_n, exc.best_distance, None, None,
+                                str(exc), [], None)
+        except (RuntimeError, ValueError) as exc:
+            return TargetRecord(label, "failed", None, None, None, None, str(exc), [], None)
+        return TargetRecord(label, "ok", res.n, res.distance, res.fidelity, len(res.sequence),
+                            None, [p.to_dict() for p in res.plans.values()],
+                            res.sequence.to_dict() if res.physical else None)
 
     if jobs > 1 and len(targets) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, targets))
+            records = list(pool.map(record, targets))
     else:
-        records = [run(item) for item in targets]
+        records = [record(item) for item in targets]
     return ReachabilityReport(records, epsilon)

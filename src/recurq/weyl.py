@@ -186,7 +186,7 @@ class PolyOp:
         terms = {m: c for m, c in self.terms.items() if abs(c) > rel_tol * scale}
         return _trusted(self.mode_count, terms, self.role)
 
-    def isclose(self, other: "PolyOp", tol: float = 1e-10) -> bool:
+    def isclose(self, other: "PolyOp", tol: float) -> bool:
         self._require_same_modes(other)
         diff = self - other
         scale = max(self.coefficient_norm(), other.coefficient_norm(), 1.0)
@@ -685,8 +685,7 @@ def _drop_tiny(V: np.ndarray) -> np.ndarray:
     return np.where(mag > 1e-13 * mag.max(axis=-1, keepdims=True), V, 0.0)
 
 
-def lie_closure(generators: Sequence[PolyOp], degree_cap: int = DEFAULT_DEGREE_CAP,
-                dim_cap: int = DEFAULT_DIM_CAP) -> LieBasis:
+def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> LieBasis:
     """Breadth-first bracket saturation of the real span of ``generators``.
 
     Brackets whose result carries terms of degree above ``degree_cap`` are

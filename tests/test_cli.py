@@ -324,14 +324,34 @@ def test_propagation_dim_capped_closure_is_not_a_failure(omega, dim_cap, verdict
     assert (out / "edges.csv").read_text().splitlines()[1].split(",")[2] == verdict
 
 
+HARMONIC_PAIR = {"mode_count": 1, "dims": [24],
+                 "generators": ["(0.5,0) * q1^2 + (0.5,0) * p1^2",
+                                "(0.5,0) * q1^2 + (0.5,0) * p1^2 + (1,0) * q1"]}
+RERUNS = [
+    ("recur", {"hamiltonian": HARMONIC, "delta": 1e-3, "mode": "finite_net", "net_size": 4,
+               "tau_min": 1.0}, ("plan.json", "scan.csv")),
+    ("chain-demo", {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                              "control_sites": [0], "control_degree_cap": 1},
+                    "dims": [4, 4],
+                    "targets": [{"expr": {"op": "sum", "left": {"op": "gen", "k": 0},
+                                          "right": {"op": "gen", "k": 1}}, "t": 0.3},
+                                {"expr": {"op": "bracket", "left": {"op": "gen", "k": 0},
+                                          "right": {"op": "gen", "k": 1}}, "t": 0.2}],
+                    "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "exact"}},
+     ("report.json", "summary.csv")),
+    ("commutator", {"system": HARMONIC_PAIR, "k": 0, "l": 1, "t": 0.4, "n": 2,
+                    "inverter": {"mode": "pointwise", "delta": 1e-4}, "state": {"fock": [0]}},
+     ("sequence.json", "plans.json", "report.json")),
+]
+
+
 def test_reruns_are_bit_identical(tmp_path):
-    config = {"hamiltonian": HARMONIC, "delta": 1e-3, "mode": "finite_net",
-              "net_size": 4, "tau_min": 1.0}
-    rc1, out1 = run("recur", config, tmp_path, seed=11, name="a")
-    rc2, out2 = run("recur", config, tmp_path, seed=11, name="b")
-    assert rc1 == rc2 == cli.EXIT_OK
-    assert (out1 / "plan.json").read_bytes() == (out2 / "plan.json").read_bytes()
-    assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+    for sub, config, names in RERUNS:
+        rc1, out1 = run(sub, config, tmp_path, seed=11, name=f"{sub}_a")
+        rc2, out2 = run(sub, config, tmp_path, seed=11, name=f"{sub}_b")
+        assert rc1 == rc2 == cli.EXIT_OK, sub
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (sub, name)
 
 
 GEN = lambda k: {"op": "gen", "k": k}
@@ -460,14 +480,6 @@ def test_exhausted_spectrum_writes_a_failure_report(sub, extra, tmp_path):
     assert report["status"] == "failed" and "spectrum ends" in report["error"]
 
 
-def _masked_report(out):
-    """report.json without chain-demo's measured per-target wall_time."""
-    report = json.loads((out / "report.json").read_text())
-    for rec in report.get("targets", []):
-        rec.pop("wall_time")
-    return report
-
-
 def test_chain_demo_represents_only_the_generators_its_targets_read(tmp_path, monkeypatch):
     # a cap-3 control system has 5 generators; the targets read 0 and 2
     config = {
@@ -489,9 +501,9 @@ def test_chain_demo_represents_only_the_generators_its_targets_read(tmp_path, mo
                         lambda spec, dims, indices: table(spec, dims, range(5)))
     rc_all, out_all = run("chain-demo", config, tmp_path, name="all")
     assert rc_all == cli.EXIT_OK and len(built) == 2 + 5
-    report = _masked_report(out)
+    report = json.loads((out / "report.json").read_text())
     assert len(report["generators"]) == 5 and report["all_ok"]
-    assert report == _masked_report(out_all)
+    assert report == json.loads((out_all / "report.json").read_text())
 
 
 def test_compile_represents_only_the_generators_its_target_reads(tmp_path, monkeypatch):
@@ -575,10 +587,7 @@ def test_chain_demo_parallel_report_matches_serial(tmp_path):
         out = tmp_path / f"jobs{jobs}_out"
         assert cli.main(["chain-demo", "--config", str(cfg), "--out", str(out),
                          "--jobs", str(jobs)]) == cli.EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        for rec in report["targets"]:
-            rec.pop("wall_time")
-        reports.append(report)
+        reports.append(json.loads((out / "report.json").read_text()))
     assert reports[0] == reports[1]
     assert all(rec["segments"] for rec in reports[0]["targets"])
 
@@ -674,6 +683,18 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
      "$.hamiltonian"),
     ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 1e155, "n": 2,
                     "inverter": {"mode": "exact"}}, "$.t"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": 1e300,
+                                                 "inner": GEN(0)},
+                 "t": 1e10, "epsilon": 0.1, "n_budget": 2, "inverter": {"mode": "exact"}},
+     "$.t"),
+    ("chain-demo", {"chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
+                              "control_sites": [0], "control_degree_cap": 1},
+                    "dims": [4, 4],
+                    "targets": [{"expr": GEN(1), "t": 0.1},
+                                {"expr": {"op": "scale", "factor": 1e300, "inner": GEN(0)},
+                                 "t": 1e10}],
+                    "epsilon": 0.1, "n_budget": 2, "inverter": {"mode": "exact"}},
+     "$.targets[1].t"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
@@ -682,7 +703,8 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
         "negative-energy-bound", "zero-energy-bound", "nan-energy-bound",
         "chain-demo-zero-energy-bound", "net-size-zero", "net-size-negative",
         "net-size-fraction", "negative-interior-buffer", "empty-state", "empty-hamiltonian",
-        "commutator-t-squared-overflows"])
+        "commutator-t-squared-overflows", "compile-duration-overflows",
+        "chain-demo-duration-overflows"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
@@ -816,23 +838,31 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
 
 def test_recur_artifacts_independent_of_blas_threads(tmp_path):
     # 62 head levels over four grid chunks: the scan's matrix products are
-    # large enough for a threaded BLAS to split them
-    config = {"hamiltonian": {"level_formula": {"count": 128, "coeffs": [0.0, 1.0, 1 / 11]}},
-              "delta": 0.2, "mode": "energy_bound", "energy_bound": 2.0, "tau_min": 1.0}
-    cfg = tmp_path / "ladder.json"
-    cfg.write_text(json.dumps(config))
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "recurq.cli", "recur", "--config",
-                               str(cfg), "--out", str(out)], env=env, capture_output=True)
-        assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
-        outs.append(out)
-    for name in ("plan.json", "scan.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    assert len((outs[0] / "scan.csv").read_text().splitlines()) > 3 * (1 << 16) // 200
+    # large enough for a threaded BLAS to split them.  200 head levels pass
+    # the scan's 192-level product slices: OpenBLAS sums a single product of
+    # inner size 400 in a thread-count-dependent order
+    heads = {
+        "ladder": ({"count": 128, "coeffs": [0.0, 1.0, 1 / 11]}, 2.0, 62, 3 * (1 << 16) // 200),
+        "wide": ({"count": 400, "coeffs": [0.0, 1.0]}, 1.0, 200, 300),
+    }
+    for name, (formula, bound, levels, rows) in heads.items():
+        config = {"hamiltonian": {"level_formula": formula}, "delta": 0.2,
+                  "mode": "energy_bound", "energy_bound": bound, "tau_min": 1.0}
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}_threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "recurq.cli", "recur", "--config",
+                                   str(cfg), "--out", str(out)], env=env, capture_output=True)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr.decode()
+            outs.append(out)
+        for artifact in ("plan.json", "scan.csv"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+        assert json.loads((outs[0] / "plan.json").read_text())["N"] + 1 == levels
+        assert len((outs[0] / "scan.csv").read_text().splitlines()) > rows
 
 
 def _csv_writer_bytes(rows) -> bytes:

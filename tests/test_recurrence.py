@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import cli, fock, propagate as pr, recurrence as rc
+from recurq import cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
@@ -653,7 +653,7 @@ def test_inverter_caches(harmonic):
 
 def test_exact_inverter_refuses_durations():
     with pytest.raises(TypeError):
-        rc.ExactInverter().duration(0, 0.1)
+        synth.ExactInverter().duration(0, 0.1)
 
 
 def test_polynomial_levels():
