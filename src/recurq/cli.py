@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 from . import chains, fock, propagate, recurrence, synth, weyl
 
@@ -204,6 +204,14 @@ class ConfigError(ValueError):
     pass
 
 
+# The schemas' "integer": jsonschema's own also admits integral floats such
+# as 16.0 and 1e20, which reach range() and index arithmetic as floats.
+_Validator = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)))
+
+
 def _non_finite(value, path: str = "$"):
     """JSON path of the first infinite or NaN number in ``value``, or None.
     Python's json reads 1e400 as inf and accepts NaN and Infinity, and the
@@ -223,7 +231,7 @@ def validate_config(subcommand: str, config: dict):
     bad = _non_finite(config)
     if bad is not None:
         raise ConfigError(f"{bad}: numbers must be finite")
-    validator = Draft202012Validator(SCHEMAS[subcommand])
+    validator = _Validator(SCHEMAS[subcommand])
     errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
     if errors:
         lines = [f"{e.json_path}: {e.message}" for e in errors]
@@ -247,8 +255,84 @@ def _atomic_write(path: str, write):
         raise
 
 
+def _scalar_text(value):
+    """JSON text of None, a bool, an int or a float, in json's spelling
+    (NaN and the infinities included); None for any other value."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    json's indented encoder is its pure-Python one, which walks every node
+    each time it occurs.  Here the text of a list or dict is built once per
+    (object, nesting level) and joined wherever that object recurs, so a
+    word's repeated segments, shared as one dict per distinct leaf by
+    ``ControlSequence.to_dict``, cost a lookup each.
+    """
+    string = json.encoder.encode_basestring_ascii
+    memo: dict = {}
+    open_ids: set = set()
+
+    def encode(o, level: int) -> str:
+        if isinstance(o, (list, tuple, dict)):
+            key = (id(o), level)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = container(o, level)
+            return text
+        if isinstance(o, str):
+            return string(o)
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        return text
+
+    def key_text(key) -> str:
+        text = key if isinstance(key, str) else _scalar_text(key)
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        return string(text)
+
+    def container(o, level: int) -> str:
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        if isinstance(o, dict):
+            parts = [key_text(k) + ": " + encode(v, level + 1) for k, v in sorted(o.items())]
+            brackets = "{}"
+        else:
+            parts = [encode(v, level + 1) for v in o]
+            brackets = "[]"
+        open_ids.remove(id(o))
+        inner = "\n" + "  " * (level + 1)
+        return (brackets[0] + inner + ("," + inner).join(parts)
+                + "\n" + "  " * level + brackets[1])
+
+    return encode(value, 0)
+
+
 def write_json(path: str, data) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    text = json_text(data) + "\n"
     _atomic_write(path, lambda fh: fh.write(text))
 
 
@@ -317,6 +401,15 @@ def _chain_spec(cfg) -> chains.ChainSpec:
 def _random_net(cfg, spec: fock.TruncationSpec, rng):
     """The finite-net inverter's ``net_size`` random interior states (3 if unset)."""
     return [fock.random_interior_state(spec, rng) for _ in range(int(cfg.get("net_size", 3)))]
+
+
+def _check_delta(delta: float, path: str) -> None:
+    """Refuse a delta whose tail threshold delta^2/8 is not a positive normal
+    float: no time could meet it, yet the scan would run to its horizon."""
+    if not delta * delta / 8.0 >= sys.float_info.min:
+        raise ConfigError(f"{path}: delta {delta:g} is too small: its threshold delta^2/8 = "
+                          f"{delta * delta / 8.0:g} is below the smallest normal float "
+                          f"{sys.float_info.min:g}")
 
 
 def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
@@ -397,6 +490,7 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
     delta = cfg.get("delta")
     if delta is None:
         raise ConfigError("$.inverter.delta: recurrence inverter configs need 'delta'")
+    _check_delta(delta, "$.inverter.delta")
     kwargs = {"t_max": cfg.get("t_max")}
     if mode == "pointwise":
         kwargs["state"] = psi0
@@ -471,6 +565,7 @@ def _plan_context(config, rng, floor: str):
     t_max, lowest = config.get("t_max"), config.get(floor, 0.0)
     if t_max is not None and t_max < lowest:
         raise ConfigError(f"$.t_max: t_max {t_max:g} is below {floor} {lowest:g}")
+    _check_delta(config["delta"], "$.delta")
     levels, sd, spec = _build_hamiltonian(config["hamiltonian"])
     mode = config["mode"]
     if mode == "energy_bound":

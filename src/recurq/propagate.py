@@ -232,8 +232,14 @@ class ControlSequence:
         return sum(t for _, t in self.segments)
 
     def to_dict(self) -> dict:
+        """The flat segment list, with one ``{"k", "t"}`` dict per distinct
+        leaf object: ``flatten`` shares a repeated block's leaf tuples, so
+        every copy of a segment is the same dict and is encoded once."""
+        segments = self.segments
+        by_id = {id(s): s for s in segments}
+        dicts = {i: {"k": k, "t": t} for i, (k, t) in by_id.items()}
         return {
-            "segments": [{"k": k, "t": t} for k, t in self.segments],
+            "segments": [dicts[id(s)] for s in segments],
             "provenance": self.provenance,
         }
 

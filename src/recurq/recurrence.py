@@ -23,7 +23,6 @@ search fails loudly with diagnostics instead.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -487,9 +486,6 @@ class RecurrencePlan:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -305,7 +305,9 @@ class TargetRecord:
     sequence: dict | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # shallow: the embedded plan and sequence dicts stay shared, so the
+        # JSON writer encodes each repeated segment once
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

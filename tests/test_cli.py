@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurq import chains, cli, fock, propagate, recurrence, synth, weyl
 
@@ -732,6 +734,93 @@ def test_non_finite_numbers_exit_usage(sub, config, path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc_code == cli.EXIT_USAGE
     assert f"error: {path}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("trotter", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "ns": [16.0, 64, 256]},
+     "$.ns[0]"),
+    ("propagation", {"chain": {**CHAIN2, "n_modes": 1e20}}, "$.chain.n_modes"),
+    ("chain-demo", {"chain": {**CHAIN2, "n_modes": 1e20}, "dims": [4, 4],
+                    "targets": [{"expr": GEN(0), "t": 0.1}], "epsilon": 0.1, "n_budget": 2,
+                    "inverter": {"mode": "exact"}}, "$.chain.n_modes"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2.0,
+                    "inverter": {"mode": "exact"}}, "$.n"),
+], ids=["trotter-ns", "propagation-n-modes", "chain-demo-n-modes", "commutator-n"])
+def test_integral_floats_are_not_integers(sub, config, path, tmp_path, capsys):
+    # jsonschema's own integer type admits 16.0 and 1e20: they reached range()
+    # as a TypeError and index arithmetic as an OverflowError
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert f"{path}: " in err and "is not of type 'integer'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("recur", {"hamiltonian": HARMONIC, "delta": 5e-324, "mode": "pointwise",
+               "state": {"fock": [0]}, "tau_min": 1.0}, "$.delta"),
+    ("invert", {"hamiltonian": HARMONIC, "delta": 1e-160, "mode": "pointwise", "s": 0.5},
+     "$.delta"),
+    ("commutator", {"system": QP_SYSTEM, "k": 0, "l": 1, "t": 0.5, "n": 2,
+                    "inverter": {"mode": "pointwise", "delta": 5e-324}}, "$.inverter.delta"),
+], ids=["recur", "invert-subnormal", "commutator-inverter"])
+def test_delta_with_underflowing_threshold_exits_usage(sub, config, path, tmp_path, capsys,
+                                                       monkeypatch):
+    # a threshold delta^2/8 below the smallest normal float certifies no time:
+    # refused before any spectrum is taken or grid point scanned
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectrum taken before the delta check")
+
+    monkeypatch.setattr(recurrence, "spectral", no_spectrum)
+    rc_code, out = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: ") and "delta^2/8" in err
+    assert not (out / "scan.csv").exists()
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+                 | st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, -1e308, math.nan, math.inf,
+                                    -math.inf, "é ü ∞ 😀", "\x00\x1f\x7f\t\n", '"\\/',
+                                    "\u2028\ud800"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(),
+                                     inner, max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def _shared_json(draw):
+    # one object reached along several paths, at equal and at different depths
+    part, other = draw(_JSON_VALUES), draw(_JSON_VALUES)
+    pieces = [part, [part], {"a": part, "b": [part, other]}, other, [], {}]
+    return draw(st.lists(st.sampled_from(pieces), max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.one_of(_JSON_VALUES, _shared_json()))
+def test_json_text_is_json_dumps(value):
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError:  # keys of mixed types, such as None and 1, do not sort
+        with pytest.raises(TypeError):
+            cli.json_text(value)
+        return
+    assert cli.json_text(value) == expected
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    loop = [1]
+    loop.append({"again": loop})
+    for value, error in ((loop, ValueError), (np.int64(3), TypeError),
+                         ({"k": {(0, 1): 2}}, TypeError)):
+        with pytest.raises(error) as expected:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(error) as got:
+            cli.json_text(value)
+        assert str(got.value) == str(expected.value)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

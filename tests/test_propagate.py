@@ -9,7 +9,7 @@ import scipy.sparse
 from scipy.linalg import expm as scipy_expm
 
 from oracles import expm_multiply_action, flat_evolve, flat_realize
-from recurq import chains, fock, propagate as pr, recurrence as rc, synth
+from recurq import chains, cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.propagate import ControlSequence
 from recurq.weyl import as_hermitian, p, q
@@ -266,6 +266,37 @@ def test_recurrence_vs_exact_inverter_accounting(harmonic_pair):
     seq = ControlSequence(pr.realize_word(word, inverter)[0])
     physical = pr.evolve(seq, psi0, table)
     assert pr.state_error(physical, exact) <= 4 * n * n * delta
+
+
+def _word_shape(name, harmonic_pair):
+    if name == "flat":
+        return ((1, 0.25), (2, 0.5), (1, 0.25))
+    if name == "nested-repeat":
+        block = pr.Concat(((1, 0.1), pr.Repeat((2, 0.2), 3)))
+        return pr.Concat(((2, 0.3), pr.Repeat(pr.Concat((pr.Repeat(block, 2), (1, 0.7))), 5)))
+    if name == "realized":
+        spec, table = harmonic_pair
+        inverter = rc.RecurrenceInverter(table.spectra, 1e-4, mode="pointwise",
+                                         state=fock.ground_state(spec))
+        return pr.realize_word(commutator_word(0.5, 4), inverter)[0]
+    if name == "one-leaf":
+        return (1, 0.125)
+    return pr.Repeat(pr.Concat(((1, -0.0), (2, 0.0), (1, 0.0), (1, 0.1))), 3)
+
+
+@pytest.mark.parametrize("name", ["flat", "nested-repeat", "realized", "one-leaf",
+                                  "negative-zero"])
+def test_sequence_json_is_json_dumps_of_the_flat_segments(name, harmonic_pair, tmp_path):
+    # to_dict shares one dict per distinct leaf and the writer encodes each
+    # once; the file stays byte for byte json.dumps of the flat segment list
+    seq = ControlSequence(_word_shape(name, harmonic_pair), provenance=name)
+    flat = {"segments": [{"k": k, "t": t} for k, t in pr.flatten(seq.word)],
+            "provenance": name}
+    data = seq.to_dict()
+    assert len({id(s) for s in data["segments"]}) == len(pr.leaves(seq.word))
+    path = tmp_path / "sequence.json"
+    cli.write_json(str(path), data)
+    assert path.read_bytes() == (json.dumps(flat, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_realize_word_keeps_forward_segments():

@@ -632,13 +632,14 @@ def test_plan_validation_rejects_bad_numbers():
 
 
 def test_plan_json_roundtrip(harmonic, rng):
-    import json
+    # the text plan.json holds, read back, rebuilds the same plan
     spec, sd = harmonic
     res = rc.invert(sd, 1.0, 1e-4, state=fock.random_interior_state(spec, rng))
-    data = json.loads(res.plan.to_json())
+    data = json.loads(cli.json_text(res.plan.to_dict()))
     assert data["mode"] == "pointwise"
     assert data["N"] == res.plan.N
     assert data["spectrum_hash"]
+    assert rc.RecurrencePlan(**data) == res.plan
 
 
 def test_inverter_caches(harmonic):

@@ -62,6 +62,13 @@ def test_one_action_kernel():
     assert refs == []
 
 
+def test_one_json_writer():
+    # every JSON artifact is encoded by cli.json_text (notes/decisions.md,
+    # "Artifacts encoded once per distinct node"); json.dumps survives only
+    # as its test oracle
+    assert _call_sites("dumps") | _call_sites("dump") == set()
+
+
 def test_fock_assembly_never_sorts():
     # represent accumulates per diagonal into CSR order (notes/decisions.md,
     # "Fock assembly into CSR"): no sort, unique or argsort in fock

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -238,3 +239,13 @@ def test_report_parallel_matches_serial(system):
     parallel = sy.reachability_report(table, psi0, targets, 1e-2, 64,
                                       sy.ExactInverter(), jobs=3)
     assert [r.distance for r in serial.records] == [r.distance for r in parallel.records]
+
+
+def test_target_record_dict_shares_its_plans_and_sequence():
+    # a shallow dict: the sequence's shared segment dicts reach the JSON
+    # writer as they are, so it encodes each distinct segment once
+    sequence = pr.ControlSequence(pr.Repeat((1, 0.25), 8)).to_dict()
+    record = sy.TargetRecord("G1 @ t=2.0", "ok", 8, 0.0, 1.0, 8, None, [{"N": 3}], sequence)
+    data = record.to_dict()
+    assert data == dataclasses.asdict(record)
+    assert data["sequence"] is sequence and data["plans"] is record.plans
