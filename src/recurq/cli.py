@@ -34,7 +34,7 @@ _HAMILTONIAN = {
     "type": "object",
     "properties": {
         "poly": _POLY,
-        "mode_count": {"type": "integer", "minimum": 1},
+        "mode_count": {"type": "integer", "minimum": 1, "maximum": fock.MAX_MODES},
         "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
         "levels": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "level_formula": {
@@ -77,7 +77,7 @@ _INVERTER = {
 _CHAIN = {
     "type": "object",
     "properties": {
-        "n_modes": {"type": "integer", "minimum": 1},
+        "n_modes": {"type": "integer", "minimum": 1, "maximum": weyl.MAX_MODES},
         "omega": {"type": "number", "minimum": 0},
         "couplings": {"type": "array", "items": {
             "type": "array", "minItems": 3, "maxItems": 3,
@@ -93,7 +93,7 @@ SCHEMAS = {
     "closure": {
         "type": "object",
         "properties": {
-            "mode_count": {"type": "integer", "minimum": 1},
+            "mode_count": {"type": "integer", "minimum": 1, "maximum": weyl.MAX_MODES},
             "generators": {"type": "array", "items": _POLY, "minItems": 1},
             "degree_cap": {"type": "integer", "minimum": 1},
             "dim_cap": {"type": "integer", "minimum": 1},
@@ -439,19 +439,19 @@ def _truncation(dims, mode_count: int, path: str) -> fock.TruncationSpec:
 
 
 def _build_hamiltonian(cfg):
-    """Returns (levels, spectral_data_or_None, spec_or_None)."""
+    """(spectrum, truncation): the SpectralData and truncation of a 'poly'
+    hamiltonian, or plain levels and None."""
     if "levels" in cfg:
-        return np.asarray(cfg["levels"], dtype=float), None, None
+        return np.asarray(cfg["levels"], dtype=float), None
     if "level_formula" in cfg:
         lf = cfg["level_formula"]
-        return recurrence.polynomial_levels(lf["count"], lf["coeffs"]), None, None
+        return recurrence.polynomial_levels(lf["count"], lf["coeffs"]), None
     if "poly" in cfg:
         mode_count = int(cfg.get("mode_count", 1))
         spec = _truncation(cfg.get("dims", (32,) * mode_count), mode_count,
                            "$.hamiltonian.dims")
         H = _parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly", weyl.as_hermitian)
-        sd = recurrence.spectral(fock.represent(H, spec).matrix)
-        return sd.energies, sd, spec
+        return recurrence.spectral(fock.represent(H, spec).matrix), spec
     raise ConfigError("$.hamiltonian: needs 'poly', 'levels', or 'level_formula'")
 
 
@@ -491,12 +491,11 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
     if delta is None:
         raise ConfigError("$.inverter.delta: recurrence inverter configs need 'delta'")
     _check_delta(delta, "$.inverter.delta")
-    kwargs = {"t_max": cfg.get("t_max")}
     if mode == "pointwise":
-        kwargs["state"] = psi0
+        cover = psi0
     elif mode == "finite_net":
-        kwargs["net"] = _random_net(cfg, spec, rng)
-    elif mode == "energy_bound":
+        cover = _random_net(cfg, spec, rng)
+    else:
         try:
             bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
         except (TypeError, ValueError) as exc:
@@ -511,8 +510,9 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
         if missing:
             raise ConfigError(f"$.inverter.energy_bounds: no energy bound for the "
                               f"reversed generator(s) {missing}")
-        kwargs["energy_bounds"] = bounds
-    return recurrence.RecurrenceInverter(table.spectra, delta, mode, **kwargs)
+        cover = bounds
+    return recurrence.RecurrenceInverter(table.spectra, delta, mode, cover,
+                                         t_max=cfg.get("t_max"))
 
 
 # -- subcommand implementations --------------------------------------------------
@@ -559,28 +559,29 @@ def _run_propagation(config, out, rng, jobs):
 
 
 def _plan_context(config, rng, floor: str):
-    """(levels, spectral data or None, the mode's state, net or energy bound
-    as ``recurrence.invert`` takes them).  ``floor`` names the config value,
-    ``tau_min`` or ``s``, below which no recurrence time is searched."""
+    """(spectrum, cover) as ``recurrence.plan_recurrence`` takes them: the
+    hamiltonian's SpectralData or plain levels, and the mode's state, net or
+    energy bound.  ``floor`` names the config value, ``tau_min`` or ``s``,
+    below which no recurrence time is searched."""
     t_max, lowest = config.get("t_max"), config.get(floor, 0.0)
     if t_max is not None and t_max < lowest:
         raise ConfigError(f"$.t_max: t_max {t_max:g} is below {floor} {lowest:g}")
     _check_delta(config["delta"], "$.delta")
-    levels, sd, spec = _build_hamiltonian(config["hamiltonian"])
+    spectrum, spec = _build_hamiltonian(config["hamiltonian"])
     mode = config["mode"]
     if mode == "energy_bound":
         if "energy_bound" not in config:
             raise ConfigError("$.energy_bound: energy_bound mode needs 'energy_bound'")
-        if sd is None and (np.any(levels < 0) or np.any(np.diff(levels) < 0)):
+        if spec is None and (np.any(spectrum < 0) or np.any(np.diff(spectrum) < 0)):
             key = "levels" if "levels" in config["hamiltonian"] else "level_formula"
             raise ConfigError(f"$.hamiltonian.{key}: energy_bound mode needs ascending, "
                               "non-negative levels")
-        return levels, sd, {"energy_bound": float(config["energy_bound"])}
-    if sd is None:
+        return spectrum, float(config["energy_bound"])
+    if spec is None:
         raise ConfigError(f"$.hamiltonian: {mode} mode needs a matrix hamiltonian ('poly')")
     if mode == "pointwise":
-        return levels, sd, {"state": _build_state(config.get("state"), spec, rng)}
-    return levels, sd, {"net": _random_net(config, spec, rng)}
+        return spectrum, _build_state(config.get("state"), spec, rng)
+    return spectrum, _random_net(config, spec, rng)
 
 
 def _failed(out, exc) -> int:
@@ -592,18 +593,13 @@ def _failed(out, exc) -> int:
 
 
 def _run_recur(config, out, rng, jobs):
-    levels, sd, context = _plan_context(config, rng, "tau_min")
-    if "state" in context:
-        context = {"state_overlaps": sd.overlaps(context["state"])}
-    elif "net" in context:
-        context = {"net_overlaps": [sd.overlaps(v) for v in context["net"]]}
+    spectrum, cover = _plan_context(config, rng, "tau_min")
     trace: list = []
     try:
         plan = recurrence.plan_recurrence(
-            levels, float(config["delta"]), config["mode"],
+            spectrum, float(config["delta"]), config["mode"], cover,
             tau_min=float(config.get("tau_min", 0.0)),
-            t_max=config.get("t_max"), grid_step=config.get("grid_step"),
-            shift=sd.shift if sd is not None else 0.0, trace=trace, **context)
+            t_max=config.get("t_max"), grid_step=config.get("grid_step"), trace=trace)
     finally:
         write_scan(os.path.join(out, "scan.csv"), trace)
     write_json(os.path.join(out, "plan.json"), plan.to_dict())
@@ -613,12 +609,11 @@ def _run_recur(config, out, rng, jobs):
 
 
 def _run_invert(config, out, rng, jobs):
-    _, sd, context = _plan_context(config, rng, "s")
-    if sd is None:
+    sd, cover = _plan_context(config, rng, "s")
+    if not isinstance(sd, recurrence.SpectralData):
         raise ConfigError("$.hamiltonian: invert needs a matrix hamiltonian ('poly')")
     res = recurrence.invert(sd, float(config["s"]), float(config["delta"]), config["mode"],
-                            t_max=config.get("t_max"), grid_step=config.get("grid_step"),
-                            **context)
+                            cover, t_max=config.get("t_max"), grid_step=config.get("grid_step"))
     write_json(os.path.join(out, "plan.json"), res.plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "t_star": res.t_star, "time": res.plan.time})

@@ -23,6 +23,9 @@ import scipy.sparse
 from .weyl import HERMITIAN, PolyOp
 
 MAX_DIM = 4096
+# Largest mode count of a truncation: more modes exceed MAX_DIM even at the
+# smallest truncation, two levels per mode.
+MAX_MODES = MAX_DIM.bit_length() - 1
 
 
 @dataclass(frozen=True)

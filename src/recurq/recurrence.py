@@ -9,8 +9,8 @@ overlaps c_n, the return distance after time T is
 Splitting the sum at a tail index N with sum_{n>N} |c_n|^2 < delta^2/8 and
 finding T with sum_{n<=N} (1 - cos(E_n T)) < delta^2/4 certifies a distance
 below delta; the time depends only on the spectrum, never on the state.  The
-tail index comes from the state itself (pointwise), from the worst state of a
-finite net, or state-independently from an energy bound M via the smallest N
+tail index comes from the worst state of a finite net (pointwise: a net of
+one state), or state-independently from an energy bound M via the smallest N
 with E_{N+1} >= 8 M / delta^2.  An inverter built on these certificates turns
 any reversed segment e^{-H s} into the forward surrogate e^{H (T - s)}.
 
@@ -176,8 +176,8 @@ def tail_cut_energy(energies: Sequence[float], M: float, delta: float):
     then at least E_{N+1}, and the bound covers every state with energy
     expectation below M, independent of the state.
     """
-    if M <= 0:
-        raise ValueError("energy bound M must be positive")
+    if M is None or M <= 0:
+        raise ValueError(f"energy bound M must be positive, got {M!r}")
     if delta <= 0:
         raise ValueError("delta must be positive")
     E = np.asarray(energies, dtype=float)
@@ -192,9 +192,12 @@ def tail_cut_energy(energies: Sequence[float], M: float, delta: float):
             f"spectrum ends at E={E[-1]:g} below tail threshold {threshold:g}; "
             "truncation too small for this (M, delta)"
         )
-    idx = int(hits[0])
-    if idx == 0:
-        idx = 1  # N = 0 keeps at least the ground level in the head
+    idx = max(int(hits[0]), 1)  # N = 0 keeps at least the ground level in the head
+    if idx == len(E):
+        raise SpectrumExhaustedError(
+            f"spectrum has the one level E={E[0]:g} and no E_1 to bound the tail "
+            "past N = 0; truncation too small for this (M, delta)"
+        )
     N = idx - 1
     return N, float(M / E[N + 1])
 
@@ -494,32 +497,28 @@ class InvertResult:
     plan: RecurrencePlan
 
 
-def plan_recurrence(energies: Sequence[float], delta: float, mode: str, *,
-                    state_overlaps: np.ndarray | None = None,
-                    net_overlaps: Sequence[np.ndarray] | None = None,
-                    energy_bound: float | None = None,
+def plan_recurrence(spectrum, delta: float, mode: str, cover, *,
                     tau_min: float = 0.0, t_max: float | None = None,
-                    grid_step: float | None = None, shift: float = 0.0,
-                    trace: list | None = None) -> RecurrencePlan:
-    """Build a certified recurrence plan for the requested guarantee mode."""
-    E = np.asarray(energies, dtype=float)
-    if mode == POINTWISE:
-        if state_overlaps is None:
-            raise ValueError("pointwise mode needs the state's overlap vector")
-        N = tail_cut(state_overlaps, delta)
-        mass = tail_mass(state_overlaps, N)
+                    grid_step: float | None = None, trace: list | None = None) -> RecurrencePlan:
+    """Build a certified recurrence plan for the states ``cover`` names.
+
+    ``spectrum`` is the generator's SpectralData, or in energy_bound mode
+    also its plain ascending levels.  ``cover`` is the one state (pointwise),
+    the net's states (finite_net) or the energy bound M (energy_bound); a
+    pointwise plan is the finite-net plan of a one-state net.
+    """
+    sd = spectrum if isinstance(spectrum, SpectralData) else None
+    E = sd.energies if sd is not None else np.asarray(spectrum, dtype=float)
+    if mode == ENERGY_BOUND:
+        N, mass = tail_cut_energy(E, cover, delta)
+        bound = float(cover)
+    elif mode in (POINTWISE, FINITE_NET):
+        if sd is None:
+            raise ValueError(f"{mode} mode needs the spectral data, not plain levels")
+        overlaps = [sd.overlaps(v) for v in ([cover] if mode == POINTWISE else cover)]
+        N = tail_cut_finite_net(overlaps, delta)
+        mass = max(tail_mass(c, N) for c in overlaps)
         bound = None
-    elif mode == FINITE_NET:
-        if not net_overlaps:
-            raise ValueError("finite_net mode needs the net's overlap vectors")
-        N = tail_cut_finite_net(net_overlaps, delta)
-        mass = max(tail_mass(c, N) for c in net_overlaps)
-        bound = None
-    elif mode == ENERGY_BOUND:
-        if energy_bound is None:
-            raise ValueError("energy_bound mode needs the bound M")
-        N, mass = tail_cut_energy(E, energy_bound, delta)
-        bound = float(energy_bound)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -527,26 +526,20 @@ def plan_recurrence(energies: Sequence[float], delta: float, mode: str, *,
                                  grid_step=grid_step, trace=trace)
     return RecurrencePlan(
         delta=delta, N=N, time=found.time, achieved_sum=found.objective,
-        tail_mass=mass, mode=mode, energy_bound=bound, shift=shift,
-        spectrum_hash=_spectrum_hash(E),
+        tail_mass=mass, mode=mode, energy_bound=bound,
+        shift=sd.shift if sd is not None else 0.0, spectrum_hash=_spectrum_hash(E),
     )
 
 
-def invert(sd: SpectralData, s: float, delta: float, mode: str = POINTWISE, *,
-           state: np.ndarray | None = None, net: Sequence[np.ndarray] | None = None,
-           energy_bound: float | None = None, t_max: float | None = None,
-           grid_step: float | None = None) -> InvertResult:
+def invert(sd: SpectralData, s: float, delta: float, mode: str, cover, *,
+           t_max: float | None = None, grid_step: float | None = None) -> InvertResult:
     """Forward surrogate for e^{-H s}: a duration t* >= 0 with e^{H t*} within
-    delta of e^{-H s} on the guaranteed state class, plus the certificate."""
+    delta of e^{-H s} on the states ``cover`` names (``plan_recurrence``),
+    plus the certificate."""
     if s < 0:
         raise ValueError("segment duration must be >= 0")
-    plan = plan_recurrence(
-        sd.energies, delta, mode,
-        state_overlaps=sd.overlaps(state) if state is not None else None,
-        net_overlaps=[sd.overlaps(v) for v in net] if net is not None else None,
-        energy_bound=energy_bound, tau_min=s, t_max=t_max, grid_step=grid_step,
-        shift=sd.shift,
-    )
+    plan = plan_recurrence(sd, delta, mode, cover, tau_min=s, t_max=t_max,
+                           grid_step=grid_step)
     t_star = plan.time - s
     if t_star < 0:
         raise AssertionError("recurrence search returned a time below tau_min")
@@ -558,22 +551,20 @@ class RecurrenceInverter:
 
     Reads the spectral data of generator k from ``spectra[k]`` when k is
     first reversed; an ``EvolutionTable.spectra`` store decomposes it then,
-    once for evolution and inversion alike.  Holds the context (state, net,
-    or per-generator energy bounds) of the chosen guarantee mode; results
+    once for evolution and inversion alike.  ``cover`` is the chosen mode's
+    state, net, or per-generator energy bounds ``{k: M}``; ``net`` lists the
+    states a compiled word is verified on besides its initial state.  Results
     are cached per (generator, duration).
     """
 
     physical = True
 
-    def __init__(self, spectra, delta: float, mode: str = POINTWISE, *,
-                 state: np.ndarray | None = None, net: Sequence[np.ndarray] | None = None,
-                 energy_bounds: dict | None = None, t_max: float | None = None):
+    def __init__(self, spectra, delta: float, mode: str, cover, *, t_max: float | None = None):
         self.spectra = spectra
         self.delta = float(delta)
         self.mode = mode
-        self.state = state
-        self.net = net
-        self.energy_bounds = dict(energy_bounds or {})
+        self.cover = cover
+        self.net = tuple(cover) if mode == FINITE_NET else ()
         self.t_max = t_max
         self._cache: dict = {}
 
@@ -585,9 +576,9 @@ class RecurrenceInverter:
         # threads sharing an inverter may both fill one key; invert is
         # deterministic, so either result is the same certificate
         if key not in self._cache:
-            self._cache[key] = invert(
-                self.spectra[int(k)], float(s), self.delta, self.mode, state=self.state,
-                net=self.net, energy_bound=self.energy_bounds.get(int(k)), t_max=self.t_max)
+            cover = self.cover.get(key[0]) if self.mode == ENERGY_BOUND else self.cover
+            self._cache[key] = invert(self.spectra[key[0]], key[1], self.delta, self.mode,
+                                      cover, t_max=self.t_max)
         res = self._cache[key]
         return res.t_star, res.plan
 

@@ -167,6 +167,7 @@ class ExactInverter:
     them by exact inverses instead of physical forward durations."""
 
     physical = False
+    net = ()
 
     def duration(self, k: int, s: float):
         raise TypeError("the exact inverter has no forward duration; run the SignedWord")
@@ -247,8 +248,7 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     if n_budget < 1:
         raise ValueError("n_budget must be >= 1")
     psi0 = np.asarray(psi0, dtype=complex)
-    net = getattr(inverter, "net", None) or []
-    states = [psi0] + [np.asarray(v, dtype=complex) for v in net]
+    states = [psi0] + [np.asarray(v, dtype=complex) for v in inverter.net]
     targets = _oracle(expr, t, table, states)
     block = np.column_stack(states)  # each round evaluates its word once
 

@@ -44,6 +44,10 @@ MAX_DEGREE_CAP = 16
 TABLE_MONOMIALS = 500
 TABLE_BUDGET_MB = 160
 
+# Largest mode count of a symbolic operator: every monomial is a tuple of one
+# exponent pair per mode, so each product and role check grows with it.
+MAX_MODES = 10_000
+
 # Monomial: one ((a_i, b_i)) exponent pair per mode, meaning
 # q_1^a1 p_1^b1 ... q_m^am p_m^bm in that (canonical) order.
 Monomial = tuple

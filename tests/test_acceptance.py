@@ -124,8 +124,8 @@ def test_c03b_group_commutator_recurrence_inverter():
         spec, table = _scalar_bracket_system()
         psi0 = fock.ground_state(spec)
         t, n, delta = 0.5, 32, 1e-5
-        inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise",
-                                         state=psi0, t_max=2e4)
+        inverter = rc.RecurrenceInverter(table.spectra, delta, "pointwise", psi0,
+                                         t_max=2e4)
         try:
             word, _ = pr.realize_word(sy.build_word(QP_BRACKET, t * t, n), inverter)
             seq = pr.ControlSequence(word)
@@ -151,7 +151,7 @@ def test_c04_recurrence_certificate_harmonic():
         c = sd.overlaps(psi)
         assert rc.recurrence_distance(c, sd.energies, 4 * math.pi) < 1e-6
 
-        res = rc.invert(sd, 1.0, 1e-6, state=psi)
+        res = rc.invert(sd, 1.0, 1e-6, rc.POINTWISE, psi)
         PLANS.append(res.plan)
         assert abs(res.t_star - (4 * math.pi - 1.0)) < 1e-6
         table = pr.EvolutionTable({0: -1j * H})
@@ -166,8 +166,7 @@ def test_c05_energy_bound_certificate():
         levels = rc.polynomial_levels(128, (0.0, 1.0, 0.05))
         N, bound = rc.tail_cut_energy(levels, M, delta)
         assert levels[N + 1] >= 8.0 * M / delta ** 2
-        plan = rc.plan_recurrence(levels, delta, rc.ENERGY_BOUND,
-                                  energy_bound=M, tau_min=1.0)
+        plan = rc.plan_recurrence(levels, delta, rc.ENERGY_BOUND, M, tau_min=1.0)
         PLANS.append(plan)
         assert plan.achieved_sum < delta ** 2 / 4
         assert plan.tail_mass <= delta ** 2 / 8
@@ -196,7 +195,7 @@ def test_c06_finite_net_uniformity():
         sd = rc.spectral(H)
         rng = np.random.default_rng(606)
         net = [fock.random_interior_state(spec, rng) for _ in range(5)]
-        res = rc.invert(sd, s, delta, mode=rc.FINITE_NET, net=net)
+        res = rc.invert(sd, s, delta, rc.FINITE_NET, net)
         PLANS.append(res.plan)
         t_star = res.t_star
 
@@ -224,9 +223,9 @@ def test_c07_delta_decomposition_of_all_plans():
             sd = rc.spectral(_harmonic(spec))
             rng = np.random.default_rng(707)
             psi = fock.random_interior_state(spec, rng)
-            plans.append(rc.invert(sd, 1.0, 1e-4, state=psi).plan)
+            plans.append(rc.invert(sd, 1.0, 1e-4, rc.POINTWISE, psi).plan)
             plans.append(rc.plan_recurrence(rc.polynomial_levels(128, (0.0, 1.0, 0.05)),
-                                            0.2, rc.ENERGY_BOUND, energy_bound=3.0,
+                                            0.2, rc.ENERGY_BOUND, 3.0,
                                             tau_min=1.0))
         for plan in plans:
             assert 2.0 * plan.achieved_sum + 4.0 * plan.tail_mass < plan.delta ** 2

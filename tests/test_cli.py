@@ -113,6 +113,20 @@ def test_recur_exhausted_spectrum_exit_code(tmp_path):
     assert "tail threshold" in report["error"]
 
 
+@pytest.mark.parametrize("hamiltonian", [
+    {"levels": [5.0]}, {"level_formula": {"count": 1, "coeffs": [5.0]}},
+], ids=["levels", "level-formula"])
+def test_recur_one_level_spectrum_exit_code(hamiltonian, tmp_path):
+    # E_0 already passes the tail threshold, and no E_1 bounds the tail past
+    # N = 0: an exhausted spectrum, not an IndexError
+    config = {"hamiltonian": hamiltonian, "delta": 0.5, "mode": "energy_bound",
+              "energy_bound": 0.01}
+    rc_code, out = run("recur", config, tmp_path)
+    assert rc_code == cli.EXIT_FAILURE
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "failed" and "no E_1" in report["error"]
+
+
 def test_closure_subcommand(tmp_path):
     config = {"mode_count": 1, "generators": ["(0,1) * q1^2", "(0,1) * p1^2"],
               "degree_cap": 6, "dim_cap": 64}
@@ -143,7 +157,7 @@ def test_invert_finite_net_certifies_the_first_draw(tmp_path):
     sd = recurrence.spectral(fock.represent(H, spec).matrix)
     rng = np.random.default_rng(5)
     net = [fock.random_interior_state(spec, rng) for _ in range(3)]
-    res = recurrence.invert(sd, 1.0, 1.0, "finite_net", net=net)
+    res = recurrence.invert(sd, 1.0, 1.0, "finite_net", net)
     assert json.loads((out / "plan.json").read_text()) == res.plan.to_dict()
 
 
@@ -697,6 +711,17 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
                                  "t": 1e10}],
                     "epsilon": 0.1, "n_budget": 2, "inverter": {"mode": "exact"}},
      "$.targets[1].t"),
+    # each size at its limit + 1 and at 10**20, refused before anything of
+    # that size is built
+    ("propagation", {"chain": {**CHAIN2, "n_modes": weyl.MAX_MODES + 1}}, "$.chain.n_modes"),
+    ("propagation", {"chain": {**CHAIN2, "n_modes": 10 ** 20}}, "$.chain.n_modes"),
+    ("closure", {"mode_count": weyl.MAX_MODES + 1, "generators": ["(0,1) * q1^2"]},
+     "$.mode_count"),
+    ("closure", {"mode_count": 10 ** 20, "generators": ["(0,1) * q1^2"]}, "$.mode_count"),
+    ("recur", {"hamiltonian": {"poly": "(1,0) * q1^2", "mode_count": fock.MAX_MODES + 1},
+               "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.mode_count"),
+    ("recur", {"hamiltonian": {"poly": "(1,0) * q1^2", "mode_count": 10 ** 20},
+               "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.mode_count"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
@@ -706,7 +731,10 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
         "chain-demo-zero-energy-bound", "net-size-zero", "net-size-negative",
         "net-size-fraction", "negative-interior-buffer", "empty-state", "empty-hamiltonian",
         "commutator-t-squared-overflows", "compile-duration-overflows",
-        "chain-demo-duration-overflows"])
+        "chain-demo-duration-overflows",
+        "propagation-n-modes-above-limit", "propagation-n-modes-1e20",
+        "closure-mode-count-above-limit", "closure-mode-count-1e20",
+        "recur-mode-count-above-limit", "recur-mode-count-1e20"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
@@ -918,7 +946,7 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
     spectra = {k: recurrence.spectral(1j * table.matrix(k).toarray())
                for k in table.indices()}
     inverter = recurrence.RecurrenceInverter(spectra, 1e-4, "pointwise",
-                                             state=fock.fock_state(spec, [0]))
+                                             fock.fock_state(spec, [0]))
     bracket = synth.Bracket(synth.Gen(0), synth.Gen(1))
     propagate.realize_word(synth.build_word(bracket, 0.4 * 0.4, 2), inverter)
     plans = json.loads((out / "plans.json").read_text())
@@ -982,7 +1010,7 @@ def test_recur_scan_csv_matches_csv_writer(tmp_path):
               "energy_bound": 7.8e-4, "tau_min": 1.0, "t_max": 2e4}
     rc_code, out = run("recur", config, tmp_path)
     trace: list = []
-    recurrence.plan_recurrence(np.array(levels), 0.05, "energy_bound", energy_bound=7.8e-4,
+    recurrence.plan_recurrence(np.array(levels), 0.05, "energy_bound", 7.8e-4,
                                tau_min=1.0, t_max=2e4, trace=trace)
     assert rc_code == cli.EXIT_OK and len(trace) > 300
     assert (out / "scan.csv").read_bytes() == _csv_writer_bytes([["T", "objective"], *trace])

@@ -244,7 +244,7 @@ def test_commutator_sequence_physical_with_recurrence_inverter(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
     delta = 1e-4
-    inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, delta, "pointwise", psi0)
     n = 4
     seq = ControlSequence(pr.realize_word(commutator_word(0.5, n), inverter)[0])
     assert len(seq) == 4 * n * n
@@ -260,7 +260,7 @@ def test_recurrence_vs_exact_inverter_accounting(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
     delta, t, n = 1e-4, 0.5, 4
-    inverter = rc.RecurrenceInverter(table.spectra, delta, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, delta, "pointwise", psi0)
     word = commutator_word(t, n)
     exact = pr.evolve_signed(word, psi0, table)
     seq = ControlSequence(pr.realize_word(word, inverter)[0])
@@ -276,8 +276,8 @@ def _word_shape(name, harmonic_pair):
         return pr.Concat(((2, 0.3), pr.Repeat(pr.Concat((pr.Repeat(block, 2), (1, 0.7))), 5)))
     if name == "realized":
         spec, table = harmonic_pair
-        inverter = rc.RecurrenceInverter(table.spectra, 1e-4, mode="pointwise",
-                                         state=fock.ground_state(spec))
+        inverter = rc.RecurrenceInverter(table.spectra, 1e-4, "pointwise",
+                                         fock.ground_state(spec))
         return pr.realize_word(commutator_word(0.5, 4), inverter)[0]
     if name == "one-leaf":
         return (1, 0.125)
@@ -382,7 +382,7 @@ def test_tree_evaluation_matches_flat_oracle(case, segments, tol):
 def test_realized_tree_matches_flat_oracle(harmonic_pair):
     spec, table = harmonic_pair
     psi0 = fock.ground_state(spec)
-    inverter = rc.RecurrenceInverter(table.spectra, 1e-4, mode="pointwise", state=psi0)
+    inverter = rc.RecurrenceInverter(table.spectra, 1e-4, "pointwise", psi0)
     seq = ControlSequence(pr.realize_word(commutator_word(0.5, 16), inverter)[0])
     assert seq.word == pr.Repeat(seq.word.block, 256) and len(seq.word.block) == 4
     assert pr.state_error(pr.evolve(seq, psi0, table),
@@ -405,7 +405,7 @@ def test_realize_word_asks_once_per_distinct_reversed_leaf(harmonic_pair, kind):
         inner = synth.Bracket(synth.Gen(1), synth.Gen(2))
         word = synth.build_word(synth.Bracket(inner, synth.Gen(1)), 0.04, 2)
     reversed_leaves = [leaf for leaf in pr.leaves(word) if leaf[1] < 0]
-    inverters = [_CountingInverter(table.spectra, 1e-4, mode="pointwise", state=psi0)
+    inverters = [_CountingInverter(table.spectra, 1e-4, "pointwise", psi0)
                  for _ in range(2)]
     tree, plans = pr.realize_word(word, inverters[0])
     flat, flat_plans = flat_realize(word, inverters[1])

@@ -587,14 +587,14 @@ def test_find_time_state_independent(harmonic, rng):
 
 def test_invert_s0_trivial(harmonic):
     spec, sd = harmonic
-    res = rc.invert(sd, 0.0, 1e-3, state=fock.ground_state(spec))
+    res = rc.invert(sd, 0.0, 1e-3, rc.POINTWISE, fock.ground_state(spec))
     assert res.t_star == 0.0
 
 
 def test_invert_harmonic_certificate(harmonic, rng):
     spec, sd = harmonic
     psi = fock.random_interior_state(spec, rng)
-    res = rc.invert(sd, 1.0, 1e-6, state=psi)
+    res = rc.invert(sd, 1.0, 1e-6, rc.POINTWISE, psi)
     assert abs(res.t_star - (4 * math.pi - 1.0)) < 1e-6
     table = pr.EvolutionTable({0: -1j * _oscillator(spec)})
     lhs = pr.evolve_signed([(0, -1.0)], psi, table)
@@ -605,7 +605,7 @@ def test_invert_harmonic_certificate(harmonic, rng):
 def test_invert_plan_decomposition(harmonic, rng):
     spec, sd = harmonic
     psi = fock.random_interior_state(spec, rng)
-    res = rc.invert(sd, 0.5, 1e-4, state=psi)
+    res = rc.invert(sd, 0.5, 1e-4, rc.POINTWISE, psi)
     plan = res.plan
     assert 2 * plan.achieved_sum + 4 * plan.tail_mass < plan.delta ** 2
     assert plan.mode == rc.POINTWISE
@@ -615,7 +615,7 @@ def test_invert_energy_bound_mode(rng):
     # commensurate anharmonic ladder: exact recurrence at 40 pi
     levels = rc.polynomial_levels(128, (0.0, 1.0, 0.05))
     sd = rc.SpectralData(levels[:64], np.eye(64))
-    res = rc.invert(sd, 1.0, 0.5, mode=rc.ENERGY_BOUND, energy_bound=1.0)
+    res = rc.invert(sd, 1.0, 0.5, rc.ENERGY_BOUND, 1.0)
     plan = res.plan
     assert plan.energy_bound == 1.0
     d = rc.recurrence_distance(np.eye(64)[3], sd.energies, plan.time)
@@ -634,7 +634,7 @@ def test_plan_validation_rejects_bad_numbers():
 def test_plan_json_roundtrip(harmonic, rng):
     # the text plan.json holds, read back, rebuilds the same plan
     spec, sd = harmonic
-    res = rc.invert(sd, 1.0, 1e-4, state=fock.random_interior_state(spec, rng))
+    res = rc.invert(sd, 1.0, 1e-4, rc.POINTWISE, fock.random_interior_state(spec, rng))
     data = json.loads(cli.json_text(res.plan.to_dict()))
     assert data["mode"] == "pointwise"
     assert data["N"] == res.plan.N
@@ -645,7 +645,7 @@ def test_plan_json_roundtrip(harmonic, rng):
 def test_inverter_caches(harmonic):
     spec, sd = harmonic
     psi = fock.ground_state(spec)
-    inv = rc.RecurrenceInverter({0: sd}, 1e-5, state=psi)
+    inv = rc.RecurrenceInverter({0: sd}, 1e-5, rc.POINTWISE, psi)
     t1, plan1 = inv.duration(0, 0.25)
     t2, plan2 = inv.duration(0, 0.25)
     assert t1 == t2 and plan1 is plan2
