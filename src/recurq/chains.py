@@ -295,53 +295,32 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
 # -- end-to-end demonstration --------------------------------------------------
 
 
-class GeneratorIndexError(IndexError):
-    """A generator index outside a control system of ``count`` generators."""
-
-    def __init__(self, index: int, count: int):
-        super().__init__(f"generator index {index} is out of range; the system has "
-                         f"generators 0..{count - 1}")
-        self.count = count
-
-
-def chain_table(spec: ChainSpec, dims: Sequence[int], indices):
-    """Represent the generators ``indices`` of the chain's control system on a
-    truncated Fock space.
-
-    Returns ``(labels, tspec, table)``: the labels of every generator, the
-    truncation and the EvolutionTable of the skew generators -iH_k for k in
-    ``indices`` (index 0 = drift).  Desk scale only: at most three modes at
-    <= 16 levels each.  The truncation is checked first; an index outside
-    the control system raises ``GeneratorIndexError`` before anything is
-    represented.
-    """
+def chain_truncation(spec: ChainSpec, dims: Sequence[int]) -> TruncationSpec:
+    """The truncated Fock space of a chain demo.  Desk scale only: at most
+    three modes at <= 16 levels each."""
     if spec.n_modes > 3:
         raise ValueError("chain demos are desk-scale: at most 3 modes")
     if len(dims) != spec.n_modes:
         raise ValueError("one Fock dimension per mode required")
     if any(d > 16 for d in dims):
         raise ValueError("chain demos are desk-scale: at most 16 levels per mode")
-    tspec = TruncationSpec(tuple(dims))
-    labels, hams = control_system(spec)
-    indices = sorted(indices)
-    for k in indices:
-        if not 0 <= k < len(hams):
-            raise GeneratorIndexError(k, len(hams))
-    table = EvolutionTable({k: -1j * represent(hams[k], tspec).csr for k in indices})
-    return labels, tspec, table
+    return TruncationSpec(tuple(dims))
 
 
 def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
                n_budget: int, inverter):
-    """Compile and verify target evolutions from the ground state of the
-    truncated chain system.
-
-    ``targets`` is a list of (GeneratorExpr, duration) pairs over the control
-    system's generator indices (0 = drift); only the generators they read are
-    represented (see ``chain_table`` for the truncation limits).
-    """
-    indices = set().union(*(expr_indices(expr) for expr, _ in targets))
-    labels, tspec, table = chain_table(spec, dims, indices)
+    """Compile and verify ``targets``, (GeneratorExpr, duration) pairs over the
+    control system's generator indices (0 = drift), from the truncated chain's
+    ground state.  Only the generators they read are represented; an index
+    outside the system raises ``IndexError``."""
+    tspec = chain_truncation(spec, dims)
+    labels, hams = control_system(spec)
+    indices = sorted(set().union(*(expr_indices(expr) for expr, _ in targets)))
+    for k in indices:
+        if not 0 <= k < len(hams):
+            raise IndexError(f"generator index {k} is out of range; the system has "
+                             f"generators 0..{len(hams) - 1}")
+    table = EvolutionTable({k: -1j * represent(hams[k], tspec).csr for k in indices})
     report = reachability_report(table, ground_state(tspec), targets, epsilon, n_budget,
                                  inverter)
     return report, labels, table

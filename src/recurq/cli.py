@@ -361,7 +361,7 @@ def write_scan(path: str, trace) -> None:
 
 
 def _parse_poly(text: str, mode_count: int, path: str, kind) -> weyl.PolyOp:
-    """The polynomial ``text`` as ``kind`` (``weyl.as_hermitian`` or ``as_skew``).
+    """The polynomial ``text`` as ``kind`` (``weyl.as_hermitian``; None: as is).
     Its coefficients are held to the chains' bound ``chains.MAX_COEFFICIENT``:
     the role checks square them, and the closures and brackets multiply them."""
     try:
@@ -370,7 +370,7 @@ def _parse_poly(text: str, mode_count: int, path: str, kind) -> weyl.PolyOp:
             if not math.hypot(c.real, c.imag) <= chains.MAX_COEFFICIENT:
                 raise ValueError(f"coefficient {c} is out of range (coefficient bound "
                                  f"{chains.MAX_COEFFICIENT:.3g})")
-        return kind(poly)
+        return poly if kind is None else kind(poly)
     except ValueError as exc:
         raise ConfigError(f"{path}: bad polynomial {text!r}: {exc}") from None
 
@@ -386,7 +386,8 @@ def _check_indices(indices, count: int, path: str) -> None:
     """Refuse an index outside a system of ``count`` generators."""
     unknown = sorted(k for k in indices if not 0 <= k < count)
     if unknown:
-        raise ConfigError(f"{path}: {chains.GeneratorIndexError(unknown[0], count)}")
+        raise ConfigError(f"{path}: generator index {unknown[0]} is out of range; the "
+                          f"system has generators 0..{count - 1}")
 
 
 def _chain_spec(cfg) -> chains.ChainSpec:
@@ -518,24 +519,17 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
 # -- subcommand implementations --------------------------------------------------
 
 
-def _capped(closure, *args, **kwargs):
-    """``closure(*args, **kwargs)``, with a cap the bracket table cannot
-    represent as a config error."""
+def _run_closure(config, out, rng, jobs):
+    # lie_closure is the generators' one check, of degree and of skewness
+    gens = [_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]", None)
+            for i, g in enumerate(config["generators"])]
     try:
-        return closure(*args, **kwargs)
+        basis = weyl.lie_closure(gens, config.get("degree_cap", weyl.DEFAULT_DEGREE_CAP),
+                                 config.get("dim_cap", weyl.DEFAULT_DIM_CAP))
+    except weyl.GeneratorError as exc:
+        raise ConfigError(f"$.generators[{exc.index}]: {exc}") from None
     except weyl.CapError as exc:
         raise ConfigError(f"$.degree_cap: {exc}") from None
-
-
-def _run_closure(config, out, rng, jobs):
-    gens = [_parse_poly(g, int(config["mode_count"]), f"$.generators[{i}]", weyl.as_skew)
-            for i, g in enumerate(config["generators"])]
-    cap = config.get("degree_cap", weyl.DEFAULT_DEGREE_CAP)
-    for i, g in enumerate(gens):
-        if g.degree > cap:
-            raise ConfigError(f"$.generators[{i}]: generator degree {g.degree} exceeds "
-                              f"degree_cap {cap}")
-    basis = _capped(weyl.lie_closure, gens, cap, config.get("dim_cap", weyl.DEFAULT_DIM_CAP))
     write_json(os.path.join(out, "report.json"), {
         "dim": basis.dim,
         "saturated": basis.saturated,
@@ -549,7 +543,11 @@ def _run_closure(config, out, rng, jobs):
 def _run_propagation(config, out, rng, jobs):
     spec = _chain_spec(config["chain"])
     caps = {key: config[key] for key in ("degree_cap", "dim_cap") if key in config}
-    report = _capped(chains.chain_controllability, spec, **caps)
+    try:
+        report = chains.chain_controllability(spec, **caps)
+    except weyl.CapError as exc:
+        # a cap the bracket table cannot represent, or controls above it
+        raise ConfigError(f"$.degree_cap: {exc}") from None
     write_json(os.path.join(out, "report.json"), report.to_dict())
     write_csv(os.path.join(out, "edges.csv"),
               [["edge_u", "edge_v", "verdict", "closure_dim", "missing"]] +
@@ -687,16 +685,15 @@ def _run_chain_demo(config, out, rng, jobs):
                for i, t in enumerate(config["targets"])]
     words = [_order_one_word(expr, t, f"$.targets[{i}].t")
              for i, (expr, t) in enumerate(targets)]
-    indices = set().union(*(synth.expr_indices(expr) for expr, _ in targets))
     try:
-        labels, tspec, table = chains.chain_table(spec, config["dims"], indices)
+        tspec = chains.chain_truncation(spec, config["dims"])
     except ValueError as exc:
         raise ConfigError(f"$.dims: {exc}") from None
-    except chains.GeneratorIndexError as exc:
-        # name the first target that reads an unknown generator
-        for i, (expr, _) in enumerate(targets):
-            _check_indices(synth.expr_indices(expr), exc.count, f"$.targets[{i}].expr")
-        raise
+    labels, hams = chains.control_system(spec)
+    reads = [synth.expr_indices(expr) for expr, _ in targets]
+    for i, indices in enumerate(reads):
+        _check_indices(indices, len(hams), f"$.targets[{i}].expr")
+    table = _build_system(tspec, hams, set().union(*reads))
     psi0 = fock.ground_state(tspec)
     inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec, words)
     report = synth.reachability_report(table, psi0, targets, float(config["epsilon"]),

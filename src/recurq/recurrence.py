@@ -158,10 +158,8 @@ def tail_cut(c: np.ndarray, delta: float) -> int:
     threshold = delta * delta / 8.0
     # suffix[k] = sum_{n >= k} w_n; seek smallest N with suffix[N+1] < threshold
     suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-    for N in range(len(w)):
-        if suffix[N + 1] < threshold:
-            return N
-    return len(w) - 1
+    hits = np.nonzero(suffix[1:] < threshold)[0]
+    return int(hits[0]) if hits.size else len(w) - 1
 
 
 def tail_mass(c: np.ndarray, N: int) -> float:

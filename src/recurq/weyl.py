@@ -15,6 +15,7 @@ coupling-propagation criterion used by the oscillator-chain tools.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -64,18 +65,27 @@ def _mono_support(mono: Monomial):
 
 
 def _mono_product(m1: Monomial, m2: Monomial):
-    """Product of two canonical monomials as a {Monomial: coeff} dict."""
-    acc = {(): 1.0 + 0.0j}
-    for (a, b), (c, d) in zip(m1, m2):
-        nxt = {}
-        for k in range(min(b, c) + 1):  # (q^a p^b)(q^c p^d), mode by mode
-            coeff = math.comb(b, k) * math.comb(c, k) * math.factorial(k) * (-1j) ** k
-            ab = (a + c - k, b + d - k)
-            for prefix, pc in acc.items():
-                key = prefix + (ab,)
-                nxt[key] = nxt.get(key, 0.0j) + pc * coeff
-        acc = nxt
-    return acc
+    """Product of two canonical monomials as a {Monomial: coeff} dict.  Per mode
+    (q^a p^b)(q^c p^d) = sum_k k! C(b,k) C(c,k) (-i)^k q^(a+c-k) p^(b+d-k),
+    expanded only where b and c are nonzero, the last such mode's k slowest."""
+    merged = list(m1)
+    contractions = []
+    for i, (c, d) in enumerate(m2):
+        if c or d:
+            a, b = merged[i]
+            merged[i] = (a + c, b + d)
+            if b and c:
+                contractions.append([(i, (a + c - k, b + d - k), math.comb(b, k)
+                                      * math.comb(c, k) * math.factorial(k) * (-1j) ** k)
+                                     for k in range(min(b, c) + 1)])
+    out = {}
+    for choice in itertools.product(*reversed(contractions)):
+        coeff = 1.0 + 0.0j
+        for i, ab, factor in reversed(choice):
+            merged[i] = ab
+            coeff = 0j + coeff * factor  # zero parts +0, as a sum from 0j leaves them
+        out[tuple(merged)] = coeff
+    return out
 
 
 @dataclass(frozen=True)
@@ -523,6 +533,18 @@ class CapError(ValueError):
     """A closure that its degree cap or the bracket table cannot represent."""
 
 
+class GeneratorError(ValueError):
+    """A ``lie_closure`` generator it refuses; ``index`` is its position."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+class GeneratorCapError(GeneratorError, CapError):
+    """A ``lie_closure`` generator of degree above the cap."""
+
+
 def table_monomials(degree_cap: int, modes: int) -> int:
     """Monomials of the bracket table at ``degree_cap`` on ``modes`` modes.
 
@@ -694,7 +716,9 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
 
     Brackets whose result carries terms of degree above ``degree_cap`` are
     discarded and flag the basis unsaturated; hitting ``dim_cap`` with a new
-    direction pending stops early with the same flag.
+    direction pending stops early with the same flag.  A generator above the
+    cap (``GeneratorCapError``, a ``CapError``) or not skew-hermitian by
+    ``is_skew_hermitian``'s rule (``GeneratorError``) is refused by index.
     """
     generators = list(generators)
     if not generators:
@@ -702,11 +726,12 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
     mode_count = generators[0].mode_count
-    for g in generators:
+    for i, g in enumerate(generators):
         if g.mode_count != mode_count:
             raise ValueError("generators must share mode_count")
         if g.degree > degree_cap:
-            raise CapError(f"generator degree {g.degree} exceeds degree_cap {degree_cap}")
+            raise GeneratorCapError(i, f"generator degree {g.degree} exceeds degree_cap "
+                                       f"{degree_cap}")
 
     support = sorted(set().union(*(g.support for g in generators))) or [0]
     n = table_monomials(degree_cap, len(support))
@@ -716,8 +741,9 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
     G, _ = _coefficients(generators, index)
     defect = G + (_adjoint_matrix(monomials) @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
-    if (np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0)).any():
-        raise ValueError("generators must be skew-hermitian")
+    bad = np.flatnonzero(np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0))
+    if bad.size:
+        raise GeneratorError(int(bad[0]), "generator must be skew-hermitian")
     span = _RealSpan(n, dim_cap)
     for g in G:
         span.try_add(g)
@@ -815,18 +841,15 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     if not local_ops:
         raise ValueError("empty local generating set")
     mode_count = local_ops[0].mode_count
-    if not is_hermitian(coupling):
-        raise ValueError("coupling must be hermitian")
+    coupling_skew = skew_generator(coupling)  # refuses a coupling that is not hermitian
     local_modes = set().union(*(X.support for X in local_ops))
     pair_modes = local_modes | coupling.support
     target_modes = tuple(sorted(pair_modes - local_modes))
     n = table_monomials(degree_cap, len(pair_modes))
 
-    gens = list(local_ops)
-    if not coupling.is_zero:
-        coupling_skew = skew_generator(coupling)
-        brackets = (bracket(X, coupling_skew).cleaned() for X in local_ops)
-        gens += [b for b in brackets if not b.is_zero]
+    # a zero coupling brackets to nothing
+    brackets = (bracket(X, coupling_skew).cleaned() for X in local_ops)
+    gens = local_ops + [b for b in brackets if not b.is_zero]
 
     closure = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap)
 

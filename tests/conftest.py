@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from recurq import fock, weyl
+from recurq import chains, fock, propagate, weyl
 
 
 @pytest.fixture
@@ -30,6 +30,15 @@ def random_skew(rng, mode_count=1, max_degree=2, max_terms=3):
     if S.is_zero:
         return weyl.skew_generator(weyl.q(0, mode_count))
     return weyl.as_skew(S)
+
+
+def chain_table(spec, dims, indices):
+    """(truncation, table) of a chain's skew generators -iH_k for k in
+    ``indices``, built from the spec as the CLI's chain-demo builds them."""
+    tspec = chains.chain_truncation(spec, dims)
+    _, hams = chains.control_system(spec)
+    return tspec, propagate.EvolutionTable({k: -1j * fock.represent(hams[k], tspec).csr
+                                            for k in sorted(indices)})
 
 
 @pytest.fixture

@@ -9,11 +9,14 @@ propagation check, the chain verdicts from one propagation check per edge,
 and scipy's bounded scalar minimizer.  These deliberately avoid the
 package's closed-form reordering identity, structure-tensor machinery,
 sparse assembly, angle addition, word trees, Chebyshev action, adjoint
-matrix and private Brent refine.  There are two exceptions.  The table-free
+matrix and private Brent refine.  There are three exceptions.  The table-free
 closure brackets with ``PolyOp`` arithmetic, which the reordering oracle
 checks, and avoids the bracket table, its stored rows and the sweep's stop
 rule.  The two-product grid kernel is the package's angle addition as it
-was before its single matrix product, kept to compare searches with either."""
+was before its single matrix product, kept to compare searches with either.
+The mode-by-mode monomial product and the level-by-level tail cut are the
+package's own as they were before their single passes, kept to compare
+results bit for bit."""
 
 from __future__ import annotations
 
@@ -54,6 +57,22 @@ def reorder_word(factors, coeff, mode_count):
         expo[mode][0 if kind == "q" else 1] += 1
     mono = tuple((a, b) for a, b in expo)
     return {mono: coeff}
+
+
+def prefix_mono_product(m1, m2):
+    """The canonical product of two monomials, built mode by mode by
+    extending every prefix with each contraction of the next mode."""
+    acc = {(): 1.0 + 0.0j}
+    for (a, b), (c, d) in zip(m1, m2):
+        nxt = {}
+        for k in range(min(b, c) + 1):
+            coeff = math.comb(b, k) * math.comb(c, k) * math.factorial(k) * (-1j) ** k
+            ab = (a + c - k, b + d - k)
+            for prefix, pc in acc.items():
+                key = prefix + (ab,)
+                nxt[key] = nxt.get(key, 0.0j) + pc * coeff
+        acc = nxt
+    return acc
 
 
 def reorder_poly(raw, mode_count) -> PolyOp:
@@ -244,6 +263,16 @@ def interior_block(M: np.ndarray, spec, buffer: int | None = None) -> np.ndarray
         spec = fock.TruncationSpec(spec.dims, buffer)
     mask = fock.interior_mask(spec)
     return M[np.ix_(mask, mask)]
+
+
+def loop_tail_cut(c, delta: float) -> int:
+    """Smallest N with sum_{n>N} |c_n|^2 < delta^2 / 8, level by level."""
+    w = np.abs(np.asarray(c)) ** 2
+    suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+    for N in range(len(w)):
+        if suffix[N + 1] < delta * delta / 8.0:
+            return N
+    return len(w) - 1
 
 
 def direct_grid_values(energies, ts) -> np.ndarray:

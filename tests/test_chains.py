@@ -315,6 +315,17 @@ def test_chain_demo_decoupled_cannot_move_mode_two():
     assert best < 1e-9  # decoupled dynamics never populate mode 2
 
 
+@pytest.mark.parametrize("k", [5, -1])
+def test_chain_demo_refuses_generator_indices_outside_the_system(k, monkeypatch):
+    # a cap-3 control system has generators 0..4; nothing is represented
+    built = []
+    monkeypatch.setattr(ch, "represent", lambda H, spec: built.append(H))
+    with pytest.raises(IndexError, match=f"generator index {k} is out of range"):
+        ch.chain_demo(two_mode_chain(), (4, 4), [(sy.Sum(sy.Gen(0), sy.Gen(k)), 0.1)],
+                      0.1, 4, sy.ExactInverter())
+    assert built == []
+
+
 def test_chain_demo_rejects_large_systems():
     with pytest.raises(ValueError):
         ch.chain_demo(ChainSpec(4, 1.0, ((0, 1, 1.0),), (0,)), (4, 4, 4, 4), [],

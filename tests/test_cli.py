@@ -136,6 +136,33 @@ def test_closure_subcommand(tmp_path):
     assert report["dim"] == 3 and report["saturated"]
 
 
+def test_closure_checks_its_generators_without_adjoints(tmp_path, monkeypatch):
+    # lie_closure's vectorized skewness check is the only one: a role check
+    # by PolyOp.adjoint cost seconds at the mode-count limit
+    def refuse(self):
+        raise AssertionError("PolyOp.adjoint called")
+
+    monkeypatch.setattr(weyl.PolyOp, "adjoint", refuse)
+    config = {"mode_count": weyl.MAX_MODES, "degree_cap": 4,
+              "generators": ["(0,1) * q1^2", "(0,1) * p1^2", "(0,1) * q1 q2"]}
+    rc_code, out = run("closure", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["dim"] == 6 and report["saturated"]
+
+
+@pytest.mark.parametrize("generators,index", [
+    (["(0,1) * q1^2", "(1,0) * q1^2", "(0,1) * p1^2"], 1),
+    (["(0,1) * q1^2", "(0,1) * p1^2", "(0,1) * q1^2 + (1e-6,0) * q1 p1"], 2),
+], ids=["hermitian", "near-skew"])
+def test_closure_non_skew_generator_exits_usage(generators, index, tmp_path, capsys):
+    config = {"mode_count": 1, "generators": generators, "degree_cap": 4}
+    rc_code, _ = run("closure", config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err == f"error: $.generators[{index}]: generator must be skew-hermitian\n"
+
+
 def test_invert_subcommand(tmp_path):
     config = {"hamiltonian": HARMONIC, "delta": 1e-5, "mode": "pointwise",
               "s": 1.0, "state": {"fock": [0]}}
@@ -506,15 +533,14 @@ def test_chain_demo_represents_only_the_generators_its_targets_read(tmp_path, mo
                     {"expr": {"op": "scale", "factor": -1.0, "inner": GEN(2)}, "t": 0.2}],
         "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "exact"},
     }
-    built, represent = [], chains.represent
-    monkeypatch.setattr(chains, "represent",
-                        lambda H, spec: built.append(H) or represent(H, spec))
+    built, represent = [], fock.represent
+    monkeypatch.setattr(fock, "represent", lambda H, spec: built.append(H) or represent(H, spec))
     rc_code, out = run("chain-demo", config, tmp_path, name="read")
     assert rc_code == cli.EXIT_OK and len(built) == 2
     # the same run over a table of every generator
-    table = chains.chain_table
-    monkeypatch.setattr(chains, "chain_table",
-                        lambda spec, dims, indices: table(spec, dims, range(5)))
+    build = cli._build_system
+    monkeypatch.setattr(cli, "_build_system",
+                        lambda spec, herms, indices: build(spec, herms, range(len(herms))))
     rc_all, out_all = run("chain-demo", config, tmp_path, name="all")
     assert rc_all == cli.EXIT_OK and len(built) == 2 + 5
     report = json.loads((out / "report.json").read_text())

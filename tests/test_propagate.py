@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse
 from scipy.linalg import expm as scipy_expm
 
+from conftest import chain_table
 from oracles import expm_multiply_action, flat_evolve, flat_realize
 from recurq import chains, cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
@@ -447,8 +448,7 @@ def test_squared_repeats_stay_unitary():
 
 def _chain_table(d):
     spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
-    _, tspec, table = chains.chain_table(spec, (d, d, d), range(3))  # all 3 generators
-    return tspec, table
+    return chain_table(spec, (d, d, d), range(3))  # all 3 generators
 
 
 def _interior_state(tspec, rng):

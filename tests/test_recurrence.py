@@ -10,7 +10,7 @@ from recurq import cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
-from oracles import (direct_grid_scan, direct_grid_values, linspace_scan,
+from oracles import (direct_grid_scan, direct_grid_values, linspace_scan, loop_tail_cut,
                      scipy_bounded_minimum, two_product_grid_objective)
 
 
@@ -115,6 +115,23 @@ def test_tail_cut_is_minimal(seed, delta):
     assert w[N + 1:].sum() < delta ** 2 / 8
     if N > 0:
         assert w[N:].sum() >= delta ** 2 / 8
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 40), st.floats(0.01, 3.0))
+def test_tail_cut_matches_the_level_loop(seed, n, delta):
+    gen = np.random.default_rng(seed)
+    c = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) * gen.exponential(1.0, n)
+    assert rc.tail_cut(c, delta) == loop_tail_cut(c, delta)
+
+
+def test_tail_cut_matches_the_level_loop_at_its_edges():
+    # a tail of exactly delta^2/8 = 0.125 is not below it; all-zero weights
+    # cut at once; an empty head gives -1 either way
+    for c in ([1.0, 0.25, 0.25], [0.0] * 5, []):
+        assert rc.tail_cut(np.array(c), 1.0) == loop_tail_cut(np.array(c), 1.0)
+    assert rc.tail_cut(np.array([1.0, 0.25, 0.25]), 1.0) == 1
+    assert rc.tail_cut(np.zeros(5), 1.0) == 0
 
 
 def test_tail_cut_energy_formula():

@@ -28,6 +28,16 @@ def _call_sites(name):
     return sites
 
 
+def _names(module):
+    """Every name, attribute and imported name the module reads."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        names.update([getattr(node, "id", None), getattr(node, "attr", None)])
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_generators_are_diagonalized_in_one_place():
     # recurrence.spectral is every generator's decomposition; expm_skew is the
     # oracle and the small-dimension one-off path of expm_apply
@@ -41,13 +51,22 @@ def test_one_run_path():
     # evolution, and the CLI realizes, runs and checks words only through
     # synth (notes/decisions.md, "One builder per word")
     assert _call_sites("evolve_signed") == {("synth", "run")}
-    names = set()
-    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
-        names.update([getattr(node, "id", None), getattr(node, "attr", None)])
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name for alias in node.names)
     banned = {"evolve", "evolve_signed", "realize_word", "expm_apply", "expr_matrix"}
-    assert names & banned == set()
+    assert _names("cli") & banned == set()
+
+
+def test_one_build_per_generator():
+    # a generator family reaches its EvolutionTable in cli._build_system, or
+    # in the library's chain_demo; closure generators are checked by
+    # lie_closure alone, and generator indices by cli._check_indices
+    # (notes/decisions.md, "Only the generators a run reads" and "One check
+    # per closure generator")
+    assert _call_sites("EvolutionTable") == {("cli", "_build_system"), ("chains", "chain_demo")}
+    assert _names("cli") & {"as_skew", "chain_table"} == set()
+    classes = {node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert "GeneratorIndexError" not in classes
 
 
 def test_one_recurrence_guarantee_path():

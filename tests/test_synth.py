@@ -11,6 +11,8 @@ from recurq.fock import TruncationSpec
 from recurq.synth import Bracket, Gen, Scale, Sum
 from recurq.weyl import as_hermitian, p, q
 
+from conftest import chain_table
+
 
 @pytest.fixture(scope="module")
 def system():
@@ -161,12 +163,12 @@ def test_expr_matrix_is_sparse_on_the_action_path():
     # stays CSR; below it the expression is dense, as the oracle diagonalizes
     spec = chains.ChainSpec(3, 1.0, ((0, 1, 1.0), (1, 2, 0.8)), (0,), 1)
     expr = Scale(2.0, Sum(Gen(1), Bracket(Gen(1), Gen(2))))
-    _, _, table = chains.chain_table(spec, (6, 6, 6), sy.expr_indices(expr))
+    _, table = chain_table(spec, (6, 6, 6), sy.expr_indices(expr))
     G = sy.expr_matrix(expr, table)
     assert isinstance(G, scipy.sparse.csr_array)
     A, B = table.matrix(1).toarray(), table.matrix(2).toarray()
     assert np.allclose(G.toarray(), 2.0 * (A + (A @ B - B @ A)), rtol=0, atol=1e-12)
-    _, _, small = chains.chain_table(spec, (4, 4, 4), sy.expr_indices(expr))
+    _, small = chain_table(spec, (4, 4, 4), sy.expr_indices(expr))
     assert isinstance(sy.expr_matrix(expr, small), np.ndarray)
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from recurq.weyl import PolyOp, as_hermitian, as_skew, bracket, canonicalize, q,
 
 from conftest import random_polyop, random_skew
 from oracles import (interior_block, missing_one_by_one, monomial_bracket, p_matrix,
-                     polyop_lie_closure, q_matrix, reorder_poly, sequential_targets,
-                     word_matrix)
+                     polyop_lie_closure, prefix_mono_product, q_matrix, reorder_poly,
+                     sequential_targets, word_matrix)
 
 
 def iq(m=1):
@@ -95,6 +96,47 @@ def test_adjoint_examples():
     assert q2.adjoint().isclose(q2, 1e-14)
     skew = PolyOp(1, {((1, 0),): 1j})
     assert skew.adjoint().isclose(-skew, 1e-14)
+
+
+# one mode's exponents, unoccupied half the time
+_EXPONENTS = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, 4), st.integers(0, 4)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.tuples(*[_EXPONENTS] * n),
+                                                     st.tuples(*[_EXPONENTS] * n))))
+def test_mono_product_matches_the_prefix_product(pair):
+    # same monomials in the same order, coefficients bit for bit (zero signs too)
+    out, ref = weyl._mono_product(*pair), prefix_mono_product(*pair)
+    assert list(out) == list(ref) and repr(out) == repr(ref)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_arithmetic_is_bit_identical_to_the_prefix_product(seed):
+    gen = np.random.default_rng(seed)
+    A, B = random_polyop(gen, 3, 4, 5), random_polyop(gen, 3, 4, 5)
+    S, T = random_skew(gen, 2, 3), random_skew(gen, 2, 3)
+
+    def results():
+        return [A * B, B * A, A.adjoint(), B.adjoint(), bracket(A, B), bracket(S, T)]
+
+    new = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weyl, "_mono_product", prefix_mono_product)
+        old = results()
+    assert [repr(X) for X in new] == [repr(X) for X in old]
+
+
+def test_mono_product_is_linear_in_the_mode_count():
+    # one contraction on 10 000 modes; the prefix product took seconds
+    n = weyl.MAX_MODES
+    m1, m2 = ((1, 1),) + ((0, 0),) * (n - 1), ((1, 0), (1, 0)) + ((0, 0),) * (n - 2)
+    start = time.perf_counter()
+    out = weyl._mono_product(m1, m2)
+    assert time.perf_counter() - start < 0.2
+    assert out == {((2, 1), (1, 0)) + ((0, 0),) * (n - 2): 1.0 + 0j,
+                   ((1, 0), (1, 0)) + ((0, 0),) * (n - 2): -1j}
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,6 +544,19 @@ def test_propagation_check_is_the_same_from_either_mode(omega, cap, dim_cap):
     assert summary[0] == summary[1]
 
 
+def test_propagation_check_tests_the_coupling_once(monkeypatch):
+    local, coupling = weyl.local_skew_generators(0, 2, 3), _coupling(1.0)
+    calls, check = [], weyl.is_hermitian
+    monkeypatch.setattr(weyl, "is_hermitian", lambda A: calls.append(A) or check(A))
+    assert weyl.algebraic_propagation_check(local, coupling, 3, 128).propagates
+    assert calls == [coupling]
+    skew = skew_generator(_coupling(1.0))
+    with pytest.raises(ValueError, match="hermitian"):
+        weyl.algebraic_propagation_check(local, skew, 3, 128)
+    zero = weyl.const(0.0, 2)
+    assert weyl.algebraic_propagation_check(local, zero, 3, 128).verdict == weyl.FAILS
+
+
 def test_propagation_check_refuses_a_cap_before_any_bracket(monkeypatch):
     brackets = []
     monkeypatch.setattr(weyl, "bracket", lambda A, B: brackets.append((A, B)))
@@ -532,6 +587,18 @@ def test_skew_check_rejects_non_skew_generator():
     almost = PolyOp(1, {((2, 0),): 1j, ((1, 1),): 1e-6})
     with pytest.raises(ValueError, match="must be skew-hermitian"):
         weyl.lie_closure([iq(), almost], 4, 64)
+
+
+def test_closure_names_the_generator_it_refuses():
+    # the first generator refused, by index: degree before skewness
+    almost = PolyOp(1, {((2, 0),): 1j, ((1, 1),): 1e-6})
+    with pytest.raises(weyl.GeneratorError, match="must be skew-hermitian") as info:
+        weyl.lie_closure([iq(), ip(), almost, almost], 4, 64)
+    assert info.value.index == 2 and not isinstance(info.value, weyl.CapError)
+    cubic = skew_generator(as_hermitian(q(0) * q(0) * q(0)))
+    with pytest.raises(weyl.GeneratorCapError, match="generator degree 3") as info:
+        weyl.lie_closure([almost, iq(), cubic], 2, 64)
+    assert info.value.index == 2 and isinstance(info.value, weyl.CapError)
 
 
 def test_closure_rejects_caps_the_table_cannot_represent():
