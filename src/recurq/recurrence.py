@@ -83,7 +83,8 @@ class SpectrumExhaustedError(ValueError):
 
 class GridReachError(ValueError):
     """The recurrence scan cannot reach its horizon: the horizon is below
-    tau_min, it or the grid step is not finite, or a chunk of the grid no
+    tau_min, it or the grid step is not finite, the grid step is too coarse
+    to bound the objective between grid points, or a chunk of the grid no
     longer advances the scanned time."""
 
 
@@ -223,10 +224,12 @@ def _objective(energies: np.ndarray):
 # The trig count is smallest at sqrt(2^16) = 256 for full chunks, which is
 # also the measured optimum (notes/decisions.md).
 _BLOCK = 256
-# Grid points per chunk of the scan, and the stride of the points it records
-# in ``trace`` (the README's "every 200th point" of scan.csv).
+# Grid points per chunk of the scan, and per window of ``trace``: the scan
+# records each window's lowest grid point (scan.csv).  Windows partition the
+# grid, so the rows are a lower envelope of the search; a fixed stride would
+# alias, as 200 points of the default step are two periods of E_max.
 _CHUNK = 1 << 16
-_TRACE_STRIDE = 200
+_TRACE_WINDOW = 1 << 12
 # Head levels per slice of the scan product.  OpenBLAS was measured to sum a
 # GEMM of inner size above 384 in a thread-count-dependent order, so the
 # product is summed over slices of inner size 2 * 192 in a fixed order.
@@ -260,6 +263,20 @@ def _grid_times(j, start: float, stop: float, h: float, m: int) -> np.ndarray:
     linspace forms j * h + start with h = (stop - start) / (m - 1) and sets
     its last point to stop."""
     return np.where(j == m - 1, stop, j * h + start)
+
+
+def _window_minima(vals: np.ndarray, start: float, stop: float, h: float, last: bool):
+    """(T, objective) of the lowest point, the first on ties, of each window
+    of _TRACE_WINDOW grid points of a chunk.  The chunk's last point is the
+    next chunk's j = 0, so it counts only in the ``last`` chunk."""
+    m = vals.size
+    own = vals if last else vals[:-1]
+    full = own.size - own.size % _TRACE_WINDOW
+    j = np.arange(0, full, _TRACE_WINDOW)
+    j += own[:full].reshape(-1, _TRACE_WINDOW).argmin(axis=1)
+    if full < own.size:
+        j = np.append(j, full + int(own[full:].argmin()))
+    return zip(_grid_times(j, start, stop, h, m).tolist(), vals[j].tolist())
 
 
 # Brent's bounded minimizer (R. P. Brent, Algorithms for Minimization without
@@ -386,7 +403,11 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     # the curvature term covers the distance to the nearest grid point, the
     # rounding term the float error of the grid phases and products
     rounding = 8.0 * len(E) * np.finfo(float).eps * (e_max * (t_max + grid_step) + 1.0)
-    refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2 + rounding
+    try:
+        refine_cut = threshold + 1.5 * float(np.sum(E * E)) * (grid_step / 2.0) ** 2 + rounding
+    except OverflowError:
+        raise GridReachError(f"a grid of step {grid_step:g} is too coarse: the curvature "
+                             "bound between its points overflows") from None
 
     f_min = f(tau_min)
     if f_min < threshold:
@@ -409,9 +430,7 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         h = (stop - start) / (m - 1)
         vals = _grid_objective(E, start, h, m)
         if trace is not None:
-            samples = np.arange(0, m, _TRACE_STRIDE)
-            trace.extend(zip(_grid_times(samples, start, stop, h, m).tolist(),
-                             vals[::_TRACE_STRIDE].tolist()))
+            trace.extend(_window_minima(vals, start, stop, h, stop == t_max))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
             best_t = float(_grid_times(i_best, start, stop, h, m))

@@ -361,12 +361,23 @@ def bracket(A: PolyOp, B: PolyOp) -> PolyOp:
 
 def enumerate_monomials(mode_count: int, support: Sequence[int], max_degree: int):
     """All monomials on the given support modes with total degree <= cap."""
-    support = sorted(set(support))
+    return _monomial_table(mode_count, support, max_degree)[0]
+
+
+def _monomial_table(mode_count: int, support: Sequence[int], max_degree: int):
+    """(monomials, slots, E): ``enumerate_monomials``'s list, the sorted
+    support modes, and E[i] = the (q, p) exponents of monomial i on each slot
+    in turn.  The order and arrays come from the slots' exponent rows alone,
+    so their cost does not grow with the mode count: modes off the support
+    are (0, 0) in every monomial, which makes (degree, monomial) order the
+    (row sum, row) order."""
+    slots = sorted(set(support))
     rows = [()]
-    for _ in range(2 * len(support)):
+    for _ in range(2 * len(slots)):
         rows = [r + (e,) for r in rows for e in range(max_degree - sum(r) + 1)]
-    return sorted((_embed(r, support, mode_count) for r in rows),
-                  key=lambda m: (mono_degree(m), m))
+    rows.sort(key=lambda r: (sum(r), r))
+    E = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * len(slots))
+    return [_embed(r, slots, mode_count) for r in rows], slots, E
 
 
 class _RealSpan:
@@ -447,12 +458,12 @@ def _coefficients(ops, index: dict):
     return V[:, :n], V[:, n] == 0
 
 
-def _adjoint_matrix(monomials):
+def _adjoint_matrix(E):
     """Sparse A with column j the coefficient vector of m_j^dag, so that
-    vec(X^dag) = A @ conj(vec(X)).  Per mode (q^a p^b)^dag = p^b q^a =
+    vec(X^dag) = A @ conj(vec(X)), for the monomials of ``_monomial_table``'s
+    exponent rows E.  Per mode (q^a p^b)^dag = p^b q^a =
     sum_k F[b, a, k] (-i)^k q^(a-k) p^(b-k): an enumerated list holds it."""
-    n = len(monomials)
-    E = _exponents(monomials)[1].reshape(n, -1)
+    n = len(E)
     F = _contraction_counts(int(E.max(initial=0)))
     col, ksum, out, weight = np.arange(n), np.zeros(n, dtype=np.int64), E, np.ones(n)
     for s in range(E.shape[1] // 2):
@@ -570,13 +581,13 @@ class _StructureTensor:
     T[i, j, col] is stored column-major, as the CSC matrix ``S`` with
     T[i, j, col] at row ``i * n_ext + col``, column ``j``, so that
     M_y = sum_j y_j T[:, j, :] reads only the columns j with y_j != 0.
-    ``N[i, j]`` is the norm of the in-cap part of [m_i, m_j].
+    ``N[i, j]`` is the norm of the in-cap part of [m_i, m_j].  It takes
+    ``_monomial_table``'s monomials, slots and exponent rows.
     """
 
-    def __init__(self, monomials):
+    def __init__(self, monomials, slots, E):
         n = len(monomials)
-        slots, E = _exponents(monomials)
-        A, B = E[:, :, 0], E[:, :, 1]
+        A, B = E[:, 0::2], E[:, 1::2]
         I, J = np.triu_indices(n, 1)
         F = _contraction_counts(int(E.max()))
         # Per mode, (q^a p^b)(q^c p^d) and (q^c p^d)(q^a p^b) share the term
@@ -601,7 +612,7 @@ class _StructureTensor:
         pair, out = pair[keep], out[keep]
         coeff = (alpha[keep] - beta[keep]) * np.array([1, -1j, -1, 1j])[ksum[keep] % 4]
 
-        rows = np.concatenate([E.reshape(n, -1), out])
+        rows = np.concatenate([E, out])
         _, first, inverse = np.unique(_lex_rank(rows), return_index=True,
                                       return_inverse=True)
         col_of = np.full(first.size, -1)
@@ -658,14 +669,6 @@ class _StructureTensor:
         lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_vec[i], 1e-300)
         overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
         return R, overflow
-
-
-def _exponents(monomials):
-    """The modes the monomials touch, and E[i, t] = the (q, p) exponents of
-    monomial i on the t-th of them."""
-    E = np.array(monomials, dtype=np.int64)
-    slots = np.flatnonzero(E.any(axis=(0, 2)))
-    return slots.tolist(), E[:, slots]
 
 
 def _contraction_counts(top: int) -> np.ndarray:
@@ -735,11 +738,11 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
 
     support = sorted(set().union(*(g.support for g in generators))) or [0]
     n = table_monomials(degree_cap, len(support))
-    monomials = enumerate_monomials(mode_count, support, degree_cap)
+    monomials, slots, E = _monomial_table(mode_count, support, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
 
     G, _ = _coefficients(generators, index)
-    defect = G + (_adjoint_matrix(monomials) @ G.conj().T).T
+    defect = G + (_adjoint_matrix(E) @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
     bad = np.flatnonzero(np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0))
     if bad.size:
@@ -750,7 +753,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         if span.capped:
             break
 
-    tensor = _StructureTensor(monomials)
+    tensor = _StructureTensor(monomials, slots, E)
     degree_capped = False
     # brackets are antisymmetric and [x, x] = 0: pair element i with earlier
     # ones only.  The in-cap skew-hermitian space has real dimension n, so
@@ -792,8 +795,8 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     dimension per monomial (notes/decisions.md, "Propagation targets as
     vectors").
     """
-    monomials = enumerate_monomials(mode_count, modes, degree_cap)
-    T = 1j * (sp.identity(len(monomials), format="csc") + _adjoint_matrix(monomials))
+    monomials, _, E = _monomial_table(mode_count, modes, degree_cap)
+    T = 1j * (sp.identity(len(monomials), format="csc") + _adjoint_matrix(E))
     rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
     return [_trusted(mode_count, {monomials[i]: c for i, c in zip(rows[a:b], vals[a:b])}, SKEW)
             for a, b in zip(ptr, ptr[1:])]

@@ -281,25 +281,41 @@ def direct_grid_values(energies, ts) -> np.ndarray:
     return len(E) - np.cos(np.outer(ts, E)).sum(axis=1)
 
 
-def direct_grid_scan(energies, tau_min, t_max, grid_step, trace_stride=200):
+def direct_grid_scan(energies, tau_min, t_max, grid_step):
     """The recurrence search grid scanned point by point, without refinement.
 
     Chunks of 2^16 steps with shared boundary points, as in
-    ``find_recurrence_time``.  Returns the trace samples (every
-    ``trace_stride``-th point of each chunk) and the number of points scanned.
+    ``find_recurrence_time``; each chunk's last point belongs to the next
+    chunk, except at t_max.  Returns one ``(times, T, objective)`` per window
+    of 4 096 owned points of a chunk (its grid times and its lowest point by
+    the direct cosine sum) and the number of points scanned.
     """
-    trace, n_point = [], 0
+    windows, n_point = [], 0
     start = tau_min
     while start < t_max:
         stop = min(start + (1 << 16) * grid_step, t_max)
         m = max(2, int(round((stop - start) / grid_step)) + 1)
         ts = np.linspace(start, stop, m)
         vals = direct_grid_values(energies, ts)
-        for i in range(0, m, trace_stride):
-            trace.append((float(ts[i]), float(vals[i])))
+        own = m if stop == t_max else m - 1
+        rows = window_minima(ts, vals, stop == t_max)
+        windows += [(ts[lo:min(lo + (1 << 12), own)], t, v)
+                    for lo, (t, v) in zip(range(0, own, 1 << 12), rows)]
         n_point += m
         start = stop
-    return trace, n_point
+    return windows, n_point
+
+
+def window_minima(ts, vals, last):
+    """(T, objective) of the first lowest point of each window of 4 096 points
+    of a chunk's grid times and values, one window at a time; the chunk's
+    last point counts only in the ``last`` chunk."""
+    own = len(vals) if last else len(vals) - 1
+    rows = []
+    for lo in range(0, own, 1 << 12):
+        i = lo + int(np.argmin(vals[lo:min(lo + (1 << 12), own)]))
+        rows.append((float(ts[i]), float(vals[i])))
+    return rows
 
 
 def two_product_grid_objective(E, start, h, m) -> np.ndarray:
@@ -350,7 +366,7 @@ def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trac
         ts = np.linspace(start, stop, m)
         vals = rc._grid_objective(E, start, (stop - start) / (m - 1), m)
         if trace is not None:
-            trace.extend(zip(ts[::200].tolist(), vals[::200].tolist()))
+            trace.extend(window_minima(ts, vals, stop == t_max))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
             best_t, best_f = float(ts[i_best]), float(vals[i_best])

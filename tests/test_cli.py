@@ -748,6 +748,11 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
                "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.mode_count"),
     ("recur", {"hamiltonian": {"poly": "(1,0) * q1^2", "mode_count": 10 ** 20},
                "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.mode_count"),
+    # the grid's curvature bound (step / 2)^2 overflowed into a traceback
+    ("recur", {"hamiltonian": HARMONIC, "delta": 0.001, "mode": "pointwise",
+               "tau_min": 1.0, "grid_step": 1e308}, "$.grid_step"),
+    ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise", "s": 1.0,
+                "grid_step": 1e200}, "$.grid_step"),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
@@ -760,7 +765,8 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
         "chain-demo-duration-overflows",
         "propagation-n-modes-above-limit", "propagation-n-modes-1e20",
         "closure-mode-count-above-limit", "closure-mode-count-1e20",
-        "recur-mode-count-above-limit", "recur-mode-count-1e20"])
+        "recur-mode-count-above-limit", "recur-mode-count-1e20",
+        "recur-grid-step-overflows", "invert-grid-step-overflows"])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
@@ -983,10 +989,13 @@ def test_recur_artifacts_independent_of_blas_threads(tmp_path):
     # 62 head levels over four grid chunks: the scan's matrix products are
     # large enough for a threaded BLAS to split them.  200 head levels pass
     # the scan's 192-level product slices: OpenBLAS sums a single product of
-    # inner size 400 in a thread-count-dependent order
+    # inner size 400 in a thread-count-dependent order, which shows in the
+    # window minima of the one chunk scanned.  scan.csv has one row per
+    # window, chunk_rows per full chunk
+    chunk_rows = recurrence._CHUNK // recurrence._TRACE_WINDOW
     heads = {
-        "ladder": ({"count": 128, "coeffs": [0.0, 1.0, 1 / 11]}, 2.0, 62, 3 * (1 << 16) // 200),
-        "wide": ({"count": 400, "coeffs": [0.0, 1.0]}, 1.0, 200, 300),
+        "ladder": ({"count": 128, "coeffs": [0.0, 1.0, 1 / 11]}, 2.0, 62, 3 * chunk_rows),
+        "wide": ({"count": 400, "coeffs": [0.0, 1.0]}, 1.0, 200, chunk_rows - 1),
     }
     for name, (formula, bound, levels, rows) in heads.items():
         config = {"hamiltonian": {"level_formula": formula}, "delta": 0.2,
@@ -1005,7 +1014,7 @@ def test_recur_artifacts_independent_of_blas_threads(tmp_path):
         for artifact in ("plan.json", "scan.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
         assert json.loads((outs[0] / "plan.json").read_text())["N"] + 1 == levels
-        assert len((outs[0] / "scan.csv").read_text().splitlines()) > rows
+        assert len((outs[0] / "scan.csv").read_text().splitlines()) - 1 > rows
 
 
 def _csv_writer_bytes(rows) -> bytes:
@@ -1031,21 +1040,22 @@ def test_write_csv_matches_csv_writer(rows, tmp_path):
 
 
 def test_recur_scan_csv_matches_csv_writer(tmp_path):
-    levels = [0.0, 1.0, math.sqrt(2.0), math.pi]
-    config = {"hamiltonian": {"levels": levels}, "delta": 0.05, "mode": "energy_bound",
-              "energy_bound": 7.8e-4, "tau_min": 1.0, "t_max": 2e4}
+    # the golden-ratio level returns late: 2.6M grid points, 656 windows
+    levels = [0.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0, math.pi]
+    config = {"hamiltonian": {"levels": levels}, "delta": 7e-4, "mode": "energy_bound",
+              "energy_bound": 1.225e-7, "tau_min": 1.0, "t_max": 1e5, "grid_step": 0.01}
     rc_code, out = run("recur", config, tmp_path)
     trace: list = []
-    recurrence.plan_recurrence(np.array(levels), 0.05, "energy_bound", 7.8e-4,
-                               tau_min=1.0, t_max=2e4, trace=trace)
+    recurrence.plan_recurrence(np.array(levels), 7e-4, "energy_bound", 1.225e-7,
+                               tau_min=1.0, t_max=1e5, grid_step=0.01, trace=trace)
     assert rc_code == cli.EXIT_OK and len(trace) > 300
     assert (out / "scan.csv").read_bytes() == _csv_writer_bytes([["T", "objective"], *trace])
 
 
 def test_scan_csv_writer_memory_stays_bounded(tmp_path):
-    # 15 088 rows, the longest trace a benchmark job writes: formatted a batch
-    # at a time the writer peaks near 0.25 MB, where joining the whole file
-    # into one string first takes about 1.7 MB
+    # 15 088 rows, a trace of 62M grid points: formatted a batch at a time
+    # the writer peaks near 0.25 MB, where joining the whole file into one
+    # string first takes about 1.7 MB
     rng = np.random.default_rng(15088)
     times = (1.0 + 2.1 * np.arange(15088)).tolist()
     trace = list(zip(times, rng.uniform(0.0, 6.0, len(times)).tolist()))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,8 +301,8 @@ def test_narrow_dip_between_grid_points_is_found():
     E = w * np.array([1.0, 2.0, 3.0, 5.0, 7.0])
     T0, tau_min = 2.0 * math.pi / w, 0.5
     grid_step = (T0 - tau_min) / 700.5
-    trace, _ = direct_grid_scan(E, tau_min, T0 + 1.0, grid_step, trace_stride=1)
-    assert min(v for _, v in trace) > delta * delta / 4.0
+    windows, _ = direct_grid_scan(E, tau_min, T0 + 1.0, grid_step)
+    assert min(v for _, _, v in windows) > delta * delta / 4.0
     found = rc.find_recurrence_time(E, delta, tau_min=tau_min, grid_step=grid_step)
     assert abs(found.time - T0) < 1e-7  # float cos is flat to ~1e-8 at the bottom
     assert found.objective < delta * delta / 4.0
@@ -356,16 +357,84 @@ def test_bounded_brent_stops_after_500_evaluations():
 
 
 def test_trace_samples_match_direct_scan():
+    # three chunks, the last one short: one row per window of 4 096 owned points
     E = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
     trace: list = []
     with pytest.raises(rc.RecurrenceSearchError) as err:
         rc.find_recurrence_time(E, 1e-6, tau_min=0.5, t_max=5000.0, trace=trace)
     step = err.value.grid_step
-    expected, n_point = direct_grid_scan(E, 0.5, 5000.0, step)
+    windows, n_point = direct_grid_scan(E, 0.5, 5000.0, step)
     assert n_point > 2 * (1 << 16) and err.value.grid_points == n_point
-    assert [t for t, _ in trace] == [t for t, _ in expected]
-    deviation = max(abs(v - u) for (_, v), (_, u) in zip(trace, expected))
-    assert deviation <= _rounding(E, 5000.0, step)
+    assert len(trace) == len(windows) == 16 + 16 + 12
+    for (t, v), (times, _, lowest) in zip(trace, windows):
+        assert t in times
+        assert abs(v - lowest) <= _rounding(E, 5000.0, step)
+
+
+def _traced_chunks(energies, delta, **kwargs):
+    """The search's trace and every chunk's (start, h, m, grid values)."""
+    chunks, kernel = [], rc._grid_objective
+
+    def recorded(E, start, h, m):
+        chunks.append((start, h, m, kernel(E, start, h, m)))
+        return chunks[-1][3]
+
+    trace: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_grid_objective", recorded)
+        with pytest.raises(rc.RecurrenceSearchError):
+            rc.find_recurrence_time(energies, delta, trace=trace, **kwargs)
+    return trace, chunks
+
+
+@pytest.mark.parametrize("last_m", [4097, 2 * 4096 + 7])
+def test_trace_rows_are_the_kernel_window_minima(last_m):
+    # two full chunks and a short last one: 4 097 points leave the t_max point
+    # a window of its own, 8 199 a partial window.  Each chunk's last point is
+    # the next chunk's first and counts once; the t_max point counts
+    E = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
+    step = 2.0 * math.pi / (100.0 * math.sqrt(5.0))
+    t_max = 0.5 + (2 * _CHUNK + last_m - 1) * step
+    trace, chunks = _traced_chunks(E, 1e-6, tau_min=0.5, t_max=t_max, grid_step=step)
+    assert [m for _, _, m, _ in chunks] == [_CHUNK + 1, _CHUNK + 1, last_m]
+    stops = [start for start, _, _, _ in chunks[1:]] + [t_max]
+    expected = []
+    for (start, h, m, vals), stop in zip(chunks, stops):
+        own = m if stop == t_max else m - 1
+        for lo in range(0, own, 1 << 12):
+            window = vals[lo:min(lo + (1 << 12), own)].tolist()
+            j = lo + window.index(min(window))
+            t = stop if j == m - 1 else j * h + start
+            expected.append((float(t).hex(), float(vals[j]).hex()))
+    assert len(expected) == 16 + 16 + -(-last_m // 4096)
+    assert [(t.hex(), v.hex()) for t, v in trace] == expected
+    assert trace[-1][0] == t_max or last_m % 4096 != 1
+
+
+def test_window_minima_copy_nothing_of_the_chunk():
+    # the windows are a view of the chunk's values: a padded copy of a full
+    # chunk would take 512 KiB
+    vals = np.random.default_rng(0).uniform(0.0, 4.0, _CHUNK + 1)
+    for last in (False, True):
+        tracemalloc.start()
+        try:
+            rows = list(rc._window_minima(vals, 0.5, 0.5 + _CHUNK * 0.01, 0.01, last))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 16 + last
+        assert peak < 64 * 1024, f"peak {peak / 1024:.0f} KiB"
+
+
+def test_untraced_search_forms_no_windows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("window minima of an untraced search")
+
+    monkeypatch.setattr(rc, "_window_minima", refuse)
+    E = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)])
+    with pytest.raises(rc.RecurrenceSearchError) as err:
+        rc.find_recurrence_time(E, 1e-6, tau_min=0.5, t_max=3000.0)
+    assert err.value.grid_points > _CHUNK
 
 
 def _float_bits(value):

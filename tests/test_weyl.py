@@ -139,6 +139,29 @@ def test_mono_product_is_linear_in_the_mode_count():
                    ((1, 0), (1, 0)) + ((0, 0),) * (n - 2): -1j}
 
 
+def test_closure_cost_does_not_grow_with_the_mode_count():
+    # the cap-4 closure of two modes on 10 000 builds its 70 monomials' arrays
+    # from their two support slots; full-width monomials took about 0.35 s
+    texts = ["(0,1) * q1^2", "(0,1) * p1^2", "(0,1) * q1 q2"]
+    small = weyl.lie_closure([PolyOp.from_text(t, 2) for t in texts], 4, 64)
+    gens = [PolyOp.from_text(t, weyl.MAX_MODES) for t in texts]
+    start = time.perf_counter()
+    wide = weyl.lie_closure(gens, 4, 64)
+    assert time.perf_counter() - start < 0.15
+    assert [b.to_text() for b in wide.basis] == [b.to_text() for b in small.basis]
+
+
+@pytest.mark.parametrize("mode_count, support, cap", [
+    (1, [0], 6), (3, [2, 0], 3), (6, [4, 1], 4), (5, [3], 0)])
+def test_monomial_order_is_the_full_width_order(mode_count, support, cap):
+    monomials, slots, E = weyl._monomial_table(mode_count, support, cap)
+    assert monomials == sorted(monomials, key=lambda m: (weyl.mono_degree(m), m))
+    assert slots == sorted(support)
+    full = np.array(monomials, dtype=np.int64).reshape(len(monomials), mode_count, 2)
+    assert np.array_equal(E, full[:, slots].reshape(len(monomials), -1))
+    assert len(monomials) == math.comb(2 * len(slots) + cap, cap)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_adjoint_involution(seed):
@@ -274,9 +297,9 @@ def _table_entries(table):
 @pytest.mark.parametrize("mode_count, cap, n_pairs", [
     (1, 6, None), (2, 3, None), (2, 5, 200), (3, 3, 200)])
 def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
-    monomials = weyl.enumerate_monomials(mode_count, range(mode_count), cap)
+    monomials, slots, E = weyl._monomial_table(mode_count, range(mode_count), cap)
     n = len(monomials)
-    table = weyl._StructureTensor(monomials)
+    table = weyl._StructureTensor(monomials, slots, E)
     assert table.columns[:n] == tuple(monomials)
     assert all(weyl.mono_degree(m) > cap for m in table.columns[n:])
     assert len(set(table.columns)) == table.n_ext
@@ -293,8 +316,7 @@ def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
 
 @pytest.mark.parametrize("mode_count, cap", [(1, 10), (2, 4), (2, 6)])
 def test_restricted_product_is_csr_product_bit_for_bit(mode_count, cap):
-    monomials = weyl.enumerate_monomials(mode_count, range(mode_count), cap)
-    table = weyl._StructureTensor(monomials)
+    table = weyl._StructureTensor(*weyl._monomial_table(mode_count, range(mode_count), cap))
     n, n_ext = table.n, table.n_ext
     # the row-major table CSR S @ y reads, built from the same entries
     coo = table.S.tocoo()
@@ -618,10 +640,10 @@ def test_largest_accepted_tables_fit_the_budget():
     for mode_count in (1, 2, 3, 4):
         cap = max(c for c in range(1, weyl.MAX_DEGREE_CAP + 1)
                   if math.comb(2 * mode_count + c, c) <= weyl.TABLE_MONOMIALS)
-        monomials = weyl.enumerate_monomials(mode_count, range(mode_count), cap)
+        table = weyl._monomial_table(mode_count, range(mode_count), cap)
         tracemalloc.start()
         try:
-            weyl._StructureTensor(monomials)
+            weyl._StructureTensor(*table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
