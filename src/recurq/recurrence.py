@@ -218,11 +218,12 @@ def _objective(energies: np.ndarray):
     return f
 
 
-# Grid points per angle-addition block.  A chunk of m points becomes
-# ceil(m / _BLOCK) row phases times _BLOCK column phases: (m / _BLOCK + _BLOCK) * N
-# sines and cosines plus one GEMM whose cost does not depend on the block.
-# The trig count is smallest at sqrt(2^16) = 256 for full chunks, which is
-# also the measured optimum (notes/decisions.md).
+# Grid points per angle-addition block.  A chunk of m points is ceil(m / _BLOCK)
+# rows of _BLOCK columns.  The phase table of a step and chunk length costs
+# (m / _BLOCK + _BLOCK) * N sines and cosines once per search and (h, m), which
+# is smallest at sqrt(2^16) = 256 for full chunks; each chunk then costs 2N
+# sines and cosines, 4 ceil(m / _BLOCK) N multiplies for its row phases and one
+# GEMM whose cost does not depend on the block (notes/decisions.md).
 _BLOCK = 256
 # Grid points per chunk of the scan, and per window of ``trace``: the scan
 # records each window's lowest grid point (scan.csv).  Windows partition the
@@ -236,26 +237,58 @@ _TRACE_WINDOW = 1 << 12
 _HEAD_SLICE = 192
 
 
-def _grid_objective(E: np.ndarray, start: float, h: float, m: int) -> np.ndarray:
-    """sum_n (1 - cos(E_n t_j)) at t_j = j h + start for j = 0..m-1.
+def _unit_phases(x: np.ndarray) -> np.ndarray:
+    """e^{i x}, one cosine and one sine per entry."""
+    z = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=z.real)
+    np.sin(x, out=z.imag)
+    return z
 
-    With j = a B + b this is N - Re(e^{i E (aBh + start)} . e^{i E b h}), i.e.
-    N - [cos A | sin A] @ [cos C ; -sin C] for the row phases A and the column
-    phases C: one product of inner size 2N per slice of at most _HEAD_SLICE
-    levels, the slices summed in order.  Every row phase is formed directly
-    from its time, never by repeated rotation, so rounding does not build up
-    along the chunk.
+
+class _PhaseTable:
+    """The phases that every chunk of m grid points at step h shares.
+
+    Per slice of at most _HEAD_SLICE head levels e: the row offsets
+    e^{i e a B h} for a = 0..ceil(m/B)-1, and the column factor
+    [cos C ; -sin C] with C = e b h for b = 0..B-1, its rows interleaved as
+    cos C_n, -sin C_n to match the real view of a complex row.  A search
+    builds one whenever (h, m) moves between its chunks and shares none.
     """
-    rows = np.arange(0, m, _BLOCK) * h + start
-    cols = np.arange(min(m, _BLOCK)) * h
+
+    def __init__(self, E: np.ndarray, h: float, m: int):
+        self.E, self.h, self.m = E, h, m
+        offsets = np.arange(0, m, _BLOCK) * h
+        cols = np.arange(min(m, _BLOCK)) * h
+        slices = []
+        for lo in range(0, len(E), _HEAD_SLICE):
+            e = E[lo:lo + _HEAD_SLICE]
+            C = np.outer(e, cols)
+            columns = np.empty((2 * len(e), len(cols)))
+            np.cos(C, out=columns[0::2])
+            np.negative(np.sin(C), out=columns[1::2])
+            slices.append((e, _unit_phases(np.outer(offsets, e)), columns))
+        self.slices = tuple(slices)
+
+
+def _grid_objective(table: _PhaseTable, start: float) -> np.ndarray:
+    """sum_n (1 - cos(E_n t_j)) at t_j = j h + start for j = 0..m-1, with h, m
+    and E from ``table``.
+
+    With j = a B + b this is N - Re(e^{i E aBh} e^{i E start} . e^{i E b h}):
+    each row offset of the table is turned by e^{i E start} (2N sines and
+    cosines), and the rows' real view [cos A_n, sin A_n, ...] times the column
+    factor is one product of inner size 2N per slice of at most _HEAD_SLICE
+    levels, the slices summed in order.  Each row phase takes one rotation
+    of a directly formed offset, so rounding does not build up along the
+    chunk.
+    """
     S = None
-    for lo in range(0, len(E), _HEAD_SLICE):
-        e = E[lo:lo + _HEAD_SLICE]
-        A, C = np.outer(rows, e), np.outer(e, cols)
-        P = np.hstack([np.cos(A), np.sin(A)]) @ np.vstack([np.cos(C), -np.sin(C)])
+    for e, offsets, columns in table.slices:
+        rows = np.multiply(offsets, _unit_phases(e * start))
+        P = rows.view(float) @ columns
         S = P if S is None else np.add(S, P, out=S)
-    S = S.ravel()[:m]
-    return np.subtract(len(E), S, out=S)
+    S = S.ravel()[:table.m]
+    return np.subtract(len(table.E), S, out=S)
 
 
 def _grid_times(j, start: float, stop: float, h: float, m: int) -> np.ndarray:
@@ -367,9 +400,10 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
                          trace: list | None = None) -> RecurrenceTime:
     """Earliest grid time T in [tau_min, t_max] with sum(1 - cos(E_n T)) < delta^2/4.
 
-    The grid is scanned by angle addition (``_grid_objective``); its local
-    minima are polished by bounded Brent minimization of the direct cosine
-    sum, so exact recurrences between grid points are still found and every
+    The grid is scanned by angle addition (``_grid_objective``) from phase
+    tables built once per grid step and chunk length; its local minima are
+    polished by bounded Brent minimization of the direct cosine sum, so
+    exact recurrences between grid points are still found and every
     returned time and objective comes from the direct sum.  Depends only on
     the eigenvalue list, never on a state.  Raises RecurrenceSearchError with
     the best objective seen when the horizon is exhausted, and GridReachError
@@ -419,6 +453,7 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
 
     best_t, best_f = tau_min, f_min
     start = tau_min
+    table = None
     prev_last = math.inf  # the previous chunk's last grid value, left of this chunk's j = 0
     n_point = 0
     while start < t_max:
@@ -428,7 +463,9 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
                                  f"T={start:g} toward t_max {t_max:g}")
         m = max(2, int(round((stop - start) / grid_step)) + 1)
         h = (stop - start) / (m - 1)
-        vals = _grid_objective(E, start, h, m)
+        if table is None or (h, m) != (table.h, table.m):
+            table = _PhaseTable(E, h, m)  # h moves at binades of start and m at the end
+        vals = _grid_objective(table, start)
         if trace is not None:
             trace.extend(_window_minima(vals, start, stop, h, stop == t_max))
         i_best = int(np.argmin(vals))
@@ -437,17 +474,18 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
             best_f = float(vals[i_best])
         # refine the local minima below the cut; j = 0 compares with the previous
         # chunk's last point (+inf before the first), j = m - 1 waits for the next
-        low = np.flatnonzero(vals[:-1] < refine_cut)
-        left = vals[low - 1]
-        if low.size and low[0] == 0:
-            left[0] = prev_last
-        low = low[(vals[low] <= left) & (vals[low] <= vals[low + 1])]
-        for t_j in _grid_times(low, start, stop, h, m).tolist():
-            t_ref, f_ref = refine(t_j - grid_step, t_j + grid_step)
-            if f_ref < best_f:
-                best_t, best_f = t_ref, f_ref
-            if f_ref < threshold:
-                return RecurrenceTime(t_ref, f_ref, t_j, grid_step)
+        if vals[i_best] < refine_cut:
+            low = np.flatnonzero(vals[:-1] < refine_cut)
+            left = vals[low - 1]
+            if low.size and low[0] == 0:
+                left[0] = prev_last
+            low = low[(vals[low] <= left) & (vals[low] <= vals[low + 1])]
+            for t_j in _grid_times(low, start, stop, h, m).tolist():
+                t_ref, f_ref = refine(t_j - grid_step, t_j + grid_step)
+                if f_ref < best_f:
+                    best_t, best_f = t_ref, f_ref
+                if f_ref < threshold:
+                    return RecurrenceTime(t_ref, f_ref, t_j, grid_step)
         prev_last = float(vals[-1])
         n_point += m
         start = stop

@@ -335,7 +335,8 @@ def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trac
     ``np.linspace`` and concatenates the previous chunk's last point (for the
     first chunk, a value of +inf) onto fresh copies of the times and values
     before looking for local minima.  Shares ``_grid_objective`` and
-    ``_bounded_brent`` with the package."""
+    ``_bounded_brent`` with the package, and builds a fresh phase table for
+    every chunk."""
     rc = recurrence
     E = np.asarray(energies, dtype=float)
     threshold = delta * delta / 4.0
@@ -364,7 +365,7 @@ def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trac
         stop = min(start + (1 << 16) * grid_step, t_max)
         m = max(2, int(round((stop - start) / grid_step)) + 1)
         ts = np.linspace(start, stop, m)
-        vals = rc._grid_objective(E, start, (stop - start) / (m - 1), m)
+        vals = rc._grid_objective(rc._PhaseTable(E, (stop - start) / (m - 1), m), start)
         if trace is not None:
             trace.extend(window_minima(ts, vals, stop == t_max))
         i_best = int(np.argmin(vals))

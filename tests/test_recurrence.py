@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,16 +283,107 @@ def _rounding(E, t_last, h):
 @pytest.mark.parametrize("N,start,m", [
     (1, 0.0, 2), (1, 1e5, 1000), (4, 0.5, 2), (8, 3.0, 257), (8, 1e5, 700),
     (32, 1e3, 1 << 12), (128, 1.0, 515), (128, 1e5, (1 << 16) + 1),
+    (1, 1e6, (1 << 16) + 1), (1, 1e7, (1 << 16) + 1), (8, 1e6, 4099), (66, 1e7, 2000),
+    (193, 1.0, 1000), (193, 1e6, 515), (193, 1e7, (1 << 16) + 1),
 ])
 def test_grid_objective_matches_direct_scan(N, start, m):
+    # far from t = 0 each row phase is a rotation of its table offset by
+    # e^{i E start}; at 193 levels the head is two slices
     rng = np.random.default_rng(N + m)
     E = np.sort(rng.uniform(0.0, 10.0, N))
     h = 2.0 * math.pi / (100.0 * np.max(E))
     stop = start + (m - 1) * h
     ts = np.linspace(start, stop, m)
-    vals = rc._grid_objective(E, start, (stop - start) / (m - 1), m)
+    vals = rc._grid_objective(rc._PhaseTable(E, (stop - start) / (m - 1), m), start)
     assert vals.shape == (m,)
     assert np.max(np.abs(vals - direct_grid_values(E, ts))) <= _rounding(E, stop, h)
+
+
+def _chunk_keys(E, tau_min, step, t_max):
+    """Run a failing search and check every chunk's grid values against a
+    fresh phase table for that chunk's (start, h, m), bit for bit, and against
+    the direct scan within the rounding term.  Returns each chunk's (h, m),
+    and for each chunk after the first whether it reused the previous table."""
+    chunks, kernel = [], rc._grid_objective
+
+    def recorded(table, start):
+        chunks.append((table, start, kernel(table, start)))
+        return chunks[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_grid_objective", recorded)
+        with pytest.raises(rc.RecurrenceSearchError):
+            rc.find_recurrence_time(E, 1e-6, tau_min=tau_min, t_max=t_max, grid_step=step)
+    stops = [start for _, start, _ in chunks[1:]] + [t_max]
+    keys = []
+    for (table, start, vals), stop in zip(chunks, stops):
+        m = max(2, int(round((stop - start) / step)) + 1)
+        h = (stop - start) / (m - 1)
+        keys.append((h, m))
+        fresh = rc._grid_objective(rc._PhaseTable(E, h, m), start)
+        assert vals.tobytes() == fresh.tobytes(), start
+        direct = direct_grid_values(E, np.linspace(start, stop, m))
+        assert np.max(np.abs(vals - direct)) <= _rounding(E, t_max, step)
+    return keys, [table is prev for (table, _, _), (prev, _, _) in zip(chunks[1:], chunks)]
+
+
+_SURDS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
+
+
+def test_phase_tables_follow_the_step_across_binades():
+    # from just below 2^11 the grid step h = (stop - start) / (m - 1) rounds
+    # differently in each binade of start: chunks 2-4 share one step, chunk 5
+    # starts past 4096 with another and the short last chunk changes m.  A
+    # table is rebuilt exactly where (h, m) moves
+    tau_min, step = 2048.0 - 1e-3, 0.01
+    keys, reused = _chunk_keys(_SURDS, tau_min, step, tau_min + 5.5 * _CHUNK * step)
+    assert len(keys) == 6 and len(set(keys)) == 4
+    assert keys[1] == keys[2] == keys[3] != keys[4] and keys[3][1] == keys[4][1] == _CHUNK + 1
+    assert keys[5][1] < _CHUNK + 1
+    assert reused == [a == b for a, b in zip(keys[1:], keys)]
+
+
+def test_phase_tables_follow_the_chunk_length():
+    # a step of 2^-7 from 2^-7 makes every chunk boundary and every h exact:
+    # only m moves, at the short last chunk
+    step = 2.0 ** -7
+    keys, reused = _chunk_keys(_SURDS, step, step, step + 2.5 * _CHUNK * step)
+    assert keys == [(step, _CHUNK + 1)] * 2 + [(step, _CHUNK // 2 + 1)]
+    assert reused == [True, False]
+
+
+def _outcome_bits(energies, delta, **kwargs):
+    """The search's result fields, or its failure's to_dict(), as _float_bits."""
+    try:
+        fields = vars(rc.find_recurrence_time(energies, delta, **kwargs))
+    except rc.RecurrenceSearchError as exc:
+        fields = {"error": True, **exc.to_dict()}
+    return {key: _float_bits(v) for key, v in fields.items()}
+
+
+def test_concurrent_searches_match_serial_runs():
+    # searches share no table across calls: each thread scans its own spectrum
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(8):
+        E = np.sort(rng.uniform(0.0, 10.0, int(rng.integers(1, 12))))
+        if k % 2:
+            E = float(rng.uniform(0.5, 2.0)) * np.arange(1, len(E) + 1)
+        step = 2.0 * math.pi / (100.0 * float(np.max(E)))
+        t_max = float(rng.uniform(1.2, 3.5)) * _CHUNK * step
+        cases.append((E, float(rng.choice([1e-3, 1e-6])), float(rng.uniform(0.5, 50.0)), t_max))
+    serial = [_outcome_bits(E, d, tau_min=t0, t_max=t1) for E, d, t0, t1 in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside and between chunks
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(
+                lambda case: _outcome_bits(case[0], case[1], tau_min=case[2], t_max=case[3]),
+                cases * 2, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 2
+    assert {"error" in bits for bits in serial} == {True, False}
 
 
 def test_narrow_dip_between_grid_points_is_found():
@@ -375,8 +468,8 @@ def _traced_chunks(energies, delta, **kwargs):
     """The search's trace and every chunk's (start, h, m, grid values)."""
     chunks, kernel = [], rc._grid_objective
 
-    def recorded(E, start, h, m):
-        chunks.append((start, h, m, kernel(E, start, h, m)))
+    def recorded(table, start):
+        chunks.append((start, table.h, table.m, kernel(table, start)))
         return chunks[-1][3]
 
     trace: list = []
@@ -501,8 +594,8 @@ def test_scan_matches_oracle_when_the_seam_reads_higher(monkeypatch):
     step = (2.0 * math.pi - 0.5) / (_CHUNK + 0.3)
     grid = rc._grid_objective
 
-    def lifted(E, start, h, m):
-        vals = grid(E, start, h, m)
+    def lifted(table, start):
+        vals = grid(table, start)
         if start > 0.5:
             vals[0] += 1e-9
         return vals
@@ -551,8 +644,8 @@ def _kernel_run(kernel, energies, delta, search=rc.find_recurrence_time, **kwarg
         brackets.append((float(a).hex(), float(b).hex()))
         return brent(f, a, b, xatol)
 
-    def recorded_kernel(E, start, h, m):
-        chunks.append(((E, start, h, m), kernel(E, start, h, m)))
+    def recorded_kernel(table, start):
+        chunks.append(((table.E, start, table.h, table.m), kernel(table, start)))
         return chunks[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -565,13 +658,17 @@ def _kernel_run(kernel, energies, delta, search=rc.find_recurrence_time, **kwarg
     return brackets, {key: _float_bits(v) for key, v in fields.items()}, chunks
 
 
+def _two_product_kernel(table, start):
+    return two_product_grid_objective(table.E, start, table.h, table.m)
+
+
 def _same_kernels(energies, delta, search=rc.find_recurrence_time, **kwargs):
     """Assert that the search refines the same candidates and returns the same
     result or failure, bit for bit, with the single-product kernel and the
     two-product one, and that their grid values differ by at most the
     rounding term."""
     single = _kernel_run(rc._grid_objective, energies, delta, search, **kwargs)
-    double = _kernel_run(two_product_grid_objective, energies, delta, search, **kwargs)
+    double = _kernel_run(_two_product_kernel, energies, delta, search, **kwargs)
     assert single[:2] == double[:2]
     assert [args for args, _ in single[2]] == [args for args, _ in double[2]]
     for ((E, start, h, m), ours), (_, theirs) in zip(single[2], double[2]):

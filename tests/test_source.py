@@ -131,10 +131,11 @@ def test_ladder_powers_are_built_once_per_mode_size():
 
 
 def test_grid_kernel_is_one_matrix_product():
-    # a ratchet: the scan kernel forms [cos A | sin A] @ [cos C ; -sin C] as
-    # one GEMM of inner size 2N per slice of at most 192 head levels
-    # (notes/decisions.md, "Grid scan by angle addition"), not the two
-    # products of inner size N it replaced; one @ sits in the slice loop
+    # a ratchet: the scan kernel forms the rows' cos A, sin A against the
+    # column factor's cos C, -sin C as one GEMM of inner size 2N per slice of
+    # at most 192 head levels (notes/decisions.md, "Grid scan by angle
+    # addition"), not the two products of inner size N it replaced; one @
+    # sits in the slice loop
     tree = ast.parse((SRC / "recurrence.py").read_text())
     (kernel,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_grid_objective"]
@@ -143,6 +144,33 @@ def test_grid_kernel_is_one_matrix_product():
                 or isinstance(node, ast.Call) and getattr(node.func, "attr", None)
                 in {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}]
     assert len(products) == 1, products
+
+
+def test_recurrence_holds_no_module_level_mutable_container():
+    # a ratchet: searches share nothing between calls.  The scan's phase
+    # tables live in one find_recurrence_time call, and threads share a
+    # RecurrenceInverter under --jobs > 1, so a module-level cache would be
+    # shared state; no dict, list or set, literal or call, at module level
+    tree = ast.parse((SRC / "recurrence.py").read_text())
+    literals = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    calls = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+             "WeakValueDictionary", "WeakKeyDictionary", "lru_cache", "cache"}
+    found = []
+    for stmt in tree.body:
+        # decorators run at import, and a class attribute is shared by every
+        # instance: both are module state too
+        if isinstance(stmt, ast.FunctionDef):
+            nodes = stmt.decorator_list
+        elif isinstance(stmt, ast.ClassDef):
+            nodes = stmt.decorator_list + [node for node in stmt.body
+                                           if not isinstance(node, ast.FunctionDef)]
+        else:
+            nodes = [stmt]
+        for node in (inner for top in nodes for inner in ast.walk(top)):
+            if isinstance(node, literals) or isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in calls:
+                found.append((node.lineno, ast.unparse(node)[:60]))
+    assert not found, found
 
 
 def _private_reads(tree):
