@@ -219,11 +219,11 @@ def _objective(energies: np.ndarray):
 
 
 # Grid points per angle-addition block.  A chunk of m points is ceil(m / _BLOCK)
-# rows of _BLOCK columns.  The phase table of a step and chunk length costs
-# (m / _BLOCK + _BLOCK) * N sines and cosines once per search and (h, m), which
-# is smallest at sqrt(2^16) = 256 for full chunks; each chunk then costs 2N
-# sines and cosines, 4 ceil(m / _BLOCK) N multiplies for its row phases and one
-# GEMM whose cost does not depend on the block (notes/decisions.md).
+# rows of _BLOCK columns.  The phase table of a full chunk costs
+# (m / _BLOCK + _BLOCK) * N sines and cosines once per search, which is
+# smallest at sqrt(2^16) = 256; each chunk then costs 2N sines and cosines,
+# 4 ceil(m / _BLOCK) N multiplies for its row phases and one GEMM whose cost
+# does not depend on the block (notes/decisions.md).
 _BLOCK = 256
 # Grid points per chunk of the scan, and per window of ``trace``: the scan
 # records each window's lowest grid point (scan.csv).  Windows partition the
@@ -235,6 +235,10 @@ _TRACE_WINDOW = 1 << 12
 # GEMM of inner size above 384 in a thread-count-dependent order, so the
 # product is summed over slices of inner size 2 * 192 in a fixed order.
 _HEAD_SLICE = 192
+# Steps per refine.  A step that is not Newton's halves the bracket, and the
+# refine stops at a step below _REFINE_TOL of its bracket, so within 41 halvings.
+_REFINE_STEPS = 64
+_REFINE_TOL = 2.0 ** -40
 
 
 def _unit_phases(x: np.ndarray) -> np.ndarray:
@@ -246,13 +250,13 @@ def _unit_phases(x: np.ndarray) -> np.ndarray:
 
 
 class _PhaseTable:
-    """The phases that every chunk of m grid points at step h shares.
+    """The phases that every chunk of at most m grid points at step h shares.
 
     Per slice of at most _HEAD_SLICE head levels e: the row offsets
     e^{i e a B h} for a = 0..ceil(m/B)-1, and the column factor
     [cos C ; -sin C] with C = e b h for b = 0..B-1, its rows interleaved as
     cos C_n, -sin C_n to match the real view of a complex row.  A search
-    builds one whenever (h, m) moves between its chunks and shares none.
+    builds one, for m = _CHUNK + 1, and shares it with no other search.
     """
 
     def __init__(self, E: np.ndarray, h: float, m: int):
@@ -270,117 +274,89 @@ class _PhaseTable:
         self.slices = tuple(slices)
 
 
-def _grid_objective(table: _PhaseTable, start: float) -> np.ndarray:
-    """sum_n (1 - cos(E_n t_j)) at t_j = j h + start for j = 0..m-1, with h, m
-    and E from ``table``.
+def _grid_objective(table: _PhaseTable, start: float, m: int) -> np.ndarray:
+    """sum_n (1 - cos(E_n t_j)) at t_j = j h + start for j = 0..m-1, m at most
+    ``table.m``, with h and E from ``table``.
 
     With j = a B + b this is N - Re(e^{i E aBh} e^{i E start} . e^{i E b h}):
-    each row offset of the table is turned by e^{i E start} (2N sines and
-    cosines), and the rows' real view [cos A_n, sin A_n, ...] times the column
-    factor is one product of inner size 2N per slice of at most _HEAD_SLICE
-    levels, the slices summed in order.  Each row phase takes one rotation
-    of a directly formed offset, so rounding does not build up along the
-    chunk.
+    each of the first ceil(m / B) row offsets of the table is turned by
+    e^{i E start} (2N sines and cosines), and the rows' real view
+    [cos A_n, sin A_n, ...] times the column factor is one product of inner
+    size 2N per slice of at most _HEAD_SLICE levels, the slices summed in
+    order.  Each row phase takes one rotation of a directly formed offset, so
+    rounding does not build up along the chunk.  The product takes at least
+    two rows: numpy sends a one-row product to gemv, which sums in another
+    order than the GEMM of a longer chunk.
     """
+    rows = max(2, -(-m // _BLOCK))
     S = None
     for e, offsets, columns in table.slices:
-        rows = np.multiply(offsets, _unit_phases(e * start))
-        P = rows.view(float) @ columns
+        turned = np.multiply(offsets[:rows], _unit_phases(e * start))
+        P = turned.view(float) @ columns
         S = P if S is None else np.add(S, P, out=S)
-    S = S.ravel()[:table.m]
+    S = S.ravel()[:m]
     return np.subtract(len(table.E), S, out=S)
 
 
-def _grid_times(j, start: float, stop: float, h: float, m: int) -> np.ndarray:
-    """np.linspace(start, stop, m)[j] for grid indices j, bit for bit:
-    linspace forms j * h + start with h = (stop - start) / (m - 1) and sets
-    its last point to stop."""
-    return np.where(j == m - 1, stop, j * h + start)
-
-
-def _window_minima(vals: np.ndarray, start: float, stop: float, h: float, last: bool):
-    """(T, objective) of the lowest point, the first on ties, of each window
-    of _TRACE_WINDOW grid points of a chunk.  The chunk's last point is the
-    next chunk's j = 0, so it counts only in the ``last`` chunk."""
-    m = vals.size
+def _window_minima(vals: np.ndarray, last: bool) -> np.ndarray:
+    """Indices of the lowest point, the first on ties, of each window of
+    _TRACE_WINDOW grid points of a chunk.  The chunk's last point is the next
+    chunk's j = 0, so it counts only in the ``last`` chunk."""
     own = vals if last else vals[:-1]
     full = own.size - own.size % _TRACE_WINDOW
     j = np.arange(0, full, _TRACE_WINDOW)
     j += own[:full].reshape(-1, _TRACE_WINDOW).argmin(axis=1)
     if full < own.size:
         j = np.append(j, full + int(own[full:].argmin()))
-    return zip(_grid_times(j, start, stop, h, m).tolist(), vals[j].tolist())
+    return j
 
 
-# Brent's bounded minimizer (R. P. Brent, Algorithms for Minimization without
-# Derivatives, 1973, ch. 5), in the float operations and order of scipy's
-# optimize._minimize_scalar_bounded, so that refined times match it bit for bit
-# (notes/decisions.md, "Refine without scipy.optimize").
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_BRENT_MAXITER = 500
+def _refine(E: np.ndarray, t_j: float, lo: float, hi: float):
+    """(T, f(T)) at the minimum of f(T) = sum_n (1 - cos(E_n T)) on [lo, hi]
+    that f descends to from the grid point t_j in [lo, hi].
 
+    In local coordinates u = T - t_j, with theta_n = E_n t_j mod 2 pi reduced
+    once, f'(u) = sum E_n sin(theta_n + E_n u) and f''(u) = sum
+    E_n^2 cos(theta_n + E_n u), so the resolution in u does not shrink as t_j
+    grows.  The minimum lies on the side f' points down to: a safeguarded
+    Newton iteration on f' runs there in a bracket where f' changes sign,
+    bisecting where a Newton step leaves the bracket or f'' <= 0, until a step
+    is below _REFINE_TOL of the bracket; with no sign change the minimum is the
+    bracket's end.  f(T) is the direct sum at the returned T.
+    """
+    theta = np.mod(E * t_j, 2.0 * math.pi)
+    E2 = E * E
 
-def _bounded_brent(f, a: float, b: float, xatol: float):
-    """(x, f(x)) at the minimum of f on [a, b] by golden-section and parabolic
-    steps; stops when x is known to within xatol or after 500 evaluations."""
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    def slopes(u):
+        phase = theta + E * u
+        return float(np.sum(E * np.sin(phase))), float(np.sum(E2 * np.cos(phase)))
+
+    g, d = slopes(0.0)
+    u = 0.0
+    if g != 0.0:
+        far = (lo if g > 0.0 else hi) - t_j
+        if slopes(far)[0] * g >= 0.0:
+            u = far  # f' keeps its sign: f descends to the end of the bracket
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_MAXITER:
-            break
-    return xf, fx
+            a, b = sorted((far, 0.0))  # f' < 0 at a and > 0 at b
+            tol = _REFINE_TOL * (hi - lo)
+            for _ in range(_REFINE_STEPS):
+                v = u - g / d if d > 0.0 else math.nan
+                if not a < v < b:
+                    v = 0.5 * (a + b)
+                if abs(v - u) <= tol:
+                    u = v
+                    break
+                u = v
+                g, d = slopes(u)
+                if g < 0.0:
+                    a = u
+                elif g > 0.0:
+                    b = u
+                else:
+                    break
+    T = min(max(t_j + u, lo), hi)
+    return T, _objective(E)(T)
 
 
 def _distinct_frequencies(E: np.ndarray) -> int:
@@ -400,14 +376,16 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
                          trace: list | None = None) -> RecurrenceTime:
     """Earliest grid time T in [tau_min, t_max] with sum(1 - cos(E_n T)) < delta^2/4.
 
-    The grid is scanned by angle addition (``_grid_objective``) from phase
-    tables built once per grid step and chunk length; its local minima are
-    polished by bounded Brent minimization of the direct cosine sum, so
-    exact recurrences between grid points are still found and every
-    returned time and objective comes from the direct sum.  Depends only on
-    the eigenvalue list, never on a state.  Raises RecurrenceSearchError with
-    the best objective seen when the horizon is exhausted, and GridReachError
-    when the scan cannot get there.
+    The grid is t_i = tau_min + i h at the fixed step h = grid_step, with its
+    last point, the first at or past t_max, moved to t_max; every time in
+    [tau_min, t_max] lies within h/2 of a grid point.  It is scanned in chunks
+    of _CHUNK steps by angle addition (``_grid_objective``) from one phase
+    table per search.  Its local minima below the refine cut are polished by
+    ``_refine`` inside [tau_min, t_max], so exact recurrences between grid
+    points are still found, and every returned time and objective comes from
+    the direct sum.  Depends only on the eigenvalue list, never on a state.
+    Raises RecurrenceSearchError with the best objective seen when the horizon
+    is exhausted, and GridReachError when the scan cannot get there.
     """
     E = np.asarray(energies, dtype=float)
     if E.size == 0:
@@ -447,48 +425,58 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     if f_min < threshold:
         return RecurrenceTime(tau_min, f_min, tau_min, grid_step)
 
-    def refine(lo, hi):
-        lo, hi = float(lo), float(hi)
-        return _bounded_brent(f, max(lo, tau_min), hi, 1e-13 * max(1.0, hi))
+    h = grid_step
 
+    def at(i):  # the grid time of index i, before the last point moves to t_max
+        return i * h + tau_min
+
+    table = _PhaseTable(E, h, _CHUNK + 1)
     best_t, best_f = tau_min, f_min
-    start = tau_min
-    table = None
+    first, start = 0, tau_min  # the chunk's j = 0: its grid index and time
     prev_last = math.inf  # the previous chunk's last grid value, left of this chunk's j = 0
     n_point = 0
     while start < t_max:
-        stop = min(start + _CHUNK * grid_step, t_max)
+        stop = at(first + _CHUNK)
         if not stop > start:  # the chunk is below the float spacing at start
             raise GridReachError(f"a grid of step {grid_step:g} cannot advance past "
                                  f"T={start:g} toward t_max {t_max:g}")
-        m = max(2, int(round((stop - start) / grid_step)) + 1)
-        h = (stop - start) / (m - 1)
-        if table is None or (h, m) != (table.h, table.m):
-            table = _PhaseTable(E, h, m)  # h moves at binades of start and m at the end
-        vals = _grid_objective(table, start)
+        last = stop >= t_max
+        j = _CHUNK
+        if last:  # end at the first grid point at or past t_max
+            j = min(_CHUNK, math.ceil((t_max - start) / h))
+            while j > 1 and at(first + j - 1) >= t_max:
+                j -= 1
+            while at(first + j) < t_max:
+                j += 1
+        m = j + 1
+        vals = _grid_objective(table, start, m)
+        if last and at(first + j) > t_max:
+            vals[-1] = f(t_max)  # the last point, moved to t_max
         if trace is not None:
-            trace.extend(_window_minima(vals, start, stop, h, stop == t_max))
+            w = _window_minima(vals, last)
+            trace.extend(zip(np.minimum(at(first + w), t_max).tolist(), vals[w].tolist()))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
-            best_t = float(_grid_times(i_best, start, stop, h, m))
+            best_t = min(at(first + i_best), t_max)
             best_f = float(vals[i_best])
         # refine the local minima below the cut; j = 0 compares with the previous
-        # chunk's last point (+inf before the first), j = m - 1 waits for the next
+        # chunk's last point (+inf before the first), j = m - 1 waits for the
+        # next chunk, and in the last chunk compares with itself
         if vals[i_best] < refine_cut:
-            low = np.flatnonzero(vals[:-1] < refine_cut)
+            low = np.flatnonzero((vals if last else vals[:-1]) < refine_cut)
             left = vals[low - 1]
             if low.size and low[0] == 0:
                 left[0] = prev_last
-            low = low[(vals[low] <= left) & (vals[low] <= vals[low + 1])]
-            for t_j in _grid_times(low, start, stop, h, m).tolist():
-                t_ref, f_ref = refine(t_j - grid_step, t_j + grid_step)
+            low = low[(vals[low] <= left) & (vals[low] <= vals[np.minimum(low + 1, m - 1)])]
+            for t_j in np.minimum(at(first + low), t_max).tolist():
+                t_ref, f_ref = _refine(E, t_j, max(t_j - h, tau_min), min(t_j + h, t_max))
                 if f_ref < best_f:
                     best_t, best_f = t_ref, f_ref
                 if f_ref < threshold:
                     return RecurrenceTime(t_ref, f_ref, t_j, grid_step)
         prev_last = float(vals[-1])
         n_point += m
-        start = stop
+        first, start = first + _CHUNK, stop
     raise RecurrenceSearchError(
         t_max, best_t, f(best_t), threshold, grid_step=grid_step, grid_points=n_point,
         refine_cut=refine_cut, frequencies=_distinct_frequencies(E))

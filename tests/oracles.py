@@ -5,14 +5,13 @@ the point-by-point recurrence grid scan, the two-product grid kernel, the
 recurrence search with materialized grid times and seam copies,
 segment-by-segment word evaluation, the Taylor action of the matrix
 exponential, the sequential reduction and per-target membership test of the
-propagation check, the chain verdicts from one propagation check per edge,
-and scipy's bounded scalar minimizer.  These deliberately avoid the
-package's closed-form reordering identity, structure-tensor machinery,
-sparse assembly, angle addition, word trees, Chebyshev action, adjoint
-matrix and private Brent refine.  There are three exceptions.  The table-free
-closure brackets with ``PolyOp`` arithmetic, which the reordering oracle
-checks, and avoids the bracket table, its stored rows and the sweep's stop
-rule.  The two-product grid kernel is the package's angle addition as it
+propagation check, and the chain verdicts from one propagation check per
+edge.  These deliberately avoid the package's closed-form reordering
+identity, structure-tensor machinery, sparse assembly, angle addition, word
+trees, Chebyshev action and adjoint matrix.  There are three exceptions.
+The table-free closure brackets with ``PolyOp`` arithmetic, which the
+reordering oracle checks, and avoids the bracket table, its stored rows and
+the sweep's stop rule.  The two-product grid kernel is the package's angle addition as it
 was before its single matrix product, kept to compare searches with either.
 The mode-by-mode monomial product and the level-by-level tail cut are the
 package's own as they were before their single passes, kept to compare
@@ -26,7 +25,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import expm_multiply
 
 from recurq import chains, fock, propagate, recurrence, weyl
@@ -284,25 +282,25 @@ def direct_grid_values(energies, ts) -> np.ndarray:
 def direct_grid_scan(energies, tau_min, t_max, grid_step):
     """The recurrence search grid scanned point by point, without refinement.
 
-    Chunks of 2^16 steps with shared boundary points, as in
-    ``find_recurrence_time``; each chunk's last point belongs to the next
-    chunk, except at t_max.  Returns one ``(times, T, objective)`` per window
-    of 4 096 owned points of a chunk (its grid times and its lowest point by
-    the direct cosine sum) and the number of points scanned.
+    Grid times tau_min + i * grid_step up to the first at or past t_max,
+    which moves to t_max, in chunks of 2^16 steps with shared boundary
+    points, as in ``find_recurrence_time``; each chunk's last point belongs
+    to the next chunk, except at t_max.  Returns one ``(times, T, objective)``
+    per window of 4 096 owned points of a chunk (its grid times and its
+    lowest point by the direct cosine sum) and the number of points scanned.
     """
+    raw = tau_min + np.arange(int(math.ceil((t_max - tau_min) / grid_step)) + 2) * grid_step
+    ts_all = np.minimum(raw[:int(np.searchsorted(raw, t_max)) + 1], t_max)
     windows, n_point = [], 0
-    start = tau_min
-    while start < t_max:
-        stop = min(start + (1 << 16) * grid_step, t_max)
-        m = max(2, int(round((stop - start) / grid_step)) + 1)
-        ts = np.linspace(start, stop, m)
+    for lo in range(0, len(ts_all) - 1, 1 << 16):
+        ts = ts_all[lo:lo + (1 << 16) + 1]
+        last = lo + len(ts) == len(ts_all)
         vals = direct_grid_values(energies, ts)
-        own = m if stop == t_max else m - 1
-        rows = window_minima(ts, vals, stop == t_max)
-        windows += [(ts[lo:min(lo + (1 << 12), own)], t, v)
-                    for lo, (t, v) in zip(range(0, own, 1 << 12), rows)]
-        n_point += m
-        start = stop
+        own = len(ts) if last else len(ts) - 1
+        rows = window_minima(ts, vals, last)
+        windows += [(ts[w:min(w + (1 << 12), own)], t, v)
+                    for w, (t, v) in zip(range(0, own, 1 << 12), rows)]
+        n_point += len(ts)
     return windows, n_point
 
 
@@ -329,14 +327,15 @@ def two_product_grid_objective(E, start, h, m) -> np.ndarray:
     return len(E) - S.ravel()[:m]
 
 
-def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):
-    """``recurrence.find_recurrence_time`` as it scanned before grid times were
-    formed only where read: each chunk materializes its times with
-    ``np.linspace`` and concatenates the previous chunk's last point (for the
-    first chunk, a value of +inf) onto fresh copies of the times and values
-    before looking for local minima.  Shares ``_grid_objective`` and
-    ``_bounded_brent`` with the package, and builds a fresh phase table for
-    every chunk."""
+def fixed_step_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trace=None):
+    """``recurrence.find_recurrence_time`` with each chunk's grid times
+    materialized as tau_min + (k * 2^16 + j) * h, the first at or past t_max
+    found by ``np.searchsorted`` and moved to t_max, and the previous chunk's
+    last point (for the first chunk, a value of +inf) and, in the last chunk,
+    a right neighbour of +inf concatenated onto fresh copies of the times and
+    values before looking for local minima.  Shares ``_grid_objective`` and
+    ``_refine`` with the package, and builds a fresh phase table for every
+    chunk."""
     rc = recurrence
     E = np.asarray(energies, dtype=float)
     threshold = delta * delta / 4.0
@@ -355,46 +354,42 @@ def linspace_scan(energies, delta, tau_min=0.0, t_max=None, grid_step=None, trac
     if f(tau_min) < threshold:
         return rc.RecurrenceTime(tau_min, f(tau_min), tau_min, grid_step)
 
-    def refine(lo, hi):
-        lo, hi = float(lo), float(hi)
-        return rc._bounded_brent(f, max(lo, tau_min), hi, 1e-13 * max(1.0, hi))
-
+    h = grid_step
     best_t, best_f = tau_min, f(tau_min)
-    start, prev_tail_t, prev_tail_f, n_point = tau_min, math.nan, math.inf, 0
-    while start < t_max:
-        stop = min(start + (1 << 16) * grid_step, t_max)
-        m = max(2, int(round((stop - start) / grid_step)) + 1)
-        ts = np.linspace(start, stop, m)
-        vals = rc._grid_objective(rc._PhaseTable(E, (stop - start) / (m - 1), m), start)
+    prev_tail_t, prev_tail_f, n_point, k = math.nan, math.inf, 0, 0
+    while tau_min + (k * (1 << 16)) * h < t_max:
+        ts = tau_min + (k * (1 << 16) + np.arange((1 << 16) + 1)) * h
+        m = min(int(np.searchsorted(ts, t_max)) + 1, len(ts))
+        last = bool(ts[-1] >= t_max)
+        table = rc._PhaseTable(E, h, (1 << 16) + 1)
+        vals = rc._grid_objective(table, float(ts[0]), m)
+        moved = ts[m - 1] > t_max
+        ts = np.minimum(ts[:m], t_max)
+        if moved:
+            vals[-1] = f(t_max)
         if trace is not None:
-            trace.extend(window_minima(ts, vals, stop == t_max))
+            trace.extend(window_minima(ts, vals, last))
         i_best = int(np.argmin(vals))
         if vals[i_best] < best_f:
             best_t, best_f = float(ts[i_best]), float(vals[i_best])
-        ts = np.concatenate([[prev_tail_t], ts])
-        vals = np.concatenate([[prev_tail_f], vals])
+        ts = np.concatenate([[prev_tail_t], ts] + [[math.nan]] * last)
+        vals = np.concatenate([[prev_tail_f], vals] + [[math.inf]] * last)
         interior = np.nonzero(
             (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (vals[1:-1] < refine_cut)
         )[0] + 1
         for i in interior:
-            t_ref, f_ref = refine(ts[i] - grid_step, ts[i] + grid_step)
+            t_j = float(ts[i])
+            t_ref, f_ref = rc._refine(E, t_j, max(t_j - h, tau_min), min(t_j + h, t_max))
             if f_ref < best_f:
                 best_t, best_f = t_ref, f_ref
             if f_ref < threshold:
-                return rc.RecurrenceTime(t_ref, f_ref, float(ts[i]), grid_step)
-        prev_tail_t, prev_tail_f = float(ts[-1]), float(vals[-1])
+                return rc.RecurrenceTime(t_ref, f_ref, t_j, grid_step)
+        prev_tail_t, prev_tail_f = float(ts[-1 - last]), float(vals[-1 - last])
         n_point += m
-        start = stop
+        k += 1
     raise rc.RecurrenceSearchError(
         t_max, best_t, f(best_t), threshold, grid_step=grid_step, grid_points=n_point,
         refine_cut=refine_cut, frequencies=rc._distinct_frequencies(E))
-
-
-def scipy_bounded_minimum(f, lo, hi, xatol):
-    """(x, f(x), evaluations) from scipy's ``minimize_scalar(method="bounded")``
-    on [lo, hi], the call the recurrence refine step once made."""
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun), int(res.nfev)
 
 
 def flat_evolve(word, psi0, table):

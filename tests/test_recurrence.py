@@ -13,8 +13,8 @@ from recurq import cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
-from oracles import (direct_grid_scan, direct_grid_values, linspace_scan, loop_tail_cut,
-                     scipy_bounded_minimum, two_product_grid_objective)
+from oracles import (direct_grid_scan, direct_grid_values, fixed_step_scan, loop_tail_cut,
+                     two_product_grid_objective)
 
 
 def _oscillator(spec):
@@ -238,7 +238,7 @@ def test_find_time_failure_carries_diagnostics():
     # the reported objective is the direct cosine sum, not a grid value
     assert exc.best_objective == float(np.sum(1.0 - np.cos(E * exc.best_time)))
     assert exc.grid_step == 2.0 * math.pi / (100.0 * math.sqrt(5.0))
-    assert exc.grid_points == int(round(49.5 / exc.grid_step)) + 1
+    assert exc.grid_points == math.ceil(49.5 / exc.grid_step) + 1  # first point >= t_max
     assert exc.refine_cut > exc.threshold
     assert exc.frequencies == 4
     assert exc.to_dict()["grid_points"] == exc.grid_points
@@ -294,62 +294,73 @@ def test_grid_objective_matches_direct_scan(N, start, m):
     h = 2.0 * math.pi / (100.0 * np.max(E))
     stop = start + (m - 1) * h
     ts = np.linspace(start, stop, m)
-    vals = rc._grid_objective(rc._PhaseTable(E, (stop - start) / (m - 1), m), start)
+    vals = rc._grid_objective(rc._PhaseTable(E, (stop - start) / (m - 1), m), start, m)
     assert vals.shape == (m,)
     assert np.max(np.abs(vals - direct_grid_values(E, ts))) <= _rounding(E, stop, h)
 
 
-def _chunk_keys(E, tau_min, step, t_max):
-    """Run a failing search and check every chunk's grid values against a
-    fresh phase table for that chunk's (start, h, m), bit for bit, and against
-    the direct scan within the rounding term.  Returns each chunk's (h, m),
-    and for each chunk after the first whether it reused the previous table."""
-    chunks, kernel = [], rc._grid_objective
+_SURDS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
+_CHUNK = 1 << 16
 
-    def recorded(table, start):
-        chunks.append((table, start, kernel(table, start)))
-        return chunks[-1][2]
+
+@pytest.mark.parametrize("tau_min,step,t_max,last_m", [
+    (2048.0 - 1e-3, 0.01, 2048.0 - 1e-3 + 5.5 * _CHUNK * 0.01, _CHUNK // 2 + 1),
+    (0.5, 0.03, 0.5 + (2 * _CHUNK + 0.4) * 0.03, 2),
+], ids=["binades-short-last-chunk", "two-point-last-chunk"])
+def test_one_phase_table_per_search(tau_min, step, t_max, last_m):
+    # from just below 2^11 the chunks cross the binades at 2048 and 4096,
+    # where the old step (stop - start) / (m - 1) moved, and end in a short
+    # chunk; the other grid ends one step past its
+    # second chunk, at a point moved to t_max.  The search builds one table of
+    # _CHUNK + 1 points at the fixed step, forms each chunk's start as
+    # tau_min + k * _CHUNK * step, and every chunk's values are the first m
+    # of a fresh full table's at that start, bit for bit, and within the
+    # rounding term of the direct scan
+    builds, chunks, kernel = [], [], rc._grid_objective
+
+    class Counted(rc._PhaseTable):
+        def __init__(self, *args):
+            builds.append(args[1:])
+            super().__init__(*args)
+
+    def recorded(table, start, m):
+        chunks.append((table, start, m, kernel(table, start, m)))
+        return chunks[-1][3]
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_PhaseTable", Counted)
         mp.setattr(rc, "_grid_objective", recorded)
-        with pytest.raises(rc.RecurrenceSearchError):
-            rc.find_recurrence_time(E, 1e-6, tau_min=tau_min, t_max=t_max, grid_step=step)
-    stops = [start for _, start, _ in chunks[1:]] + [t_max]
-    keys = []
-    for (table, start, vals), stop in zip(chunks, stops):
-        m = max(2, int(round((stop - start) / step)) + 1)
-        h = (stop - start) / (m - 1)
-        keys.append((h, m))
-        fresh = rc._grid_objective(rc._PhaseTable(E, h, m), start)
-        assert vals.tobytes() == fresh.tobytes(), start
-        direct = direct_grid_values(E, np.linspace(start, stop, m))
-        assert np.max(np.abs(vals - direct)) <= _rounding(E, t_max, step)
-    return keys, [table is prev for (table, _, _), (prev, _, _) in zip(chunks[1:], chunks)]
+        with pytest.raises(rc.RecurrenceSearchError) as err:
+            rc.find_recurrence_time(_SURDS, 1e-6, tau_min=tau_min, t_max=t_max, grid_step=step)
+    assert builds == [(step, _CHUNK + 1)]
+    assert len({id(table) for table, _, _, _ in chunks}) == 1
+    ms = [m for _, _, m, _ in chunks]
+    assert ms == [_CHUNK + 1] * (len(chunks) - 1) + [last_m]
+    assert err.value.grid_points == sum(ms)
+    fresh = rc._PhaseTable(_SURDS, step, _CHUNK + 1)
+    for k, (_, start, m, vals) in enumerate(chunks):
+        assert start == tau_min + (k * _CHUNK) * step
+        ts = np.minimum(tau_min + (k * _CHUNK + np.arange(m)) * step, t_max)
+        full = rc._grid_objective(fresh, start, _CHUNK + 1)
+        moved = k == len(chunks) - 1 and tau_min + (k * _CHUNK + m - 1) * step > t_max
+        assert vals[:m - moved].tobytes() == full[:m - moved].tobytes(), start
+        direct = direct_grid_values(_SURDS, ts)
+        assert np.max(np.abs(vals - direct)) <= _rounding(_SURDS, t_max, step)
+    assert ts[-1] == t_max and ts[-2] < t_max
+    assert moved == (last_m == 2)
 
 
-_SURDS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
-
-
-def test_phase_tables_follow_the_step_across_binades():
-    # from just below 2^11 the grid step h = (stop - start) / (m - 1) rounds
-    # differently in each binade of start: chunks 2-4 share one step, chunk 5
-    # starts past 4096 with another and the short last chunk changes m.  A
-    # table is rebuilt exactly where (h, m) moves
-    tau_min, step = 2048.0 - 1e-3, 0.01
-    keys, reused = _chunk_keys(_SURDS, tau_min, step, tau_min + 5.5 * _CHUNK * step)
-    assert len(keys) == 6 and len(set(keys)) == 4
-    assert keys[1] == keys[2] == keys[3] != keys[4] and keys[3][1] == keys[4][1] == _CHUNK + 1
-    assert keys[5][1] < _CHUNK + 1
-    assert reused == [a == b for a, b in zip(keys[1:], keys)]
-
-
-def test_phase_tables_follow_the_chunk_length():
-    # a step of 2^-7 from 2^-7 makes every chunk boundary and every h exact:
-    # only m moves, at the short last chunk
-    step = 2.0 ** -7
-    keys, reused = _chunk_keys(_SURDS, step, step, step + 2.5 * _CHUNK * step)
-    assert keys == [(step, _CHUNK + 1)] * 2 + [(step, _CHUNK // 2 + 1)]
-    assert reused == [True, False]
+@pytest.mark.parametrize("N", [1, 7, 193])
+def test_short_chunks_read_the_first_rows_of_the_table(N):
+    # a chunk of m points reads the first ceil(m / 256) rows, and at least
+    # two: its values are the first m of a full chunk's at the same start
+    rng = np.random.default_rng(N)
+    E = np.sort(rng.uniform(0.0, 10.0, N))
+    table = rc._PhaseTable(E, 2.0 * math.pi / (100.0 * np.max(E)), _CHUNK + 1)
+    for start in (0.5, 1e5):
+        full = rc._grid_objective(table, start, _CHUNK + 1)
+        for m in (2, 3, 255, 256, 257, 258, 4097, _CHUNK):
+            assert rc._grid_objective(table, start, m).tobytes() == full[:m].tobytes(), m
 
 
 def _outcome_bits(energies, delta, **kwargs):
@@ -401,52 +412,95 @@ def test_narrow_dip_between_grid_points_is_found():
     assert found.objective < delta * delta / 4.0
 
 
-def _bits(result):
-    return tuple(float(v).hex() for v in result[:2])
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_bounded_brent_replays_scipy(scale):
-    # the refine step's brackets around grid points of seeded spectra: full
-    # brackets, lower ends clamped to tau_min, brackets ~1e-9 hi wide, and exact
-    # returns of a commensurate ladder within 1e-7 hi of the upper end; the
-    # private minimizer must return scipy's x and f(x) to the last bit
-    rng = np.random.default_rng(int(round(math.log10(scale))) + 4)
-    for k in range(400):
-        if k % 4 == 3:
-            E = float(rng.uniform(0.5, 2.0)) * scale * np.arange(1, rng.integers(2, 12))
+def test_refine_certifies_the_golden_ladder():
+    # levels 0, 1 and the golden ratio at delta 3e-4 (threshold 2.25e-8) return
+    # near T = 68 775.746 with 9.1e-9; the grid brackets that dip below its
+    # refine cut from tau_min 1, and the refine must reach its bottom
+    found = rc.find_recurrence_time([0.0, 1.0, _PHI], 3e-4, tau_min=1.0, t_max=2e5)
+    assert abs(found.time - 68775.746) < 1e-3
+    assert found.objective < 3e-4 ** 2 / 4.0
+    assert found.objective == rc._objective(np.array([0.0, 1.0, _PHI]))(found.time)
+
+
+def test_refine_finds_a_dip_narrower_than_sqrt_eps_t():
+    # a ladder returns exactly at T0 = 2 pi k / w past 1e5; its dip below the
+    # threshold is 1.2e-5 wide, far narrower than sqrt(eps) T0 (1.5e-3), and
+    # the grid puts T0 midway between two points, none of them below threshold
+    w, delta = 1.3, 1e-4
+    E = w * np.array([1.0, 2.0, 3.0, 5.0, 7.0])
+    period = 2.0 * math.pi / w
+    T0 = 21000 * period
+    tau_min = T0 - 0.5 * period
+    grid_step = (T0 - tau_min) / 700.5
+    windows, _ = direct_grid_scan(E, tau_min, T0 + 1.0, grid_step)
+    assert min(v for _, _, v in windows) > delta * delta / 4.0
+    width = 2.0 * math.sqrt(delta * delta / 4.0 / (np.sum(E * E) / 2.0))
+    assert width < 0.01 * math.sqrt(2.2e-16) * T0
+    found = rc.find_recurrence_time(E, delta, tau_min=tau_min, t_max=T0 + 1.0,
+                                    grid_step=grid_step)
+    assert T0 > 1e5 and abs(found.time - T0) < 1e-7
+    assert found.objective < 1e-4 * delta * delta / 4.0
+    assert found.objective == rc._objective(E)(found.time)
+
+
+def _refine_calls(energies, delta, **kwargs):
+    """The search's outcome and every refine's (t_j, lo, hi, T, f(T))."""
+    calls, refine = [], rc._refine
+
+    def recorded(E, t_j, lo, hi):
+        calls.append((t_j, lo, hi) + refine(E, t_j, lo, hi))
+        return calls[-1][3:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "_refine", recorded)
+        try:
+            outcome = rc.find_recurrence_time(energies, delta, **kwargs)
+        except rc.RecurrenceSearchError as exc:
+            outcome = exc
+    return outcome, calls
+
+
+@pytest.mark.parametrize("case", ["after-tau-min", "cut-by-t-max", "at-t-max", "coarse"])
+def test_refined_times_stay_in_their_brackets(case):
+    # every refine bracket is the grid point +- h inside [tau_min, t_max], and
+    # every refined time lies in its bracket, with the direct sum as objective:
+    # a dip just after tau_min, a dip whose bottom 2 pi lies past t_max (the
+    # search certifies t_max itself), one at the moved last point, and
+    # failing searches on a coarse grid of seeded spectra, where every local
+    # minimum is below the refine cut and brackets meet both ends
+    step = 2.0 * math.pi / 300.0
+    runs = {
+        "after-tau-min": [([1.0, 2.0, 3.0], 1e-3, 2.0 * math.pi - 0.2 * step, 20.0, step)],
+        "cut-by-t-max": [([1.0, 2.0, 3.0], 1e-3, 0.5, 2.0 * math.pi - 1e-4, step)],
+        "at-t-max": [([1.0, 2.0, 3.0], 1e-3, 0.5, 2.0 * math.pi + 0.3 * step, step)],
+        "coarse": [],
+    }[case]
+    rng = np.random.default_rng(5)
+    for _ in range(6 if case == "coarse" else 0):
+        E = np.sort(rng.uniform(0.0, 3.0, int(rng.integers(2, 6))))
+        runs.append((E, 1e-3, float(rng.uniform(0.0, 5.0)), float(rng.uniform(50.0, 400.0)),
+                     3.0 / float(np.max(E))))
+    clamped = set()
+    for E, delta, tau_min, t_max, h in runs:
+        outcome, calls = _refine_calls(E, delta, tau_min=tau_min, t_max=t_max, grid_step=h)
+        assert calls
+        f = rc._objective(np.asarray(E, dtype=float))
+        for t_j, lo, hi, T, value in calls:
+            assert lo == max(t_j - h, tau_min) and hi == min(t_j + h, t_max)
+            assert tau_min <= lo <= T <= hi <= t_max
+            assert value == f(T)
+            clamped |= {"lo"} if lo == tau_min else set()
+            clamped |= {"hi"} if hi == t_max else set()
+        if case == "coarse":
+            assert isinstance(outcome, rc.RecurrenceSearchError)
         else:
-            E = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(1, 40)))) * scale
-        f = rc._objective(E)
-        h = 2.0 * math.pi / (100.0 * float(np.max(E)))
-        t = float(rng.uniform(1.0, 2000.0)) / scale
-        lo, hi = t - h, t + h
-        if k % 4 == 1:
-            lo = float(rng.uniform(lo, t))  # clamped to a tau_min inside the bracket
-        elif k % 4 == 2:
-            lo, hi = t, t + 1e-9 * t
-        elif k % 4 == 3:
-            hi = 2.0 * math.pi / float(E[0]) * (1.0 + float(rng.uniform(-1e-7, 1e-7)))
-            lo = hi - h
-        xatol = 1e-13 * max(1.0, hi)
-        assert _bits(rc._bounded_brent(f, lo, hi, xatol)) == \
-            _bits(scipy_bounded_minimum(f, lo, hi, xatol)), (scale, k)
-
-
-def test_bounded_brent_stops_after_500_evaluations():
-    # a minimum at the lower end 0 with xatol 0 never meets the relative
-    # tolerance, so both minimizers stop at the evaluation limit
-    calls = []
-
-    def ramp(x):
-        calls.append(x)
-        return x
-
-    x, fx, evaluations = scipy_bounded_minimum(ramp, 0.0, 1.0, 0.0)
-    assert evaluations == 500
-    calls.clear()
-    assert _bits(rc._bounded_brent(ramp, 0.0, 1.0, 0.0)) == _bits((x, fx))
-    assert len(calls) == 500
+            assert outcome.time <= t_max and outcome.objective < delta * delta / 4.0
+    if case == "cut-by-t-max":
+        assert outcome.time == t_max
+    assert clamped == {"coarse": {"lo", "hi"}, "after-tau-min": {"lo"}}.get(case, {"hi"})
 
 
 def test_trace_samples_match_direct_scan():
@@ -468,8 +522,8 @@ def _traced_chunks(energies, delta, **kwargs):
     """The search's trace and every chunk's (start, h, m, grid values)."""
     chunks, kernel = [], rc._grid_objective
 
-    def recorded(table, start):
-        chunks.append((start, table.h, table.m, kernel(table, start)))
+    def recorded(table, start, m):
+        chunks.append((start, table.h, m, kernel(table, start, m)))
         return chunks[-1][3]
 
     trace: list = []
@@ -490,14 +544,13 @@ def test_trace_rows_are_the_kernel_window_minima(last_m):
     t_max = 0.5 + (2 * _CHUNK + last_m - 1) * step
     trace, chunks = _traced_chunks(E, 1e-6, tau_min=0.5, t_max=t_max, grid_step=step)
     assert [m for _, _, m, _ in chunks] == [_CHUNK + 1, _CHUNK + 1, last_m]
-    stops = [start for start, _, _, _ in chunks[1:]] + [t_max]
     expected = []
-    for (start, h, m, vals), stop in zip(chunks, stops):
-        own = m if stop == t_max else m - 1
+    for k, (start, h, m, vals) in enumerate(chunks):
+        own = m if k == len(chunks) - 1 else m - 1
         for lo in range(0, own, 1 << 12):
             window = vals[lo:min(lo + (1 << 12), own)].tolist()
             j = lo + window.index(min(window))
-            t = stop if j == m - 1 else j * h + start
+            t = min(0.5 + (k * _CHUNK + j) * step, t_max)
             expected.append((float(t).hex(), float(vals[j]).hex()))
     assert len(expected) == 16 + 16 + -(-last_m // 4096)
     assert [(t.hex(), v.hex()) for t, v in trace] == expected
@@ -511,7 +564,7 @@ def test_window_minima_copy_nothing_of_the_chunk():
     for last in (False, True):
         tracemalloc.start()
         try:
-            rows = list(rc._window_minima(vals, 0.5, 0.5 + _CHUNK * 0.01, 0.01, last))
+            rows = rc._window_minima(vals, last)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -536,11 +589,11 @@ def _float_bits(value):
 
 
 def _same_scan(energies, delta, search=rc.find_recurrence_time, **kwargs):
-    """Run ``search`` and the linspace-and-seam oracle on one input, assert
+    """Run ``search`` and the fixed-step-and-seam oracle on one input, assert
     that they agree bit for bit on the result or failure and on every trace
     sample, and return the search's RecurrenceTime or RecurrenceSearchError."""
     runs = []
-    for scan in (search, linspace_scan):
+    for scan in (search, fixed_step_scan):
         trace: list = []
         try:
             outcome = scan(energies, delta, trace=trace, **kwargs)
@@ -551,9 +604,6 @@ def _same_scan(energies, delta, search=rc.find_recurrence_time, **kwargs):
                      [(_float_bits(t), _float_bits(v)) for t, v in trace]))
     assert runs[0][1:] == runs[1][1:]
     return runs[0][0]
-
-
-_CHUNK = 1 << 16
 
 
 def test_scan_matches_oracle_in_the_first_chunk():
@@ -572,21 +622,6 @@ def test_scan_matches_oracle_at_the_seam():
     assert found.searched_to == 0.5 + _CHUNK * step
 
 
-def test_grid_times_are_linspace_bits():
-    # about one in 170 of these grids has (m - 1) * h + start != stop, where
-    # linspace's last point is stop itself
-    rng = np.random.default_rng(7)
-    inexact = 0
-    for _ in range(2000):
-        start, m = float(rng.uniform(0.0, 1e4)), int(rng.integers(2, 3000))
-        stop = start + float(rng.uniform(1e-3, 1.0)) * (m - 1)
-        h = (stop - start) / (m - 1)
-        inexact += (m - 1) * h + start != stop
-        assert rc._grid_times(np.arange(m), start, stop, h, m).tobytes() == \
-            np.linspace(start, stop, m).tobytes()
-    assert inexact > 0
-
-
 def test_scan_matches_oracle_when_the_seam_reads_higher(monkeypatch):
     # j = 0 of a chunk repeats the time of the previous chunk's last point; a
     # value that reads higher there is no local minimum, so the dip at the seam
@@ -594,8 +629,8 @@ def test_scan_matches_oracle_when_the_seam_reads_higher(monkeypatch):
     step = (2.0 * math.pi - 0.5) / (_CHUNK + 0.3)
     grid = rc._grid_objective
 
-    def lifted(table, start):
-        vals = grid(table, start)
+    def lifted(table, start, m):
+        vals = grid(table, start, m)
         if start > 0.5:
             vals[0] += 1e-9
         return vals
@@ -635,31 +670,31 @@ def test_scan_matches_oracle_when_tau_min_is_already_a_recurrence(energies, tau_
 
 def _kernel_run(kernel, energies, delta, search=rc.find_recurrence_time, **kwargs):
     """Run the search with ``kernel`` as its grid kernel; return the refine
-    brackets in order as float.hex, the result or failure fields as
+    calls in order as float.hex, the result or failure fields as
     ``_float_bits`` and every chunk's (E, start, h, m) and grid values."""
-    brackets, chunks = [], []
-    brent = rc._bounded_brent
+    refines, chunks = [], []
+    refine = rc._refine
 
-    def recorded_brent(f, a, b, xatol):
-        brackets.append((float(a).hex(), float(b).hex()))
-        return brent(f, a, b, xatol)
+    def recorded_refine(E, t_j, lo, hi):
+        refines.append(tuple(float(v).hex() for v in (t_j, lo, hi)))
+        return refine(E, t_j, lo, hi)
 
-    def recorded_kernel(table, start):
-        chunks.append(((table.E, start, table.h, table.m), kernel(table, start)))
+    def recorded_kernel(table, start, m):
+        chunks.append(((table.E, start, table.h, m), kernel(table, start, m)))
         return chunks[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rc, "_bounded_brent", recorded_brent)
+        mp.setattr(rc, "_refine", recorded_refine)
         mp.setattr(rc, "_grid_objective", recorded_kernel)
         try:
             fields = vars(search(energies, delta, **kwargs))
         except rc.RecurrenceSearchError as exc:
             fields = exc.to_dict()
-    return brackets, {key: _float_bits(v) for key, v in fields.items()}, chunks
+    return refines, {key: _float_bits(v) for key, v in fields.items()}, chunks
 
 
-def _two_product_kernel(table, start):
-    return two_product_grid_objective(table.E, start, table.h, table.m)
+def _two_product_kernel(table, start, m):
+    return two_product_grid_objective(table.E, start, table.h, m)
 
 
 def _same_kernels(energies, delta, search=rc.find_recurrence_time, **kwargs):

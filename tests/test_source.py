@@ -146,6 +146,25 @@ def test_grid_kernel_is_one_matrix_product():
     assert len(products) == 1, products
 
 
+def test_phase_table_is_built_once_per_search():
+    # a ratchet: a search scans one fixed-step grid from one phase table
+    # (notes/decisions.md, "One phase table per search"), so the package
+    # builds a _PhaseTable at one site, in find_recurrence_time's own body
+    # (not in a helper or a nested function) and outside its chunk loop
+    assert _call_sites("_PhaseTable") == {("recurrence", "find_recurrence_time")}
+    tree = ast.parse((SRC / "recurrence.py").read_text())
+    (search,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "find_recurrence_time"]
+
+    def builds(node):
+        return [inner.lineno for inner in ast.walk(node) if isinstance(inner, ast.Call)
+                and getattr(inner.func, "id", getattr(inner.func, "attr", None)) == "_PhaseTable"]
+
+    loops = [node for node in ast.walk(search) if isinstance(node, (ast.For, ast.While))]
+    assert loops and len(builds(search)) == 1
+    assert [line for loop in loops for line in builds(loop)] == []
+
+
 def test_recurrence_holds_no_module_level_mutable_container():
     # a ratchet: searches share nothing between calls.  The scan's phase
     # tables live in one find_recurrence_time call, and threads share a
@@ -280,8 +299,8 @@ def _names_scipy_optimize(tree):
 
 
 def test_scipy_is_only_sparse():
-    # the recurrence refine is a private Brent minimizer; scipy.optimize (and
-    # the linalg, special and fft it pulls in) is a test oracle only
+    # the recurrence refine is a private Newton iteration; scipy.optimize (and
+    # the linalg, special and fft it pulls in) stays out of the package
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert [mod for mod, tree in trees.items() if _names_scipy_optimize(tree)] == []
     third_party = _absolute_imports(trees["recurrence"]) - set(sys.stdlib_module_names)
