@@ -23,7 +23,7 @@ from .recurrence import (SpectralData, RecurrencePlan, InvertResult, RecurrenceI
                          tail_mass, tail_cut_energy, tail_cut_finite_net,
                          find_recurrence_time, plan_recurrence, invert,
                          polynomial_levels)
-from .synth import (Gen, Sum, Bracket, Scale, SignedWord, CompileResult, ExactInverter,
+from .synth import (Gen, Sum, Bracket, Scale, CompileResult, ExactInverter,
                     CompileBudgetError, compile_sequence, verify,
                     reachability_report, build_word, expr_matrix,
                     expr_from_dict)

@@ -309,7 +309,7 @@ def chain_truncation(spec: ChainSpec, dims: Sequence[int]) -> TruncationSpec:
 
 def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
                n_budget: int, inverter):
-    """Compile and verify ``targets``, (GeneratorExpr, duration) pairs over the
+    """Compile and verify ``targets``, (expression, duration) pairs over the
     control system's generator indices (0 = drift), from the truncated chain's
     ground state.  Only the generators they read are represented; an index
     outside the system raises ``IndexError``."""

@@ -51,7 +51,8 @@ _STATE = {
     "type": "object",
     "properties": {
         "fock": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "random_interior": {"type": "object"},
+        "random_interior": {"type": "object",
+                            "properties": {"buffer": {"type": "integer"}}},
     },
 }
 _SYSTEM = {
@@ -413,18 +414,26 @@ def _check_delta(delta: float, path: str) -> None:
                           f"{sys.float_info.min:g}")
 
 
+def _one_of(cfg, keys, path: str) -> str:
+    """The one key of ``keys`` that ``cfg`` sets; none or several are refused."""
+    given = [key for key in keys if key in cfg]
+    if len(given) != 1:
+        raise ConfigError(f"{path}: needs exactly one of {', '.join(map(repr, keys))}, "
+                          f"got {given or 'none'}")
+    return given[0]
+
+
 def _build_state(state_cfg, spec: fock.TruncationSpec, rng) -> np.ndarray:
     if state_cfg is None:
         return fock.ground_state(spec)
+    kind = _one_of(state_cfg, ("fock", "random_interior"), "$.state")
     try:
-        if "fock" in state_cfg:
+        if kind == "fock":
             return fock.fock_state(spec, state_cfg["fock"])
-        if "random_interior" in state_cfg:
-            buffer = int(state_cfg["random_interior"].get("buffer", 0))
-            return fock.random_interior_state(fock.TruncationSpec(spec.dims, buffer), rng)
+        buffer = state_cfg["random_interior"].get("buffer", 0)
+        return fock.random_interior_state(fock.TruncationSpec(spec.dims, buffer), rng)
     except ValueError as exc:
         raise ConfigError(f"$.state: {exc}") from None
-    raise ConfigError(f"$.state: unintelligible state config {state_cfg!r}")
 
 
 def _truncation(dims, mode_count: int, path: str) -> fock.TruncationSpec:
@@ -442,18 +451,16 @@ def _truncation(dims, mode_count: int, path: str) -> fock.TruncationSpec:
 def _build_hamiltonian(cfg):
     """(spectrum, truncation): the SpectralData and truncation of a 'poly'
     hamiltonian, or plain levels and None."""
-    if "levels" in cfg:
+    kind = _one_of(cfg, ("poly", "levels", "level_formula"), "$.hamiltonian")
+    if kind == "levels":
         return np.asarray(cfg["levels"], dtype=float), None
-    if "level_formula" in cfg:
+    if kind == "level_formula":
         lf = cfg["level_formula"]
         return recurrence.polynomial_levels(lf["count"], lf["coeffs"]), None
-    if "poly" in cfg:
-        mode_count = int(cfg.get("mode_count", 1))
-        spec = _truncation(cfg.get("dims", (32,) * mode_count), mode_count,
-                           "$.hamiltonian.dims")
-        H = _parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly", weyl.as_hermitian)
-        return recurrence.spectral(fock.represent(H, spec).matrix), spec
-    raise ConfigError("$.hamiltonian: needs 'poly', 'levels', or 'level_formula'")
+    mode_count = int(cfg.get("mode_count", 1))
+    spec = _truncation(cfg.get("dims", (32,) * mode_count), mode_count, "$.hamiltonian.dims")
+    H = _parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly", weyl.as_hermitian)
+    return recurrence.spectral(fock.represent(H, spec).matrix), spec
 
 
 def _parse_system(cfg):
@@ -497,13 +504,15 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
     elif mode == "finite_net":
         cover = _random_net(cfg, spec, rng)
     else:
-        try:
-            bounds = {int(k): float(v) for k, v in cfg.get("energy_bounds", {}).items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
-        if not all(0.0 < v < math.inf for v in bounds.values()):
+        bounds = cfg.get("energy_bounds", {})
+        # JSON numbers only: a bool or a numeric string is refused, not coerced
+        if not all(type(v) in (int, float) and 0.0 < v < math.inf for v in bounds.values()):
             raise ConfigError(f"$.inverter.energy_bounds: bounds must be positive and "
-                              f"finite, got {bounds}")
+                              f"finite numbers, got {bounds}")
+        try:
+            bounds = {int(k): float(v) for k, v in bounds.items()}
+        except ValueError as exc:
+            raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
         # only reversed segments reach the inverter; segment signs do not
         # depend on the order n
         reversed_gens = {k for word in words for k, s in propagate.leaves(word) if s < 0}

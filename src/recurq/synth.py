@@ -9,8 +9,8 @@ exhausted; sequences are only ever returned verification-gated.
 
 Reversed segments are realized by a recurrence inverter (physical) or, for
 oracle studies, kept signed and evaluated by exact inverses; in that case the
-result is a SignedWord, never a ControlSequence.  ``realize`` builds either
-kind of word and ``run`` is the one place that executes it.
+result is the signed word tree itself, never a ControlSequence.  ``realize``
+builds either kind of word and ``run`` is the one place that executes it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
-                        evolve_signed, expm_apply, fidelity, flatten, leaves,
-                        realize_word, state_error, uses_spectrum)
+                        evolve_signed, expm_apply, fidelity, leaves, realize_word,
+                        state_error, uses_spectrum)
 from .recurrence import GridReachError
 
 
@@ -66,22 +66,30 @@ class Scale:
         return f"({self.factor} * {self.inner})"
 
 
-GeneratorExpr = (Gen, Sum, Bracket, Scale)
+def _gen(k) -> Gen:
+    if type(k) is not int:  # a bool is refused too
+        raise TypeError(f"generator index {k!r} is not an integer")
+    return Gen(k)
 
 
 def expr_from_dict(data) -> object:
-    """Parse {'op': 'gen'|'sum'|'bracket'|'scale', ...} JSON trees."""
-    if isinstance(data, int):
-        return Gen(data)
+    """Parse {'op': 'gen'|'sum'|'bracket'|'scale', ...} JSON trees; a bare
+    index is a generator.  Indices must be integers and factors numbers:
+    true, "1" and 1.7 are refused, not coerced."""
+    if not isinstance(data, dict):
+        return _gen(data)
     op = data["op"]
     if op == "gen":
-        return Gen(int(data["k"]))
+        return _gen(data["k"])
     if op == "sum":
         return Sum(expr_from_dict(data["left"]), expr_from_dict(data["right"]))
     if op == "bracket":
         return Bracket(expr_from_dict(data["left"]), expr_from_dict(data["right"]))
     if op == "scale":
-        return Scale(float(data["factor"]), expr_from_dict(data["inner"]))
+        factor = data["factor"]
+        if type(factor) not in (int, float):
+            raise TypeError(f"scale factor {factor!r} is not a number")
+        return Scale(float(factor), expr_from_dict(data["inner"]))
     raise ValueError(f"unknown expression op {op!r}")
 
 
@@ -163,37 +171,20 @@ class CompileBudgetError(RuntimeError):
 
 
 class ExactInverter:
-    """Oracle marker: reversed segments stay signed and ``run`` evaluates
-    them by exact inverses instead of physical forward durations."""
+    """Oracle marker: reversed segments stay signed in the word tree and
+    ``run`` evaluates them by exact inverses instead of physical forward
+    durations."""
 
     physical = False
     net = ()
 
     def duration(self, k: int, s: float):
-        raise TypeError("the exact inverter has no forward duration; run the SignedWord")
-
-
-@dataclass(frozen=True)
-class SignedWord:
-    """Oracle word with signed durations; evaluable, not physically executable.
-
-    ``word`` is a word tree; the flat ``segments`` are built only on demand.
-    """
-
-    word: object
-    provenance: str
-
-    def __len__(self):
-        return len(self.word)
-
-    @property
-    def segments(self) -> tuple:
-        return flatten(self.word)
+        raise TypeError("the exact inverter has no forward duration; run the signed word tree")
 
 
 @dataclass
 class CompileResult:
-    sequence: object  # ControlSequence (physical) or SignedWord (oracle)
+    sequence: object  # ControlSequence (physical) or signed word tree (oracle)
     n: int
     distance: float
     fidelity: float
@@ -209,24 +200,25 @@ def realize(expr, t: float, n: int, inverter) -> tuple:
 
     The sequence is a ControlSequence when the word reverses no segment or a
     physical ``inverter`` realized every reversed segment (``plans`` holds
-    its certificates), and a SignedWord under the ExactInverter.
+    its certificates), and under the ExactInverter the signed word tree that
+    ``build_word`` made.
     """
     word = build_word(expr, t, n)
     provenance = f"{expr} @ t={t}, n={n}"
     if not any(s < 0 for _, s in leaves(word)):
         return ControlSequence(word, provenance), {}
     if not inverter.physical:
-        return SignedWord(word, provenance + " (oracle)"), {}
+        return word, {}
     word, plans = realize_word(word, inverter)
     return ControlSequence(word, provenance), plans
 
 
 def run(sequence, states: np.ndarray, table: EvolutionTable) -> np.ndarray:
     """The sequence applied to one state or a dim x m block of column states:
-    a SignedWord by exact inverses, a ControlSequence forward only."""
-    if isinstance(sequence, SignedWord):
-        return evolve_signed(sequence.word, states, table)
-    return evolve(sequence, states, table)
+    a ControlSequence forward only, a signed word tree by exact inverses."""
+    if isinstance(sequence, ControlSequence):
+        return evolve(sequence, states, table)
+    return evolve_signed(sequence, states, table)
 
 
 def _oracle(expr, t: float, table: EvolutionTable, states) -> list:
@@ -266,20 +258,11 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     raise CompileBudgetError(best_n, best_distance, epsilon)
 
 
-def verify(seq, psi0: np.ndarray, target, table: EvolutionTable, t: float | None = None):
-    """Distance and fidelity of the executed ControlSequence or SignedWord
-    against a target.
-
-    ``target`` is either a state vector or a generator expression (then ``t``
-    gives the duration and the oracle state is e^{G t} psi0).
-    """
+def verify(seq, psi0: np.ndarray, expr, table: EvolutionTable, t: float):
+    """Distance and fidelity of the executed ControlSequence or signed word
+    tree against the oracle state e^{G(expr) t} psi0."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if isinstance(target, GeneratorExpr):
-        if t is None:
-            raise ValueError("generator targets need a duration t")
-        target_state = _oracle(target, t, table, [psi0])[0]
-    else:
-        target_state = np.asarray(target, dtype=complex)
+    target_state = _oracle(expr, t, table, [psi0])[0]
     out = run(seq, psi0, table)
     distance = state_error(out, target_state)
     fid = fidelity(out, target_state)

@@ -647,6 +647,58 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
     assert err.startswith(f"error: {path}: ") and str(fock.MAX_DIM) in err
 
 
+# Each of these once ran: an index or a factor coerced (generator 1, scaled
+# by 2.0 or 1.0), a buffer read as 2, 1 or 3, a bound as 0.5 or 1.0, or a
+# state or hamiltonian with the first key its builder checks.  Each is
+# refused where it stands.
+COERCIBLE_EXPRS = {"bare-true": True, "k-float": GEN(1.7), "k-string": GEN("1"),
+                   "k-true": GEN(True),
+                   "factor-string": {"op": "scale", "factor": "2", "inner": GEN(1)},
+                   "factor-true": {"op": "scale", "factor": True, "inner": GEN(1)}}
+UNTYPED_FIELDS = {
+    **{f"compile-{name}": ("compile", {"system": QP_SYSTEM, "target": expr, "t": 0.5,
+                                       "epsilon": 0.1, "n_budget": 2, "inverter": EXACT},
+                           "$.target") for name, expr in COERCIBLE_EXPRS.items()},
+    **{f"chain-demo-{name}": ("chain-demo", {**CHAIN_DEMO, "targets": [{"expr": expr, "t": 0.1}]},
+                              "$.targets[0].expr") for name, expr in COERCIBLE_EXPRS.items()},
+    **{f"compile-buffer-{name}": ("compile", {"system": QP_SYSTEM, "target": GEN(0), "t": 0.5,
+                                              "epsilon": 0.1, "n_budget": 2, "inverter": EXACT,
+                                              "state": {"random_interior": {"buffer": buffer}}},
+                                  "$.state.random_interior.buffer")
+       for name, buffer in (("float", 2.7), ("true", True), ("string", "3"))},
+    **{f"recur-buffer-{name}": ("recur", {"hamiltonian": HARMONIC, "delta": 0.1,
+                                          "mode": "pointwise",
+                                          "state": {"random_interior": {"buffer": buffer}}},
+                                "$.state.random_interior.buffer")
+       for name, buffer in (("float", 2.7), ("true", True), ("string", "3"))},
+    **{f"compile-bound-{name}": ("compile", {"system": QP_SYSTEM, "target": {
+        "op": "scale", "factor": -1.0, "inner": GEN(1)}, "t": 0.5, "epsilon": 0.1,
+        "n_budget": 4, "inverter": {"mode": "energy_bound", "delta": 0.1,
+                                    "energy_bounds": {"1": bound}}},
+        "$.inverter.energy_bounds") for name, bound in (("string", "0.5"), ("true", True))},
+    **{f"chain-demo-bound-{name}": ("chain-demo", {**CHAIN_DEMO, "targets": [{"expr": {
+        "op": "scale", "factor": -1.0, "inner": GEN(1)}, "t": 0.1}], "inverter": {
+        "mode": "energy_bound", "delta": 0.1, "energy_bounds": {"1": bound}}},
+        "$.inverter.energy_bounds") for name, bound in (("string", "0.5"), ("true", True))},
+    "compile-two-states": ("compile", {"system": QP_SYSTEM, "target": GEN(0), "t": 0.5,
+                                       "epsilon": 0.1, "n_budget": 2, "inverter": EXACT,
+                                       "state": {"fock": [0], "random_interior": {}}},
+                           "$.state"),
+    "recur-two-states": ("recur", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise",
+                                   "state": {"fock": [1], "random_interior": {"buffer": 2}}},
+                         "$.state"),
+    **{name: ("recur", {"hamiltonian": hamiltonian, "delta": 0.5, "mode": "energy_bound",
+                        "energy_bound": 0.05}, "$.hamiltonian")
+       for name, hamiltonian in (
+           ("poly-and-levels", {**HARMONIC, "levels": [0.0, 1.0, 2.0]}),
+           ("poly-and-formula", {**HARMONIC, "level_formula": {"count": 3, "coeffs": [0, 1]}}),
+           ("levels-and-formula", {"levels": [0.0, 1.0, 2.0],
+                                   "level_formula": {"count": 3, "coeffs": [0, 1]}}),
+           ("three-hamiltonians", {**HARMONIC, "levels": [0.0, 1.0, 2.0],
+                                   "level_formula": {"count": 3, "coeffs": [0, 1]}}))},
+}
+
+
 @pytest.mark.parametrize("sub,config,path", [
     ("recur", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "energy_bound"},
      "$.energy_bound"),
@@ -753,6 +805,7 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
                "tau_min": 1.0, "grid_step": 1e308}, "$.grid_step"),
     ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise", "s": 1.0,
                 "grid_step": 1e200}, "$.grid_step"),
+    *UNTYPED_FIELDS.values(),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
         "negative-level", "unordered-levels", "unordered-formula", "recur-grid-step",
@@ -766,12 +819,13 @@ def test_oversized_fock_dimension_exits_usage(sub, config, path, tmp_path, capsy
         "propagation-n-modes-above-limit", "propagation-n-modes-1e20",
         "closure-mode-count-above-limit", "closure-mode-count-1e20",
         "recur-mode-count-above-limit", "recur-mode-count-1e20",
-        "recur-grid-step-overflows", "invert-grid-step-overflows"])
+        "recur-grid-step-overflows", "invert-grid-step-overflows", *UNTYPED_FIELDS])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
     assert rc_code == cli.EXIT_USAGE
     assert f"{path}: " in err and "Traceback" not in err
+
 
 
 @pytest.mark.parametrize("sub,config,path", [

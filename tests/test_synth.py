@@ -64,9 +64,7 @@ def test_bracket_compile_scalar(system):
     res = sy.compile_sequence(Bracket(Gen(1), Gen(2)), 0.25, 1e-3, 64,
                               sy.ExactInverter(), psi0, table)
     target = np.exp(-1j * 0.25) * psi0  # [H_1, H_2] = -i, duration 0.25
-    assert pr.state_error(pr.evolve_signed(res.sequence.segments, psi0, table)
-                          if isinstance(res.sequence, sy.SignedWord)
-                          else pr.evolve(res.sequence, psi0, table), target) < 1e-3
+    assert pr.state_error(sy.run(res.sequence, psi0, table), target) < 1e-3
 
 
 def test_bracket_compile_physical_with_recurrence(system):
@@ -100,10 +98,25 @@ def test_finite_net_inverter_verifies_over_net(system):
 def test_exact_inverter_bracket_yields_signed_word(system):
     spec, table = system
     psi0 = fock.ground_state(spec)
-    res = sy.compile_sequence(Bracket(Gen(3), Gen(4)), 0.04, 0.05, 8,
-                              sy.ExactInverter(), psi0, table)
-    assert isinstance(res.sequence, sy.SignedWord)
+    expr = Bracket(Gen(3), Gen(4))
+    res = sy.compile_sequence(expr, 0.04, 0.05, 8, sy.ExactInverter(), psi0, table)
+    assert res.sequence == sy.build_word(expr, 0.04, res.n)
     assert not res.physical
+
+
+def test_exact_inverter_realizes_the_built_word_tree(system):
+    # the oracle word is build_word's signed tree itself, and run evaluates
+    # it exactly as evolve_signed does
+    spec, table = system
+    psi0 = fock.ground_state(spec)
+    expr = Sum(Bracket(Gen(1), Gen(3)), Scale(-0.5, Gen(2)))
+    word, plans = sy.realize(expr, 0.3, 4, sy.ExactInverter())
+    built = sy.build_word(expr, 0.3, 4)
+    assert word == built and len(word) == len(built) and plans == {}
+    assert not isinstance(word, pr.ControlSequence)
+    assert not sy.CompileResult(word, 4, 0.0, 1.0, plans).physical
+    block = np.column_stack([psi0, fock.fock_state(spec, (2,))])
+    assert np.array_equal(sy.run(word, block, table), pr.evolve_signed(built, block, table))
 
 
 def test_compile_budget_error(system):
@@ -129,21 +142,6 @@ def test_exact_inverse_error_converges(system):
     assert dists[1] < dists[0] and dists[2] < dists[1]
 
 
-def test_verify_empty_sequence(system):
-    spec, table = system
-    psi0 = fock.ground_state(spec)
-    d, f = sy.verify(pr.ControlSequence(()), psi0, psi0, table)
-    assert d == 0.0 and f == 1.0
-
-
-def test_verify_orthogonal_target(system):
-    spec, table = system
-    psi0 = fock.ground_state(spec)
-    target = fock.fock_state(spec, (1,))
-    d, f = sy.verify(pr.ControlSequence(()), psi0, target, table)
-    assert abs(d - math.sqrt(2)) < 1e-12 and f == 0.0
-
-
 def test_expr_helpers(system):
     spec, table = system
     expr = Scale(2.0, Sum(Gen(1), Bracket(Gen(1), Gen(2))))
@@ -156,6 +154,18 @@ def test_expr_helpers(system):
         "right": {"op": "bracket", "left": {"op": "gen", "k": 1},
                   "right": {"op": "gen", "k": 2}}}})
     assert back == expr
+    assert sy.expr_from_dict(3) == Gen(3)
+    assert sy.expr_from_dict({"op": "scale", "factor": 2, "inner": 1}) == Scale(2.0, Gen(1))
+
+
+@pytest.mark.parametrize("data", [
+    True, 1.0, "1", {"op": "gen", "k": 1.7}, {"op": "gen", "k": "1"},
+    {"op": "gen", "k": True}, {"op": "scale", "factor": "2", "inner": 1},
+    {"op": "scale", "factor": True, "inner": 1}, {"op": "scale", "factor": None, "inner": 1},
+    {"op": "sum", "left": 0, "right": False}])
+def test_expr_from_dict_refuses_what_is_not_an_index_or_a_factor(data):
+    with pytest.raises(TypeError):
+        sy.expr_from_dict(data)
 
 
 def test_expr_matrix_is_sparse_on_the_action_path():
@@ -184,7 +194,7 @@ def test_negative_duration_compiles_and_verifies(system):
     psi0 = fock.ground_state(spec)
     expr = Sum(Gen(1), Gen(2))
     res = sy.compile_sequence(expr, -0.5, 1e-3, 512, sy.ExactInverter(), psi0, table)
-    assert isinstance(res.sequence, sy.SignedWord) and res.distance <= 1e-3
+    assert not res.physical and res.distance <= 1e-3
     d, _ = sy.verify(res.sequence, psi0, expr, table, t=-0.5)
     assert abs(d - res.distance) <= 1e-12
 
@@ -202,7 +212,6 @@ def test_depth_two_bracket_compiles_at_n32_without_flattening(monkeypatch):
         raise AssertionError("the flat word was built")
 
     monkeypatch.setattr(pr, "flatten", no_flatten)
-    monkeypatch.setattr(sy, "flatten", no_flatten)
     expr = Bracket(Bracket(Gen(1), Gen(2)), Gen(3))
     start = time.monotonic()
     res = sy.compile_sequence(expr, 0.29, 3e-3, 32, sy.ExactInverter(), psi0, table)
