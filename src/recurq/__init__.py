@@ -27,8 +27,7 @@ from .synth import (Gen, Sum, Bracket, Scale, CompileResult, ExactInverter,
                     CompileBudgetError, compile_sequence, verify,
                     reachability_report, build_word, expr_matrix,
                     expr_from_dict)
-from .chains import (ChainSpec, ChainControllabilityReport,
-                     coupling_hamiltonian, drift, control_system,
-                     local_controls, chain_controllability, chain_demo)
+from .chains import (ChainSpec, ChainControllabilityReport, coupling_hamiltonian,
+                     control_system, chain_controllability, chain_demo)
 
 __version__ = "0.1.0"

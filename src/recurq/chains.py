@@ -21,7 +21,7 @@ from typing import Sequence
 from .fock import TruncationSpec, ground_state, represent
 from .propagate import EvolutionTable
 from .synth import expr_indices, reachability_report
-from .weyl import (FAILS, PROPAGATES, UNKNOWN, PolyOp, as_hermitian,
+from .weyl import (FAILS, HERMITIAN, PROPAGATES, SKEW, UNKNOWN, PolyOp, as_hermitian,
                    algebraic_propagation_check, const, lie_closure,
                    local_skew_generators, p, q, skew_generator, table_monomials)
 
@@ -131,45 +131,38 @@ def coupling_hamiltonian(i: int, j: int, omega: float, n_modes: int) -> PolyOp:
     return as_hermitian(H)
 
 
-def drift(spec: ChainSpec) -> PolyOp:
-    """Always-on interaction sum a_ij H_ij over the coupling graph."""
-    total = const(0.0, spec.n_modes)
-    for i, j, a in spec.couplings:
-        if a == 0.0:
-            continue
-        total = total + a * coupling_hamiltonian(i, j, spec.omega, spec.n_modes)
-    return as_hermitian(total)
-
-
-def local_controls(spec: ChainSpec):
-    """Per-site control polynomials: p plus q-powers up to the degree cap."""
-    out = []
-    for site in spec.control_sites:
-        qs = q(site, spec.n_modes)
-        out.append((f"p{site + 1}", p(site, spec.n_modes)))
-        power = const(1.0, spec.n_modes)
-        for k in DEFAULT_CONTROL_POWERS:
-            if k > spec.control_degree_cap:
-                break
-            power = qs if k == 1 else power * qs
-            label = f"q{site + 1}" + (f"^{k}" if k > 1 else "")
-            out.append((label, as_hermitian(power)))
-    return out
+def _site_controls(site: int, n_modes: int, cap: int) -> list:
+    """(label, monomial) of each local control at ``site``: p, then q^k for
+    each k of DEFAULT_CONTROL_POWERS up to the degree cap."""
+    powers = [(f"p{site + 1}", (0, 1))] + [(f"q{site + 1}" + (f"^{k}" if k > 1 else ""), (k, 0))
+                                           for k in DEFAULT_CONTROL_POWERS if k <= cap]
+    return [(label, tuple(pair if m == site else (0, 0) for m in range(n_modes)))
+            for label, pair in powers]
 
 
 def control_system(spec: ChainSpec):
     """Directly implementable Hamiltonians: drift alone and drift + control.
 
-    Returns ``(labels, hamiltonians)``; every Hamiltonian H is hermitian, the
-    drift plus at most one local control, and switching it on evolves by the
-    skew generator -iH (``weyl.skew_generator``).
+    Returns ``(labels, hamiltonians)``.  The drift sums a_ij H_ij's terms in
+    coupling order, and each control adds 1 to its monomial in a copy of it:
+    real multiples of hermitian monomials, so every sum is hermitian as built
+    (notes/decisions.md, "Chain Hamiltonians summed from the coupling terms").
+    Switching one on evolves by the skew generator -iH.
     """
-    H0 = drift(spec)
-    labels = ["drift"]
-    hams = [H0]
-    for label, ctrl in local_controls(spec):
-        labels.append(f"drift+{label}")
-        hams.append(as_hermitian(H0 + ctrl))
+    n = spec.n_modes
+    drift: dict = {}
+    for i, j, a in spec.couplings:
+        for m, c in coupling_hamiltonian(i, j, spec.omega, n).terms.items():
+            term = c * a
+            if term != 0:  # a * H drops an exactly zero product
+                drift[m] = drift.get(m, 0j) + term
+    labels, hams = ["drift"], [PolyOp(n, drift, HERMITIAN)]
+    for site in spec.control_sites:
+        for label, mono in _site_controls(site, n, spec.control_degree_cap):
+            terms = dict(drift)
+            terms[mono] = terms.get(mono, 0j) + 1
+            labels.append(f"drift+{label}")
+            hams.append(PolyOp(n, terms, HERMITIAN))
     return labels, hams
 
 
@@ -252,14 +245,14 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
         adjacency[j].append(i)
 
     # H_ij's terms on i alone (or j alone) are H_01's mode-0 terms, summed
-    # over a site's couplings in order as drift(spec) sums them
+    # over a site's couplings in order as control_system sums them
     harmonic = PolyOp(1, {m[:1]: c for m, c in coupling.terms.items() if m[1] == (0, 0)})
     local_drift = {site: const(0.0, 1) for site in spec.control_sites}
     for i, j, a in spec.couplings:
         for m in local_drift.keys() & {i, j}:
             local_drift[m] = local_drift[m] + a * harmonic
-    controls = [skew_generator(ctrl) for _, ctrl in local_controls(
-        ChainSpec(1, spec.omega, (), (0,), spec.control_degree_cap))]
+    controls = [PolyOp(1, {mono: -1j}, SKEW)
+                for _, mono in _site_controls(0, 1, spec.control_degree_cap)]
     # sites whose drifts have the same coefficients (the same strengths in
     # coupling order) pose the same one-mode problem: each is closed once
     closed, site_dims = {}, {}

@@ -71,7 +71,10 @@ _INVERTER = {
         "delta": {"type": "number", "exclusiveMinimum": 0},
         "t_max": {"type": "number", "exclusiveMinimum": 0},
         "net_size": {"type": "integer", "minimum": 1},
-        "energy_bounds": {"type": "object"},
+        # keyed by generator index in its one spelling; \Z, as Python's $
+        # also matches before a trailing newline
+        "energy_bounds": {"type": "object",
+                          "propertyNames": {"pattern": r"^(0|[1-9][0-9]*)\Z"}},
     },
     "required": ["mode"],
 }
@@ -383,14 +386,6 @@ def _parse_expr(data, path: str):
         raise ConfigError(f"{path}: malformed generator expression: {exc!r}") from None
 
 
-def _check_indices(indices, count: int, path: str) -> None:
-    """Refuse an index outside a system of ``count`` generators."""
-    unknown = sorted(k for k in indices if not 0 <= k < count)
-    if unknown:
-        raise ConfigError(f"{path}: generator index {unknown[0]} is out of range; the "
-                          f"system has generators 0..{count - 1}")
-
-
 def _chain_spec(cfg) -> chains.ChainSpec:
     try:
         return chains.ChainSpec.from_dict(cfg)
@@ -473,8 +468,16 @@ def _parse_system(cfg):
     return spec, herms
 
 
-def _build_system(spec: fock.TruncationSpec, herms, indices) -> propagate.EvolutionTable:
-    """The table of the skew generators -iH_k for the checked ``indices`` only."""
+def _build_system(spec: fock.TruncationSpec, herms, reads) -> propagate.EvolutionTable:
+    """The table of the skew generators -iH_k for the indices the run reads
+    only.  ``reads`` pairs each index set with its config path, where an
+    index outside the system is refused, in order."""
+    for indices, path in reads:
+        unknown = sorted(k for k in indices if not 0 <= k < len(herms))
+        if unknown:
+            raise ConfigError(f"{path}: generator index {unknown[0]} is out of range; the "
+                              f"system has generators 0..{len(herms) - 1}")
+    indices = set().union(*(indices for indices, _ in reads))
     return propagate.EvolutionTable({k: -1j * fock.represent(herms[k], spec).csr
                                      for k in sorted(indices)})
 
@@ -509,10 +512,7 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
         if not all(type(v) in (int, float) and 0.0 < v < math.inf for v in bounds.values()):
             raise ConfigError(f"$.inverter.energy_bounds: bounds must be positive and "
                               f"finite numbers, got {bounds}")
-        try:
-            bounds = {int(k): float(v) for k, v in bounds.items()}
-        except ValueError as exc:
-            raise ConfigError(f"$.inverter.energy_bounds: {exc}") from None
+        bounds = {int(k): float(v) for k, v in bounds.items()}
         # only reversed segments reach the inverter; segment signs do not
         # depend on the order n
         reversed_gens = {k for word in words for k, s in propagate.leaves(word) if s < 0}
@@ -630,9 +630,7 @@ def _run_invert(config, out, rng, jobs):
 def _run_trotter(config, out, rng, jobs):
     k, l = int(config["k"]), int(config["l"])
     spec, herms = _parse_system(config["system"])
-    _check_indices([k], len(herms), "$.k")
-    _check_indices([l], len(herms), "$.l")
-    table = _build_system(spec, herms, {k, l})
+    table = _build_system(spec, herms, [([k], "$.k"), ([l], "$.l")])
     psi0 = _build_state(config.get("state"), spec, rng)
     rows = propagate.trotter_errors(k, l, float(config["t"]), config["ns"], psi0, table)
     write_csv(os.path.join(out, "convergence.csv"),
@@ -649,10 +647,11 @@ def _run_commutator(config, out, rng, jobs):
     words = [_order_one_word(bracket, t * t, "$.t")]
     spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
-    _check_indices([k], len(herms), "$.k")
-    _check_indices([l], len(herms), "$.l")
-    table = _build_system(spec, herms, {k, l})
+    table = _build_system(spec, herms, [([k], "$.k"), ([l], "$.l")])
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, words)
+    if inverter.physical and 4 * n * n > propagate.MAX_SEGMENTS:
+        raise ConfigError(f"$.n: a sequence of 4n^2 = {4 * n * n} segments is above the "
+                          f"{propagate.MAX_SEGMENTS} that are written out")
     seq, plans = synth.realize(bracket, t * t, n, inverter)
     if len(seq) != 4 * n * n:
         raise AssertionError("commutator word must have 4 n^2 segments")
@@ -673,9 +672,7 @@ def _run_compile(config, out, rng, jobs):
     psi0 = _build_state(config.get("state"), spec, rng)
     expr, t = _parse_expr(config["target"], "$.target"), float(config["t"])
     words = [_order_one_word(expr, t, "$.t")]
-    indices = synth.expr_indices(expr)
-    _check_indices(indices, len(herms), "$.target")
-    table = _build_system(spec, herms, indices)
+    table = _build_system(spec, herms, [(synth.expr_indices(expr), "$.target")])
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, words)
     result = synth.compile_sequence(expr, t, float(config["epsilon"]),
                                     int(config["n_budget"]), inverter, psi0, table)
@@ -699,10 +696,8 @@ def _run_chain_demo(config, out, rng, jobs):
     except ValueError as exc:
         raise ConfigError(f"$.dims: {exc}") from None
     labels, hams = chains.control_system(spec)
-    reads = [synth.expr_indices(expr) for expr, _ in targets]
-    for i, indices in enumerate(reads):
-        _check_indices(indices, len(hams), f"$.targets[{i}].expr")
-    table = _build_system(tspec, hams, set().union(*reads))
+    table = _build_system(tspec, hams, [(synth.expr_indices(expr), f"$.targets[{i}].expr")
+                                        for i, (expr, _) in enumerate(targets)])
     psi0 = fock.ground_state(tspec)
     inverter = _build_inverter(config["inverter"], table, psi0, rng, tspec, words)
     report = synth.reachability_report(table, psi0, targets, float(config["epsilon"]),
@@ -778,6 +773,10 @@ def main(argv=None) -> int:
         path = ("$.inverter.t_max" if "inverter" in config
                 else "$.grid_step" if "grid_step" in config else "$.t_max")
         print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except propagate.SequenceSizeError as exc:
+        # a compiled word too long to write out (commutator refuses its n up front)
+        print(f"error: $.n_budget: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError,
             synth.CompileBudgetError) as exc:

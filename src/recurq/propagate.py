@@ -71,6 +71,15 @@ REUNITARIZE_TOL = NORM_TOL
 # is at most this (``chebyshev_coefficients``).
 CHEBYSHEV_TOL = 1e-15
 
+# Most segments a sequence is written out with (``ControlSequence.to_dict``).
+# Flattening and encoding a word peak at about 0.3 kB per segment, so this
+# is a file of about 250 MB at about 1.3 GB of peak memory.
+MAX_SEGMENTS = 1 << 22
+
+
+class SequenceSizeError(ValueError):
+    """A control sequence too long to write out: above MAX_SEGMENTS."""
+
 
 # -- control words -----------------------------------------------------------
 #
@@ -234,7 +243,11 @@ class ControlSequence:
     def to_dict(self) -> dict:
         """The flat segment list, with one ``{"k", "t"}`` dict per distinct
         leaf object: ``flatten`` shares a repeated block's leaf tuples, so
-        every copy of a segment is the same dict and is encoded once."""
+        every copy of a segment is the same dict and is encoded once.  A
+        sequence above MAX_SEGMENTS raises SequenceSizeError unflattened."""
+        if len(self) > MAX_SEGMENTS:
+            raise SequenceSizeError(f"a sequence of {len(self)} segments is above the "
+                                    f"{MAX_SEGMENTS} that are written out")
         segments = self.segments
         by_id = {id(s): s for s in segments}
         dicts = {i: {"k": k, "t": t} for i, (k, t) in by_id.items()}

@@ -84,8 +84,9 @@ class SpectrumExhaustedError(ValueError):
 class GridReachError(ValueError):
     """The recurrence scan cannot reach its horizon: the horizon is below
     tau_min, it or the grid step is not finite, the grid step is too coarse
-    to bound the objective between grid points, or a chunk of the grid no
-    longer advances the scanned time."""
+    to bound the objective between grid points, the grid has more points
+    than one search scans, or a chunk of the grid no longer advances the
+    scanned time."""
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,10 @@ _HEAD_SLICE = 192
 # refine stops at a step below _REFINE_TOL of its bracket, so within 41 halvings.
 _REFINE_STEPS = 64
 _REFINE_TOL = 2.0 ** -40
+# Most grid points one search scans to a horizon its chunks reach: 2^24
+# chunks, minutes of kernel calls at 0.03-0.04 ms a chunk.  A larger grid is
+# refused up front (notes/decisions.md, "A grid-point budget per search").
+_MAX_GRID_POINTS = 1 << 40
 
 
 def _unit_phases(x: np.ndarray) -> np.ndarray:
@@ -426,6 +431,12 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         return RecurrenceTime(tau_min, f_min, tau_min, grid_step)
 
     h = grid_step
+    # a horizon where the float spacing is above a chunk is never reached:
+    # the scan may certify on its way or stops where its chunks stall
+    if math.ulp(t_max) <= _CHUNK * h and (points := (t_max - tau_min) / h) > _MAX_GRID_POINTS:
+        raise GridReachError(f"a grid of step {grid_step:g} has {points:.3g} "
+                             f"points from T={tau_min:g} to t_max {t_max:g}, above the "
+                             f"{_MAX_GRID_POINTS} one search scans")
 
     def at(i):  # the grid time of index i, before the last point moves to t_max
         return i * h + tau_min

@@ -464,6 +464,45 @@ def sequential_targets(modes, mode_count, degree_cap):
     return out
 
 
+def drift(spec) -> PolyOp:
+    """The chain's always-on sum a_ij H_ij by PolyOp arithmetic, zero
+    couplings skipped: the reference for ``chains.control_system``'s drift."""
+    total = weyl.const(0.0, spec.n_modes)
+    for i, j, a in spec.couplings:
+        if a == 0.0:
+            continue
+        total = total + a * chains.coupling_hamiltonian(i, j, spec.omega, spec.n_modes)
+    return weyl.as_hermitian(total)
+
+
+def local_controls(spec):
+    """Per-site control polynomials by PolyOp arithmetic: p plus q-powers up
+    to the degree cap, as (label, hermitian PolyOp)."""
+    out = []
+    for site in spec.control_sites:
+        qs = weyl.q(site, spec.n_modes)
+        out.append((f"p{site + 1}", weyl.p(site, spec.n_modes)))
+        power = weyl.const(1.0, spec.n_modes)
+        for k in chains.DEFAULT_CONTROL_POWERS:
+            if k > spec.control_degree_cap:
+                break
+            power = qs if k == 1 else power * qs
+            label = f"q{site + 1}" + (f"^{k}" if k > 1 else "")
+            out.append((label, weyl.as_hermitian(power)))
+    return out
+
+
+def control_system(spec):
+    """``chains.control_system(spec)`` by PolyOp arithmetic: the drift, then
+    each drift + control sum checked hermitian."""
+    H0 = drift(spec)
+    labels, hams = ["drift"], [H0]
+    for label, ctrl in local_controls(spec):
+        labels.append(f"drift+{label}")
+        hams.append(weyl.as_hermitian(H0 + ctrl))
+    return labels, hams
+
+
 def per_edge_controllability(spec, degree_cap, dim_cap):
     """``chains.chain_controllability(...).to_dict()`` with one propagation
     check per edge it reaches: the local set at u and the coupling H_uv, both
@@ -473,11 +512,11 @@ def per_edge_controllability(spec, degree_cap, dim_cap):
         adjacency[i].append(j)
         adjacency[j].append(i)
     site_dims = {}
-    H0 = chains.drift(spec)
+    H0 = drift(spec)
     for site in spec.control_sites:
         one_site = chains.ChainSpec(spec.n_modes, spec.omega, spec.couplings, (site,),
                                     spec.control_degree_cap)
-        gens = [weyl.skew_generator(ctrl) for _, ctrl in chains.local_controls(one_site)]
+        gens = [weyl.skew_generator(ctrl) for _, ctrl in local_controls(one_site)]
         local_drift = PolyOp(spec.n_modes, {m: c for m, c in H0.terms.items()
                                             if set(weyl._mono_support(m)) <= {site}})
         if not local_drift.is_zero:

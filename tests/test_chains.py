@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from recurq import chains as ch, fock, propagate as pr, synth as sy, weyl
-from recurq.chains import ChainSpec, coupling_hamiltonian, drift
+from recurq.chains import ChainSpec, coupling_hamiltonian
 from recurq.weyl import as_hermitian, is_hermitian, p, q, skew_generator
 
+import oracles
 from oracles import matrix_lie_closure, per_edge_controllability
+
+
+def drift(spec):
+    return ch.control_system(spec)[1][0]
 
 
 def two_mode_chain(omega=1.0, cap=3):
@@ -85,13 +90,48 @@ def test_control_system_assembly():
 
 def test_control_system_hermitian_before_conversion():
     spec = two_mode_chain()
-    H0 = drift(spec)
-    for _, ctrl in ch.local_controls(spec):
+    H0 = oracles.drift(spec)
+    for _, ctrl in oracles.local_controls(spec):
         assert is_hermitian(ctrl)
         assert is_hermitian(as_hermitian(H0 + ctrl))
     _, hams = ch.control_system(spec)
-    expected = [H0] + [as_hermitian(H0 + ctrl) for _, ctrl in ch.local_controls(spec)]
+    expected = [H0] + [as_hermitian(H0 + ctrl) for _, ctrl in oracles.local_controls(spec)]
     assert [H.terms for H in hams] == [H.terms for H in expected]
+    assert all(H.role == weyl.HERMITIAN for H in hams)
+
+
+def _seeded_chain(rng):
+    n = int(rng.integers(1, 7))
+    omega = [0.0, 1e-300, 0.7, 1.3, float(rng.uniform(0.0, 3.0))][int(rng.integers(5))]
+    strengths = [0.0, 5e-324, float(rng.uniform(0.0, 2.0))]
+    couplings = [(i, i + 1, strengths[int(rng.integers(3))]) for i in range(n - 1)]
+    if n > 2 and rng.random() < 0.5:  # an extra edge off the path
+        couplings.append((0, n - 1, strengths[int(rng.integers(3))]))
+    sites = tuple(int(s) for s in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                             replace=False))
+    return ChainSpec(n, omega, tuple(couplings), sites, int(rng.integers(1, 5)))
+
+
+def _bits(labels, hams):
+    return labels, [(H.role, [(m, c.real.hex(), c.imag.hex()) for m, c in H.terms.items()])
+                    for H in hams]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_control_system_matches_polyop_arithmetic_bit_for_bit(seed):
+    # labels, term order, coefficient bits and roles of the summed system
+    # equal those of the PolyOp products and as_hermitian sums
+    spec = _seeded_chain(np.random.default_rng(seed))
+    assert _bits(*ch.control_system(spec)) == _bits(*oracles.control_system(spec))
+
+
+def test_seeded_chains_cover_the_edge_cases():
+    specs = [_seeded_chain(np.random.default_rng(seed)) for seed in range(60)]
+    strengths = {a for spec in specs for _, _, a in spec.couplings}
+    assert {0.0, 5e-324} <= strengths
+    assert {0.0, 1e-300} <= {spec.omega for spec in specs}
+    assert {1, 6} <= {spec.n_modes for spec in specs}
+    assert {1, 2, 3, 4} == {spec.control_degree_cap for spec in specs}
 
 
 def test_control_system_requires_sites():
@@ -182,7 +222,7 @@ def test_site_closures_stay_in_the_one_mode_frame(monkeypatch):
     # drift, no PolyOp of more than 2 modes, and no basis PolyOp built from
     # a closure's rows; the zero coupling leaves site 199 without a drift term
     def refused(*args, **kwargs):
-        raise AssertionError("n-mode drift or closure basis built")
+        raise AssertionError("closure basis built")
 
     frames, built = [], []
 
@@ -194,7 +234,6 @@ def test_site_closures_stay_in_the_one_mode_frame(monkeypatch):
         return wrapped
 
     trusted, post_init = weyl._trusted, weyl.PolyOp.__post_init__
-    monkeypatch.setattr(ch, "drift", refused)
     monkeypatch.setattr(weyl, "_from_vector", refused)
     monkeypatch.setattr(weyl, "_trusted", lambda m, *a: built.append(m) or trusted(m, *a))
     monkeypatch.setattr(weyl.PolyOp, "__post_init__",

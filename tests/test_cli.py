@@ -540,7 +540,8 @@ def test_chain_demo_represents_only_the_generators_its_targets_read(tmp_path, mo
     # the same run over a table of every generator
     build = cli._build_system
     monkeypatch.setattr(cli, "_build_system",
-                        lambda spec, herms, indices: build(spec, herms, range(len(herms))))
+                        lambda spec, herms, reads: build(spec, herms,
+                                                         [(range(len(herms)), "$")]))
     rc_all, out_all = run("chain-demo", config, tmp_path, name="all")
     assert rc_all == cli.EXIT_OK and len(built) == 2 + 5
     report = json.loads((out / "report.json").read_text())
@@ -560,7 +561,8 @@ def test_compile_represents_only_the_generators_its_target_reads(tmp_path, monke
     assert rc_code == cli.EXIT_OK and len(built) == 2
     build = cli._build_system
     monkeypatch.setattr(cli, "_build_system",
-                        lambda spec, herms, indices: build(spec, herms, range(len(herms))))
+                        lambda spec, herms, reads: build(spec, herms,
+                                                         [(range(len(herms)), "$")]))
     rc_all, out_all = run("compile", config, tmp_path, name="all")
     assert rc_all == cli.EXIT_OK and len(built) == 2 + 4
     assert sorted(os.listdir(out)) == sorted(os.listdir(out_all))
@@ -609,6 +611,87 @@ def test_generator_index_errors_keep_their_messages_and_order(sub, config, messa
     err = capsys.readouterr().err
     assert rc_code == cli.EXIT_USAGE
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.fixture
+def unflattened(monkeypatch):
+    # a sequence above the limit flattened would hold gigabytes
+    def refused(word):
+        raise AssertionError("a sequence above the limit was flattened")
+
+    monkeypatch.setattr(propagate, "flatten", refused)
+
+
+# the first-order word of e^{(q + p) t} misses by a phase of about t^2 / 2n:
+# at t = 1 and epsilon 1.5e-7, n = 2^21 misses and n = 2^22 (2^23 segments) meets it
+SUM_QP = {"op": "sum", "left": GEN(0), "right": GEN(1)}
+SEQUENCE_ABOVE_LIMIT = {
+    "compile": ("compile", {"system": QP_SYSTEM, "target": SUM_QP, "t": 1.0,
+                            "epsilon": 1.5e-7, "n_budget": 1 << 23, "inverter": EXACT,
+                            "state": {"fock": [0]}}, "$.n_budget"),
+    # a one-mode chain's generators 1 and 2 are p1 and q1
+    "chain-demo": ("chain-demo", {
+        "chain": {"n_modes": 1, "omega": 0.0, "couplings": [], "control_sites": [0],
+                  "control_degree_cap": 1},
+        "dims": [16], "targets": [{"expr": {"op": "sum", "left": GEN(1), "right": GEN(2)},
+                                   "t": 1.0}],
+        "epsilon": 1.5e-7, "n_budget": 1 << 23, "inverter": EXACT}, "$.n_budget"),
+    # 4n^2 = 4 202 500 at n = 1025, refused before the inverter searches
+    "commutator": ("commutator", {
+        "system": {"mode_count": 1, "dims": [24],
+                   "generators": ["(0.5,0) * q1^2 + (0.5,0) * p1^2",
+                                  "(0.5,0) * q1^2 + (0.5,0) * p1^2 + (1,0) * q1"]},
+        "k": 0, "l": 1, "t": 0.4, "n": 1025, "inverter": {"mode": "pointwise", "delta": 0.1},
+        "state": {"fock": [0]}}, "$.n"),
+}
+
+
+@pytest.mark.parametrize("sub,config,path", SEQUENCE_ABOVE_LIMIT.values(),
+                         ids=list(SEQUENCE_ABOVE_LIMIT))
+def test_sequence_above_the_limit_exits_usage(sub, config, path, tmp_path, capsys,
+                                              unflattened, monkeypatch):
+    searched = []
+    duration = recurrence.RecurrenceInverter.duration
+    monkeypatch.setattr(recurrence.RecurrenceInverter, "duration",
+                        lambda *args: searched.append(1) or duration(*args))
+    rc_code, out = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: a sequence of ") and "Traceback" not in err
+    assert str(propagate.MAX_SEGMENTS) in err and not searched
+    assert not (out / "sequence.json").exists() and not (out / "report.json").exists()
+
+
+def test_sequence_limit_admits_its_own_length(unflattened, monkeypatch):
+    # len() of a word tree is O(1): the limit is checked before any flattening
+    word = propagate.Repeat(propagate.Concat(((0, 0.5), (1, 0.25))), propagate.MAX_SEGMENTS // 2)
+    with pytest.raises(propagate.SequenceSizeError, match=f"{propagate.MAX_SEGMENTS + 1} "):
+        propagate.ControlSequence(propagate.Concat((word, (0, 1.0)))).to_dict()
+    monkeypatch.setattr(propagate, "flatten", lambda word: ((0, 0.5),))
+    assert propagate.ControlSequence(word).to_dict()["segments"] == [{"k": 0, "t": 0.5}]
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("recur", {"hamiltonian": {"levels": [0.0, 1.0, math.sqrt(2.0), 100.0]}, "delta": 0.1,
+               "mode": "energy_bound", "energy_bound": 0.01, "tau_min": 1.0, "t_max": 1e4,
+               "grid_step": 1e-9}, "$.grid_step"),
+    ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise", "s": 1.0,
+                "t_max": 1e4, "grid_step": 1e-9}, "$.grid_step"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": -1.0, "inner": GEN(1)},
+                 "t": 0.5, "epsilon": 0.1, "n_budget": 2,
+                 "inverter": {"mode": "pointwise", "delta": 0.1, "t_max": 1e13}},
+     "$.inverter.t_max"),
+], ids=["recur", "invert", "compile-inverter"])
+def test_grid_above_the_budget_exits_usage(sub, config, path, tmp_path, capsys, monkeypatch):
+    # refused before the first chunk: a scan of this grid would run for hours
+    def scanned(*args):
+        raise AssertionError("a grid above the budget was scanned")
+
+    monkeypatch.setattr(recurrence, "_grid_objective", scanned)
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {path}: a grid of step ") and "points from T=" in err
 
 
 def test_chain_demo_parallel_report_matches_serial(tmp_path):
@@ -680,6 +763,18 @@ UNTYPED_FIELDS = {
         "op": "scale", "factor": -1.0, "inner": GEN(1)}, "t": 0.1}], "inverter": {
         "mode": "energy_bound", "delta": 0.1, "energy_bounds": {"1": bound}}},
         "$.inverter.energy_bounds") for name, bound in (("string", "0.5"), ("true", True))},
+    # an energy bound's generator index in any spelling but its one
+    **{f"compile-bound-key-{name}": ("compile", {"system": QP_SYSTEM, "target": {
+        "op": "scale", "factor": -1.0, "inner": GEN(1)}, "t": 0.5, "epsilon": 0.1,
+        "n_budget": 4, "inverter": {"mode": "energy_bound", "delta": 0.1,
+                                    "energy_bounds": {key: 1.0, "+0": 1.0}}},
+        "$.inverter.energy_bounds")
+       for name, key in (("underscore", "0_1"), ("spaces", " 1 "), ("sign", "+1"),
+                         ("leading-zero", "01"), ("newline", "1\n"))},
+    "chain-demo-bound-key": ("chain-demo", {**CHAIN_DEMO, "targets": [{"expr": {
+        "op": "scale", "factor": -1.0, "inner": GEN(1)}, "t": 0.1}], "inverter": {
+        "mode": "energy_bound", "delta": 0.1, "energy_bounds": {"0_1": 1.0}}},
+        "$.inverter.energy_bounds"),
     "compile-two-states": ("compile", {"system": QP_SYSTEM, "target": GEN(0), "t": 0.5,
                                        "epsilon": 0.1, "n_budget": 2, "inverter": EXACT,
                                        "state": {"fock": [0], "random_interior": {}}},
@@ -1023,7 +1118,7 @@ def test_commutator_inverter_covers_only_reversed_generators(tmp_path, monkeypat
     # generators 0 and 1 once each, shared by the table and the inverter,
     # plus the one-off target; the unused generator 2 never
     spec, herms = cli._parse_system(system)
-    table = cli._build_system(spec, herms, range(len(herms)))
+    table = cli._build_system(spec, herms, [(range(len(herms)), "$")])
     assert len(calls) == 3
     decomposed = [k for k in table.indices()
                   if any(np.array_equal(a, 1j * table.matrix(k).toarray()) for a in calls)]

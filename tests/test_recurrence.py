@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -256,6 +257,36 @@ def test_find_time_refuses_a_scan_that_cannot_finish(t_max, grid_step):
     with pytest.raises(rc.GridReachError):
         rc.find_recurrence_time([0.0, 1.0, math.sqrt(2.0), math.pi], 0.5, tau_min=1.0,
                                 t_max=t_max, grid_step=grid_step)
+
+
+class _Scanned(Exception):
+    pass
+
+
+@pytest.fixture
+def unscanned(monkeypatch):
+    # a grid above the budget scanned would run for hours
+    def refused(*args):
+        raise _Scanned
+
+    monkeypatch.setattr(rc, "_grid_objective", refused)
+
+
+@pytest.mark.parametrize("t_max,grid_step,points", [
+    (1e4, 1e-9, "1e+13"), (1.0 + 2.0 ** 20 + 2.0 ** -32, 2.0 ** -20, "1.1e+12"),
+], ids=["found", "budget-plus-one-spacing"])
+def test_find_time_refuses_a_grid_above_its_budget(unscanned, t_max, grid_step, points):
+    with pytest.raises(rc.GridReachError, match=f"has {re.escape(points)} points"):
+        rc.find_recurrence_time([1.0, math.sqrt(2.0)], 1e-6, tau_min=1.0, t_max=t_max,
+                                grid_step=grid_step)
+
+
+def test_find_time_scans_a_grid_at_its_budget(unscanned):
+    # exactly _MAX_GRID_POINTS steps of 2^-20 from 1: the scan starts
+    assert (2.0 ** 20) / 2.0 ** -20 == rc._MAX_GRID_POINTS
+    with pytest.raises(_Scanned):
+        rc.find_recurrence_time([1.0, math.sqrt(2.0)], 1e-6, tau_min=1.0,
+                                t_max=1.0 + 2.0 ** 20, grid_step=2.0 ** -20)
 
 
 @pytest.mark.parametrize("t_max", [None, 1e300])

@@ -56,12 +56,14 @@ def test_one_run_path():
 
 
 def test_one_build_per_generator():
-    # a generator family reaches its EvolutionTable in cli._build_system, or
-    # in the library's chain_demo; closure generators are checked by
-    # lie_closure alone, and generator indices by cli._check_indices
-    # (notes/decisions.md, "Only the generators a run reads" and "One check
-    # per closure generator")
+    # a generator family reaches its EvolutionTable in cli._build_system,
+    # which also refuses its indices, or in the library's chain_demo; closure
+    # generators are checked by lie_closure alone, and a chain's summed
+    # Hamiltonians only through coupling_hamiltonian's own check
+    # (notes/decisions.md, "Only the generators a run reads", "One check per
+    # closure generator" and "Chain Hamiltonians summed from the coupling terms")
     assert _call_sites("EvolutionTable") == {("cli", "_build_system"), ("chains", "chain_demo")}
+    assert _call_sites("as_hermitian") == {("chains", "coupling_hamiltonian")}
     assert _names("cli") & {"as_skew", "chain_table"} == set()
     classes = {node.name for path in sorted(SRC.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
