@@ -649,9 +649,8 @@ def _run_commutator(config, out, rng, jobs):
     psi0 = _build_state(config.get("state"), spec, rng)
     table = _build_system(spec, herms, [([k], "$.k"), ([l], "$.l")])
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, words)
-    if inverter.physical and 4 * n * n > propagate.MAX_SEGMENTS:
-        raise ConfigError(f"$.n: a sequence of 4n^2 = {4 * n * n} segments is above the "
-                          f"{propagate.MAX_SEGMENTS} that are written out")
+    if inverter.physical:
+        propagate.check_writable(4 * n * n)  # before any search
     seq, plans = synth.realize(bracket, t * t, n, inverter)
     if len(seq) != 4 * n * n:
         raise AssertionError("commutator word must have 4 n^2 segments")
@@ -775,8 +774,8 @@ def main(argv=None) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except propagate.SequenceSizeError as exc:
-        # a compiled word too long to write out (commutator refuses its n up front)
-        print(f"error: $.n_budget: {exc}", file=sys.stderr)
+        # a word too long to write out: commutator's order n, else the budget
+        print(f"error: {'$.n' if 'n' in config else '$.n_budget'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError,
             synth.CompileBudgetError) as exc:

@@ -81,6 +81,13 @@ class SequenceSizeError(ValueError):
     """A control sequence too long to write out: above MAX_SEGMENTS."""
 
 
+def check_writable(segments: int) -> None:
+    """Raise SequenceSizeError for a sequence of more than MAX_SEGMENTS segments."""
+    if segments > MAX_SEGMENTS:
+        raise SequenceSizeError(f"a sequence of {segments} segments is above the "
+                                f"{MAX_SEGMENTS} that are written out")
+
+
 # -- control words -----------------------------------------------------------
 #
 # A leaf (k, t) applies e^{H_k t}, and a word is a tree of leaves: a
@@ -245,9 +252,7 @@ class ControlSequence:
         leaf object: ``flatten`` shares a repeated block's leaf tuples, so
         every copy of a segment is the same dict and is encoded once.  A
         sequence above MAX_SEGMENTS raises SequenceSizeError unflattened."""
-        if len(self) > MAX_SEGMENTS:
-            raise SequenceSizeError(f"a sequence of {len(self)} segments is above the "
-                                    f"{MAX_SEGMENTS} that are written out")
+        check_writable(len(self))
         segments = self.segments
         by_id = {id(s): s for s in segments}
         dicts = {i: {"k": k, "t": t} for i, (k, t) in by_id.items()}

@@ -240,9 +240,9 @@ _HEAD_SLICE = 192
 # refine stops at a step below _REFINE_TOL of its bracket, so within 41 halvings.
 _REFINE_STEPS = 64
 _REFINE_TOL = 2.0 ** -40
-# Most grid points one search scans to a horizon its chunks reach: 2^24
-# chunks, minutes of kernel calls at 0.03-0.04 ms a chunk.  A larger grid is
-# refused up front (notes/decisions.md, "A grid-point budget per search").
+# Most grid points one search scans, about 2^24 chunks: a search still
+# short of its horizon then is refused (notes/decisions.md, "A grid-point
+# budget per search").
 _MAX_GRID_POINTS = 1 << 40
 
 
@@ -390,7 +390,8 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     points are still found, and every returned time and objective comes from
     the direct sum.  Depends only on the eigenvalue list, never on a state.
     Raises RecurrenceSearchError with the best objective seen when the horizon
-    is exhausted, and GridReachError when the scan cannot get there.
+    is exhausted, and GridReachError when the scan cannot get there, or has
+    scanned _MAX_GRID_POINTS points short of it.
     """
     E = np.asarray(energies, dtype=float)
     if E.size == 0:
@@ -431,12 +432,6 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
         return RecurrenceTime(tau_min, f_min, tau_min, grid_step)
 
     h = grid_step
-    # a horizon where the float spacing is above a chunk is never reached:
-    # the scan may certify on its way or stops where its chunks stall
-    if math.ulp(t_max) <= _CHUNK * h and (points := (t_max - tau_min) / h) > _MAX_GRID_POINTS:
-        raise GridReachError(f"a grid of step {grid_step:g} has {points:.3g} "
-                             f"points from T={tau_min:g} to t_max {t_max:g}, above the "
-                             f"{_MAX_GRID_POINTS} one search scans")
 
     def at(i):  # the grid time of index i, before the last point moves to t_max
         return i * h + tau_min
@@ -447,6 +442,10 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     prev_last = math.inf  # the previous chunk's last grid value, left of this chunk's j = 0
     n_point = 0
     while start < t_max:
+        if n_point >= _MAX_GRID_POINTS:
+            raise GridReachError(f"a grid of step {grid_step:g} scanned {n_point} points "
+                                 f"from T={tau_min:g} to T={start:g}, the most one search "
+                                 f"scans, short of t_max {t_max:g}")
         stop = at(first + _CHUNK)
         if not stop > start:  # the chunk is below the float spacing at start
             raise GridReachError(f"a grid of step {grid_step:g} cannot advance past "

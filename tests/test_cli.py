@@ -683,15 +683,33 @@ def test_sequence_limit_admits_its_own_length(unflattened, monkeypatch):
      "$.inverter.t_max"),
 ], ids=["recur", "invert", "compile-inverter"])
 def test_grid_above_the_budget_exits_usage(sub, config, path, tmp_path, capsys, monkeypatch):
-    # refused before the first chunk: a scan of this grid would run for hours
-    def scanned(*args):
-        raise AssertionError("a grid above the budget was scanned")
+    # refused after a budget of two chunks; the kernel refuses a ninth call,
+    # so a scan that ignores the budget fails instead of running for hours
+    monkeypatch.setattr(recurrence, "_MAX_GRID_POINTS", 2 * (recurrence._CHUNK + 1))
+    kernel, calls = recurrence._grid_objective, []
 
-    monkeypatch.setattr(recurrence, "_grid_objective", scanned)
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 8:
+            raise AssertionError("scanned past the grid-point budget")
+        return kernel(*args)
+
+    monkeypatch.setattr(recurrence, "_grid_objective", counted)
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
     assert rc_code == cli.EXIT_USAGE
     assert err.startswith(f"error: {path}: a grid of step ") and "points from T=" in err
+    assert "the most one search scans, short of t_max" in err
+
+
+def test_default_horizon_above_the_budget_certifies(tmp_path):
+    # the head's default horizon 1e6/gap = 1e16 lies some 1.6e17 grid points
+    # away; the search certifies near 2 pi in its first chunk
+    config = {"hamiltonian": {"levels": [0.0, 1.0, 1.0 + 1e-10, 1000.0]}, "delta": 0.5,
+              "mode": "energy_bound", "energy_bound": 2.0, "tau_min": 1.0}
+    rc_code, out = run("recur", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    assert 1.0 < json.loads((out / "report.json").read_text())["time"] < 2.0 * math.pi + 0.01
 
 
 def test_chain_demo_parallel_report_matches_serial(tmp_path):

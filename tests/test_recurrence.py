@@ -259,34 +259,58 @@ def test_find_time_refuses_a_scan_that_cannot_finish(t_max, grid_step):
                                 t_max=t_max, grid_step=grid_step)
 
 
-class _Scanned(Exception):
-    pass
-
-
 @pytest.fixture
-def unscanned(monkeypatch):
-    # a grid above the budget scanned would run for hours
-    def refused(*args):
-        raise _Scanned
+def two_chunk_budget(monkeypatch):
+    # a budget of two full chunks; the kernel refuses a fourth call, so a
+    # scan that ignores the budget fails instead of running for hours
+    monkeypatch.setattr(rc, "_MAX_GRID_POINTS", 2 * (_CHUNK + 1))
+    kernel, calls = rc._grid_objective, []
 
-    monkeypatch.setattr(rc, "_grid_objective", refused)
+    def counted(*args):
+        calls.append(args[2])
+        if len(calls) > 3:
+            raise AssertionError("scanned past the grid-point budget")
+        return kernel(*args)
+
+    monkeypatch.setattr(rc, "_grid_objective", counted)
+    return calls
 
 
-@pytest.mark.parametrize("t_max,grid_step,points", [
-    (1e4, 1e-9, "1e+13"), (1.0 + 2.0 ** 20 + 2.0 ** -32, 2.0 ** -20, "1.1e+12"),
-], ids=["found", "budget-plus-one-spacing"])
-def test_find_time_refuses_a_grid_above_its_budget(unscanned, t_max, grid_step, points):
-    with pytest.raises(rc.GridReachError, match=f"has {re.escape(points)} points"):
+@pytest.mark.parametrize("t_max", [1e4, 1e300], ids=["found", "beyond-float-reach"])
+def test_find_time_refuses_a_scan_at_its_budget(two_chunk_budget, t_max):
+    # at step 1e-9 the grid to 1e4 has 1e13 points; toward 1e300 its chunks
+    # would stall only near T = 6e11
+    refusal = (f"scanned {2 * (_CHUNK + 1)} points from T=1 to T=1.00013, the most one "
+               f"search scans, short of t_max {t_max:g}")
+    with pytest.raises(rc.GridReachError, match=re.escape(refusal)):
         rc.find_recurrence_time([1.0, math.sqrt(2.0)], 1e-6, tau_min=1.0, t_max=t_max,
-                                grid_step=grid_step)
+                                grid_step=1e-9)
+    assert two_chunk_budget == [_CHUNK + 1] * 2
 
 
-def test_find_time_scans_a_grid_at_its_budget(unscanned):
-    # exactly _MAX_GRID_POINTS steps of 2^-20 from 1: the scan starts
-    assert (2.0 ** 20) / 2.0 ** -20 == rc._MAX_GRID_POINTS
-    with pytest.raises(_Scanned):
-        rc.find_recurrence_time([1.0, math.sqrt(2.0)], 1e-6, tau_min=1.0,
-                                t_max=1.0 + 2.0 ** 20, grid_step=2.0 ** -20)
+def test_find_time_scans_a_grid_at_its_budget(two_chunk_budget):
+    # two chunks of 2^-20 from 1 reach t_max = 1.125 exactly: the scan ends
+    # at its horizon; one step further needs a third chunk and is refused
+    step = 2.0 ** -20
+    with pytest.raises(rc.RecurrenceSearchError) as err:
+        rc.find_recurrence_time([1.0, math.sqrt(2.0)], 1e-6, tau_min=1.0, t_max=1.125,
+                                grid_step=step)
+    assert err.value.grid_points == 2 * (_CHUNK + 1)
+    two_chunk_budget.clear()
+    with pytest.raises(rc.GridReachError, match="short of t_max 1.125"):
+        rc.find_recurrence_time([1.0, math.sqrt(2.0)], 1e-6, tau_min=1.0, t_max=1.125 + step,
+                                grid_step=step)
+    assert two_chunk_budget == [_CHUNK + 1] * 2
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-8])
+def test_find_time_certifies_long_before_a_default_horizon_above_the_budget(gap):
+    # the default horizon 1e6/gap (1e16 or 1e14) is one the float grid
+    # reaches, at about 1.6e20 or 1.6e18 points of 2 pi/1e5; the budget
+    # bounds the points scanned, so the search certifies near 2 pi as before
+    found = rc.find_recurrence_time([0.0, 1.0, 1.0 + gap, 1000.0], 0.5, tau_min=1.0)
+    assert found.objective < 0.5 ** 2 / 4.0
+    assert 1.0 < found.time < 2.0 * math.pi + 0.01
 
 
 @pytest.mark.parametrize("t_max", [None, 1e300])
