@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +40,9 @@ DEFAULT_DEGREE_CAP = 6
 DEFAULT_DIM_CAP = 64
 
 # Bracket-table limits: structure constants are exact through cap 16, and
-# TABLE_MONOMIALS keeps the build's peak memory below TABLE_BUDGET_MB.
+# TABLE_MONOMIALS keeps the build's peak memory below TABLE_BUDGET_MB.  A
+# built table stays in _structure_constants' cache of 8 entries: at most
+# about 8 x 17 MiB of tables held for the life of the process.
 MAX_DEGREE_CAP = 16
 TABLE_MONOMIALS = 500
 TABLE_BUDGET_MB = 160
@@ -364,20 +366,24 @@ def enumerate_monomials(mode_count: int, support: Sequence[int], max_degree: int
     return _monomial_table(mode_count, support, max_degree)[0]
 
 
-def _monomial_table(mode_count: int, support: Sequence[int], max_degree: int):
-    """(monomials, slots, E): ``enumerate_monomials``'s list, the sorted
-    support modes, and E[i] = the (q, p) exponents of monomial i on each slot
-    in turn.  The order and arrays come from the slots' exponent rows alone,
-    so their cost does not grow with the mode count: modes off the support
-    are (0, 0) in every monomial, which makes (degree, monomial) order the
-    (row sum, row) order."""
-    slots = sorted(set(support))
+def _exponent_rows(slot_count: int, max_degree: int):
+    """The (q, p) exponents on each of ``slot_count`` slots in turn of every
+    monomial of degree <= cap, in (row sum, row) order."""
     rows = [()]
-    for _ in range(2 * len(slots)):
+    for _ in range(2 * slot_count):
         rows = [r + (e,) for r in rows for e in range(max_degree - sum(r) + 1)]
     rows.sort(key=lambda r: (sum(r), r))
-    E = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * len(slots))
-    return [_embed(r, slots, mode_count) for r in rows], slots, E
+    return rows
+
+
+def _monomial_table(mode_count: int, support: Sequence[int], max_degree: int):
+    """(monomials, slots): ``enumerate_monomials``'s list and the sorted
+    support modes.  Monomial i has row i of ``_exponent_rows`` on the slots,
+    so the order and cost come from the slot count alone, not the mode count:
+    modes off the support are (0, 0) in every monomial, which makes
+    (degree, monomial) order the (row sum, row) order."""
+    slots = sorted(set(support))
+    return [_embed(r, slots, mode_count) for r in _exponent_rows(len(slots), max_degree)], slots
 
 
 class _RealSpan:
@@ -460,9 +466,9 @@ def _coefficients(ops, index: dict):
 
 def _adjoint_matrix(E):
     """Sparse A with column j the coefficient vector of m_j^dag, so that
-    vec(X^dag) = A @ conj(vec(X)), for the monomials of ``_monomial_table``'s
-    exponent rows E.  Per mode (q^a p^b)^dag = p^b q^a =
-    sum_k F[b, a, k] (-i)^k q^(a-k) p^(b-k): an enumerated list holds it."""
+    vec(X^dag) = A @ conj(vec(X)), for the monomials with exponent rows E.
+    Per mode (q^a p^b)^dag = p^b q^a = sum_k F[b, a, k] (-i)^k q^(a-k)
+    p^(b-k): an enumerated list holds it."""
     n = len(E)
     F = _contraction_counts(int(E.max(initial=0)))
     col, ksum, out, weight = np.arange(n), np.zeros(n, dtype=np.int64), E, np.ones(n)
@@ -573,6 +579,99 @@ def table_monomials(degree_cap: int, modes: int) -> int:
     return n
 
 
+class _Constants(NamedTuple):
+    """The arrays of one ``_structure_constants`` key, all read-only.
+
+    ``adjoint`` is the adjoint map of the monomials of ``_exponent_rows``.
+    ``S`` and ``N`` are their bracket table and its in-cap norms
+    (``_StructureTensor``), and ``overflow`` the exponent rows of its
+    overflow columns; these three are None for a key ``table_monomials``
+    refuses, whose table is never built.
+    """
+
+    adjoint: sp.csc_matrix
+    S: sp.csc_matrix | None
+    N: np.ndarray | None
+    overflow: np.ndarray | None
+
+
+# 8 entries hold the 7 (slot count, cap) keys of the closure-chains benchmark
+# pass; the largest admitted table is 16.8 MiB (notes/decisions.md,
+# "Structure constants once per process")
+@functools.lru_cache(maxsize=8)
+def _structure_constants(slot_count: int, degree_cap: int) -> _Constants:
+    """The bracket table and adjoint map of the monomials of degree at most
+    ``degree_cap`` on ``slot_count`` slots, built once per process.
+
+    They depend on the two integers alone: a closure on any ``slot_count``
+    modes of any mode count reads the same arrays, over its own slots.  The
+    arrays are read-only, so threads may share them.
+    """
+    rows = _exponent_rows(slot_count, degree_cap)
+    E = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * slot_count)
+    arrays = [_adjoint_matrix(E)]
+    try:
+        table_monomials(degree_cap, slot_count)
+        arrays += _bracket_table(E)
+    except CapError:  # only skew_monomial_generators asks for such a key
+        arrays += [None] * 3
+    for a in arrays:
+        for part in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+            if part is not None:
+                part.flags.writeable = False
+    return _Constants(*arrays)
+
+
+def _bracket_table(E):
+    """``(S, N, overflow)`` of ``_StructureTensor`` for the monomials with
+    exponent rows E (see ``_Constants``)."""
+    n = len(E)
+    A, B = E[:, 0::2], E[:, 1::2]
+    I, J = np.triu_indices(n, 1)
+    F = _contraction_counts(int(E.max(initial=0)))
+    # Per mode, (q^a p^b)(q^c p^d) and (q^c p^d)(q^a p^b) share the term
+    # q^(a+c-k) p^(b+d-k) with weights F[b, c, k] (-i)^k and F[d, a, k] (-i)^k.
+    # Expand every pair over its k, mode by mode: distinct k-vectors give
+    # distinct monomials, so each coefficient is one exact Gaussian integer.
+    pair = np.arange(I.size)
+    alpha, beta = np.ones(I.size), np.ones(I.size)
+    ksum = np.zeros(I.size, dtype=np.int64)
+    out = np.zeros((I.size, 0), dtype=np.int64)
+    for s in range(E.shape[1] // 2):
+        ai, bi, aj, bj = A[I[pair], s], B[I[pair], s], A[J[pair], s], B[J[pair], s]
+        counts = np.maximum(np.minimum(bi, aj), np.minimum(bj, ai)) + 1
+        rep = np.repeat(np.arange(pair.size), counts)
+        k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ai, bi, aj, bj = ai[rep], bi[rep], aj[rep], bj[rep]
+        pair, ksum = pair[rep], ksum[rep] + k
+        alpha = alpha[rep] * F[bi, aj, k]
+        beta = beta[rep] * F[bj, ai, k]
+        out = np.column_stack([out[rep], ai + aj - k, bi + bj - k])
+    keep = alpha != beta
+    pair, out = pair[keep], out[keep]
+    coeff = (alpha[keep] - beta[keep]) * np.array([1, -1j, -1, 1j])[ksum[keep] % 4]
+
+    rows = np.concatenate([E, out])
+    _, first, inverse = np.unique(_lex_rank(rows), return_index=True,
+                                  return_inverse=True)
+    col_of = np.full(first.size, -1)
+    col_of[inverse[:n]] = np.arange(n)
+    over = np.flatnonzero(col_of < 0)
+    col_of[over] = n + np.arange(over.size)
+    col = col_of[inverse[n:]]
+    n_ext = n + over.size
+
+    i = np.concatenate([I[pair], J[pair]])
+    j = np.concatenate([J[pair], I[pair]])
+    col = np.concatenate([col, col])
+    coeff = np.concatenate([coeff, -coeff])
+    S = sp.csc_matrix((coeff, (i * n_ext + col, j)), shape=(n * n_ext, n))
+    incap = col < n
+    N = np.sqrt(np.bincount(i[incap] * n + j[incap], np.abs(coeff[incap]) ** 2,
+                            minlength=n * n)).reshape(n, n)
+    return [S, N, rows[first[over]]]
+
+
 class _StructureTensor:
     """Every bracket [m_i, m_j] of the basis monomials in one sparse table.
 
@@ -582,57 +681,23 @@ class _StructureTensor:
     T[i, j, col] at row ``i * n_ext + col``, column ``j``, so that
     M_y = sum_j y_j T[:, j, :] reads only the columns j with y_j != 0.
     ``N[i, j]`` is the norm of the in-cap part of [m_i, m_j].  It takes
-    ``_monomial_table``'s monomials, slots and exponent rows.
+    ``_monomial_table``'s monomials and slots and the cap.  ``S`` and ``N``
+    are ``_structure_constants``' shared read-only arrays for the slot count
+    and cap; ``columns``, the one part that names modes, embeds the overflow
+    rows on this table's slots when first read.
     """
 
-    def __init__(self, monomials, slots, E):
-        n = len(monomials)
-        A, B = E[:, 0::2], E[:, 1::2]
-        I, J = np.triu_indices(n, 1)
-        F = _contraction_counts(int(E.max()))
-        # Per mode, (q^a p^b)(q^c p^d) and (q^c p^d)(q^a p^b) share the term
-        # q^(a+c-k) p^(b+d-k) with weights F[b, c, k] (-i)^k and F[d, a, k] (-i)^k.
-        # Expand every pair over its k, mode by mode: distinct k-vectors give
-        # distinct monomials, so each coefficient is one exact Gaussian integer.
-        pair = np.arange(I.size)
-        alpha, beta = np.ones(I.size), np.ones(I.size)
-        ksum = np.zeros(I.size, dtype=np.int64)
-        out = np.zeros((I.size, 0), dtype=np.int64)
-        for s in range(len(slots)):
-            ai, bi, aj, bj = A[I[pair], s], B[I[pair], s], A[J[pair], s], B[J[pair], s]
-            counts = np.maximum(np.minimum(bi, aj), np.minimum(bj, ai)) + 1
-            rep = np.repeat(np.arange(pair.size), counts)
-            k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            ai, bi, aj, bj = ai[rep], bi[rep], aj[rep], bj[rep]
-            pair, ksum = pair[rep], ksum[rep] + k
-            alpha = alpha[rep] * F[bi, aj, k]
-            beta = beta[rep] * F[bj, ai, k]
-            out = np.column_stack([out[rep], ai + aj - k, bi + bj - k])
-        keep = alpha != beta
-        pair, out = pair[keep], out[keep]
-        coeff = (alpha[keep] - beta[keep]) * np.array([1, -1j, -1, 1j])[ksum[keep] % 4]
+    def __init__(self, monomials, slots, degree_cap: int):
+        constants = _structure_constants(len(slots), degree_cap)
+        self.S, self.N, self._overflow = constants.S, constants.N, constants.overflow
+        self.n, self.n_ext = len(monomials), len(monomials) + len(constants.overflow)
+        self._monomials, self._slots = monomials, slots
 
-        rows = np.concatenate([E, out])
-        _, first, inverse = np.unique(_lex_rank(rows), return_index=True,
-                                      return_inverse=True)
-        col_of = np.full(first.size, -1)
-        col_of[inverse[:n]] = np.arange(n)
-        over = np.flatnonzero(col_of < 0)
-        col_of[over] = n + np.arange(over.size)
-        col = col_of[inverse[n:]]
-        self.n, self.n_ext = n, n + over.size
-        self.columns = tuple(monomials) + tuple(
-            _embed(row, slots, len(monomials[0])) for row in rows[first[over]].tolist())
-
-        i = np.concatenate([I[pair], J[pair]])
-        j = np.concatenate([J[pair], I[pair]])
-        col = np.concatenate([col, col])
-        coeff = np.concatenate([coeff, -coeff])
-        self.S = sp.csc_matrix((coeff, (i * self.n_ext + col, j)),
-                               shape=(n * self.n_ext, n))
-        incap = col < n
-        self.N = np.sqrt(np.bincount(i[incap] * n + j[incap], np.abs(coeff[incap]) ** 2,
-                                     minlength=n * n)).reshape(n, n)
+    @functools.cached_property
+    def columns(self) -> tuple:
+        mode_count = len(self._monomials[0])
+        return tuple(self._monomials) + tuple(
+            _embed(row, self._slots, mode_count) for row in self._overflow.tolist())
 
     def product(self, y: np.ndarray):
         """``(M_y[:, cols], cols)`` for the columns ``cols`` of M_y with a nonzero.
@@ -738,11 +803,11 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
 
     support = sorted(set().union(*(g.support for g in generators))) or [0]
     n = table_monomials(degree_cap, len(support))
-    monomials, slots, E = _monomial_table(mode_count, support, degree_cap)
+    monomials, slots = _monomial_table(mode_count, support, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
 
     G, _ = _coefficients(generators, index)
-    defect = G + (_adjoint_matrix(E) @ G.conj().T).T
+    defect = G + (_structure_constants(len(slots), degree_cap).adjoint @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
     bad = np.flatnonzero(np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0))
     if bad.size:
@@ -753,7 +818,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         if span.capped:
             break
 
-    tensor = _StructureTensor(monomials, slots, E)
+    tensor = _StructureTensor(monomials, slots, degree_cap)
     degree_capped = False
     # brackets are antisymmetric and [x, x] = 0: pair element i with earlier
     # ones only.  The in-cap skew-hermitian space has real dimension n, so
@@ -795,8 +860,9 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     dimension per monomial (notes/decisions.md, "Propagation targets as
     vectors").
     """
-    monomials, _, E = _monomial_table(mode_count, modes, degree_cap)
-    T = 1j * (sp.identity(len(monomials), format="csc") + _adjoint_matrix(E))
+    monomials, slots = _monomial_table(mode_count, modes, degree_cap)
+    adjoint = _structure_constants(len(slots), degree_cap).adjoint
+    T = 1j * (sp.identity(len(monomials), format="csc") + adjoint)
     rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
     return [_trusted(mode_count, {monomials[i]: c for i, c in zip(rows[a:b], vals[a:b])}, SKEW)
             for a, b in zip(ptr, ptr[1:])]

@@ -132,6 +132,27 @@ def test_ladder_powers_are_built_once_per_mode_size():
     assert ladder_calls(memo) and ladder_calls(tree) == ladder_calls(memo)
 
 
+def test_structure_constants_are_built_once_per_key():
+    # a ratchet: the bracket table and the adjoint map are expanded (the
+    # np.repeat over contractions) only for weyl._structure_constants, one
+    # lru_cache bounded by an integer maxsize and keyed by (slot count, cap)
+    # (notes/decisions.md, "Structure constants once per process"), never per
+    # closure or per target list
+    assert {site for site in _call_sites("repeat") if site[0] == "weyl"} == {
+        ("weyl", "_adjoint_matrix"), ("weyl", "_bracket_table")}
+    for name in ("_adjoint_matrix", "_bracket_table"):
+        assert _call_sites(name) == {("weyl", "_structure_constants")}, name
+    tree = ast.parse((SRC / "weyl.py").read_text())
+    memos = [(node.name, d) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for d in node.decorator_list
+             if ast.unparse(getattr(d, "func", d)) in {"functools.lru_cache", "functools.cache"}]
+    assert [name for name, _ in memos] == ["_structure_constants"]
+    ((_, decorator),) = memos
+    assert isinstance(decorator, ast.Call) and ast.unparse(decorator.func) == "functools.lru_cache"
+    (maxsize,) = [k.value for k in decorator.keywords if k.arg == "maxsize"] or decorator.args
+    assert isinstance(maxsize, ast.Constant) and type(maxsize.value) is int
+
+
 def test_grid_kernel_is_one_matrix_product():
     # a ratchet: the scan kernel forms the rows' cos A, sin A against the
     # column factor's cos C, -sin C as one GEMM of inner size 2N per slice of

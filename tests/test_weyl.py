@@ -1,6 +1,8 @@
 import math
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -154,10 +156,11 @@ def test_closure_cost_does_not_grow_with_the_mode_count():
 @pytest.mark.parametrize("mode_count, support, cap", [
     (1, [0], 6), (3, [2, 0], 3), (6, [4, 1], 4), (5, [3], 0)])
 def test_monomial_order_is_the_full_width_order(mode_count, support, cap):
-    monomials, slots, E = weyl._monomial_table(mode_count, support, cap)
+    monomials, slots = weyl._monomial_table(mode_count, support, cap)
     assert monomials == sorted(monomials, key=lambda m: (weyl.mono_degree(m), m))
     assert slots == sorted(support)
     full = np.array(monomials, dtype=np.int64).reshape(len(monomials), mode_count, 2)
+    E = np.array(weyl._exponent_rows(len(slots), cap), dtype=np.int64)
     assert np.array_equal(E, full[:, slots].reshape(len(monomials), -1))
     assert len(monomials) == math.comb(2 * len(slots) + cap, cap)
 
@@ -294,12 +297,10 @@ def _table_entries(table):
     return out
 
 
-@pytest.mark.parametrize("mode_count, cap, n_pairs", [
-    (1, 6, None), (2, 3, None), (2, 5, 200), (3, 3, 200)])
-def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
-    monomials, slots, E = weyl._monomial_table(mode_count, range(mode_count), cap)
+def _check_table_against_oracle(mode_count, support, cap, n_pairs):
+    monomials, slots = weyl._monomial_table(mode_count, support, cap)
     n = len(monomials)
-    table = weyl._StructureTensor(monomials, slots, E)
+    table = weyl._StructureTensor(monomials, slots, cap)
     assert table.columns[:n] == tuple(monomials)
     assert all(weyl.mono_degree(m) > cap for m in table.columns[n:])
     assert len(set(table.columns)) == table.n_ext
@@ -314,9 +315,104 @@ def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
         assert entries.get((i, j), {}) == expected, (monomials[i], monomials[j])
 
 
+@pytest.mark.parametrize("mode_count, cap, n_pairs", [
+    (1, 6, None), (2, 3, None), (2, 5, 200), (3, 3, 200)])
+def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
+    _check_table_against_oracle(mode_count, range(mode_count), cap, n_pairs)
+
+
+@pytest.mark.parametrize("mode_count, support, cap", [(4, [1, 3], 3), (5, [4, 0, 2], 2)])
+def test_cached_table_on_spread_support_matches_reordering_oracle(mode_count, support, cap):
+    # the table of as many leading modes is built first, so the spread support
+    # reads its cached arrays and only embeds the columns on its own modes
+    k = len(support)
+    weyl._StructureTensor(*weyl._monomial_table(k, range(k), cap), cap)
+    misses = weyl._structure_constants.cache_info().misses
+    _check_table_against_oracle(mode_count, support, cap, None)
+    assert weyl._structure_constants.cache_info().misses == misses
+
+
+def _closure_summary(basis):
+    return (basis.dim, basis.saturated, basis.degree_capped, basis.dim_capped,
+            [b.to_text() for b in basis.basis], basis._span.vecs.tobytes())
+
+
+def test_closures_of_one_slot_count_and_cap_share_one_table():
+    # modes {1, 3} of four and modes {0, 1} of two: the same (2, 4) entry, and
+    # the same coordinates over it
+    weyl._structure_constants.cache_clear()
+    wide = weyl.lie_closure([PolyOp.from_text(t, 4) for t in
+                             ("(0,1) * q2^2", "(0,1) * p4^2", "(0,1) * q2 q4")], 4, 64)
+    narrow = weyl.lie_closure([PolyOp.from_text(t, 2) for t in
+                               ("(0,1) * q1^2", "(0,1) * p2^2", "(0,1) * q1 q2")], 4, 64)
+    info = weyl._structure_constants.cache_info()
+    assert (info.currsize, info.misses) == (1, 1) and info.hits >= 3
+    assert _closure_summary(wide)[:4] == _closure_summary(narrow)[:4]
+    assert wide._span.vecs.tobytes() == narrow._span.vecs.tobytes()
+
+
+def test_cold_and_cached_runs_agree_bit_for_bit():
+    # a coupling that commutes with the local algebra: the verdict fails and
+    # names its missing targets, read from the cached adjoint map
+    runs = []
+    for clear in (True, False):
+        if clear:
+            weyl._structure_constants.cache_clear()
+        res = weyl.algebraic_propagation_check(weyl.local_skew_generators(0, 2, 3),
+                                               q(1, 2), 3, 256)
+        runs.append((res.verdict, [t.to_text() for t in res.missing],
+                     _closure_summary(res.closure),
+                     _closure_summary(weyl.lie_closure(_edge_generators(3), 3, 256))))
+    assert weyl._structure_constants.cache_info().misses == 2  # keys (1, 3) and (2, 3)
+    assert runs[0] == runs[1] and runs[0][0] == weyl.FAILS and runs[0][1]
+
+
+def test_cached_arrays_are_read_only():
+    table = weyl._StructureTensor(*weyl._monomial_table(2, [0, 1], 4), 4)
+    entry = weyl._structure_constants(2, 4)
+    assert table.S is entry.S and table.N is entry.N
+    arrays = [entry.N, entry.overflow] + [
+        part for m in (entry.adjoint, entry.S) for part in (m.data, m.indices, m.indptr)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_a_refused_key_holds_no_table():
+    # skew_monomial_generators takes any support; the 924 monomials of three
+    # modes at cap 6 are past TABLE_MONOMIALS, so only the adjoint map is kept
+    assert len(weyl.skew_monomial_generators(range(3), 3, 6)) == 924
+    entry = weyl._structure_constants(3, 6)
+    assert entry.adjoint.shape == (924, 924)
+    assert entry.S is None and entry.N is None and entry.overflow is None
+
+
+def test_threads_closing_at_one_key_match_the_serial_results():
+    # more workers than cores race on one cold (2, 4) entry
+    sets = [_edge_generators(4),
+            [iq2(2), ip2(2), skew_generator(q(1, 2) * q(0, 2))],
+            [iq(2), skew_generator(p(1, 2)), skew_generator(as_hermitian(q(1, 2) * q(1, 2)))],
+            [PolyOp.from_text(t, 4) for t in ("(0,1) * q2^2", "(0,1) * p4^2", "(0,1) * q2 q4")]]
+
+    def close(gens):
+        return _closure_summary(weyl.lie_closure(gens, 4, 256))
+
+    serial = [close(g) for g in sets]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            weyl._structure_constants.cache_clear()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(close, g) for g in sets]
+                assert [f.result(timeout=120) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(switch)
+
+
 @pytest.mark.parametrize("mode_count, cap", [(1, 10), (2, 4), (2, 6)])
 def test_restricted_product_is_csr_product_bit_for_bit(mode_count, cap):
-    table = weyl._StructureTensor(*weyl._monomial_table(mode_count, range(mode_count), cap))
+    table = weyl._StructureTensor(*weyl._monomial_table(mode_count, range(mode_count), cap), cap)
     n, n_ext = table.n, table.n_ext
     # the row-major table CSR S @ y reads, built from the same entries
     coo = table.S.tocoo()
@@ -636,14 +732,16 @@ def test_closure_rejects_caps_the_table_cannot_represent():
 
 def test_largest_accepted_tables_fit_the_budget():
     # the largest cap each support size accepts; 2 modes at cap 8 (495
-    # monomials) is the most expensive table the limits admit
+    # monomials) is the most expensive table the limits admit.  Each build is
+    # cold: a cached table costs nothing to read
     for mode_count in (1, 2, 3, 4):
         cap = max(c for c in range(1, weyl.MAX_DEGREE_CAP + 1)
                   if math.comb(2 * mode_count + c, c) <= weyl.TABLE_MONOMIALS)
         table = weyl._monomial_table(mode_count, range(mode_count), cap)
+        weyl._structure_constants.cache_clear()
         tracemalloc.start()
         try:
-            weyl._StructureTensor(*table)
+            weyl._StructureTensor(*table, cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
