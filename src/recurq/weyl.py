@@ -609,12 +609,13 @@ def _structure_constants(slot_count: int, degree_cap: int) -> _Constants:
     """
     rows = _exponent_rows(slot_count, degree_cap)
     E = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * slot_count)
-    arrays = [_adjoint_matrix(E)]
     try:
         table_monomials(degree_cap, slot_count)
-        arrays += _bracket_table(E)
     except CapError:  # only skew_monomial_generators asks for such a key
-        arrays += [None] * 3
+        table = [None] * 3
+    else:
+        table = _bracket_table(E)
+    arrays = [_adjoint_matrix(E), *table]
     for a in arrays:
         for part in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
             if part is not None:
