@@ -30,6 +30,11 @@ EXIT_USAGE = 2
 # -- config schemas -----------------------------------------------------------
 
 _POLY = {"type": "string"}
+# A finite net's states are each drawn, overlapped with every eigenvector and,
+# in compile, evolved through every word, like the run's own state: 256 of
+# them at the fock.MAX_DIM limit hold 16 MiB and repeat that work 256 times.
+MAX_NET_SIZE = 256
+_NET_SIZE = {"type": "integer", "minimum": 1, "maximum": MAX_NET_SIZE}
 _HAMILTONIAN = {
     "type": "object",
     "properties": {
@@ -40,7 +45,8 @@ _HAMILTONIAN = {
         "level_formula": {
             "type": "object",
             "properties": {
-                "count": {"type": "integer", "minimum": 1},
+                # no more levels than a poly hamiltonian's Fock space can have
+                "count": {"type": "integer", "minimum": 1, "maximum": fock.MAX_DIM},
                 "coeffs": {"type": "array", "items": {"type": "number"}},
             },
             "required": ["count", "coeffs"],
@@ -70,7 +76,7 @@ _INVERTER = {
         "mode": {"enum": ["exact", "pointwise", "finite_net", "energy_bound"]},
         "delta": {"type": "number", "exclusiveMinimum": 0},
         "t_max": {"type": "number", "exclusiveMinimum": 0},
-        "net_size": {"type": "integer", "minimum": 1},
+        "net_size": _NET_SIZE,
         # keyed by generator index in its one spelling; \Z, as Python's $
         # also matches before a trailing newline
         "energy_bounds": {"type": "object",
@@ -120,7 +126,7 @@ SCHEMAS = {
             "delta": {"type": "number", "exclusiveMinimum": 0},
             "mode": {"enum": ["pointwise", "finite_net", "energy_bound"]},
             "state": _STATE,
-            "net_size": {"type": "integer", "minimum": 1},
+            "net_size": _NET_SIZE,
             "energy_bound": {"type": "number", "exclusiveMinimum": 0},
             "tau_min": {"type": "number", "minimum": 0},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
@@ -136,7 +142,7 @@ SCHEMAS = {
             "mode": {"enum": ["pointwise", "finite_net", "energy_bound"]},
             "s": {"type": "number", "minimum": 0},
             "state": _STATE,
-            "net_size": {"type": "integer", "minimum": 1},
+            "net_size": _NET_SIZE,
             "energy_bound": {"type": "number", "exclusiveMinimum": 0},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
             "grid_step": {"type": "number", "exclusiveMinimum": 0},

@@ -40,12 +40,14 @@ DEFAULT_DEGREE_CAP = 6
 DEFAULT_DIM_CAP = 64
 
 # Bracket-table limits: structure constants are exact through cap 16, and
-# TABLE_MONOMIALS keeps the build's peak memory below TABLE_BUDGET_MB.  A
-# built table stays in _structure_constants' cache of 8 entries: at most
-# about 8 x 17 MiB of tables held for the life of the process.
+# TABLE_MONOMIALS and TABLE_PAIR_EXPONENTS (a wide support at a low cap peaks
+# near 25-31 bytes per pair exponent) keep the build's peak memory below
+# TABLE_BUDGET_MB.  A built table stays in _structure_constants' cache of 8
+# entries: at most about 8 x 17 MiB of tables held for the life of the process.
 MAX_DEGREE_CAP = 16
 TABLE_MONOMIALS = 500
 TABLE_BUDGET_MB = 160
+TABLE_PAIR_EXPONENTS = 4_000_000
 
 # Largest mode count of a symbolic operator: every monomial is a tuple of one
 # exponent pair per mode, so each product and role check grows with it.
@@ -467,23 +469,13 @@ def _coefficients(ops, index: dict):
 def _adjoint_matrix(E):
     """Sparse A with column j the coefficient vector of m_j^dag, so that
     vec(X^dag) = A @ conj(vec(X)), for the monomials with exponent rows E.
-    Per mode (q^a p^b)^dag = p^b q^a = sum_k F[b, a, k] (-i)^k q^(a-k)
-    p^(b-k): an enumerated list holds it."""
+    Per mode (q^a p^b)^dag = p^b q^a: the x.y terms of the rows p^b, q^a of PQ."""
     n = len(E)
-    F = _contraction_counts(int(E.max(initial=0)))
-    col, ksum, out, weight = np.arange(n), np.zeros(n, dtype=np.int64), E, np.ones(n)
-    for s in range(E.shape[1] // 2):
-        a, b = out[:, 2 * s], out[:, 2 * s + 1]
-        counts = np.minimum(a, b) + 1
-        rep = np.repeat(np.arange(col.size), counts)
-        k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        weight = weight[rep] * F[b[rep], a[rep], k]
-        col, ksum, out = col[rep], ksum[rep] + k, out[rep]
-        out[:, 2 * s:2 * s + 2] -= k[:, None]
-    keys = _lex_rank(np.concatenate([E, out]))
-    order = np.argsort(keys[:n])
-    row = order[np.searchsorted(keys[:n], keys[n:], sorter=order)]
-    vals = weight * np.array([1, -1j, -1, 1j])[ksum % 4]
+    PQ = np.zeros((2 * n, E.shape[1]), dtype=np.int64)
+    PQ[:n, 1::2], PQ[n:, 0::2] = E[:, 1::2], E[:, 0::2]
+    col, ksum, alpha, _, out = _expand(PQ, np.arange(n), n + np.arange(n))
+    row, _ = _columns(E, out)
+    vals = alpha * np.array([1, -1j, -1, 1j])[ksum % 4]
     # the expansion keeps the columns in order
     return sp.csc_matrix((vals, row, np.searchsorted(col, np.arange(n + 1))), shape=(n, n))
 
@@ -566,33 +558,85 @@ def table_monomials(degree_cap: int, modes: int) -> int:
     """Monomials of the bracket table at ``degree_cap`` on ``modes`` modes.
 
     Raises CapError when the table cannot represent that cap: above
-    MAX_DEGREE_CAP, or with more than TABLE_MONOMIALS monomials.
+    MAX_DEGREE_CAP, or with more than TABLE_MONOMIALS monomials or
+    TABLE_PAIR_EXPONENTS exponents over all monomial pairs.
     """
     if degree_cap > MAX_DEGREE_CAP:
         raise CapError(f"degree_cap {degree_cap} exceeds {MAX_DEGREE_CAP}, the largest cap "
                        f"with exact structure constants")
     n = math.comb(2 * modes + degree_cap, degree_cap)
-    if n > TABLE_MONOMIALS:
-        raise CapError(f"degree_cap {degree_cap} on {modes} modes gives {n} "
-                       f"monomials; the bracket table takes at most {TABLE_MONOMIALS} "
-                       f"({TABLE_BUDGET_MB} MB budget)")
+    size = n * (n - 1) * modes  # the exponents of every pair, 2 * modes each
+    if n > TABLE_MONOMIALS or size > TABLE_PAIR_EXPONENTS:
+        raise CapError(f"degree_cap {degree_cap} on {modes} modes gives {n} monomials and "
+                       f"{size} pair exponents; the bracket table takes at most "
+                       f"{TABLE_MONOMIALS} and {TABLE_PAIR_EXPONENTS} ({TABLE_BUDGET_MB} MB budget)")
     return n
 
 
 class _Constants(NamedTuple):
-    """The arrays of one ``_structure_constants`` key, all read-only.
+    """The read-only arrays of one ``_structure_constants`` key.
 
-    ``adjoint`` is the adjoint map of the monomials of ``_exponent_rows``.
-    ``S`` and ``N`` are their bracket table and its in-cap norms
-    (``_StructureTensor``), and ``overflow`` the exponent rows of its
-    overflow columns; these three are None for a key ``table_monomials``
-    refuses, whose table is never built.
+    ``adjoint`` is the adjoint map of the n monomials of ``_exponent_rows``.
+    ``S`` holds every bracket [m_i, m_j] in one sparse table over n_ext
+    columns: the n in-cap monomials followed by the overflow monomials
+    (degree above the cap, exponent rows ``overflow``) that some bracket
+    produces.  T[i, j, col] is stored column-major, at row ``i * n_ext +
+    col``, column ``j`` of the CSC matrix ``S``, so that M_y = sum_j y_j
+    T[:, j, :] reads only the columns j with y_j != 0.  ``N[i, j]`` is the
+    norm of the in-cap part of [m_i, m_j].  ``S``, ``N`` and ``overflow``
+    are None for a key ``table_monomials`` refuses, whose table is never
+    built.
     """
 
     adjoint: sp.csc_matrix
     S: sp.csc_matrix | None
     N: np.ndarray | None
     overflow: np.ndarray | None
+
+    @property
+    def n(self) -> int:
+        return self.N.shape[0]
+
+    @property
+    def n_ext(self) -> int:
+        return self.n + len(self.overflow)
+
+    def product(self, y: np.ndarray):
+        """``(M_y[:, cols], cols)`` for the columns ``cols`` of M_y with a nonzero.
+
+        The columns j of S with y_j != 0 are accumulated in ascending j, the
+        order in which CSR's ``S @ y`` sums each row; the terms it skips are
+        exact zeros, which leave a sum that starts at +0.0 unchanged, so
+        every entry equals ``S @ y`` bit for bit.
+        """
+        S, ptr = self.S, self.S.indptr
+        acc = np.zeros(self.n * self.n_ext, dtype=complex)
+        for j in np.flatnonzero(y):
+            a, b = ptr[j], ptr[j + 1]
+            acc[S.indices[a:b]] += S.data[a:b] * y[j]
+        My = acc.reshape(self.n, self.n_ext)
+        cols = np.flatnonzero(My.any(axis=0))
+        return My[:, cols], cols
+
+    def bracket_rows(self, rows: _RealSpan, i: int):
+        """Brackets [x_r, y] of the span's stored rows x_r, r < i, with y = x_i.
+
+        Returns ``(R, overflow)`` where R[r] is the in-cap coefficient vector
+        and overflow[r] is True when the bracket has a term of degree beyond
+        the cap above roundoff.
+        """
+        n = self.n
+        My, cols = self.product(rows.x[i])
+        P = rows.x[:i] @ My
+        incap = cols < n
+        R = np.zeros((i, n), dtype=complex)
+        R[:, cols[incap]] = P[:, incap]
+        # rows at the cancellation floor of their gross sum are roundoff zeros
+        gross = rows.mag[:i] @ (self.N @ rows.mag[i])
+        R[np.linalg.norm(R, axis=1) < 1e-11 * gross] = 0.0
+        lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_vec[i], 1e-300)
+        overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
+        return R, overflow
 
 
 # 8 entries hold the 7 (slot count, cap) keys of the closure-chains benchmark
@@ -624,43 +668,17 @@ def _structure_constants(slot_count: int, degree_cap: int) -> _Constants:
 
 
 def _bracket_table(E):
-    """``(S, N, overflow)`` of ``_StructureTensor`` for the monomials with
-    exponent rows E (see ``_Constants``)."""
+    """``(S, N, overflow)`` of ``_Constants`` for the monomials with exponent
+    rows E: the x.y - y.x terms of every pair i < j, the pairs j < i being
+    the same entries negated."""
     n = len(E)
-    A, B = E[:, 0::2], E[:, 1::2]
     I, J = np.triu_indices(n, 1)
-    F = _contraction_counts(int(E.max(initial=0)))
-    # Per mode, (q^a p^b)(q^c p^d) and (q^c p^d)(q^a p^b) share the term
-    # q^(a+c-k) p^(b+d-k) with weights F[b, c, k] (-i)^k and F[d, a, k] (-i)^k.
-    # Expand every pair over its k, mode by mode: distinct k-vectors give
-    # distinct monomials, so each coefficient is one exact Gaussian integer.
-    pair = np.arange(I.size)
-    alpha, beta = np.ones(I.size), np.ones(I.size)
-    ksum = np.zeros(I.size, dtype=np.int64)
-    out = np.zeros((I.size, 0), dtype=np.int64)
-    for s in range(E.shape[1] // 2):
-        ai, bi, aj, bj = A[I[pair], s], B[I[pair], s], A[J[pair], s], B[J[pair], s]
-        counts = np.maximum(np.minimum(bi, aj), np.minimum(bj, ai)) + 1
-        rep = np.repeat(np.arange(pair.size), counts)
-        k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        ai, bi, aj, bj = ai[rep], bi[rep], aj[rep], bj[rep]
-        pair, ksum = pair[rep], ksum[rep] + k
-        alpha = alpha[rep] * F[bi, aj, k]
-        beta = beta[rep] * F[bj, ai, k]
-        out = np.column_stack([out[rep], ai + aj - k, bi + bj - k])
+    pair, ksum, alpha, beta, out = _expand(E, I, J)
     keep = alpha != beta
     pair, out = pair[keep], out[keep]
     coeff = (alpha[keep] - beta[keep]) * np.array([1, -1j, -1, 1j])[ksum[keep] % 4]
-
-    rows = np.concatenate([E, out])
-    _, first, inverse = np.unique(_lex_rank(rows), return_index=True,
-                                  return_inverse=True)
-    col_of = np.full(first.size, -1)
-    col_of[inverse[:n]] = np.arange(n)
-    over = np.flatnonzero(col_of < 0)
-    col_of[over] = n + np.arange(over.size)
-    col = col_of[inverse[n:]]
-    n_ext = n + over.size
+    col, overflow = _columns(E, out)
+    n_ext = n + len(overflow)
 
     i = np.concatenate([I[pair], J[pair]])
     j = np.concatenate([J[pair], I[pair]])
@@ -670,81 +688,56 @@ def _bracket_table(E):
     incap = col < n
     N = np.sqrt(np.bincount(i[incap] * n + j[incap], np.abs(coeff[incap]) ** 2,
                             minlength=n * n)).reshape(n, n)
-    return [S, N, rows[first[over]]]
+    return [S, N, overflow]
 
 
-class _StructureTensor:
-    """Every bracket [m_i, m_j] of the basis monomials in one sparse table.
+def _expand(E, I, J):
+    """Every term of the products x.y and y.x of the exponent rows x = E[I[t]]
+    and y = E[J[t]] of each pair t, as ``(pair, ksum, alpha, beta, out)``.
 
-    ``columns`` lists the n in-cap monomials followed by the overflow
-    monomials (degree above the cap) that some bracket produces.  The table
-    T[i, j, col] is stored column-major, as the CSC matrix ``S`` with
-    T[i, j, col] at row ``i * n_ext + col``, column ``j``, so that
-    M_y = sum_j y_j T[:, j, :] reads only the columns j with y_j != 0.
-    ``N[i, j]`` is the norm of the in-cap part of [m_i, m_j].  It takes
-    ``_monomial_table``'s monomials and slots and the cap.  ``S`` and ``N``
-    are ``_structure_constants``' shared read-only arrays for the slot count
-    and cap; ``columns``, the one part that names modes, embeds the overflow
-    rows on this table's slots when first read.
+    Per mode, (q^a p^b)(q^c p^d) and (q^c p^d)(q^a p^b) share the term
+    q^(a+c-k) p^(b+d-k) with weights F[b, c, k] (-i)^k and F[d, a, k] (-i)^k.
+    Every pair is expanded over its k, mode by mode: term u is the monomial
+    with exponent row out[u] of pair pair[u], whose k sum to ksum[u], with
+    weight alpha[u] (-i)^ksum[u] in x.y and beta[u] (-i)^ksum[u] in y.x.
+    Distinct k-vectors give distinct monomials, so each weight is one exact
+    integer.  Each mode gathers its own exponents: the pairs' rows of E would
+    hold 2 x pairs x 2 slots integers at once.
     """
-
-    def __init__(self, monomials, slots, degree_cap: int):
-        constants = _structure_constants(len(slots), degree_cap)
-        self.S, self.N, self._overflow = constants.S, constants.N, constants.overflow
-        self.n, self.n_ext = len(monomials), len(monomials) + len(constants.overflow)
-        self._monomials, self._slots = monomials, slots
-
-    @functools.cached_property
-    def columns(self) -> tuple:
-        mode_count = len(self._monomials[0])
-        return tuple(self._monomials) + tuple(
-            _embed(row, self._slots, mode_count) for row in self._overflow.tolist())
-
-    def product(self, y: np.ndarray):
-        """``(M_y[:, cols], cols)`` for the columns ``cols`` of M_y with a nonzero.
-
-        The columns j of S with y_j != 0 are accumulated in ascending j, the
-        order in which CSR's ``S @ y`` sums each row; the terms it skips are
-        exact zeros, which leave a sum that starts at +0.0 unchanged, so
-        every entry equals ``S @ y`` bit for bit.
-        """
-        S, ptr = self.S, self.S.indptr
-        acc = np.zeros(self.n * self.n_ext, dtype=complex)
-        for j in np.flatnonzero(y):
-            a, b = ptr[j], ptr[j + 1]
-            acc[S.indices[a:b]] += S.data[a:b] * y[j]
-        My = acc.reshape(self.n, self.n_ext)
-        cols = np.flatnonzero(My.any(axis=0))
-        return My[:, cols], cols
-
-    def bracket_rows(self, rows: _RealSpan, i: int):
-        """Brackets [x_r, y] of the span's stored rows x_r, r < i, with y = x_i.
-
-        Returns ``(R, overflow)`` where R[r] is the in-cap coefficient vector
-        and overflow[r] is True when the bracket has a term of degree beyond
-        the cap above roundoff.
-        """
-        My, cols = self.product(rows.x[i])
-        P = rows.x[:i] @ My
-        incap = cols < self.n
-        R = np.zeros((i, self.n), dtype=complex)
-        R[:, cols[incap]] = P[:, incap]
-        # rows at the cancellation floor of their gross sum are roundoff zeros
-        gross = rows.mag[:i] @ (self.N @ rows.mag[i])
-        R[np.linalg.norm(R, axis=1) < 1e-11 * gross] = 0.0
-        lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_vec[i], 1e-300)
-        overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
-        return R, overflow
+    exps = range(int(E.max(initial=0)) + 1)
+    # F[b, c, k] = C(b, k) C(c, k) k!, the weight of k contractions in p^b q^c
+    F = np.array([[[math.comb(b, k) * math.comb(c, k) * math.factorial(k) for k in exps]
+                   for c in exps] for b in exps], dtype=float)
+    pair = np.arange(I.size)
+    alpha, beta = np.ones(I.size), np.ones(I.size)
+    ksum = np.zeros(I.size, dtype=np.int64)
+    out = np.zeros((I.size, 0), dtype=np.int64)
+    for s in range(E.shape[1] // 2):
+        i, j = I[pair], J[pair]
+        a, b, c, d = E[i, 2 * s], E[i, 2 * s + 1], E[j, 2 * s], E[j, 2 * s + 1]
+        counts = np.maximum(np.minimum(b, c), np.minimum(d, a)) + 1
+        rep = np.repeat(np.arange(pair.size), counts)
+        k = np.arange(rep.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b, c, d = a[rep], b[rep], c[rep], d[rep]
+        pair, ksum = pair[rep], ksum[rep] + k
+        alpha = alpha[rep] * F[b, c, k]
+        beta = beta[rep] * F[d, a, k]
+        out = np.column_stack([out[rep], a + c - k, b + d - k])
+    return pair, ksum, alpha, beta, out
 
 
-def _contraction_counts(top: int) -> np.ndarray:
-    """F[b, c, k] = C(b, k) C(c, k) k!, the weight of k contractions in p^b q^c."""
-    F = np.zeros((top + 1,) * 3)
-    for b in range(top + 1):
-        for c in range(top + 1):
-            for k in range(min(b, c) + 1):
-                F[b, c, k] = math.comb(b, k) * math.comb(c, k) * math.factorial(k)
-    return F
+def _columns(E, out):
+    """``(col, overflow)``: the column of each exponent row of ``out``, its
+    index in E or else n plus its index in ``overflow``, the rows not in E
+    in ``_lex_rank`` order."""
+    n = len(E)
+    rows = np.concatenate([E, out])
+    _, first, inverse = np.unique(_lex_rank(rows), return_index=True, return_inverse=True)
+    col_of = np.full(first.size, -1)
+    col_of[inverse[:n]] = np.arange(n)
+    over = np.flatnonzero(col_of < 0)
+    col_of[over] = n + np.arange(over.size)
+    return col_of[inverse[n:]], rows[first[over]]
 
 
 def _lex_rank(rows: np.ndarray) -> np.ndarray:
@@ -753,15 +746,16 @@ def _lex_rank(rows: np.ndarray) -> np.ndarray:
     width, top = rows.shape[1], int(rows.sum(axis=1).max())
     if math.comb(width + top, top) >= 2 ** 62:
         raise ValueError("monomial space too large for the bracket table")
-    # C[a, b] = C(a, b); r-tuples with sum <= d number C(r + d, r)
-    C = np.array([[math.comb(a, b) for b in range(width + 1)]
-                  for a in range(width + top + 2)], dtype=np.int64)
+    # C[r, d] = C(r + d + 1, r + 1), at most C(width + top, top): only the
+    # entries read below, as the full table of C(a, b) overflows int64
+    C = np.array([[math.comb(r + d + 1, r + 1) for d in range(top + 1)]
+                  for r in range(width)], dtype=np.int64)
     key = np.zeros(len(rows), dtype=np.int64)
     room = np.full(len(rows), top)
     for t in range(width):
         r, e = width - t - 1, rows[:, t]
         # rows with a smaller exponent here: sum_{v < e} C(r + room - v, r)
-        key += C[r + room + 1, r + 1] - C[r + room - e + 1, r + 1]
+        key += C[r, room] - C[r, room - e]
         room -= e
     return key
 
@@ -807,8 +801,9 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
     monomials, slots = _monomial_table(mode_count, support, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
 
+    constants = _structure_constants(len(slots), degree_cap)
     G, _ = _coefficients(generators, index)
-    defect = G + (_structure_constants(len(slots), degree_cap).adjoint @ G.conj().T).T
+    defect = G + (constants.adjoint @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
     bad = np.flatnonzero(np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0))
     if bad.size:
@@ -819,7 +814,6 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         if span.capped:
             break
 
-    tensor = _StructureTensor(monomials, slots, degree_cap)
     degree_capped = False
     # brackets are antisymmetric and [x, x] = 0: pair element i with earlier
     # ones only.  The in-cap skew-hermitian space has real dimension n, so
@@ -828,7 +822,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
     # the full space")
     i = 1
     while i < span.dim and not span.capped and not (degree_capped and span.dim == n):
-        R, over = tensor.bracket_rows(span, i)
+        R, over = constants.bracket_rows(span, i)
         degree_capped |= bool(over.any())
         rows = np.flatnonzero(~over & R.any(axis=1))
         # the span only grows, so rows dependent on it now stay dependent

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -507,6 +508,26 @@ def test_uncapped_closures_exit_usage(sub, config, path, tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+def test_wide_cap1_closures_build_or_exit_usage(tmp_path, capsys):
+    # at cap 1 the 2m + 1 monomials of m modes stay below TABLE_MONOMIALS up
+    # to 249 modes, but the table's pair exponents grow as m^3: 33 modes
+    # build (their exponent-row keys overflowed int64 once), 249 are refused
+    # before any array is built
+    def config(m):
+        return {"mode_count": m, "degree_cap": 1,
+                "generators": [f"(0,1) * q{k + 1}" for k in range(m)]}
+
+    rc_code, out = run("closure", config(33), tmp_path, name="narrow")
+    report = json.loads((out / "report.json").read_text())
+    assert rc_code == cli.EXIT_OK and (report["dim"], report["saturated"]) == (33, True)
+    start = time.perf_counter()
+    rc_code, _ = run("closure", config(249), tmp_path, name="wide")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE and "Traceback" not in err
+    assert err.startswith("error: $.degree_cap: ") and f"{weyl.TABLE_PAIR_EXPONENTS}" in err
+
+
 @pytest.mark.parametrize("sub,extra", [
     ("commutator", {"k": 0, "l": 1, "t": 0.5, "n": 2}),
     ("compile", {"target": {"op": "bracket", "left": GEN(0), "right": GEN(1)}, "t": 0.25,
@@ -913,6 +934,17 @@ UNTYPED_FIELDS = {
                "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.mode_count"),
     ("recur", {"hamiltonian": {"poly": "(1,0) * q1^2", "mode_count": 10 ** 20},
                "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.mode_count"),
+    *[("recur", {"hamiltonian": {"level_formula": {"count": count, "coeffs": [0.0, 1.0]}},
+                 "delta": 0.1, "mode": "energy_bound", "energy_bound": 0.1},
+       "$.hamiltonian.level_formula.count") for count in (fock.MAX_DIM + 1, 10 ** 11)],
+    *[("recur", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "finite_net",
+                 "net_size": size}, "$.net_size") for size in (cli.MAX_NET_SIZE + 1, 10 ** 9)],
+    ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "finite_net", "s": 1.0,
+                "net_size": cli.MAX_NET_SIZE + 1}, "$.net_size"),
+    ("compile", {"system": QP_SYSTEM, "target": {"op": "scale", "factor": -1.0, "inner": 1},
+                 "t": 0.5, "epsilon": 0.1, "n_budget": 4,
+                 "inverter": {"mode": "finite_net", "delta": 0.1,
+                              "net_size": cli.MAX_NET_SIZE + 1}}, "$.inverter.net_size"),
     # the grid's curvature bound (step / 2)^2 overflowed into a traceback
     ("recur", {"hamiltonian": HARMONIC, "delta": 0.001, "mode": "pointwise",
                "tau_min": 1.0, "grid_step": 1e308}, "$.grid_step"),
@@ -932,6 +964,8 @@ UNTYPED_FIELDS = {
         "propagation-n-modes-above-limit", "propagation-n-modes-1e20",
         "closure-mode-count-above-limit", "closure-mode-count-1e20",
         "recur-mode-count-above-limit", "recur-mode-count-1e20",
+        "level-count-above-limit", "level-count-1e11", "recur-net-size-above-limit",
+        "recur-net-size-1e9", "invert-net-size-above-limit", "inverter-net-size-above-limit",
         "recur-grid-step-overflows", "invert-grid-step-overflows", *UNTYPED_FIELDS])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)

@@ -28,6 +28,12 @@ def _call_sites(name):
     return sites
 
 
+def _class_names():
+    """Every class the package defines."""
+    return {node.name for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)}
+
+
 def _names(module):
     """Every name, attribute and imported name the module reads."""
     names = set()
@@ -65,10 +71,7 @@ def test_one_build_per_generator():
     assert _call_sites("EvolutionTable") == {("cli", "_build_system"), ("chains", "chain_demo")}
     assert _call_sites("as_hermitian") == {("chains", "coupling_hamiltonian")}
     assert _names("cli") & {"as_skew", "chain_table"} == set()
-    classes = {node.name for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.ClassDef)}
-    assert "GeneratorIndexError" not in classes
+    assert "GeneratorIndexError" not in _class_names()
 
 
 def test_one_recurrence_guarantee_path():
@@ -133,15 +136,19 @@ def test_ladder_powers_are_built_once_per_mode_size():
 
 
 def test_structure_constants_are_built_once_per_key():
-    # a ratchet: the bracket table and the adjoint map are expanded (the
-    # np.repeat over contractions) only for weyl._structure_constants, one
+    # a ratchet: the contraction rule is expanded (the np.repeat over
+    # contractions) in weyl._expand alone, for the bracket table and the
+    # adjoint map, and those only for weyl._structure_constants, one
     # lru_cache bounded by an integer maxsize and keyed by (slot count, cap)
     # (notes/decisions.md, "Structure constants once per process"), never per
-    # closure or per target list
+    # closure or per target list.  Its cached entry is the table object
+    # closures read: no per-closure _StructureTensor wraps it
     assert {site for site in _call_sites("repeat") if site[0] == "weyl"} == {
-        ("weyl", "_adjoint_matrix"), ("weyl", "_bracket_table")}
+        ("weyl", "_expand")}
+    assert _call_sites("_expand") == {("weyl", "_adjoint_matrix"), ("weyl", "_bracket_table")}
     for name in ("_adjoint_matrix", "_bracket_table"):
         assert _call_sites(name) == {("weyl", "_structure_constants")}, name
+    assert "_StructureTensor" not in _class_names()
     tree = ast.parse((SRC / "weyl.py").read_text())
     memos = [(node.name, d) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
              for d in node.decorator_list

@@ -287,24 +287,28 @@ def test_closure_brackets_close_in_span(rng):
                 assert basis.contains(as_skew(out))
 
 
-def _table_entries(table):
-    """{(i, j): {monomial: coeff}} of every nonzero table entry."""
+def _table_entries(table, columns):
+    """{(i, j): {monomial: coeff}} of every nonzero table entry, its columns
+    named by ``columns``."""
     coo = table.S.tocoo()
     rows, cols = np.divmod(coo.row, table.n_ext)
     out: dict = {}
     for i, col, j, c in zip(rows, cols, coo.col, coo.data):
-        out.setdefault((int(i), int(j)), {})[table.columns[col]] = c
+        out.setdefault((int(i), int(j)), {})[columns[col]] = c
     return out
 
 
 def _check_table_against_oracle(mode_count, support, cap, n_pairs):
     monomials, slots = weyl._monomial_table(mode_count, support, cap)
     n = len(monomials)
-    table = weyl._StructureTensor(monomials, slots, cap)
-    assert table.columns[:n] == tuple(monomials)
-    assert all(weyl.mono_degree(m) > cap for m in table.columns[n:])
-    assert len(set(table.columns)) == table.n_ext
-    entries = _table_entries(table)
+    table = weyl._structure_constants(len(slots), cap)
+    # the cached overflow rows, embedded on this support's own modes
+    overflow = tuple(weyl._embed(row, slots, mode_count) for row in table.overflow.tolist())
+    assert table.n == n and table.n_ext == n + len(overflow)
+    assert all(weyl.mono_degree(m) > cap for m in overflow)
+    columns = tuple(monomials) + overflow
+    assert len(set(columns)) == table.n_ext
+    entries = _table_entries(table, columns)
     if n_pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
@@ -324,9 +328,8 @@ def test_structure_table_matches_reordering_oracle(mode_count, cap, n_pairs):
 @pytest.mark.parametrize("mode_count, support, cap", [(4, [1, 3], 3), (5, [4, 0, 2], 2)])
 def test_cached_table_on_spread_support_matches_reordering_oracle(mode_count, support, cap):
     # the table of as many leading modes is built first, so the spread support
-    # reads its cached arrays and only embeds the columns on its own modes
-    k = len(support)
-    weyl._StructureTensor(*weyl._monomial_table(k, range(k), cap), cap)
+    # reads its cached arrays and only embeds the overflow rows on its own modes
+    weyl._structure_constants(len(support), cap)
     misses = weyl._structure_constants.cache_info().misses
     _check_table_against_oracle(mode_count, support, cap, None)
     assert weyl._structure_constants.cache_info().misses == misses
@@ -346,7 +349,7 @@ def test_closures_of_one_slot_count_and_cap_share_one_table():
     narrow = weyl.lie_closure([PolyOp.from_text(t, 2) for t in
                                ("(0,1) * q1^2", "(0,1) * p2^2", "(0,1) * q1 q2")], 4, 64)
     info = weyl._structure_constants.cache_info()
-    assert (info.currsize, info.misses) == (1, 1) and info.hits >= 3
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert _closure_summary(wide)[:4] == _closure_summary(narrow)[:4]
     assert wide._span.vecs.tobytes() == narrow._span.vecs.tobytes()
 
@@ -368,9 +371,8 @@ def test_cold_and_cached_runs_agree_bit_for_bit():
 
 
 def test_cached_arrays_are_read_only():
-    table = weyl._StructureTensor(*weyl._monomial_table(2, [0, 1], 4), 4)
     entry = weyl._structure_constants(2, 4)
-    assert table.S is entry.S and table.N is entry.N
+    assert weyl._structure_constants(2, 4) is entry
     arrays = [entry.N, entry.overflow] + [
         part for m in (entry.adjoint, entry.S) for part in (m.data, m.indices, m.indptr)]
     for a in arrays:
@@ -412,7 +414,7 @@ def test_threads_closing_at_one_key_match_the_serial_results():
 
 @pytest.mark.parametrize("mode_count, cap", [(1, 10), (2, 4), (2, 6)])
 def test_restricted_product_is_csr_product_bit_for_bit(mode_count, cap):
-    table = weyl._StructureTensor(*weyl._monomial_table(mode_count, range(mode_count), cap), cap)
+    table = weyl._structure_constants(mode_count, cap)
     n, n_ext = table.n, table.n_ext
     # the row-major table CSR S @ y reads, built from the same entries
     coo = table.S.tocoo()
@@ -466,7 +468,7 @@ def _record_brackets(monkeypatch):
         span_init(self, *args)
         spans.append(self)
 
-    bracket_rows = weyl._StructureTensor.bracket_rows
+    bracket_rows = weyl._Constants.bracket_rows
 
     def counted(self, rows, i):
         calls.append((spans[-1].dim, seen[0]))
@@ -475,7 +477,7 @@ def _record_brackets(monkeypatch):
         return R, over
 
     monkeypatch.setattr(weyl._RealSpan, "__init__", init)
-    monkeypatch.setattr(weyl._StructureTensor, "bracket_rows", counted)
+    monkeypatch.setattr(weyl._Constants, "bracket_rows", counted)
     return calls
 
 
@@ -730,18 +732,29 @@ def test_closure_rejects_caps_the_table_cannot_represent():
     assert weyl.lie_closure([iq(2), skew_generator(q(1, 2))], 8, 4).dim == 2
 
 
+def _admitted(cap, modes):
+    try:
+        weyl.table_monomials(cap, modes)
+    except weyl.CapError:
+        return False
+    return True
+
+
 def test_largest_accepted_tables_fit_the_budget():
     # the largest cap each support size accepts; 2 modes at cap 8 (495
-    # monomials) is the most expensive table the limits admit.  Each build is
-    # cold: a cached table costs nothing to read
-    for mode_count in (1, 2, 3, 4):
-        cap = max(c for c in range(1, weyl.MAX_DEGREE_CAP + 1)
-                  if math.comb(2 * mode_count + c, c) <= weyl.TABLE_MONOMIALS)
-        table = weyl._monomial_table(mode_count, range(mode_count), cap)
+    # monomials) is the most expensive table the monomial limit admits.  At
+    # cap 1 the pair-exponent limit binds first: the widest support it admits
+    # builds 2 m + 1 monomials of 2 m exponents each.  Each build is cold: a
+    # cached table costs nothing to read
+    keys = [(m, max(c for c in range(1, weyl.MAX_DEGREE_CAP + 1) if _admitted(c, m)))
+            for m in (1, 2, 3, 4)]
+    widest = max(m for m in range(1, weyl.TABLE_MONOMIALS) if _admitted(1, m))
+    assert 32 < widest < 249 and not _admitted(1, widest + 1)
+    for mode_count, cap in keys + [(widest, 1)]:
         weyl._structure_constants.cache_clear()
         tracemalloc.start()
         try:
-            weyl._StructureTensor(*table, cap)
+            weyl._structure_constants(mode_count, cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
