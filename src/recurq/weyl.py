@@ -499,7 +499,7 @@ class LieBasis:
     the rows of ``_span`` over the ``_index`` monomials, which ``basis``
     turns into PolyOps when first read."""
 
-    generators: list
+    mode_count: int
     degree_cap: int
     dim_cap: int
     saturated: bool
@@ -516,10 +516,6 @@ class LieBasis:
     def basis(self) -> list:
         monomials = list(self._index)
         return [_from_vector(v, monomials, self.mode_count) for v in self._span.vecs]
-
-    @property
-    def mode_count(self) -> int:
-        return self.generators[0].mode_count
 
     def contains(self, X: PolyOp) -> bool:
         return bool(self.contains_all([X])[0])
@@ -702,7 +698,9 @@ def _expand(E, I, J):
     weight alpha[u] (-i)^ksum[u] in x.y and beta[u] (-i)^ksum[u] in y.x.
     Distinct k-vectors give distinct monomials, so each weight is one exact
     integer.  Each mode gathers its own exponents: the pairs' rows of E would
-    hold 2 x pairs x 2 slots integers at once.
+    hold 2 x pairs x 2 slots integers at once.  Each mode keeps its terms'
+    sources ``rep`` and exponents, these in the smallest dtype that holds
+    2 E.max(), and ``out`` is filled once, from the last mode back.
     """
     exps = range(int(E.max(initial=0)) + 1)
     # F[b, c, k] = C(b, k) C(c, k) k!, the weight of k contractions in p^b q^c
@@ -711,7 +709,7 @@ def _expand(E, I, J):
     pair = np.arange(I.size)
     alpha, beta = np.ones(I.size), np.ones(I.size)
     ksum = np.zeros(I.size, dtype=np.int64)
-    out = np.zeros((I.size, 0), dtype=np.int64)
+    steps, small = [], np.min_scalar_type(2 * exps[-1])
     for s in range(E.shape[1] // 2):
         i, j = I[pair], J[pair]
         a, b, c, d = E[i, 2 * s], E[i, 2 * s + 1], E[j, 2 * s], E[j, 2 * s + 1]
@@ -722,7 +720,12 @@ def _expand(E, I, J):
         pair, ksum = pair[rep], ksum[rep] + k
         alpha = alpha[rep] * F[b, c, k]
         beta = beta[rep] * F[d, a, k]
-        out = np.column_stack([out[rep], a + c - k, b + d - k])
+        steps.append((rep, (a + c - k).astype(small), (b + d - k).astype(small)))
+    out = np.empty((pair.size, E.shape[1]), dtype=np.int64)
+    at = np.arange(pair.size)  # each term's index among mode s's terms
+    for s, (rep, q_exp, p_exp) in reversed(list(enumerate(steps))):
+        out[:, 2 * s], out[:, 2 * s + 1] = q_exp[at], p_exp[at]
+        at = rep[at]
     return pair, ksum, alpha, beta, out
 
 
@@ -788,6 +791,16 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         raise ValueError("empty generator list")
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
+    support = sorted(set().union(*(g.support for g in generators))) or [0]
+    G, index, constants = _generator_rows(generators, degree_cap, support, degree_cap)
+    return _close(G, index, constants, generators[0].mode_count, degree_cap, dim_cap)
+
+
+def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
+    """``(G, index, constants)``: the coefficient rows of ``generators`` over
+    the ``index`` of the monomials of degree at most ``table_cap`` on
+    ``modes``, and their cached table.  Generators must share a mode count,
+    and one of degree above ``degree_cap`` is refused by index."""
     mode_count = generators[0].mode_count
     for i, g in enumerate(generators):
         if g.mode_count != mode_count:
@@ -795,19 +808,22 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         if g.degree > degree_cap:
             raise GeneratorCapError(i, f"generator degree {g.degree} exceeds degree_cap "
                                        f"{degree_cap}")
-
-    support = sorted(set().union(*(g.support for g in generators))) or [0]
-    n = table_monomials(degree_cap, len(support))
-    monomials, slots = _monomial_table(mode_count, support, degree_cap)
+    table_monomials(table_cap, len(modes))
+    monomials, slots = _monomial_table(mode_count, modes, table_cap)
     index = {m: i for i, m in enumerate(monomials)}
+    return _coefficients(generators, index)[0], index, _structure_constants(len(slots), table_cap)
 
-    constants = _structure_constants(len(slots), degree_cap)
-    G, _ = _coefficients(generators, index)
+
+def _close(G, index: dict, constants: _Constants, mode_count: int, degree_cap: int,
+           dim_cap: int) -> LieBasis:
+    """``lie_closure`` of the coefficient rows G over the ``index`` monomials,
+    ``constants`` their table: the skewness check by row, then the sweep."""
     defect = G + (constants.adjoint @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
     bad = np.flatnonzero(np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0))
     if bad.size:
         raise GeneratorError(int(bad[0]), "generator must be skew-hermitian")
+    n = constants.n
     span = _RealSpan(n, dim_cap)
     for g in G:
         span.try_add(g)
@@ -832,16 +848,17 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
                 break
         i += 1
 
-    return LieBasis(
-        generators=generators,
-        degree_cap=degree_cap,
-        dim_cap=dim_cap,
-        saturated=not (degree_capped or span.capped),
-        degree_capped=degree_capped,
-        dim_capped=span.capped,
-        _index=index,
-        _span=span,
-    )
+    return LieBasis(mode_count, degree_cap, dim_cap, not (degree_capped or span.capped),
+                    degree_capped, span.capped, index, span)
+
+
+def _reindex(V: np.ndarray, monomials, index: dict):
+    """Rows V over ``monomials`` as rows over the ``index`` monomials, and the
+    mask of the rows with no nonzero off the index."""
+    pos = np.array([index.get(m, -1) for m in monomials], dtype=np.int64)
+    out = np.zeros((len(V), len(index)), dtype=complex)
+    out[:, pos[pos >= 0]] = V[:, pos >= 0]
+    return out, ~V[:, pos < 0].any(axis=1)
 
 
 # -- generating sets and algebraic propagation ------------------------------
@@ -856,11 +873,16 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     vectors").
     """
     monomials, slots = _monomial_table(mode_count, modes, degree_cap)
-    adjoint = _structure_constants(len(slots), degree_cap).adjoint
-    T = 1j * (sp.identity(len(monomials), format="csc") + adjoint)
+    T = _skew_targets(len(slots), degree_cap)
     rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
     return [_trusted(mode_count, {monomials[i]: c for i, c in zip(rows[a:b], vals[a:b])}, SKEW)
             for a, b in zip(ptr, ptr[1:])]
+
+
+def _skew_targets(slot_count: int, degree_cap: int) -> sp.csc_matrix:
+    """i(I + A), A the cached adjoint map: column j is i(m_j + m_j^dag)."""
+    adjoint = _structure_constants(slot_count, degree_cap).adjoint
+    return 1j * (sp.identity(adjoint.shape[0], format="csc") + adjoint)
 
 
 def local_skew_generators(mode: int, mode_count: int, degree_cap: int):
@@ -892,30 +914,52 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     ``local`` is a degree-capped generating list for the single-mode skew
     algebra on one mode; ``coupling`` is the hermitian two-mode interaction,
     whose support names the pair.  The closure of local ∪ {[X, -i*coupling]}
-    is computed under the caps.  It propagates when it fills the pair's
-    in-cap skew space, whose real dimension is the pair's monomial count
-    (notes/decisions.md, "One pair check per chain"); the pair-algebra
-    targets a shorter closure misses are listed.  A positive verdict is
-    sound regardless of cap hits; a negative one is only issued when it is
-    provable (saturated closure, or no generator, local or bracket, has
-    support on the new mode).  A ``degree_cap`` that the pair's bracket
-    table cannot represent raises CapError before any bracket.
+    is computed under the caps, from brackets that are rows of one table
+    product (notes/decisions.md, "Coupling brackets from the table").  It
+    propagates when it fills the pair's in-cap skew space, whose real
+    dimension is the pair's monomial count (notes/decisions.md, "One pair
+    check per chain"); the pair-algebra targets a shorter closure misses are
+    listed.  A positive verdict is sound regardless of cap hits; a negative
+    one is only issued when it is provable (saturated closure, or no
+    generator, local or bracket, has support on the new mode).  A
+    ``degree_cap`` that the pair's bracket table cannot represent raises
+    CapError before any bracket.
     """
     local_ops = list(local)
     if not local_ops:
         raise ValueError("empty local generating set")
-    mode_count = local_ops[0].mode_count
     coupling_skew = skew_generator(coupling)  # refuses a coupling that is not hermitian
     local_modes = set().union(*(X.support for X in local_ops))
     pair_modes = local_modes | coupling.support
     target_modes = tuple(sorted(pair_modes - local_modes))
     n = table_monomials(degree_cap, len(pair_modes))
+    local_ops[0]._require_same_modes(coupling)
 
-    # a zero coupling brackets to nothing
-    brackets = (bracket(X, coupling_skew).cleaned() for X in local_ops)
-    gens = local_ops + [b for b in brackets if not b.is_zero]
-
-    closure = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap)
+    # [X, -i*coupling] is row X @ M_c, on the table at the coupling's degree
+    # if that is above the cap (its first n monomials are the in-cap ones),
+    # cleaned as by PolyOp.cleaned; a zero bracket is no generator
+    L, pair_index, table = _generator_rows(local_ops, degree_cap, sorted(pair_modes) or [0],
+                                           max(degree_cap, coupling.degree))
+    Mc, cols = table.product(_coefficients([coupling_skew], pair_index)[0][0])
+    B = L @ Mc
+    mag = np.abs(B)
+    B[mag <= _PRUNE * mag.max(axis=1, keepdims=True, initial=0.0)] = 0
+    B = B[B.any(axis=1)]
+    monomials, above = list(pair_index), np.flatnonzero(B[:, cols >= n].any(axis=1))
+    if above.size:
+        degree = max(mono_degree(monomials[j]) if j < table.n else
+                     int(table.overflow[j - table.n].sum()) for j in cols[B[above[0]] != 0])
+        raise GeneratorCapError(len(local_ops) + int(above[0]), f"generator degree {degree} "
+                                f"exceeds degree_cap {degree_cap}")
+    monomials, R = monomials[:n], np.zeros((len(B), n), dtype=complex)
+    R[:, cols[cols < n]] = B[:, cols < n]
+    gen_modes = local_modes.union(*(_mono_support(monomials[j])
+                                    for j in np.flatnonzero(R.any(axis=0))))
+    L, index, constants = _generator_rows(local_ops, degree_cap, sorted(gen_modes) or [0],
+                                          degree_cap)
+    mode_count = local_ops[0].mode_count
+    closure = _close(np.vstack([L, _reindex(R, monomials, index)[0]]), index, constants,
+                     mode_count, degree_cap, dim_cap)
 
     if not target_modes:
         # the coupling touches no mode beyond the local ones, hence nothing
@@ -924,14 +968,15 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
 
     missing = []
     if closure.dim < n:
-        # the targets span the pair space: name those the short closure misses
-        targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
-        missing = [t for t, inside in zip(targets, closure.contains_all(targets))
-                   if not inside]
+        # the targets span the pair space: name those the short closure
+        # misses, in one projection
+        T = _skew_targets(len(pair_modes), degree_cap).T.toarray()
+        V, inside = _reindex(T, monomials, index)
+        outside = ~(inside & (closure._span.residuals(V) <= MEMBERSHIP_TOL))
+        missing = [_from_vector(t, monomials, mode_count) for t in T[outside]]
     if not missing:
         verdict = PROPAGATES
-    elif closure.saturated or not set(target_modes) & set().union(
-            *(g.support for g in gens)):
+    elif closure.saturated or not set(target_modes) & gen_modes:
         # brackets preserve mode support, so when no generator touches the
         # target mode, no element of the full closure can; a closure that
         # dim_cap stopped early may not have reached one that does

@@ -541,6 +541,35 @@ def per_edge_controllability(spec, degree_cap, dim_cap):
                                              site_dims).to_dict()
 
 
+def polyop_propagation_check(local, coupling, degree_cap, dim_cap=256):
+    """``weyl.algebraic_propagation_check`` through PolyOp arithmetic: each
+    coupling bracket [X, -i*coupling] by ``weyl.bracket`` and cleaned, the
+    closure by ``weyl.lie_closure``, and the pair's targets as PolyOps tested
+    by ``contains_all``."""
+    local_ops = list(local)
+    coupling_skew = weyl.skew_generator(coupling)
+    local_modes = set().union(*(X.support for X in local_ops))
+    pair_modes = local_modes | coupling.support
+    target_modes = tuple(sorted(pair_modes - local_modes))
+    n = weyl.table_monomials(degree_cap, len(pair_modes))
+    brackets = (weyl.bracket(X, coupling_skew).cleaned() for X in local_ops)
+    gens = local_ops + [b for b in brackets if not b.is_zero]
+    closure = weyl.lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap)
+    if not target_modes:
+        return weyl.PropagationResult(weyl.FAILS, closure, (), [])
+    missing = []
+    if closure.dim < n:
+        targets = weyl.skew_monomial_generators(pair_modes, closure.mode_count, degree_cap)
+        missing = [t for t, inside in zip(targets, closure.contains_all(targets)) if not inside]
+    if not missing:
+        verdict = weyl.PROPAGATES
+    elif closure.saturated or not set(target_modes) & set().union(*(g.support for g in gens)):
+        verdict = weyl.FAILS
+    else:
+        verdict = weyl.UNKNOWN
+    return weyl.PropagationResult(verdict, closure, target_modes, missing)
+
+
 def missing_one_by_one(closure, targets, tol=1e-8):
     """The targets outside a closure, each tested by its own projection: a
     term off the closure's monomials, or a normalized residual above tol."""

@@ -160,6 +160,17 @@ def test_structure_constants_are_built_once_per_key():
     assert isinstance(maxsize, ast.Constant) and type(maxsize.value) is int
 
 
+def test_one_bracket_kernel():
+    # a ratchet: every bracket the package takes is a product of the cached
+    # table (notes/decisions.md, "Coupling brackets from the table").
+    # weyl.bracket and PolyOp.cleaned stay public, and serve tests as oracles
+    assert _call_sites("bracket") == set()
+    assert _call_sites("cleaned") == set()
+    # (_mono_product's product is itertools')
+    assert _call_sites("product") - {("weyl", "_mono_product")} == {
+        ("weyl", "_Constants.bracket_rows"), ("weyl", "algebraic_propagation_check")}
+
+
 def test_grid_kernel_is_one_matrix_product():
     # a ratchet: the scan kernel forms the rows' cos A, sin A against the
     # column factor's cos C, -sin C as one GEMM of inner size 2N per slice of

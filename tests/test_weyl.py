@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import time
@@ -15,8 +16,8 @@ from recurq.weyl import PolyOp, as_hermitian, as_skew, bracket, canonicalize, q,
 
 from conftest import random_polyop, random_skew
 from oracles import (interior_block, missing_one_by_one, monomial_bracket, p_matrix,
-                     polyop_lie_closure, prefix_mono_product, q_matrix, reorder_poly,
-                     sequential_targets, word_matrix)
+                     polyop_lie_closure, polyop_propagation_check, prefix_mono_product,
+                     q_matrix, reorder_poly, sequential_targets, word_matrix)
 
 
 def iq(m=1):
@@ -655,13 +656,65 @@ def test_batched_membership_matches_per_target_zero_and_heisenberg():
     (omega, 6, dim_cap) for omega in (0.5, 0.28238592672119756) for dim_cap in (8, 64)] + [
     (0.28238592672119756, 6, 256)])
 def test_propagation_check_is_the_same_from_either_mode(omega, cap, dim_cap):
-    coupling = _coupling(omega)
-    left, right = (weyl.algebraic_propagation_check(weyl.local_skew_generators(mode, 2, cap),
-                                                    coupling, cap, dim_cap) for mode in (0, 1))
+    left, right = (_pair_check(omega, cap, dim_cap, mode) for mode in (0, 1))
     assert left.target_modes == (1,) and right.target_modes == (0,)
     summary = [(res.verdict, res.closure.dim, len(res.missing), res.closure.saturated,
                 res.closure.degree_capped, res.closure.dim_capped) for res in (left, right)]
     assert summary[0] == summary[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_check(omega, cap, dim_cap, mode):
+    """The check of the 2-mode pair with the controls on ``mode``, run once
+    per process for the either-mode and oracle tests."""
+    return weyl.algebraic_propagation_check(weyl.local_skew_generators(mode, 2, cap),
+                                            _coupling(omega), cap, dim_cap)
+
+
+def _outcome(res):
+    return (res.verdict, res.target_modes, res.closure.dim, res.closure.saturated,
+            res.closure.degree_capped, res.closure.dim_capped, res.missing)
+
+
+# the brackets from the table differ from the PolyOp ones by roundoff (at
+# most 2.8e-14 on this grid); every outcome, and each missing target term
+# for term, is the same
+@pytest.mark.parametrize("omega", [0.0, 0.5, 0.7712, 1.0, 1.3, 1.4999, 0.28238592672119756])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim_cap", [8, 64, 256])
+def test_propagation_check_matches_the_polyop_oracle(omega, cap, dim_cap):
+    for mode in (0, 1):
+        expected = polyop_propagation_check(weyl.local_skew_generators(mode, 2, cap),
+                                            _coupling(omega), cap, dim_cap)
+        assert _outcome(_pair_check(omega, cap, dim_cap, mode)) == _outcome(expected)
+
+
+def test_cap_one_check_brackets_on_the_quadratic_couplings_table():
+    # the quadratic coupling is above cap 1: its brackets with the linear
+    # controls are taken on the cap-2 table, whose first 5 monomials are the
+    # cap-1 ones
+    local, coupling = weyl.local_skew_generators(0, 2, 1), _coupling(1.0)
+    res = weyl.algebraic_propagation_check(local, coupling, 1, 64)
+    assert res.propagates and res.closure.dim == 5 and res.closure.saturated
+    assert _outcome(res) == _outcome(polyop_propagation_check(local, coupling, 1, 64))
+
+
+def test_propagation_check_refuses_generators_by_index():
+    cubic = as_hermitian(q(0, 2) * q(0, 2) * q(1, 2))
+    local = weyl.local_skew_generators(0, 2, 2)
+    # the 6 controls, then the brackets that are not zero: [p, .] has degree
+    # 2, and [p^2, .], the second, degree 3
+    for check in (weyl.algebraic_propagation_check, polyop_propagation_check):
+        with pytest.raises(weyl.GeneratorCapError, match="generator degree 3 exceeds "
+                                                         "degree_cap 2") as info:
+            check(local, cubic, 2, 64)
+        assert info.value.index == 7
+    local = weyl.local_skew_generators(0, 2, 3)
+    local[2] = PolyOp(2, {((2, 0), (0, 0)): 1j, ((1, 1), (0, 0)): 1e-6})
+    for check in (weyl.algebraic_propagation_check, polyop_propagation_check):
+        with pytest.raises(weyl.GeneratorError, match="must be skew-hermitian") as info:
+            check(local, _coupling(1.0), 3, 64)
+        assert info.value.index == 2 and not isinstance(info.value, weyl.CapError)
 
 
 def test_propagation_check_tests_the_coupling_once(monkeypatch):
@@ -678,12 +731,13 @@ def test_propagation_check_tests_the_coupling_once(monkeypatch):
 
 
 def test_propagation_check_refuses_a_cap_before_any_bracket(monkeypatch):
-    brackets = []
-    monkeypatch.setattr(weyl, "bracket", lambda A, B: brackets.append((A, B)))
+    # the coupling brackets are one table product
+    products = []
+    monkeypatch.setattr(weyl._Constants, "product", lambda self, y: products.append(y))
     local = weyl.local_skew_generators(0, 2, weyl.MAX_DEGREE_CAP)
     with pytest.raises(weyl.CapError, match="4845 monomials"):
         weyl.algebraic_propagation_check(local, _coupling(1.0), weyl.MAX_DEGREE_CAP)
-    assert brackets == []
+    assert products == []
 
 
 def test_internal_arithmetic_is_canonical(rng):
