@@ -873,16 +873,22 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     vectors").
     """
     monomials, slots = _monomial_table(mode_count, modes, degree_cap)
-    T = _skew_targets(len(slots), degree_cap)
-    rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
-    return [_trusted(mode_count, {monomials[i]: c for i, c in zip(rows[a:b], vals[a:b])}, SKEW)
-            for a, b in zip(ptr, ptr[1:])]
+    return _target_ops(_skew_targets(len(slots), degree_cap), monomials, mode_count,
+                       range(len(monomials)))
 
 
 def _skew_targets(slot_count: int, degree_cap: int) -> sp.csc_matrix:
     """i(I + A), A the cached adjoint map: column j is i(m_j + m_j^dag)."""
     adjoint = _structure_constants(slot_count, degree_cap).adjoint
     return 1j * (sp.identity(adjoint.shape[0], format="csc") + adjoint)
+
+
+def _target_ops(T: sp.csc_matrix, monomials, mode_count: int, cols) -> list:
+    """The columns ``cols`` of T as skew PolyOps, with their terms in T's order."""
+    rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
+    return [_trusted(mode_count, {monomials[i]: c for i, c in
+                                  zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])}, SKEW)
+            for j in cols]
 
 
 def local_skew_generators(mode: int, mode_count: int, degree_cap: int):
@@ -935,9 +941,10 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     n = table_monomials(degree_cap, len(pair_modes))
     local_ops[0]._require_same_modes(coupling)
 
-    # [X, -i*coupling] is row X @ M_c, on the table at the coupling's degree
-    # if that is above the cap (its first n monomials are the in-cap ones),
-    # cleaned as by PolyOp.cleaned; a zero bracket is no generator
+    # [X, -i*coupling] is the row X @ M_c of one table product, on the table
+    # at the coupling's degree when that is above the cap (its first n
+    # monomials are the in-cap ones).  Each row is cleaned as PolyOp.cleaned
+    # cleans, and a zero bracket is no generator
     L, pair_index, table = _generator_rows(local_ops, degree_cap, sorted(pair_modes) or [0],
                                            max(degree_cap, coupling.degree))
     Mc, cols = table.product(_coefficients([coupling_skew], pair_index)[0][0])
@@ -945,7 +952,8 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     mag = np.abs(B)
     B[mag <= _PRUNE * mag.max(axis=1, keepdims=True, initial=0.0)] = 0
     B = B[B.any(axis=1)]
-    monomials, above = list(pair_index), np.flatnonzero(B[:, cols >= n].any(axis=1))
+    monomials = list(pair_index)
+    above = np.flatnonzero(B[:, cols >= n].any(axis=1))
     if above.size:
         degree = max(mono_degree(monomials[j]) if j < table.n else
                      int(table.overflow[j - table.n].sum()) for j in cols[B[above[0]] != 0])
@@ -953,12 +961,13 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
                                 f"exceeds degree_cap {degree_cap}")
     monomials, R = monomials[:n], np.zeros((len(B), n), dtype=complex)
     R[:, cols[cols < n]] = B[:, cols < n]
+    # the closure is on the generators' modes, as lie_closure's would be
     gen_modes = local_modes.union(*(_mono_support(monomials[j])
                                     for j in np.flatnonzero(R.any(axis=0))))
-    L, index, constants = _generator_rows(local_ops, degree_cap, sorted(gen_modes) or [0],
+    G, index, constants = _generator_rows(local_ops, degree_cap, sorted(gen_modes) or [0],
                                           degree_cap)
     mode_count = local_ops[0].mode_count
-    closure = _close(np.vstack([L, _reindex(R, monomials, index)[0]]), index, constants,
+    closure = _close(np.vstack([G, _reindex(R, monomials, index)[0]]), index, constants,
                      mode_count, degree_cap, dim_cap)
 
     if not target_modes:
@@ -970,10 +979,10 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     if closure.dim < n:
         # the targets span the pair space: name those the short closure
         # misses, in one projection
-        T = _skew_targets(len(pair_modes), degree_cap).T.toarray()
-        V, inside = _reindex(T, monomials, index)
+        T = _skew_targets(len(pair_modes), degree_cap)
+        V, inside = _reindex(T.T.toarray(), monomials, index)
         outside = ~(inside & (closure._span.residuals(V) <= MEMBERSHIP_TOL))
-        missing = [_from_vector(t, monomials, mode_count) for t in T[outside]]
+        missing = _target_ops(T, monomials, mode_count, np.flatnonzero(outside))
     if not missing:
         verdict = PROPAGATES
     elif closure.saturated or not set(target_modes) & gen_modes:

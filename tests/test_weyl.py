@@ -672,13 +672,14 @@ def _pair_check(omega, cap, dim_cap, mode):
 
 
 def _outcome(res):
+    # each missing target term for term, in order, down to the sign of zero parts
     return (res.verdict, res.target_modes, res.closure.dim, res.closure.saturated,
-            res.closure.degree_capped, res.closure.dim_capped, res.missing)
+            res.closure.degree_capped, res.closure.dim_capped,
+            [(t.mode_count, repr(t.terms), t.role) for t in res.missing])
 
 
 # the brackets from the table differ from the PolyOp ones by roundoff (at
-# most 2.8e-14 on this grid); every outcome, and each missing target term
-# for term, is the same
+# most 2.8e-14 on this grid); every outcome is the same
 @pytest.mark.parametrize("omega", [0.0, 0.5, 0.7712, 1.0, 1.3, 1.4999, 0.28238592672119756])
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("dim_cap", [8, 64, 256])
