@@ -672,9 +672,10 @@ def _pair_check(omega, cap, dim_cap, mode):
 
 
 def _outcome(res):
-    # each missing target term for term, in order, down to the sign of zero parts
+    # the closure's monomials, and each missing target term for term, in
+    # order, down to the sign of zero parts
     return (res.verdict, res.target_modes, res.closure.dim, res.closure.saturated,
-            res.closure.degree_capped, res.closure.dim_capped,
+            res.closure.degree_capped, res.closure.dim_capped, tuple(res.closure._index),
             [(t.mode_count, repr(t.terms), t.role) for t in res.missing])
 
 
@@ -690,14 +691,28 @@ def test_propagation_check_matches_the_polyop_oracle(omega, cap, dim_cap):
         assert _outcome(_pair_check(omega, cap, dim_cap, mode)) == _outcome(expected)
 
 
-def test_cap_one_check_brackets_on_the_quadratic_couplings_table():
+def test_cap_one_check_brackets_on_the_quadratic_couplings_table(monkeypatch):
     # the quadratic coupling is above cap 1: its brackets with the linear
-    # controls are taken on the cap-2 table, whose first 5 monomials are the
-    # cap-1 ones
+    # controls are taken on the 2-slot cap-2 table (15 monomials), whose
+    # first 5 monomials are the cap-1 ones
+    tables, product = [], weyl._Constants.product
+    monkeypatch.setattr(weyl._Constants, "product",
+                        lambda self, y: tables.append(self.n) or product(self, y))
     local, coupling = weyl.local_skew_generators(0, 2, 1), _coupling(1.0)
     res = weyl.algebraic_propagation_check(local, coupling, 1, 64)
+    assert tables[0] == 15 and set(tables[1:]) == {5}
     assert res.propagates and res.closure.dim == 5 and res.closure.saturated
     assert _outcome(res) == _outcome(polyop_propagation_check(local, coupling, 1, 64))
+
+
+def test_bracket_terms_below_the_prune_floor_are_dropped():
+    # [X, -iH] has a term on mode 1 of 1e-16 of its largest: cleaned away, so
+    # no generator touches mode 1 and the closure stays on mode 0
+    coupling = as_hermitian(q(0, 2) * q(0, 2) + 1e-16 * (q(0, 2) * q(1, 2)))
+    local = weyl.local_skew_generators(0, 2, 3)
+    res = weyl.algebraic_propagation_check(local, coupling, 3, 64)
+    assert res.verdict == weyl.FAILS and len(res.closure._index) == 10
+    assert _outcome(res) == _outcome(polyop_propagation_check(local, coupling, 3, 64))
 
 
 def test_propagation_check_refuses_generators_by_index():
