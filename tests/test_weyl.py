@@ -647,6 +647,14 @@ def test_batched_membership_matches_per_target_zero_and_heisenberg():
     assert res.missing and res.missing == missing_one_by_one(res.closure, targets)
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_check(omega, cap, dim_cap, mode):
+    """The check of the 2-mode pair with the controls on ``mode``, run once
+    per process for the either-mode and oracle tests."""
+    return weyl.algebraic_propagation_check(weyl.local_skew_generators(mode, 2, cap),
+                                            _coupling(omega), cap, dim_cap)
+
+
 # omega 0.28238592672119756 at cap 6: a genuine direction accepted with
 # residual 3.2e-8 leaves ~1e-8 of rounding in its q row, so with the controls
 # on mode 1 the full closure's projection misses the target q1^6 by 1.3e-8
@@ -661,14 +669,6 @@ def test_propagation_check_is_the_same_from_either_mode(omega, cap, dim_cap):
     summary = [(res.verdict, res.closure.dim, len(res.missing), res.closure.saturated,
                 res.closure.degree_capped, res.closure.dim_capped) for res in (left, right)]
     assert summary[0] == summary[1]
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_check(omega, cap, dim_cap, mode):
-    """The check of the 2-mode pair with the controls on ``mode``, run once
-    per process for the either-mode and oracle tests."""
-    return weyl.algebraic_propagation_check(weyl.local_skew_generators(mode, 2, cap),
-                                            _coupling(omega), cap, dim_cap)
 
 
 def _outcome(res):
