@@ -484,10 +484,11 @@ def _to_real(v: np.ndarray):
     return np.concatenate([v.real, v.imag], axis=-1)
 
 
-def _from_vector(v: np.ndarray, monomials, mode_count: int) -> PolyOp:
-    mag = np.abs(v)
-    keep = np.flatnonzero(mag > _PRUNE * max(mag.max(initial=0.0), 1.0))
-    return _trusted(mode_count, {monomials[i]: complex(v[i]) for i in keep}, SKEW)
+def _target_ops(T: sp.csc_matrix, monomials, mode_count: int) -> list:
+    """The columns of T, over ``monomials``, as skew PolyOps with their terms in T's order."""
+    rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
+    return [_trusted(mode_count, {monomials[i]: c for i, c in zip(rows[a:b], vals[a:b])}, SKEW)
+            for a, b in zip(ptr, ptr[1:])]
 
 
 # -- Lie closure ------------------------------------------------------------
@@ -514,8 +515,10 @@ class LieBasis:
 
     @functools.cached_property
     def basis(self) -> list:
-        monomials = list(self._index)
-        return [_from_vector(v, monomials, self.mode_count) for v in self._span.vecs]
+        V = self._span.vecs.copy()
+        mag = np.abs(V)
+        V[mag <= _PRUNE * np.maximum(mag.max(axis=1, keepdims=True, initial=0.0), 1.0)] = 0
+        return _target_ops(sp.csc_matrix(V.T), list(self._index), self.mode_count)
 
     def contains(self, X: PolyOp) -> bool:
         return bool(self.contains_all([X])[0])
@@ -550,6 +553,13 @@ class GeneratorCapError(GeneratorError, CapError):
     """A ``lie_closure`` generator of degree above the cap."""
 
 
+def _exact_cap(degree_cap: int):
+    """Refuse a cap above MAX_DEGREE_CAP, past which structure constants are inexact."""
+    if degree_cap > MAX_DEGREE_CAP:
+        raise CapError(f"degree_cap {degree_cap} exceeds {MAX_DEGREE_CAP}, the largest cap "
+                       f"with exact structure constants")
+
+
 def table_monomials(degree_cap: int, modes: int) -> int:
     """Monomials of the bracket table at ``degree_cap`` on ``modes`` modes.
 
@@ -557,9 +567,7 @@ def table_monomials(degree_cap: int, modes: int) -> int:
     MAX_DEGREE_CAP, or with more than TABLE_MONOMIALS monomials or
     TABLE_PAIR_EXPONENTS exponents over all monomial pairs.
     """
-    if degree_cap > MAX_DEGREE_CAP:
-        raise CapError(f"degree_cap {degree_cap} exceeds {MAX_DEGREE_CAP}, the largest cap "
-                       f"with exact structure constants")
+    _exact_cap(degree_cap)
     n = math.comb(2 * modes + degree_cap, degree_cap)
     size = n * (n - 1) * modes  # the exponents of every pair, 2 * modes each
     if n > TABLE_MONOMIALS or size > TABLE_PAIR_EXPONENTS:
@@ -793,31 +801,6 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         raise ValueError("caps must be >= 1")
     support = sorted(set().union(*(g.support for g in generators))) or [0]
     G, index, constants = _generator_rows(generators, degree_cap, support, degree_cap)
-    return _close(G, index, constants, generators[0].mode_count, degree_cap, dim_cap)
-
-
-def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
-    """``(G, index, constants)``: the coefficient rows of ``generators`` over
-    the ``index`` of the monomials of degree at most ``table_cap`` on
-    ``modes``, and their cached table.  Generators must share a mode count,
-    and one of degree above ``degree_cap`` is refused by index."""
-    mode_count = generators[0].mode_count
-    for i, g in enumerate(generators):
-        if g.mode_count != mode_count:
-            raise ValueError("generators must share mode_count")
-        if g.degree > degree_cap:
-            raise GeneratorCapError(i, f"generator degree {g.degree} exceeds degree_cap "
-                                       f"{degree_cap}")
-    table_monomials(table_cap, len(modes))
-    monomials, slots = _monomial_table(mode_count, modes, table_cap)
-    index = {m: i for i, m in enumerate(monomials)}
-    return _coefficients(generators, index)[0], index, _structure_constants(len(slots), table_cap)
-
-
-def _close(G, index: dict, constants: _Constants, mode_count: int, degree_cap: int,
-           dim_cap: int) -> LieBasis:
-    """``lie_closure`` of the coefficient rows G over the ``index`` monomials,
-    ``constants`` their table: the skewness check by row, then the sweep."""
     defect = G + (constants.adjoint @ G.conj().T).T
     norms = np.linalg.norm(G, axis=1)
     bad = np.flatnonzero(np.linalg.norm(defect, axis=1) > ADJOINT_TOL * np.maximum(norms, 1.0))
@@ -848,17 +831,26 @@ def _close(G, index: dict, constants: _Constants, mode_count: int, degree_cap: i
                 break
         i += 1
 
-    return LieBasis(mode_count, degree_cap, dim_cap, not (degree_capped or span.capped),
-                    degree_capped, span.capped, index, span)
+    return LieBasis(generators[0].mode_count, degree_cap, dim_cap,
+                    not (degree_capped or span.capped), degree_capped, span.capped, index, span)
 
 
-def _reindex(V: np.ndarray, monomials, index: dict):
-    """Rows V over ``monomials`` as rows over the ``index`` monomials, and the
-    mask of the rows with no nonzero off the index."""
-    pos = np.array([index.get(m, -1) for m in monomials], dtype=np.int64)
-    out = np.zeros((len(V), len(index)), dtype=complex)
-    out[:, pos[pos >= 0]] = V[:, pos >= 0]
-    return out, ~V[:, pos < 0].any(axis=1)
+def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
+    """``(G, index, constants)``: the coefficient rows of ``generators`` over
+    the ``index`` of the monomials of degree at most ``table_cap`` on
+    ``modes``, and their cached table.  Generators must share a mode count,
+    and one of degree above ``degree_cap`` is refused by index."""
+    mode_count = generators[0].mode_count
+    for i, g in enumerate(generators):
+        if g.mode_count != mode_count:
+            raise ValueError("generators must share mode_count")
+        if g.degree > degree_cap:
+            raise GeneratorCapError(i, f"generator degree {g.degree} exceeds degree_cap "
+                                       f"{degree_cap}")
+    table_monomials(table_cap, len(modes))
+    monomials, slots = _monomial_table(mode_count, modes, table_cap)
+    index = {m: i for i, m in enumerate(monomials)}
+    return _coefficients(generators, index)[0], index, _structure_constants(len(slots), table_cap)
 
 
 # -- generating sets and algebraic propagation ------------------------------
@@ -872,23 +864,12 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     dimension per monomial (notes/decisions.md, "Propagation targets as
     vectors").
     """
+    _exact_cap(degree_cap)
     monomials, slots = _monomial_table(mode_count, modes, degree_cap)
-    return _target_ops(_skew_targets(len(slots), degree_cap), monomials, mode_count,
-                       range(len(monomials)))
-
-
-def _skew_targets(slot_count: int, degree_cap: int) -> sp.csc_matrix:
-    """i(I + A), A the cached adjoint map: column j is i(m_j + m_j^dag)."""
-    adjoint = _structure_constants(slot_count, degree_cap).adjoint
-    return 1j * (sp.identity(adjoint.shape[0], format="csc") + adjoint)
-
-
-def _target_ops(T: sp.csc_matrix, monomials, mode_count: int, cols) -> list:
-    """The columns ``cols`` of T as skew PolyOps, with their terms in T's order."""
-    rows, vals, ptr = T.indices.tolist(), T.data.tolist(), T.indptr.tolist()
-    return [_trusted(mode_count, {monomials[i]: c for i, c in
-                                  zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])}, SKEW)
-            for j in cols]
+    # column j of i(I + A), A the cached adjoint map, is i(m_j + m_j^dag)
+    adjoint = _structure_constants(len(slots), degree_cap).adjoint
+    return _target_ops(1j * (sp.identity(len(monomials), format="csc") + adjoint), monomials,
+                       mode_count)
 
 
 def local_skew_generators(mode: int, mode_count: int, degree_cap: int):
@@ -920,7 +901,7 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     ``local`` is a degree-capped generating list for the single-mode skew
     algebra on one mode; ``coupling`` is the hermitian two-mode interaction,
     whose support names the pair.  The closure of local ∪ {[X, -i*coupling]}
-    is computed under the caps, from brackets that are rows of one table
+    is ``lie_closure``'s under the caps, the brackets being rows of one table
     product (notes/decisions.md, "Coupling brackets from the table").  It
     propagates when it fills the pair's in-cap skew space, whose real
     dimension is the pair's monomial count (notes/decisions.md, "One pair
@@ -943,49 +924,32 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
 
     # [X, -i*coupling] is the row X @ M_c of one table product, on the table
     # at the coupling's degree when that is above the cap (its first n
-    # monomials are the in-cap ones).  Each row is cleaned as PolyOp.cleaned
-    # cleans, and a zero bracket is no generator
-    L, pair_index, table = _generator_rows(local_ops, degree_cap, sorted(pair_modes) or [0],
+    # monomials are the in-cap ones), cleaned as PolyOp.cleaned cleans; a
+    # zero bracket is no generator, and lie_closure refuses one above the cap
+    slots = sorted(pair_modes) or [0]
+    L, pair_index, table = _generator_rows(local_ops, degree_cap, slots,
                                            max(degree_cap, coupling.degree))
     Mc, cols = table.product(_coefficients([coupling_skew], pair_index)[0][0])
     B = L @ Mc
     mag = np.abs(B)
     B[mag <= _PRUNE * mag.max(axis=1, keepdims=True, initial=0.0)] = 0
-    B = B[B.any(axis=1)]
-    monomials = list(pair_index)
-    above = np.flatnonzero(B[:, cols >= n].any(axis=1))
-    if above.size:
-        degree = max(mono_degree(monomials[j]) if j < table.n else
-                     int(table.overflow[j - table.n].sum()) for j in cols[B[above[0]] != 0])
-        raise GeneratorCapError(len(local_ops) + int(above[0]), f"generator degree {degree} "
-                                f"exceeds degree_cap {degree_cap}")
-    monomials, R = monomials[:n], np.zeros((len(B), n), dtype=complex)
-    R[:, cols[cols < n]] = B[:, cols < n]
-    # the closure is on the generators' modes, as lie_closure's would be
-    gen_modes = local_modes.union(*(_mono_support(monomials[j])
-                                    for j in np.flatnonzero(R.any(axis=0))))
-    G, index, constants = _generator_rows(local_ops, degree_cap, sorted(gen_modes) or [0],
-                                          degree_cap)
-    mode_count = local_ops[0].mode_count
-    closure = _close(np.vstack([G, _reindex(R, monomials, index)[0]]), index, constants,
-                     mode_count, degree_cap, dim_cap)
+    mode_count, monomials = local_ops[0].mode_count, list(pair_index)
+    monomials = [monomials[j] if j < table.n else
+                 _embed(table.overflow[j - table.n].tolist(), slots, mode_count) for j in cols]
+    gens = local_ops + _target_ops(sp.csc_matrix(B[B.any(axis=1)].T), monomials, mode_count)
+    closure = lie_closure(gens, degree_cap, dim_cap)
 
-    if not target_modes:
-        # the coupling touches no mode beyond the local ones, hence nothing
-        # can propagate
+    if not target_modes:  # the coupling touches no mode beyond the local ones
         return PropagationResult(FAILS, closure, (), [])
 
     missing = []
     if closure.dim < n:
-        # the targets span the pair space: name those the short closure
-        # misses, in one projection
-        T = _skew_targets(len(pair_modes), degree_cap)
-        V, inside = _reindex(T.T.toarray(), monomials, index)
-        outside = ~(inside & (closure._span.residuals(V) <= MEMBERSHIP_TOL))
-        missing = _target_ops(T, monomials, mode_count, np.flatnonzero(outside))
+        # the targets span the pair space: name those the short closure misses
+        targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
+        missing = [t for t, inside in zip(targets, closure.contains_all(targets)) if not inside]
     if not missing:
         verdict = PROPAGATES
-    elif closure.saturated or not set(target_modes) & gen_modes:
+    elif closure.saturated or not set(target_modes) & set().union(*(g.support for g in gens)):
         # brackets preserve mode support, so when no generator touches the
         # target mode, no element of the full closure can; a closure that
         # dim_cap stopped early may not have reached one that does

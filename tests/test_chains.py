@@ -234,7 +234,7 @@ def test_site_closures_stay_in_the_one_mode_frame(monkeypatch):
         return wrapped
 
     trusted, post_init = weyl._trusted, weyl.PolyOp.__post_init__
-    monkeypatch.setattr(weyl, "_from_vector", refused)
+    monkeypatch.setattr(weyl.LieBasis, "basis", property(refused))
     monkeypatch.setattr(weyl, "_trusted", lambda m, *a: built.append(m) or trusted(m, *a))
     monkeypatch.setattr(weyl.PolyOp, "__post_init__",
                         lambda op: built.append(op.mode_count) or post_init(op))
@@ -247,9 +247,8 @@ def test_site_closures_stay_in_the_one_mode_frame(monkeypatch):
     assert report.controllable and report.unreachable_modes == ()
     assert len(report.edge_verdicts) == 197
     assert report.site_closure_dims == {0: 15, 100: 15, 199: 5}
-    # the pair check and the three site closures; the check sweeps its
-    # closure's rows itself, without a second lie_closure call
-    assert len(frames) == 4 and set().union(*frames) <= {1, 2}
+    # the pair check, its closure and the three site closures
+    assert len(frames) == 5 and set().union(*frames) <= {1, 2}
     assert built and max(built) <= 2
 
 

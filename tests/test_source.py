@@ -171,6 +171,19 @@ def test_one_bracket_kernel():
         ("weyl", "_Constants.bracket_rows"), ("weyl", "algebraic_propagation_check")}
 
 
+def test_one_closure_sweep():
+    # a ratchet: lie_closure is the only closure sweep, and the propagation
+    # check hands its table brackets to it (notes/decisions.md, "Coupling
+    # brackets from the table"); no private copy of its frame pick, sweep,
+    # target builder or row converter comes back
+    assert _call_sites("_RealSpan") == {("weyl", "lie_closure")}
+    assert ("weyl", "algebraic_propagation_check") in _call_sites("lie_closure")
+    defined = {node.name for node in ast.walk(ast.parse((SRC / "weyl.py").read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    for name in ("_close", "_reindex", "_skew_targets", "_from_vector"):
+        assert name not in defined | _names("weyl"), name
+
+
 def test_grid_kernel_is_one_matrix_product():
     # a ratchet: the scan kernel forms the rows' cos A, sin A against the
     # column factor's cos C, -sin C as one GEMM of inner size 2N per slice of
@@ -388,3 +401,8 @@ def test_optional_parameters_do_not_grow():
     # bound when an option goes
     assert sum(_optional_parameters(ast.parse(path.read_text()))
                for path in sorted(SRC.glob("*.py"))) <= 35
+
+
+def test_weyl_does_not_grow():
+    # a ratchet: lower the bound when code goes
+    assert len((SRC / "weyl.py").read_text().splitlines()) <= 959

@@ -592,6 +592,20 @@ def test_local_generator_count():
     assert len(gens) == len(weyl.enumerate_monomials(1, [0], 4))
 
 
+@pytest.mark.parametrize("cap", [weyl.MAX_DEGREE_CAP + 1, 200])
+def test_targets_refuse_an_inexact_cap_before_any_monomial(monkeypatch, cap):
+    # past MAX_DEGREE_CAP the adjoint map's weights are no longer exact (cap
+    # 200 overflows a float); the refusal comes before the enumeration
+    def enumerated(*args):
+        raise AssertionError("monomials enumerated before the cap check")
+
+    monkeypatch.setattr(weyl, "_exponent_rows", enumerated)
+    for build in (lambda: weyl.skew_monomial_generators([0], 1, cap),
+                  lambda: weyl.local_skew_generators(0, 1, cap)):
+        with pytest.raises(weyl.CapError, match="exact structure constants"):
+            build()
+
+
 # -- propagation targets as vectors -------------------------------------------------
 
 @pytest.mark.parametrize("mode_count", [1, 2, 3])
@@ -744,6 +758,19 @@ def test_propagation_check_tests_the_coupling_once(monkeypatch):
         weyl.algebraic_propagation_check(local, skew, 3, 128)
     zero = weyl.const(0.0, 2)
     assert weyl.algebraic_propagation_check(local, zero, 3, 128).verdict == weyl.FAILS
+
+
+def test_propagation_check_refuses_a_cap_below_one():
+    # the check's closure is lie_closure's, which refuses the cap rather than
+    # return an "unknown" verdict at dimension 0; at degree cap 0 the control
+    # i q (index 1, after the constant) is already above the cap
+    local = weyl.local_skew_generators(0, 2, 3)
+    for dim_cap in (0, -1):
+        with pytest.raises(ValueError, match="caps must be >= 1"):
+            weyl.algebraic_propagation_check(local, _coupling(1.0), 3, dim_cap)
+    with pytest.raises(weyl.GeneratorCapError, match="degree 1 exceeds degree_cap 0") as info:
+        weyl.algebraic_propagation_check(local, _coupling(1.0), 0, 64)
+    assert info.value.index == 1
 
 
 def test_propagation_check_refuses_a_cap_before_any_bracket(monkeypatch):
