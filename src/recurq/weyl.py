@@ -933,8 +933,8 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     B = L @ Mc
     mag = np.abs(B)
     B[mag <= _PRUNE * mag.max(axis=1, keepdims=True, initial=0.0)] = 0
-    mode_count, monomials = local_ops[0].mode_count, list(pair_index)
-    monomials = [monomials[j] if j < table.n else
+    mode_count, pair_monomials = local_ops[0].mode_count, list(pair_index)
+    monomials = [pair_monomials[j] if j < table.n else
                  _embed(table.overflow[j - table.n].tolist(), slots, mode_count) for j in cols]
     gens = local_ops + _target_ops(sp.csc_matrix(B[B.any(axis=1)].T), monomials, mode_count)
     closure = lie_closure(gens, degree_cap, dim_cap)
