@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+import types
 
 import numpy as np
 from jsonschema import Draft202012Validator, validators
@@ -350,23 +351,6 @@ def write_csv(path: str, rows) -> None:
     _atomic_write(path, lambda fh: csv.writer(fh).writerows(rows))
 
 
-# scan.csv rows formatted and written per write call
-_SCAN_BATCH = 2048
-
-
-def write_scan(path: str, trace) -> None:
-    """scan.csv: a header, then the search trace's (T, objective) float pairs
-    as the bytes csv.writer gives them (each float's repr, ',' between,
-    '\\r\\n' after).  Rows are formatted a batch at a time, so the file is
-    never held whole as one string."""
-    def write(fh):
-        fh.write("T,objective\r\n")
-        for i in range(0, len(trace), _SCAN_BATCH):
-            fh.write("".join(["%r,%r\r\n" % row for row in trace[i:i + _SCAN_BATCH]]))
-
-    _atomic_write(path, write)
-
-
 # -- config material -----------------------------------------------------------
 
 
@@ -607,14 +591,26 @@ def _failed(out, exc) -> int:
 
 def _run_recur(config, out, rng, jobs):
     spectrum, cover = _plan_context(config, rng, "tau_min")
-    trace: list = []
-    try:
-        plan = recurrence.plan_recurrence(
-            spectrum, float(config["delta"]), config["mode"], cover,
-            tau_min=float(config.get("tau_min", 0.0)),
-            t_max=config.get("t_max"), grid_step=config.get("grid_step"), trace=trace)
-    finally:
-        write_scan(os.path.join(out, "scan.csv"), trace)
+    found = {}
+
+    def search(fh):
+        # scan.csv streams each chunk's (T, objective) rows as csv.writer
+        # spells them; a failed search still commits the rows it scanned
+        fh.write("T,objective\r\n")
+        trace = types.SimpleNamespace(
+            extend=lambda rows: fh.write("".join(["%r,%r\r\n" % row for row in rows])))
+        try:
+            found["plan"] = recurrence.plan_recurrence(
+                spectrum, float(config["delta"]), config["mode"], cover,
+                tau_min=float(config.get("tau_min", 0.0)),
+                t_max=config.get("t_max"), grid_step=config.get("grid_step"), trace=trace)
+        except BaseException as exc:
+            found["error"] = exc
+
+    _atomic_write(os.path.join(out, "scan.csv"), search)
+    if "error" in found:
+        raise found["error"]
+    plan = found["plan"]
     write_json(os.path.join(out, "plan.json"), plan.to_dict())
     write_json(os.path.join(out, "report.json"),
                {"status": "ok", "time": plan.time, "N": plan.N})

@@ -484,13 +484,11 @@ class EvolutionTable:
 
 
 def expm_skew(H, t: float) -> np.ndarray:
-    """Unitary e^{H t} for skew-hermitian H via spectral decomposition."""
+    """Unitary e^{H t} for skew-hermitian H, from its one-generator table's
+    spectral store."""
     if t < 0:
         raise ValueError("expm_skew is restricted to forward durations")
-    M = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
-    _check_skew(M)
-    w, V = np.linalg.eigh(1j * M)
-    U = (V * np.exp(-1j * w * t)) @ V.conj().T
+    U = EvolutionTable({0: H}).unitary(0, t)
     defect = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
     if defect > UNITARY_TOL:
         raise AssertionError(f"propagator lost unitarity: {defect:.3e}")
@@ -498,21 +496,11 @@ def expm_skew(H, t: float) -> np.ndarray:
 
 
 def expm_apply(H, t: float, states: Sequence) -> list:
-    """[e^{H t} v for v in states] for a one-off skew-hermitian generator H.
-
-    H is applied once, so ``uses_spectrum`` runs with a count of 1: the
-    unitarity-checked ``expm_skew`` below dim 2 * SPECTRAL_DIVISOR, one
-    norm-checked Chebyshev action on the block of all states above.
-    """
-    if uses_spectrum(1, H.shape[0]):
-        U = expm_skew(H, t)
-        return [U @ np.asarray(v) for v in states]
-    if t < 0:
-        raise ValueError("expm_apply is restricted to forward durations")
-    M = _as_csr(H)
-    _check_skew(M)
+    """[e^{H t} v for v in states] for a one-off skew-hermitian generator H
+    and either sign of t: the one-leaf word ((0, t),) on the block of all
+    states, so ``uses_spectrum(1, dim)`` picks its path."""
     block = np.column_stack([np.asarray(v, dtype=complex) for v in states])
-    return list(np.ascontiguousarray(_Action(M)(t, block).T))
+    return list(np.ascontiguousarray(_evaluate(((0, t),), block, EvolutionTable({0: H})).T))
 
 
 def _unitarize(X: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@ matrix-level Lie closure, the table-free capped closure, dense Fock assembly
 and the dense truncated q, p, hermitization and interior-block references,
 the point-by-point recurrence grid scan, the two-product grid kernel, the
 recurrence search with materialized grid times and seam copies,
-segment-by-segment word evaluation, the Taylor action of the matrix
+segment-by-segment word evaluation, the matrix exponential from a plain
+``eigh`` of the unhermitized matrix, the Taylor action of the matrix
 exponential, the sequential reduction and per-target membership test of the
 propagation check, and the chain verdicts from one propagation check per
 edge.  These deliberately avoid the package's closed-form reordering
 identity, structure-tensor machinery, sparse assembly, angle addition, word
-trees, Chebyshev action and adjoint matrix.  There are three exceptions.
+trees, spectral store, Chebyshev action and adjoint matrix.  There are
+three exceptions.
 The table-free closure brackets with ``PolyOp`` arithmetic, which the
 reordering oracle checks, and avoids the bracket table, its stored rows and
 the sweep's stop rule.  The two-product grid kernel is the package's angle addition as it
@@ -417,6 +419,14 @@ def flat_realize(word, inverter):
         segments.append((k, t_star))
         plans.setdefault((k, -t), plan)
     return tuple(segments), plans
+
+
+def expm_eigh(H, t: float) -> np.ndarray:
+    """Dense e^{H t} for skew-hermitian H from ``np.linalg.eigh(1j H)`` as
+    given, without ``recurrence.spectral``'s check, hermitization or store."""
+    M = H.toarray() if scipy.sparse.issparse(H) else np.asarray(H)
+    w, V = np.linalg.eigh(1j * M)
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
 def expm_multiply_action(G, t, psi):

@@ -1253,22 +1253,27 @@ def test_recur_scan_csv_matches_csv_writer(tmp_path):
     assert (out / "scan.csv").read_bytes() == _csv_writer_bytes([["T", "objective"], *trace])
 
 
-def test_scan_csv_writer_memory_stays_bounded(tmp_path):
-    # 15 088 rows, a trace of 62M grid points: formatted a batch at a time
-    # the writer peaks near 0.25 MB, where joining the whole file into one
-    # string first takes about 1.7 MB
-    rng = np.random.default_rng(15088)
-    times = (1.0 + 2.1 * np.arange(15088)).tolist()
-    trace = list(zip(times, rng.uniform(0.0, 6.0, len(times)).tolist()))
-    path = tmp_path / "scan.csv"
-    tracemalloc.start()
-    try:
-        cli.write_scan(str(path), trace)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.read_bytes() == _csv_writer_bytes([["T", "objective"], *trace])
-    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
+def test_recur_scan_memory_does_not_grow_with_chunks(tmp_path):
+    # scan.csv rows are written chunk by chunk as the search runs: ten times
+    # the chunks (16 rows each) leave the peak where it was; rows held until
+    # the search ends would add about 1.6 kB a chunk
+    levels = [0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(6.0),
+              math.sqrt(7.0), 100.0]  # the bound cuts 100: the step is 2 pi / (100 sqrt 7)
+    chunk = 65536 * 2.0 * math.pi / (100.0 * math.sqrt(7.0))
+    peaks, sizes = [], []
+    for chunks in (100, 1000):
+        config = {"hamiltonian": {"levels": levels}, "delta": 1e-5, "mode": "energy_bound",
+                  "energy_bound": 1e-9, "tau_min": 1.0, "t_max": 1.0 + chunks * chunk}
+        tracemalloc.start()
+        try:
+            rc_code, out = run("recur", config, tmp_path, name=f"chunks{chunks}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rc_code == cli.EXIT_FAILURE
+        sizes.append(len((out / "scan.csv").read_bytes().splitlines()))
+    assert sizes[1] > 9 * sizes[0] > 9 * 1000
+    assert peaks[1] - peaks[0] < 2**18, f"grew {(peaks[1] - peaks[0]) / 2**20:.2f} MB"
 
 
 CUBIC_SYSTEM = {

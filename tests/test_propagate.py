@@ -9,7 +9,7 @@ import scipy.sparse
 from scipy.linalg import expm as scipy_expm
 
 from conftest import chain_table
-from oracles import expm_multiply_action, flat_evolve, flat_realize
+from oracles import expm_eigh, expm_multiply_action, flat_evolve, flat_realize
 from recurq import chains, cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
 from recurq.propagate import ControlSequence
@@ -90,6 +90,12 @@ def test_expm_rejects_non_skew():
         pr.expm_skew(np.eye(4), 1.0)
 
 
+def test_expm_rejects_negative_duration(qp_system):
+    _, table = qp_system
+    with pytest.raises(ValueError, match="forward durations"):
+        pr.expm_skew(table.matrix(1), -0.1)
+
+
 def test_skew_defect_matches_dense_formula(rng):
     def sparse_random(d, density):
         M = np.zeros((d, d), dtype=complex)
@@ -126,7 +132,7 @@ def test_evolve_single_segment(qp_system):
     spec, table = qp_system
     psi0 = fock.ground_state(spec)
     out = pr.evolve(ControlSequence(((1, 0.7),)), psi0, table)
-    assert np.allclose(out, pr.expm_skew(table.matrix(1), 0.7) @ psi0)
+    assert np.allclose(out, expm_eigh(table.matrix(1), 0.7) @ psi0)
 
 
 def test_evolve_merges_equal_generators(qp_system):
@@ -156,8 +162,8 @@ def test_evolve_time_order(qp_system):
     psi0 = fock.ground_state(spec)
     seq = ControlSequence(((1, 0.3), (2, 0.5)))
     out = pr.evolve(seq, psi0, table)
-    U1 = pr.expm_skew(table.matrix(1), 0.3)
-    U2 = pr.expm_skew(table.matrix(2), 0.5)
+    U1 = expm_eigh(table.matrix(1), 0.3)
+    U2 = expm_eigh(table.matrix(2), 0.5)
     assert np.allclose(out, U2 @ (U1 @ psi0))
 
 
@@ -177,7 +183,7 @@ def test_trotter_commuting_exact_at_n1():
     table = pr.EvolutionTable({1: -1j * Hq, 2: -1j * Hq2})
     psi0 = fock.ground_state(spec)
     out = pr.evolve(pr.trotter_sequence(1, 2, 0.9, 1), psi0, table)
-    target = pr.expm_skew(table.matrix(1) + table.matrix(2), 0.9) @ psi0
+    target = expm_eigh(table.matrix(1) + table.matrix(2), 0.9) @ psi0
     assert np.linalg.norm(out - target) < 1e-9
 
 
@@ -232,7 +238,7 @@ def test_commutator_squeezing_converges(harmonic_pair):
     psi0 = fock.ground_state(spec)
     t = 0.5
     A, B = table.matrix(1), table.matrix(2)
-    target = pr.expm_skew(A @ B - B @ A, t * t) @ psi0
+    target = expm_eigh(A @ B - B @ A, t * t) @ psi0
     errs = {}
     for n in (4, 8, 16):
         out = pr.evolve_signed(commutator_word(t, n), psi0, table)
@@ -490,7 +496,25 @@ def test_action_matches_spectral(d, rng):
         assert np.linalg.norm(run(segments, psi0) - spectral) <= 1e-12
     G = table.matrix(1) + table.matrix(2)
     one_off, = pr.expm_apply(G, 0.4, [psi0])
-    assert np.linalg.norm(one_off - pr.expm_skew(G, 0.4) @ psi0) <= 1e-12
+    assert np.linalg.norm(one_off - expm_eigh(G, 0.4) @ psi0) <= 1e-12
+
+
+def test_one_off_accepts_either_sign_of_t(rng):
+    # e^{G (-t)} is e^{(-G) t}.  On the action path (dim >= 128) the Chebyshev
+    # terms of the two differ only by exact sign flips, so the states are
+    # equal bit for bit; below dim 128 two eigendecompositions agree to rounding
+    tspec, table = _chain_table(6)  # dim 216
+    G = table.matrix(1) + table.matrix(2)
+    psi0 = _interior_state(tspec, rng)
+    back, = pr.expm_apply(G, -0.4, [psi0])
+    assert np.array_equal(back, pr.expm_apply(-G, 0.4, [psi0])[0])
+    assert np.linalg.norm(back - expm_eigh(G, -0.4) @ psi0) <= 1e-12
+    spec = TruncationSpec((24,))
+    G = -1j * fock.represent(as_hermitian(q(0) * q(0) * q(0) + p(0) * p(0)), spec).matrix
+    psi0 = fock.ground_state(spec)
+    back, = pr.expm_apply(G, -0.4, [psi0])
+    assert np.linalg.norm(back - pr.expm_apply(-G, 0.4, [psi0])[0]) <= 1e-13
+    assert np.linalg.norm(back - expm_eigh(G, -0.4) @ psi0) <= 1e-12
 
 
 def test_rule_small_word_diagonalizes_each_generator(monkeypatch):
@@ -554,11 +578,12 @@ def test_chebyshev_action_matches_expm_skew_and_taylor_oracle(d, rng):
     psi0 = _interior_state(tspec, rng)
     for gt in (0.1, 3.0, 40.0, 500.0):  # ||G t||_1
         t = gt / norm
-        U = pr.expm_skew(G, t)
+        U = expm_eigh(G, t)
         for sign, exact in ((1, U), (-1, U.conj().T)):
             out = action(sign * t, psi0)
             assert np.linalg.norm(out - exact @ psi0) <= 1e-12
             assert np.linalg.norm(out - expm_multiply_action(G, sign * t, psi0)) <= 1e-12
+    assert np.max(np.abs(pr.expm_skew(G, t) - U)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])

@@ -45,11 +45,15 @@ def _names(module):
 
 
 def test_generators_are_diagonalized_in_one_place():
-    # recurrence.spectral is every generator's decomposition; expm_skew is the
-    # oracle and the small-dimension one-off path of expm_apply
-    sites = _call_sites("eigh")
-    assert ("recurrence", "spectral") in sites
-    assert sites <= {("recurrence", "spectral"), ("propagate", "expm_skew")}, sites
+    # recurrence.spectral is every generator's decomposition, the one-off
+    # expm_skew and expm_apply included: they run on a one-generator
+    # EvolutionTable, so expm_apply keeps no path choice of its own
+    # (notes/decisions.md, "One spectral store")
+    assert _call_sites("eigh") == {("recurrence", "spectral")}
+    (expm_apply,) = [node for node in ast.parse((SRC / "propagate.py").read_text()).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "expm_apply"]
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(expm_apply)}
+    assert names & {"expm_skew", "_Action", "uses_spectrum"} == set()
 
 
 def test_one_run_path():
@@ -67,8 +71,13 @@ def test_one_build_per_generator():
     # generators are checked by lie_closure alone, and a chain's summed
     # Hamiltonians only through coupling_hamiltonian's own check
     # (notes/decisions.md, "Only the generators a run reads", "One check per
-    # closure generator" and "Chain Hamiltonians summed from the coupling terms")
-    assert _call_sites("EvolutionTable") == {("cli", "_build_system"), ("chains", "chain_demo")}
+    # closure generator" and "Chain Hamiltonians summed from the coupling terms").
+    # The one-off expm_skew and expm_apply take one generator, not a family:
+    # each wraps it in its own table to share the table's decomposition and
+    # evaluation (notes/decisions.md, "One spectral store")
+    assert _call_sites("EvolutionTable") == {("cli", "_build_system"), ("chains", "chain_demo"),
+                                             ("propagate", "expm_skew"),
+                                             ("propagate", "expm_apply")}
     assert _call_sites("as_hermitian") == {("chains", "coupling_hamiltonian")}
     assert _names("cli") & {"as_skew", "chain_table"} == set()
     assert "GeneratorIndexError" not in _class_names()
@@ -406,3 +415,8 @@ def test_optional_parameters_do_not_grow():
 def test_weyl_does_not_grow():
     # a ratchet: lower the bound when code goes
     assert len((SRC / "weyl.py").read_text().splitlines()) <= 959
+
+
+def test_source_does_not_grow():
+    # a ratchet: lower the bound when code goes
+    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3957

@@ -12,6 +12,7 @@ from recurq.synth import Bracket, Gen, Scale, Sum
 from recurq.weyl import as_hermitian, p, q
 
 from conftest import chain_table
+from oracles import expm_eigh
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,7 @@ def test_finite_net_inverter_verifies_over_net(system):
     target_gen = sy.expr_matrix(Scale(-1.0, Gen(3)), table)
     worst = max(
         pr.state_error(pr.evolve(res.sequence, v, table),
-                       pr.expm_skew(target_gen, 1.0) @ v)
+                       expm_eigh(target_gen, 1.0) @ v)
         for v in [psi0] + net)
     assert worst <= res.distance + 1e-12
     assert res.plans and all(p.mode == rc.FINITE_NET for p in res.plans.values())
