@@ -29,8 +29,26 @@ EXIT_USAGE = 2
 
 
 # -- config schemas -----------------------------------------------------------
+#
+# A fragment that two subcommands share is defined once, so a field reads the
+# same in every certificate that takes it; look-alikes stay apart
+# (notes/decisions.md, "Config fields defined once").
+
+
+def _config(properties: dict, required: list) -> dict:
+    """The schema of an object with these ``properties``, ``required`` in order."""
+    return {"type": "object", "properties": properties, "required": required}
+
 
 _POLY = {"type": "string"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_INDEX = {"type": "integer", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_DIMS = {"type": "array", "items": {"type": "integer", "minimum": 2}}
+_GENERATORS = {"type": "array", "items": _POLY, "minItems": 1}
+# closure's mode_count and a chain's n_modes count symbolic modes only
+_SYMBOLIC_MODES = {"type": "integer", "minimum": 1, "maximum": weyl.MAX_MODES}
 # A finite net's states are each drawn, overlapped with every eigenvector and,
 # in compile, evolved through every word, like the run's own state: 256 of
 # them at the fock.MAX_DIM limit hold 16 MiB and repeat that work 256 times.
@@ -40,174 +58,82 @@ _HAMILTONIAN = {
     "type": "object",
     "properties": {
         "poly": _POLY,
+        # a system's mode_count is held to its dims, a hamiltonian's to this
         "mode_count": {"type": "integer", "minimum": 1, "maximum": fock.MAX_MODES},
-        "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
+        "dims": _DIMS,
         "levels": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "level_formula": {
-            "type": "object",
-            "properties": {
-                # no more levels than a poly hamiltonian's Fock space can have
-                "count": {"type": "integer", "minimum": 1, "maximum": fock.MAX_DIM},
-                "coeffs": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["count", "coeffs"],
-        },
+        # no more levels than a poly hamiltonian's Fock space can have
+        "level_formula": _config({
+            "count": {"type": "integer", "minimum": 1, "maximum": fock.MAX_DIM},
+            "coeffs": {"type": "array", "items": {"type": "number"}},
+        }, ["count", "coeffs"]),
     },
 }
 _STATE = {
     "type": "object",
     "properties": {
-        "fock": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "fock": {"type": "array", "items": _INDEX},
         "random_interior": {"type": "object",
                             "properties": {"buffer": {"type": "integer"}}},
     },
 }
-_SYSTEM = {
-    "type": "object",
-    "properties": {
-        "mode_count": {"type": "integer", "minimum": 1},
-        "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-        "generators": {"type": "array", "items": _POLY, "minItems": 1},
-    },
-    "required": ["mode_count", "dims", "generators"],
+_SYSTEM = _config({"mode_count": _COUNT, "dims": _DIMS, "generators": _GENERATORS},
+                  ["mode_count", "dims", "generators"])
+_INVERTER = _config({
+    "mode": {"enum": ["exact", "pointwise", "finite_net", "energy_bound"]},
+    "delta": _POSITIVE,
+    "t_max": _POSITIVE,
+    "net_size": _NET_SIZE,
+    # keyed by generator index in its one spelling; \Z, as Python's $
+    # also matches before a trailing newline
+    "energy_bounds": {"type": "object",
+                      "propertyNames": {"pattern": r"^(0|[1-9][0-9]*)\Z"}},
+}, ["mode"])
+_CHAIN = _config({
+    "n_modes": _SYMBOLIC_MODES,
+    "omega": _NON_NEGATIVE,
+    "couplings": {"type": "array", "items": {
+        "type": "array", "minItems": 3, "maxItems": 3,
+        "prefixItems": [_INDEX, _INDEX, _NON_NEGATIVE]}},
+    "control_sites": {"type": "array", "items": _INDEX},
+    "control_degree_cap": _COUNT,
+}, ["n_modes", "omega", "couplings", "control_sites"])
+
+_CAPS = {"degree_cap": _COUNT, "dim_cap": _COUNT}
+_PLAN_SEARCH = {
+    "hamiltonian": _HAMILTONIAN,
+    "delta": _POSITIVE,
+    "mode": {"enum": ["pointwise", "finite_net", "energy_bound"]},
+    "state": _STATE,
+    "net_size": _NET_SIZE,
+    "energy_bound": _POSITIVE,
+    "t_max": _POSITIVE,
+    "grid_step": _POSITIVE,
 }
-_INVERTER = {
-    "type": "object",
-    "properties": {
-        "mode": {"enum": ["exact", "pointwise", "finite_net", "energy_bound"]},
-        "delta": {"type": "number", "exclusiveMinimum": 0},
-        "t_max": {"type": "number", "exclusiveMinimum": 0},
-        "net_size": _NET_SIZE,
-        # keyed by generator index in its one spelling; \Z, as Python's $
-        # also matches before a trailing newline
-        "energy_bounds": {"type": "object",
-                          "propertyNames": {"pattern": r"^(0|[1-9][0-9]*)\Z"}},
-    },
-    "required": ["mode"],
-}
-_CHAIN = {
-    "type": "object",
-    "properties": {
-        "n_modes": {"type": "integer", "minimum": 1, "maximum": weyl.MAX_MODES},
-        "omega": {"type": "number", "minimum": 0},
-        "couplings": {"type": "array", "items": {
-            "type": "array", "minItems": 3, "maxItems": 3,
-            "prefixItems": [{"type": "integer", "minimum": 0}, {"type": "integer", "minimum": 0},
-                            {"type": "number", "minimum": 0}]}},
-        "control_sites": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "control_degree_cap": {"type": "integer", "minimum": 1},
-    },
-    "required": ["n_modes", "omega", "couplings", "control_sites"],
-}
+_PLAN_REQUIRED = ["hamiltonian", "delta", "mode"]
+_PAIR = {"system": _SYSTEM, "k": _INDEX, "l": _INDEX, "t": _NON_NEGATIVE}
+_SYNTHESIS = {"epsilon": _POSITIVE, "n_budget": _COUNT, "inverter": _INVERTER}
 
 SCHEMAS = {
-    "closure": {
-        "type": "object",
-        "properties": {
-            "mode_count": {"type": "integer", "minimum": 1, "maximum": weyl.MAX_MODES},
-            "generators": {"type": "array", "items": _POLY, "minItems": 1},
-            "degree_cap": {"type": "integer", "minimum": 1},
-            "dim_cap": {"type": "integer", "minimum": 1},
-        },
-        "required": ["mode_count", "generators"],
-    },
-    "propagation": {
-        "type": "object",
-        "properties": {
-            "chain": _CHAIN,
-            "degree_cap": {"type": "integer", "minimum": 1},
-            "dim_cap": {"type": "integer", "minimum": 1},
-        },
-        "required": ["chain"],
-    },
-    "recur": {
-        "type": "object",
-        "properties": {
-            "hamiltonian": _HAMILTONIAN,
-            "delta": {"type": "number", "exclusiveMinimum": 0},
-            "mode": {"enum": ["pointwise", "finite_net", "energy_bound"]},
-            "state": _STATE,
-            "net_size": _NET_SIZE,
-            "energy_bound": {"type": "number", "exclusiveMinimum": 0},
-            "tau_min": {"type": "number", "minimum": 0},
-            "t_max": {"type": "number", "exclusiveMinimum": 0},
-            "grid_step": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["hamiltonian", "delta", "mode"],
-    },
-    "invert": {
-        "type": "object",
-        "properties": {
-            "hamiltonian": _HAMILTONIAN,
-            "delta": {"type": "number", "exclusiveMinimum": 0},
-            "mode": {"enum": ["pointwise", "finite_net", "energy_bound"]},
-            "s": {"type": "number", "minimum": 0},
-            "state": _STATE,
-            "net_size": _NET_SIZE,
-            "energy_bound": {"type": "number", "exclusiveMinimum": 0},
-            "t_max": {"type": "number", "exclusiveMinimum": 0},
-            "grid_step": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["hamiltonian", "delta", "mode", "s"],
-    },
-    "trotter": {
-        "type": "object",
-        "properties": {
-            "system": _SYSTEM,
-            "k": {"type": "integer", "minimum": 0},
-            "l": {"type": "integer", "minimum": 0},
-            "t": {"type": "number", "minimum": 0},
-            "ns": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            "state": _STATE,
-        },
-        "required": ["system", "k", "l", "t", "ns"],
-    },
-    "commutator": {
-        "type": "object",
-        "properties": {
-            "system": _SYSTEM,
-            "k": {"type": "integer", "minimum": 0},
-            "l": {"type": "integer", "minimum": 0},
-            "t": {"type": "number", "minimum": 0},
-            "n": {"type": "integer", "minimum": 1},
-            "inverter": _INVERTER,
-            "state": _STATE,
-        },
-        "required": ["system", "k", "l", "t", "n", "inverter"],
-    },
-    "compile": {
-        "type": "object",
-        "properties": {
-            "system": _SYSTEM,
-            "target": {},
-            "t": {"type": "number"},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0},
-            "n_budget": {"type": "integer", "minimum": 1},
-            "inverter": _INVERTER,
-            "state": _STATE,
-        },
-        "required": ["system", "target", "t", "epsilon", "n_budget", "inverter"],
-    },
-    "chain-demo": {
-        "type": "object",
-        "properties": {
-            "chain": _CHAIN,
-            "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-            "targets": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "properties": {"expr": {}, "t": {"type": "number"}},
-                    "required": ["expr", "t"],
-                },
-            },
-            "epsilon": {"type": "number", "exclusiveMinimum": 0},
-            "n_budget": {"type": "integer", "minimum": 1},
-            "inverter": _INVERTER,
-        },
-        "required": ["chain", "dims", "targets", "epsilon", "n_budget", "inverter"],
-    },
+    "closure": _config({"mode_count": _SYMBOLIC_MODES, "generators": _GENERATORS, **_CAPS},
+                       ["mode_count", "generators"]),
+    "propagation": _config({"chain": _CHAIN, **_CAPS}, ["chain"]),
+    "recur": _config({**_PLAN_SEARCH, "tau_min": _NON_NEGATIVE}, _PLAN_REQUIRED),
+    "invert": _config({**_PLAN_SEARCH, "s": _NON_NEGATIVE}, [*_PLAN_REQUIRED, "s"]),
+    "trotter": _config({**_PAIR, "ns": {"type": "array", "items": _COUNT, "minItems": 1},
+                        "state": _STATE}, [*_PAIR, "ns"]),
+    "commutator": _config({**_PAIR, "n": _COUNT, "inverter": _INVERTER, "state": _STATE},
+                          [*_PAIR, "n", "inverter"]),
+    "compile": _config({"system": _SYSTEM, "target": {}, "t": {"type": "number"},
+                        **_SYNTHESIS, "state": _STATE},
+                       ["system", "target", "t", *_SYNTHESIS]),
+    "chain-demo": _config({
+        "chain": _CHAIN,
+        "dims": _DIMS,
+        "targets": {"type": "array", "minItems": 1,
+                    "items": _config({"expr": {}, "t": {"type": "number"}}, ["expr", "t"])},
+        **_SYNTHESIS,
+    }, ["chain", "dims", "targets", *_SYNTHESIS]),
 }
 
 
@@ -582,7 +508,8 @@ def _plan_context(config, rng, floor: str):
 
 
 def _failed(out, exc) -> int:
-    """Write the failure report of a search, spectrum or compile error; exit 1."""
+    """Write the failure report of a search, spectrum, compile or norm-drift
+    error; exit 1."""
     details = exc.to_dict() if isinstance(exc, recurrence.RecurrenceSearchError) else {}
     write_json(os.path.join(out, "report.json"),
                {"status": "failed", "error": str(exc), **details})
@@ -780,9 +707,10 @@ def main(argv=None) -> int:
         print(f"error: {'$.n' if 'n' in config else '$.n_budget'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (recurrence.RecurrenceSearchError, recurrence.SpectrumExhaustedError,
-            synth.CompileBudgetError) as exc:
-        # no certified time, a spectrum too short for its tail cut, or an
-        # exhausted refinement budget: a failed certificate, with its report
+            synth.CompileBudgetError, propagate.NormDriftError) as exc:
+        # no certified time, a spectrum too short for its tail cut, an
+        # exhausted refinement budget, or an evaluation that drifted in norm:
+        # a failed certificate, with its report
         return _failed(args.out, exc)
 
 

@@ -81,6 +81,10 @@ class SequenceSizeError(ValueError):
     """A control sequence too long to write out: above MAX_SEGMENTS."""
 
 
+class NormDriftError(RuntimeError):
+    """An evaluation whose states drifted in norm by more than NORM_TOL."""
+
+
 def check_writable(segments: int) -> None:
     """Raise SequenceSizeError for a sequence of more than MAX_SEGMENTS segments."""
     if segments > MAX_SEGMENTS:
@@ -398,7 +402,7 @@ class _Action:
         drift = np.max(np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(psi, axis=0)),
                        initial=0.0)
         if drift > NORM_TOL:
-            raise AssertionError(f"action norm drift {drift:.3e}")
+            raise NormDriftError(f"action norm drift {drift:.3e}")
         return out
 
 
@@ -582,7 +586,7 @@ def _evaluate(word, psi0, table: EvolutionTable) -> np.ndarray:
     drift = np.max(np.abs(np.linalg.norm(psi, axis=0) - np.linalg.norm(psi0, axis=0)),
                    initial=0.0)
     if drift > NORM_TOL:
-        raise AssertionError(f"evolution norm drift {drift:.3e}")
+        raise NormDriftError(f"evolution norm drift {drift:.3e}")
     return psi
 
 

@@ -378,7 +378,7 @@ class RecurrenceTime:
 
 def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float = 0.0,
                          t_max: float | None = None, grid_step: float | None = None,
-                         trace: list | None = None) -> RecurrenceTime:
+                         trace=None) -> RecurrenceTime:
     """Earliest grid time T in [tau_min, t_max] with sum(1 - cos(E_n T)) < delta^2/4.
 
     The grid is t_i = tau_min + i h at the fixed step h = grid_step, with its
@@ -392,6 +392,10 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
     Raises RecurrenceSearchError with the best objective seen when the horizon
     is exhausted, and GridReachError when the scan cannot get there, or has
     scanned _MAX_GRID_POINTS points short of it.
+
+    ``trace`` is None or anything with an ``extend``, such as a list or the
+    CLI's streaming scan.csv writer: each chunk extends it with the (T,
+    objective) pair of every window's lowest grid point, in time order.
     """
     E = np.asarray(energies, dtype=float)
     if E.size == 0:
@@ -552,13 +556,15 @@ class InvertResult:
 
 def plan_recurrence(spectrum, delta: float, mode: str, cover, *,
                     tau_min: float = 0.0, t_max: float | None = None,
-                    grid_step: float | None = None, trace: list | None = None) -> RecurrencePlan:
+                    grid_step: float | None = None, trace=None) -> RecurrencePlan:
     """Build a certified recurrence plan for the states ``cover`` names.
 
     ``spectrum`` is the generator's SpectralData, or in energy_bound mode
     also its plain ascending levels.  ``cover`` is the one state (pointwise),
     the net's states (finite_net) or the energy bound M (energy_bound); a
-    pointwise plan is the finite-net plan of a one-state net.
+    pointwise plan is the finite-net plan of a one-state net.  ``trace``,
+    anything with an ``extend``, receives the scan's window minima as in
+    ``find_recurrence_time``.
     """
     sd = spectrum if isinstance(spectrum, SpectralData) else None
     E = sd.energies if sd is not None else np.asarray(spectrum, dtype=float)

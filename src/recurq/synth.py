@@ -315,9 +315,9 @@ def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequen
                         jobs: int = 1) -> ReachabilityReport:
     """Compile every (expr, t) target and record the achieved accuracy.
 
-    Per-target failures (budget, inverter) are captured in the report rather
-    than raised.  Two errors that the configuration must change escape and
-    abort the report: a GridReachError (an inverter horizon) and a
+    Per-target failures (budget, inverter, norm drift) are captured in the
+    report rather than raised.  Two errors that the configuration must change
+    escape and abort the report: a GridReachError (an inverter horizon) and a
     SequenceSizeError (a compiled word too long to write out).
     """
     targets = list(targets)

@@ -586,7 +586,7 @@ class _Constants(NamedTuple):
     (degree above the cap, exponent rows ``overflow``) that some bracket
     produces.  T[i, j, col] is stored column-major, at row ``i * n_ext +
     col``, column ``j`` of the CSC matrix ``S``, so that M_y = sum_j y_j
-    T[:, j, :] reads only the columns j with y_j != 0.  ``N[i, j]`` is the
+    T[:, j, :] is the one product ``S @ y``.  ``N[i, j]`` is the
     norm of the in-cap part of [m_i, m_j].  ``S``, ``N`` and ``overflow``
     are None for a key ``table_monomials`` refuses, whose table is never
     built.
@@ -606,19 +606,8 @@ class _Constants(NamedTuple):
         return self.n + len(self.overflow)
 
     def product(self, y: np.ndarray):
-        """``(M_y[:, cols], cols)`` for the columns ``cols`` of M_y with a nonzero.
-
-        The columns j of S with y_j != 0 are accumulated in ascending j, the
-        order in which CSR's ``S @ y`` sums each row; the terms it skips are
-        exact zeros, which leave a sum that starts at +0.0 unchanged, so
-        every entry equals ``S @ y`` bit for bit.
-        """
-        S, ptr = self.S, self.S.indptr
-        acc = np.zeros(self.n * self.n_ext, dtype=complex)
-        for j in np.flatnonzero(y):
-            a, b = ptr[j], ptr[j + 1]
-            acc[S.indices[a:b]] += S.data[a:b] * y[j]
-        My = acc.reshape(self.n, self.n_ext)
+        """``(M_y[:, cols], cols)`` for the columns ``cols`` of M_y with a nonzero."""
+        My = (self.S @ y).reshape(self.n, self.n_ext)
         cols = np.flatnonzero(My.any(axis=0))
         return My[:, cols], cols
 

@@ -351,6 +351,35 @@ def test_compile_finite_net_inverter(tmp_path):
     assert segment["k"] == 0 and abs(segment["t"] - (4 * math.pi - 1.0)) < 1e-6
 
 
+# an epsilon no word meets doubles n until the squared 4 n^2-segment bracket
+# word drifts in norm (at n = 131 072 on this pair, about 6.9e10 segments)
+DRIFT_BRACKET = {"op": "bracket", "left": 0, "right": 1}
+DRIFT_SEARCH = {"epsilon": 1e-300, "n_budget": 262144, "inverter": {"mode": "exact"}}
+
+
+def test_compile_norm_drift_is_a_failed_certificate(tmp_path):
+    system = {"mode_count": 1, "dims": [16],
+              "generators": ["(1,0) * q1^2 + (1,0) * p1^2", "(1,0) * q1"]}
+    config = {"system": system, "target": DRIFT_BRACKET, "t": 0.3, **DRIFT_SEARCH}
+    rc_code, out = run("compile", config, tmp_path)
+    assert rc_code == cli.EXIT_FAILURE
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"status", "error"} and report["status"] == "failed"
+    assert report["error"].startswith("evolution norm drift")
+
+
+def test_chain_demo_norm_drift_fails_one_target_and_keeps_the_others(tmp_path):
+    config = {"chain": {"n_modes": 1, "omega": 1.0, "couplings": [], "control_sites": [0]},
+              "dims": [12], "targets": [{"expr": 1, "t": 0.2}, {"expr": DRIFT_BRACKET, "t": 0.3}],
+              **DRIFT_SEARCH}
+    rc_code, out = run("chain-demo", config, tmp_path)
+    assert rc_code == cli.EXIT_FAILURE
+    ok, drifted = json.loads((out / "report.json").read_text())["targets"]
+    assert ok["status"] == "ok" and ok["distance"] <= 1e-12
+    assert drifted["status"] == "failed"
+    assert drifted["error"].startswith("evolution norm drift")
+
+
 @pytest.mark.parametrize("omega,dim_cap,verdict", [
     (1.0, 8, "unknown"), (1.0, 16, "unknown"), (0.0, 8, "fails"), (0.0, 256, "fails"),
 ])

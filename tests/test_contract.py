@@ -130,3 +130,33 @@ def test_hostile_numbers_keep_the_exit_contract(case, value):
     assert code in (cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_USAGE), (sub, path, value, code)
     if code == cli.EXIT_USAGE:
         assert "$." in err.getvalue(), (sub, path, value, err.getvalue())
+
+
+def test_shared_fields_are_defined_once():
+    # a field that several subcommands take is one schema object, so every
+    # certificate reads it alike (notes/decisions.md, "Config fields defined once")
+    props = {sub: schema["properties"] for sub, schema in cli.SCHEMAS.items()}
+    shared = {
+        ("recur", "invert"): ("delta", "t_max", "grid_step", "energy_bound"),
+        ("trotter", "commutator"): ("system", "k", "l", "t"),
+        ("compile", "chain-demo"): ("epsilon", "n_budget"),
+        ("closure", "propagation"): ("degree_cap", "dim_cap"),
+        ("commutator", "compile", "chain-demo"): ("inverter",),
+    }
+    for subs, keys in shared.items():
+        for key in keys:
+            first, *rest = (props[sub][key] for sub in subs)
+            assert all(field is first for field in rest), (subs, key)
+    # the look-alikes stay apart: compile's and chain-demo's t may be
+    # negative, the plan modes have no "exact", and each mode_count has its
+    # own maximum
+    signed = props["compile"]["t"]
+    assert signed == props["chain-demo"]["targets"]["items"]["properties"]["t"]
+    assert signed != props["trotter"]["t"] and props["trotter"]["t"]["minimum"] == 0
+    plan_modes = props["recur"]["mode"]["enum"]
+    assert "exact" not in plan_modes
+    assert plan_modes != props["compile"]["inverter"]["properties"]["mode"]["enum"]
+    mode_counts = [props["closure"]["mode_count"],
+                   props["recur"]["hamiltonian"]["properties"]["mode_count"],
+                   props["compile"]["system"]["properties"]["mode_count"]]
+    assert len({field.get("maximum") for field in mode_counts}) == 3

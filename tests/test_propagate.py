@@ -432,9 +432,9 @@ def test_evolve_and_evolve_signed_share_the_norm_check(qp_system, monkeypatch):
     word = commutator_word(0.3, 1)  # short words apply leaf by leaf
     apply = table.apply
     monkeypatch.setattr(table, "apply", lambda k, t, psi: apply(k, t, psi) * (1 + 1e-9))
-    with pytest.raises(AssertionError, match="norm drift"):
+    with pytest.raises(pr.NormDriftError, match="norm drift"):
         pr.evolve_signed(word, psi0, table)
-    with pytest.raises(AssertionError, match="norm drift"):
+    with pytest.raises(pr.NormDriftError, match="norm drift"):
         pr.evolve(ControlSequence(pr.trotter_sequence(1, 2, 0.3, 1).word), psi0, table)
 
 
