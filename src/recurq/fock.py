@@ -59,7 +59,6 @@ class TruncatedRep:
     """A PolyOp rendered as a complex CSR matrix at a given truncation."""
 
     csr: scipy.sparse.csr_array
-    spec: TruncationSpec
     hermiticity_defect: float | None
 
     @property
@@ -161,7 +160,7 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
     indptr = np.searchsorted(at_row, np.arange(dim + 1))
     csr = scipy.sparse.csr_array((data, (at_row + diag[at_slot]).astype(index),
                                   indptr.astype(index)), shape=(dim, dim))
-    return TruncatedRep(csr, spec, defect)
+    return TruncatedRep(csr, defect)
 
 
 # -- states -----------------------------------------------------------------

@@ -7,7 +7,7 @@ product formulas are
     (e^{H_k t/n} e^{H_l t/n})^n           -> e^{(H_k + H_l) t},
     (e^{-H_k s} e^{-H_l s} e^{H_k s} e^{H_l s})^{n^2} -> e^{[H_k, H_l] t^2},
 
-with s = t/n.  The splitting word is built here (``trotter_sequence``); the
+with s = t/n.  The splitting word of ``trotter_errors`` is built here; the
 commutator word, like every word of a generator expression, is built by
 ``synth.build_word``.  Its reversed segments are either evaluated exactly
 (oracle-only signed evolution, negative durations never leave evaluation) or
@@ -605,17 +605,6 @@ def evolve_signed(segments, psi0: np.ndarray, table: EvolutionTable) -> np.ndarr
     return _evaluate(segments, psi0, table)
 
 
-def trotter_sequence(k: int, l: int, t: float, n: int) -> ControlSequence:
-    """2n alternating forward segments approximating e^{(H_k + H_l) t}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    step = t / n
-    word = Repeat(Concat(((k, step), (l, step))), n)
-    return ControlSequence(word, provenance=f"trotter(k={k}, l={l}, t={t}, n={n})")
-
-
 def realize_word(word, inverter) -> tuple:
     """Replace reversed segments of a signed word by forward surrogates.
 
@@ -654,6 +643,7 @@ def trotter_errors(k: int, l: int, t: float, ns: Sequence[int], psi0: np.ndarray
     target = expm_apply(table.matrix(k) + table.matrix(l), t, [psi0])[0]
     rows = []
     for n in ns:
-        out = evolve(trotter_sequence(k, l, t, n), psi0, table)
+        step = t / n
+        out = evolve(ControlSequence(Repeat(Concat(((k, step), (l, step))), n)), psi0, table)
         rows.append((int(n), state_error(out, target)))
     return rows

@@ -142,16 +142,6 @@ def spectral(H: np.ndarray) -> SpectralData:
     return SpectralData(E, V)
 
 
-def recurrence_distance(c: np.ndarray, energies: np.ndarray, T: float) -> float:
-    """sqrt(2 sum |c_n|^2 (1 - cos(E_n T)))."""
-    c = np.asarray(c)
-    E = np.asarray(energies, dtype=float)
-    if c.shape != E.shape:
-        raise ValueError("overlap vector and eigenvalue list must match in length")
-    val = 2.0 * float(np.sum(np.abs(c) ** 2 * (1.0 - np.cos(E * T))))
-    return math.sqrt(max(val, 0.0))
-
-
 def tail_cut(c: np.ndarray, delta: float) -> int:
     """Smallest N with sum_{n>N} |c_n|^2 < delta^2 / 8."""
     if delta <= 0:

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .propagate import (Concat, ControlSequence, EvolutionTable, Repeat, evolve,
-                        evolve_signed, expm_apply, fidelity, leaves, realize_word,
+from .propagate import (Concat, ControlSequence, EvolutionTable, NormDriftError, Repeat,
+                        evolve, evolve_signed, expm_apply, fidelity, leaves, realize_word,
                         state_error, uses_spectrum)
 from .recurrence import GridReachError
 
@@ -170,6 +170,15 @@ class CompileBudgetError(RuntimeError):
                          f"(needed < {epsilon:.3e})")
 
 
+class CompileDriftError(NormDriftError):
+    """A round's evaluation drifted in norm after an earlier round finished."""
+
+    def __init__(self, drift, n, best_n, best_distance):
+        self.best_n = best_n
+        self.best_distance = best_distance
+        super().__init__(f"{drift} at n={n}: best distance {best_distance:.3e} at n={best_n}")
+
+
 class ExactInverter:
     """Oracle marker: reversed segments stay signed in the word tree and
     ``run`` evaluates them by exact inverses instead of physical forward
@@ -232,7 +241,9 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
 
     Each round realizes the order-n word (``realize``) and runs it on psi0
     and, for a finite-net inverter, on every state of its net.  Verification
-    is held out: the returned object met epsilon on all of them.
+    is held out: the returned object met epsilon on all of them.  A search
+    that ends unmet reports its best round: CompileBudgetError past the
+    budget, CompileDriftError on a norm drift after the first round.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -247,7 +258,12 @@ def compile_sequence(expr, t: float, epsilon: float, n_budget: int, inverter,
     n = 1
     while n <= n_budget:
         seq, plans = realize(expr, t, n, inverter)
-        outs = run(seq, block, table).T
+        try:
+            outs = run(seq, block, table).T
+        except NormDriftError as exc:
+            if best_n is None:
+                raise
+            raise CompileDriftError(exc, n, best_n, best_distance) from exc
         distance = max(state_error(o, tgt) for o, tgt in zip(outs, targets))
         if distance < best_distance:
             best_n, best_distance = n, distance
@@ -329,7 +345,7 @@ def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequen
             res = compile_sequence(expr, t, epsilon, n_budget, inverter, psi0, table)
         except GridReachError:
             raise
-        except CompileBudgetError as exc:
+        except (CompileBudgetError, CompileDriftError) as exc:
             return TargetRecord(label, "failed", exc.best_n, exc.best_distance, None, None,
                                 str(exc), [], None)
         except (RuntimeError, ValueError) as exc:

@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -196,20 +196,6 @@ class PolyOp:
                 out[m2] = out.get(m2, 0.0j) + coeff.conjugate() * c2
         return _trusted(self.mode_count, out)
 
-    def cleaned(self, rel_tol: float = _PRUNE) -> "PolyOp":
-        """Drop coefficients below rel_tol times the largest magnitude."""
-        if not self.terms:
-            return self
-        scale = max(abs(c) for c in self.terms.values())
-        terms = {m: c for m, c in self.terms.items() if abs(c) > rel_tol * scale}
-        return _trusted(self.mode_count, terms, self.role)
-
-    def isclose(self, other: "PolyOp", tol: float) -> bool:
-        self._require_same_modes(other)
-        diff = self - other
-        scale = max(self.coefficient_norm(), other.coefficient_norm(), 1.0)
-        return diff.coefficient_norm() <= tol * scale
-
     # -- textual form -----------------------------------------------------
 
     def to_text(self) -> str:
@@ -299,25 +285,6 @@ def const(value: complex, mode_count: int = 1) -> PolyOp:
     return PolyOp(mode_count, {mono: value}, role)
 
 
-def canonicalize(raw: Iterable, mode_count: int) -> PolyOp:
-    """Normal-order a sum of factor words.
-
-    ``raw`` is an iterable of ``(factors, coeff)`` where ``factors`` is a
-    sequence of ``("q"|"p", mode)`` pairs in operator order (leftmost factor
-    acts last).  The result equals the input as an operator identity under
-    [q, p] = i.
-    """
-    total = const(0.0, mode_count)
-    for factors, coeff in raw:
-        word = const(coeff, mode_count)
-        for kind, mode in factors:
-            if kind not in ("q", "p"):
-                raise ValueError(f"unknown factor kind {kind!r}")
-            word = word * (q if kind == "q" else p)(mode, mode_count)
-        total = total + word
-    return total
-
-
 def is_hermitian(A: PolyOp) -> bool:
     return (A - A.adjoint()).coefficient_norm() <= ADJOINT_TOL * max(A.coefficient_norm(), 1.0)
 
@@ -330,12 +297,6 @@ def as_hermitian(A: PolyOp) -> PolyOp:
     if not is_hermitian(A):
         raise ValueError("operator is not hermitian at coefficient level")
     return _trusted(A.mode_count, A.terms, HERMITIAN)
-
-
-def as_skew(A: PolyOp) -> PolyOp:
-    if not is_skew_hermitian(A):
-        raise ValueError("operator is not skew-hermitian at coefficient level")
-    return _trusted(A.mode_count, A.terms, SKEW)
 
 
 def skew_generator(H: PolyOp) -> PolyOp:
@@ -520,21 +481,12 @@ class LieBasis:
         V[mag <= _PRUNE * np.maximum(mag.max(axis=1, keepdims=True, initial=0.0), 1.0)] = 0
         return _target_ops(sp.csc_matrix(V.T), list(self._index), self.mode_count)
 
-    def contains(self, X: PolyOp) -> bool:
-        return bool(self.contains_all([X])[0])
-
     def contains_all(self, ops) -> np.ndarray:
         """Membership of each op, in one projection; a term off the index is not."""
         if any(X.mode_count != self.mode_count for X in ops):
             raise ValueError("mode_count mismatch")
         V, inside = _coefficients(ops, self._index)
         return inside & (self._span.residuals(V) <= MEMBERSHIP_TOL)
-
-
-def contains(basis: LieBasis, X: PolyOp) -> bool:
-    if not is_skew_hermitian(X):
-        raise ValueError("membership test expects a skew-hermitian operator")
-    return basis.contains(X)
 
 
 class CapError(ValueError):
@@ -913,8 +865,9 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
 
     # [X, -i*coupling] is the row X @ M_c of one table product, on the table
     # at the coupling's degree when that is above the cap (its first n
-    # monomials are the in-cap ones), cleaned as PolyOp.cleaned cleans; a
-    # zero bracket is no generator, and lie_closure refuses one above the cap
+    # monomials are the in-cap ones), less the entries at most _PRUNE times
+    # the row's largest magnitude; a zero bracket is no generator, and
+    # lie_closure refuses one above the cap
     slots = sorted(pair_modes) or [0]
     L, pair_index, table = _generator_rows(local_ops, degree_cap, slots,
                                            max(degree_cap, coupling.degree))

@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from recurq import chains, fock, propagate, weyl
 
+from oracles import as_skew, cleaned
+
 
 @pytest.fixture
 def rng():
@@ -26,10 +28,10 @@ def random_polyop(rng, mode_count=2, max_degree=4, max_terms=4):
 
 def random_skew(rng, mode_count=1, max_degree=2, max_terms=3):
     A = random_polyop(rng, mode_count, max_degree, max_terms)
-    S = (A - A.adjoint()).cleaned()
+    S = cleaned(A - A.adjoint())
     if S.is_zero:
         return weyl.skew_generator(weyl.q(0, mode_count))
-    return weyl.as_skew(S)
+    return as_skew(S)
 
 
 def chain_table(spec, dims, indices):

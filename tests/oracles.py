@@ -1,7 +1,9 @@
-"""Independent oracles used by the tests: brute-force symbolic reordering,
-matrix-level Lie closure, the table-free capped closure, dense Fock assembly
-and the dense truncated q, p, hermitization and interior-block references,
-the point-by-point recurrence grid scan, the two-product grid kernel, the
+"""Independent oracles used by the tests: the coefficient-level PolyOp
+references (pruning, closeness and the skew tag), brute-force symbolic
+reordering, matrix-level Lie closure, the table-free capped closure, dense
+Fock assembly and the dense truncated q, p, hermitization and interior-block
+references, the recurrence distance from overlaps, the point-by-point
+recurrence grid scan, the two-product grid kernel, the
 recurrence search with materialized grid times and seam copies,
 segment-by-segment word evaluation, the matrix exponential from a plain
 ``eigh`` of the unhermitized matrix, the Taylor action of the matrix
@@ -31,6 +33,28 @@ from scipy.sparse.linalg import expm_multiply
 
 from recurq import chains, fock, propagate, recurrence, weyl
 from recurq.weyl import PolyOp
+
+
+def cleaned(A: PolyOp, rel_tol: float = 1e-14) -> PolyOp:
+    """A without the coefficients at most rel_tol times its largest magnitude."""
+    if not A.terms:
+        return A
+    scale = max(abs(c) for c in A.terms.values())
+    return PolyOp(A.mode_count, {m: c for m, c in A.terms.items() if abs(c) > rel_tol * scale},
+                  A.role)
+
+
+def isclose(A: PolyOp, B: PolyOp, tol: float) -> bool:
+    """Coefficient distance of A and B within tol of the larger norm (or 1)."""
+    scale = max(A.coefficient_norm(), B.coefficient_norm(), 1.0)
+    return (A - B).coefficient_norm() <= tol * scale
+
+
+def as_skew(A: PolyOp) -> PolyOp:
+    """A tagged skew-hermitian, after the coefficient-level check."""
+    if not weyl.is_skew_hermitian(A):
+        raise ValueError("operator is not skew-hermitian at coefficient level")
+    return PolyOp(A.mode_count, A.terms, weyl.SKEW)
 
 
 def reorder_word(factors, coeff, mode_count):
@@ -182,7 +206,7 @@ def polyop_lie_closure(generators, degree_cap, dim_cap=256, floor=1e-9):
         for m, c in op.terms.items():
             v[index[m]] = c
         if span.try_add(v):
-            elements.append(weyl.as_skew(op * (1.0 / np.linalg.norm(v))))
+            elements.append(as_skew(op * (1.0 / np.linalg.norm(v))))
 
     for g in generators:
         add(g)
@@ -263,6 +287,17 @@ def interior_block(M: np.ndarray, spec, buffer: int | None = None) -> np.ndarray
         spec = fock.TruncationSpec(spec.dims, buffer)
     mask = fock.interior_mask(spec)
     return M[np.ix_(mask, mask)]
+
+
+def recurrence_distance(c, energies, T: float) -> float:
+    """||psi - e^{-iHT} psi|| = sqrt(2 sum |c_n|^2 (1 - cos(E_n T))) from the
+    overlaps c_n of psi with the eigenvectors."""
+    c = np.asarray(c)
+    E = np.asarray(energies, dtype=float)
+    if c.shape != E.shape:
+        raise ValueError("overlap vector and eigenvalue list must match in length")
+    val = 2.0 * float(np.sum(np.abs(c) ** 2 * (1.0 - np.cos(E * T))))
+    return math.sqrt(max(val, 0.0))
 
 
 def loop_tail_cut(c, delta: float) -> int:
@@ -463,14 +498,14 @@ def sequential_targets(modes, mode_count, degree_cap):
         m_op = PolyOp(mode_count, {mono: 1.0})
         m_adj = m_op.adjoint()
         for candidate in (1j * (m_op + m_adj), m_op - m_adj):
-            candidate = candidate.cleaned()
+            candidate = cleaned(candidate)
             if candidate.is_zero:
                 continue
             v = np.zeros(len(monomials), dtype=complex)
             for m, c in candidate.terms.items():
                 v[index[m]] = c
             if span.try_add(v):
-                out.append(weyl.as_skew(candidate))
+                out.append(as_skew(candidate))
     return out
 
 
@@ -562,7 +597,7 @@ def polyop_propagation_check(local, coupling, degree_cap, dim_cap=256):
     pair_modes = local_modes | coupling.support
     target_modes = tuple(sorted(pair_modes - local_modes))
     n = weyl.table_monomials(degree_cap, len(pair_modes))
-    brackets = (weyl.bracket(X, coupling_skew).cleaned() for X in local_ops)
+    brackets = (cleaned(weyl.bracket(X, coupling_skew)) for X in local_ops)
     gens = local_ops + [b for b in brackets if not b.is_zero]
     closure = weyl.lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap)
     if not target_modes:

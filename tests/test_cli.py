@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -365,7 +366,12 @@ def test_compile_norm_drift_is_a_failed_certificate(tmp_path):
     assert rc_code == cli.EXIT_FAILURE
     report = json.loads((out / "report.json").read_text())
     assert set(report) == {"status", "error"} and report["status"] == "failed"
-    assert report["error"].startswith("evolution norm drift")
+    # the error names the drifting round and the best earlier one
+    match = re.fullmatch(r"evolution norm drift \S+ at n=(\d+): best distance (\S+) at n=(\d+)",
+                         report["error"])
+    assert match, report["error"]
+    drift_n, best_distance, best_n = int(match[1]), float(match[2]), int(match[3])
+    assert best_n < drift_n <= DRIFT_SEARCH["n_budget"] and 0 < best_distance < 1e-3
 
 
 def test_chain_demo_norm_drift_fails_one_target_and_keeps_the_others(tmp_path):
@@ -378,6 +384,9 @@ def test_chain_demo_norm_drift_fails_one_target_and_keeps_the_others(tmp_path):
     assert ok["status"] == "ok" and ok["distance"] <= 1e-12
     assert drifted["status"] == "failed"
     assert drifted["error"].startswith("evolution norm drift")
+    # the drifting target keeps its best earlier round, as a budget failure does
+    assert drifted["n"] >= 1 and drifted["distance"] < 1e-3
+    assert drifted["error"].endswith(f"best distance {drifted['distance']:.3e} at n={drifted['n']}")
 
 
 @pytest.mark.parametrize("omega,dim_cap,verdict", [

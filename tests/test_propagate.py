@@ -169,11 +169,24 @@ def test_evolve_time_order(qp_system):
 
 # -- Trotter ---------------------------------------------------------------------
 
-def test_trotter_sequence_shape():
-    seq = pr.trotter_sequence(1, 2, 0.8, 3)
+def trotter_word(k, l, t, n):
+    """The splitting word (e^{H_k t/n} e^{H_l t/n})^n, built as synth builds a sum."""
+    return synth.build_word(synth.Sum(synth.Gen(k), synth.Gen(l)), t, n)
+
+
+def test_trotter_sequence_shape(qp_system, monkeypatch):
+    word = trotter_word(1, 2, 0.8, 3)
+    seq = ControlSequence(word)
     assert len(seq) == 6
     assert seq.segments[0] == (1, 0.8 / 3)
     assert seq.segments[1] == (2, 0.8 / 3)
+    # trotter_errors evaluates the same tree
+    spec, table = qp_system
+    seen, evolve = [], pr.evolve
+    monkeypatch.setattr(pr, "evolve", lambda seq, psi, table: seen.append(seq.word)
+                        or evolve(seq, psi, table))
+    pr.trotter_errors(1, 2, 0.8, [3], fock.ground_state(spec), table)
+    assert seen == [word]
 
 
 def test_trotter_commuting_exact_at_n1():
@@ -182,7 +195,7 @@ def test_trotter_commuting_exact_at_n1():
     Hq2 = fock.represent(as_hermitian(q(0) * q(0)), spec).matrix
     table = pr.EvolutionTable({1: -1j * Hq, 2: -1j * Hq2})
     psi0 = fock.ground_state(spec)
-    out = pr.evolve(pr.trotter_sequence(1, 2, 0.9, 1), psi0, table)
+    out = pr.evolve(ControlSequence(trotter_word(1, 2, 0.9, 1)), psi0, table)
     target = expm_eigh(table.matrix(1) + table.matrix(2), 0.9) @ psi0
     assert np.linalg.norm(out - target) < 1e-9
 
@@ -326,7 +339,7 @@ def test_word_tree_sizes_and_flat_form():
     word = commutator_word(0.5, 3)
     assert word == pr.Repeat(pr.Concat(block), 9) and len(word) == 36
     assert pr.flatten(word) == block * 9
-    assert pr.trotter_sequence(1, 2, 0.8, 3).segments == ((1, 0.8 / 3), (2, 0.8 / 3)) * 3
+    assert pr.flatten(trotter_word(1, 2, 0.8, 3)) == ((1, 0.8 / 3), (2, 0.8 / 3)) * 3
     nested = pr.Concat((pr.Repeat(word, 2), (1, 0.1), pr.Concat(((2, 0.2),))))
     assert len(nested) == 74 and len(nested.parts) == 3
     assert pr.flatten(nested) == block * 18 + ((1, 0.1), (2, 0.2))
@@ -376,7 +389,7 @@ def test_tree_evaluation_matches_flat_oracle(case, segments, tol):
     spec, table = _cubic_table()
     psi0 = fock.ground_state(spec)
     if case == "trotter":
-        word = pr.trotter_sequence(1, 2, 0.7, 4096).word
+        word = trotter_word(1, 2, 0.7, 4096)
     elif case == "commutator":
         word = commutator_word(0.4, round((segments / 4) ** 0.5))
     else:
@@ -435,7 +448,7 @@ def test_evolve_and_evolve_signed_share_the_norm_check(qp_system, monkeypatch):
     with pytest.raises(pr.NormDriftError, match="norm drift"):
         pr.evolve_signed(word, psi0, table)
     with pytest.raises(pr.NormDriftError, match="norm drift"):
-        pr.evolve(ControlSequence(pr.trotter_sequence(1, 2, 0.3, 1).word), psi0, table)
+        pr.evolve(ControlSequence(trotter_word(1, 2, 0.3, 1)), psi0, table)
 
 
 def test_squared_repeats_stay_unitary():
@@ -522,7 +535,7 @@ def test_rule_small_word_diagonalizes_each_generator(monkeypatch):
     table = pr.EvolutionTable({0: -1j * fock.represent(q(0), spec).matrix,
                                1: -1j * fock.represent(p(0), spec).matrix})
     calls = _count_eigh(monkeypatch)
-    pr.evolve(pr.trotter_sequence(0, 1, 0.7, 16), fock.ground_state(spec), table)
+    pr.evolve(ControlSequence(trotter_word(0, 1, 0.7, 16)), fock.ground_state(spec), table)
     assert calls == [24, 24]
 
 

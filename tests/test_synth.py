@@ -129,6 +129,30 @@ def test_compile_budget_error(system):
     assert err.value.best_distance > 1e-6
 
 
+@pytest.mark.parametrize("drift_round", [1, 3])
+def test_compile_norm_drift_keeps_the_best_earlier_round(system, monkeypatch, drift_round):
+    # a drift in round 1 escapes as it is; a later one reports rounds 1 .. r-1
+    spec, table = system
+    psi0 = fock.ground_state(spec)
+    rounds, run = [], sy.run
+
+    def drifting(seq, states, table):
+        rounds.append(seq)
+        if len(rounds) == drift_round:
+            raise pr.NormDriftError("evolution norm drift 1e-09")
+        return run(seq, states, table)
+
+    monkeypatch.setattr(sy, "run", drifting)
+    with pytest.raises(pr.NormDriftError) as err:
+        sy.compile_sequence(Sum(Gen(1), Gen(2)), 0.7, 1e-12, 64, sy.ExactInverter(), psi0, table)
+    if drift_round == 1:
+        assert type(err.value) is pr.NormDriftError
+        return
+    assert isinstance(err.value, sy.CompileDriftError) and err.value.best_n == 2
+    assert str(err.value) == (f"evolution norm drift 1e-09 at n=4: best distance "
+                              f"{err.value.best_distance:.3e} at n=2")
+
+
 def test_exact_inverse_error_converges(system):
     spec, table = system
     psi0 = fock.ground_state(spec)
