@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from . import recurrence
 
@@ -42,11 +43,7 @@ NORM_TOL = 1e-10
 # per segment) when a word applies it at least dim // SPECTRAL_DIVISOR times,
 # and otherwise by the Chebyshev action e^{Gt}v on its sparse matrix
 # (``_Action``); below dim 128 every generator takes the spectral path.  The
-# measured break-even, in segments of one action against one eigh for a
-# 3-mode chain generator, lies 3-240x above dim // 64, and from dim ~600 up
-# one action costs less than one spectral mat-vec, so the spectral path pays
-# there only through repeated squaring (notes/decisions.md, "Spectral or
-# action evaluation").
+# measured break-even is in notes/decisions.md, "Spectral or action evaluation".
 SPECTRAL_DIVISOR = 64
 
 # A Repeat whose generators all take the spectral path is applied as its
@@ -367,37 +364,40 @@ def chebyshev_coefficients(z: float) -> np.ndarray:
 
 
 class _Action:
-    """e^{G t} psi by a Chebyshev expansion in the hermitian H = iG
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
-
-    With centre c = tr(H) / dim and radius r = ||H - c||_1, which bounds the
-    spectral radius of H - c, the spectrum of X = (H - c) / r lies in [-1, 1]
-    and e^{-iHt} = e^{-ict} sum_k a_k(rt) T_k(X) (``chebyshev_coefficients``).
-    T_k(X) psi follows the three-term recurrence: one sparse product per
-    degree, on one state or a dim x m block of column states, for either sign
-    of t.  No step draws random numbers, so results never depend on RNG state.
-    """
+    """e^{G t} psi by a Chebyshev expansion in H = iG (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967, 1984) on H's Gershgorin interval [c - r, c + r]: with X = (H - c) / r,
+    e^{-iHt} = e^{-ict} sum_k a_k(rt) T_k(X), one kernel call on the stored 2X per degree."""
 
     def __init__(self, G):
         H = 1j * _as_csr(G)
         dim = H.shape[0]
-        self.centre = float(H.trace().real) / dim
+        rows = np.repeat(np.arange(dim), np.diff(H.indptr))
+        diag = np.bincount(rows, np.where(H.indices == rows, H.data.real, 0.0), dim)
+        rho = np.bincount(rows, np.abs(H.data), dim) - np.abs(diag)
+        lo, hi = np.min(diag - rho), np.max(diag + rho)
+        self.centre, self.radius = float((lo + hi) / 2), float((hi - lo) / 2)
         shifted = H - self.centre * scipy.sparse.eye_array(dim, format="csr")
-        self.radius = float(abs(shifted).sum(axis=0).max())
-        self.X = shifted / self.radius if self.radius else shifted
+        self.X2 = shifted / (self.radius or 1.0) * 2.0
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """(2X) v in a new zeroed buffer, by the kernel that ``X2 @ v`` calls."""
+        X2, y = self.X2, np.zeros(v.shape, dtype=complex)
+        arrays = (X2.indptr, X2.indices, X2.data, v.ravel(), y.ravel())
+        if v.ndim == 1 or v.shape[1] == 1:
+            _sparsetools.csr_matvec(*X2.shape, *arrays)
+        else:
+            _sparsetools.csr_matvecs(*X2.shape, v.shape[1], *arrays)
+        return y
 
     def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
         coeffs = chebyshev_coefficients(self.radius * t)
         out = coeffs[0] * psi
         if coeffs.size > 1:
-            prev, cur = psi, self.X @ psi
+            prev, cur = psi, 0.5 * self.times(psi)
             out += coeffs[1] * cur
             for a in coeffs[2:]:
-                nxt = self.X @ cur
-                nxt *= 2.0
-                nxt -= prev
-                out += a * nxt
-                prev, cur = cur, nxt
+                prev, cur = cur, self.times(cur) - prev
+                out += a * cur
         out *= np.exp(-1j * self.centre * t)
         drift = np.max(np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(psi, axis=0)),
                        initial=0.0)

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +610,112 @@ def test_chebyshev_block_equals_columns(m, rng):
         assert out.shape == block.shape
         for j in range(m):
             assert np.linalg.norm(out[:, j] - table.act(k, t, block[:, j])) <= 1e-14
+
+
+@pytest.mark.parametrize("index_dtypes", [(np.int32, np.int32), (np.int64, np.int64),
+                                          (np.int32, np.int64), (np.int64, np.int32)])
+def test_action_kernel_is_scipys_product_bit_for_bit(index_dtypes, rng):
+    # the action calls the CSR kernels behind scipy's `@` directly, so a scipy
+    # whose private kernels change name, signature or arithmetic fails here;
+    # (2X) v is also 2 (X v) exactly, so storing 2X moves no bit
+    tspec, table = _chain_table(8)  # dim 512
+    G = table.matrix(2).copy()
+    G.indptr, G.indices = (a.astype(t) for a, t in zip((G.indptr, G.indices), index_dtypes))
+    action = pr._Action(G)
+    assert action.X2.indices.dtype == np.result_type(*index_dtypes)
+    eye = scipy.sparse.eye_array(G.shape[0], format="csr")
+    X = (1j * G - action.centre * eye) / action.radius
+    assert np.array_equal(action.X2.indptr, X.indptr)
+    assert np.array_equal(action.X2.indices, X.indices)
+    assert (2.0 * X.data).tobytes() == action.X2.data.tobytes()
+    block = np.column_stack([_interior_state(tspec, rng) for _ in range(8)])
+    for v in (block[:, 0].copy(), block[:, :1], block):  # a state, a column, a block
+        out = action.times(v)
+        assert out.shape == v.shape
+        assert out.tobytes() == (action.X2 @ v).tobytes() == (2.0 * (X @ v)).tobytes()
+
+
+def _assert_gershgorin_holds(G, eigenvalues=np.linalg.eigvalsh):
+    action = pr._Action(G)
+    w = eigenvalues(1j * G.toarray()).real
+    slack = 1e-13 * action.radius  # the eigensolver's own rounding
+    assert action.centre - action.radius - slack <= w.min()
+    assert w.max() <= action.centre + action.radius + slack
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9])  # dims 64-729
+def test_gershgorin_interval_contains_the_chain_spectra(d):
+    _, table = _chain_table(d)
+    for k in table.indices():
+        _assert_gershgorin_holds(table.matrix(k))
+
+
+def test_gershgorin_interval_contains_other_spectra(rng):
+    _, table = _chain_table(6)  # dim 216: expr_matrix stays CSR
+    _assert_gershgorin_holds(synth.expr_matrix(synth.Sum(synth.Gen(0), synth.Gen(2)), table))
+    # q1 alone stores no diagonal, so the interval is centred at 0
+    G = -1j * fock.represent(q(0, 3), TruncationSpec((8, 8, 8))).csr
+    rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
+    assert not np.any(G.indices == rows)
+    assert pr._Action(G).centre == 0.0
+    _assert_gershgorin_holds(G)
+    # skew-hermitian only to SKEW_TOL: the real parts of the spectrum stay inside
+    _, table = _chain_table(4)
+    P = rng.uniform(-1.0, 1.0, (64, 64))
+    G = table.matrix(1) + scipy.sparse.csr_array(pr.SKEW_TOL / 4 * (P + P.T))
+    assert 0 < pr._skew_defect(G) <= pr.SKEW_TOL
+    _assert_gershgorin_holds(G, np.linalg.eigvals)
+
+
+def _perfbench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dense_3mode_pass_degree_count(monkeypatch, tmp_path):
+    # the 23 actions of a seed-1 dense-3mode benchmark pass took 1 663 terms
+    # on the trace-centred 1-norm interval and take 1 364 on the Gershgorin one
+    workloads = _perfbench_workloads(monkeypatch)
+    sizes = []
+    coefficients = pr.chebyshev_coefficients
+
+    def counting(z):
+        coeffs = coefficients(z)
+        sizes.append(coeffs.size)
+        return coeffs
+
+    monkeypatch.setattr(pr, "chebyshev_coefficients", counting)
+    for i, job in enumerate(workloads.job_list("dense-3mode", 1)):
+        config = tmp_path / f"{i}.json"
+        config.write_text(job.config_text())
+        argv = [job.sub, "--config", str(config), "--out", str(tmp_path / f"out{i}"),
+                "--seed", str(job.seed), "--jobs", "1"]
+        assert cli.main(argv) == 0
+    assert len(sizes) == 23
+    assert sum(sizes) <= 1400
+
+
+def test_shared_action_returns_serial_bytes(rng):
+    # buffers belong to the call: threads sharing one cached action each get
+    # what a serial call gets, byte for byte
+    tspec, table = _chain_table(8)
+    block = np.column_stack([_interior_state(tspec, rng) for _ in range(3)])
+    work = [(k, t, psi) for k in table.indices() for t in (0.3, -0.7)
+            for psi in (block[:, 0].copy(), block[:, :1], block)]
+    serial = [table.act(*w).tobytes() for w in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(table.act, *w) for w in work * 8]
+            outs = [f.result(timeout=60).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs == serial * 8
 
 
 def test_chebyshev_degree_meets_tail_bound():
