@@ -300,12 +300,6 @@ def _skew_defect(M) -> float:
     return float(np.max(np.abs(M.data + mirror.conj())))
 
 
-def _check_skew(M):
-    defect = _skew_defect(M)
-    if defect > SKEW_TOL:
-        raise ValueError(f"matrix is not skew-hermitian: defect {defect:.3e}")
-
-
 def uses_spectrum(applications: int, dim: int) -> bool:
     """The spectral/action rule for a generator applied this often in a word."""
     return applications >= dim // SPECTRAL_DIVISOR
@@ -364,9 +358,16 @@ def chebyshev_coefficients(z: float) -> np.ndarray:
 
 
 class _Action:
-    """e^{G t} psi by a Chebyshev expansion in H = iG (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967, 1984) on H's Gershgorin interval [c - r, c + r]: with X = (H - c) / r,
-    e^{-iHt} = e^{-ict} sum_k a_k(rt) T_k(X), one kernel call on the stored 2X per degree."""
+    """e^{G t} psi by a Chebyshev expansion in the hermitian H = iG
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+
+    Centre c and radius r are those of H's Gershgorin interval, which holds the
+    real parts of its spectrum, so the spectrum of X = (H - c) / r lies in [-1, 1]
+    and e^{-iHt} = e^{-ict} sum_k a_k(rt) T_k(X) (``chebyshev_coefficients``).
+    T_k(X) psi follows the three-term recurrence: one product with the stored 2X
+    per degree, on one state or a dim x m block of column states, for either sign
+    of t.  No step draws random numbers, so results never depend on RNG state.
+    """
 
     def __init__(self, G):
         H = 1j * _as_csr(G)
@@ -380,7 +381,8 @@ class _Action:
         self.X2 = shifted / (self.radius or 1.0) * 2.0
 
     def times(self, v: np.ndarray) -> np.ndarray:
-        """(2X) v in a new zeroed buffer, by the kernel that ``X2 @ v`` calls."""
+        """(2X) v in a new zeroed buffer by the kernel behind ``X2 @ v``, which
+        checks no bounds: ``v`` must have a shape that ``__call__`` accepts."""
         X2, y = self.X2, np.zeros(v.shape, dtype=complex)
         arrays = (X2.indptr, X2.indices, X2.data, v.ravel(), y.ravel())
         if v.ndim == 1 or v.shape[1] == 1:
@@ -390,6 +392,8 @@ class _Action:
         return y
 
     def __call__(self, t: float, psi: np.ndarray) -> np.ndarray:
+        if psi.ndim not in (1, 2) or psi.shape[0] != self.X2.shape[1]:
+            raise ValueError(f"states of shape {psi.shape} do not fit dim {self.X2.shape[1]}")
         coeffs = chebyshev_coefficients(self.radius * t)
         out = coeffs[0] * psi
         if coeffs.size > 1:
@@ -442,7 +446,8 @@ class EvolutionTable:
         dim = None
         for k, H in reps.items():
             M = _as_csr(H)
-            _check_skew(M)
+            if (defect := _skew_defect(M)) > SKEW_TOL:
+                raise ValueError(f"matrix is not skew-hermitian: defect {defect:.3e}")
             if dim is None:
                 dim = M.shape[0]
             elif M.shape[0] != dim:
@@ -548,19 +553,14 @@ class _Evaluation:
             for part in node.parts:
                 psi = self.run(part, psi)
             return psi
-        if self._squares(node):
+        if id(node) not in self._squared:
+            self._squared[id(node)] = (squares(node, self.table.dim)
+                                       and set(applications(node.block)) <= self.spectral)
+        if self._squared[id(node)]:
             return self._unitary(node) @ psi
         for _ in range(node.count):
             psi = self.run(node.block, psi)
         return psi
-
-    def _squares(self, node: Repeat) -> bool:
-        decision = self._squared.get(id(node))
-        if decision is None:
-            decision = (squares(node, self.table.dim)
-                        and set(applications(node.block)) <= self.spectral)
-            self._squared[id(node)] = decision
-        return decision
 
     def _unitary(self, node) -> np.ndarray:
         U = self._unitaries.get(id(node))
