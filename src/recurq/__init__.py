@@ -9,8 +9,8 @@ from .weyl import (PolyOp, LieBasis, PropagationResult, q, p, const, bracket, li
                    is_hermitian, is_skew_hermitian, as_hermitian, skew_generator,
                    local_skew_generators, skew_monomial_generators,
                    algebraic_propagation_check, enumerate_monomials)
-from .fock import (TruncationSpec, TruncatedRep, represent, fock_state,
-                   ground_state, normalize, random_interior_state, interior_mask)
+from .fock import (TruncationSpec, represent, fock_state, ground_state, normalize,
+                   random_interior_state, interior_mask)
 from .propagate import (ControlSequence, Concat, Repeat, flatten, EvolutionTable, expm_skew,
                         expm_apply, evolve, evolve_signed, realize_word, trotter_errors,
                         state_error, fidelity)

@@ -291,15 +291,19 @@ def _parse_poly(text: str, mode_count: int, path: str, kind) -> weyl.PolyOp:
                 raise ValueError(f"coefficient {c} is out of range (coefficient bound "
                                  f"{chains.MAX_COEFFICIENT:.3g})")
         return poly if kind is None else kind(poly)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad polynomial {text!r}: {exc}") from None
 
 
 def _parse_expr(data, path: str):
     try:
-        return synth.expr_from_dict(data)
+        expr = synth.expr_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed generator expression: {exc!r}") from None
+    if (leaves := synth.word_leaves(expr)) > synth.MAX_WORD_LEAVES:
+        raise ConfigError(f"{path}: its order-1 word has {leaves} leaves, above "
+                          f"synth.MAX_WORD_LEAVES = {synth.MAX_WORD_LEAVES}")
+    return expr
 
 
 def _chain_spec(cfg) -> chains.ChainSpec:
@@ -371,7 +375,11 @@ def _build_hamiltonian(cfg):
     mode_count = int(cfg.get("mode_count", 1))
     spec = _truncation(cfg.get("dims", (32,) * mode_count), mode_count, "$.hamiltonian.dims")
     H = _parse_poly(cfg["poly"], mode_count, "$.hamiltonian.poly", weyl.as_hermitian)
-    return recurrence.spectral(fock.represent(H, spec).matrix), spec
+    try:
+        M = fock.represent(H, spec)
+    except ValueError as exc:  # an entry that is not finite
+        raise ConfigError(f"$.hamiltonian.poly: {exc}") from None
+    return recurrence.spectral(M.toarray()), spec
 
 
 def _parse_system(cfg):
@@ -393,9 +401,13 @@ def _build_system(spec: fock.TruncationSpec, herms, reads) -> propagate.Evolutio
         if unknown:
             raise ConfigError(f"{path}: generator index {unknown[0]} is out of range; the "
                               f"system has generators 0..{len(herms) - 1}")
-    indices = set().union(*(indices for indices, _ in reads))
-    return propagate.EvolutionTable({k: -1j * fock.represent(herms[k], spec).csr
-                                     for k in sorted(indices)})
+    reps = {}
+    for k in sorted(set().union(*(indices for indices, _ in reads))):
+        try:  # an entry that is not finite; never a chain's, with its bounded coefficients
+            reps[k] = -1j * fock.represent(herms[k], spec)
+        except ValueError as exc:
+            raise ConfigError(f"$.system.generators[{k}]: {exc}") from None
+    return propagate.EvolutionTable(reps)
 
 
 def _order_one_word(expr, t: float, path: str):
@@ -505,15 +517,6 @@ def _plan_context(config, rng, floor: str):
     if mode == "pointwise":
         return spectrum, _build_state(config.get("state"), spec, rng)
     return spectrum, _random_net(config, spec, rng)
-
-
-def _failed(out, exc) -> int:
-    """Write the failure report of a search, spectrum, compile or norm-drift
-    error; exit 1."""
-    details = exc.to_dict() if isinstance(exc, recurrence.RecurrenceSearchError) else {}
-    write_json(os.path.join(out, "report.json"),
-               {"status": "failed", "error": str(exc), **details})
-    return EXIT_FAILURE
 
 
 def _run_recur(config, out, rng, jobs):
@@ -711,7 +714,10 @@ def main(argv=None) -> int:
         # no certified time, a spectrum too short for its tail cut, an
         # exhausted refinement budget, or an evaluation that drifted in norm:
         # a failed certificate, with its report
-        return _failed(args.out, exc)
+        details = exc.to_dict() if isinstance(exc, recurrence.RecurrenceSearchError) else {}
+        write_json(os.path.join(args.out, "report.json"),
+                   {"status": "failed", "error": str(exc), **details})
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

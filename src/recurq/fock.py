@@ -4,11 +4,10 @@ Each mode is truncated to its lowest ``D_i`` number states; operators are
 built by substituting the truncated ladder matrices into canonical monomials
 (truncate-then-multiply), so products and commutators agree with the symbolic
 algebra exactly on the interior block and pick up quantifiable artifacts only
-within ``degree`` levels of the cutoff.  A representation is held as a CSR
-matrix, assembled without a dense ``dim x dim`` buffer; a dense copy is built
-only when asked for (``TruncatedRep.matrix``).  States are plain complex
-ndarrays of length ``prod(D_i)``; helpers below construct and normalize
-them.
+within ``degree`` levels of the cutoff.  A representation is a plain CSR
+matrix, assembled without a dense ``dim x dim`` buffer.  States are plain
+complex ndarrays of length ``prod(D_i)``; helpers below construct and
+normalize them.
 """
 
 from __future__ import annotations
@@ -54,23 +53,6 @@ class TruncationSpec:
         return int(np.prod(self.dims))
 
 
-@dataclass(frozen=True)
-class TruncatedRep:
-    """A PolyOp rendered as a complex CSR matrix at a given truncation."""
-
-    csr: scipy.sparse.csr_array
-    hermiticity_defect: float | None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense copy of the representation, built on every access."""
-        return self.csr.toarray()
-
-
-def _small_annihilator(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
-
-
 @functools.lru_cache(maxsize=256)
 def _mode_power(d: int, q_exp: int, p_exp: int):
     """Nonzeros (rows, cols - rows, vals) of the truncated q^a p^b on d levels.
@@ -78,7 +60,7 @@ def _mode_power(d: int, q_exp: int, p_exp: int):
     Built once per (d, a, b) in a process and shared by every ``represent``
     call, so the arrays are read-only.
     """
-    a = _small_annihilator(d)
+    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
     qm = (a + a.conj().T) / math.sqrt(2.0)
     pm = 1j * (a.conj().T - a) / math.sqrt(2.0)
     m = np.eye(d, dtype=complex)
@@ -91,11 +73,13 @@ def _mode_power(d: int, q_exp: int, p_exp: int):
     return nonzeros
 
 
-def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
-    """Truncate-then-multiply representation of a canonical polynomial.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite entry is refused instead
+def represent(A: PolyOp, spec: TruncationSpec) -> scipy.sparse.csr_array:
+    """Truncate-then-multiply representation of a canonical polynomial, as a
+    canonical CSR matrix with int32 indices (``dim^2 <= MAX_DIM^2 < 2^31``).
 
-    Hermitian-role sources are hermitized after assembly; the pre-hermitize
-    defect (a boundary artifact measure) is recorded on the result.
+    Hermitian-role sources are hermitized after assembly.  A matrix with an
+    entry that is not finite (an overflowing power) raises ValueError.
     """
     if A.mode_count != spec.mode_count:
         raise ValueError(
@@ -143,24 +127,21 @@ def represent(A: PolyOp, spec: TruncationSpec) -> TruncatedRep:
     np.add.at(table, kmax + slot[offs] * width + np.concatenate(rows),
               np.concatenate(vals))  # in array order, i.e. term order
     acc = table[:n * width].reshape(n, width)[:, kmax:]  # acc[slot, row]
-
-    defect = None
     if hermitian:
         # M^dag at (r, r + k) is conj(M[r + k, r]): row r + k of slot(-k), the
         # mirror slot n - 1 - slot(k); rows outside [0, dim) read zeros, which
         # the conj turns into 0 - 0j as in a zero-filled dense transpose
         start = kmax + np.arange(n - 1, -1, -1) * width + diag
         lower = table[np.add.outer(start, np.arange(dim))].conj()
-        defect = float(np.max(np.abs(acc - lower))) if n else 0.0
         acc = (acc + lower) / 2.0
     keep = acc.T != 0
     data = acc.T[keep]
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"the matrix at dims {list(spec.dims)} has an entry that is not finite")
     at_row, at_slot = np.nonzero(keep)
-    index = np.int32 if dim * dim < 2**31 else np.int64  # nnz <= dim^2
     indptr = np.searchsorted(at_row, np.arange(dim + 1))
-    csr = scipy.sparse.csr_array((data, (at_row + diag[at_slot]).astype(index),
-                                  indptr.astype(index)), shape=(dim, dim))
-    return TruncatedRep(csr, defect)
+    return scipy.sparse.csr_array((data, (at_row + diag[at_slot]).astype(np.int32),
+                                   indptr.astype(np.int32)), shape=(dim, dim))
 
 
 # -- states -----------------------------------------------------------------

@@ -446,7 +446,7 @@ class EvolutionTable:
         dim = None
         for k, H in reps.items():
             M = _as_csr(H)
-            if (defect := _skew_defect(M)) > SKEW_TOL:
+            if not (defect := _skew_defect(M)) <= SKEW_TOL:  # a NaN entry fails too
                 raise ValueError(f"matrix is not skew-hermitian: defect {defect:.3e}")
             if dim is None:
                 dim = M.shape[0]

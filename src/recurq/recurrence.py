@@ -65,16 +65,9 @@ class RecurrenceSearchError(RuntimeError):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "t_max": self.t_max,
-            "best_time": self.best_time,
-            "best_objective": self.best_objective,
-            "threshold": self.threshold,
-            "grid_step": self.grid_step,
-            "grid_points": self.grid_points,
-            "refine_cut": self.refine_cut,
-            "frequencies": self.frequencies,
-        }
+        return {name: getattr(self, name) for name in (
+            "t_max", "best_time", "best_objective", "threshold", "grid_step", "grid_points",
+            "refine_cut", "frequencies")}
 
 
 class SpectrumExhaustedError(ValueError):
@@ -136,7 +129,7 @@ def spectral(H: np.ndarray) -> SpectralData:
     """
     M = np.asarray(H)
     defect = float(np.max(np.abs(M - M.conj().T)))
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:  # a NaN entry fails too
         raise ValueError(f"matrix is not hermitian: defect {defect:.3e}")
     E, V = np.linalg.eigh((M + M.conj().T) / 2.0)
     return SpectralData(E, V)

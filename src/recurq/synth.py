@@ -27,6 +27,10 @@ from .propagate import (Concat, ControlSequence, EvolutionTable, NormDriftError,
                         state_error, uses_spectrum)
 from .recurrence import GridReachError
 
+# Most leaves of a target's order-1 word (``word_leaves``), which take
+# build_word about 0.35 s (notes/decisions.md, "Word size bound")
+MAX_WORD_LEAVES = 2**16
+
 
 # -- expression trees ---------------------------------------------------------
 
@@ -100,6 +104,19 @@ def expr_indices(expr) -> set:
         return expr_indices(expr.left) | expr_indices(expr.right)
     if isinstance(expr, Scale):
         return expr_indices(expr.inner)
+    raise TypeError(f"not a generator expression: {expr!r}")
+
+
+def word_leaves(expr) -> int:
+    """Leaves of the order-1 word of ``expr``, as many as ``build_word``'s tree
+    has at every order: a bracket's block holds each side twice."""
+    if isinstance(expr, Gen):
+        return 1
+    if isinstance(expr, Scale):
+        return word_leaves(expr.inner)
+    if isinstance(expr, (Sum, Bracket)):
+        leaves = word_leaves(expr.left) + word_leaves(expr.right)
+        return 2 * leaves if isinstance(expr, Bracket) else leaves
     raise TypeError(f"not a generator expression: {expr!r}")
 
 

@@ -362,8 +362,8 @@ class _RealSpan:
     a 1-D vector, two reductions that may differ in the last bit.
     """
 
-    def __init__(self, n_coords: int, dim_cap: int | None = None):
-        rows = 2 * n_coords if dim_cap is None else min(dim_cap, 2 * n_coords)
+    def __init__(self, n_coords: int, dim_cap: int):
+        rows = min(dim_cap, 2 * n_coords)
         self.dim_cap = dim_cap
         self.capped = False
         self.dim = 0
@@ -403,7 +403,7 @@ class _RealSpan:
         rn = np.linalg.norm(r)
         if rn <= INDEPENDENCE_TOL:
             return False
-        if self.dim_cap is not None and self.dim >= self.dim_cap:
+        if self.dim >= self.dim_cap:
             self.capped = True
             return False
         self._q[self.dim] = r / rn

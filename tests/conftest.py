@@ -39,7 +39,7 @@ def chain_table(spec, dims, indices):
     ``indices``, built from the spec as the CLI's chain-demo builds them."""
     tspec = chains.chain_truncation(spec, dims)
     _, hams = chains.control_system(spec)
-    return tspec, propagate.EvolutionTable({k: -1j * fock.represent(hams[k], tspec).csr
+    return tspec, propagate.EvolutionTable({k: -1j * fock.represent(hams[k], tspec)
                                             for k in sorted(indices)})
 
 

@@ -492,7 +492,7 @@ def sequential_targets(modes, mode_count, degree_cap):
     PolyOp arithmetic, each kept when it is independent of those kept so far."""
     monomials = weyl.enumerate_monomials(mode_count, modes, degree_cap)
     index = {m: i for i, m in enumerate(monomials)}
-    span = weyl._RealSpan(len(monomials))
+    span = weyl._RealSpan(len(monomials), 2 * len(monomials))
     out = []
     for mono in monomials:
         m_op = PolyOp(mode_count, {mono: 1.0})

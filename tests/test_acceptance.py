@@ -45,7 +45,7 @@ def criterion(number, description, limit_s):
 
 
 def _harmonic(spec):
-    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).matrix
+    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).toarray()
 
 
 def test_c01_ccr_and_symbolic_soundness():
@@ -70,16 +70,16 @@ def test_c01_ccr_and_symbolic_soundness():
             A = random_polyop(rng, mode_count=1, max_degree=4)
             B = random_polyop(rng, mode_count=1, max_degree=4)
             buf = max(A.degree, B.degree, 1)
-            MA, MB = (fock.represent(X, spec1).matrix for X in (A, B))
-            diff = fock.represent(bracket(A, B), spec1).matrix - (MA @ MB - MB @ MA)
+            MA, MB = (fock.represent(X, spec1).toarray() for X in (A, B))
+            diff = fock.represent(bracket(A, B), spec1).toarray() - (MA @ MB - MB @ MA)
             assert np.max(np.abs(interior_block(diff, spec1, buf))) < 1e-8
         spec2 = TruncationSpec((24, 24))
         for _ in range(6):
             A = random_polyop(rng, mode_count=2, max_degree=4)
             B = random_polyop(rng, mode_count=2, max_degree=4)
             buf = max(A.degree, B.degree, 1)
-            MA, MB = (fock.represent(X, spec2).matrix for X in (A, B))
-            diff = fock.represent(bracket(A, B), spec2).matrix - (MA @ MB - MB @ MA)
+            MA, MB = (fock.represent(X, spec2).toarray() for X in (A, B))
+            diff = fock.represent(bracket(A, B), spec2).toarray() - (MA @ MB - MB @ MA)
             assert np.max(np.abs(interior_block(diff, spec2, buf))) < 1e-8
 
 
@@ -87,8 +87,8 @@ def test_c02_trotter_convergence():
     with criterion(2, "splitting formula convergence on the q/p pair", 10):
         spec = TruncationSpec((32,))
         table = pr.EvolutionTable({
-            1: -1j * fock.represent(q(0), spec).matrix,
-            2: -1j * fock.represent(p(0), spec).matrix,
+            1: -1j * fock.represent(q(0), spec).toarray(),
+            2: -1j * fock.represent(p(0), spec).toarray(),
         })
         psi0 = fock.ground_state(spec)
         errors = dict(pr.trotter_errors(1, 2, 0.7, [16, 64, 256], psi0, table))
@@ -103,8 +103,8 @@ QP_BRACKET = sy.Bracket(sy.Gen(1), sy.Gen(2))  # [q, p]: e^{[H_1, H_2] t^2}
 def _scalar_bracket_system():
     spec = TruncationSpec((32,))
     table = pr.EvolutionTable({
-        1: -1j * fock.represent(q(0), spec).matrix,
-        2: -1j * fock.represent(p(0), spec).matrix,
+        1: -1j * fock.represent(q(0), spec).toarray(),
+        2: -1j * fock.represent(p(0), spec).toarray(),
     })
     return spec, table
 
@@ -269,13 +269,13 @@ def test_c09_chain_propagation():
             coupling = ch.coupling_hamiltonian(0, 1, omega, 2)
             locals_ = [q(0, 2), p(0, 2), as_hermitian(q(0, 2) * q(0, 2)),
                        as_hermitian(q(0, 2) * q(0, 2) * q(0, 2))]
-            mats = [-1j * fock.represent(h, tspec).matrix for h in locals_]
-            Hc = fock.represent(coupling, tspec).matrix
+            mats = [-1j * fock.represent(h, tspec).toarray() for h in locals_]
+            Hc = fock.represent(coupling, tspec).toarray()
             return mats + [m @ (-1j * Hc) - (-1j * Hc) @ m for m in mats]
 
         basis1, member1 = matrix_lie_closure(matrix_generators(1.0), dim_cap=300)
         assert len(basis1) == 256  # the full algebra at this truncation
-        probe = -1j * fock.represent(as_hermitian(q(1, 2) * q(1, 2)), tspec).matrix
+        probe = -1j * fock.represent(as_hermitian(q(1, 2) * q(1, 2)), tspec).toarray()
         assert member1(probe)
         basis0, member0 = matrix_lie_closure(matrix_generators(0.0), dim_cap=300)
         assert len(basis0) <= 16 and not member0(probe)

@@ -72,7 +72,7 @@ def test_drift_open_chain_locality():
 def test_drift_spectrum_bounded_below():
     spec = two_mode_chain()
     rep = fock.represent(drift(spec), fock.TruncationSpec((8, 8)))
-    evals = np.linalg.eigvalsh(rep.matrix)
+    evals = np.linalg.eigvalsh(rep.toarray())
     assert np.isfinite(evals[0])
     assert evals[0] > -1e-9  # positive semi-definite interaction
 
@@ -300,14 +300,14 @@ def test_chain_matrix_cross_validation():
         coupling = drift(spec)
         locals_ = [q(0, 2), p(0, 2), as_hermitian(q(0, 2) * q(0, 2)),
                    as_hermitian(q(0, 2) * q(0, 2) * q(0, 2))]
-        mats = [-1j * fock.represent(h, tspec).matrix for h in locals_]
-        Hc = fock.represent(coupling, tspec).matrix
+        mats = [-1j * fock.represent(h, tspec).toarray() for h in locals_]
+        Hc = fock.represent(coupling, tspec).toarray()
         brackets = [m @ (-1j * Hc) - (-1j * Hc) @ m for m in mats]
         return mats + brackets
 
     basis1, member1 = matrix_lie_closure(matrix_generators(1.0), dim_cap=300)
     assert len(basis1) == 256  # full u(16): every direction is reachable
-    two_mode_gen = -1j * fock.represent(as_hermitian(q(1, 2) * q(1, 2)), tspec).matrix
+    two_mode_gen = -1j * fock.represent(as_hermitian(q(1, 2) * q(1, 2)), tspec).toarray()
     assert member1(two_mode_gen)
 
     basis0, member0 = matrix_lie_closure(matrix_generators(0.0), dim_cap=300)
@@ -344,7 +344,7 @@ def test_chain_demo_decoupled_cannot_move_mode_two():
     # target: excite mode 2 -- impossible without coupling
     target_state = fock.fock_state(tspec, (0, 1))
     labels, hams = ch.control_system(spec)
-    reps = {k: -1j * fock.represent(h, tspec).matrix for k, h in enumerate(hams)}
+    reps = {k: -1j * fock.represent(h, tspec).toarray() for k, h in enumerate(hams)}
     table = pr.EvolutionTable(reps)
     psi0 = fock.ground_state(tspec)
     best = 0.0

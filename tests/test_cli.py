@@ -183,7 +183,7 @@ def test_invert_finite_net_certifies_the_first_draw(tmp_path):
     assert rc_code == cli.EXIT_OK
     spec = fock.TruncationSpec((32,))
     H = weyl.as_hermitian(weyl.PolyOp.from_text(HARMONIC["poly"], 1))
-    sd = recurrence.spectral(fock.represent(H, spec).matrix)
+    sd = recurrence.spectral(fock.represent(H, spec).toarray())
     rng = np.random.default_rng(5)
     net = [fock.random_interior_state(spec, rng) for _ in range(3)]
     res = recurrence.invert(sd, 1.0, 1.0, "finite_net", net)
@@ -988,6 +988,19 @@ UNTYPED_FIELDS = {
                "tau_min": 1.0, "grid_step": 1e308}, "$.grid_step"),
     ("invert", {"hamiltonian": HARMONIC, "delta": 0.1, "mode": "pointwise", "s": 1.0,
                 "grid_step": 1e200}, "$.grid_step"),
+    # a polynomial whose adjoint's coefficients overflow a float, or whose
+    # matrix entries overflow: refused at the polynomial, not a traceback
+    ("recur", {"hamiltonian": {**HARMONIC, "poly": "(1,0) * q1^200 p1^200", "dims": [8]},
+               "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.poly"),
+    ("compile", {"system": {**QP_SYSTEM, "generators": ["(1,0) * q1", "(1,0) * q1^200 p1^200"]},
+                 "target": GEN(0), "t": 0.5, "epsilon": 0.1, "n_budget": 2,
+                 "inverter": {"mode": "exact"}}, "$.system.generators[1]"),
+    ("recur", {"hamiltonian": {**HARMONIC, "poly": "(1,0) * q1^99999", "dims": [8]},
+               "delta": 0.1, "mode": "pointwise"}, "$.hamiltonian.poly"),
+    ("compile", {"system": {**QP_SYSTEM, "dims": [8], "generators": ["(1,0) * q1",
+                                                                     "(1,0) * q1^99999"]},
+                 "target": GEN(1), "t": 0.5, "epsilon": 0.1, "n_budget": 2,
+                 "inverter": {"mode": "exact"}}, "$.system.generators[1]"),
     *UNTYPED_FIELDS.values(),
 ], ids=["recur-no-bound", "invert-no-bound", "fock-occupation", "dims-vs-modes",
         "non-hermitian", "no-levels", "empty-interior", "recur-horizon", "invert-horizon",
@@ -1004,13 +1017,45 @@ UNTYPED_FIELDS = {
         "recur-mode-count-above-limit", "recur-mode-count-1e20",
         "level-count-above-limit", "level-count-1e11", "recur-net-size-above-limit",
         "recur-net-size-1e9", "invert-net-size-above-limit", "inverter-net-size-above-limit",
-        "recur-grid-step-overflows", "invert-grid-step-overflows", *UNTYPED_FIELDS])
+        "recur-grid-step-overflows", "invert-grid-step-overflows",
+        "recur-adjoint-overflows", "compile-adjoint-overflows", "recur-matrix-not-finite",
+        "compile-matrix-not-finite", *UNTYPED_FIELDS])
 def test_config_value_errors_exit_usage(sub, config, path, tmp_path, capsys):
     rc_code, _ = run(sub, config, tmp_path)
     err = capsys.readouterr().err
     assert rc_code == cli.EXIT_USAGE
     assert f"{path}: " in err and "Traceback" not in err
 
+
+
+def _left_nested(depth: int) -> dict:
+    expr = GEN(0)
+    for _ in range(depth):
+        expr = {"op": "bracket", "left": expr, "right": GEN(1)}
+    return expr
+
+
+@pytest.mark.parametrize("sub,config,path", [
+    ("compile", {"system": QP_SYSTEM, "target": _left_nested(40), "t": 0.5, "epsilon": 0.1,
+                 "n_budget": 2, "inverter": {"mode": "exact"}}, "$.target"),
+    ("chain-demo", {"chain": CHAIN2, "dims": [4, 4],
+                    "targets": [{"expr": GEN(1), "t": 0.1}, {"expr": _left_nested(40), "t": 0.1}],
+                    "epsilon": 0.1, "n_budget": 2, "inverter": {"mode": "exact"}},
+     "$.targets[1].expr"),
+], ids=["compile", "chain-demo"])
+def test_target_word_too_large_exits_usage_before_any_word(sub, config, path, tmp_path, capsys,
+                                                           monkeypatch):
+    # a depth-40 bracket's order-1 word has 3 * 2^40 - 2 leaves: refused from
+    # the expression alone, before any word is built
+    def refuse(*args):
+        raise AssertionError("build_word called")
+
+    monkeypatch.setattr(synth, "build_word", refuse)
+    rc_code, _ = run(sub, config, tmp_path)
+    err = capsys.readouterr().err
+    assert rc_code == cli.EXIT_USAGE
+    assert f"error: {path}: " in err and f"{3 * 2**40 - 2} leaves" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("sub,config,path", [

@@ -5,6 +5,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse
@@ -21,8 +22,8 @@ from recurq.weyl import as_hermitian, p, q
 @pytest.fixture(scope="module")
 def qp_system():
     spec = TruncationSpec((32,))
-    Hq = fock.represent(q(0), spec).matrix
-    Hp = fock.represent(p(0), spec).matrix
+    Hq = fock.represent(q(0), spec).toarray()
+    Hp = fock.represent(p(0), spec).toarray()
     table = pr.EvolutionTable({1: -1j * Hq, 2: -1j * Hp})
     return spec, table
 
@@ -34,8 +35,8 @@ def harmonic_pair():
     spec = TruncationSpec((32,), buffer=8)
     ho = as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5)
     disp = as_hermitian(ho + q(0))
-    Hk = fock.represent(ho, spec).matrix
-    Hl = fock.represent(disp, spec).matrix
+    Hk = fock.represent(ho, spec).toarray()
+    Hl = fock.represent(disp, spec).toarray()
     table = pr.EvolutionTable({1: -1j * Hk, 2: -1j * Hl})
     return spec, table
 
@@ -122,6 +123,15 @@ def test_skew_defect_matches_dense_formula(rng):
         pr.EvolutionTable({0: np.zeros((3, 4))})
 
 
+def test_evolution_table_rejects_a_nan_entry():
+    # a NaN defect compares False with the tolerance; it fails the check
+    M = np.zeros((3, 3), dtype=complex)
+    M[0, 1], M[1, 0] = np.nan, 1.0
+    for G in (M, scipy.sparse.csr_array(M)):
+        with pytest.raises(ValueError, match="not skew-hermitian: defect nan"):
+            pr.EvolutionTable({0: G})
+
+
 # -- evolve ----------------------------------------------------------------------
 
 def test_evolve_empty_sequence(qp_system):
@@ -193,8 +203,8 @@ def test_trotter_sequence_shape(qp_system, monkeypatch):
 
 def test_trotter_commuting_exact_at_n1():
     spec = TruncationSpec((24,))
-    Hq = fock.represent(q(0), spec).matrix
-    Hq2 = fock.represent(as_hermitian(q(0) * q(0)), spec).matrix
+    Hq = fock.represent(q(0), spec).toarray()
+    Hq2 = fock.represent(as_hermitian(q(0) * q(0)), spec).toarray()
     table = pr.EvolutionTable({1: -1j * Hq, 2: -1j * Hq2})
     psi0 = fock.ground_state(spec)
     out = pr.evolve(ControlSequence(trotter_word(1, 2, 0.9, 1)), psi0, table)
@@ -373,7 +383,7 @@ def _cubic_table():
     spec = TruncationSpec((24,))
     ops = [as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), q(0),
            as_hermitian(p(0) * p(0) * 0.5), as_hermitian(q(0) * q(0) * q(0) * 0.2)]
-    reps = {k: -1j * fock.represent(op, spec).matrix for k, op in enumerate(ops)}
+    reps = {k: -1j * fock.represent(op, spec).toarray() for k, op in enumerate(ops)}
     return spec, pr.EvolutionTable(reps)
 
 
@@ -525,7 +535,7 @@ def test_one_off_accepts_either_sign_of_t(rng):
     assert np.array_equal(back, pr.expm_apply(-G, 0.4, [psi0])[0])
     assert np.linalg.norm(back - expm_eigh(G, -0.4) @ psi0) <= 1e-12
     spec = TruncationSpec((24,))
-    G = -1j * fock.represent(as_hermitian(q(0) * q(0) * q(0) + p(0) * p(0)), spec).matrix
+    G = -1j * fock.represent(as_hermitian(q(0) * q(0) * q(0) + p(0) * p(0)), spec).toarray()
     psi0 = fock.ground_state(spec)
     back, = pr.expm_apply(G, -0.4, [psi0])
     assert np.linalg.norm(back - pr.expm_apply(-G, 0.4, [psi0])[0]) <= 1e-13
@@ -534,8 +544,8 @@ def test_one_off_accepts_either_sign_of_t(rng):
 
 def test_rule_small_word_diagonalizes_each_generator(monkeypatch):
     spec = TruncationSpec((24,))
-    table = pr.EvolutionTable({0: -1j * fock.represent(q(0), spec).matrix,
-                               1: -1j * fock.represent(p(0), spec).matrix})
+    table = pr.EvolutionTable({0: -1j * fock.represent(q(0), spec).toarray(),
+                               1: -1j * fock.represent(p(0), spec).toarray()})
     calls = _count_eigh(monkeypatch)
     pr.evolve(ControlSequence(trotter_word(0, 1, 0.7, 16)), fock.ground_state(spec), table)
     assert calls == [24, 24]
@@ -671,7 +681,7 @@ def test_gershgorin_interval_contains_other_spectra(rng):
     _, table = _chain_table(6)  # dim 216: expr_matrix stays CSR
     _assert_gershgorin_holds(synth.expr_matrix(synth.Sum(synth.Gen(0), synth.Gen(2)), table))
     # q1 alone stores no diagonal, so the interval is centred at 0
-    G = -1j * fock.represent(q(0, 3), TruncationSpec((8, 8, 8))).csr
+    G = -1j * fock.represent(q(0, 3), TruncationSpec((8, 8, 8)))
     rows = np.repeat(np.arange(G.shape[0]), np.diff(G.indptr))
     assert not np.any(G.indices == rows)
     assert pr._Action(G).centre == 0.0
@@ -736,8 +746,6 @@ def test_shared_action_returns_serial_bytes(rng):
 
 
 def test_chebyshev_degree_meets_tail_bound():
-    mpmath = pytest.importorskip("mpmath")
-
     def tail(a, K):  # sum_{k>K} 2 |J_k(a)|, in extended precision
         total, k = mpmath.mpf(0), K + 1
         while True:
@@ -763,7 +771,7 @@ def test_chebyshev_degree_meets_tail_bound():
 def test_table_spectrum_is_spectral_of_the_generator():
     # the table keeps recurrence.spectral(iM) bit for bit, and its phases use
     # the unshifted eigenvalues exactly as eigh(iM) returns them
-    M = -1j * fock.represent(q(0), TruncationSpec((24,))).matrix
+    M = -1j * fock.represent(q(0), TruncationSpec((24,))).toarray()
     table = pr.EvolutionTable({0: M})
     sd, ref = table.spectra[0], rc.spectral(1j * M)
     assert table.spectra[0] is sd and sd.shift == ref.shift > 0

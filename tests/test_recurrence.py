@@ -19,7 +19,7 @@ from oracles import (direct_grid_scan, direct_grid_values, fixed_step_scan, loop
 
 
 def _oscillator(spec):
-    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).matrix
+    return fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).toarray()
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,14 @@ def test_spectral_harmonic_interior(harmonic):
 def test_spectral_rejects_non_hermitian():
     with pytest.raises(ValueError):
         rc.spectral(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_spectral_rejects_a_nan_entry():
+    # a NaN defect compares False with the tolerance; it fails the check
+    M = np.eye(3, dtype=complex)
+    M[0, 1] = M[1, 0] = np.nan
+    with pytest.raises(ValueError, match="not hermitian: defect nan"):
+        rc.spectral(M)
 
 
 def test_spectral_shift_re_references_negative_spectra(rng):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import importlib
 import inspect
 import math
@@ -139,7 +138,7 @@ def test_ladder_powers_are_built_once_per_mode_size():
     def ladder_calls(node):
         return [inner.lineno for inner in ast.walk(node) if isinstance(inner, ast.Call)
                 and getattr(inner.func, "attr", getattr(inner.func, "id", None))
-                in {"_small_annihilator", "matrix_power"}]
+                in {"diag", "matrix_power"}]
 
     (memo,) = [node for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name == "_mode_power"]
@@ -519,17 +518,17 @@ def test_removed_library_names_stay_gone():
 
     gone = [(weyl, "canonicalize"), (weyl, "contains"), (weyl, "as_skew"),
             (weyl.PolyOp, "cleaned"), (weyl.PolyOp, "isclose"), (weyl.LieBasis, "contains"),
-            (propagate, "trotter_sequence"), (recurrence, "recurrence_distance")]
+            (propagate, "trotter_sequence"), (recurrence, "recurrence_distance"),
+            (fock, "TruncatedRep")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     assert {name for _, name in gone} & set(vars(recurq)) == set()
-    assert "spec" not in {f.name for f in dataclasses.fields(fock.TruncatedRep)}
 
 
 def test_optional_parameters_do_not_grow():
     # a ratchet: every option is one more path to keep working; lower the
     # bound when an option goes
     assert sum(_optional_parameters(ast.parse(path.read_text()))
-               for path in sorted(SRC.glob("*.py"))) <= 34
+               for path in sorted(SRC.glob("*.py"))) <= 33
 
 
 def test_weyl_does_not_grow():
@@ -539,4 +538,4 @@ def test_weyl_does_not_grow():
 
 def test_source_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3826
+    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3823

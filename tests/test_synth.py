@@ -20,10 +20,10 @@ def system():
     # the standard q / p / q^2-flavored testbed plus a harmonic generator
     spec = TruncationSpec((32,), buffer=8)
     mats = {
-        1: fock.represent(q(0), spec).matrix,
-        2: fock.represent(p(0), spec).matrix,
-        3: fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).matrix,
-        4: fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5 + q(0)), spec).matrix,
+        1: fock.represent(q(0), spec).toarray(),
+        2: fock.represent(p(0), spec).toarray(),
+        3: fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5), spec).toarray(),
+        4: fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5 + q(0)), spec).toarray(),
     }
     table = pr.EvolutionTable({k: -1j * M for k, M in mats.items()})
     return spec, table
@@ -213,6 +213,25 @@ def test_build_word_bracket_negative_duration_swaps():
     assert w_pos == w_neg
 
 
+@pytest.mark.parametrize("expr", [
+    Gen(1), Scale(-2.0, Gen(1)), Sum(Gen(1), Gen(2)), Bracket(Gen(1), Gen(2)),
+    Bracket(Bracket(Gen(1), Gen(2)), Gen(3)),
+    Bracket(Gen(3), Sum(Bracket(Gen(1), Scale(0.5, Gen(2))), Scale(-1.0, Gen(4)))),
+])
+def test_word_leaves_counts_the_order_one_word(expr):
+    # counted from the expression: the order-1 word's segments, one per leaf
+    assert sy.word_leaves(expr) == len(sy.build_word(expr, 0.3, 1))
+
+
+def test_word_leaves_of_left_nested_brackets():
+    # depth 14 (49 150 leaves) is inside the bound and depth 15 is not
+    expr = Gen(0)
+    for depth in range(1, 16):
+        expr = Bracket(expr, Gen(1))
+        assert sy.word_leaves(expr) == 3 * 2**depth - 2
+        assert (sy.word_leaves(expr) <= sy.MAX_WORD_LEAVES) == (depth <= 14)
+
+
 def test_negative_duration_compiles_and_verifies(system):
     # e^{(H1 + H2)(-0.5)}: a word of reversed leaves against e^{-G |t|} psi0
     spec, table = system
@@ -229,7 +248,7 @@ def test_depth_two_bracket_compiles_at_n32_without_flattening(monkeypatch):
     # segments; as a tree it is a few dozen small matrix products
     spec = TruncationSpec((24,))
     ops = [q(0), as_hermitian(p(0) * p(0) * 0.5), as_hermitian(q(0) * q(0) * q(0) * 0.2)]
-    table = pr.EvolutionTable({k + 1: -1j * fock.represent(op, spec).matrix
+    table = pr.EvolutionTable({k + 1: -1j * fock.represent(op, spec).toarray()
                                for k, op in enumerate(ops)})
     psi0 = fock.ground_state(spec)
 

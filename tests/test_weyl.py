@@ -91,7 +91,7 @@ def test_canonicalization_is_operator_identity(rng):
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         raw_mat = word_matrix(factors, coeff, (qs, ps))
         canon = word(factors, coeff, 2)
-        canon_mat = fock.represent(canon, spec).matrix
+        canon_mat = fock.represent(canon, spec).toarray()
         diff = interior_block(raw_mat - canon_mat, spec)
         assert np.max(np.abs(diff)) < 1e-9
 
