@@ -296,6 +296,11 @@ def _parse_poly(text: str, mode_count: int, path: str, kind) -> weyl.PolyOp:
 
 
 def _parse_expr(data, path: str):
+    depth, level = 0, [data]  # counted level by level, without recursion
+    while level := [item for node in level if isinstance(node, dict) for item in node.values()]:
+        depth += 1
+    if depth > synth.MAX_EXPR_DEPTH:
+        raise ConfigError(f"{path}: nests {depth} levels, above {synth.MAX_EXPR_DEPTH}")
     try:
         expr = synth.expr_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -688,7 +693,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = json.load(fh)
         validate_config(args.subcommand, config)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)

@@ -55,11 +55,8 @@ class TruncationSpec:
 
 @functools.lru_cache(maxsize=256)
 def _mode_power(d: int, q_exp: int, p_exp: int):
-    """Nonzeros (rows, cols - rows, vals) of the truncated q^a p^b on d levels.
-
-    Built once per (d, a, b) in a process and shared by every ``represent``
-    call, so the arrays are read-only.
-    """
+    """Nonzeros (rows, cols - rows, vals) of the truncated q^a p^b on d levels,
+    built once per (d, a, b) in a process and shared, so read-only."""
     a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1).astype(complex)
     qm = (a + a.conj().T) / math.sqrt(2.0)
     pm = 1j * (a.conj().T - a) / math.sqrt(2.0)
@@ -71,6 +68,21 @@ def _mode_power(d: int, q_exp: int, p_exp: int):
     for array in nonzeros:
         array.flags.writeable = False
     return nonzeros
+
+
+@functools.lru_cache(maxsize=128)
+def _monomial_nonzeros(dims: tuple, monomial: tuple):
+    """``_mode_power``'s nonzeros for a monomial's Kronecker product on ``dims``,
+    in np.kron's index layout and multiplication order, shared likewise."""
+    r, o, v = _mode_power(dims[0], *monomial[0])
+    for d, powers in zip(dims[1:], monomial[1:]):
+        rm, om, vm = _mode_power(d, *powers)
+        r = np.add.outer(r * d, rm).ravel()
+        o = np.add.outer(o * d, om).ravel()  # col - row is linear in the mode indices
+        v = np.multiply.outer(v, vm).ravel()
+    for array in (r, o, v):
+        array.flags.writeable = False
+    return r, o, v
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite entry is refused instead
@@ -88,31 +100,22 @@ def represent(A: PolyOp, spec: TruncationSpec) -> scipy.sparse.csr_array:
     if spec.dim > MAX_DIM:
         raise ValueError(f"total dimension {spec.dim} exceeds limit {MAX_DIM}")
 
-    # Each monomial's Kronecker product is assembled from the per-mode
-    # nonzeros in np.kron's index layout and multiplication order, and each
-    # entry is keyed by its row and its flat diagonal col - row.  The
-    # diagonals that occur (with their negatives for a hermitian source) get
-    # one slot each, in ascending order, and np.add.at accumulates every
-    # entry, in term order, into a zeroed table of rows, one per slot: each
-    # stored entry receives the same floating-point operations as in a dense
-    # kron-and-add, and the table read row by row, slot by slot, is CSR order.
+    # Each monomial's Kronecker nonzeros come from ``_monomial_nonzeros``, and
+    # each entry is keyed by its row and its flat diagonal col - row (``offs``,
+    # shifted by dim into [1, 2 dim)).  The diagonals that occur (with their
+    # negatives for a hermitian source) get one slot each, in ascending order,
+    # and np.add.at accumulates every entry, in term order, into a zeroed
+    # table of rows, one per slot: each stored entry receives the same
+    # floating-point operations as in a dense kron-and-add, and the table
+    # read row by row, slot by slot, is CSR order.
     # A slot's row r sits at table[kmax + slot * width + r]; the kmax zeros
     # before and after each slot's dim entries absorb every shifted read of
     # the transpose below (notes/decisions.md, "Fock assembly into CSR").
     dim = spec.dim
-    rows, offs, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
-    for mono, coeff in A.terms.items():
-        r, o, v = _mode_power(spec.dims[0], *mono[0])
-        for mode in range(1, spec.mode_count):
-            d = spec.dims[mode]
-            rm, om, vm = _mode_power(d, *mono[mode])
-            r = np.add.outer(r * d, rm).ravel()
-            o = np.add.outer(o * d, om).ravel()  # col - row is linear in the mode indices
-            v = np.multiply.outer(v, vm).ravel()
-        rows.append(r)
-        offs.append(o)
-        vals.append(coeff * v)
-    offs = np.concatenate(offs) + dim  # in [1, 2 dim)
+    terms = [(_monomial_nonzeros(spec.dims, mono), coeff) for mono, coeff in A.terms.items()]
+    rows = np.concatenate([np.zeros(0, np.intp)] + [r for (r, _, _), _ in terms])
+    offs = np.concatenate([np.zeros(0, np.intp)] + [o for (_, o, _), _ in terms]) + dim
+    vals = np.concatenate([np.zeros(0, complex)] + [c * v for (_, _, v), c in terms])
     occurs = np.zeros(2 * dim, dtype=bool)
     occurs[offs] = True
     hermitian = A.role == HERMITIAN
@@ -124,8 +127,7 @@ def represent(A: PolyOp, spec: TruncationSpec) -> scipy.sparse.csr_array:
     kmax = int(np.max(np.abs(diag))) if n else 0
     width = dim + kmax
     table = np.zeros(n * width + kmax, dtype=complex)
-    np.add.at(table, kmax + slot[offs] * width + np.concatenate(rows),
-              np.concatenate(vals))  # in array order, i.e. term order
+    np.add.at(table, kmax + slot[offs] * width + rows, vals)  # in array, i.e. term, order
     acc = table[:n * width].reshape(n, width)[:, kmax:]  # acc[slot, row]
     if hermitian:
         # M^dag at (r, r + k) is conj(M[r + k, r]): row r + k of slot(-k), the

@@ -257,10 +257,7 @@ class ControlSequence:
         segments = self.segments
         by_id = {id(s): s for s in segments}
         dicts = {i: {"k": k, "t": t} for i, (k, t) in by_id.items()}
-        return {
-            "segments": [dicts[id(s)] for s in segments],
-            "provenance": self.provenance,
-        }
+        return {"segments": [dicts[id(s)] for s in segments], "provenance": self.provenance}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlSequence":
@@ -280,24 +277,21 @@ def _as_csr(H) -> scipy.sparse.csr_array:
 
 
 def _skew_defect(M) -> float:
-    """max |M + M^dag|, evaluated over the nonzeros of M only.
+    """max |M + M^dag|, the dense value, over the nonzeros of M + M^dag.
 
-    Entries where both M_ij and M_ji vanish contribute 0, and
-    |M_ji + conj(M_ij)| = |M_ij + conj(M_ji)|, so this is the dense value.
-    Each M_ji is found among the sorted row-major keys of the CSR entries.
+    M^T in CSR form is M's CSC form, built in one counting pass by the kernel
+    behind ``tocsc``; the kernel behind scipy's ``+`` merges M and conj(M^T)
+    row by row and keeps every entry that is not exactly zero.
     """
     M = _as_csr(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {M.shape}")
-    if M.nnz == 0:
-        return 0.0
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(M.indptr))
-    cols = M.indices.astype(np.int64)
-    keys, mirrored = rows * n + cols, cols * n + rows
-    at = np.minimum(np.searchsorted(keys, mirrored), keys.size - 1)
-    mirror = np.where(keys[at] == mirrored, M.data[at], 0.0)
-    return float(np.max(np.abs(M.data + mirror.conj())))
+    n, arrays, twice = M.shape[0], (M.indptr, M.indices, M.data), 2 * M.nnz
+    T = [np.empty_like(a) for a in arrays]
+    _sparsetools.csr_tocsc(n, n, *arrays, *T)
+    S = np.empty_like(M.indptr), np.empty(twice, M.indices.dtype), np.empty(twice, complex)
+    _sparsetools.csr_plus_csr(n, n, *arrays, T[0], T[1], T[2].conj(), *S)
+    return float(np.max(np.abs(S[2][:S[0][-1]]), initial=0.0))
 
 
 def uses_spectrum(applications: int, dim: int) -> bool:
@@ -310,42 +304,34 @@ def squares(repeat: "Repeat", dim: int) -> bool:
     return repeat.count > 1 and len(repeat) >= dim // SQUARING_DIVISOR
 
 
-def _bessel_j(a: float, n: int) -> np.ndarray:
-    """J_0(a), ..., J_n(a) for a > 0 by Miller's backward recurrence
-    J_{k-1} = (2k/a) J_k - J_{k+1} from J_{n+1} = 0, normalized by
-    J_0 + 2 sum_k J_{2k} = 1.
-
-    Backward, J_k is the growing solution, so the error of the start decays
-    towards low orders; values are exact to rounding wherever J_k(a) is not
-    negligible against J_n(a).  A rescale keeps the growth finite.
-    """
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    hi, lo = 0.0, 1.0
-    for k in range(n, 0, -1):
-        hi, lo = lo, 2.0 * k / a * lo - hi
-        if abs(lo) > 1e250:
-            f[k:] *= 1e-250
-            hi, lo = hi * 1e-250, lo * 1e-250
-        f[k - 1] = lo
-    return f / (f[0] + 2.0 * f[2::2].sum())
-
-
 def chebyshev_coefficients(z: float) -> np.ndarray:
     """Coefficients a_k of e^{-izx} = sum_k a_k T_k(x) on [-1, 1], up to the
     smallest degree K with sum_{k>K} |a_k| <= CHEBYSHEV_TOL.
 
     a_0 = J_0(z) and a_k = 2 (-i)^k J_k(z), and J_k(-a) = (-1)^k J_k(a).
-    Bessel values are computed up to order n = 1.5|z| + 64.  Past it the
-    bound |J_k(a)| <= (a/2)^k / k! shrinks by at least half per order, so
-    the orders beyond n add at most 4 (a/2)^(n+1) / (n+1)! to every tail,
-    and that is counted.
+    J_0(a), ..., J_n(a) for a = |z| and n = 1.5 a + 64 follow Miller's
+    backward recurrence J_{k-1} = (2k/a) J_k - J_{k+1} from J_{n+1} = 0,
+    normalized by J_0 + 2 sum_k J_{2k} = 1.  Backward, J_k is the growing
+    solution, so the error of the start decays towards low orders; values
+    are exact to rounding wherever J_k(a) is not negligible against J_n(a),
+    and a rescale keeps the growth finite.  Past n the bound |J_k(a)| <=
+    (a/2)^k / k! shrinks by at least half per order, so the orders beyond n
+    add at most 4 (a/2)^(n+1) / (n+1)! to every tail, and that is counted.
     """
     a = abs(float(z))
     if a < 1e-30:  # J_0(a) rounds to 1 and the tail is about a: the series is 1
         return np.ones(1, dtype=complex)
     n = int(1.5 * a) + 64
-    J = _bessel_j(a, n)
+    J = np.zeros(n + 1)
+    J[n] = 1.0
+    hi, lo = 0.0, 1.0
+    for k in range(n, 0, -1):
+        hi, lo = lo, 2.0 * k / a * lo - hi
+        if abs(lo) > 1e250:
+            J[k:] *= 1e-250
+            hi, lo = hi * 1e-250, lo * 1e-250
+        J[k - 1] = lo
+    J /= J[0] + 2.0 * J[2::2].sum()
     beyond = 4.0 * math.exp((n + 1) * math.log(a / 2.0) - math.lgamma(n + 2))
     tails = np.append(np.cumsum(2.0 * np.abs(J[:0:-1]))[::-1], 0.0) + beyond  # sum_{k>K}
     K = int(np.argmax(tails <= CHEBYSHEV_TOL))
@@ -370,20 +356,28 @@ class _Action:
     """
 
     def __init__(self, G):
-        H = 1j * _as_csr(G)
-        dim = H.shape[0]
-        rows = np.repeat(np.arange(dim), np.diff(H.indptr))
-        diag = np.bincount(rows, np.where(H.indices == rows, H.data.real, 0.0), dim)
-        rho = np.bincount(rows, np.abs(H.data), dim) - np.abs(diag)
+        G = _as_csr(G)
+        dim, indptr, indices, data = G.shape[0], G.indptr, G.indices, G.data * 1j  # H = iG
+        rows = np.repeat(np.arange(dim), np.diff(indptr))
+        diag = np.bincount(rows, np.where(indices == rows, data.real, 0.0), dim)
+        rho = np.bincount(rows, np.abs(data), dim) - np.abs(diag)
         lo, hi = np.min(diag - rho), np.max(diag + rho)
         self.centre, self.radius = float((lo + hi) / 2), float((hi - lo) / 2)
-        shifted = H - self.centre * scipy.sparse.eye_array(dim, format="csr")
-        self.X2 = shifted / (self.radius or 1.0) * 2.0
+        # 2X = (H - c I) / r * 2 in the float operations of scipy's operators:
+        # the kernel behind ``-`` merges H and c I row by row and drops exact
+        # zeros, and the data is multiplied by 1 / r, then by 2
+        eye, size = np.arange(dim + 1, dtype=indptr.dtype), G.nnz + dim
+        X = np.empty_like(indptr), np.empty(size, indices.dtype), np.empty(size, complex)
+        _sparsetools.csr_minus_csr(dim, dim, indptr, indices, data, eye, eye[:-1],
+                                   np.full(dim, self.centre, dtype=complex), *X)
+        self.X2 = scipy.sparse.csr_array(
+            (X[2][:X[0][-1]] * (1 / (self.radius or 1.0)) * 2.0, X[1][:X[0][-1]], X[0]),
+            shape=G.shape)
 
-    def times(self, v: np.ndarray) -> np.ndarray:
-        """(2X) v in a new zeroed buffer by the kernel behind ``X2 @ v``, which
-        checks no bounds: ``v`` must have a shape that ``__call__`` accepts."""
-        X2, y = self.X2, np.zeros(v.shape, dtype=complex)
+    def times(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """y + (2X) v into the C-ordered ``y`` by the kernel behind ``X2 @ v``, which
+        checks no bounds: ``v`` and ``y`` must share a shape ``__call__`` accepts."""
+        X2 = self.X2
         arrays = (X2.indptr, X2.indices, X2.data, v.ravel(), y.ravel())
         if v.ndim == 1 or v.shape[1] == 1:
             _sparsetools.csr_matvec(*X2.shape, *arrays)
@@ -397,31 +391,42 @@ class _Action:
         coeffs = chebyshev_coefficients(self.radius * t)
         out = coeffs[0] * psi
         if coeffs.size > 1:
-            prev, cur = psi, 0.5 * self.times(psi)
-            out += coeffs[1] * cur
+            # the call's three buffers: T_{k-1} psi, T_k psi, and a zeroed one for
+            # (2X) T_k psi - T_{k-1} psi; the spent T_{k-1} psi takes a_{k+1} T_{k+1} psi
+            prev = np.array(psi, dtype=complex, order="C")
+            cur, nxt = np.zeros(psi.shape, dtype=complex), np.empty(psi.shape, dtype=complex)
+            np.multiply(0.5, self.times(psi, cur), out=cur)
+            out += np.multiply(coeffs[1], cur, out=nxt)
             for a in coeffs[2:]:
-                prev, cur = cur, self.times(cur) - prev
-                out += a * cur
+                nxt.fill(0)
+                np.subtract(self.times(cur, nxt), prev, out=nxt)
+                out += np.multiply(a, nxt, out=prev)
+                prev, cur, nxt = cur, nxt, prev
         out *= np.exp(-1j * self.centre * t)
         drift = np.max(np.abs(np.linalg.norm(out, axis=0) - np.linalg.norm(psi, axis=0)),
                        initial=0.0)
-        if drift > NORM_TOL:
+        if not drift <= NORM_TOL:  # a NaN drift fails too
             raise NormDriftError(f"action norm drift {drift:.3e}")
         return out
 
 
-class _SpectralStore:
-    """The table's ``SpectralData`` by generator index, ``store[k]``: iH_k is
-    diagonalized by ``recurrence.spectral`` on first access, under the
-    table's lock."""
+class _Store:
+    """What ``build`` makes of the table's generator k, ``store[k]``: built on
+    first access, under the table's lock."""
 
-    def __init__(self, table: "EvolutionTable"):
-        self._table = table
-        self._data = {}
+    def __init__(self, table: "EvolutionTable", build):
+        self._table, self._build, self._data = table, build, {}
 
     def __getitem__(self, k: int):
-        return self._table._cached(self._data, k,
-                                   lambda M: recurrence.spectral(1j * M.toarray()))
+        value = self._data.get(k)
+        if value is None:
+            if k not in self._table._mats:
+                raise KeyError(f"unresolved generator index {k}")
+            with self._table._lock:
+                value = self._data.get(k)
+                if value is None:
+                    value = self._data[k] = self._build(self._table._mats[k])
+        return value
 
 
 class EvolutionTable:
@@ -440,21 +445,17 @@ class EvolutionTable:
     def __init__(self, reps: Mapping[int, object]):
         if not reps:
             raise ValueError("an evolution table needs at least one generator")
-        self._actions = {}
-        self._mats = {}
-        self._lock = threading.Lock()
-        dim = None
+        self._mats, self._lock = {}, threading.Lock()
         for k, H in reps.items():
             M = _as_csr(H)
             if not (defect := _skew_defect(M)) <= SKEW_TOL:  # a NaN entry fails too
                 raise ValueError(f"matrix is not skew-hermitian: defect {defect:.3e}")
-            if dim is None:
-                dim = M.shape[0]
-            elif M.shape[0] != dim:
+            if M.shape[0] != next(iter(self._mats.values()), M).shape[0]:
                 raise ValueError("all generators must share one dimension")
             self._mats[int(k)] = M
-        self.dim = dim
-        self.spectra = _SpectralStore(self)
+        self.dim = M.shape[0]
+        self.spectra = _Store(self, lambda M: recurrence.spectral(1j * M.toarray()))
+        self._actions = _Store(self, lambda M: _Action(M))  # _Action read per build
 
     def indices(self):
         return sorted(self._mats)
@@ -462,17 +463,6 @@ class EvolutionTable:
     def matrix(self, k: int) -> scipy.sparse.csr_array:
         """The CSR matrix of generator k."""
         return self._mats[k]
-
-    def _cached(self, cache: dict, k: int, build):
-        value = cache.get(k)
-        if value is None:
-            if k not in self._mats:
-                raise KeyError(f"unresolved generator index {k}")
-            with self._lock:
-                value = cache.get(k)
-                if value is None:
-                    value = cache[k] = build(self._mats[k])
-        return value
 
     def apply(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
         """Spectral path: e^{H_k t} psi from the cached eigendecomposition;
@@ -485,7 +475,7 @@ class EvolutionTable:
     def act(self, k: int, t: float, psi: np.ndarray) -> np.ndarray:
         """Action path: e^{H_k t} psi by the Chebyshev action, norm-checked
         per state; ``psi`` is one state or a dim x m block of column states."""
-        return self._cached(self._actions, k, _Action)(t, psi)
+        return self._actions[k](t, psi)
 
     def unitary(self, k: int, t: float) -> np.ndarray:
         sd = self.spectra[k]
@@ -499,7 +489,7 @@ def expm_skew(H, t: float) -> np.ndarray:
         raise ValueError("expm_skew is restricted to forward durations")
     U = EvolutionTable({0: H}).unitary(0, t)
     defect = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise AssertionError(f"propagator lost unitarity: {defect:.3e}")
     return U
 
@@ -585,7 +575,7 @@ def _evaluate(word, psi0, table: EvolutionTable) -> np.ndarray:
     psi = _Evaluation(word, table).run(word, psi0)
     drift = np.max(np.abs(np.linalg.norm(psi, axis=0) - np.linalg.norm(psi0, axis=0)),
                    initial=0.0)
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:  # a NaN drift fails too
         raise NormDriftError(f"evolution norm drift {drift:.3e}")
     return psi
 

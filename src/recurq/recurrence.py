@@ -104,7 +104,7 @@ class SpectralData:
             raise ValueError("eigenvalues must be non-decreasing")
         gram = V.conj().T @ V
         defect = np.max(np.abs(gram - np.eye(V.shape[1])))
-        if defect > ORTHONORMALITY_TOL:
+        if not defect <= ORTHONORMALITY_TOL:  # a NaN defect fails too
             raise ValueError(f"eigenvectors not orthonormal: defect {defect:.3e}")
         shift = max(0.0, -float(E[0]))
         object.__setattr__(self, "eigenvalues", E)

@@ -30,6 +30,9 @@ from .recurrence import GridReachError
 # Most leaves of a target's order-1 word (``word_leaves``), which take
 # build_word about 0.35 s (notes/decisions.md, "Word size bound")
 MAX_WORD_LEAVES = 2**16
+# Most levels of nested objects in a config's expression (``cli._parse_expr``):
+# Python's 1000 frames stopped the recursive ``Scale.__str__`` at 330 levels
+MAX_EXPR_DEPTH = 256
 
 
 # -- expression trees ---------------------------------------------------------

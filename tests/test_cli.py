@@ -1058,6 +1058,39 @@ def test_target_word_too_large_exits_usage_before_any_word(sub, config, path, tm
     assert "Traceback" not in err
 
 
+def _run_nested(sub, depth, tmp_path):
+    """Run ``sub`` on a config whose target is ``depth`` scale ops around
+    generator 0, written as text: json.dumps refuses such depths itself."""
+    nested = '{"op": "scale", "factor": 1.0, "inner": ' * depth + "0" + "}" * depth
+    config = ({"system": QP_SYSTEM, "target": "@", "t": 0.5} if sub == "compile" else
+              {"chain": CHAIN2, "dims": [4, 4], "targets": [{"expr": "@", "t": 0.1}]})
+    config.update({"epsilon": 0.1, "n_budget": 2, "inverter": {"mode": "exact"}})
+    cfg = tmp_path / "nested.json"
+    cfg.write_text(json.dumps(config).replace('"@"', nested))
+    return cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("sub,depth,path", [
+    ("compile", 330, "$.target"), ("chain-demo", 330, "$.targets[0].expr"),
+    ("compile", 2000, None),
+])
+def test_deeply_nested_target_exits_usage(sub, depth, path, tmp_path, capsys):
+    # 330 nested scale ops overflowed the frame limit in Scale.__str__, after
+    # the search, and 2000 in json.load: both are config errors, the first
+    # refused at its path before any word is built
+    assert _run_nested(sub, depth, tmp_path) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if path is not None:
+        assert f"error: {path}: nests {depth} levels, above {synth.MAX_EXPR_DEPTH}" in err
+
+
+@pytest.mark.parametrize("sub", ["compile", "chain-demo"])
+def test_nested_target_at_the_depth_bound_runs(sub, tmp_path):
+    assert _run_nested(sub, synth.MAX_EXPR_DEPTH, tmp_path) == cli.EXIT_OK
+    assert json.loads((tmp_path / "out" / "report.json").read_text())
+
+
 @pytest.mark.parametrize("sub,config,path", [
     ("recur", {"hamiltonian": {"levels": [0.0, 1.0, math.sqrt(2.0), math.pi, 1e20]},
                "delta": 1e-6, "mode": "energy_bound", "energy_bound": 0.1, "tau_min": 1.0,

@@ -141,19 +141,23 @@ def test_chain_generators_represent_equals_dense_kron(dims, cap):
 
 
 def test_represent_is_the_same_with_a_cold_or_warm_power_memo():
-    # the per-mode powers are built once per (levels, q power, p power) and
-    # shared read-only by every later call, on any truncation
+    # the per-mode powers are built once per (levels, q power, p power), and
+    # each monomial's Kronecker nonzeros once per (dims, monomial) in a cache
+    # of bounded size; both are shared read-only by every later call
     spec = chains.ChainSpec(3, 0.83, ((0, 1, 1.21), (1, 2, 0.64)), (0,), 3)
+    memos = (fock._mode_power, fock._monomial_nonzeros)
     for H in chains.control_system(spec)[1]:
         for dims in ((8, 8, 9), (9, 8, 8)):
-            fock._mode_power.cache_clear()
+            for memo in memos:
+                memo.cache_clear()
             cold = fock.represent(H, TruncationSpec(dims))
             warm = fock.represent(H, TruncationSpec(dims))
-            assert fock._mode_power.cache_info().hits > 0
+            assert all(memo.cache_info().hits > 0 for memo in memos)
             for name in ("data", "indices", "indptr"):
                 assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
-    rows, offs, vals = fock._mode_power(8, 1, 2)
-    assert not (rows.flags.writeable or offs.flags.writeable or vals.flags.writeable)
+    assert type(fock._monomial_nonzeros.cache_info().maxsize) is int
+    for arrays in (fock._mode_power(8, 1, 2), fock._monomial_nonzeros((8, 9), ((1, 0), (0, 2)))):
+        assert not any(array.flags.writeable for array in arrays)
 
 
 def _vanishing():

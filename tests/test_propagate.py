@@ -123,6 +123,17 @@ def test_skew_defect_matches_dense_formula(rng):
         pr.EvolutionTable({0: np.zeros((3, 4))})
 
 
+def test_skew_defect_matches_dense_formula_on_chain_patterns():
+    # the chain generators store a symmetric pattern, which one entry off the
+    # diagonal breaks; each mirror is looked up through the CSC transpose
+    _, table = _chain_table(4)
+    for k in table.indices():
+        M = table.matrix(k).toarray()
+        for A in (M, M + 1e-9 * (np.arange(64) == 3)[:, None] * (np.arange(64) == 40)):
+            dense = float(np.max(np.abs(A + A.conj().T)))
+            assert pr._skew_defect(scipy.sparse.csr_array(A)) == dense
+
+
 def test_evolution_table_rejects_a_nan_entry():
     # a NaN defect compares False with the tolerance; it fails the check
     M = np.zeros((3, 3), dtype=complex)
@@ -639,9 +650,72 @@ def test_action_kernel_is_scipys_product_bit_for_bit(index_dtype, rng):
     assert (2.0 * X.data).tobytes() == action.X2.data.tobytes()
     block = np.column_stack([_interior_state(tspec, rng) for _ in range(8)])
     for v in (block[:, 0].copy(), block[:, :1], block):  # a state, a column, a block
-        out = action.times(v)
+        out = action.times(v, np.zeros(v.shape, dtype=complex))
         assert out.shape == v.shape
         assert out.tobytes() == (action.X2 @ v).tobytes() == (2.0 * (X @ v)).tobytes()
+
+
+def _two_x_cases():
+    """Skew generators whose 2X stresses the shift: rows that store no diagonal
+    under a centre c != 0, diagonal entries equal to c, and q1 alone (c = 0)."""
+    H = fock.represent(q(0), TruncationSpec((6,))).toarray()
+    H[0, 0] = 5.0  # one stored diagonal entry: the other five rows gain 0 - c
+    E = np.zeros((4, 4), dtype=complex)
+    E[0, 0] = E[1, 1] = E[2, 2] = 0.5  # the interval [-0.5, 1.5]: c = 0.5 ...
+    E[0, 1] = E[1, 0] = 1.0  # ... so each stored diagonal entry drops out, and row 3 gains 0 - c
+    q1 = fock.represent(q(0, 3), TruncationSpec((8, 8, 8)))
+    return {"missing-diagonal": -1j * scipy.sparse.csr_array(H),
+            "diagonal-equal-to-c": -1j * scipy.sparse.csr_array(E), "q1-alone": -1j * q1}
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("case", ["missing-diagonal", "diagonal-equal-to-c", "q1-alone"])
+def test_action_2x_is_scipys_operators_bit_for_bit(case, index_dtype):
+    # _Action builds 2X from G's arrays; it must equal scipy's
+    # (1j * G - c * eye) / r * 2.0 in every array, dtype and bit
+    G = _two_x_cases()[case].copy()
+    G.indptr, G.indices = G.indptr.astype(index_dtype), G.indices.astype(index_dtype)
+    action = pr._Action(G)
+    eye = scipy.sparse.eye_array(G.shape[0], format="csr")
+    X2 = (1j * G - action.centre * eye) / (action.radius or 1.0) * 2.0
+    assert (action.centre != 0.0) == (case != "q1-alone")
+    for name in ("data", "indices", "indptr"):
+        assert getattr(action.X2, name).dtype == getattr(X2, name).dtype
+        assert getattr(action.X2, name).tobytes() == getattr(X2, name).tobytes()
+    if case == "diagonal-equal-to-c":
+        assert action.centre == 0.5 and action.X2.diagonal().tolist() == [0, 0, 0, -1.0]
+
+
+def test_generator_setup_calls_no_scipy_sparse_arithmetic(monkeypatch):
+    # a ratchet: a table checks its generators, and an action builds its 2X,
+    # from the CSR arrays; no scipy operator runs (each allocates, merges and
+    # re-validates a whole matrix)
+    _, table = _chain_table(8)  # dim 512
+    mats = {k: table.matrix(k) for k in table.indices()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy sparse arithmetic")
+
+    monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "_binopt", refuse)
+    monkeypatch.setattr(scipy.sparse._data._data_matrix, "_mul_scalar", refuse)
+    with pytest.raises(AssertionError, match="arithmetic"):
+        1j * mats[0] - mats[1]
+    fresh = pr.EvolutionTable(mats)
+    for k in mats:
+        pr._Action(fresh.matrix(k))
+
+
+@pytest.mark.parametrize("d", [256, 16])  # the action path, the spectral path
+def test_a_nan_state_fails_the_norm_check(d):
+    # a NaN drift compares False with NORM_TOL; it fails the check
+    G = -1j * fock.represent(q(0), TruncationSpec((d,)))
+    psi = np.full(d, d ** -0.5, dtype=complex)
+    psi[1] = np.nan
+    with pytest.raises(pr.NormDriftError, match="norm drift nan"):
+        if d == 256:
+            pr.expm_apply(G, 0.3, [psi])
+        else:
+            pr.evolve(ControlSequence(((0, 0.3),)), psi, pr.EvolutionTable({0: G}))
 
 
 @pytest.mark.parametrize("rows", [511, 513])

@@ -57,6 +57,14 @@ def test_spectral_rejects_a_nan_entry():
         rc.spectral(M)
 
 
+def test_spectral_data_rejects_nan_eigenvectors():
+    # a NaN orthonormality defect compares False with the tolerance; it fails
+    V = np.eye(3, dtype=complex)
+    V[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal: defect nan"):
+        rc.SpectralData(np.array([0.0, 1.0, 2.0]), V)
+
+
 def test_spectral_shift_re_references_negative_spectra(rng):
     # both spectra bottom out below zero, so the recorded shift re-references
     # them identically and the (projective) return distance agrees
