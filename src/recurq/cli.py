@@ -152,16 +152,18 @@ _Validator = validators.extend(
 def _non_finite(value, path: str = "$"):
     """JSON path of the first infinite or NaN number in ``value``, or None.
     Python's json reads 1e400 as inf and accepts NaN and Infinity, and the
-    schemas' number bounds let inf through."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return path
-    if isinstance(value, dict):
-        items = [(f"{path}.{key}", item) for key, item in value.items()]
-    elif isinstance(value, list):
-        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
-    else:
-        return None
-    return next((bad for sub, item in items if (bad := _non_finite(item, sub))), None)
+    schemas' number bounds let inf through.  Walked depth first on a stack,
+    not by recursion: json.load admits configs deeper than the frame limit."""
+    stack = [(path, value)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            return path
+        if isinstance(value, dict):
+            stack.extend(reversed([(f"{path}.{key}", item) for key, item in value.items()]))
+        elif isinstance(value, list):
+            stack.extend(reversed([(f"{path}[{i}]", item) for i, item in enumerate(value)]))
+    return None
 
 
 def validate_config(subcommand: str, config: dict):

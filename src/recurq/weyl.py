@@ -57,8 +57,6 @@ MAX_MODES = 10_000
 # q_1^a1 p_1^b1 ... q_m^am p_m^bm in that (canonical) order.
 Monomial = tuple
 
-_PRUNE = 1e-14
-
 
 def mono_degree(mono: Monomial) -> int:
     return sum(a + b for a, b in mono)
@@ -246,9 +244,6 @@ class PolyOp:
             terms[mono] = terms.get(mono, 0.0j) + coeff
         return cls(mode_count, terms)
 
-    def __str__(self):
-        return self.to_text()
-
 
 def _trusted(mode_count: int, terms: dict, role: str = GENERAL) -> PolyOp:
     """PolyOp over canonical terms with a known role, as this module's
@@ -352,14 +347,14 @@ def _monomial_table(mode_count: int, support: Sequence[int], max_degree: int):
 class _RealSpan:
     """Incremental orthonormal basis of the real span of complex vectors.
 
-    ``vecs`` holds the added vectors, normalized, and ``q`` an orthonormal
-    basis of their span in real coordinates (real parts, then imaginary
-    parts).  Both are views of buffers of ``min(dim_cap, 2 n_coords)`` rows,
-    filled in place.  With ``dim_cap`` vectors held, a further independent
-    vector is refused and sets ``capped``.  Row r of ``x``, ``mag``,
-    ``norm_row`` and ``norm_vec`` holds vector r as the bracket table reads
-    it: its ``_drop_tiny`` form x, |x|, and ||x|| as a row of a stack and as
-    a 1-D vector, two reductions that may differ in the last bit.
+    Row r of ``x`` holds added vector r, normalized, in its ``_drop_tiny``
+    form, and row r of ``mag`` and ``norm_row`` its |x| and ||x||: the one
+    copy of each direction, which the bracket table and ``LieBasis.basis``
+    read.  ``q`` is an orthonormal basis of the span of the unpruned
+    vectors in real coordinates (real parts, then imaginary parts).  The
+    buffers have ``min(dim_cap, 2 n_coords)`` rows, filled in place.  With
+    ``dim_cap`` vectors held, a further independent vector is refused and
+    sets ``capped``.
     """
 
     def __init__(self, n_coords: int, dim_cap: int):
@@ -368,19 +363,13 @@ class _RealSpan:
         self.capped = False
         self.dim = 0
         self._q = np.zeros((rows, 2 * n_coords))
-        self._vecs = np.zeros((rows, n_coords), dtype=complex)
         self.x = np.zeros((rows, n_coords), dtype=complex)
         self.mag = np.zeros((rows, n_coords))
         self.norm_row = np.zeros(rows)
-        self.norm_vec = np.zeros(rows)
 
     @property
     def q(self):
         return self._q[:self.dim]
-
-    @property
-    def vecs(self):
-        return self._vecs[:self.dim]
 
     def _residual(self, U: np.ndarray):
         for _ in range(2):  # two-pass reorthogonalization
@@ -407,11 +396,9 @@ class _RealSpan:
             self.capped = True
             return False
         self._q[self.dim] = r / rn
-        self._vecs[self.dim] = u
         x = self.x[self.dim] = _drop_tiny(u)
         self.mag[self.dim] = np.abs(x)
         self.norm_row[self.dim] = np.linalg.norm(x[None], axis=1)[0]
-        self.norm_vec[self.dim] = np.linalg.norm(x)
         self.dim += 1
         return True
 
@@ -462,8 +449,6 @@ class LieBasis:
     turns into PolyOps when first read."""
 
     mode_count: int
-    degree_cap: int
-    dim_cap: int
     saturated: bool
     degree_capped: bool
     dim_capped: bool
@@ -476,10 +461,8 @@ class LieBasis:
 
     @functools.cached_property
     def basis(self) -> list:
-        V = self._span.vecs.copy()
-        mag = np.abs(V)
-        V[mag <= _PRUNE * np.maximum(mag.max(axis=1, keepdims=True, initial=0.0), 1.0)] = 0
-        return _target_ops(sp.csc_matrix(V.T), list(self._index), self.mode_count)
+        return _target_ops(sp.csc_matrix(self._span.x[:self.dim].T), list(self._index),
+                           self.mode_count)
 
     def contains_all(self, ops) -> np.ndarray:
         """Membership of each op, in one projection; a term off the index is not."""
@@ -579,7 +562,7 @@ class _Constants(NamedTuple):
         # rows at the cancellation floor of their gross sum are roundoff zeros
         gross = rows.mag[:i] @ (self.N @ rows.mag[i])
         R[np.linalg.norm(R, axis=1) < 1e-11 * gross] = 0.0
-        lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_vec[i], 1e-300)
+        lim = 1e-10 * np.maximum(rows.norm_row[:i] * rows.norm_row[i], 1e-300)
         overflow = (np.abs(P[:, ~incap]) > lim[:, None]).any(axis=1)
         return R, overflow
 
@@ -721,9 +704,10 @@ def _embed(row, slots, mode_count) -> Monomial:
 
 
 def _drop_tiny(V: np.ndarray) -> np.ndarray:
-    """Zero the entries below 1e-13 of their row's largest magnitude."""
+    """Zero the entries at most 1e-13 of their row's largest magnitude; a
+    row with no columns passes."""
     mag = np.abs(V)
-    return np.where(mag > 1e-13 * mag.max(axis=-1, keepdims=True), V, 0.0)
+    return np.where(mag > 1e-13 * mag.max(axis=-1, keepdims=True, initial=0.0), V, 0.0)
 
 
 def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> LieBasis:
@@ -772,8 +756,8 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
                 break
         i += 1
 
-    return LieBasis(generators[0].mode_count, degree_cap, dim_cap,
-                    not (degree_capped or span.capped), degree_capped, span.capped, index, span)
+    return LieBasis(generators[0].mode_count, not (degree_capped or span.capped),
+                    degree_capped, span.capped, index, span)
 
 
 def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
@@ -865,16 +849,13 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
 
     # [X, -i*coupling] is the row X @ M_c of one table product, on the table
     # at the coupling's degree when that is above the cap (its first n
-    # monomials are the in-cap ones), less the entries at most _PRUNE times
-    # the row's largest magnitude; a zero bracket is no generator, and
-    # lie_closure refuses one above the cap
+    # monomials are the in-cap ones), less its _drop_tiny entries; a zero
+    # bracket is no generator, and lie_closure refuses one above the cap
     slots = sorted(pair_modes) or [0]
     L, pair_index, table = _generator_rows(local_ops, degree_cap, slots,
                                            max(degree_cap, coupling.degree))
     Mc, cols = table.product(_coefficients([coupling_skew], pair_index)[0][0])
-    B = L @ Mc
-    mag = np.abs(B)
-    B[mag <= _PRUNE * mag.max(axis=1, keepdims=True, initial=0.0)] = 0
+    B = _drop_tiny(L @ Mc)
     mode_count, pair_monomials = local_ops[0].mode_count, list(pair_index)
     monomials = [pair_monomials[j] if j < table.n else
                  _embed(table.overflow[j - table.n].tolist(), slots, mode_count) for j in cols]

@@ -256,6 +256,19 @@ def test_compile_subcommand(tmp_path):
     assert (out / "sequence.json").exists()  # forward-only word stays physical
 
 
+def test_compile_of_one_generator_reports_one_segment(tmp_path):
+    # the order-1 word of a bare generator is a Concat of one leaf, and the
+    # report's segment count is its len()
+    config = {"system": QP_SYSTEM, "target": {"op": "gen", "k": 1}, "t": 0.7,
+              "epsilon": 1e-2, "n_budget": 256, "inverter": {"mode": "exact"},
+              "state": {"fock": [0]}}
+    rc_code, out = run("compile", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert (report["n"], report["segments"], report["distance"]) == (1, 1, 0.0)
+    assert json.loads((out / "sequence.json").read_text())["segments"] == [{"k": 1, "t": 0.7}]
+
+
 def test_chain_demo_subcommand(tmp_path):
     config = {
         "chain": {"n_modes": 2, "omega": 1.0, "couplings": [[0, 1, 1.0]],
@@ -1072,12 +1085,13 @@ def _run_nested(sub, depth, tmp_path):
 
 @pytest.mark.parametrize("sub,depth,path", [
     ("compile", 330, "$.target"), ("chain-demo", 330, "$.targets[0].expr"),
-    ("compile", 2000, None),
+    ("compile", 600, "$.target"), ("compile", 900, "$.target"), ("compile", 2000, None),
 ])
 def test_deeply_nested_target_exits_usage(sub, depth, path, tmp_path, capsys):
     # 330 nested scale ops overflowed the frame limit in Scale.__str__, after
-    # the search, and 2000 in json.load: both are config errors, the first
-    # refused at its path before any word is built
+    # the search, 600 and 900 in the finiteness walk, and 2000 in json.load:
+    # all are config errors, those json.load reads refused at their path
+    # before any word is built
     assert _run_nested(sub, depth, tmp_path) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -197,6 +197,16 @@ def test_one_closure_sweep():
         assert name not in defined | _names("weyl"), name
 
 
+def test_one_coefficient_mask():
+    # a ratchet: _drop_tiny is weyl's one coefficient mask, on the span's
+    # stored rows, which the brackets and LieBasis.basis read, and on the
+    # check's bracket rows (notes/decisions.md, "Rows stored once"); no
+    # _PRUNE floor or hand-written mask comes back
+    assert _call_sites("_drop_tiny") == {("weyl", "_RealSpan.try_add"),
+                                         ("weyl", "algebraic_propagation_check")}
+    assert "_PRUNE" not in _names("weyl")
+
+
 def test_grid_kernel_is_one_matrix_product():
     # a ratchet: the scan kernel forms the rows' cos A, sin A against the
     # column factor's cos C, -sin C as one GEMM of inner size 2N per slice of
@@ -533,9 +543,9 @@ def test_optional_parameters_do_not_grow():
 
 def test_weyl_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert len((SRC / "weyl.py").read_text().splitlines()) <= 901
+    assert len((SRC / "weyl.py").read_text().splitlines()) <= 882
 
 
 def test_source_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3823
+    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3806

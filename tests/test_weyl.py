@@ -344,7 +344,7 @@ def test_cached_table_on_spread_support_matches_reordering_oracle(mode_count, su
 
 def _closure_summary(basis):
     return (basis.dim, basis.saturated, basis.degree_capped, basis.dim_capped,
-            [b.to_text() for b in basis.basis], basis._span.vecs.tobytes())
+            [b.to_text() for b in basis.basis], basis._span.x[:basis.dim].tobytes())
 
 
 def test_closures_of_one_slot_count_and_cap_share_one_table():
@@ -358,7 +358,7 @@ def test_closures_of_one_slot_count_and_cap_share_one_table():
     info = weyl._structure_constants.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert _closure_summary(wide)[:4] == _closure_summary(narrow)[:4]
-    assert wide._span.vecs.tobytes() == narrow._span.vecs.tobytes()
+    assert wide._span.x[:wide.dim].tobytes() == narrow._span.x[:narrow.dim].tobytes()
 
 
 def test_cold_and_cached_runs_agree_bit_for_bit():
@@ -449,20 +449,18 @@ def test_restricted_product_is_csr_product_bit_for_bit(mode_count, cap):
 
 
 def test_stored_rows_match_their_stack_forms(rng):
-    # each added vector is stored once, in the forms bracket_rows took from
-    # the stack of the span's vectors
+    # each added vector is stored once, normalized and pruned, with the |x|
+    # and ||x|| that bracket_rows takes from the stack of the span's rows
     V = rng.standard_normal((30, 70)) + 1j * rng.standard_normal((30, 70))
     V[:, ::3] *= 1e-13 * rng.uniform(0.5, 1.5, (30, 24))
     stored = weyl._RealSpan(70, 40)
     assert all(stored.try_add(v) for v in V)
     assert stored.dim == 30
-    V = stored.vecs
-    X = weyl._drop_tiny(V)
+    X = weyl._drop_tiny(np.array([v / np.linalg.norm(v) for v in V]))
     assert 0 < np.count_nonzero(X == 0) < 30 * 24
     assert stored.x[:30].tobytes() == X.tobytes()
     assert stored.mag[:30].tobytes() == np.abs(X).tobytes()
     assert stored.norm_row[:30].tobytes() == np.linalg.norm(X, axis=1).tobytes()
-    assert stored.norm_vec[:30].tolist() == [np.linalg.norm(weyl._drop_tiny(v)) for v in V]
 
 
 def _record_brackets(monkeypatch):
@@ -514,8 +512,8 @@ def test_sweep_stops_once_the_space_is_full_and_capped(case, monkeypatch):
         # the table-free sweep without a stop rule: same dim, flags and span
         span, over = polyop_lie_closure(gens, cap, 256)
         assert (span.dim, over, span.capped) == (basis.dim, True, False)
-        assert basis._span.residuals(span.vecs).max() < 1e-8
-        assert span.residuals(basis._span.vecs).max() < 1e-8
+        assert basis._span.residuals(span.x[:span.dim]).max() < 1e-8
+        assert span.residuals(basis._span.x[:basis.dim]).max() < 1e-8
 
 
 def test_quadratic_algebra_fills_its_space_and_stays_saturated(monkeypatch):
