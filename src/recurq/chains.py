@@ -14,6 +14,7 @@ capped pair algebra, the next mode's local algebra becomes available there.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -175,6 +176,7 @@ class EdgeVerdict:
     verdict: str
     closure_dim: int
     missing: int
+    all_degrees: bool  # of the pair's closure at min(degree_cap, 3)
 
     def to_dict(self) -> dict:
         return {
@@ -182,6 +184,7 @@ class EdgeVerdict:
             "verdict": self.verdict,
             "closure_dim": self.closure_dim,
             "missing_targets": self.missing,
+            "all_degrees": self.all_degrees,
         }
 
 
@@ -218,6 +221,41 @@ class ChainControllabilityReport:
         }
 
 
+def _implied_dim(closure, degree_cap: int, dim_cap: int):
+    """The dimension at ``degree_cap`` that ``closure``, one at
+    min(degree_cap, 3), implies when it holds every cubic on its modes S:
+    every polynomial on S, C(2|S| + cap, cap), if that is within ``dim_cap``;
+    else None (notes/decisions.md, "Chain verdicts from the cap-3 closure")."""
+    dim = math.comb(2 * len(closure.support) + degree_cap, degree_cap)
+    return dim if closure.all_degrees and dim <= dim_cap else None
+
+
+def _site_dim(gens, degree_cap: int, dim_cap: int) -> int:
+    closure = lie_closure(gens, min(degree_cap, 3), dim_cap)
+    dim = _implied_dim(closure, degree_cap, dim_cap)
+    if dim is None and degree_cap > 3:
+        closure = lie_closure(gens, degree_cap, dim_cap)
+    return closure.dim if dim is None else dim
+
+
+def _pair_verdict(coupling: PolyOp, degree_cap: int, dim_cap: int) -> tuple:
+    """``(verdict, closure_dim, missing, all_degrees)`` of the pair check at
+    ``degree_cap``, from the check at min(degree_cap, 3) when its closure
+    holds every cubic on its modes S: S is the pair and the verdict
+    propagates, or S misses the target mode and the check proved that it
+    fails.  Otherwise the check runs at ``degree_cap`` too."""
+    low = min(degree_cap, 3)
+    check = algebraic_propagation_check(local_skew_generators(0, 2, low), coupling,
+                                        degree_cap=low, dim_cap=dim_cap)
+    all_degrees, dim = check.closure.all_degrees, _implied_dim(check.closure, degree_cap, dim_cap)
+    if dim is not None and check.verdict != UNKNOWN:
+        return check.verdict, dim, math.comb(4 + degree_cap, degree_cap) - dim, all_degrees
+    if low < degree_cap:
+        check = algebraic_propagation_check(local_skew_generators(0, 2, degree_cap), coupling,
+                                            degree_cap=degree_cap, dim_cap=dim_cap)
+    return check.verdict, check.closure.dim, len(check.missing), all_degrees
+
+
 def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
                           dim_cap: int = 256) -> ChainControllabilityReport:
     """Edge-by-edge propagation verdicts from the control sites outward.
@@ -231,14 +269,17 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     per chain").  The per-site closure dimension of the bare controls with
     the drift terms local to that site is reported as context, not as part
     of the verdict; it runs in the one-mode frame, with no n-mode polynomial
-    (notes/decisions.md, "Site closures in the one-mode frame").  A
-    ``degree_cap`` that the two-mode bracket table cannot represent raises
-    ``weyl.CapError`` before any closure.
+    (notes/decisions.md, "Site closures in the one-mode frame").  The check
+    and each site closure run at min(degree_cap, 3) first, and at
+    ``degree_cap`` only when that closure does not hold every cubic on its
+    modes (notes/decisions.md, "Chain verdicts from the cap-3 closure").  A
+    ``degree_cap`` that the two-mode bracket table (the one-mode table, for
+    a chain with no edge) cannot represent raises ``weyl.CapError`` before
+    any closure.
     """
     coupling = coupling_hamiltonian(0, 1, spec.omega, 2)
-    if spec.edges:
-        # refuse a cap the two-mode table cannot represent before any closure
-        table_monomials(degree_cap, 2)
+    # refuse a cap the table cannot represent before any closure
+    table_monomials(degree_cap, 2 if spec.edges else 1)
     adjacency: dict = {m: [] for m in range(spec.n_modes)}
     for i, j in spec.edges:
         adjacency[i].append(j)
@@ -260,7 +301,7 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
         key = tuple(H.terms.items())
         if key not in closed:
             gens = controls if H.is_zero else controls + [skew_generator(H)]
-            closed[key] = lie_closure(gens, degree_cap=degree_cap, dim_cap=dim_cap).dim
+            closed[key] = _site_dim(gens, degree_cap, dim_cap)
         site_dims[site] = closed[key]
 
     visited = set(spec.control_sites)
@@ -273,12 +314,9 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
             if v in visited:
                 continue
             if pair is None:
-                pair = algebraic_propagation_check(local_skew_generators(0, 2, degree_cap),
-                                                   coupling, degree_cap=degree_cap,
-                                                   dim_cap=dim_cap)
-            verdicts.append(EdgeVerdict((u, v), pair.verdict,
-                                        pair.closure.dim, len(pair.missing)))
-            if pair.propagates:
+                pair = _pair_verdict(coupling, degree_cap, dim_cap)
+            verdicts.append(EdgeVerdict((u, v), *pair))
+            if pair[0] == PROPAGATES:
                 visited.add(v)
                 frontier.append(v)
     unreachable = tuple(sorted(set(range(spec.n_modes)) - visited))

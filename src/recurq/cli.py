@@ -479,6 +479,7 @@ def _run_closure(config, out, rng, jobs):
         "saturated": basis.saturated,
         "degree_capped": basis.degree_capped,
         "dim_capped": basis.dim_capped,
+        "all_degrees": basis.all_degrees,
         "basis": [b.to_text() for b in basis.basis],
     })
     return EXIT_OK

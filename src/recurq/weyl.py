@@ -352,13 +352,14 @@ class _RealSpan:
     copy of each direction, which the bracket table and ``LieBasis.basis``
     read.  ``q`` is an orthonormal basis of the span of the unpruned
     vectors in real coordinates (real parts, then imaginary parts).  The
-    buffers have ``min(dim_cap, 2 n_coords)`` rows, filled in place.  With
+    vectors are skew-hermitian, a space of real dimension n_coords, so the
+    buffers have ``min(dim_cap, n_coords)`` rows, filled in place.  With
     ``dim_cap`` vectors held, a further independent vector is refused and
-    sets ``capped``.
+    sets ``capped``; with n_coords held, every vector is refused.
     """
 
     def __init__(self, n_coords: int, dim_cap: int):
-        rows = min(dim_cap, 2 * n_coords)
+        rows = min(dim_cap, n_coords)
         self.dim_cap = dim_cap
         self.capped = False
         self.dim = 0
@@ -385,7 +386,7 @@ class _RealSpan:
 
     def try_add(self, v: np.ndarray) -> bool:
         nv = np.linalg.norm(v)
-        if nv == 0:
+        if nv == 0 or self.dim == self.x.shape[1]:
             return False
         u = v / nv
         r = self._residual(_to_real(u))
@@ -404,14 +405,13 @@ class _RealSpan:
 
 
 def _coefficients(ops, index: dict):
-    """Coefficient rows of ``ops`` over the monomial index, and the mask of
-    the ops whose monomials all lie in the indexed set."""
-    n = len(index)
-    V = np.zeros((len(ops), n + 1), dtype=complex)  # column n: any outside term
+    """Coefficient rows of ``ops`` over the monomial index, which holds
+    every monomial of theirs."""
+    V = np.zeros((len(ops), len(index)), dtype=complex)
     for r, op in enumerate(ops):
         for mono, coeff in op.terms.items():
-            V[r, index.get(mono, n)] = coeff
-    return V[:, :n], V[:, n] == 0
+            V[r, index[mono]] = coeff
+    return V
 
 
 def _adjoint_matrix(E):
@@ -445,15 +445,18 @@ def _target_ops(T: sp.csc_matrix, monomials, mode_count: int) -> list:
 @dataclass
 class LieBasis:
     """Real-linear basis of a (possibly cap-truncated) dynamical Lie algebra:
-    the rows of ``_span`` over the ``_index`` monomials, which ``basis``
-    turns into PolyOps when first read."""
+    the rows of ``_span`` over the ``_index`` monomials, those within the cap
+    on the generators' modes ``support`` (mode 0 if none), with adjoint map
+    ``_adjoint``.  ``basis`` turns the rows into PolyOps when first read."""
 
     mode_count: int
     saturated: bool
     degree_capped: bool
     dim_capped: bool
+    support: tuple
     _index: dict
     _span: _RealSpan
+    _adjoint: sp.csc_matrix
 
     @property
     def dim(self) -> int:
@@ -464,12 +467,24 @@ class LieBasis:
         return _target_ops(sp.csc_matrix(self._span.x[:self.dim].T), list(self._index),
                            self.mode_count)
 
-    def contains_all(self, ops) -> np.ndarray:
-        """Membership of each op, in one projection; a term off the index is not."""
-        if any(X.mode_count != self.mode_count for X in ops):
-            raise ValueError("mode_count mismatch")
-        V, inside = _coefficients(ops, self._index)
-        return inside & (self._span.residuals(V) <= MEMBERSHIP_TOL)
+    @functools.cached_property
+    def all_degrees(self) -> bool:
+        """Whether the span holds every skew polynomial of degree <= 3 on
+        ``support``, as a full span does; False below cap 3.  Then the Lie
+        algebra that the generators generate is every polynomial on those
+        modes, of every degree (notes/decisions.md, "Chain verdicts from the
+        cap-3 closure")."""
+        m, n = math.comb(2 * len(self.support) + 3, 3), len(self._index)
+        if n < m or self.dim < m:
+            return False
+        return self.dim == n or bool(self._holds_targets(m).all())
+
+    def _holds_targets(self, m: int) -> np.ndarray:
+        """Membership of i(x + x^dag) for the first m index monomials x, in
+        one projection (notes/decisions.md, "Propagation targets as vectors")."""
+        V = np.zeros((m, len(self._index)), dtype=complex)
+        V[:, :m] = 1j * (np.eye(m) + self._adjoint[:m, :m].toarray()).T
+        return self._span.residuals(V) <= MEMBERSHIP_TOL
 
 
 class CapError(ValueError):
@@ -757,7 +772,7 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         i += 1
 
     return LieBasis(generators[0].mode_count, not (degree_capped or span.capped),
-                    degree_capped, span.capped, index, span)
+                    degree_capped, span.capped, tuple(support), index, span, constants.adjoint)
 
 
 def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
@@ -775,7 +790,7 @@ def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
     table_monomials(table_cap, len(modes))
     monomials, slots = _monomial_table(mode_count, modes, table_cap)
     index = {m: i for i, m in enumerate(monomials)}
-    return _coefficients(generators, index)[0], index, _structure_constants(len(slots), table_cap)
+    return _coefficients(generators, index), index, _structure_constants(len(slots), table_cap)
 
 
 # -- generating sets and algebraic propagation ------------------------------
@@ -814,10 +829,6 @@ class PropagationResult:
     target_modes: tuple
     missing: list
 
-    @property
-    def propagates(self) -> bool:
-        return self.verdict == PROPAGATES
-
 
 def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
                                 dim_cap: int = 256) -> PropagationResult:
@@ -854,7 +865,7 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
     slots = sorted(pair_modes) or [0]
     L, pair_index, table = _generator_rows(local_ops, degree_cap, slots,
                                            max(degree_cap, coupling.degree))
-    Mc, cols = table.product(_coefficients([coupling_skew], pair_index)[0][0])
+    Mc, cols = table.product(_coefficients([coupling_skew], pair_index)[0])
     B = _drop_tiny(L @ Mc)
     mode_count, pair_monomials = local_ops[0].mode_count, list(pair_index)
     monomials = [pair_monomials[j] if j < table.n else
@@ -867,9 +878,14 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
 
     missing = []
     if closure.dim < n:
-        # the targets span the pair space: name those the short closure misses
-        targets = skew_monomial_generators(pair_modes, mode_count, degree_cap)
-        missing = [t for t, inside in zip(targets, closure.contains_all(targets)) if not inside]
+        # the targets, skew_monomial_generators' i(I + A), span the pair
+        # space: name those the short closure misses, on or off its index
+        inside = np.append(closure._holds_targets(len(closure._index)), False)
+        outside = [j for j, m in enumerate(pair_monomials[:n])
+                   if not inside[closure._index.get(m, -1)]]
+        A = _structure_constants(len(slots), degree_cap).adjoint
+        missing = _target_ops(1j * (sp.identity(n, format="csc") + A)[:, outside],
+                              pair_monomials[:n], mode_count)
     if not missing:
         verdict = PROPAGATES
     elif closure.saturated or not set(target_modes) & set().union(*(g.support for g in gens)):

@@ -185,6 +185,20 @@ def matrix_lie_closure(generators, dim_cap=600, tol=1e-9):
     return basis, member
 
 
+def contains_all(closure, ops) -> np.ndarray:
+    """Membership of each op in a ``weyl.lie_closure`` basis, in one
+    projection; an op with a term off the closure's monomial index is not a
+    member.  The package tests only skew monomial targets, as rows."""
+    if any(X.mode_count != closure.mode_count for X in ops):
+        raise ValueError("mode_count mismatch")
+    index, n = closure._index, len(closure._index)
+    V = np.zeros((len(ops), n + 1), dtype=complex)  # column n: any outside term
+    for r, op in enumerate(ops):
+        for mono, coeff in op.terms.items():
+            V[r, index.get(mono, n)] = coeff
+    return (V[:, n] == 0) & (closure._span.residuals(V[:, :n]) <= weyl.MEMBERSHIP_TOL)
+
+
 def polyop_lie_closure(generators, degree_cap, dim_cap=256, floor=1e-9):
     """Capped Lie closure by PolyOp brackets, with no bracket table and no
     early stop: every element is bracketed with each earlier one.
@@ -551,7 +565,9 @@ def control_system(spec):
 def per_edge_controllability(spec, degree_cap, dim_cap):
     """``chains.chain_controllability(...).to_dict()`` with one propagation
     check per edge it reaches: the local set at u and the coupling H_uv, both
-    in the chain's n-mode frame, for edges with u < v and u > v alike."""
+    in the chain's n-mode frame, for edges with u < v and u > v alike.  Every
+    closure is swept at ``degree_cap``; an edge's ``all_degrees`` is read from
+    a second check at min(degree_cap, 3)."""
     adjacency = {m: [] for m in range(spec.n_modes)}
     for i, j in spec.edges:
         adjacency[i].append(j)
@@ -573,12 +589,13 @@ def per_edge_controllability(spec, degree_cap, dim_cap):
         for v in sorted(adjacency[u]):
             if v in visited:
                 continue
-            result = weyl.algebraic_propagation_check(
-                weyl.local_skew_generators(u, spec.n_modes, degree_cap),
-                chains.coupling_hamiltonian(u, v, spec.omega, spec.n_modes), degree_cap, dim_cap)
+            result, low = (weyl.algebraic_propagation_check(
+                weyl.local_skew_generators(u, spec.n_modes, cap),
+                chains.coupling_hamiltonian(u, v, spec.omega, spec.n_modes), cap, dim_cap)
+                for cap in (degree_cap, min(degree_cap, 3)))
             verdicts.append(chains.EdgeVerdict((u, v), result.verdict, result.closure.dim,
-                                               len(result.missing)))
-            if result.propagates:
+                                               len(result.missing), low.closure.all_degrees))
+            if result.verdict == weyl.PROPAGATES:
                 visited.add(v)
                 frontier.append(v)
     unreachable = tuple(sorted(set(range(spec.n_modes)) - visited))
@@ -605,7 +622,7 @@ def polyop_propagation_check(local, coupling, degree_cap, dim_cap=256):
     missing = []
     if closure.dim < n:
         targets = weyl.skew_monomial_generators(pair_modes, closure.mode_count, degree_cap)
-        missing = [t for t, inside in zip(targets, closure.contains_all(targets)) if not inside]
+        missing = [t for t, inside in zip(targets, contains_all(closure, targets)) if not inside]
     if not missing:
         verdict = weyl.PROPAGATES
     elif closure.saturated or not set(target_modes) & set().union(*(g.support for g in gens)):

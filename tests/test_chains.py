@@ -202,6 +202,26 @@ def test_one_pair_check_matches_a_check_per_edge(k):
     assert report == per_edge_controllability(spec, cap, dim_cap)
 
 
+# cap 6 on the pair: at dim_cap 256 the cap-3 closures decide every verdict
+# and dimension; dim_cap 209, below the pair's 210 monomials, leaves the
+# chain to sweep the pair at cap 6 when it propagates, as the oracle does
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("dim_cap", [209, 256])
+def test_cap_six_verdicts_match_the_cap_six_sweep(omega, dim_cap, monkeypatch):
+    spec = two_mode_chain(omega)
+    caps, closure = [], weyl.lie_closure
+    recorded = lambda gens, cap, dims: caps.append(cap) or closure(gens, cap, dims)
+    monkeypatch.setattr(weyl, "lie_closure", recorded)
+    monkeypatch.setattr(ch, "lie_closure", recorded)
+    report = ch.chain_controllability(spec, degree_cap=6, dim_cap=dim_cap).to_dict()
+    assert caps == [3, 3] + [6] * (omega == 1.0 and dim_cap == 209)
+    monkeypatch.undo()
+    assert report == per_edge_controllability(spec, 6, dim_cap)
+    (edge,) = report["edges"]
+    assert edge["all_degrees"] and edge["closure_dim"] == (209 if caps[-1] == 6 else
+                                                           210 if omega else 28)
+
+
 def test_chain_runs_at_most_one_pair_check(monkeypatch):
     calls = []
     check = ch.algebraic_propagation_check
@@ -247,8 +267,10 @@ def test_site_closures_stay_in_the_one_mode_frame(monkeypatch):
     assert report.controllable and report.unreachable_modes == ()
     assert len(report.edge_verdicts) == 197
     assert report.site_closure_dims == {0: 15, 100: 15, 199: 5}
-    # the pair check, its closure and the three site closures
-    assert len(frames) == 5 and set().union(*frames) <= {1, 2}
+    # the pair check and its closure at cap 3, the three site closures at
+    # cap 3, and site 199's at cap 4: its bare controls hold no p^2, so not
+    # every cubic, and its dimension comes from the cap-4 sweep
+    assert len(frames) == 6 and set().union(*frames) <= {1, 2}
     assert built and max(built) <= 2
 
 
@@ -263,6 +285,10 @@ def test_chain_refuses_a_cap_before_building_generators(monkeypatch, cap):
     spec = ChainSpec(2, 1.0, ((0, 1, 1.0),), (0,))
     with pytest.raises(weyl.CapError):
         ch.chain_controllability(spec, degree_cap=cap)
+    # with no edge the one-mode table refuses the cap, which no site's
+    # cap-3 closure could otherwise reach
+    with pytest.raises(weyl.CapError, match="exact structure constants"):
+        ch.chain_controllability(ChainSpec(1, 1.0, (), (0,)), degree_cap=cap)
 
 
 def test_chain_decoupled_fails():

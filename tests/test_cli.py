@@ -135,7 +135,14 @@ def test_closure_subcommand(tmp_path):
     rc_code, out = run("closure", config, tmp_path)
     assert rc_code == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text())
-    assert report["dim"] == 3 and report["saturated"]
+    assert report["dim"] == 3 and report["saturated"] and report["all_degrees"] is False
+    # {iq, ip^2, iq^3} holds every cubic at cap 3, so its Lie algebra is
+    # every polynomial in q and p, while the cap-4 report counts 15
+    config["generators"] = ["(0,1) * q1", "(0,1) * p1^2", "(0,1) * q1^3"]
+    config["degree_cap"] = 4
+    rc_code, out = run("closure", config, tmp_path)
+    report = json.loads((out / "report.json").read_text())
+    assert (report["dim"], report["degree_capped"], report["all_degrees"]) == (15, True, True)
 
 
 def test_closure_checks_its_generators_without_adjoints(tmp_path, monkeypatch):
@@ -150,7 +157,7 @@ def test_closure_checks_its_generators_without_adjoints(tmp_path, monkeypatch):
     rc_code, out = run("closure", config, tmp_path)
     assert rc_code == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text())
-    assert report["dim"] == 6 and report["saturated"]
+    assert report["dim"] == 6 and report["saturated"] and report["all_degrees"] is False
 
 
 @pytest.mark.parametrize("generators,index", [

@@ -15,10 +15,10 @@ from recurq import fock, weyl
 from recurq.weyl import PolyOp, as_hermitian, bracket, q, p, const, skew_generator
 
 from conftest import random_polyop, random_skew
-from oracles import (as_skew, cleaned, interior_block, isclose, missing_one_by_one,
-                     monomial_bracket, p_matrix, polyop_lie_closure, polyop_propagation_check,
-                     prefix_mono_product, q_matrix, reorder_poly, sequential_targets,
-                     word_matrix)
+from oracles import (as_skew, cleaned, contains_all, interior_block, isclose,
+                     missing_one_by_one, monomial_bracket, p_matrix, polyop_lie_closure,
+                     polyop_propagation_check, prefix_mono_product, q_matrix, reorder_poly,
+                     sequential_targets, word_matrix)
 
 
 def iq(m=1):
@@ -237,21 +237,21 @@ def test_bracket_skew_role_propagates(rng):
 def test_closure_heisenberg():
     basis = weyl.lie_closure([iq(), ip()], 6, 64)
     assert basis.dim == 3 and basis.saturated
-    assert basis.contains_all([skew_generator(const(1.0))])
+    assert contains_all(basis, [skew_generator(const(1.0))])
 
 
 def test_closure_quadratic():
     basis = weyl.lie_closure([iq2(), ip2()], 6, 64)
     assert basis.dim == 3 and basis.saturated
     sym = as_hermitian(q(0) * p(0) + p(0) * q(0))
-    assert basis.contains_all([skew_generator(sym)])
+    assert contains_all(basis, [skew_generator(sym)])
 
 
 def test_closure_quadratic_plus_linear():
     basis = weyl.lie_closure([iq2(), ip2(), iq()], 6, 64)
     assert basis.dim == 6 and basis.saturated
     Hs = (q(0), p(0), const(1.0), as_hermitian(q(0) * p(0) + p(0) * q(0)))
-    assert basis.contains_all([skew_generator(as_hermitian(H)) for H in Hs]).all()
+    assert contains_all(basis, [skew_generator(as_hermitian(H)) for H in Hs]).all()
 
 
 def test_closure_cubic_hits_degree_cap():
@@ -279,8 +279,8 @@ def test_closure_idempotence():
     basis = weyl.lie_closure([iq2(), ip2(), iq()], 6, 64)
     again = weyl.lie_closure(basis.basis, 6, 64)
     assert again.dim == basis.dim
-    assert basis.contains_all(again.basis).all()
-    assert again.contains_all(basis.basis).all()
+    assert contains_all(basis, again.basis).all()
+    assert contains_all(again, basis.basis).all()
 
 
 def test_closure_brackets_close_in_span(rng):
@@ -291,7 +291,7 @@ def test_closure_brackets_close_in_span(rng):
         for B in basis.basis:
             out = cleaned(bracket(A, B))
             if not out.is_zero:
-                assert basis.contains_all([as_skew(out)])
+                assert contains_all(basis, [as_skew(out)])
 
 
 def _table_entries(table, columns):
@@ -526,6 +526,97 @@ def test_quadratic_algebra_fills_its_space_and_stays_saturated(monkeypatch):
     assert len(calls) == basis.dim - 1
     span, over = polyop_lie_closure(gens, 2, 64)
     assert (span.dim, over, span.capped) == (6, False, False)
+    # below cap 3 the span holds no cubic
+    assert not basis.all_degrees
+
+
+# a 1-mode set that passes is_skew_hermitian, whose sweep counted 46
+# directions in the 45 of cap 8 and 67 in the 66 of cap 10: try_add's r/|r|
+# amplifies the rounding of a direction accepted at a small residual, which
+# tilts its q row out of the skew space
+TILTED = ["(0,-2.0083856328397789) * p1 + (0,0.25463186464814702) * p1^2"
+          " + (0,0.00022733186225899489) * q1^2",
+          "(-1.9984918321987739,0) * q1 + (0,-1.9984918321987739) * q1^2 p1",
+          "(1.0030244214369366,0) + (0,-0.34812177053873872) * q1 + (0,2.0060488428738732) * q1 p1",
+          "(1.0613878902918765,0) + (0,2.122775780583753) * q1 p1"
+          " + (0,-0.38529715986331142) * q1^2"]
+
+
+@pytest.mark.parametrize("cap", range(3, 11))
+def test_sweep_counts_no_more_directions_than_its_space_has(cap):
+    gens = [PolyOp.from_text(text, 1) for text in TILTED]
+    assert all(weyl.is_skew_hermitian(g) for g in gens)
+    basis = weyl.lie_closure(gens, cap, 10**6)
+    assert basis.dim == math.comb(2 + cap, cap)
+    assert basis.all_degrees and not basis.dim_capped
+
+
+# -- every degree from the cap-3 closure ------------------------------------------
+
+@pytest.mark.parametrize("cap, dim, all_degrees", [
+    (3, 5, False), (4, 11, False), (5, 19, False), (6, 28, True), (7, 36, True)])
+def test_all_degrees_needs_every_cubic(cap, dim, all_degrees):
+    # {i(q^2 + p^2), iq^3} generates every polynomial, but the sweep holds
+    # every cubic only from cap 6: at caps 3-5 it misses p^3
+    iq3 = skew_generator(as_hermitian(q(0) * q(0) * q(0)))
+    basis = weyl.lie_closure([iq2() + ip2(), iq3], cap, 256)
+    assert (basis.dim, basis.all_degrees, basis.support) == (dim, all_degrees, (0,))
+
+
+def _control_set(rng, modes):
+    """p, q and one or two cubics on mode 0, each a random multiple of a
+    skew_monomial_generators target, and one random quadratic over all modes."""
+    targets = weyl.skew_monomial_generators(range(modes), modes, 3)
+    n1, n2, n3 = (math.comb(2 * modes + d, d) for d in (1, 2, 3))
+    on0 = [j for j, t in enumerate(targets) if t.support == {0}]
+    cubics = rng.choice([j for j in on0 if j >= n2], size=rng.integers(1, 3), replace=False)
+    picks = [[j] for j in on0 if j < n1] + [cubics, range(n1, n2)]
+    return [PolyOp(modes, sum((targets[j] * rng.standard_normal() for j in js[1:]),
+                              targets[js[0]] * rng.standard_normal()).terms, weyl.SKEW)
+            for js in picks]
+
+
+@pytest.mark.parametrize("modes, caps, sets", [(1, (4, 5, 6, 7), 20), (2, (4, 5), 3),
+                                               (3, (4,), 1)])
+def test_cap_three_closure_with_every_cubic_fills_every_cap(modes, caps, sets, monkeypatch):
+    # every cap-3 closure holds every cubic on its modes S, and the sweep at
+    # each cap c then fills C(2|S| + c, c), never counts more, and falls
+    # short only by directions that its 1e-10 rank test rejects
+    rng = np.random.default_rng(41 + modes)
+    for _ in range(sets):
+        gens = _control_set(rng, modes)
+        low = weyl.lie_closure(gens, 3, 10**6)
+        assert low.all_degrees
+        for cap in caps:
+            count = math.comb(2 * len(low.support) + cap, cap)
+            dim = weyl.lie_closure(gens, cap, 10**6).dim
+            if dim < count:
+                with monkeypatch.context() as m:
+                    m.setattr(weyl, "INDEPENDENCE_TOL", 1e-11)
+                    dim = weyl.lie_closure(gens, cap, 10**6).dim
+            assert dim == count, (modes, cap)
+
+
+# sets whose sweep falls one direction short of C(2 + c, c) although the
+# cap-3 closure holds every cubic: the missing direction is accepted with the
+# rank test at 1e-11, and the chain verdicts take the count from the lemma
+@pytest.mark.parametrize("texts, cap", [
+    (["(0,-0.21051955683006379) * p1",
+      "(0,3.0202388262446918) * p1 + (0,2.3973417987801566) * p1^2"
+      " + (0,0.14758671916653254) * q1^3",
+      "(0,-2.5083733239472616) * p1 + (0,-0.15317682587439313) * p1^2"
+      " + (0,-1.770133162901544) * q1^2",
+      "(0,0.83277307006035561) * p1 + (0,-0.55310343664202311) * q1"], 6),
+    (["(0,-1.0028800369341047) * p1", "(0,1.7583212365759706) * q1",
+      "(0,1.8289344062575623) * q1^3",
+      "(-1.2487488903344155,0) + (0,-0.040126909230960843) * p1^2"
+      " + (0,-2.497497780668831) * q1 p1 + (0,-0.62779894393369551) * q1^2"], 7)])
+def test_sweep_short_of_every_degree_only_by_its_rank_test(texts, cap, monkeypatch):
+    gens = [PolyOp.from_text(text, 1) for text in texts]
+    assert weyl.lie_closure(gens, 3, 256).all_degrees
+    assert weyl.lie_closure(gens, cap, 256).dim == math.comb(2 + cap, cap) - 1
+    monkeypatch.setattr(weyl, "INDEPENDENCE_TOL", 1e-11)
+    assert weyl.lie_closure(gens, cap, 256).dim == math.comb(2 + cap, cap)
 
 
 # -- contains ------------------------------------------------------------------
@@ -533,17 +624,17 @@ def test_quadratic_algebra_fills_its_space_and_stays_saturated(monkeypatch):
 def test_contains_rejects_higher_degree():
     basis = weyl.lie_closure([iq2(), ip2()], 6, 64)
     iq3 = skew_generator(as_hermitian(q(0) * q(0) * q(0)))
-    assert not basis.contains_all([iq3])
+    assert not contains_all(basis, [iq3])
     # a hermitian operator is no member of a skew closure; another frame is refused
-    assert not weyl.lie_closure([iq(), ip()], 6, 64).contains_all([q(0)])
+    assert not contains_all(weyl.lie_closure([iq(), ip()], 6, 64), [q(0)])
     with pytest.raises(ValueError, match="mode_count mismatch"):
-        basis.contains_all([iq2(2)])
+        contains_all(basis, [iq2(2)])
 
 
 def test_contains_generators_always():
     gens = [iq2(), ip2(), iq()]
     basis = weyl.lie_closure(gens, 6, 64)
-    assert basis.contains_all(gens).all()
+    assert contains_all(basis, gens).all()
 
 
 # -- propagation criterion ------------------------------------------------------
@@ -557,9 +648,9 @@ def test_propagation_two_mode_chain():
     local = weyl.local_skew_generators(0, 2, 3)
     res = weyl.algebraic_propagation_check(local, _coupling(1.0), degree_cap=3,
                                            dim_cap=128)
-    assert res.propagates
+    assert res.verdict == weyl.PROPAGATES
     targets = [skew_generator(q(1, 2)), skew_generator(as_hermitian(q(1, 2) * q(1, 2)))]
-    assert res.closure.contains_all(targets).all()
+    assert contains_all(res.closure, targets).all()
 
 
 def test_propagation_zero_coupling():
@@ -624,7 +715,7 @@ def test_targets_match_sequential_reduction(mode_count, cap):
 
 def _outside(closure, targets):
     """The targets that batched membership puts outside the closure."""
-    return [t for t, inside in zip(targets, closure.contains_all(targets)) if not inside]
+    return [t for t, inside in zip(targets, contains_all(closure, targets)) if not inside]
 
 
 def _edge_check(n_modes, omega, edge, cap):
@@ -646,6 +737,18 @@ def test_batched_membership_matches_per_target(n_modes, omega, edge, cap):
     assert res.missing == missing_one_by_one(res.closure, targets)
     assert _outside(res.closure, targets) == res.missing
     assert res.verdict == (weyl.FAILS if omega == 0.0 else weyl.PROPAGATES)
+
+
+def test_check_builds_only_the_missing_targets(monkeypatch):
+    # omega 0 at cap 4: of the 70 pair targets, the 55 off mode 0 are
+    # missing, and only those become PolyOps, after the 14 nonzero coupling
+    # brackets of the 15 local generators
+    local = weyl.local_skew_generators(0, 2, 4)
+    built, target_ops = [], weyl._target_ops
+    monkeypatch.setattr(weyl, "_target_ops",
+                        lambda T, *args: built.append(T.shape[1]) or target_ops(T, *args))
+    res = weyl.algebraic_propagation_check(local, _coupling(0.0), 4, 256)
+    assert len(res.missing) == 55 and built == [14, 55]
 
 
 def test_batched_membership_matches_per_target_zero_and_heisenberg():
@@ -716,7 +819,7 @@ def test_cap_one_check_brackets_on_the_quadratic_couplings_table(monkeypatch):
     local, coupling = weyl.local_skew_generators(0, 2, 1), _coupling(1.0)
     res = weyl.algebraic_propagation_check(local, coupling, 1, 64)
     assert tables[0] == 15 and set(tables[1:]) == {5}
-    assert res.propagates and res.closure.dim == 5 and res.closure.saturated
+    assert res.verdict == weyl.PROPAGATES and res.closure.dim == 5 and res.closure.saturated
     assert _outcome(res) == _outcome(polyop_propagation_check(local, coupling, 1, 64))
 
 
@@ -752,7 +855,7 @@ def test_propagation_check_tests_the_coupling_once(monkeypatch):
     local, coupling = weyl.local_skew_generators(0, 2, 3), _coupling(1.0)
     calls, check = [], weyl.is_hermitian
     monkeypatch.setattr(weyl, "is_hermitian", lambda A: calls.append(A) or check(A))
-    assert weyl.algebraic_propagation_check(local, coupling, 3, 128).propagates
+    assert weyl.algebraic_propagation_check(local, coupling, 3, 128).verdict == weyl.PROPAGATES
     assert calls == [coupling]
     skew = skew_generator(_coupling(1.0))
     with pytest.raises(ValueError, match="hermitian"):
