@@ -14,7 +14,6 @@ capped pair algebra, the next mode's local algebra becomes available there.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -205,9 +204,7 @@ class ChainControllabilityReport:
     def verdict(self) -> str:
         if self.controllable:
             return PROPAGATES
-        if any(v.verdict == UNKNOWN for v in self.edge_verdicts):
-            return UNKNOWN
-        return FAILS
+        return UNKNOWN if any(v.verdict == UNKNOWN for v in self.edge_verdicts) else FAILS
 
     def to_dict(self) -> dict:
         return {
@@ -221,39 +218,32 @@ class ChainControllabilityReport:
         }
 
 
-def _implied_dim(closure, degree_cap: int, dim_cap: int):
-    """The dimension at ``degree_cap`` that ``closure``, one at
-    min(degree_cap, 3), implies when it holds every cubic on its modes S:
-    every polynomial on S, C(2|S| + cap, cap), if that is within ``dim_cap``;
-    else None (notes/decisions.md, "Chain verdicts from the cap-3 closure")."""
-    dim = math.comb(2 * len(closure.support) + degree_cap, degree_cap)
-    return dim if closure.all_degrees and dim <= dim_cap else None
-
-
 def _site_dim(gens, degree_cap: int, dim_cap: int) -> int:
+    """The site closure's dimension at ``degree_cap``, as ``_pair_verdict``
+    takes the pair's: from the closure at min(degree_cap, 3) when it can."""
     closure = lie_closure(gens, min(degree_cap, 3), dim_cap)
-    dim = _implied_dim(closure, degree_cap, dim_cap)
-    if dim is None and degree_cap > 3:
-        closure = lie_closure(gens, degree_cap, dim_cap)
-    return closure.dim if dim is None else dim
+    dim = table_monomials(degree_cap, len(closure.support))
+    if closure.all_degrees and dim <= dim_cap:
+        return dim
+    return lie_closure(gens, degree_cap, dim_cap).dim if degree_cap > 3 else closure.dim
 
 
 def _pair_verdict(coupling: PolyOp, degree_cap: int, dim_cap: int) -> tuple:
     """``(verdict, closure_dim, missing, all_degrees)`` of the pair check at
-    ``degree_cap``, from the check at min(degree_cap, 3) when its closure
-    holds every cubic on its modes S: S is the pair and the verdict
-    propagates, or S misses the target mode and the check proved that it
-    fails.  Otherwise the check runs at ``degree_cap`` too."""
+    ``degree_cap``.  When its closure at min(degree_cap, 3) holds every cubic
+    on its modes S, the Lie algebra is every polynomial on S: the check there
+    propagates (S the pair) or fails (S mode 0), and the dimension is
+    C(2|S| + cap, cap) if within ``dim_cap`` (notes/decisions.md, "Chain
+    verdicts from the cap-3 closure").  Otherwise the check runs at the cap."""
     low = min(degree_cap, 3)
-    check = algebraic_propagation_check(local_skew_generators(0, 2, low), coupling,
-                                        degree_cap=low, dim_cap=dim_cap)
-    all_degrees, dim = check.closure.all_degrees, _implied_dim(check.closure, degree_cap, dim_cap)
-    if dim is not None and check.verdict != UNKNOWN:
-        return check.verdict, dim, math.comb(4 + degree_cap, degree_cap) - dim, all_degrees
+    check = algebraic_propagation_check(local_skew_generators(0, 2, low), coupling, low, dim_cap)
+    full, dim = check.closure.all_degrees, table_monomials(degree_cap, len(check.closure.support))
+    if full and dim <= dim_cap:
+        return check.verdict, dim, table_monomials(degree_cap, 2) - dim, full
     if low < degree_cap:
         check = algebraic_propagation_check(local_skew_generators(0, 2, degree_cap), coupling,
-                                            degree_cap=degree_cap, dim_cap=dim_cap)
-    return check.verdict, check.closure.dim, len(check.missing), all_degrees
+                                            degree_cap, dim_cap)
+    return check.verdict, check.closure.dim, len(check.missing), full
 
 
 def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
@@ -269,13 +259,10 @@ def chain_controllability(spec: ChainSpec, degree_cap: int = 4,
     per chain").  The per-site closure dimension of the bare controls with
     the drift terms local to that site is reported as context, not as part
     of the verdict; it runs in the one-mode frame, with no n-mode polynomial
-    (notes/decisions.md, "Site closures in the one-mode frame").  The check
-    and each site closure run at min(degree_cap, 3) first, and at
-    ``degree_cap`` only when that closure does not hold every cubic on its
-    modes (notes/decisions.md, "Chain verdicts from the cap-3 closure").  A
-    ``degree_cap`` that the two-mode bracket table (the one-mode table, for
-    a chain with no edge) cannot represent raises ``weyl.CapError`` before
-    any closure.
+    (notes/decisions.md, "Site closures in the one-mode frame").  Both close
+    at min(degree_cap, 3) first (``_pair_verdict``).  A ``degree_cap`` that
+    the two-mode bracket table (one-mode, with no edge) cannot represent
+    raises ``weyl.CapError`` before any closure.
     """
     coupling = coupling_hamiltonian(0, 1, spec.omega, 2)
     # refuse a cap the table cannot represent before any closure

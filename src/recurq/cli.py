@@ -197,22 +197,14 @@ def _atomic_write(path: str, write):
 def _scalar_text(value):
     """JSON text of None, a bool, an int or a float, in json's spelling
     (NaN and the infinities included); None for any other value."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     return None
 
 

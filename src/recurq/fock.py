@@ -176,11 +176,8 @@ def ground_state(spec: TruncationSpec) -> np.ndarray:
 
 def interior_mask(spec: TruncationSpec) -> np.ndarray:
     """Boolean mask of basis states with every mode level below D_i - buffer."""
-    grids = np.indices(spec.dims).reshape(spec.mode_count, -1)
-    mask = np.ones(spec.dim, dtype=bool)
-    for mode, d in enumerate(spec.dims):
-        mask &= grids[mode] < d - spec.buffer
-    return mask
+    levels = np.indices(spec.dims).reshape(spec.mode_count, -1)
+    return np.all(levels < np.array(spec.dims)[:, None] - spec.buffer, axis=0)
 
 
 def random_interior_state(spec: TruncationSpec, rng: np.random.Generator) -> np.ndarray:

@@ -62,10 +62,6 @@ def mono_degree(mono: Monomial) -> int:
     return sum(a + b for a, b in mono)
 
 
-def _mono_support(mono: Monomial):
-    return tuple(i for i, (a, b) in enumerate(mono) if a or b)
-
-
 def _mono_product(m1: Monomial, m2: Monomial):
     """Product of two canonical monomials as a {Monomial: coeff} dict.  Per mode
     (q^a p^b)(q^c p^d) = sum_k k! C(b,k) C(c,k) (-i)^k q^(a+c-k) p^(b+d-k),
@@ -132,7 +128,7 @@ class PolyOp:
 
     @property
     def support(self):
-        return frozenset(s for m in self.terms for s in _mono_support(m))
+        return frozenset(s for m in self.terms for s, (a, b) in enumerate(m) if a or b)
 
     @property
     def is_zero(self) -> bool:
@@ -179,10 +175,7 @@ class PolyOp:
             return _trusted(self.mode_count, {m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute; a PolyOp on the left takes __mul__
 
     def adjoint(self) -> "PolyOp":
         out: dict = {}
@@ -228,19 +221,14 @@ class PolyOp:
             coeff = complex(float(re_s), float(im_s))
             expo = [[0, 0] for _ in range(mode_count)]
             for tok in factors_s.split():
-                kind = tok[0]
-                if kind not in ("q", "p"):
+                if tok[0] not in "qp":
                     raise ValueError(f"bad factor {tok!r}")
-                body = tok[1:]
-                if "^" in body:
-                    idx_s, pow_s = body.split("^")
-                else:
-                    idx_s, pow_s = body, "1"
+                idx_s, caret, pow_s = tok[1:].partition("^")
                 mode = int(idx_s) - 1
                 if not 0 <= mode < mode_count:
                     raise ValueError(f"mode index out of range in {tok!r}")
-                expo[mode][0 if kind == "q" else 1] += int(pow_s)
-            mono = tuple((a, b) for a, b in expo)
+                expo[mode]["qp".index(tok[0])] += int(pow_s) if caret else 1
+            mono = tuple(map(tuple, expo))
             terms[mono] = terms.get(mono, 0.0j) + coeff
         return cls(mode_count, terms)
 
@@ -350,17 +338,15 @@ class _RealSpan:
     Row r of ``x`` holds added vector r, normalized, in its ``_drop_tiny``
     form, and row r of ``mag`` and ``norm_row`` its |x| and ||x||: the one
     copy of each direction, which the bracket table and ``LieBasis.basis``
-    read.  ``q`` is an orthonormal basis of the span of the unpruned
+    read.  ``_q`` is an orthonormal basis of the span of the unpruned
     vectors in real coordinates (real parts, then imaginary parts).  The
-    vectors are skew-hermitian, a space of real dimension n_coords, so the
-    buffers have ``min(dim_cap, n_coords)`` rows, filled in place.  With
-    ``dim_cap`` vectors held, a further independent vector is refused and
-    sets ``capped``; with n_coords held, every vector is refused.
+    buffers have a row per direction of the skew space, up to ``dim_cap``:
+    a further independent vector sets ``capped``, and none is taken once
+    that is set or the n_coords directions of a full span are held.
     """
 
     def __init__(self, n_coords: int, dim_cap: int):
         rows = min(dim_cap, n_coords)
-        self.dim_cap = dim_cap
         self.capped = False
         self.dim = 0
         self._q = np.zeros((rows, 2 * n_coords))
@@ -368,14 +354,10 @@ class _RealSpan:
         self.mag = np.zeros((rows, n_coords))
         self.norm_row = np.zeros(rows)
 
-    @property
-    def q(self):
-        return self._q[:self.dim]
-
     def _residual(self, U: np.ndarray):
+        q = self._q[:self.dim]
         for _ in range(2):  # two-pass reorthogonalization
-            if self.dim:
-                U = U - (U @ self.q.T) @ self.q
+            U = U - (U @ q.T) @ q
         return U
 
     def residuals(self, V: np.ndarray) -> np.ndarray:
@@ -386,14 +368,14 @@ class _RealSpan:
 
     def try_add(self, v: np.ndarray) -> bool:
         nv = np.linalg.norm(v)
-        if nv == 0 or self.dim == self.x.shape[1]:
+        if nv == 0 or self.capped or self.dim == self.x.shape[1]:
             return False
         u = v / nv
         r = self._residual(_to_real(u))
         rn = np.linalg.norm(r)
         if rn <= INDEPENDENCE_TOL:
             return False
-        if self.dim >= self.dim_cap:
+        if self.dim == len(self.x):  # dim_cap directions held, short of a full span
             self.capped = True
             return False
         self._q[self.dim] = r / rn
@@ -405,8 +387,7 @@ class _RealSpan:
 
 
 def _coefficients(ops, index: dict):
-    """Coefficient rows of ``ops`` over the monomial index, which holds
-    every monomial of theirs."""
+    """Coefficient rows of ``ops`` over an index that holds their monomials."""
     V = np.zeros((len(ops), len(index)), dtype=complex)
     for r, op in enumerate(ops):
         for mono, coeff in op.terms.items():
@@ -445,9 +426,8 @@ def _target_ops(T: sp.csc_matrix, monomials, mode_count: int) -> list:
 @dataclass
 class LieBasis:
     """Real-linear basis of a (possibly cap-truncated) dynamical Lie algebra:
-    the rows of ``_span`` over the ``_index`` monomials, those within the cap
-    on the generators' modes ``support`` (mode 0 if none), with adjoint map
-    ``_adjoint``.  ``basis`` turns the rows into PolyOps when first read."""
+    the rows of ``_span`` over the ``_index`` monomials of ``_constants`` on
+    ``support``, the generators' modes; ``basis`` turns them into PolyOps."""
 
     mode_count: int
     saturated: bool
@@ -456,7 +436,7 @@ class LieBasis:
     support: tuple
     _index: dict
     _span: _RealSpan
-    _adjoint: sp.csc_matrix
+    _constants: _Constants
 
     @property
     def dim(self) -> int:
@@ -470,21 +450,14 @@ class LieBasis:
     @functools.cached_property
     def all_degrees(self) -> bool:
         """Whether the span holds every skew polynomial of degree <= 3 on
-        ``support``, as a full span does; False below cap 3.  Then the Lie
-        algebra that the generators generate is every polynomial on those
-        modes, of every degree (notes/decisions.md, "Chain verdicts from the
-        cap-3 closure")."""
+        ``support``, so that the generators' Lie algebra is every polynomial
+        on it (notes/decisions.md, "Chain verdicts from the cap-3 closure")."""
         m, n = math.comb(2 * len(self.support) + 3, 3), len(self._index)
-        if n < m or self.dim < m:
-            return False
-        return self.dim == n or bool(self._holds_targets(m).all())
+        return self.dim >= m and (self.dim == n or bool(self._holds_targets(m).all()))
 
     def _holds_targets(self, m: int) -> np.ndarray:
-        """Membership of i(x + x^dag) for the first m index monomials x, in
-        one projection (notes/decisions.md, "Propagation targets as vectors")."""
-        V = np.zeros((m, len(self._index)), dtype=complex)
-        V[:, :m] = 1j * (np.eye(m) + self._adjoint[:m, :m].toarray()).T
-        return self._span.residuals(V) <= MEMBERSHIP_TOL
+        """Membership of the targets of the first m index monomials, in one projection."""
+        return self._span.residuals(self._constants.targets[:, :m].T.toarray()) <= MEMBERSHIP_TOL
 
 
 class CapError(ValueError):
@@ -550,6 +523,11 @@ class _Constants(NamedTuple):
     @property
     def n(self) -> int:
         return self.N.shape[0]
+
+    @property
+    def targets(self) -> sp.csc_matrix:
+        """i(I + A): column j is i(m_j + m_j^dag), monomial j's skew target."""
+        return 1j * (sp.identity(self.adjoint.shape[0], format="csc") + self.adjoint)
 
     @property
     def n_ext(self) -> int:
@@ -750,8 +728,6 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
     span = _RealSpan(n, dim_cap)
     for g in G:
         span.try_add(g)
-        if span.capped:
-            break
 
     degree_capped = False
     # brackets are antisymmetric and [x, x] = 0: pair element i with earlier
@@ -767,12 +743,10 @@ def lie_closure(generators: Sequence[PolyOp], degree_cap: int, dim_cap: int) -> 
         # the span only grows, so rows dependent on it now stay dependent
         for r in rows[span.residuals(R[rows]) > INDEPENDENCE_TOL]:
             span.try_add(R[r])
-            if span.capped:
-                break
         i += 1
 
     return LieBasis(generators[0].mode_count, not (degree_capped or span.capped),
-                    degree_capped, span.capped, tuple(support), index, span, constants.adjoint)
+                    degree_capped, span.capped, tuple(support), index, span, constants)
 
 
 def _generator_rows(generators, degree_cap: int, modes, table_cap: int):
@@ -806,10 +780,7 @@ def skew_monomial_generators(modes: Sequence[int], mode_count: int, degree_cap: 
     """
     _exact_cap(degree_cap)
     monomials, slots = _monomial_table(mode_count, modes, degree_cap)
-    # column j of i(I + A), A the cached adjoint map, is i(m_j + m_j^dag)
-    adjoint = _structure_constants(len(slots), degree_cap).adjoint
-    return _target_ops(1j * (sp.identity(len(monomials), format="csc") + adjoint), monomials,
-                       mode_count)
+    return _target_ops(_structure_constants(len(slots), degree_cap).targets, monomials, mode_count)
 
 
 def local_skew_generators(mode: int, mode_count: int, degree_cap: int):
@@ -878,14 +849,10 @@ def algebraic_propagation_check(local, coupling: PolyOp, degree_cap: int,
 
     missing = []
     if closure.dim < n:
-        # the targets, skew_monomial_generators' i(I + A), span the pair
-        # space: name those the short closure misses, on or off its index
+        # the targets span the pair space: build those the closure misses
         inside = np.append(closure._holds_targets(len(closure._index)), False)
-        outside = [j for j, m in enumerate(pair_monomials[:n])
-                   if not inside[closure._index.get(m, -1)]]
-        A = _structure_constants(len(slots), degree_cap).adjoint
-        missing = _target_ops(1j * (sp.identity(n, format="csc") + A)[:, outside],
-                              pair_monomials[:n], mode_count)
+        outside = np.flatnonzero(~inside[[closure._index.get(m, -1) for m in pair_monomials[:n]]])
+        missing = _target_ops(table.targets[:n, outside], pair_monomials[:n], mode_count)
     if not missing:
         verdict = PROPAGATES
     elif closure.saturated or not set(target_modes) & set().union(*(g.support for g in gens)):

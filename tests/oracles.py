@@ -579,7 +579,8 @@ def per_edge_controllability(spec, degree_cap, dim_cap):
                                     spec.control_degree_cap)
         gens = [weyl.skew_generator(ctrl) for _, ctrl in local_controls(one_site)]
         local_drift = PolyOp(spec.n_modes, {m: c for m, c in H0.terms.items()
-                                            if set(weyl._mono_support(m)) <= {site}})
+                                            if all(a == b == 0 or s == site
+                                                   for s, (a, b) in enumerate(m))})
         if not local_drift.is_zero:
             gens.append(weyl.skew_generator(weyl.as_hermitian(local_drift)))
         site_dims[site] = weyl.lie_closure(gens, degree_cap, dim_cap).dim
@@ -635,7 +636,7 @@ def polyop_propagation_check(local, coupling, degree_cap, dim_cap=256):
 def missing_one_by_one(closure, targets, tol=1e-8):
     """The targets outside a closure, each tested by its own projection: a
     term off the closure's monomials, or a normalized residual above tol."""
-    index, Q = closure._index, closure._span.q
+    index, Q = closure._index, closure._span._q[:closure.dim]
     out = []
     for t in targets:
         if any(m not in index for m in t.terms):

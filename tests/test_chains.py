@@ -222,6 +222,27 @@ def test_cap_six_verdicts_match_the_cap_six_sweep(omega, dim_cap, monkeypatch):
                                                            210 if omega else 28)
 
 
+# the chain reports C(2|S| + c, c) for a closure whose cap-3 closure holds
+# every cubic (tests/test_weyl.py pins a set whose sweep falls short of it);
+# on the chain's own sets the sweep at c reaches that count: the pair check
+# at caps 4-5 and the site closures at caps 4-10, across coupling strengths
+@pytest.mark.parametrize("omega", [0.05, 0.3, 2.0, 12.0, 100.0])
+def test_chain_sets_sweep_to_the_count(omega):
+    coupling = coupling_hamiltonian(0, 1, omega, 2)
+    for cap in (4, 5):
+        check = weyl.algebraic_propagation_check(weyl.local_skew_generators(0, 2, cap),
+                                                 coupling, cap, 10**6)
+        assert check.closure.dim == weyl.table_monomials(cap, 2)
+    # a site's controls p, q, q^2, q^3 and its drift, in the one-mode frame
+    harmonic = {m[:1]: c for m, c in coupling.terms.items() if m[1] == (0, 0)}
+    controls = [weyl.PolyOp(1, {mono: -1j}, weyl.SKEW) for _, mono in ch._site_controls(0, 1, 3)]
+    for strength in (0.5, 1.6, 250.0):
+        H = as_hermitian(weyl.PolyOp(1, {m: strength * c for m, c in harmonic.items()}))
+        gens = controls + [skew_generator(H)]
+        for cap in range(4, 11):
+            assert weyl.lie_closure(gens, cap, 10**6).dim == weyl.table_monomials(cap, 1)
+
+
 def test_chain_runs_at_most_one_pair_check(monkeypatch):
     calls = []
     check = ch.algebraic_propagation_check

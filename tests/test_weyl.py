@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import fock, weyl
+from recurq import chains, fock, weyl
 from recurq.weyl import PolyOp, as_hermitian, bracket, q, p, const, skew_generator
 
 from conftest import random_polyop, random_skew
@@ -615,6 +615,8 @@ def test_sweep_short_of_every_degree_only_by_its_rank_test(texts, cap, monkeypat
     gens = [PolyOp.from_text(text, 1) for text in texts]
     assert weyl.lie_closure(gens, 3, 256).all_degrees
     assert weyl.lie_closure(gens, cap, 256).dim == math.comb(2 + cap, cap) - 1
+    # where the two differ, a chain reports the count, not the sweep
+    assert chains._site_dim(gens, cap, 256) == math.comb(2 + cap, cap)
     monkeypatch.setattr(weyl, "INDEPENDENCE_TOL", 1e-11)
     assert weyl.lie_closure(gens, cap, 256).dim == math.comb(2 + cap, cap)
 
