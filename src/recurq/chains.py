@@ -339,6 +339,5 @@ def chain_demo(spec: ChainSpec, dims: Sequence[int], targets, epsilon: float,
             raise IndexError(f"generator index {k} is out of range; the system has "
                              f"generators 0..{len(hams) - 1}")
     table = EvolutionTable({k: -1j * represent(hams[k], tspec) for k in indices})
-    report = reachability_report(table, ground_state(tspec), targets, epsilon, n_budget,
-                                 inverter)
+    report = reachability_report(table, ground_state(tspec), targets, epsilon, n_budget, inverter)
     return report, labels, table

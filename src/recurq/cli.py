@@ -149,12 +149,12 @@ _Validator = validators.extend(
         "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)))
 
 
-def _non_finite(value, path: str = "$"):
+def _non_finite(value):
     """JSON path of the first infinite or NaN number in ``value``, or None.
     Python's json reads 1e400 as inf and accepts NaN and Infinity, and the
     schemas' number bounds let inf through.  Walked depth first on a stack,
     not by recursion: json.load admits configs deeper than the frame limit."""
-    stack = [(path, value)]
+    stack = [("$", value)]
     while stack:
         path, value = stack.pop()
         if isinstance(value, float) and not math.isfinite(value):
@@ -409,19 +409,21 @@ def _build_system(spec: fock.TruncationSpec, herms, reads) -> propagate.Evolutio
     return propagate.EvolutionTable(reps)
 
 
-def _order_one_word(expr, t: float, path: str):
-    """The order-1 word of e^{G(expr) t}.  No leaf of a higher order is
-    longer, so a duration that is not finite is refused here, at ``path``,
-    before any table is built."""
+def _word(expr, t: float, n: int, path: str):
+    """The order-n word of e^{G(expr) t}.  No leaf of a higher order is
+    longer, so the order-1 word bounds every round's reversals, and a
+    duration that is not finite is refused here, at ``path``, before any
+    table is built."""
     try:
-        return synth.build_word(expr, t, 1)
+        return synth.build_word(expr, t, n)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 def _build_inverter(cfg, table, psi0, rng, spec, words):
-    """Inverter for the reversed segments of the targets' order-1 ``words``;
-    it reads each reversed generator's spectrum from the table's store."""
+    """Inverter for the reversed segments of ``words``, whose leaves are the
+    longest the run realizes; it reads each reversed generator's spectrum
+    from the table's store and searches one plan from its longest reversal."""
     mode = cfg["mode"]
     if mode == "exact":
         return synth.ExactInverter()
@@ -429,6 +431,9 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
     if delta is None:
         raise ConfigError("$.inverter.delta: recurrence inverter configs need 'delta'")
     _check_delta(delta, "$.inverter.delta")
+    # each reversed generator's longest reversal, the last of its sorted ones;
+    # segment signs do not depend on the order n
+    reach = dict(sorted((k, -s) for word in words for k, s in propagate.leaves(word) if s < 0))
     if mode == "pointwise":
         cover = psi0
     elif mode == "finite_net":
@@ -440,16 +445,13 @@ def _build_inverter(cfg, table, psi0, rng, spec, words):
             raise ConfigError(f"$.inverter.energy_bounds: bounds must be positive and "
                               f"finite numbers, got {bounds}")
         bounds = {int(k): float(v) for k, v in bounds.items()}
-        # only reversed segments reach the inverter; segment signs do not
-        # depend on the order n
-        reversed_gens = {k for word in words for k, s in propagate.leaves(word) if s < 0}
-        missing = sorted(reversed_gens - set(bounds))
+        missing = sorted(set(reach) - set(bounds))  # only reversals reach the inverter
         if missing:
             raise ConfigError(f"$.inverter.energy_bounds: no energy bound for the "
                               f"reversed generator(s) {missing}")
         cover = bounds
     return recurrence.RecurrenceInverter(table.spectra, delta, mode, cover,
-                                         t_max=cfg.get("t_max"))
+                                         t_max=cfg.get("t_max"), reach=reach)
 
 
 # -- subcommand implementations --------------------------------------------------
@@ -542,8 +544,7 @@ def _run_recur(config, out, rng, jobs):
         raise found["error"]
     plan = found["plan"]
     write_json(os.path.join(out, "plan.json"), plan.to_dict())
-    write_json(os.path.join(out, "report.json"),
-               {"status": "ok", "time": plan.time, "N": plan.N})
+    write_json(os.path.join(out, "report.json"), {"status": "ok", "time": plan.time, "N": plan.N})
     return EXIT_OK
 
 
@@ -565,10 +566,8 @@ def _run_trotter(config, out, rng, jobs):
     table = _build_system(spec, herms, [([k], "$.k"), ([l], "$.l")])
     psi0 = _build_state(config.get("state"), spec, rng)
     rows = propagate.trotter_errors(k, l, float(config["t"]), config["ns"], psi0, table)
-    write_csv(os.path.join(out, "convergence.csv"),
-              [["n", "error"]] + [[n, e] for n, e in rows])
-    write_json(os.path.join(out, "report.json"),
-               {"errors": {str(n): e for n, e in rows}})
+    write_csv(os.path.join(out, "convergence.csv"), [["n", "error"]] + [[n, e] for n, e in rows])
+    write_json(os.path.join(out, "report.json"), {"errors": {str(n): e for n, e in rows}})
     return EXIT_OK
 
 
@@ -576,7 +575,7 @@ def _run_commutator(config, out, rng, jobs):
     k, l, t, n = int(config["k"]), int(config["l"]), float(config["t"]), int(config["n"])
     # e^{[H_k, H_l] t^2} at step sqrt(t^2) / n = t / n
     bracket = synth.Bracket(synth.Gen(k), synth.Gen(l))
-    words = [_order_one_word(bracket, t * t, "$.t")]
+    words = [_word(bracket, t * t, n, "$.t")]  # the one word the run realizes
     spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     table = _build_system(spec, herms, [([k], "$.k"), ([l], "$.l")])
@@ -591,7 +590,7 @@ def _run_commutator(config, out, rng, jobs):
         seq = propagate.ControlSequence(
             seq.word, f"commutator(k={k}, l={l}, t={t}, n={n}; {len(plans)} inversions)")
         write_json(os.path.join(out, "sequence.json"), seq.to_dict())
-        write_json(os.path.join(out, "plans.json"), [p.to_dict() for p in plans.values()])
+        write_json(os.path.join(out, "plans.json"), [p.to_dict() for p in plans])
     write_json(os.path.join(out, "report.json"),
                {"n": n, "t": t, "physical": inverter.physical, "error": error,
                 "fidelity": fidelity, "status": "ok"})
@@ -602,7 +601,7 @@ def _run_compile(config, out, rng, jobs):
     spec, herms = _parse_system(config["system"])
     psi0 = _build_state(config.get("state"), spec, rng)
     expr, t = _parse_expr(config["target"], "$.target"), float(config["t"])
-    words = [_order_one_word(expr, t, "$.t")]
+    words = [_word(expr, t, 1, "$.t")]
     table = _build_system(spec, herms, [(synth.expr_indices(expr), "$.target")])
     inverter = _build_inverter(config["inverter"], table, psi0, rng, spec, words)
     result = synth.compile_sequence(expr, t, float(config["epsilon"]),
@@ -620,7 +619,7 @@ def _run_chain_demo(config, out, rng, jobs):
     spec = _chain_spec(config["chain"])
     targets = [(_parse_expr(t["expr"], f"$.targets[{i}].expr"), float(t["t"]))
                for i, t in enumerate(config["targets"])]
-    words = [_order_one_word(expr, t, f"$.targets[{i}].t")
+    words = [_word(expr, t, 1, f"$.targets[{i}].t")
              for i, (expr, t) in enumerate(targets)]
     try:
         tspec = chains.chain_truncation(spec, config["dims"])

@@ -94,9 +94,7 @@ def represent(A: PolyOp, spec: TruncationSpec) -> scipy.sparse.csr_array:
     entry that is not finite (an overflowing power) raises ValueError.
     """
     if A.mode_count != spec.mode_count:
-        raise ValueError(
-            f"operator has {A.mode_count} modes but spec has {spec.mode_count}"
-        )
+        raise ValueError(f"operator has {A.mode_count} modes but spec has {spec.mode_count}")
     if spec.dim > MAX_DIM:
         raise ValueError(f"total dimension {spec.dim} exceeds limit {MAX_DIM}")
 

@@ -599,10 +599,10 @@ def realize_word(word, inverter) -> tuple:
     """Replace reversed segments of a signed word by forward surrogates.
 
     ``inverter.duration(k, s)`` must return ``(t_star, plan)`` with
-    e^{H_k t_star} ~ e^{-H_k s}; plans are collected for certification.
-    Returns ``(word, plans)``: the word keeps its tree shape, all its
-    durations are >= 0, and the inverter is asked once per distinct reversed
-    leaf, in time order of first occurrence.
+    e^{H_k t_star} ~ e^{-H_k s}; the inverter is asked once per distinct
+    reversed leaf, in time order of first occurrence.  Returns ``(word,
+    plans)``: the word keeps its tree shape with all durations >= 0, and
+    ``plans`` lists each distinct plan returned once, in order of first use.
     """
     plans = {}
 
@@ -613,10 +613,10 @@ def realize_word(word, inverter) -> tuple:
         t_star, plan = inverter.duration(k, -t)
         if t_star < 0:
             raise ValueError("inverter returned a negative duration")
-        plans.setdefault((k, -t), plan)
+        plans.setdefault(id(plan), plan)
         return (k, t_star)
 
-    return map_leaves(word, realize), plans
+    return map_leaves(word, realize), list(plans.values())
 
 
 def state_error(a: np.ndarray, b: np.ndarray) -> float:

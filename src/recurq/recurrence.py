@@ -482,11 +482,6 @@ def find_recurrence_time(energies: Sequence[float], delta: float, tau_min: float
 # -- certified plans and inversion -------------------------------------------
 
 
-def _spectrum_hash(energies: np.ndarray) -> str:
-    payload = np.round(np.asarray(energies, dtype=float), 12).tobytes()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class RecurrencePlan:
     """Certificate that e^{H T} returns the guaranteed state class within delta.
@@ -566,11 +561,10 @@ def plan_recurrence(spectrum, delta: float, mode: str, cover, *,
 
     found = find_recurrence_time(E[: N + 1], delta, tau_min=tau_min, t_max=t_max,
                                  grid_step=grid_step, trace=trace)
-    return RecurrencePlan(
-        delta=delta, N=N, time=found.time, achieved_sum=found.objective,
-        tail_mass=mass, mode=mode, energy_bound=bound,
-        shift=sd.shift if sd is not None else 0.0, spectrum_hash=_spectrum_hash(E),
-    )
+    digest = hashlib.sha256(np.round(E, 12).tobytes()).hexdigest()[:16]  # names the spectrum
+    return RecurrencePlan(delta=delta, N=N, time=found.time, achieved_sum=found.objective,
+                          tail_mass=mass, mode=mode, energy_bound=bound,
+                          shift=sd.shift if sd is not None else 0.0, spectrum_hash=digest)
 
 
 def invert(sd: SpectralData, s: float, delta: float, mode: str, cover, *,
@@ -580,8 +574,7 @@ def invert(sd: SpectralData, s: float, delta: float, mode: str, cover, *,
     plus the certificate."""
     if s < 0:
         raise ValueError("segment duration must be >= 0")
-    plan = plan_recurrence(sd, delta, mode, cover, tau_min=s, t_max=t_max,
-                           grid_step=grid_step)
+    plan = plan_recurrence(sd, delta, mode, cover, tau_min=s, t_max=t_max, grid_step=grid_step)
     t_star = plan.time - s
     if t_star < 0:
         raise AssertionError("recurrence search returned a time below tau_min")
@@ -595,34 +588,45 @@ class RecurrenceInverter:
     first reversed; an ``EvolutionTable.spectra`` store decomposes it then,
     once for evolution and inversion alike.  ``cover`` is the chosen mode's
     state, net, or per-generator energy bounds ``{k: M}``; ``net`` lists the
-    states a compiled word is verified on besides its initial state.  Results
-    are cached per (generator, duration).
+    states a compiled word is verified on besides its initial state.
+
+    A generator needing no ``shift`` keeps one plan, at T >= s for every s
+    it reverses (t* = T - s): e^{iHs} keeps each cover's |c_n| and energy.
+    It is searched from ``reach[k]``, the longest reversal of k a run makes,
+    or from the first s, and again for an s past T.  A shifted plan is exact
+    only up to a phase that grows with T, so those stay per (k, s).
     """
 
     physical = True
 
-    def __init__(self, spectra, delta: float, mode: str, cover, *, t_max: float | None = None):
+    def __init__(self, spectra, delta: float, mode: str, cover, *, t_max: float | None = None,
+                 reach=None):
         self.spectra = spectra
         self.delta = float(delta)
         self.mode = mode
         self.cover = cover
         self.net = tuple(cover) if mode == FINITE_NET else ()
         self.t_max = t_max
-        self._cache: dict = {}
+        self.reach = reach or {}
+        self._plans: dict = {}
 
     def plans(self):
-        return {key: res.plan for key, res in self._cache.items()}
+        return dict(self._plans)
 
     def duration(self, k: int, s: float):
-        key = (int(k), float(s))
-        # threads sharing an inverter may both fill one key; invert is
-        # deterministic, so either result is the same certificate
-        if key not in self._cache:
-            cover = self.cover.get(key[0]) if self.mode == ENERGY_BOUND else self.cover
-            self._cache[key] = invert(self.spectra[key[0]], key[1], self.delta, self.mode,
-                                      cover, t_max=self.t_max)
-        res = self._cache[key]
-        return res.t_star, res.plan
+        sd = self.spectra[k]
+        E = sd.eigenvalues  # a shift within eigh's rounding of E_0 = 0 is no phase defect
+        key = k if sd.shift <= len(E) * np.finfo(float).eps * np.max(np.abs(E)) else (k, s)
+        plan = self._plans.get(key)
+        if plan is None or plan.time < s:
+            cover = self.cover.get(k) if self.mode == ENERGY_BOUND else self.cover
+            found = invert(sd, max(s, self.reach.get(key, 0.0)), self.delta, self.mode, cover,
+                           t_max=self.t_max).plan  # a (k, s) key has no reach
+            # threads sharing an inverter may both search one key; the search is
+            # deterministic, and every reversal gets the plan stored first
+            plan = self._plans.setdefault(key, found) if plan is None else found
+            self._plans[key] = plan
+        return plan.time - s, plan
 
 
 def polynomial_levels(count: int, coeffs: Sequence[float]) -> np.ndarray:

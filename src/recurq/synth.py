@@ -217,7 +217,7 @@ class CompileResult:
     n: int
     distance: float
     fidelity: float
-    plans: dict
+    plans: list
 
     @property
     def physical(self) -> bool:
@@ -235,9 +235,9 @@ def realize(expr, t: float, n: int, inverter) -> tuple:
     word = build_word(expr, t, n)
     provenance = f"{expr} @ t={t}, n={n}"
     if not any(s < 0 for _, s in leaves(word)):
-        return ControlSequence(word, provenance), {}
+        return ControlSequence(word, provenance), []
     if not inverter.physical:
-        return word, {}
+        return word, []
     word, plans = realize_word(word, inverter)
     return ControlSequence(word, provenance), plans
 
@@ -371,7 +371,7 @@ def reachability_report(table: EvolutionTable, psi0: np.ndarray, targets: Sequen
         except (RuntimeError, ValueError) as exc:
             return TargetRecord(label, "failed", None, None, None, None, str(exc), [], None)
         return TargetRecord(label, "ok", res.n, res.distance, res.fidelity, len(res.sequence),
-                            None, [p.to_dict() for p in res.plans.values()],
+                            None, [p.to_dict() for p in res.plans],
                             res.sequence.to_dict() if res.physical else None)
 
     if jobs > 1 and len(targets) > 1:

@@ -141,9 +141,7 @@ class PolyOp:
 
     def _require_same_modes(self, other: "PolyOp"):
         if self.mode_count != other.mode_count:
-            raise ValueError(
-                f"mode_count mismatch: {self.mode_count} vs {other.mode_count}"
-            )
+            raise ValueError(f"mode_count mismatch: {self.mode_count} vs {other.mode_count}")
 
     def __add__(self, other):
         if isinstance(other, PolyOp):

@@ -458,7 +458,7 @@ def flat_evolve(word, psi0, table):
 
 def flat_realize(word, inverter):
     """Reversed segments replaced one flat segment at a time; returns the flat
-    segments and the plans in order of first use."""
+    segments and each distinct plan once, in order of first use."""
     segments, plans = [], {}
     for k, t in propagate.flatten(word):
         if t >= 0:
@@ -466,8 +466,8 @@ def flat_realize(word, inverter):
             continue
         t_star, plan = inverter.duration(k, -t)
         segments.append((k, t_star))
-        plans.setdefault((k, -t), plan)
-    return tuple(segments), plans
+        plans.setdefault(id(plan), plan)
+    return tuple(segments), list(plans.values())
 
 
 def expm_eigh(H, t: float) -> np.ndarray:

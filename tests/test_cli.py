@@ -457,6 +457,25 @@ def test_reruns_are_bit_identical(tmp_path):
 
 
 GEN = lambda k: {"op": "gen", "k": k}
+
+
+def test_pointwise_compile_searches_once_per_reversed_generator(tmp_path, monkeypatch):
+    # each doubling round reverses both generators at a new duration; one plan
+    # per generator, searched from the order-1 word's reversal, answers them all
+    calls = []
+    invert = recurrence.invert
+    monkeypatch.setattr(recurrence, "invert", lambda sd, s, *a, **kw: calls.append(s) or invert(
+        sd, s, *a, **kw))
+    config = {"system": HARMONIC_PAIR, "target": {"op": "bracket", "left": GEN(0),
+                                                  "right": GEN(1)},
+              "t": 0.25, "epsilon": 1e-2, "n_budget": 64,
+              "inverter": {"mode": "pointwise", "delta": 1e-4}, "state": {"fock": [0]}}
+    rc_code, out = run("compile", config, tmp_path)
+    assert rc_code == cli.EXIT_OK
+    assert json.loads((out / "report.json").read_text())["n"] == 16
+    assert calls == [0.5, 0.5]  # sqrt(0.25) / 1, once for each generator
+
+
 BAD_CONFIGS = [
     ("closure", {"mode_count": 1, "generators": ["(0,1) * q1", "(0,1) * q1^^2"]},
      "$.generators[1]"),
@@ -793,25 +812,36 @@ def test_default_horizon_above_the_budget_certifies(tmp_path):
 
 def test_chain_demo_parallel_report_matches_serial(tmp_path):
     # dim 216 with two few-segment targets: both take the action path and
-    # share one EvolutionTable across the worker threads
-    config = {
-        "chain": {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
-                  "control_sites": [0], "control_degree_cap": 1},
-        "dims": [6, 6, 6],
-        "targets": [{"expr": {"op": "sum", "left": GEN(0), "right": GEN(k)}, "t": t}
-                    for k, t in ((1, 0.3), (2, 0.25))],
-        "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "exact"},
-    }
-    reports = []
-    for jobs in (1, 2):
-        cfg = tmp_path / f"jobs{jobs}.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / f"jobs{jobs}_out"
-        assert cli.main(["chain-demo", "--config", str(cfg), "--out", str(out),
-                         "--jobs", str(jobs)]) == cli.EXIT_OK
-        reports.append(json.loads((out / "report.json").read_text()))
-    assert reports[0] == reports[1]
-    assert all(rec["segments"] for rec in reports[0]["targets"])
+    # share one EvolutionTable across the worker threads.  Under the
+    # recurrence inverter both targets reverse the drift, at 0.2 and 0.25:
+    # its one plan, searched from the longer reversal whichever thread asks
+    # first, answers both
+    chain = {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
+             "control_sites": [0], "control_degree_cap": 1}
+    undo_drift = {"op": "scale", "factor": -1.0, "inner": GEN(0)}
+    cases = [({"mode": "exact"}, [({"op": "sum", "left": GEN(0), "right": GEN(k)}, t)
+                                  for k, t in ((1, 0.3), (2, 0.25))]),
+             ({"mode": "pointwise", "delta": 1e-6},
+              [({"op": "sum", "left": undo_drift, "right": GEN(k)}, t)
+               for k, t in ((1, 0.2), (2, 0.25))])]
+    for inverter, targets in cases:
+        config = {"chain": chain, "dims": [6, 6, 6],
+                  "targets": [{"expr": expr, "t": t} for expr, t in targets],
+                  "epsilon": 0.1, "n_budget": 64, "inverter": inverter}
+        reports = []
+        for jobs in (1, 2):
+            cfg = tmp_path / f"{inverter['mode']}_jobs{jobs}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"{inverter['mode']}_jobs{jobs}_out"
+            assert cli.main(["chain-demo", "--config", str(cfg), "--out", str(out),
+                             "--jobs", str(jobs)]) == cli.EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        records = json.loads(reports[0])["targets"]
+        assert all(rec["segments"] for rec in records)
+        if inverter["mode"] == "pointwise":
+            assert [len(rec["plans"]) for rec in records] == [1, 1]
+            assert records[0]["plans"] == records[1]["plans"]
 
 
 @pytest.mark.parametrize("sub,config,path", [

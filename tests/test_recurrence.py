@@ -7,12 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurq import cli, fock, propagate as pr, recurrence as rc, synth
 from recurq.fock import TruncationSpec
-from recurq.weyl import as_hermitian, p, q
+from recurq.weyl import as_hermitian, const, p, q
 
 from oracles import (direct_grid_scan, direct_grid_values, fixed_step_scan, loop_tail_cut,
                      recurrence_distance, two_product_grid_objective)
@@ -939,6 +940,83 @@ def test_inverter_caches(harmonic):
     t2, plan2 = inv.duration(0, 0.25)
     assert t1 == t2 and plan1 is plan2
     assert len(inv.plans()) == 1
+
+
+@pytest.mark.parametrize("mode", [rc.POINTWISE, rc.FINITE_NET, rc.ENERGY_BOUND])
+def test_one_plan_reverses_every_shorter_duration(harmonic, mode, monkeypatch):
+    # the oscillator's E_0 = 1/2 needs no shift, so its one plan at T answers
+    # every s <= T as t* = T - s: e^{iHs} keeps the cover's |c_n| and energy
+    spec, sd = harmonic
+    H = _oscillator(spec)
+    rng = np.random.default_rng(5)
+    if mode == rc.ENERGY_BOUND:
+        delta, cover = 0.9, {0: 2.0}
+        # states below the bound: the ground level mixed with levels 1..4
+        states = []
+        for _ in range(3):
+            c = np.zeros(spec.dim, dtype=complex)
+            c[1:5] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            c /= np.linalg.norm(c)
+            w = 0.9 * (2.0 - sd.energies[0]) / (np.abs(c) ** 2 @ sd.energies - sd.energies[0])
+            c *= math.sqrt(w)
+            c[0] = math.sqrt(1.0 - w)
+            states.append(sd.vectors @ c)
+    else:
+        delta = 1e-4
+        states = [fock.random_interior_state(spec, rng) for _ in range(3)]
+        cover = states[0] if mode == rc.POINTWISE else states
+        states = states[:1] if mode == rc.POINTWISE else states
+    calls = []
+    invert = rc.invert
+    monkeypatch.setattr(rc, "invert", lambda sd, s, *a, **kw: calls.append(s) or invert(
+        sd, s, *a, **kw))
+    inv = rc.RecurrenceInverter({0: sd}, delta, mode, cover, reach={0: 1.0})
+    for s in (0.25, 1.0, 0.7, 0.01):
+        t_star, plan = inv.duration(0, s)
+        assert t_star == plan.time - s
+        for v in states:
+            err = np.linalg.norm(scipy.linalg.expm(-1j * H * t_star) @ v
+                                 - scipy.linalg.expm(1j * H * s) @ v)
+            assert err <= delta
+    # one search, from the reach, whatever duration came first
+    assert calls == [1.0] and list(inv.plans()) == [0]
+
+
+def _shifted_oscillator():
+    # (p^2 + q^2)/2 - 1 at dim 32 from |0>: E_0 = -1/2, so plans search the
+    # spectrum shifted by 1/2 and certify e^{-iHT} psi only up to e^{iT/2}
+    spec = TruncationSpec((32,))
+    H = fock.represent(as_hermitian((p(0) * p(0) + q(0) * q(0)) * 0.5 - const(1.0)), spec)
+    return H.toarray(), fock.ground_state(spec)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: a plan on the shifted spectrum "
+                   "misses e^{iHs} by a global phase")
+def test_invert_is_exact_in_phase_below_a_negative_ground_level():
+    H, psi = _shifted_oscillator()
+    res = rc.invert(rc.spectral(H), 1.0, 1e-6, rc.POINTWISE, psi)
+    err = np.linalg.norm(scipy.linalg.expm(-1j * H * res.t_star) @ psi
+                         - scipy.linalg.expm(1j * H) @ psi)
+    assert err <= 1e-6
+
+
+def test_shifted_generator_keeps_a_plan_per_duration(monkeypatch):
+    # a reused plan would carry the phase defect of its T to every shorter s;
+    # searched at each s, t* = 0 and the defect is |e^{is/2} - 1| = 2 sin(s/4)
+    H, psi = _shifted_oscillator()
+    calls = []
+    invert = rc.invert
+    monkeypatch.setattr(rc, "invert", lambda sd, s, *a, **kw: calls.append(s) or invert(
+        sd, s, *a, **kw))
+    inv = rc.RecurrenceInverter({0: rc.spectral(H)}, 1e-6, rc.POINTWISE, psi, reach={0: 1.0})
+    errors = []
+    for s in (1.0, 0.5):
+        t_star, _ = inv.duration(0, s)
+        errors.append(np.linalg.norm(scipy.linalg.expm(-1j * H * t_star) @ psi
+                                     - scipy.linalg.expm(1j * H * s) @ psi))
+    assert calls == [1.0, 0.5] and list(inv.plans()) == [(0, 1.0), (0, 0.5)]
+    assert errors == pytest.approx([2 * math.sin(0.25), 2 * math.sin(0.125)], abs=1e-9)
+    assert errors == pytest.approx([0.495, 0.249], abs=1e-3)
 
 
 def test_exact_inverter_refuses_durations():

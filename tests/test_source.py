@@ -562,9 +562,9 @@ def test_optional_parameters_do_not_grow():
 
 def test_weyl_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert len((SRC / "weyl.py").read_text().splitlines()) <= 865
+    assert len((SRC / "weyl.py").read_text().splitlines()) <= 863
 
 
 def test_source_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3804
+    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3802

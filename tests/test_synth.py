@@ -93,7 +93,7 @@ def test_finite_net_inverter_verifies_over_net(system):
                        expm_eigh(target_gen, 1.0) @ v)
         for v in [psi0] + net)
     assert worst <= res.distance + 1e-12
-    assert res.plans and all(p.mode == rc.FINITE_NET for p in res.plans.values())
+    assert res.plans and all(p.mode == rc.FINITE_NET for p in res.plans)
 
 
 def test_exact_inverter_bracket_yields_signed_word(system):
@@ -113,7 +113,7 @@ def test_exact_inverter_realizes_the_built_word_tree(system):
     expr = Sum(Bracket(Gen(1), Gen(3)), Scale(-0.5, Gen(2)))
     word, plans = sy.realize(expr, 0.3, 4, sy.ExactInverter())
     built = sy.build_word(expr, 0.3, 4)
-    assert word == built and len(word) == len(built) and plans == {}
+    assert word == built and len(word) == len(built) and plans == []
     assert not isinstance(word, pr.ControlSequence)
     assert not sy.CompileResult(word, 4, 0.0, 1.0, plans).physical
     block = np.column_stack([psi0, fock.fock_state(spec, (2,))])
