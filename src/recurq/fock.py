@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .weyl import HERMITIAN, PolyOp
 
@@ -72,17 +73,31 @@ def _mode_power(d: int, q_exp: int, p_exp: int):
 
 @functools.lru_cache(maxsize=128)
 def _monomial_nonzeros(dims: tuple, monomial: tuple):
-    """``_mode_power``'s nonzeros for a monomial's Kronecker product on ``dims``,
-    in np.kron's index layout and multiplication order, shared likewise."""
+    """A monomial's Kronecker product of ``_mode_power``'s nonzeros on ``dims``,
+    in np.kron's multiplication order, as canonical CSR ``(indptr, indices,
+    vals)`` with int32 indices, shared likewise."""
     r, o, v = _mode_power(dims[0], *monomial[0])
     for d, powers in zip(dims[1:], monomial[1:]):
         rm, om, vm = _mode_power(d, *powers)
         r = np.add.outer(r * d, rm).ravel()
         o = np.add.outer(o * d, om).ravel()  # col - row is linear in the mode indices
         v = np.multiply.outer(v, vm).ravel()
-    for array in (r, o, v):
+    # the entries of one flat row come in ascending column order, and the
+    # kernel behind ``tocsr`` is a stable counting sort by row
+    dim = math.prod(dims)
+    csr = np.empty(dim + 1, np.int32), np.empty(v.size, np.int32), np.empty_like(v)
+    _sparsetools.coo_tocsr(dim, dim, v.size, r.astype(np.int32), (r + o).astype(np.int32), v, *csr)
+    for array in csr:
         array.flags.writeable = False
-    return r, o, v
+    return csr
+
+
+def _plus(a, b, dim: int):
+    """a + b for canonical CSR arrays by the kernel behind scipy's ``+``."""
+    size = a[1].size + b[1].size
+    out = np.empty(dim + 1, np.int32), np.empty(size, np.int32), np.empty(size, complex)
+    _sparsetools.csr_plus_csr(dim, dim, *a, *b, *out)
+    return out[0], out[1][:out[0][-1]], out[2][:out[0][-1]]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite entry is refused instead
@@ -98,50 +113,27 @@ def represent(A: PolyOp, spec: TruncationSpec) -> scipy.sparse.csr_array:
     if spec.dim > MAX_DIM:
         raise ValueError(f"total dimension {spec.dim} exceeds limit {MAX_DIM}")
 
-    # Each monomial's Kronecker nonzeros come from ``_monomial_nonzeros``, and
-    # each entry is keyed by its row and its flat diagonal col - row (``offs``,
-    # shifted by dim into [1, 2 dim)).  The diagonals that occur (with their
-    # negatives for a hermitian source) get one slot each, in ascending order,
-    # and np.add.at accumulates every entry, in term order, into a zeroed
-    # table of rows, one per slot: each stored entry receives the same
-    # floating-point operations as in a dense kron-and-add, and the table
-    # read row by row, slot by slot, is CSR order.
-    # A slot's row r sits at table[kmax + slot * width + r]; the kmax zeros
-    # before and after each slot's dim entries absorb every shifted read of
-    # the transpose below (notes/decisions.md, "Fock assembly into CSR").
+    # The dense formula M = 0; M += coeff * kron(...) per term, in term order,
+    # then (M + M^dag) / 2.0 for a hermitian source, run on CSR arrays from an
+    # empty M: the kernel behind scipy's ``+`` computes a + b where both have
+    # an entry and 0 + b or a + 0 where one has, the float operations of the
+    # dense sum, whose zeros are +0, and it stores no exact zero.  M^T in CSR
+    # form is M's CSC form (notes/decisions.md, "Fock assembly into CSR").
     dim = spec.dim
-    terms = [(_monomial_nonzeros(spec.dims, mono), coeff) for mono, coeff in A.terms.items()]
-    rows = np.concatenate([np.zeros(0, np.intp)] + [r for (r, _, _), _ in terms])
-    offs = np.concatenate([np.zeros(0, np.intp)] + [o for (_, o, _), _ in terms]) + dim
-    vals = np.concatenate([np.zeros(0, complex)] + [c * v for (_, _, v), c in terms])
-    occurs = np.zeros(2 * dim, dtype=bool)
-    occurs[offs] = True
-    hermitian = A.role == HERMITIAN
-    if hermitian:
-        occurs[1:] |= occurs[:0:-1]  # -off for every off: the transpose reads mirror slots
-    slot = np.cumsum(occurs) - 1
-    diag = np.flatnonzero(occurs) - dim
-    n = diag.size
-    kmax = int(np.max(np.abs(diag))) if n else 0
-    width = dim + kmax
-    table = np.zeros(n * width + kmax, dtype=complex)
-    np.add.at(table, kmax + slot[offs] * width + rows, vals)  # in array, i.e. term, order
-    acc = table[:n * width].reshape(n, width)[:, kmax:]  # acc[slot, row]
-    if hermitian:
-        # M^dag at (r, r + k) is conj(M[r + k, r]): row r + k of slot(-k), the
-        # mirror slot n - 1 - slot(k); rows outside [0, dim) read zeros, which
-        # the conj turns into 0 - 0j as in a zero-filled dense transpose
-        start = kmax + np.arange(n - 1, -1, -1) * width + diag
-        lower = table[np.add.outer(start, np.arange(dim))].conj()
-        acc = (acc + lower) / 2.0
-    keep = acc.T != 0
-    data = acc.T[keep]
-    if not np.all(np.isfinite(data)):
+    M = np.zeros(dim + 1, np.int32), np.zeros(0, np.int32), np.zeros(0, complex)
+    for mono, coeff in A.terms.items():
+        indptr, indices, vals = _monomial_nonzeros(spec.dims, mono)
+        M = _plus(M, (indptr, indices, coeff * vals), dim)
+    if A.role == HERMITIAN:
+        T = [np.empty_like(a) for a in M]
+        _sparsetools.csr_tocsc(dim, dim, *M, *T)
+        indptr, indices, data = _plus(M, (T[0], T[1], T[2].conj()), dim)
+        M = indptr, indices, data / 2.0
+    if not np.all(np.isfinite(M[2])):
         raise ValueError(f"the matrix at dims {list(spec.dims)} has an entry that is not finite")
-    at_row, at_slot = np.nonzero(keep)
-    indptr = np.searchsorted(at_row, np.arange(dim + 1))
-    return scipy.sparse.csr_array((data, (at_row + diag[at_slot]).astype(np.int32),
-                                   indptr.astype(np.int32)), shape=(dim, dim))
+    rep = scipy.sparse.csr_array((M[2], M[1], M[0]), shape=(dim, dim))
+    rep.eliminate_zeros()  # a halved subnormal can round to zero
+    return rep
 
 
 # -- states -----------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -594,7 +595,8 @@ class RecurrenceInverter:
     it reverses (t* = T - s): e^{iHs} keeps each cover's |c_n| and energy.
     It is searched from ``reach[k]``, the longest reversal of k a run makes,
     or from the first s, and again for an s past T.  A shifted plan is exact
-    only up to a phase that grows with T, so those stay per (k, s).
+    only up to a phase that grows with T, so those stay per (k, s).  Threads
+    may share an inverter: each search runs once, under its key's lock.
     """
 
     physical = True
@@ -609,6 +611,7 @@ class RecurrenceInverter:
         self.t_max = t_max
         self.reach = reach or {}
         self._plans: dict = {}
+        self._locks: dict = {}
 
     def plans(self):
         return dict(self._plans)
@@ -619,13 +622,15 @@ class RecurrenceInverter:
         key = k if sd.shift <= len(E) * np.finfo(float).eps * np.max(np.abs(E)) else (k, s)
         plan = self._plans.get(key)
         if plan is None or plan.time < s:
-            cover = self.cover.get(k) if self.mode == ENERGY_BOUND else self.cover
-            found = invert(sd, max(s, self.reach.get(key, 0.0)), self.delta, self.mode, cover,
-                           t_max=self.t_max).plan  # a (k, s) key has no reach
-            # threads sharing an inverter may both search one key; the search is
-            # deterministic, and every reversal gets the plan stored first
-            plan = self._plans.setdefault(key, found) if plan is None else found
-            self._plans[key] = plan
+            # one search per miss: threads sharing an inverter that miss one key
+            # together wait on its lock (dict.setdefault is atomic), and re-check
+            with self._locks.setdefault(key, threading.Lock()):
+                plan = self._plans.get(key)
+                if plan is None or plan.time < s:
+                    cover = self.cover.get(k) if self.mode == ENERGY_BOUND else self.cover
+                    plan = self._plans[key] = invert(
+                        sd, max(s, self.reach.get(key, 0.0)), self.delta, self.mode, cover,
+                        t_max=self.t_max).plan  # a (k, s) key has no reach
         return plan.time - s, plan
 
 

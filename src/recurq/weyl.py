@@ -501,19 +501,21 @@ def table_monomials(degree_cap: int, modes: int) -> int:
 class _Constants(NamedTuple):
     """The read-only arrays of one ``_structure_constants`` key.
 
-    ``adjoint`` is the adjoint map of the n monomials of ``_exponent_rows``.
-    ``S`` holds every bracket [m_i, m_j] in one sparse table over n_ext
-    columns: the n in-cap monomials followed by the overflow monomials
-    (degree above the cap, exponent rows ``overflow``) that some bracket
-    produces.  T[i, j, col] is stored column-major, at row ``i * n_ext +
-    col``, column ``j`` of the CSC matrix ``S``, so that M_y = sum_j y_j
-    T[:, j, :] is the one product ``S @ y``.  ``N[i, j]`` is the
-    norm of the in-cap part of [m_i, m_j].  ``S``, ``N`` and ``overflow``
+    ``adjoint`` is the adjoint map A of the n monomials of ``_exponent_rows``,
+    and ``targets`` is i(I + A): column j is i(m_j + m_j^dag), monomial j's
+    skew target.  ``S`` holds every bracket [m_i, m_j] in one sparse table
+    over n_ext columns: the n in-cap monomials followed by the overflow
+    monomials (degree above the cap, exponent rows ``overflow``) that some
+    bracket produces.  T[i, j, col] is stored column-major, at row ``i *
+    n_ext + col``, column ``j`` of the CSC matrix ``S``, so that M_y = sum_j
+    y_j T[:, j, :] is the one product ``S @ y``.  ``N[i, j]`` is the norm of
+    the in-cap part of [m_i, m_j].  ``S``, ``N`` and ``overflow``
     are None for a key ``table_monomials`` refuses, whose table is never
     built.
     """
 
     adjoint: sp.csc_matrix
+    targets: sp.csc_matrix
     S: sp.csc_matrix | None
     N: np.ndarray | None
     overflow: np.ndarray | None
@@ -521,11 +523,6 @@ class _Constants(NamedTuple):
     @property
     def n(self) -> int:
         return self.N.shape[0]
-
-    @property
-    def targets(self) -> sp.csc_matrix:
-        """i(I + A): column j is i(m_j + m_j^dag), monomial j's skew target."""
-        return 1j * (sp.identity(self.adjoint.shape[0], format="csc") + self.adjoint)
 
     @property
     def n_ext(self) -> int:
@@ -578,7 +575,8 @@ def _structure_constants(slot_count: int, degree_cap: int) -> _Constants:
         table = [None] * 3
     else:
         table = _bracket_table(E)
-    arrays = [_adjoint_matrix(E), *table]
+    adjoint = _adjoint_matrix(E)
+    arrays = [adjoint, 1j * (sp.identity(len(rows), format="csc") + adjoint), *table]
     for a in arrays:
         for part in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
             if part is not None:

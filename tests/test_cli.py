@@ -810,22 +810,24 @@ def test_default_horizon_above_the_budget_certifies(tmp_path):
     assert 1.0 < json.loads((out / "report.json").read_text())["time"] < 2.0 * math.pi + 0.01
 
 
+CHAIN_216 = {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
+             "control_sites": [0], "control_degree_cap": 1}
+UNDO_DRIFT = {"op": "scale", "factor": -1.0, "inner": GEN(0)}
+REVERSED_DRIFT = [({"op": "sum", "left": UNDO_DRIFT, "right": GEN(k)}, t)
+                  for k, t in ((1, 0.2), (2, 0.25))]
+
+
 def test_chain_demo_parallel_report_matches_serial(tmp_path):
     # dim 216 with two few-segment targets: both take the action path and
     # share one EvolutionTable across the worker threads.  Under the
     # recurrence inverter both targets reverse the drift, at 0.2 and 0.25:
     # its one plan, searched from the longer reversal whichever thread asks
     # first, answers both
-    chain = {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]],
-             "control_sites": [0], "control_degree_cap": 1}
-    undo_drift = {"op": "scale", "factor": -1.0, "inner": GEN(0)}
     cases = [({"mode": "exact"}, [({"op": "sum", "left": GEN(0), "right": GEN(k)}, t)
                                   for k, t in ((1, 0.3), (2, 0.25))]),
-             ({"mode": "pointwise", "delta": 1e-6},
-              [({"op": "sum", "left": undo_drift, "right": GEN(k)}, t)
-               for k, t in ((1, 0.2), (2, 0.25))])]
+             ({"mode": "pointwise", "delta": 1e-6}, REVERSED_DRIFT)]
     for inverter, targets in cases:
-        config = {"chain": chain, "dims": [6, 6, 6],
+        config = {"chain": CHAIN_216, "dims": [6, 6, 6],
                   "targets": [{"expr": expr, "t": t} for expr, t in targets],
                   "epsilon": 0.1, "n_budget": 64, "inverter": inverter}
         reports = []
@@ -842,6 +844,34 @@ def test_chain_demo_parallel_report_matches_serial(tmp_path):
         if inverter["mode"] == "pointwise":
             assert [len(rec["plans"]) for rec in records] == [1, 1]
             assert records[0]["plans"] == records[1]["plans"]
+
+
+def test_chain_demo_parallel_searches_each_reversed_generator_once(tmp_path, monkeypatch):
+    # the pointwise case above under --jobs 2, with every search held up so
+    # that both worker threads miss the drift's plan while it runs: one
+    # thread searches, the other waits for its plan, in every run
+    search, calls = recurrence.invert, []
+
+    def held(sd, *args, **kwargs):
+        calls.append(sd)
+        time.sleep(0.05)
+        return search(sd, *args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "invert", held)
+    config = {"chain": CHAIN_216, "dims": [6, 6, 6],
+              "targets": [{"expr": expr, "t": t} for expr, t in REVERSED_DRIFT],
+              "epsilon": 0.1, "n_budget": 64, "inverter": {"mode": "pointwise", "delta": 1e-6}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    reports = []
+    for run_index, jobs in enumerate((1, 2, 2, 2, 2)):
+        calls.clear()
+        out = tmp_path / f"out{run_index}"
+        assert cli.main(["chain-demo", "--config", str(cfg), "--out", str(out),
+                         "--jobs", str(jobs)]) == cli.EXIT_OK
+        assert len(calls) == 1  # the drift, the one reversed generator
+        reports.append((out / "report.json").read_bytes())
+    assert all(report == reports[0] for report in reports)
 
 
 @pytest.mark.parametrize("sub,config,path", [

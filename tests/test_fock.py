@@ -142,8 +142,9 @@ def test_chain_generators_represent_equals_dense_kron(dims, cap):
 
 def test_represent_is_the_same_with_a_cold_or_warm_power_memo():
     # the per-mode powers are built once per (levels, q power, p power), and
-    # each monomial's Kronecker nonzeros once per (dims, monomial) in a cache
-    # of bounded size; both are shared read-only by every later call
+    # each monomial's Kronecker product once per (dims, monomial), as
+    # canonical CSR arrays, in a cache of bounded size; both are shared
+    # read-only by every later call
     spec = chains.ChainSpec(3, 0.83, ((0, 1, 1.21), (1, 2, 0.64)), (0,), 3)
     memos = (fock._mode_power, fock._monomial_nonzeros)
     for H in chains.control_system(spec)[1]:
@@ -156,8 +157,16 @@ def test_represent_is_the_same_with_a_cold_or_warm_power_memo():
             for name in ("data", "indices", "indptr"):
                 assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
     assert type(fock._monomial_nonzeros.cache_info().maxsize) is int
-    for arrays in (fock._mode_power(8, 1, 2), fock._monomial_nonzeros((8, 9), ((1, 0), (0, 2)))):
+    assert not any(array.flags.writeable for array in fock._mode_power(8, 1, 2))
+    for dims, mono in (((8, 9), ((1, 0), (0, 2))), ((3, 5), ((1, 0), (0, 4))),
+                       ((4, 3, 2), ((0, 3), (0, 0), (1, 1))), ((6,), ((0, 0),))):
+        indptr, indices, vals = arrays = fock._monomial_nonzeros(dims, mono)
         assert not any(array.flags.writeable for array in arrays)
+        assert indptr.dtype == indices.dtype == np.int32
+        csr = scipy.sparse.csr_array((vals, indices, indptr), shape=(indptr.size - 1,) * 2)
+        assert csr.has_canonical_format  # ascending columns in every row, no duplicates
+        assert csr.toarray().tobytes() == dense_represent(PolyOp(len(dims), {mono: 1.0}),
+                                                          dims).tobytes()
 
 
 def _vanishing():
@@ -177,6 +186,8 @@ EDGE_CASES = {
     "zero": (lambda: PolyOp(2, {}), (3, 4)),
     "general": (lambda: PolyOp(3, {((1, 0), (0, 2), (0, 0)): 1 + 2j,
                                    ((0, 3), (0, 0), (1, 1)): 0.5 - 1j}), (4, 3, 2)),
+    # (-1 + 0j)(0 + i/sqrt 2) has the real part -0.0, which the dense 0 + b stores as +0.0
+    "negative-zero": (lambda: -1 * p(0, 1), (4,)),
 }
 
 
@@ -186,6 +197,15 @@ def test_represent_edge_cases_equal_dense_kron(case):
     A = build()
     check_dense_bytes(PolyOp(A.mode_count, A.terms), dims)  # general role
     check_dense_bytes(as_hermitian(0.5 * (A + A.adjoint())), dims)
+
+
+def test_represent_drops_a_halved_subnormal():
+    # an entry of M + M^dag is a single subnormal unit here, which the
+    # hermitization's division by 2.0 rounds to +0: no such zero is stored
+    A = PolyOp(1, {((1, 2),): 5e-324}, weyl.HERMITIAN)
+    raw = dense_represent(A, (3,))
+    assert np.any((raw + raw.conj().T != 0) & (hermitize(raw) == 0))
+    check_dense_bytes(A, (3,))
 
 
 def test_hermitize():

@@ -119,8 +119,9 @@ def test_one_json_writer():
 
 
 def test_fock_assembly_never_sorts():
-    # represent accumulates per diagonal into CSR order (notes/decisions.md,
-    # "Fock assembly into CSR"): no sort, unique or argsort in fock
+    # each monomial reaches CSR order by a stable counting sort by row, and
+    # represent adds canonical CSR terms (notes/decisions.md, "Fock assembly
+    # into CSR"): no sort, unique or argsort in fock
     calls = []
     for node in ast.walk(ast.parse((SRC / "fock.py").read_text())):
         func = getattr(node, "func", None)
@@ -204,12 +205,12 @@ def test_chain_closures_start_at_cap_three():
     # closure"; test_chains' cap-six and one-mode-frame tests count the caps).
     # The check builds PolyOps only for the pair targets it misses, not every
     # target through skew_monomial_generators, and the targets i(I + A) are
-    # built in one place, _Constants.targets
+    # built in one place, _structure_constants, once per key into _Constants.targets
     closes = _call_sites("lie_closure") | _call_sites("algebraic_propagation_check")
     assert {site for site in closes if site[0] == "chains"} == {("chains", "_site_dim"),
                                                                  ("chains", "_pair_verdict")}
     assert _call_sites("skew_monomial_generators") == {("weyl", "local_skew_generators")}
-    assert _call_sites("identity") == {("weyl", "_Constants.targets")}
+    assert _call_sites("identity") == {("weyl", "_structure_constants")}
     assert _call_sites("_target_ops") == {("weyl", "LieBasis.basis"),
                                           ("weyl", "skew_monomial_generators"),
                                           ("weyl", "algebraic_propagation_check")}
@@ -562,9 +563,9 @@ def test_optional_parameters_do_not_grow():
 
 def test_weyl_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert len((SRC / "weyl.py").read_text().splitlines()) <= 863
+    assert len((SRC / "weyl.py").read_text().splitlines()) <= 861
 
 
 def test_source_does_not_grow():
     # a ratchet: lower the bound when code goes
-    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3802
+    assert sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py")) <= 3797

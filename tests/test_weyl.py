@@ -381,7 +381,8 @@ def test_cached_arrays_are_read_only():
     entry = weyl._structure_constants(2, 4)
     assert weyl._structure_constants(2, 4) is entry
     arrays = [entry.N, entry.overflow] + [
-        part for m in (entry.adjoint, entry.S) for part in (m.data, m.indices, m.indptr)]
+        part for m in (entry.adjoint, entry.targets, entry.S)
+        for part in (m.data, m.indices, m.indptr)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -392,7 +393,7 @@ def test_a_refused_key_holds_no_table():
     # modes at cap 6 are past TABLE_MONOMIALS, so only the adjoint map is kept
     assert len(weyl.skew_monomial_generators(range(3), 3, 6)) == 924
     entry = weyl._structure_constants(3, 6)
-    assert entry.adjoint.shape == (924, 924)
+    assert entry.adjoint.shape == entry.targets.shape == (924, 924)
     assert entry.S is None and entry.N is None and entry.overflow is None
 
 
