@@ -651,6 +651,17 @@ RUNNERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, as ``np.random.default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{seed} is negative; a seed is >= 0")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recurq",
@@ -662,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (mandatory for sampling)")
+        sp.add_argument("--seed", type=_seed, default=0, help="RNG seed (mandatory for sampling)")
         sp.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
     return parser
 
@@ -684,13 +695,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         validate_config(args.subcommand, config)
-    except (OSError, json.JSONDecodeError, RecursionError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     try:
         return RUNNERS[args.subcommand](config, args.out, rng, max(1, args.jobs))

@@ -653,35 +653,17 @@ def _expand(E, I, J):
 def _columns(E, out):
     """``(col, overflow)``: the column of each exponent row of ``out``, its
     index in E or else n plus its index in ``overflow``, the rows not in E
-    in ``_lex_rank`` order."""
+    in lexicographic order: the byte order of the rows as uint8, which holds
+    every exponent, at most 2 * MAX_DEGREE_CAP."""
     n = len(E)
     rows = np.concatenate([E, out])
-    _, first, inverse = np.unique(_lex_rank(rows), return_index=True, return_inverse=True)
+    keys = rows.astype(np.uint8).view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     col_of = np.full(first.size, -1)
     col_of[inverse[:n]] = np.arange(n)
     over = np.flatnonzero(col_of < 0)
     col_of[over] = n + np.arange(over.size)
     return col_of[inverse[n:]], rows[first[over]]
-
-
-def _lex_rank(rows: np.ndarray) -> np.ndarray:
-    """Index of each exponent row in the lexicographic list of all rows of
-    its width whose sum is at most the largest row sum: an exact int64 key."""
-    width, top = rows.shape[1], int(rows.sum(axis=1).max())
-    if math.comb(width + top, top) >= 2 ** 62:
-        raise ValueError("monomial space too large for the bracket table")
-    # C[r, d] = C(r + d + 1, r + 1), at most C(width + top, top): only the
-    # entries read below, as the full table of C(a, b) overflows int64
-    C = np.array([[math.comb(r + d + 1, r + 1) for d in range(top + 1)]
-                  for r in range(width)], dtype=np.int64)
-    key = np.zeros(len(rows), dtype=np.int64)
-    room = np.full(len(rows), top)
-    for t in range(width):
-        r, e = width - t - 1, rows[:, t]
-        # rows with a smaller exponent here: sum_{v < e} C(r + room - v, r)
-        key += C[r, room] - C[r, room - e]
-        room -= e
-    return key
 
 
 def _embed(row, slots, mode_count) -> Monomial:

@@ -76,6 +76,31 @@ def test_schema_violation_reports_path(tmp_path, capsys):
         assert "$.chain.couplings[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("door", ["latin-1 config", "negative seed", "out is a file",
+                                  "out under a file"])
+def test_run_inputs_exit_usage_without_traceback(door, tmp_path, capsys):
+    # a config that is not UTF-8, a negative --seed and an --out that cannot be
+    # a directory are usage errors, each reported on one error line
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode_count": 1, "generators": ["(0,1) * q1^2"]}))
+    out, seed = tmp_path / "out", "0"
+    if door == "latin-1 config":
+        cfg.write_bytes(cfg.read_text().encode() + "\u00e9".encode("latin-1"))
+    elif door == "negative seed":
+        seed = "-1"
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" if door == "out is a file" else tmp_path / "file" / "out"
+    assert cli.main(["closure", "--config", str(cfg), "--out", str(out),
+                     "--seed", seed]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    if door == "negative seed":
+        assert not out.exists()
+    if door.startswith("out"):
+        assert err.startswith("error: --out: ")
+
+
 def test_recur_harmonic_emits_4pi_plan(tmp_path):
     config = {"hamiltonian": HARMONIC, "delta": 1e-3, "mode": "pointwise",
               "state": {"fock": [0]}, "tau_min": 1.0}
@@ -815,6 +840,30 @@ CHAIN_216 = {"n_modes": 3, "omega": 1.0, "couplings": [[0, 1, 1.0], [1, 2, 0.8]]
 UNDO_DRIFT = {"op": "scale", "factor": -1.0, "inner": GEN(0)}
 REVERSED_DRIFT = [({"op": "sum", "left": UNDO_DRIFT, "right": GEN(k)}, t)
                   for k, t in ((1, 0.2), (2, 0.25))]
+
+
+def test_pointwise_cover_certifies_its_reversal_on_the_cover_state_only(tmp_path):
+    # the drift reversed, then drift + p1 forward: the exact inverter compiles
+    # at n = 2, but a pointwise plan meets delta on its one cover state, the
+    # vacuum, a drift eigenstate, and not on the displaced states between
+    # segments.  The held-out verification refuses every round, so the record
+    # fails with its best round and carries no sequence
+    records = []
+    for inverter in ({"mode": "exact"}, {"mode": "pointwise", "delta": 1e-6}):
+        config = {"chain": CHAIN_216, "dims": [6, 6, 6],
+                  "targets": [{"expr": {"op": "sum", "left": UNDO_DRIFT, "right": GEN(1)},
+                               "t": 0.3}],
+                  "epsilon": 0.1, "n_budget": 4, "inverter": inverter}
+        rc_code, out = run("chain-demo", config, tmp_path, name=inverter["mode"])
+        (record,) = json.loads((out / "report.json").read_text())["targets"]
+        records.append((rc_code, record))
+    (exact_rc, exact), (pointwise_rc, pointwise) = records
+    assert exact_rc == cli.EXIT_OK
+    assert exact["status"] == "ok" and exact["n"] == 2
+    assert exact["distance"] == pytest.approx(0.0699, abs=1e-4)
+    assert pointwise_rc == cli.EXIT_FAILURE
+    assert pointwise["status"] == "failed" and pointwise["sequence"] is None
+    assert pointwise["n"] == 1 and pointwise["distance"] == pytest.approx(0.128, abs=1e-3)
 
 
 def test_chain_demo_parallel_report_matches_serial(tmp_path):

@@ -936,6 +936,34 @@ def test_closure_rejects_caps_the_table_cannot_represent():
     assert weyl.lie_closure([iq(2), skew_generator(q(1, 2))], 8, 4).dim == 2
 
 
+def test_bracket_exponents_fit_a_byte():
+    # _columns keys each exponent row by its bytes as uint8, and a bracket's
+    # exponents reach twice the largest exact cap
+    assert 2 * weyl.MAX_DEGREE_CAP < 256
+
+
+@pytest.mark.parametrize("slot_count,cap", [(1, 16), (2, 6), (99, 1)])
+def test_columns_are_sorted_distinct_rows(slot_count, cap):
+    # the deepest, a middle and the widest admitted table: each term's column
+    # is its row's index among the in-cap rows E, else n plus its place among
+    # the distinct rows not in E, sorted as tuples, held as their first
+    # occurrence
+    E = np.array(weyl._exponent_rows(slot_count, cap), dtype=np.int64)
+    I, J = np.triu_indices(len(E), 1)
+    out = weyl._expand(E, I, J)[4]
+    col, overflow = weyl._columns(E, out)
+    index = {row: i for i, row in enumerate(map(tuple, E.tolist()))}
+    terms = list(map(tuple, out.tolist()))
+    first = {}
+    for t, row in enumerate(terms):
+        first.setdefault(row, t)
+    beyond = sorted(first.keys() - index.keys())
+    index.update((row, len(E) + i) for i, row in enumerate(beyond))
+    assert col.tolist() == [index[row] for row in terms]
+    assert overflow.dtype == out.dtype
+    assert np.array_equal(overflow, out[[first[row] for row in beyond]].reshape(-1, E.shape[1]))
+
+
 def _admitted(cap, modes):
     try:
         weyl.table_monomials(cap, modes)
